@@ -61,8 +61,8 @@ const (
 	// StealHit counts StealAttempts that yielded at least one value;
 	// hit/attempt is the steal success rate.
 	StealHit
-	// RingSeal counts unbounded-queue tail rings sealed because they
-	// filled, forcing growth onto a fresh ring.
+	// RingSeal counts unbounded-queue tail nodes sealed because their
+	// ring filled, forcing growth onto a fresh ring.
 	RingSeal
 	// RingRecycle counts retired rings parked in the pool for reuse
 	// (as opposed to being abandoned to the collector).

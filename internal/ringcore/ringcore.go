@@ -2,7 +2,7 @@
 // index-ring cores — the wait-free wCQ and the lock-free SCQ — are
 // consumed through, so every composition in this repository (sharded,
 // unbounded linked rings, the queue registry, the blocking facade) is
-// written once against Core/Ring/Handle instead of once per core.
+// written once against Core/Handle instead of once per core.
 //
 // Before this package, each consumer carried its own dual plumbing:
 // parallel `[]*wcq.Queue` / `[]*scq.Queue` arrays with a backend
@@ -12,17 +12,17 @@
 // adapter here plus a Kind constant, and every composition picks it
 // up for free.
 //
-// The split between the three interfaces follows who needs what:
+// The split between the two interfaces follows who needs what:
 //
 //   - Handle is the per-goroutine operating surface: scalar and
-//     native-batch enqueue/dequeue, plus the sealed variants the
-//     linked-ring construction uses. A core that is never sealed
-//     (an unbounded composite exposed as a Core) treats EnqueueSealed
-//     exactly as Enqueue.
+//     native-batch enqueue/dequeue.
 //   - Core is what any composition needs to hold a sub-queue: handle
-//     acquisition, capacity, live footprint, and the ring kind.
-//   - Ring adds the seal/drain/reset recycling lifecycle only the
-//     unbounded construction drives.
+//     acquisition, capacity, live footprint, the emptiness probe, and
+//     the ring kind.
+//
+// A ring has no lifecycle of its own: the unbounded construction seals
+// and drains its list nodes, not the rings, so a drained ring is
+// reused as it stands.
 package ringcore
 
 import (
@@ -217,20 +217,13 @@ type Handle[T any] interface {
 	// DequeueBatch fills a prefix of out with the oldest values and
 	// returns its length; 0 means the core appeared empty.
 	DequeueBatch(out []T) int
-	// EnqueueSealed is Enqueue unless the core has been sealed, in
-	// which case it appends nothing and returns false. On cores that
-	// are never sealed it is identical to Enqueue.
-	EnqueueSealed(v T) bool
-	// EnqueueSealedBatch is EnqueueBatch unless the core has been
-	// sealed, in which case it appends nothing and returns 0.
-	EnqueueSealedBatch(vs []T) int
 }
 
 // Core is a queue core behind the one contract every composition
 // consumes: handle acquisition plus the introspection the registry
-// and the harness need. Both bounded ring kinds implement it (via
-// Ring), and so do the composites that want to be composed again —
-// the sharded and unbounded queues each expose themselves as a Core.
+// and the harness need. Both bounded ring kinds implement it, and so
+// do the composites that want to be composed again — the sharded and
+// unbounded queues each expose themselves as a Core.
 type Core[T any] interface {
 	// Acquire returns a per-goroutine Handle. For kinds with a thread
 	// census (KindWCQ) it fails once the census is exhausted;
@@ -254,28 +247,10 @@ type Core[T any] interface {
 	Kind() Kind
 }
 
-// Ring is a recyclable bounded core: a Core plus the seal/drain/reset
-// lifecycle the unbounded linked-ring construction drives. New
-// returns this full contract; consumers that never seal (sharded)
-// hold the Core subset.
-type Ring[T any] interface {
-	Core[T]
-	// Seal closes the ring for enqueues: EnqueueSealed fails once the
-	// seal is visible, while dequeues drain the remainder normally.
-	Seal()
-	// Reset reopens a sealed ring. Only sound on a Drained ring
-	// reachable by no other goroutine (the recycling pool's
-	// exclusivity guarantee).
-	Reset()
-	// Drained reports that no value can ever be produced by this ring
-	// again: sealed, no enqueue in flight, every ticket examined.
-	Drained() bool
-}
-
 // New builds an empty ring core of the given kind holding up to
 // capacity values (a power of two >= 2). maxThreads bounds Acquire
 // for census kinds (KindWCQ) and is ignored by census-free kinds.
-func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Ring[T], error) {
+func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core[T], error) {
 	switch kind {
 	case KindWCQ:
 		q, err := wcq.NewQueue[T](capacity, maxThreads, opts.WCQ())
@@ -294,11 +269,10 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Ring
 	return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
 }
 
-// wcqCore adapts *wcq.Queue to the Ring contract. The embedded queue
-// already provides Cap/Footprint/Seal/Reset/Drained; only handle
-// acquisition and the kind tag are added, and *wcq.QueueHandle
-// satisfies Handle structurally (it carries the per-handle batch
-// scratch itself).
+// wcqCore adapts *wcq.Queue to the Core contract. The embedded queue
+// already provides Cap/Footprint/Empty; only handle acquisition and
+// the kind tag are added, and *wcq.QueueHandle satisfies Handle
+// structurally (it carries the per-handle batch scratch itself).
 type wcqCore[T any] struct{ *wcq.Queue[T] }
 
 // Kind reports KindWCQ.
@@ -317,7 +291,7 @@ func (c wcqCore[T]) Acquire() (Handle[T], error) {
 	return h, nil
 }
 
-// scqCore adapts *scq.Queue to the Ring contract. SCQ has no thread
+// scqCore adapts *scq.Queue to the Core contract. SCQ has no thread
 // census: Acquire never fails and merely hands out a fresh
 // *scq.QueueHandle carrying the per-handle batch scratch.
 type scqCore[T any] struct{ *scq.Queue[T] }

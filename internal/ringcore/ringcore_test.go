@@ -1,7 +1,6 @@
 // Contract test: both ring-core adapters (wCQ, SCQ) run through one
 // shared suite, so any behavioral drift between the cores behind the
-// Core/Ring/Handle contract fails here before a composition trips
-// over it.
+// Core/Handle contract fails here before a composition trips over it.
 package ringcore
 
 import (
@@ -18,7 +17,7 @@ func forEachKind(t *testing.T, body func(t *testing.T, kind Kind)) {
 	}
 }
 
-func mustNew(t *testing.T, kind Kind, capacity uint64, maxThreads int) Ring[uint64] {
+func mustNew(t *testing.T, kind Kind, capacity uint64, maxThreads int) Core[uint64] {
 	t.Helper()
 	r, err := New[uint64](kind, capacity, maxThreads, nil)
 	if err != nil {
@@ -127,38 +126,38 @@ func TestContractBatch(t *testing.T) {
 	})
 }
 
-func TestContractSealLifecycle(t *testing.T) {
-	// The recycling lifecycle the unbounded construction drives:
-	// seal rejects new enqueues, the remainder drains, Drained flips,
-	// Reset reopens.
+func TestContractReuseAfterDrain(t *testing.T) {
+	// Rings have no lifecycle: the unbounded construction seals and
+	// drains its list nodes and recycles a drained ring as it stands.
+	// So a ring filled to capacity and drained, round after round, must
+	// keep taking values in FIFO order, and Empty must read true exactly
+	// when every value has been taken.
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		r := mustNew(t, kind, 8, 2)
 		h := mustAcquire(t, r)
-		if !h.EnqueueSealed(1) {
-			t.Fatal("EnqueueSealed failed on an open ring")
+		for round := uint64(0); round < 3; round++ {
+			if !r.Empty() {
+				t.Fatalf("round %d: drained ring not Empty", round)
+			}
+			for i := uint64(0); i < 8; i++ {
+				if !h.Enqueue(round*8 + i) {
+					t.Fatalf("round %d: enqueue %d failed on a drained ring", round, i)
+				}
+			}
+			if h.Enqueue(99) {
+				t.Fatalf("round %d: enqueue beyond capacity succeeded", round)
+			}
+			if r.Empty() {
+				t.Fatalf("round %d: full ring reported Empty", round)
+			}
+			for i := uint64(0); i < 8; i++ {
+				if v, ok := h.Dequeue(); !ok || v != round*8+i {
+					t.Fatalf("round %d: got (%d,%v), want %d", round, v, ok, round*8+i)
+				}
+			}
 		}
-		r.Seal()
-		if h.EnqueueSealed(2) {
-			t.Fatal("EnqueueSealed succeeded on a sealed ring")
-		}
-		if n := h.EnqueueSealedBatch([]uint64{3, 4}); n != 0 {
-			t.Fatalf("EnqueueSealedBatch on sealed ring = %d, want 0", n)
-		}
-		if r.Drained() {
-			t.Fatal("Drained with a value still buffered")
-		}
-		if v, ok := h.Dequeue(); !ok || v != 1 {
-			t.Fatalf("drain got (%d,%v), want 1", v, ok)
-		}
-		if !r.Drained() {
-			t.Fatal("not Drained after sealing and draining")
-		}
-		r.Reset()
-		if !h.EnqueueSealed(5) {
-			t.Fatal("EnqueueSealed failed after Reset")
-		}
-		if v, ok := h.Dequeue(); !ok || v != 5 {
-			t.Fatalf("got (%d,%v) after reset, want 5", v, ok)
+		if !r.Empty() {
+			t.Fatal("drained ring not Empty")
 		}
 	})
 }

@@ -92,18 +92,22 @@ func NewRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
 }
 
 // NewFullRing returns a Ring pre-filled with the indices 0..capacity-1
-// in order, the state a free-index ring (fq) starts in.
+// in order, the state a free-index ring (fq) starts in. It writes that
+// state directly — index i at Tail ticket nSlots+i (cycle 1, safe),
+// Tail just past the last one, Threshold armed — which is exactly what
+// capacity single-threaded enqueues leave, without their per-index
+// F&A and CAS.
 func NewFullRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
 	q, err := NewRing(capacity, mode)
 	if err != nil {
 		return nil, err
 	}
+	order := q.order // hoisted: loop-invariant (//wfq:stable)
 	for i := uint64(0); i < capacity; i++ {
-		// Single-threaded: the fast path cannot fail.
-		for t, ok := q.TryEnqueue(i); !ok; t, ok = q.TryEnqueue(i) {
-			_ = t
-		}
+		q.entries[ring.Remap(i, order)].Store(q.pack(1, 1, i))
 	}
+	q.tail.Store(q.nSlots + capacity)
+	q.threshold.Store(q.thresh3)
 	return q, nil
 }
 
@@ -481,18 +485,15 @@ func (q *Ring) catchup(tail, head uint64) {
 
 // Queue is a bounded lock-free MPMC queue of arbitrary values, built
 // from two Rings and a data array via the paper's Figure 2 indirection.
+//
+// Every operation reads the three fields and none writes them; the
+// pads keep them off any cache line a neighbouring heap object writes.
 type Queue[T any] struct {
+	_    pad.Line
 	aq   *Ring
 	fq   *Ring
 	data []T
-
-	// Sealing state for the unbounded (Appendix A) construction. An
-	// enqueue registers in inflight BEFORE checking sealed; Drained
-	// therefore implies no enqueue can ever land again.
-	_        pad.Line
-	sealed   atomic.Bool
-	inflight atomic.Int64
-	_        pad.Line
+	_    pad.Line
 }
 
 // NewQueue returns an empty Queue holding up to capacity values.
@@ -522,33 +523,6 @@ func (q *Queue[T]) Enqueue(v T) bool {
 	return true
 }
 
-// Seal closes the queue for enqueues: EnqueueSealed fails once the
-// seal is visible. Dequeues drain the remaining elements normally.
-//
-//wfq:noalloc
-func (q *Queue[T]) Seal() { q.sealed.Store(true) }
-
-// Reset reopens a sealed queue for enqueues. It is only sound on a
-// queue that is Drained and reachable by no other goroutine (the
-// unbounded construction's ring recycling, where the retire handshake
-// guarantees exclusivity); the rings' monotonic cycle counters carry
-// on, so no other state needs rewinding.
-//
-//wfq:noalloc
-func (q *Queue[T]) Reset() { q.sealed.Store(false) }
-
-// Drained reports that no value can ever be produced by this queue
-// again: it is sealed, no enqueue is in flight, and every enqueue
-// ticket has been examined. The in-flight counter is incremented
-// BEFORE the seal check in EnqueueSealed, so (with sequentially
-// consistent atomics) observing sealed && inflight==0 proves any
-// future EnqueueSealed will observe the seal and fail.
-//
-//wfq:noalloc
-func (q *Queue[T]) Drained() bool {
-	return q.sealed.Load() && q.inflight.Load() == 0 && q.aq.Drained()
-}
-
 // Empty reports that the queue held no value at some instant during
 // the call: aq's head counter had caught up with its tail counter, so
 // every enqueued value had been claimed by a dequeue. One-sided (a
@@ -557,18 +531,6 @@ func (q *Queue[T]) Drained() bool {
 //
 //wfq:noalloc
 func (q *Queue[T]) Empty() bool { return q.aq.Drained() }
-
-// EnqueueSealed appends v unless the queue is full or sealed.
-//
-//wfq:noalloc
-func (q *Queue[T]) EnqueueSealed(v T) bool {
-	q.inflight.Add(1)
-	defer q.inflight.Add(-1)
-	if q.sealed.Load() {
-		return false
-	}
-	return q.Enqueue(v)
-}
 
 // QueueHandle is a goroutine's view of a Queue. Unlike wCQ's handles
 // it draws on no thread census — SCQ is census-free, and Register
@@ -621,11 +583,6 @@ func (h *QueueHandle[T]) Enqueue(v T) bool { return h.q.Enqueue(v) }
 //wfq:noalloc
 func (h *QueueHandle[T]) Dequeue() (v T, ok bool) { return h.q.Dequeue() }
 
-// EnqueueSealed appends v unless the queue is full or sealed.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) EnqueueSealed(v T) bool { return h.q.EnqueueSealed(v) }
-
 // EnqueueBatch appends a prefix of vs in order and returns its length;
 // a short count means the queue filled up mid-batch. Index traffic
 // with fq/aq moves through the native ring batch operations: one
@@ -665,21 +622,6 @@ func (h *QueueHandle[T]) DequeueBatch(out []T) int {
 	}
 	q.fq.EnqueueBatch(buf[:n])
 	return n
-}
-
-// EnqueueSealedBatch is EnqueueBatch unless the queue is sealed, in
-// which case it appends nothing (the unbounded construction's batch
-// enqueue rolls over to a fresh ring on a short count).
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) EnqueueSealedBatch(vs []T) int {
-	q := h.q
-	q.inflight.Add(1)
-	defer q.inflight.Add(-1)
-	if q.sealed.Load() {
-		return 0
-	}
-	return h.EnqueueBatch(vs)
 }
 
 // Dequeue removes and returns the oldest value. ok is false when the

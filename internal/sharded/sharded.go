@@ -261,19 +261,6 @@ func (h *Handle[T]) Enqueue(v T) bool {
 	return h.hs[h.home].Enqueue(v)
 }
 
-// EnqueueSealed is Enqueue: a sharded composition is never sealed
-// (sealing is the linked-ring recycling lifecycle, which lives below
-// this layer). It exists so *Handle satisfies ringcore.Handle.
-//
-//wfq:noalloc
-func (h *Handle[T]) EnqueueSealed(v T) bool { return h.Enqueue(v) }
-
-// EnqueueSealedBatch is EnqueueBatch, for the same reason as
-// EnqueueSealed.
-//
-//wfq:noalloc
-func (h *Handle[T]) EnqueueSealedBatch(vs []T) int { return h.EnqueueBatch(vs) }
-
 // Dequeue removes the oldest value of some shard: the home shard
 // first (the hit case in balanced workloads — one probe, and every
 // handle preferentially drains the shard it fills), then a stealing

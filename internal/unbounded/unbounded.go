@@ -1,14 +1,17 @@
 // Package unbounded implements the paper's Appendix A construction:
 // unbounded queues built by linking bounded rings — LSCQ (SCQ rings)
-// and UWCQ (wCQ rings). A ring that fills up (or is finalized) is
+// and UWCQ (wCQ rings). When the tail ring fills up, its list node is
 // sealed and a fresh ring is appended; dequeuers advance past sealed,
-// drained rings. Outer-list operations are rare, so throughput is
+// drained nodes. Outer-list operations are rare, so throughput is
 // dominated by the ring operations, as the paper observes.
 //
 // Both variants are one construction: the rings are consumed through
-// the ringcore contract (ringcore.Ring / ringcore.Handle), so the
+// the ringcore contract (ringcore.Core / ringcore.Handle), so the
 // kind is a constructor parameter instead of a pair of hand-written
-// adapter stacks, and any future ring kind rides along for free.
+// adapter stacks, and any future ring kind rides along for free. The
+// rings themselves have no lifecycle: sealing and draining happen on
+// the list node that holds a ring, so a drained ring is reused as it
+// stands.
 //
 // To keep the paper's "bounded memory usage" story honest under churn,
 // drained rings are not abandoned to the garbage collector: a bounded
@@ -16,7 +19,7 @@
 // burst-and-drain workload reaches a fixed ring population instead of
 // allocating a fresh ring per turnover. Recycling a ring while a
 // straggler still holds a reference would be unsound, so each list
-// node carries a pin counter and a retired flag (see the comment on
+// node carries pin counters and a retired flag (see the comment on
 // node); a ring whose node is pinned at retirement is simply left to
 // the GC.
 //
@@ -39,7 +42,7 @@ import (
 	"repro/internal/ringcore"
 )
 
-// DefaultPoolRings is the default capacity of the sealed-ring
+// DefaultPoolRings is the default capacity of the drained-ring
 // free-list: how many drained rings a queue retains for reuse before
 // handing surplus rings to the garbage collector.
 const DefaultPoolRings = 4
@@ -47,26 +50,55 @@ const DefaultPoolRings = 4
 // node is one link of the outer list. Nodes are never reused (only
 // their rings are), so the head/tail/next pointers cannot suffer ABA.
 //
-// pins and retired implement the reclamation handshake that makes
-// ring recycling safe: every operation pins the node before touching
-// its ring and re-checks retired afterwards, while the dequeuer that
-// advances head past the node stores retired BEFORE loading pins.
-// With Go's sequentially consistent atomics, either the straggler's
-// pin is visible to the retirer (the ring is left to the GC) or the
-// retirement is visible to the straggler (it backs off without
-// touching the ring). Only unpinned retired rings enter the pool, so
-// a recycled ring is reachable exclusively through its new node.
+// The node, not its ring, carries the seal and the two handshakes that
+// rest on it. Both are the same sequentially consistent pattern — one
+// side increments a counter BEFORE it loads a flag, the other stores
+// or loads the flag BEFORE it loads the counter — so with Go's atomics
+// each side sees the other:
+//
+//   - Drain barrier (enqs, sealed). An enqueuer increments enqs, then
+//     touches the ring only if sealed is still false. drained loads
+//     sealed, then enqs, then asks the ring whether it is empty: once
+//     it sees sealed with enqs == 0, every enqueuer that found the node
+//     open has left, and every later one sees the seal.
+//   - Recycle barrier (pins and enqs, retired). Dequeuers pin with
+//     pins and back off if retired is set; enqueuers pin with enqs and
+//     already back off on the seal, which precedes retirement. The
+//     dequeuer that advances head past the node stores retired, then
+//     loads both counters, and recycles the ring only when both are 0.
+//     Either a straggler's pin is visible (the ring is left to the GC)
+//     or the straggler never touches the ring. Only unpinned retired
+//     rings enter the pool, so a recycled ring is reachable exclusively
+//     through its new node.
+//
+// r, next and the two flags are read often but written about once per
+// node; pins and enqs each sit on their own cache line, so the
+// dequeuers' and the enqueuers' counter traffic never invalidates
+// those reads or each other.
 type node[T any] struct {
-	r       ringcore.Ring[T]
+	r       ringcore.Core[T]
 	next    atomic.Pointer[node[T]]
-	pins    atomic.Int64
+	sealed  atomic.Bool
 	retired atomic.Bool
+	_       pad.Line
+	pins    atomic.Int64
+	_       pad.Line
+	enqs    atomic.Int64
+	_       pad.Line
+}
+
+// drained reports that no value can ever be produced by n's ring
+// again: the node is sealed, no enqueuer that found it open is still
+// in flight, and the ring has handed out every value it took.
+//
+//wfq:noalloc
+func (n *node[T]) drained() bool {
+	return n.sealed.Load() && n.enqs.Load() == 0 && n.r.Empty()
 }
 
 // Queue is an unbounded MPMC FIFO of values of type T, linking bounded
-// rings of the configured kind. Enqueue never reports full: a sealed
-// or full tail ring is replaced by a fresh (pooled or newly allocated)
-// ring.
+// rings of the configured kind. Enqueue never reports full: a full
+// tail ring gets a fresh (pooled or newly allocated) successor.
 //
 //wfq:isolate
 type Queue[T any] struct {
@@ -75,7 +107,7 @@ type Queue[T any] struct {
 	_       pad.Line
 	tail    atomic.Pointer[node[T]]
 	_       pad.Line
-	mk      func() (ringcore.Ring[T], error)
+	mk      func() (ringcore.Core[T], error)
 	met     *metrics.Sink //wfq:stable nil = disabled; shared with the rings via Options
 	pool    ringPool[T]
 	allocd  atomic.Int64 //wfq:cold rings ever constructed: once per turnover
@@ -89,13 +121,25 @@ type Queue[T any] struct {
 	kind       ringcore.Kind
 }
 
-// Handle is a goroutine's view of a Queue. It lazily obtains (and
-// caches, per ring) a view of each ring generation it touches. A
-// Handle must not be used by two goroutines concurrently.
+// Handle is a goroutine's view of a Queue. It lazily registers with
+// each ring generation it touches, at most once per ring. A Handle
+// must not be used by two goroutines concurrently.
 type Handle[T any] struct {
-	q     *Queue[T]
-	mu    sync.Mutex // protects views (a handle may be polled from tests)
-	views map[ringcore.Ring[T]]ringcore.Handle[T]
+	q *Queue[T]
+	// tail and head cache the view this handle last used on each side
+	// of the list, so the common case costs one comparison. views holds
+	// every registration the handle still needs, for the misses.
+	tail, head cachedView[T]
+	views      map[ringcore.Core[T]]ringcore.Handle[T]
+	// one carries a scalar Enqueue's value into EnqueueBatch when the
+	// tail ring turns over.
+	one [1]T
+}
+
+// cachedView is one ring and this handle's registration with it.
+type cachedView[T any] struct {
+	r ringcore.Core[T]
+	v ringcore.Handle[T]
 }
 
 // New returns an unbounded queue linking rings of the given kind,
@@ -112,7 +156,7 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 		}
 		maxHandles = maxThreads
 	}
-	mk := func() (ringcore.Ring[T], error) {
+	mk := func() (ringcore.Core[T], error) {
 		return ringcore.New[T](kind, ringCap, maxThreads, opts)
 	}
 	q := &Queue[T]{mk: mk, ringCap: ringCap, maxHandles: maxHandles, kind: kind, met: opts.Sink()}
@@ -128,7 +172,7 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 	return q, nil
 }
 
-// SetPoolCap resizes the sealed-ring free-list (0 disables recycling).
+// SetPoolCap resizes the drained-ring free-list (0 disables recycling).
 // Call it before the queue is shared between goroutines.
 func (q *Queue[T]) SetPoolCap(n int) { q.pool.max = n }
 
@@ -139,7 +183,7 @@ func (q *Queue[T]) Handle() (*Handle[T], error) {
 		q.handles.Add(-1)
 		return nil, fmt.Errorf("unbounded: handle census exhausted (maxThreads %d)", q.maxHandles)
 	}
-	return &Handle[T]{q: q, views: make(map[ringcore.Ring[T]]ringcore.Handle[T])}, nil
+	return &Handle[T]{q: q, views: make(map[ringcore.Core[T]]ringcore.Handle[T])}, nil
 }
 
 // Kind returns the ring kind the queue links.
@@ -185,31 +229,49 @@ func (q *Queue[T]) Footprint() uint64 {
 	return f
 }
 
-// view returns this handle's cached view of r, creating it on first
-// touch. Entries are pruned only for rings that can no longer recur
-// (neither live, nor pooled, nor in flight between structures during
-// an append or a retire), so a handle registers with any given ring
-// at most once — the invariant that keeps wCQ's per-ring census
-// sufficient.
+// view returns this handle's view of r, consulting the one-entry cache
+// c first: a ring the handle used last time on the same side is a
+// pointer comparison away.
+//
+//wfq:noalloc
+func (h *Handle[T]) view(c *cachedView[T], r ringcore.Core[T]) (ringcore.Handle[T], error) {
+	if c.r == r {
+		return c.v, nil
+	}
+	return h.miss(c, r)
+}
+
+// miss finds or creates the view of r and caches it in c. Entries are
+// pruned only for rings that can no longer recur (neither live, nor
+// pooled, nor in flight between structures during an append or a
+// retire), so a handle registers with any given ring at most once —
+// the invariant that keeps wCQ's per-ring census sufficient. Pruning
+// clears a cached entry along with its map entry, so the cache never
+// holds a ring the map has forgotten.
 //
 //wfq:allocok per-ring view cache: registers once per ring generation
-func (h *Handle[T]) view(r ringcore.Ring[T]) (ringcore.Handle[T], error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if v, ok := h.views[r]; ok {
-		return v, nil
+func (h *Handle[T]) miss(c *cachedView[T], r ringcore.Core[T]) (ringcore.Handle[T], error) {
+	v, ok := h.views[r]
+	if !ok {
+		var err error
+		if v, err = r.Acquire(); err != nil {
+			return nil, err
+		}
+		h.views[r] = v
 	}
-	v, err := r.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	h.views[r] = v
-	if len(h.views) > 16 {
+	*c = cachedView[T]{r: r, v: v}
+	if !ok && len(h.views) > 16 {
 		keep := h.q.reachableRings()
 		for k := range h.views {
 			if !keep[k] {
 				delete(h.views, k)
 			}
+		}
+		if !keep[h.tail.r] {
+			h.tail = cachedView[T]{}
+		}
+		if !keep[h.head.r] {
+			h.head = cachedView[T]{}
 		}
 	}
 	return v, nil
@@ -218,14 +280,14 @@ func (h *Handle[T]) view(r ringcore.Ring[T]) (ringcore.Handle[T], error) {
 // reachableRings snapshots every ring that can still recur: live,
 // pooled, or in flight between structures. The whole snapshot runs
 // under the pool mutex — every transition between the three states
-// takes that lock (takeRing/linkRing/put/markInflight), so a ring
+// takes that lock (takeRing/extend/put/markInflight), so a ring
 // mid-transition is always caught in at least one scan; a two-phase
 // snapshot without the lock could miss a ring that moved from pool to
-// live list between the scans (linkRing unmarks only after the node
-// is linked), and a missed ring costs a second census registration on
+// live list between the scans (extend unmarks only after the node is
+// linked), and a missed ring costs a second census registration on
 // reuse.
-func (q *Queue[T]) reachableRings() map[ringcore.Ring[T]]bool {
-	keep := map[ringcore.Ring[T]]bool{}
+func (q *Queue[T]) reachableRings() map[ringcore.Core[T]]bool {
+	keep := map[ringcore.Core[T]]bool{}
 	q.pool.mu.Lock()
 	defer q.pool.mu.Unlock()
 	for ln := q.head.Load(); ln != nil; ln = ln.next.Load() {
@@ -242,14 +304,12 @@ func (q *Queue[T]) reachableRings() map[ringcore.Ring[T]]bool {
 
 // takeRing produces the next tail ring: from the pool when one is
 // parked there, freshly allocated otherwise. Either way the ring is
-// registered as in flight until linkRing or returnRing retires the
-// append, so concurrent view pruning cannot orphan census
-// registrations.
+// registered as in flight until extend links it or parks it again, so
+// concurrent view pruning cannot orphan census registrations.
 //
 //wfq:allocok ring turnover: pooled or freshly allocated, once per ringCap values
-func (q *Queue[T]) takeRing() (ringcore.Ring[T], error) {
+func (q *Queue[T]) takeRing() (ringcore.Core[T], error) {
 	if r, ok := q.pool.get(); ok {
-		r.Reset()
 		q.reused.Add(1)
 		q.met.Inc(metrics.RingPoolHit)
 		return r, nil
@@ -264,149 +324,34 @@ func (q *Queue[T]) takeRing() (ringcore.Ring[T], error) {
 	return r, nil
 }
 
-// linkRing retires a successful append.
-//
-//wfq:allocok mutex-guarded turnover bookkeeping
-func (q *Queue[T]) linkRing(r ringcore.Ring[T]) { q.pool.unmarkInflight(r) }
-
-// returnRing retires a lost append: the seeded value is reclaimed by
-// the caller beforehand, and the (sealed, drained) ring goes back to
-// the pool.
-//
-//wfq:allocok mutex-guarded turnover bookkeeping
-func (q *Queue[T]) returnRing(r ringcore.Ring[T]) {
-	r.Seal()
-	q.pool.put(r)
-	q.met.Inc(metrics.RingRecycle)
-}
-
-// Enqueue appends v. It always succeeds: a sealed or full tail ring is
-// sealed for good and replaced by a fresh one, seeded with v (as
-// Enqueue_Unbounded does in Fig. 13). The returned error is reserved
-// for broken invariants (ring construction or census failures that the
-// constructors rule out); callers that used the constructors can treat
-// it as impossible.
+// Enqueue appends v. It always succeeds: when the tail node is sealed
+// or its ring full, EnqueueBatch seals the node for good and appends a
+// fresh ring seeded with v (as Enqueue_Unbounded does in Fig. 13). The
+// returned error is reserved for broken invariants (ring construction
+// or census failures that the constructors rule out); callers that
+// used the constructors can treat it as impossible.
 //
 //wfq:noalloc
 func (h *Handle[T]) Enqueue(v T) error {
-	q := h.q
-	met := q.met // hoisted: loop-invariant (//wfq:stable)
-	for {
-		ltail := q.tail.Load()
-		ltail.pins.Add(1)
-		if ltail.retired.Load() {
-			// Head already passed this node; its ring may be recycled.
-			// A retired node always has a successor, so help the
-			// stalled linker advance tail instead of spinning on the
-			// stale pointer until that goroutine resumes.
-			ltail.pins.Add(-1)
-			if next := ltail.next.Load(); next != nil {
-				q.tail.CompareAndSwap(ltail, next)
-			}
-			continue
-		}
-		if next := ltail.next.Load(); next != nil {
-			ltail.pins.Add(-1)
-			q.tail.CompareAndSwap(ltail, next)
-			continue
-		}
-		view, err := h.view(ltail.r)
+	ltail := h.q.tail.Load()
+	ltail.enqs.Add(1)
+	if !ltail.sealed.Load() {
+		view, err := h.view(&h.tail, ltail.r)
 		if err != nil {
-			ltail.pins.Add(-1)
+			ltail.enqs.Add(-1)
 			return err
 		}
-		if view.EnqueueSealed(v) {
-			ltail.pins.Add(-1)
+		if view.Enqueue(v) {
+			ltail.enqs.Add(-1)
 			return nil
 		}
-		// Full or finalized: seal it and append a fresh ring seeded
-		// with v.
-		ltail.r.Seal()
-		nr, err := q.takeRing()
-		if err != nil {
-			ltail.pins.Add(-1)
-			return err
-		}
-		nv, err := h.view(nr)
-		if err != nil {
-			q.pool.unmarkInflight(nr) // don't leak the taken ring
-			ltail.pins.Add(-1)
-			return err
-		}
-		if !nv.EnqueueSealed(v) {
-			q.pool.unmarkInflight(nr)
-			ltail.pins.Add(-1)
-			return fmt.Errorf("unbounded: fresh ring rejected enqueue") //wfq:ignore hotalloc broken-invariant path
-		}
-		nn := &node[T]{r: nr} //wfq:ignore hotalloc growth path: one node per ring turnover
-		if ltail.next.CompareAndSwap(nil, nn) {
-			q.tail.CompareAndSwap(ltail, nn)
-			q.linkRing(nr)
-			met.Inc(metrics.RingSeal)
-			ltail.pins.Add(-1)
-			return nil
-		}
-		// Lost the append race: reclaim the seed (the ring was never
-		// linked, so this handle still owns it exclusively) and park
-		// the ring for reuse, then retry with the winner's ring.
-		nv.Dequeue()
-		q.returnRing(nr)
-		ltail.pins.Add(-1)
 	}
-}
-
-// Dequeue removes the oldest value; ok is false when the whole queue
-// is empty. Errors are reserved for broken invariants, like Enqueue's.
-//
-//wfq:noalloc
-func (h *Handle[T]) Dequeue() (v T, ok bool, err error) {
-	q := h.q
+	ltail.enqs.Add(-1)
+	h.one[0] = v
+	err := h.EnqueueBatch(h.one[:])
 	var zero T
-	for {
-		lhead := q.head.Load()
-		lhead.pins.Add(1)
-		if lhead.retired.Load() {
-			lhead.pins.Add(-1)
-			continue
-		}
-		view, verr := h.view(lhead.r)
-		if verr != nil {
-			lhead.pins.Add(-1)
-			return zero, false, verr
-		}
-		if v, ok := view.Dequeue(); ok {
-			lhead.pins.Add(-1)
-			return v, true, nil
-		}
-		next := lhead.next.Load()
-		if next == nil {
-			lhead.pins.Add(-1)
-			return zero, false, nil // no successor: genuinely empty
-		}
-		if !lhead.r.Drained() {
-			lhead.pins.Add(-1)
-			continue // in-flight enqueues may still land here
-		}
-		// One more look after the drain barrier, then advance. The
-		// ring is marked in flight BEFORE the head CAS: from the
-		// moment the CAS unlinks it until retire hands it to the pool
-		// (or abandons it), the node is on no reachable structure, and
-		// without the mark a concurrent view prune in that window
-		// would drop a view of a ring that can still recur — costing
-		// a second (census-consuming) registration on reuse.
-		if v, ok := view.Dequeue(); ok {
-			lhead.pins.Add(-1)
-			return v, true, nil
-		}
-		q.pool.markInflight(lhead.r)
-		advanced := q.head.CompareAndSwap(lhead, next)
-		lhead.pins.Add(-1)
-		if advanced {
-			q.retire(lhead)
-		} else {
-			q.pool.unmarkInflight(lhead.r)
-		}
-	}
+	h.one[0] = zero // release the reference
+	return err
 }
 
 // EnqueueBatch appends vs in order, filling the current tail ring with
@@ -419,75 +364,117 @@ func (h *Handle[T]) Dequeue() (v T, ok bool, err error) {
 //wfq:noalloc
 func (h *Handle[T]) EnqueueBatch(vs []T) error {
 	q := h.q
-	met := q.met // hoisted: loop-invariant (//wfq:stable)
-	sent := 0
-	for sent < len(vs) {
+	for sent := 0; sent < len(vs); {
 		ltail := q.tail.Load()
-		ltail.pins.Add(1)
-		if ltail.retired.Load() {
-			// Same as the scalar path: help the stalled linker advance.
-			ltail.pins.Add(-1)
-			if next := ltail.next.Load(); next != nil {
-				q.tail.CompareAndSwap(ltail, next)
+		ltail.enqs.Add(1)
+		if !ltail.sealed.Load() {
+			view, err := h.view(&h.tail, ltail.r)
+			if err != nil {
+				ltail.enqs.Add(-1)
+				return err
 			}
-			continue
-		}
-		if next := ltail.next.Load(); next != nil {
-			ltail.pins.Add(-1)
-			q.tail.CompareAndSwap(ltail, next)
-			continue
-		}
-		view, err := h.view(ltail.r)
-		if err != nil {
-			ltail.pins.Add(-1)
-			return err
-		}
-		if n := view.EnqueueSealedBatch(vs[sent:]); n > 0 {
-			sent += n
-			if sent == len(vs) {
-				ltail.pins.Add(-1)
+			if sent += view.EnqueueBatch(vs[sent:]); sent == len(vs) {
+				ltail.enqs.Add(-1)
 				return nil
 			}
+			// Full (or short) mid-batch: nothing lands here again.
+			ltail.sealed.Store(true)
 		}
-		// Full or finalized mid-batch: seal it and append a fresh ring
-		// seeded with as much of the remainder as fits.
-		ltail.r.Seal()
-		nr, err := q.takeRing()
+		// From here on the ring is not touched, so the pin can go.
+		ltail.enqs.Add(-1)
+		n, err := h.extend(ltail, vs[sent:])
 		if err != nil {
-			ltail.pins.Add(-1)
 			return err
 		}
-		nv, err := h.view(nr)
-		if err != nil {
-			q.pool.unmarkInflight(nr) // don't leak the taken ring
-			ltail.pins.Add(-1)
-			return err
-		}
-		m := nv.EnqueueSealedBatch(vs[sent:])
-		if m == 0 {
-			q.pool.unmarkInflight(nr)
-			ltail.pins.Add(-1)
-			return fmt.Errorf("unbounded: fresh ring rejected batch enqueue") //wfq:ignore hotalloc broken-invariant path
-		}
-		nn := &node[T]{r: nr} //wfq:ignore hotalloc growth path: one node per ring turnover
-		if ltail.next.CompareAndSwap(nil, nn) {
-			q.tail.CompareAndSwap(ltail, nn)
-			q.linkRing(nr)
-			met.Inc(metrics.RingSeal)
-			ltail.pins.Add(-1)
-			sent += m
-			continue // a batch larger than a ring keeps rolling
-		}
-		// Lost the append race: reclaim the seeds (the ring was never
-		// linked, so this handle still owns it exclusively) and park
-		// the ring for reuse, then retry with the winner's ring.
-		for j := 0; j < m; j++ {
-			nv.Dequeue()
-		}
-		q.returnRing(nr)
-		ltail.pins.Add(-1)
+		sent += n
 	}
 	return nil
+}
+
+// extend moves the list past ltail, a sealed node. When a successor is
+// already linked it helps swing tail to it (the linker may have
+// stalled); otherwise it appends a fresh ring seeded with as much of
+// vs as fits. It returns how many values landed — 0 when another
+// enqueuer linked its ring first, in which case the caller retries on
+// the winner's.
+//
+//wfq:noalloc
+func (h *Handle[T]) extend(ltail *node[T], vs []T) (int, error) {
+	q := h.q
+	if next := ltail.next.Load(); next != nil {
+		q.tail.CompareAndSwap(ltail, next)
+		return 0, nil
+	}
+	nr, err := q.takeRing()
+	if err != nil {
+		return 0, err
+	}
+	nv, err := h.view(&h.tail, nr)
+	if err != nil {
+		q.pool.unmarkInflight(nr) // don't leak the taken ring
+		return 0, err
+	}
+	m := nv.EnqueueBatch(vs)
+	if m == 0 {
+		q.pool.unmarkInflight(nr)
+		return 0, fmt.Errorf("unbounded: fresh ring rejected enqueue") //wfq:ignore hotalloc broken-invariant path
+	}
+	nn := &node[T]{r: nr} //wfq:ignore hotalloc growth path: one node per ring turnover
+	if ltail.next.CompareAndSwap(nil, nn) {
+		q.tail.CompareAndSwap(ltail, nn)
+		q.pool.unmarkInflight(nr)
+		q.met.Inc(metrics.RingSeal)
+		return m, nil
+	}
+	// Lost the append race: reclaim the seeds (the ring was never
+	// linked, so this handle still owns it exclusively) and park the
+	// ring for reuse.
+	for j := 0; j < m; j++ {
+		nv.Dequeue()
+	}
+	q.pool.put(nr)
+	q.met.Inc(metrics.RingRecycle)
+	return 0, nil
+}
+
+// Dequeue removes the oldest value; ok is false when the whole queue
+// is empty. Errors are reserved for broken invariants, like Enqueue's.
+//
+//wfq:noalloc
+func (h *Handle[T]) Dequeue() (v T, ok bool, err error) {
+	q := h.q
+	for {
+		lhead := q.head.Load()
+		lhead.pins.Add(1)
+		if lhead.retired.Load() {
+			lhead.pins.Add(-1)
+			continue
+		}
+		view, err := h.view(&h.head, lhead.r)
+		if err != nil {
+			lhead.pins.Add(-1)
+			return v, false, err
+		}
+		if v, ok = view.Dequeue(); ok {
+			lhead.pins.Add(-1)
+			return v, true, nil
+		}
+		next := lhead.next.Load()
+		if next == nil {
+			lhead.pins.Add(-1)
+			return v, false, nil // no successor: genuinely empty
+		}
+		if !lhead.drained() {
+			lhead.pins.Add(-1)
+			continue // in-flight enqueues may still land here
+		}
+		// One more look after the drain barrier, then advance.
+		if v, ok = view.Dequeue(); ok {
+			lhead.pins.Add(-1)
+			return v, true, nil
+		}
+		q.advance(lhead, next)
+	}
 }
 
 // DequeueBatch fills a prefix of out with the oldest values, draining
@@ -509,10 +496,10 @@ func (h *Handle[T]) DequeueBatch(out []T) (int, error) {
 			lhead.pins.Add(-1)
 			continue
 		}
-		view, verr := h.view(lhead.r)
-		if verr != nil {
+		view, err := h.view(&h.head, lhead.r)
+		if err != nil {
 			lhead.pins.Add(-1)
-			return filled, verr
+			return filled, err
 		}
 		if n := view.DequeueBatch(out[filled:]); n > 0 {
 			filled += n
@@ -524,42 +511,54 @@ func (h *Handle[T]) DequeueBatch(out []T) (int, error) {
 			lhead.pins.Add(-1)
 			return filled, nil // no successor: nothing more buffered
 		}
-		if !lhead.r.Drained() {
+		if !lhead.drained() {
 			lhead.pins.Add(-1)
 			if filled > 0 {
 				return filled, nil // partial batch beats spinning on in-flight enqueues
 			}
 			continue
 		}
-		// One more look after the drain barrier, then advance (the same
-		// in-flight marking protocol as the scalar Dequeue).
+		// One more look after the drain barrier, then advance.
 		if n := view.DequeueBatch(out[filled:]); n > 0 {
 			filled += n
 			lhead.pins.Add(-1)
 			continue
 		}
-		q.pool.markInflight(lhead.r)
-		advanced := q.head.CompareAndSwap(lhead, next)
-		lhead.pins.Add(-1)
-		if advanced {
-			q.retire(lhead)
-		} else {
-			q.pool.unmarkInflight(lhead.r)
-		}
+		q.advance(lhead, next)
 	}
 	return filled, nil
 }
 
+// advance swings head from lhead, a drained node the caller holds
+// pinned, to next, releasing the caller's pin. The ring is marked in
+// flight BEFORE the head CAS: from the moment the CAS unlinks it until
+// retire hands it to the pool (or abandons it), the node is on no
+// reachable structure, and without the mark a concurrent view prune in
+// that window would drop a view of a ring that can still recur —
+// costing a second (census-consuming) registration on reuse.
+//
+//wfq:noalloc
+func (q *Queue[T]) advance(lhead, next *node[T]) {
+	q.pool.markInflight(lhead.r)
+	advanced := q.head.CompareAndSwap(lhead, next)
+	lhead.pins.Add(-1)
+	if advanced {
+		q.retire(lhead)
+	} else {
+		q.pool.unmarkInflight(lhead.r)
+	}
+}
+
 // retire runs on the dequeuer that advanced head past n (which marked
 // n.r in flight before its CAS): mark the node retired, then recycle
-// its ring only if no straggler holds a pin (see the node comment for
-// why this order is the whole proof). Either path releases the
-// in-flight mark.
+// its ring only if no straggler holds a pin of either kind (see the
+// node comment for why this order is the whole proof). Either path
+// releases the in-flight mark.
 //
 //wfq:allocok mutex-guarded turnover bookkeeping
 func (q *Queue[T]) retire(n *node[T]) {
 	n.retired.Store(true)
-	if n.pins.Load() == 0 {
+	if n.pins.Load() == 0 && n.enqs.Load() == 0 {
 		q.pool.put(n.r)
 		q.met.Inc(metrics.RingRecycle)
 		return
@@ -568,22 +567,22 @@ func (q *Queue[T]) retire(n *node[T]) {
 	q.pool.unmarkInflight(n.r)
 }
 
-// ringPool is the bounded sealed-ring free-list. It also tracks rings
+// ringPool is the bounded drained-ring free-list. It also tracks rings
 // that are "in flight" between leaving the pool (or allocation) and
 // being linked at the tail, so Handle.view pruning never drops a view
 // of a ring that can come back.
 type ringPool[T any] struct {
 	mu    sync.Mutex
-	rings []ringcore.Ring[T] // LIFO: the most recently drained ring is the cache-warmest
+	rings []ringcore.Core[T] // LIFO: the most recently drained ring is the cache-warmest
 	// inflight is a reference count per ring: dequeuers racing the
 	// same head CAS each take a mark, and only the last release drops
 	// the ring from the reachable set.
-	inflight map[ringcore.Ring[T]]int
+	inflight map[ringcore.Core[T]]int
 	max      int
 }
 
 // get removes a parked ring and marks it in flight.
-func (p *ringPool[T]) get() (ringcore.Ring[T], bool) {
+func (p *ringPool[T]) get() (ringcore.Core[T], bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.rings) == 0 {
@@ -595,10 +594,12 @@ func (p *ringPool[T]) get() (ringcore.Ring[T], bool) {
 	return r, true
 }
 
-// put parks a sealed, drained, unreachable ring for reuse; when the
-// pool is full the ring is dropped for the GC. Either way the
-// caller's in-flight mark is released.
-func (p *ringPool[T]) put(r ringcore.Ring[T]) {
+// put parks a drained, unreachable ring for reuse; when the pool is
+// full the ring is dropped for the GC. Either way the caller's
+// in-flight mark is released.
+//
+//wfq:allocok mutex-guarded turnover bookkeeping
+func (p *ringPool[T]) put(r ringcore.Core[T]) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.unmarkInflightLocked(r)
@@ -608,27 +609,27 @@ func (p *ringPool[T]) put(r ringcore.Ring[T]) {
 }
 
 //wfq:allocok mutex-guarded turnover bookkeeping
-func (p *ringPool[T]) markInflight(r ringcore.Ring[T]) {
+func (p *ringPool[T]) markInflight(r ringcore.Core[T]) {
 	p.mu.Lock()
 	p.markInflightLocked(r)
 	p.mu.Unlock()
 }
 
-func (p *ringPool[T]) markInflightLocked(r ringcore.Ring[T]) {
+func (p *ringPool[T]) markInflightLocked(r ringcore.Core[T]) {
 	if p.inflight == nil {
-		p.inflight = map[ringcore.Ring[T]]int{}
+		p.inflight = map[ringcore.Core[T]]int{}
 	}
 	p.inflight[r]++
 }
 
 //wfq:allocok mutex-guarded turnover bookkeeping
-func (p *ringPool[T]) unmarkInflight(r ringcore.Ring[T]) {
+func (p *ringPool[T]) unmarkInflight(r ringcore.Core[T]) {
 	p.mu.Lock()
 	p.unmarkInflightLocked(r)
 	p.mu.Unlock()
 }
 
-func (p *ringPool[T]) unmarkInflightLocked(r ringcore.Ring[T]) {
+func (p *ringPool[T]) unmarkInflightLocked(r ringcore.Core[T]) {
 	if n := p.inflight[r]; n > 1 {
 		p.inflight[r] = n - 1
 	} else {
@@ -706,8 +707,7 @@ func (c ubCore[T]) Stats() metrics.Snapshot { return c.q.met.Snapshot() }
 func (c ubCore[T]) Rings() int { return c.q.Rings() }
 
 // ubHandle adapts *Handle to ringcore.Handle: enqueues always succeed
-// (the queue grows), the sealed variants are plain enqueues (an
-// unbounded composite is never sealed), and invariant errors panic.
+// (the queue grows), and invariant errors panic.
 type ubHandle[T any] struct{ h *Handle[T] }
 
 //wfq:noalloc
@@ -743,9 +743,3 @@ func (h ubHandle[T]) DequeueBatch(out []T) int {
 	}
 	return n
 }
-
-//wfq:noalloc
-func (h ubHandle[T]) EnqueueSealed(v T) bool { return h.Enqueue(v) }
-
-//wfq:noalloc
-func (h ubHandle[T]) EnqueueSealedBatch(vs []T) int { return h.EnqueueBatch(vs) }

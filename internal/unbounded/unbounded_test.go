@@ -1,6 +1,7 @@
 package unbounded
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -331,13 +332,12 @@ func TestKindAccessorsAndCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Through the Core adapter: never full, sealed ops are plain
-	// enqueues, batches always absorbed.
-	if !h.Enqueue(1) || !h.EnqueueSealed(2) {
+	// Through the Core adapter: never full, batches always absorbed.
+	if !h.Enqueue(1) || !h.Enqueue(2) {
 		t.Fatal("unbounded core reported full")
 	}
-	if n := h.EnqueueSealedBatch([]uint64{3, 4, 5}); n != 3 {
-		t.Fatalf("EnqueueSealedBatch = %d, want 3", n)
+	if n := h.EnqueueBatch([]uint64{3, 4, 5}); n != 3 {
+		t.Fatalf("EnqueueBatch = %d, want 3", n)
 	}
 	out := make([]uint64, 8)
 	if n := h.DequeueBatch(out); n != 5 {
@@ -350,5 +350,314 @@ func TestKindAccessorsAndCore(t *testing.T) {
 	}
 	if _, ok := h.Dequeue(); ok {
 		t.Fatal("phantom value after drain")
+	}
+}
+
+func TestNodeSealStopsEnqueues(t *testing.T) {
+	// A sealed node takes no more values: the next enqueue links a
+	// fresh ring behind it, and the sealed ring's values still drain
+	// first.
+	for name, mk := range makers() {
+		name, mk := name, mk
+		t.Run(name, func(t *testing.T) {
+			q := mk(t, 8)
+			h, _ := q.Handle()
+			if err := h.Enqueue(1); err != nil {
+				t.Fatal(err)
+			}
+			n := q.tail.Load()
+			n.sealed.Store(true)
+			if err := h.Enqueue(2); err != nil {
+				t.Fatal(err)
+			}
+			if q.tail.Load() == n || n.next.Load() == nil {
+				t.Fatal("enqueue on a sealed node did not append a fresh ring")
+			}
+			for _, want := range []uint64{1, 2} {
+				if v, ok, err := h.Dequeue(); err != nil || !ok || v != want {
+					t.Fatalf("got (%d,%v,%v), want %d", v, ok, err, want)
+				}
+			}
+		})
+	}
+}
+
+func TestNodeDrainedBarrier(t *testing.T) {
+	// drained needs the seal, no enqueuer pinned on the node, and an
+	// empty ring — an enqueuer that found the node open keeps it
+	// undrained until it unpins.
+	for name, mk := range makers() {
+		name, mk := name, mk
+		t.Run(name, func(t *testing.T) {
+			q := mk(t, 8)
+			h, _ := q.Handle()
+			n := q.tail.Load()
+			if n.drained() {
+				t.Fatal("unsealed node reported drained")
+			}
+			n.enqs.Add(1) // an enqueuer past its seal check, still in flight
+			n.sealed.Store(true)
+			if n.drained() {
+				t.Fatal("drained with an enqueuer pinned")
+			}
+			n.enqs.Add(-1)
+			if !n.drained() {
+				t.Fatal("sealed, unpinned, empty node not drained")
+			}
+			n.sealed.Store(false)
+			if err := h.Enqueue(7); err != nil {
+				t.Fatal(err)
+			}
+			n.sealed.Store(true)
+			if n.drained() {
+				t.Fatal("drained with a value buffered")
+			}
+			if v, ok, _ := h.Dequeue(); !ok || v != 7 {
+				t.Fatalf("got (%d,%v), want 7", v, ok)
+			}
+			if !n.drained() {
+				t.Fatal("not drained after the last value left")
+			}
+		})
+	}
+}
+
+func TestRetirePinnedRingGoesToGC(t *testing.T) {
+	// A straggler pinned on a retired node may still touch its ring, so
+	// retire hands that ring to the GC; only an unpinned ring enters the
+	// pool.
+	for _, straggler := range []string{"none", "dequeuer", "enqueuer"} {
+		straggler := straggler
+		t.Run(straggler, func(t *testing.T) {
+			q, err := New[uint64](ringcore.KindSCQ, 4, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, _ := q.Handle()
+			for i := uint64(0); i < 5; i++ { // fills the first ring, seeds a second
+				if err := h.Enqueue(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first := q.head.Load()
+			next := first.next.Load()
+			for i := uint64(0); i < 4; i++ {
+				if v, ok, _ := h.Dequeue(); !ok || v != i {
+					t.Fatalf("got (%d,%v), want %d", v, ok, i)
+				}
+			}
+			if !first.drained() {
+				t.Fatal("first node not drained")
+			}
+			switch straggler {
+			case "dequeuer":
+				first.pins.Add(1)
+			case "enqueuer":
+				first.enqs.Add(1)
+			}
+			first.pins.Add(1) // the advancing dequeuer's own pin; advance releases it
+			q.advance(first, next)
+			want := 0
+			if straggler == "none" {
+				want = 1
+			}
+			if got := q.Pooled(); got != want {
+				t.Fatalf("pooled %d rings after retire, want %d", got, want)
+			}
+			if v, ok, _ := h.Dequeue(); !ok || v != 4 {
+				t.Fatalf("got (%d,%v) after retire, want 4", v, ok)
+			}
+		})
+	}
+}
+
+func TestViewCachePrunedAfterGenerations(t *testing.T) {
+	// With recycling off every turnover is a new ring generation and a
+	// retired ring is gone for good. Once more than 16 generations have
+	// passed through a handle's views, pruning must drop the first
+	// ring from the map AND from the cached head view.
+	q, err := New[uint64](ringcore.KindWCQ, 4, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.SetPoolCap(0)
+	a, _ := q.Handle()
+	b, _ := q.Handle()
+	if err := a.Enqueue(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := a.Dequeue(); !ok {
+		t.Fatal("lost the first value")
+	}
+	r0 := q.head.Load().r
+	if a.head.r != r0 {
+		t.Fatal("head view of the first ring not cached")
+	}
+	next, exp := uint64(1), uint64(1)
+	for gen := 0; gen < 20; gen++ {
+		// One value more than a ring holds: every round seals a ring and
+		// the drain retires it.
+		for i := 0; i < 5; i++ {
+			if err := a.Enqueue(next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for i := 0; i < 5; i++ {
+			if v, ok, err := b.Dequeue(); err != nil || !ok || v != exp {
+				t.Fatalf("gen %d: got (%d,%v,%v), want %d", gen, v, ok, err, exp)
+			}
+			exp++
+		}
+	}
+	if a.head.r == r0 {
+		t.Fatal("cached head view still holds a retired ring after pruning")
+	}
+	if _, ok := a.views[r0]; ok {
+		t.Fatal("view map still holds a retired ring after pruning")
+	}
+	if q.RingsAllocated() < 20 {
+		t.Fatalf("only %d ring generations", q.RingsAllocated())
+	}
+	if err := a.Enqueue(next); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := a.Dequeue(); err != nil || !ok || v != next {
+		t.Fatalf("after pruning: got (%d,%v,%v), want %d", v, ok, err, next)
+	}
+}
+
+func TestUWCQCensusSurvivesTurnover(t *testing.T) {
+	// Two handles on a census of two: registering one handle twice with
+	// one ring — a view pruned while its ring could still recur — would
+	// exhaust the census and surface as an error. Bursts of 10 rings
+	// against a pool of 4 mix recycled rings with fresh generations, so
+	// pruning runs while pooled rings must survive it.
+	const ringCap, burstRings, bursts = 4, 10, 100 // 1000 turnovers
+	q, err := New[uint64](ringcore.KindWCQ, ringCap, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := q.Handle()
+	c, _ := q.Handle()
+	const perBurst = ringCap * (burstRings + 1) // the empty tail ring, then burstRings more
+	next, exp := uint64(0), uint64(0)
+	for burst := 0; burst < bursts; burst++ {
+		for i := 0; i < perBurst; i++ {
+			if err := p.Enqueue(next); err != nil {
+				t.Fatalf("burst %d: %v", burst, err)
+			}
+			next++
+		}
+		for i := 0; i < perBurst; i++ {
+			if v, ok, err := c.Dequeue(); err != nil || !ok || v != exp {
+				t.Fatalf("burst %d: got (%d,%v,%v), want %d", burst, v, ok, err, exp)
+			}
+			exp++
+		}
+	}
+	if turns := q.RingsAllocated() + q.RingsRecycled(); turns < bursts*burstRings {
+		t.Fatalf("only %d turnovers", turns)
+	}
+	if q.RingsRecycled() == 0 || q.RingsAllocated() < 20 {
+		t.Fatalf("want recycled rings and fresh generations both, got %d recycled, %d allocated",
+			q.RingsRecycled(), q.RingsAllocated())
+	}
+}
+
+func TestUnboundedChurnStorm(t *testing.T) {
+	// Cap-8 rings under concurrent producers and consumers turn over
+	// every few operations, so seals, appends, drains and recycling all
+	// race. Every value must arrive exactly once, and each consumer must
+	// take each producer's values in increasing order.
+	const producers, consumers, per = 2, 2, 5000
+	for name, mk := range makers() {
+		for _, batch := range []int{1, 7} {
+			mk, batch := mk, batch
+			t.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(t *testing.T) {
+				q := mk(t, 8)
+				var got atomic.Int64
+				seen := make([]atomic.Int32, producers*per)
+				var wg sync.WaitGroup
+				for p := 0; p < producers; p++ {
+					h, err := q.Handle()
+					if err != nil {
+						t.Fatal(err)
+					}
+					wg.Add(1)
+					go func(p int, h *Handle[uint64]) {
+						defer wg.Done()
+						buf := make([]uint64, batch)
+						for i := 0; i < per; i += batch {
+							k := min(batch, per-i)
+							for j := range buf[:k] {
+								buf[j] = uint64(p)<<32 | uint64(i+j)
+							}
+							var err error
+							if batch == 1 {
+								err = h.Enqueue(buf[0])
+							} else {
+								err = h.EnqueueBatch(buf[:k])
+							}
+							if err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}(p, h)
+				}
+				for c := 0; c < consumers; c++ {
+					h, err := q.Handle()
+					if err != nil {
+						t.Fatal(err)
+					}
+					wg.Add(1)
+					go func(h *Handle[uint64]) {
+						defer wg.Done()
+						last := make([]int64, producers)
+						for i := range last {
+							last[i] = -1
+						}
+						out := make([]uint64, batch)
+						for got.Load() < producers*per {
+							var n int
+							var err error
+							if batch == 1 {
+								var ok bool
+								if out[0], ok, err = h.Dequeue(); ok {
+									n = 1
+								}
+							} else {
+								n, err = h.DequeueBatch(out)
+							}
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if n == 0 {
+								runtime.Gosched()
+								continue
+							}
+							for _, v := range out[:n] {
+								p, i := int(v>>32), int64(uint32(v))
+								if i <= last[p] {
+									t.Errorf("producer %d: value %d after %d", p, i, last[p])
+									return
+								}
+								last[p] = i
+								seen[p*per+int(i)].Add(1)
+							}
+							got.Add(int64(n))
+						}
+					}(h)
+				}
+				wg.Wait()
+				for i := range seen {
+					if n := seen[i].Load(); n != 1 {
+						t.Fatalf("value %d of producer %d delivered %d times", i%per, i/per, n)
+					}
+				}
+			})
+		}
 	}
 }

@@ -2,24 +2,24 @@ package wcq
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/metrics"
+	"repro/internal/pad"
 )
 
 // Queue is a bounded wait-free MPMC queue of arbitrary values, built
 // from two wait-free Rings and a data array via the paper's Figure 2
 // indirection: fq circulates free indices, aq circulates allocated
 // ones. All memory is allocated at construction.
+//
+// Every operation reads the three fields and none writes them; the
+// pads keep them off any cache line a neighbouring heap object writes.
 type Queue[T any] struct {
+	_    pad.Line
 	aq   *Ring
 	fq   *Ring
 	data []T
-
-	// Sealing state for the unbounded (Appendix A) construction; see
-	// Drained for the protocol.
-	sealed   atomic.Bool
-	inflight atomic.Int64
+	_    pad.Line
 }
 
 // QueueHandle is a registered thread's capability to operate on a
@@ -150,61 +150,6 @@ func (h *QueueHandle[T]) DequeueBatch(out []T) int {
 	}
 	h.fqh.EnqueueBatch(buf[:n])
 	return n
-}
-
-// EnqueueSealedBatch is EnqueueBatch unless the queue is sealed, in
-// which case it appends nothing (the unbounded construction's batch
-// enqueue rolls over to a fresh ring on a short count).
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) EnqueueSealedBatch(vs []T) int {
-	q := h.q
-	q.inflight.Add(1)
-	defer q.inflight.Add(-1)
-	if q.sealed.Load() {
-		return 0
-	}
-	return h.EnqueueBatch(vs)
-}
-
-// Seal closes the queue for enqueues (the appendix's finalize_wCQ):
-// EnqueueSealed fails once the seal is visible, while dequeues drain
-// the remaining elements normally.
-//
-//wfq:noalloc
-func (q *Queue[T]) Seal() { q.sealed.Store(true) }
-
-// Reset reopens a sealed queue for enqueues. It is only sound on a
-// queue that is Drained and reachable by no other goroutine (the
-// unbounded construction's ring recycling, where the retire handshake
-// guarantees exclusivity); the rings' monotonic cycle counters carry
-// on, so no other state needs rewinding. Handles registered before the
-// seal stay valid.
-//
-//wfq:noalloc
-func (q *Queue[T]) Reset() { q.sealed.Store(false) }
-
-// Drained reports that no value can ever be produced by this queue
-// again: sealed, no enqueue in flight, and every enqueue ticket
-// examined. EnqueueSealed registers in inflight BEFORE checking the
-// seal, so with sequentially consistent atomics this is exact.
-//
-//wfq:noalloc
-func (q *Queue[T]) Drained() bool {
-	return q.sealed.Load() && q.inflight.Load() == 0 && q.aq.Drained()
-}
-
-// EnqueueSealed appends v unless the queue is full or sealed.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) EnqueueSealed(v T) bool {
-	q := h.q
-	q.inflight.Add(1)
-	defer q.inflight.Add(-1)
-	if q.sealed.Load() {
-		return false
-	}
-	return h.Enqueue(v)
 }
 
 // Empty reports that the queue held no value at some instant during

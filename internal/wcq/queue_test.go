@@ -1,10 +1,6 @@
 package wcq
 
-import (
-	"runtime"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestDataQueueSequential(t *testing.T) {
 	q, err := NewQueue[string](4, 2, nil)
@@ -45,124 +41,6 @@ func TestDataQueueReleasesReferences(t *testing.T) {
 		if q.data[i] != nil {
 			t.Fatal("payload slot retains a pointer after dequeue")
 		}
-	}
-}
-
-func TestSealStopsEnqueues(t *testing.T) {
-	q, _ := NewQueue[uint64](8, 2, nil)
-	h, _ := q.Register()
-	if !h.EnqueueSealed(1) {
-		t.Fatal("enqueue before seal failed")
-	}
-	q.Seal()
-	if h.EnqueueSealed(2) {
-		t.Fatal("enqueue after seal succeeded")
-	}
-	// Remaining elements still drain.
-	if v, ok := h.Dequeue(); !ok || v != 1 {
-		t.Fatalf("got (%d,%v), want 1", v, ok)
-	}
-	if !q.Drained() {
-		t.Fatal("sealed empty queue not drained")
-	}
-}
-
-func TestDrainedRequiresSeal(t *testing.T) {
-	q, _ := NewQueue[uint64](8, 1, nil)
-	if q.Drained() {
-		t.Fatal("unsealed queue reported drained")
-	}
-}
-
-func TestSealConcurrentNoLoss(t *testing.T) {
-	// Values accepted by EnqueueSealed must all be dequeued; values
-	// rejected are the caller's to keep. Seal mid-stream and verify
-	// accounting balances exactly.
-	const producers = 4
-	const per = 3000
-	q, err := NewQueue[uint64](64, producers+1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hd, _ := q.Register()
-	var wg sync.WaitGroup
-	accepted := make([][]uint64, producers)
-	for p := 0; p < producers; p++ {
-		h, err := q.Register()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(p int, h *QueueHandle[uint64]) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				v := uint64(p*per + i)
-				if h.EnqueueSealed(v) {
-					accepted[p] = append(accepted[p], v)
-				}
-				if i%64 == 0 {
-					runtime.Gosched()
-				}
-			}
-		}(p, h)
-	}
-	// Drain concurrently, then seal part-way.
-	got := map[uint64]bool{}
-	var mu sync.Mutex
-	stop := make(chan struct{})
-	var dwg sync.WaitGroup
-	dwg.Add(1)
-	go func() {
-		defer dwg.Done()
-		for {
-			v, ok := hd.Dequeue()
-			if ok {
-				mu.Lock()
-				if got[v] {
-					t.Errorf("duplicate %d", v)
-				}
-				got[v] = true
-				mu.Unlock()
-				continue
-			}
-			select {
-			case <-stop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
-	q.Seal()
-	wg.Wait()
-	// Wait until sealed queue is fully drained, then stop the drainer.
-	for !q.Drained() {
-		runtime.Gosched()
-	}
-	close(stop)
-	dwg.Wait()
-	// Final sweep for anything between the drainer's last miss and stop.
-	for {
-		v, ok := hd.Dequeue()
-		if !ok {
-			break
-		}
-		if got[v] {
-			t.Fatalf("duplicate %d in final sweep", v)
-		}
-		got[v] = true
-	}
-	total := 0
-	for p := range accepted {
-		total += len(accepted[p])
-		for _, v := range accepted[p] {
-			if !got[v] {
-				t.Fatalf("accepted value %d lost after seal", v)
-			}
-		}
-	}
-	if len(got) != total {
-		t.Fatalf("dequeued %d values, producers recorded %d accepted", len(got), total)
 	}
 }
 

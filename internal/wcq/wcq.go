@@ -116,19 +116,22 @@ func NewRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 }
 
 // NewFullRing returns a Ring pre-filled with indices 0..capacity-1, the
-// initial state of a free-index ring.
+// initial state of a free-index ring. It writes that state directly —
+// index i at Tail ticket nSlots+i (cycle 1, safe, enq), Tail just past
+// the last one, Threshold armed — which is exactly what capacity
+// single-threaded fast-path enqueues leave, without their per-index
+// F&A and CAS.
 func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	q, err := NewRing(capacity, maxThreads, opts)
 	if err != nil {
 		return nil, err
 	}
+	l := &q.lay
 	for i := uint64(0); i < capacity; i++ {
-		for { // single-threaded: first fast-path attempt always succeeds
-			if _, ok := q.tryEnqueue(i); ok {
-				break
-			}
-		}
+		q.entries[ring.Remap(i, l.order)].Store(l.pack(entry{cycle: 1, safe: true, enq: true, index: i}))
 	}
+	q.tail.Store(l.nSlots + capacity)
+	q.threshold.Store(q.thresh3)
 	return q, nil
 }
 

@@ -109,6 +109,41 @@ func TestNewFullRingOrder(t *testing.T) {
 	}
 }
 
+func TestNewFullRingMatchesEnqueues(t *testing.T) {
+	// The direct fill must leave word for word the state capacity
+	// single-threaded fast-path enqueues leave, plus the same Head, Tail
+	// and Threshold.
+	for _, mode := range []atomicx.Mode{atomicx.NativeFAA, atomicx.EmulatedFAA, atomicx.CountingFAA} {
+		for _, c := range []uint64{2, 4, 16, 256, 1 << 12} {
+			opts := &Options{Mode: mode}
+			got, err := NewFullRing(c, 1, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewRing(c, 1, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < c; i++ {
+				if _, ok := want.tryEnqueue(i); !ok {
+					t.Fatalf("%v cap %d: reference enqueue %d failed", mode, c, i)
+				}
+			}
+			if got.head.Load() != want.head.Load() || got.tail.Load() != want.tail.Load() ||
+				got.threshold.Load() != want.threshold.Load() {
+				t.Fatalf("%v cap %d: head/tail/threshold %d/%d/%d, want %d/%d/%d", mode, c,
+					got.head.Load(), got.tail.Load(), got.threshold.Load(),
+					want.head.Load(), want.tail.Load(), want.threshold.Load())
+			}
+			for i := range want.entries {
+				if g, w := got.entries[i].Load(), want.entries[i].Load(); g != w {
+					t.Fatalf("%v cap %d: entry %d = %#x, want %#x", mode, c, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 // forcedSlowOpts makes every contended operation take the slow path
 // and help eagerly, maximizing coverage of slowFAA/tryEnqSlow/
 // tryDeqSlow.

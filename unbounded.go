@@ -68,8 +68,8 @@ func WithRingCapacity(n uint64) Option {
 
 // UnboundedQueue is an MPMC FIFO with no capacity bound, built by
 // linking bounded rings (the paper's Appendix A construction):
-// Enqueue never reports full — a full ring is sealed and a fresh ring
-// is appended. Memory therefore grows with the number of buffered
+// Enqueue never reports full — when a ring fills, a fresh ring is
+// appended. Memory therefore grows with the number of buffered
 // values (in ring-sized steps, see Footprint) and shrinks back as
 // bursts drain; a bounded free-list recycles drained rings so
 // steady-state churn does not allocate.
