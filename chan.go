@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
-	"repro/internal/backoff"
 	"repro/internal/metrics"
 	"repro/internal/park"
 	"repro/internal/queueapi"
@@ -138,8 +138,12 @@ func (h unboundedChanHandle[T]) DequeueBatch(out []T) int {
 // Chan is a blocking, closable facade over one of the nonblocking
 // queues — the buffered-channel shape services want at the edge of a
 // system, layered on the wait-free cores without touching their hot
-// paths. Senders and receivers park (futex-style, via internal/park)
-// when the buffer is full or empty; no operation spin-polls.
+// paths. A sender or receiver that finds the buffer full or empty
+// parks at once (futex-style, via internal/park); no operation
+// spin-polls. A send that finds a receiver parked on an empty buffer
+// hands its value over directly, and on the single-ring bounded
+// backends a receive that frees a slot completes a parked sender's
+// pending send (see chan_handoff.go).
 //
 // The close contract mirrors Go channels but stays a library: Close
 // makes every subsequent or blocked Send return ErrClosed (the value
@@ -182,13 +186,7 @@ type Chan[T any] struct {
 	// the closed check may still be buffering its value, and draining
 	// receivers must not give up before it lands (or aborts).
 	sending atomic.Int64
-	// handoff enables the direct-handoff rendezvous fast path: a
-	// sender that finds a receiver parked on notEmpty (and the queue
-	// verifiably empty, preserving FIFO) publishes its value straight
-	// into the waiter's transfer cell and wakes it — the value never
-	// touches the ring. See chan_handoff.go.
-	handoff bool
-	// takeover enables the symmetric sender-side path: a receiver that
+	// takeover enables the sender-side handoff path: a receiver that
 	// frees a slot enqueues a parked sender's pending value on its
 	// behalf, so the woken sender returns without re-running its retry
 	// loop. Only single-ring bounded backends qualify — on the sharded
@@ -203,10 +201,6 @@ type Chan[T any] struct {
 type ChanHandle[T any] struct {
 	c *Chan[T]
 	h chanCoreHandle[T]
-	// rng is this handle's private jitter stream for the spin/yield
-	// wait phases: per-handle (so no sharing, no contention) and seeded
-	// from a global counter (so a herd of handles decorrelates).
-	rng backoff.Rand
 	// rcell and scell are this handle's direct-handoff transfer cells:
 	// a parking receiver arms rcell on notEmpty so a sender can publish
 	// a value into it; a parking sender arms scell on notFull so a
@@ -217,9 +211,6 @@ type ChanHandle[T any] struct {
 	rcell T
 	scell T
 }
-
-// handleSeed hands each ChanHandle a distinct jitter seed.
-var handleSeed atomic.Uint64
 
 // NewChan returns an empty blocking channel facade buffering up to
 // capacity values (a power of two >= 2) on the backend selected with
@@ -283,13 +274,14 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 	default:
 		return nil, fmt.Errorf("wfqueue: unknown chan backend %d", o.backend)
 	}
-	c := &Chan[T]{core: core, shardedFull: o.backend == BackendSharded, met: o.metrics}
-	c.handoff = o.handoff.Enabled()
-	c.takeover = c.handoff && (o.backend == BackendWCQ || o.backend == BackendSCQ)
+	c := &Chan[T]{
+		core:        core,
+		shardedFull: o.backend == BackendSharded,
+		met:         o.metrics,
+		takeover:    o.backend == BackendWCQ || o.backend == BackendSCQ,
+	}
 	c.notEmpty.SetMetrics(o.metrics)
 	c.notFull.SetMetrics(o.metrics)
-	c.notEmpty.SetStrategy(o.wait)
-	c.notFull.SetStrategy(o.wait)
 	return c, nil
 }
 
@@ -305,15 +297,9 @@ func (c *Chan[T]) Stats() MetricsSnapshot {
 	return s
 }
 
-// wakeNotFull wakes parked senders after a slot frees up: one sender
+// wakeNotFullN wakes parked senders after n slots freed up: n senders
 // on single-ring backends (any sender can use any slot), all of them
 // on the sharded backend (see shardedFull).
-//
-//wfq:noalloc
-func (c *Chan[T]) wakeNotFull() { c.wakeNotFullN(1) }
-
-// wakeNotFullN wakes parked senders after n slots freed up (a batch
-// receive), with the same sharded-backend broadcast rule.
 //
 //wfq:noalloc
 func (c *Chan[T]) wakeNotFullN(n int) {
@@ -331,7 +317,7 @@ func (c *Chan[T]) Handle() (*ChanHandle[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ChanHandle[T]{c: c, h: h, rng: backoff.NewRand(handleSeed.Add(1))}, nil
+	return &ChanHandle[T]{c: c, h: h}, nil
 }
 
 // Cap returns the buffer capacity; 0 means unbounded
@@ -439,24 +425,6 @@ func (h *ChanHandle[T]) SendCtx(ctx context.Context, v T) error {
 		if err := ctx.Err(); err != nil {
 			c.finishSend(false)
 			return err
-		}
-		// Phases 1-2 of the wait: spin-then-yield re-checking the
-		// full condition before committing to a park. A hit on close
-		// (sent stays false) falls through to the registered re-check
-		// below, which returns ErrClosed.
-		sent := false
-		if c.notFull.SpinWait(&h.rng, func() bool {
-			if c.closed.Load() {
-				return true
-			}
-			if h.h.Enqueue(v) {
-				sent = true
-				return true
-			}
-			return false
-		}) && sent {
-			c.finishSend(true)
-			return nil
 		}
 		w := c.notFull.Prepare()
 		// Re-check after registering: a receiver may have freed a
@@ -606,28 +574,6 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 			c.finishSendN(0)
 			return sent, err
 		}
-		// Phases 1-2: spin-then-yield before parking, accumulating any
-		// partial chunk the spin lands. A hit on close falls through to
-		// the registered re-check below.
-		progress := 0
-		if c.notFull.SpinWait(&h.rng, func() bool {
-			if c.closed.Load() {
-				return true
-			}
-			if n := h.h.EnqueueBatch(vs[sent:]); n > 0 {
-				progress = n
-				return true
-			}
-			return false
-		}) && progress > 0 {
-			sent += progress
-			if sent == len(vs) {
-				c.finishSendN(progress)
-				return sent, nil
-			}
-			c.notEmpty.Wake(progress)
-			continue
-		}
 		w := c.notFull.Prepare()
 		// Re-check after registering (lost-wakeup protocol, as SendCtx).
 		if c.closed.Load() {
@@ -716,68 +662,66 @@ func (h *ChanHandle[T]) RecvMany(out []T) (int, error) {
 
 // RecvManyCtx is RecvMany bounded by ctx: it returns ctx.Err() if the
 // context expires while the buffer is still empty.
+//
+// A landed handoff satisfies the "at least one value" contract with
+// out[0]: the claim protocol transfers exactly one value per
+// registration.
 func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 	if len(out) == 0 {
 		return 0, nil
 	}
-	if h.c.handoff {
-		return h.recvManyCtxHandoff(ctx, out)
-	}
-	return h.recvManyCtxRing(ctx, out)
-}
-
-// recvManyCtxRing is the pre-handoff blocking batch receive, kept
-// verbatim as the -handoff=off path (the A/B baseline the h1 figure
-// and the perf-smoke gate compare against).
-func (h *ChanHandle[T]) recvManyCtxRing(ctx context.Context, out []T) (int, error) {
 	c := h.c
 	for {
 		if n := h.h.DequeueBatch(out); n > 0 {
-			c.wakeNotFullN(n)
+			h.releaseSlots(n)
 			return n, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		// Phases 1-2: spin-then-yield before parking. A hit on the
-		// closed-and-drained arm (got stays 0) falls through to the
-		// registered close-drain check below.
-		got := 0
-		if c.notEmpty.SpinWait(&h.rng, func() bool {
-			if n := h.h.DequeueBatch(out); n > 0 {
-				got = n
-				return true
+		// Register claimable, as RecvCtx.
+		w := c.notEmpty.PrepareXfer(unsafe.Pointer(&h.rcell))
+		if !c.core.empty() || (c.closed.Load() && c.sending.Load() == 0) {
+			if !w.Disarm() {
+				<-w.Ready()
+				out[0] = h.rcell
+				c.notEmpty.Finish(w)
+				return 1, nil
 			}
-			return c.closed.Load() && c.sending.Load() == 0
-		}) && got > 0 {
-			c.wakeNotFullN(got)
-			return got, nil
-		}
-		w := c.notEmpty.Prepare()
-		// Re-check after registering (lost-wakeup protocol).
-		if n := h.h.DequeueBatch(out); n > 0 {
-			c.notEmpty.Abort(w)
-			c.wakeNotFullN(n)
-			return n, nil
-		}
-		if c.closed.Load() && c.sending.Load() == 0 {
 			if n := h.h.DequeueBatch(out); n > 0 {
 				c.notEmpty.Abort(w)
-				c.wakeNotFullN(n)
+				h.releaseSlots(n)
 				return n, nil
 			}
+			if c.closed.Load() && c.sending.Load() == 0 {
+				if n := h.h.DequeueBatch(out); n > 0 {
+					c.notEmpty.Abort(w)
+					h.releaseSlots(n)
+					return n, nil
+				}
+				c.notEmpty.Abort(w)
+				c.notEmpty.WakeAll()
+				c.met.Inc(metrics.CloseDrain)
+				return 0, ErrClosed
+			}
 			c.notEmpty.Abort(w)
-			// Nudge any sibling still parked so it re-evaluates the
-			// drained state too.
-			c.notEmpty.WakeAll()
-			c.met.Inc(metrics.CloseDrain)
-			return 0, ErrClosed
+			continue
 		}
 		select {
 		case <-w.Ready():
+			done := w.Done()
+			if done {
+				out[0] = h.rcell
+			}
 			c.notEmpty.Finish(w)
+			if done {
+				return 1, nil
+			}
 		case <-ctx.Done():
-			c.notEmpty.Abort(w)
+			if c.notEmpty.Abort(w) {
+				out[0] = h.rcell
+				return 1, nil
+			}
 			return 0, ctx.Err()
 		}
 	}
@@ -785,66 +729,88 @@ func (h *ChanHandle[T]) recvManyCtxRing(ctx context.Context, out []T) (int, erro
 
 // RecvCtx is Recv bounded by ctx: it returns ctx.Err() if the
 // context expires while the buffer is still empty.
+//
+// A receive that misses registers on notEmpty at once with PrepareXfer,
+// so it is claimable from the moment it is listed: through the
+// registered re-checks below and through the park itself. A sender
+// that finds it delivers straight into the transfer cell, skipping the
+// ring and the dequeue after the wake. The invariant that keeps
+// exactly-once: an armed receiver never touches the ring without first
+// winning Disarm — a lost Disarm means a claimer owns the
+// registration, and its token and cell value must be consumed.
 func (h *ChanHandle[T]) RecvCtx(ctx context.Context) (T, error) {
-	if h.c.handoff {
-		return h.recvCtxHandoff(ctx)
-	}
-	return h.recvCtxRing(ctx)
-}
-
-// recvCtxRing is the pre-handoff blocking receive, kept verbatim as
-// the -handoff=off path (see recvManyCtxRing).
-func (h *ChanHandle[T]) recvCtxRing(ctx context.Context) (T, error) {
 	c := h.c
 	var zero T
 	for {
 		if v, ok := h.h.Dequeue(); ok {
-			c.wakeNotFull()
+			h.releaseSlot()
 			return v, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return zero, err
 		}
-		// Phases 1-2: spin-then-yield before parking. A hit on the
-		// closed-and-drained arm (got stays false) falls through to the
-		// registered close-drain check below.
-		var sv T
-		got := false
-		if c.notEmpty.SpinWait(&h.rng, func() bool {
-			if v, ok := h.h.Dequeue(); ok {
-				sv, got = v, true
-				return true
-			}
-			return c.closed.Load() && c.sending.Load() == 0
-		}) && got {
-			c.wakeNotFull()
-			return sv, nil
-		}
-		w := c.notEmpty.Prepare()
-		// Re-check after registering (lost-wakeup protocol).
-		if v, ok := h.h.Dequeue(); ok {
-			c.notEmpty.Abort(w)
-			c.wakeNotFull()
-			return v, nil
-		}
-		if c.closed.Load() && c.sending.Load() == 0 {
-			if v, ok := h.h.Dequeue(); ok {
-				c.notEmpty.Abort(w)
-				c.wakeNotFull()
+		// Register claimable. From here until a won Disarm this
+		// goroutine may not touch the ring.
+		w := c.notEmpty.PrepareXfer(unsafe.Pointer(&h.rcell))
+		// Re-check after registering (lost-wakeup protocol): a sender
+		// that missed the registration must have enqueued first, which
+		// this probe observes.
+		if !c.core.empty() || (c.closed.Load() && c.sending.Load() == 0) {
+			if !w.Disarm() {
+				// Lost the race to a claimer: the handoff owns this
+				// registration now.
+				<-w.Ready()
+				v := h.rcell
+				c.notEmpty.Finish(w)
 				return v, nil
 			}
+			// Disarmed: exclusive use of the cell again, safe to touch
+			// the ring.
+			if v, ok := h.h.Dequeue(); ok {
+				c.notEmpty.Abort(w)
+				h.releaseSlot()
+				return v, nil
+			}
+			if c.closed.Load() && c.sending.Load() == 0 {
+				// Final re-check: with the in-flight counter at zero
+				// after close, every completed send's value is visible.
+				if v, ok := h.h.Dequeue(); ok {
+					c.notEmpty.Abort(w)
+					h.releaseSlot()
+					return v, nil
+				}
+				c.notEmpty.Abort(w)
+				// Nudge any sibling still parked so it re-evaluates the
+				// drained state too.
+				c.notEmpty.WakeAll()
+				c.met.Inc(metrics.CloseDrain)
+				return zero, ErrClosed
+			}
+			// The ring emptied again between the probe and the dequeue;
+			// retire this registration and re-arm fresh.
 			c.notEmpty.Abort(w)
-			// Nudge any sibling still parked so it re-evaluates the
-			// drained state too.
-			c.notEmpty.WakeAll()
-			c.met.Inc(metrics.CloseDrain)
-			return zero, ErrClosed
+			continue
 		}
 		select {
 		case <-w.Ready():
+			// Done before Finish: Finish recycles the waiter and resets
+			// its transfer state.
+			done := w.Done()
+			var v T
+			if done {
+				v = h.rcell
+			}
 			c.notEmpty.Finish(w)
+			if done {
+				return v, nil
+			}
+			// Plain (possibly forwarded) wake: loop and re-check.
 		case <-ctx.Done():
-			c.notEmpty.Abort(w)
+			if c.notEmpty.Abort(w) {
+				// The handoff landed before the abort: the value counts
+				// as delivered, exactly once — return it, not the error.
+				return h.rcell, nil
+			}
 			return zero, ctx.Err()
 		}
 	}

@@ -165,37 +165,6 @@ func TestChanSendManyHandoffsToParkedReceivers(t *testing.T) {
 	}
 }
 
-// TestChanHandoffOffPinsRingPath is the A/B control: with
-// WithHandoff(false) the facade must never attempt a handoff — no
-// sends, no takeovers, not even misses — while the blocking protocol
-// still works.
-func TestChanHandoffOffPinsRingPath(t *testing.T) {
-	c, err := NewChan[int](4, 2, WithHandoff(false), WithMetrics(NewMetricsSink()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs, _ := c.Handle()
-	hr, _ := c.Handle()
-	got := make(chan int, 1)
-	go func() {
-		v, _ := hr.Recv()
-		got <- v
-	}()
-	waitParked(t, &c.notEmpty)
-	if err := hs.Send(7); err != nil {
-		t.Fatal(err)
-	}
-	if v := <-got; v != 7 {
-		t.Fatalf("Recv = %d", v)
-	}
-	snap := c.Stats()
-	for _, ev := range []metrics.Event{metrics.HandoffSend, metrics.HandoffRecv, metrics.HandoffMiss} {
-		if n := snap.Counts[ev]; n != 0 {
-			t.Fatalf("event %d fired %d times with handoff off", ev, n)
-		}
-	}
-}
-
 // TestChanHandoffCloseCancelStorm is the handoff-focused close/cancel
 // race: a receiver-heavy split on a small ring keeps the rendezvous
 // path hot (most sends land in parked receivers' cells), senders mix

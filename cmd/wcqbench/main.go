@@ -17,11 +17,8 @@
 //	wcqbench -figure l1                  # open-loop latency vs offered load
 //	wcqbench -figure l1 -loads 0.25,0.9 -arrival fixed
 //	wcqbench -figure l1 -gate BENCH_queue.json   # CI: p99/footprint regression gate
-//	wcqbench -figure w1                  # wait strategies vs waiter count
-//	wcqbench -figure w1 -waiters 8,64 -smoke-wait   # CI: adaptive vs park, same run
-//	wcqbench -figure h1                  # direct handoff on/off vs role imbalance
-//	wcqbench -figure h1 -smoke-handoff   # CI: handoff-on must beat handoff-off, same run
-//	wcqbench -figure b1 -handoff off     # any blocking figure with the fast path disabled
+//	wcqbench -figure w1                  # blocking throughput and wait ladder vs waiter count
+//	wcqbench -figure w1 -waiters 8,1024 -smoke-wait   # CI: no throughput or tail cliff
 //	wcqbench -figure all -json BENCH_queue.json
 //
 // Absolute numbers depend on the host; the reproduction target is the
@@ -40,7 +37,7 @@ import (
 	"repro/internal/benchfmt"
 	"repro/internal/clihelper"
 	"repro/internal/harness"
-	"repro/internal/ringcore"
+	"repro/internal/metrics"
 )
 
 func main() {
@@ -58,8 +55,7 @@ func main() {
 		arrivalF = flag.String("arrival", "", "figure l1: inter-arrival process, poisson (default) or fixed")
 		gate     = flag.String("gate", "", "CI bench gate: compare this run's sub-saturation l1 points against the committed wcqbench/v1 file and exit nonzero on p99/footprint regression")
 		waitersF = flag.String("waiters", "", "figure w1: comma-separated waiter-count sweep (default 8,64,256,1024)")
-		smokeW   = flag.Bool("smoke-wait", false, "exit nonzero unless figure w1's adaptive strategy beats immediate park on wakeup p99 at the lowest waiter count and stays within throughput noise at the highest (relative same-run check)")
-		smokeH   = flag.Bool("smoke-handoff", false, "exit nonzero unless figure h1's handoff-on beats handoff-off on blocking throughput at the receiver-heavy split with no blocking-wait p99 regression (relative same-run check)")
+		smokeW   = flag.Bool("smoke-wait", false, "exit nonzero unless, for Chan and ChanSharded, figure w1's throughput at the highest waiter count is at least half the lowest count's and its wait p99 there is at most 10ms")
 	)
 	shared := clihelper.Register(flag.CommandLine, 1<<16)
 	flag.Parse()
@@ -100,10 +96,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-	}
-	if opts.Handoff, err = shared.HandoffMode(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
 
 	var figs []harness.Figure
@@ -160,12 +152,6 @@ func main() {
 				bp.Load = pt.Load
 				bp.OfferedMops = pt.OfferedMops
 				bp.Latency = benchfmt.NewLatencyUS(pt.Latency)
-				bp.Wait = pt.Wait
-				bp.SpinHitRate = pt.SpinHitRate
-				bp.Producers = pt.Producers
-				bp.Consumers = pt.Consumers
-				bp.Handoff = pt.Handoff
-				bp.HandoffRate = pt.HandoffRate
 			}
 			jf.Points = append(jf.Points, bp)
 		}
@@ -221,15 +207,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "smoke-wait FAIL:", err)
 			os.Exit(1)
 		}
-		fmt.Println("smoke-wait ok: adaptive wait beats park on p99 at low waiter counts and holds throughput at high")
-	}
-
-	if *smokeH {
-		if err := smokeHandoff(jf.Points); err != nil {
-			fmt.Fprintln(os.Stderr, "smoke-handoff FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("smoke-handoff ok: handoff-on beats handoff-off at the receiver-heavy split with no wait-p99 regression")
+		fmt.Println("smoke-wait ok: no throughput or wait-p99 cliff at the highest waiter count")
 	}
 
 	if *gate != "" {
@@ -343,159 +321,66 @@ func smokeBatch(points []benchfmt.Point) error {
 	return nil
 }
 
-// smokeWait tolerances. At high waiter counts adaptive collapses to
-// parking, so throughput should match the park baseline to within
-// run-to-run noise; 0.7 leaves headroom for a 1-vCPU CI runner. The
-// latency check allows a 2x factor plus an absolute floor (same shape
-// as the bench gate's): both strategies' p99 sit at single-digit
-// microseconds when healthy, where run-to-run noise swamps a strict
-// comparison, while the regression the gate exists to catch — a
-// thundering herd or a spin phase that burns the workers' CPU — shows
-// up as hundreds of microseconds.
+// smokeWait bounds. A healthy blocking facade keeps most of its
+// throughput from the lowest waiter count to the highest (measured
+// 0.52–0.79x on 2-vCPU hosts at 8 vs 1024 waiters, GOMAXPROCS 1 and 2)
+// and keeps its wait p99 at or below a few milliseconds there (at most
+// 3 ms measured). The cliff the gate exists to catch — a spin phase
+// that burns the CPU the woken workers need, or a re-park herd — shows
+// up as a throughput collapse or a tail in the tens of milliseconds
+// (an adaptive spin-then-park wait read 21–52 ms at 1024 waiters).
 const (
-	smokeWaitMopsFraction = 0.7
-	smokeWaitP99Factor    = 2.0
-	smokeWaitP99FloorUS   = 25.0
+	smokeWaitMopsFraction = 0.5
+	smokeWaitP99MaxUS     = 10_000.0
 )
 
-// smokeWait is the wait-strategy CI gate: on the same w1 run, for each
-// queue, the adaptive (spin-then-park) strategy must deliver a
-// blocking-wait p99 no worse than the immediate-park baseline at the
-// LOWEST waiter count swept (where spinning should win outright), and
-// throughput within noise of the baseline at the HIGHEST (where
-// adaptation must have collapsed to parking instead of burning the CPU
-// the workers need). Relative to the run itself, so robust to host
-// speed.
+// smokeWaitQueues are the facades the wait gate checks: the
+// single-ring Chan and the sharded one, whose not-full broadcast is
+// the herd-prone path.
+var smokeWaitQueues = []string{"Chan", "ChanSharded"}
+
+// smokeWait is the waiter-count cliff gate: on one w1 run, for each
+// of smokeWaitQueues, throughput at the HIGHEST waiter count swept
+// must be at least smokeWaitMopsFraction of the LOWEST count's, and
+// the blocking-wait p99 at the highest count must stay under
+// smokeWaitP99MaxUS. The throughput check is relative to the run
+// itself, so it is robust to host speed.
 func smokeWait(points []benchfmt.Point) error {
 	type key struct {
-		queue, wait string
-		waiters     int
+		queue   string
+		waiters int
 	}
 	pts := map[key]benchfmt.Point{}
-	queues := map[string]bool{}
 	lo, hi := 0, 0
 	for _, p := range points {
 		if p.Figure != "w1" || p.Err != "" {
 			continue
 		}
-		pts[key{p.Queue, p.Wait, p.Threads}] = p
-		queues[p.Queue] = true
+		pts[key{p.Queue, p.Threads}] = p
 		if lo == 0 || p.Threads < lo {
 			lo = p.Threads
 		}
-		if p.Threads > hi {
-			hi = p.Threads
-		}
+		hi = max(hi, p.Threads)
 	}
-	if len(pts) == 0 {
-		return fmt.Errorf("no w1 points in this run (run with -figure w1 or all)")
+	if lo == hi {
+		return fmt.Errorf("w1 needs at least two waiter counts in this run (run with -figure w1 -waiters 8,1024)")
 	}
-	for q := range queues {
-		pLo, ok1 := pts[key{q, "park", lo}]
-		aLo, ok2 := pts[key{q, "adaptive", lo}]
-		pHi, ok3 := pts[key{q, "park", hi}]
-		aHi, ok4 := pts[key{q, "adaptive", hi}]
-		if !ok1 || !ok2 || !ok3 || !ok4 {
-			return fmt.Errorf("%s: missing park/adaptive points at %d or %d waiters", q, lo, hi)
+	for _, q := range smokeWaitQueues {
+		pLo, ok1 := pts[key{q, lo}]
+		pHi, ok2 := pts[key{q, hi}]
+		if !ok1 || !ok2 {
+			return fmt.Errorf("%s: missing w1 points at %d or %d waiters", q, lo, hi)
 		}
-		if pLo.Latency == nil || aLo.Latency == nil {
-			return fmt.Errorf("%s: w1 points at %d waiters carry no wait ladder", q, lo)
+		if pHi.MopsMean < smokeWaitMopsFraction*pLo.MopsMean {
+			return fmt.Errorf("%s @ %d waiters: %.3f Mops/s < %.0f%% of %.3f Mops/s at %d waiters",
+				q, hi, pHi.MopsMean, smokeWaitMopsFraction*100, pLo.MopsMean, lo)
 		}
-		bound := smokeWaitP99Factor * pLo.Latency.P99
-		if bound < smokeWaitP99FloorUS {
-			bound = smokeWaitP99FloorUS
+		if pHi.Latency == nil {
+			return fmt.Errorf("%s: w1 point at %d waiters carries no wait ladder", q, hi)
 		}
-		if aLo.Latency.P99 > bound {
-			return fmt.Errorf("%s @ %d waiters: adaptive wait p99 %.1fµs > park baseline %.1fµs (bound %.1fµs)",
-				q, lo, aLo.Latency.P99, pLo.Latency.P99, bound)
-		}
-		if aHi.MopsMean < smokeWaitMopsFraction*pHi.MopsMean {
-			return fmt.Errorf("%s @ %d waiters: adaptive %.3f Mops/s < %.0f%% of park %.3f Mops/s",
-				q, hi, aHi.MopsMean, smokeWaitMopsFraction*100, pHi.MopsMean)
-		}
-	}
-	return nil
-}
-
-// smokeHandoff tolerances. Throughput must strictly improve at the
-// receiver-heavy split — that split is the rendezvous sweet spot, where
-// skipping the ring and the wake chain is worth a solid margin, so a
-// strict same-run comparison is safe. The wait-ladder p99 check has the
-// usual factor-plus-floor shape (see smokeWait): handoff must not
-// regress parked waits, but sub-25µs p99s are scheduler noise on a CI
-// runner.
-const (
-	smokeHandoffP99Factor  = 2.0
-	smokeHandoffP99FloorUS = 25.0
-)
-
-// smokeHandoff is the direct-handoff CI gate: on the same h1 run, for
-// the Chan queue at the most receiver-heavy split swept (preferring the
-// canonical 1:3), handoff-on must beat handoff-off on blocking
-// throughput, and the blocking-wait p99 must not regress beyond the
-// factor/floor band. Relative to the run itself, so robust to host
-// speed.
-func smokeHandoff(points []benchfmt.Point) error {
-	type key struct {
-		handoff string
-		p, c    int
-	}
-	pts := map[key]benchfmt.Point{}
-	var splits [][2]int
-	for _, p := range points {
-		if p.Figure != "h1" || p.Err != "" || p.Queue != "Chan" {
-			continue
-		}
-		k := key{p.Handoff, p.Producers, p.Consumers}
-		pts[k] = p
-		if p.Handoff == "on" {
-			splits = append(splits, [2]int{p.Producers, p.Consumers})
-		}
-	}
-	if len(pts) == 0 {
-		return fmt.Errorf("no h1 Chan points in this run (run with -figure h1 or all)")
-	}
-	// Prefer the canonical 1:3 split; otherwise the most receiver-heavy
-	// one present (smallest producers/consumers ratio, by integer
-	// cross-multiplication).
-	best, found, canonical := [2]int{}, false, false
-	for _, s := range splits {
-		if _, ok := pts[key{"off", s[0], s[1]}]; !ok {
-			continue
-		}
-		switch {
-		case s[1] == 3*s[0] && !canonical:
-			best, found, canonical = s, true, true
-		case !canonical && (!found || s[0]*best[1] < best[0]*s[1]):
-			best, found = s, true
-		}
-	}
-	if !found {
-		return fmt.Errorf("no h1 split present with both handoff settings")
-	}
-	on := pts[key{"on", best[0], best[1]}]
-	off := pts[key{"off", best[0], best[1]}]
-	// Compare best-of-reps, not means: a single multi-ms scheduler stall
-	// on a shared runner lands in one arm's mean and flips a comparison
-	// the steady-state reps decide the other way. The max is each arm's
-	// stall-free estimate, and the two arms' reps are interleaved in
-	// time by the harness, so it stays a same-conditions comparison.
-	onM, offM := on.MopsMax, off.MopsMax
-	if onM == 0 || offM == 0 {
-		onM, offM = on.MopsMean, off.MopsMean
-	}
-	if onM <= offM {
-		return fmt.Errorf("Chan @ %d:%d: handoff-on %.3f Mops/s <= handoff-off %.3f Mops/s",
-			best[0], best[1], onM, offM)
-	}
-	if on.Latency != nil && off.Latency != nil {
-		bound := smokeHandoffP99Factor * off.Latency.P99
-		if bound < smokeHandoffP99FloorUS {
-			bound = smokeHandoffP99FloorUS
-		}
-		if on.Latency.P99 > bound {
-			return fmt.Errorf("Chan @ %d:%d: handoff-on wait p99 %.1fµs > handoff-off %.1fµs (bound %.1fµs)",
-				best[0], best[1], on.Latency.P99, off.Latency.P99, bound)
+		if pHi.Latency.P99 > smokeWaitP99MaxUS {
+			return fmt.Errorf("%s @ %d waiters: wait p99 %.1fµs > %.0fµs",
+				q, hi, pHi.Latency.P99, smokeWaitP99MaxUS)
 		}
 	}
 	return nil
@@ -509,36 +394,21 @@ func reportWakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelp
 	if len(opts.Queues) > 0 {
 		names = opts.Queues
 	}
-	// A handoff figure A/Bs the ladder itself: the rendezvous path
-	// exists to cut exactly this latency, so the report pairs each
-	// queue's on/off ladders instead of measuring only the flag setting.
-	settings := []string{""}
-	if len(f.Handoffs) > 0 {
-		settings = f.Handoffs
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Wakeup latency (parked Recv -> Send, %d samples, µs):\n", samples)
 	for _, name := range names {
-		for _, hname := range settings {
-			label := name
-			cfg, err := shared.Config(4)
-			if err == nil && hname != "" {
-				label = name + "/" + hname
-				cfg.Handoff, err = ringcore.HandoffByName(hname)
-			}
-			if err != nil {
-				fmt.Fprintf(&sb, "%-16s n/a (%v)\n", label, err)
-				continue
-			}
-			hist, err := harness.WakeupLatency(name, cfg, samples)
-			if err != nil {
-				fmt.Fprintf(&sb, "%-16s n/a (%v)\n", label, err)
-				continue
-			}
-			us := func(q float64) float64 { return float64(hist.Quantile(q)) / 1e3 }
-			fmt.Fprintf(&sb, "%-16s p50 %.1f  p90 %.1f  p99 %.1f  p99.9 %.1f  max %.1f\n",
-				label, us(0.50), us(0.90), us(0.99), us(0.999), float64(hist.Max)/1e3)
+		cfg, err := shared.Config(4)
+		var hist metrics.HistogramSnapshot
+		if err == nil {
+			hist, err = harness.WakeupLatency(name, cfg, samples)
 		}
+		if err != nil {
+			fmt.Fprintf(&sb, "%-16s n/a (%v)\n", name, err)
+			continue
+		}
+		us := func(q float64) float64 { return float64(hist.Quantile(q)) / 1e3 }
+		fmt.Fprintf(&sb, "%-16s p50 %.1f  p90 %.1f  p99 %.1f  p99.9 %.1f  max %.1f\n",
+			name, us(0.50), us(0.90), us(0.99), us(0.999), float64(hist.Max)/1e3)
 	}
 	fmt.Print(sb.String() + "\n")
 	if record {

@@ -1,0 +1,87 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/benchfmt"
+)
+
+// w1Row is one measured w1 point: mean throughput and wait p99.
+type w1Row struct {
+	queue   string
+	waiters int
+	mops    float64
+	p99US   float64
+}
+
+func w1Points(rows []w1Row) []benchfmt.Point {
+	pts := make([]benchfmt.Point, len(rows))
+	for i, r := range rows {
+		pts[i] = benchfmt.Point{
+			Figure:   "w1",
+			Queue:    r.queue,
+			Threads:  r.waiters,
+			MopsMin:  r.mops,
+			MopsMean: r.mops,
+			Latency:  &benchfmt.LatencyUS{P50: 0.5, P90: r.p99US, P99: r.p99US, P999: r.p99US, Max: r.p99US, Count: 1},
+		}
+	}
+	return pts
+}
+
+// Rows measured with `wcqbench -figure w1 -waiters 8,1024 -reps 3` on a
+// 2-vCPU x86-64 host (Go 1.24), before the adaptive spin-then-park wait
+// was removed: each wait strategy once per GOMAXPROCS setting.
+var (
+	adaptiveRowsP2 = []w1Row{
+		{"Chan", 8, 4.324, 4.352}, {"Chan", 1024, 3.536, 52428.8},
+		{"ChanSharded", 8, 4.618, 3.968}, {"ChanSharded", 1024, 4.518, 44040.2},
+	}
+	parkRowsP2 = []w1Row{
+		{"Chan", 8, 7.300, 4.864}, {"Chan", 1024, 3.816, 557.1},
+		{"ChanSharded", 8, 4.556, 4.352}, {"ChanSharded", 1024, 3.424, 557.1},
+	}
+	adaptiveRowsP1 = []w1Row{
+		{"Chan", 8, 9.625, 0.864}, {"Chan", 1024, 9.255, 21374.1},
+		{"ChanSharded", 8, 7.141, 0.672}, {"ChanSharded", 1024, 6.477, 30408.7},
+	}
+	parkRowsP1 = []w1Row{
+		{"Chan", 8, 9.631, 0.672}, {"Chan", 1024, 6.728, 38.9},
+		{"ChanSharded", 8, 7.335, 0.608}, {"ChanSharded", 1024, 5.405, 43.0},
+	}
+)
+
+// TestSmokeWaitSeparatesMeasuredArms: the gate passes the measured
+// park-on-first-miss rows and fails the adaptive spin-then-park rows,
+// whose wait p99 at 1024 waiters reached tens of milliseconds.
+func TestSmokeWaitSeparatesMeasuredArms(t *testing.T) {
+	for name, rows := range map[string][]w1Row{"GOMAXPROCS=1": parkRowsP1, "GOMAXPROCS=2": parkRowsP2} {
+		if err := smokeWait(w1Points(rows)); err != nil {
+			t.Errorf("park rows, %s: gate failed: %v", name, err)
+		}
+	}
+	for name, rows := range map[string][]w1Row{"GOMAXPROCS=1": adaptiveRowsP1, "GOMAXPROCS=2": adaptiveRowsP2} {
+		err := smokeWait(w1Points(rows))
+		if err == nil || !strings.Contains(err.Error(), "wait p99") {
+			t.Errorf("adaptive rows, %s: gate = %v, want a wait-p99 failure", name, err)
+		}
+	}
+}
+
+// TestSmokeWaitThroughputCliff: a throughput collapse at the highest
+// waiter count fails the gate even with healthy tails, and a run that
+// swept one waiter count or lacks a gated queue is an error, not a pass.
+func TestSmokeWaitThroughputCliff(t *testing.T) {
+	rows := append([]w1Row(nil), parkRowsP1...)
+	rows[3].mops = 1.54 // ChanSharded at 1024: a 4.8x collapse
+	if err := smokeWait(w1Points(rows)); err == nil || !strings.Contains(err.Error(), "ChanSharded") {
+		t.Fatalf("collapse rows: gate = %v, want a ChanSharded throughput failure", err)
+	}
+	if err := smokeWait(w1Points(parkRowsP1[:1])); err == nil {
+		t.Fatal("one waiter count passed the gate")
+	}
+	if err := smokeWait(w1Points(parkRowsP1[:2])); err == nil {
+		t.Fatal("a run without ChanSharded passed the gate")
+	}
+}

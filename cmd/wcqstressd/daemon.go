@@ -166,7 +166,7 @@ func (d *daemon) promText(w io.Writer) {
 	promHistogram(w, d.name, "wcqstressd_op_latency_seconds",
 		"Sampled per-operation latency.", d.latency())
 	promHistogram(w, d.name, "wcqstressd_parked_seconds",
-		"Time waiters spent blocked (spin-phase hits and futex parks).", snap.Parked)
+		"Time waiters spent parked.", snap.Parked)
 }
 
 // promHistogram writes one histogram as summary-style quantile gauges

@@ -7,7 +7,8 @@
 // and shutdown is a Close cascade: closing the job channel drains it,
 // each worker exits on ErrClosed, and the collector finishes once the
 // result channel closes behind the last worker. A straggler using
-// RecvCtx shows deadline-bounded waits on the same queue.
+// RecvCtx shows deadline-bounded waits on the same queue. A last timed
+// loop compares the Chan against Go's built-in buffered channel.
 package main
 
 import (
@@ -34,6 +35,7 @@ const (
 	workers = 4
 	jobs    = 10_000
 	buffer  = 256
+	pairs   = 50_000 // send+receive pairs per goroutine in the timed comparison
 )
 
 func main() {
@@ -118,4 +120,57 @@ func main() {
 	if _, err := rh.RecvCtx(ctx); errors.Is(err, wfqueue.ErrClosed) {
 		fmt.Println("post-shutdown RecvCtx: ErrClosed (no deadline wait)")
 	}
+
+	compare()
+}
+
+// compare times the same pairwise loop — each goroutine sends a value,
+// then receives one — on a wfqueue.Chan and on a built-in buffered
+// channel of the same size.
+func compare() {
+	c, err := wfqueue.NewChan[uint64](buffer, workers)
+	if err != nil {
+		panic(err)
+	}
+	handles := make([]*wfqueue.ChanHandle[uint64], workers)
+	for i := range handles {
+		if handles[i], err = c.Handle(); err != nil {
+			panic(err)
+		}
+	}
+	timed("wfqueue.Chan", func(w int) {
+		h := handles[w]
+		for i := 0; i < pairs; i++ {
+			if err := h.Send(uint64(i)); err != nil {
+				panic(err)
+			}
+			if _, err := h.Recv(); err != nil {
+				panic(err)
+			}
+		}
+	})
+	ch := make(chan uint64, buffer)
+	timed("built-in chan", func(int) {
+		for i := 0; i < pairs; i++ {
+			ch <- uint64(i)
+			<-ch
+		}
+	})
+}
+
+// timed runs loop on workers goroutines and prints the transfer rate.
+func timed(name string, loop func(worker int)) {
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			loop(w)
+		}()
+	}
+	wg.Wait()
+	el := time.Since(start)
+	fmt.Printf("%-14s %6.2f Mops/s (pairwise send+recv, %d goroutines)\n",
+		name, float64(2*workers*pairs)/el.Seconds()/1e6, workers)
 }

@@ -126,9 +126,9 @@ func timestamped(p *atomic.Uint64) {
 	p.Add(uint64(t.UnixNano())) // want "calls \\(time.Time\\).UnixNano; package time is not on the allocation-free whitelist"
 }
 
-// jittered is the backoff-primitive shape: a xorshift step feeding a
-// bounded jitter draw, pure arithmetic end to end, so the whole spin
-// path vets allocation-free.
+// jittered is the jitter-draw shape: a xorshift step feeding a
+// bounded draw, pure arithmetic end to end, so it vets
+// allocation-free.
 //
 //wfq:noalloc
 func jittered(state *uint64, base, span uint64) uint64 {

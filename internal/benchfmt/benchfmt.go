@@ -62,29 +62,10 @@ type Point struct {
 	OfferedMops float64 `json:"offered_mops,omitempty"`
 	// Latency carries the coordinated-omission-safe end-to-end latency
 	// percentiles of an open-loop point (enqueue intended-time to
-	// dequeue) — or, on wait-strategy (w1) points, the blocking-wait
-	// ladder (spin-phase hits and futex parks) — in microseconds. Nil
-	// on closed-loop points.
+	// dequeue) — or, on waiter-count (w1) points, the blocking-wait
+	// ladder — in microseconds. Nil on closed-loop points.
 	Latency *LatencyUS `json:"latency_us,omitempty"`
-	// Wait names the blocking-wait strategy a wait-strategy figure
-	// point ran under ("park", "adaptive", "spin"); empty elsewhere.
-	Wait string `json:"wait,omitempty"`
-	// SpinHitRate is the fraction of blocking waits resolved in the
-	// spin/yield phases without parking, in [0, 1] (wait-strategy
-	// points only).
-	SpinHitRate float64 `json:"spin_hit_rate,omitempty"`
-	// Producers/Consumers record the explicit blocking role split of a
-	// handoff (h1) point; 0 elsewhere (the split is then derived from
-	// Threads).
-	Producers int `json:"producers,omitempty"`
-	Consumers int `json:"consumers,omitempty"`
-	// Handoff names the direct-handoff setting a handoff-figure point
-	// ran under ("on", "off"); empty elsewhere.
-	Handoff string `json:"handoff,omitempty"`
-	// HandoffRate is the fraction of handoff attempts that delivered a
-	// value past the ring, in [0, 1] (handoff points only).
-	HandoffRate float64 `json:"handoff_rate,omitempty"`
-	Err         string  `json:"error,omitempty"`
+	Err     string     `json:"error,omitempty"`
 }
 
 // LatencyUS is the fixed percentile ladder every latency-carrying
@@ -195,18 +176,6 @@ func (f *File) Validate() error {
 		if p.Load < 0 || p.OfferedMops < 0 {
 			return fmt.Errorf("benchfmt: point %d (%s/%s) has negative offered load (load %f, offered %f)",
 				i, p.Figure, p.Queue, p.Load, p.OfferedMops)
-		}
-		if p.SpinHitRate < 0 || p.SpinHitRate > 1 {
-			return fmt.Errorf("benchfmt: point %d (%s/%s) has spin-hit rate %f outside [0, 1]",
-				i, p.Figure, p.Queue, p.SpinHitRate)
-		}
-		if p.HandoffRate < 0 || p.HandoffRate > 1 {
-			return fmt.Errorf("benchfmt: point %d (%s/%s) has handoff rate %f outside [0, 1]",
-				i, p.Figure, p.Queue, p.HandoffRate)
-		}
-		if p.Producers < 0 || p.Consumers < 0 {
-			return fmt.Errorf("benchfmt: point %d (%s/%s) has negative role split (%d:%d)",
-				i, p.Figure, p.Queue, p.Producers, p.Consumers)
 		}
 		if p.Latency != nil {
 			if err := p.Latency.validate(); err != nil {

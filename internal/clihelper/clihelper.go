@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"repro/internal/atomicx"
-	"repro/internal/backoff"
 	"repro/internal/metrics"
 	"repro/internal/queues"
 	"repro/internal/ringcore"
@@ -42,12 +41,6 @@ type Flags struct {
 	// Blocking exercises the blocking Chan facades (Send/Recv with
 	// parking and graceful close) instead of the nonblocking queues.
 	Blocking bool
-	// Wait names the blocking-wait strategy for the Chan facades:
-	// "adaptive" (default), "spin", or "park".
-	Wait string
-	// Handoff toggles the Chan facades' direct-handoff rendezvous fast
-	// path: "on" (the default when empty) or "off".
-	Handoff string
 	// Metrics gives each constructed queue a live metrics sink, so the
 	// run measures (and can report) the instrumented configuration.
 	Metrics bool
@@ -66,8 +59,6 @@ func Register(fs *flag.FlagSet, defaultCapacity uint64) *Flags {
 	fs.BoolVar(&f.Emulate, "emulate", false, "CAS-emulated F&A (PowerPC mode)")
 	fs.BoolVar(&f.Slowpath, "slowpath", false, "wCQ: patience 1 + eager helping (forces the helped slow paths)")
 	fs.BoolVar(&f.Blocking, "blocking", false, "exercise the blocking Chan facades (parked Send/Recv, graceful close)")
-	fs.StringVar(&f.Wait, "wait", "", "blocking-wait strategy for the Chan facades: adaptive (default), spin, or park")
-	fs.StringVar(&f.Handoff, "handoff", "", "direct-handoff rendezvous fast path for the Chan facades: on (default) or off")
 	fs.BoolVar(&f.Metrics, "metrics", false, "enable the internal metrics sink on every constructed queue (measures the instrumented configuration)")
 	return f
 }
@@ -105,32 +96,8 @@ func (f *Flags) Config(maxThreads int) (queues.Config, error) {
 	if f.Metrics {
 		cfg.Metrics = metrics.New()
 	}
-	if f.Wait != "" {
-		w, err := backoff.ByName(f.Wait)
-		if err != nil {
-			return queues.Config{}, fmt.Errorf("-wait: %w", err)
-		}
-		cfg.Wait = w
-	}
-	if cfg.Handoff, err = f.HandoffMode(); err != nil {
-		return queues.Config{}, err
-	}
 	cfg.Core = f.CoreOptions()
 	return cfg, nil
-}
-
-// HandoffMode resolves the -handoff flag to a ringcore.HandoffMode
-// (the default — enabled — when the flag is unset); an unknown name is
-// a usage error.
-func (f *Flags) HandoffMode() (ringcore.HandoffMode, error) {
-	if f.Handoff == "" {
-		return ringcore.HandoffDefault, nil
-	}
-	m, err := ringcore.HandoffByName(f.Handoff)
-	if err != nil {
-		return 0, fmt.Errorf("-handoff: %w", err)
-	}
-	return m, nil
 }
 
 // CoreOptions returns the ring-core tuning implied by the flags (nil

@@ -36,10 +36,7 @@ func BlockingSplit(threads int) (producers, consumers int) {
 // transferred value counts as two operations (send + recv), keeping
 // Mops comparable with the pairwise workload.
 func runBlockingOnce(name string, cfg queues.Config, opts PointOpts) (mops, memMB, fpMB float64, err error) {
-	producers, consumers := opts.Producers, opts.Consumers
-	if producers <= 0 || consumers <= 0 {
-		producers, consumers = BlockingSplit(opts.Threads)
-	}
+	producers, consumers := BlockingSplit(opts.Threads)
 	if cfg.MaxThreads < producers+consumers+1 {
 		cfg.MaxThreads = producers + consumers + 1
 	}
@@ -174,8 +171,8 @@ func WakeupLatency(name string, cfg queues.Config, samples int) (metrics.Histogr
 	}()
 	// Each Send must land while the consumer is parked — that is the
 	// latency being measured. Instead of sleeping a fixed interval and
-	// hoping (flaky on a loaded host: too short measures a spin-path
-	// wake, too long wastes wall clock), watch the queue's own park
+	// hoping (flaky on a loaded host: too short measures a receive
+	// that never parked, too long wastes wall clock), watch the queue's own park
 	// counter: it increments exactly when the consumer registers on the
 	// empty-side park point, so "count advanced past the last sample's
 	// baseline" is the event "consumer is parked again". The deadline

@@ -43,22 +43,10 @@ type Figure struct {
 	Loads []float64
 	// Arrival is the inter-arrival process for open-loop figures.
 	Arrival Arrival
-	// Waiters makes this a wait-strategy figure (w1): the sweep axis is
-	// the total blocking-goroutine count (1:3 send/recv split), crossed
-	// with one line per strategy in Waits. Points carry the blocking
-	// wait ladder and the spin-hit rate.
+	// Waiters makes this a waiter-count figure (w1): the sweep axis is
+	// the total blocking-goroutine count (1:3 send/recv split). Points
+	// carry the blocking-wait ladder.
 	Waiters []int
-	// Waits lists the wait-strategy names a Waiters figure sweeps
-	// ("park", "adaptive", "spin" — backoff.ByName vocabulary).
-	Waits []string
-	// Splits makes this a handoff figure (h1): the sweep axis is the
-	// explicit {producers, consumers} blocking role split, crossed with
-	// one line per handoff setting in Handoffs. Points carry the
-	// blocking wait ladder and the handoff hit rate.
-	Splits [][2]int
-	// Handoffs lists the handoff settings a Splits figure sweeps ("on",
-	// "off" — ringcore.HandoffByName vocabulary).
-	Handoffs []string
 }
 
 // Thread sweeps from the paper: x86 peaks at one 18-core socket then
@@ -149,20 +137,12 @@ func Figures() []Figure {
 		{ID: "l1", Title: "Open-loop latency vs offered load (µs, CO-safe)", Workload: Pairwise,
 			Threads: []int{4}, Mode: atomicx.NativeFAA, Queues: openLoopQueues,
 			Loads: loadFractions, Arrival: Poisson},
-		// Wait strategies under waiter pressure: immediate park vs
-		// adaptive spin-then-park, from a handful of goroutines to deep
-		// oversubscription, with the blocking-wait ladder and spin-hit
-		// rate per point.
-		{ID: "w1", Title: "Wait strategies vs waiter count: throughput, wait ladder, spin-hit rate", Workload: Pairwise,
+		// Waiter pressure: from a handful of blocked goroutines to deep
+		// oversubscription, with the blocking-wait ladder per point —
+		// the cliff gate -smoke-wait reads.
+		{ID: "w1", Title: "Blocking throughput and wait ladder vs waiter count", Workload: Pairwise,
 			Threads: []int{8}, Mode: atomicx.NativeFAA, Queues: waitQueues, Blocking: true,
-			Waiters: waiterCounts, Waits: waitStrategies},
-		// Direct handoff A/B: the same blocking workload swept over the
-		// producer:consumer imbalance, with the rendezvous fast path on
-		// vs off. Points carry the wait ladder (wakeup latency) and the
-		// handoff hit rate.
-		{ID: "h1", Title: "Direct handoff on/off vs producer:consumer imbalance: throughput, wait ladder, hit rate", Workload: Pairwise,
-			Threads: []int{8}, Mode: atomicx.NativeFAA, Queues: handoffQueues, Blocking: true,
-			Splits: handoffSplits, Handoffs: handoffSettings},
+			Waiters: waiterCounts},
 	}
 }
 
@@ -202,13 +182,9 @@ type RunOpts struct {
 	// Arrival overrides an open-loop figure's inter-arrival process
 	// when not DefaultArrival (cmd/wcqbench -arrival).
 	Arrival Arrival
-	// Waiters overrides a wait-strategy figure's goroutine-count sweep
+	// Waiters overrides a waiter-count figure's goroutine-count sweep
 	// (cmd/wcqbench -waiters) — how CI runs a miniature w1.
 	Waiters []int
-	// Handoff forces the Chan facades' direct-handoff setting for
-	// every figure (cmd/wcqbench -handoff). The handoff figure h1
-	// ignores it — the on/off cross IS that figure's sweep.
-	Handoff ringcore.HandoffMode
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -243,9 +219,6 @@ func (f Figure) Run(opts RunOpts) []Point {
 	if len(f.Waiters) > 0 {
 		return f.runWaiters(opts, qs)
 	}
-	if len(f.Splits) > 0 {
-		return f.runHandoff(opts, qs)
-	}
 	var pts []Point
 	for _, name := range qs {
 		for _, th := range f.Threads {
@@ -259,7 +232,6 @@ func (f Figure) Run(opts RunOpts) []Point {
 				Shards:     opts.Shards,
 				Ring:       opts.Ring,
 				Core:       opts.Core,
-				Handoff:    opts.Handoff,
 			}
 			if opts.Capacity > 0 {
 				cfg.Capacity = opts.Capacity
@@ -422,7 +394,6 @@ func (f Figure) runLoads(opts RunOpts, qs []string) []Point {
 			Shards:     opts.Shards,
 			Ring:       opts.Ring,
 			Core:       opts.Core,
-			Handoff:    opts.Handoff,
 		}
 		if opts.Capacity > 0 {
 			cfg.Capacity = opts.Capacity
@@ -565,11 +536,6 @@ func (f Figure) Render(w io.Writer, pts []Point, opts RunOpts) {
 	if len(f.Waiters) > 0 {
 		fmt.Fprintf(w, "Figure %s: %s (1:3 send/recv split, %s)\n", f.ID, f.Title, f.Mode)
 		io.WriteString(w, FormatWaiterPoints(pts))
-		return
-	}
-	if len(f.Splits) > 0 {
-		fmt.Fprintf(w, "Figure %s: %s (%s)\n", f.ID, f.Title, f.Mode)
-		io.WriteString(w, FormatHandoffPoints(pts))
 		return
 	}
 	fmt.Fprintf(w, "Figure %s: %s (%s workload, %s)\n", f.ID, f.Title, f.Workload, f.Mode)

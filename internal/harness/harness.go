@@ -68,11 +68,6 @@ type PointOpts struct {
 	// consumers drain until close. Requires a queue whose handles
 	// implement queueapi.Waitable. Delays/Memory/Batch are ignored.
 	Blocking bool
-	// Producers/Consumers, when both positive, pin the blocking role
-	// split explicitly instead of deriving it from Threads via
-	// BlockingSplit — the handoff figure h1 sweeps this imbalance.
-	Producers int
-	Consumers int
 }
 
 // Point is one (queue, thread-count) measurement. Burst figures key
@@ -103,25 +98,7 @@ type Point struct {
 	// summarizes the ACHIEVED transfer rate in Mtransfers/s rather
 	// than the closed-loop op rate.
 	Latency metrics.HistogramSnapshot
-	// Wait names the blocking-wait strategy this point ran under
-	// (wait-strategy figure w1 only; "" otherwise).
-	Wait string
-	// SpinHitRate is the fraction of blocking waits resolved in the
-	// spin/yield phases without parking, in [0, 1] (w1 only, and only
-	// meaningful for strategies with a spin phase).
-	SpinHitRate float64
-	// Producers/Consumers record the explicit blocking role split
-	// (handoff figure h1 only; 0 otherwise — the split is then the
-	// BlockingSplit derivation from Threads).
-	Producers int
-	Consumers int
-	// Handoff names the direct-handoff setting this point ran under
-	// ("on"/"off"; h1 only, "" otherwise).
-	Handoff string
-	// HandoffRate is the fraction of handoff attempts that delivered a
-	// value past the ring, in [0, 1] (h1 only).
-	HandoffRate float64
-	Err         error // non-nil when the queue is unavailable (e.g. LCRQ under emulation)
+	Err     error // non-nil when the queue is unavailable (e.g. LCRQ under emulation)
 }
 
 // RunPoint measures one queue at one thread count.

@@ -51,10 +51,10 @@ func TestLCRQUnavailableProducesErrPoint(t *testing.T) {
 
 func TestFiguresComplete(t *testing.T) {
 	figs := Figures()
-	if len(figs) != 16 {
-		t.Fatalf("have %d figures, want 16 (10a-12c + s1,s2 + b1 + u1 + p2 + l1 + w1 + h1)", len(figs))
+	if len(figs) != 15 {
+		t.Fatalf("have %d figures, want 15 (10a-12c + s1,s2 + b1 + u1 + p2 + l1 + w1)", len(figs))
 	}
-	want := []string{"10a", "10b", "11a", "11b", "11c", "12a", "12b", "12c", "s1", "s2", "b1", "u1", "p2", "l1", "w1", "h1"}
+	want := []string{"10a", "10b", "11a", "11b", "11c", "12a", "12b", "12c", "s1", "s2", "b1", "u1", "p2", "l1", "w1"}
 	for i, f := range figs {
 		if f.ID != want[i] {
 			t.Fatalf("figure %d is %q, want %q", i, f.ID, want[i])
@@ -311,6 +311,32 @@ func TestBlockingFigure(t *testing.T) {
 		if pt.Mops.Mean <= 0 {
 			t.Fatalf("%s: no throughput measured", pt.Queue)
 		}
+	}
+}
+
+func TestWaiterFigureRunAndRender(t *testing.T) {
+	f, err := FigureByID("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := RunOpts{Ops: 4000, Reps: 1, Waiters: []int{8}}
+	pts := f.Run(opts)
+	if len(pts) != len(f.Queues) {
+		t.Fatalf("got %d points, want one per queue (%d)", len(pts), len(f.Queues))
+	}
+	for _, pt := range pts {
+		if pt.Err != nil {
+			t.Fatalf("%s: %v", pt.Queue, pt.Err)
+		}
+		if pt.Threads != 8 || pt.Mops.Mean <= 0 || pt.Latency.Count == 0 {
+			t.Fatalf("%s: waiter point underfilled: %+v", pt.Queue, pt)
+		}
+	}
+	var sb strings.Builder
+	f.Render(&sb, pts, opts)
+	out := sb.String()
+	if !strings.Contains(out, "Figure w1") || !strings.Contains(out, "waiters") || !strings.Contains(out, "ChanSharded\t8\t") {
+		t.Fatalf("waiter render malformed:\n%s", out)
 	}
 }
 

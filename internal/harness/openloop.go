@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/metrics"
 	"repro/internal/queueapi"
 	"repro/internal/queues"
@@ -115,6 +114,59 @@ func waitUntil(start time.Time, intended time.Duration) {
 			runtime.Gosched()
 		}
 	}
+}
+
+// The idle-wait escalation of the nonblocking engine path: idleSpins
+// free re-checks, then idleYields Gosched re-checks, then full-jitter
+// sleeps within [idleSleepBase, idleSleepCap].
+const (
+	idleSpins     = 64
+	idleYields    = 16
+	idleSleepBase = time.Microsecond
+	idleSleepCap  = 128 * time.Microsecond
+)
+
+// idleBackoff is an escalating idle wait for the open loop's
+// nonblocking producers and consumers: a briefly-blocked loop stays
+// hot, while a persistent idler stops burning the core the other side
+// needs. Call reset after every success.
+type idleBackoff struct {
+	rng uint64 // xorshift state for the sleep jitter
+	n   int    // waits since the last reset
+}
+
+func newIdleBackoff(seed uint64) idleBackoff {
+	return idleBackoff{rng: seed*2654435761 + 1}
+}
+
+// wait blocks (or not) according to the current escalation level,
+// then advances it.
+func (b *idleBackoff) wait() {
+	switch {
+	case b.n < idleSpins:
+		// Spin level: the caller's re-check is the work.
+	case b.n < idleSpins+idleYields:
+		runtime.Gosched()
+	default:
+		b.rng = xorshift(b.rng)
+		time.Sleep(fullJitter(b.rng, b.n-idleSpins-idleYields))
+	}
+	b.n++
+}
+
+// reset drops the escalation back to the spin level.
+func (b *idleBackoff) reset() { b.n = 0 }
+
+// fullJitter is the "full jitter" sleep for the attempt-th sleeping
+// wait, drawn from the random word r: uniform in [idleSleepBase,
+// min(idleSleepCap, idleSleepBase<<attempt)], so attempt 0 yields the
+// base exactly.
+func fullJitter(r uint64, attempt int) time.Duration {
+	ceil := idleSleepCap
+	if attempt < 32 && idleSleepBase<<attempt < ceil {
+		ceil = idleSleepBase << attempt
+	}
+	return idleSleepBase + time.Duration(r%uint64(ceil-idleSleepBase+1))
 }
 
 // OpenLoopSplit derives the producer/consumer split for the open-loop
@@ -228,12 +280,11 @@ func RunOpenLoop(name string, cfg queues.Config, opts OpenLoopOpts) (OpenLoopRes
 			defer prod.Done()
 			barrier.Wait()
 			w, _ := h.(queueapi.Waitable)
-			// Full-queue retries escalate through the shared backoff
-			// primitive (spin, then jittered yields, then jittered
-			// sleeps) instead of a raw Gosched spin, so a saturated run
-			// does not have every backlogged producer hammering the
-			// scheduler in lockstep.
-			bo := backoff.New(nil, seed)
+			// Full-queue retries escalate (spin, then yields, then
+			// jittered sleeps) instead of a raw Gosched spin, so a
+			// saturated run does not have every backlogged producer
+			// hammering the scheduler in lockstep.
+			bo := newIdleBackoff(seed)
 			for i := 0; i < perProducer; i++ {
 				intended := sc.advance()
 				waitUntil(start, intended)
@@ -245,9 +296,9 @@ func RunOpenLoop(name string, cfg queues.Config, opts OpenLoopOpts) (OpenLoopRes
 					continue
 				}
 				for !h.Enqueue(uint64(intended)) {
-					bo.Wait()
+					bo.wait()
 				}
-				bo.Reset()
+				bo.reset()
 			}
 		}(h, sc, uint64(p)+1)
 	}
@@ -275,22 +326,22 @@ func RunOpenLoop(name string, cfg queues.Config, opts OpenLoopOpts) (OpenLoopRes
 					hist.RecordElapsed(time.Since(start) - time.Duration(v))
 				}
 			}
-			// Idle waits escalate through the backoff primitive rather
-			// than a raw Gosched spin: an empty-queue consumer yields a
-			// few times, then sleeps with jitter, so idle consumers do
-			// not synchronize into a polling herd.
-			bo := backoff.New(nil, seed)
+			// Idle waits escalate rather than spin on Gosched: an
+			// empty-queue consumer yields a few times, then sleeps with
+			// jitter, so idle consumers do not synchronize into a
+			// polling herd.
+			bo := newIdleBackoff(seed)
 			for {
 				if v, ok := h.Dequeue(); ok {
 					hist.RecordElapsed(time.Since(start) - time.Duration(v))
 					consumed.Add(1)
-					bo.Reset()
+					bo.reset()
 					continue
 				}
 				if prodDone.Load() && consumed.Load() >= uint64(total) {
 					return
 				}
-				bo.Wait()
+				bo.wait()
 			}
 		}(h, hist, uint64(c)+101)
 	}

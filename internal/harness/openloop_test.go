@@ -20,6 +20,59 @@ func TestOpenLoopSplit(t *testing.T) {
 	}
 }
 
+// TestFullJitterBounds: every draw stays within [idleSleepBase,
+// idleSleepCap] across attempts, including attempts far past the
+// point where the exponential ceiling would overflow, and attempt 0
+// yields the base exactly.
+func TestFullJitterBounds(t *testing.T) {
+	r := uint64(1)
+	for attempt := 0; attempt < 100; attempt++ {
+		ceil := idleSleepCap
+		if attempt < 8 {
+			ceil = idleSleepBase << attempt
+		}
+		for i := 0; i < 200; i++ {
+			r = xorshift(r)
+			d := fullJitter(r, attempt)
+			if d < idleSleepBase || d > ceil {
+				t.Fatalf("fullJitter(attempt=%d) = %v outside [%v, %v]", attempt, d, idleSleepBase, ceil)
+			}
+		}
+	}
+	if d := fullJitter(r, 0); d != idleSleepBase {
+		t.Fatalf("fullJitter attempt 0 = %v, want base %v", d, idleSleepBase)
+	}
+}
+
+// TestBackoffEscalation: the idle wait spins for idleSpins waits,
+// yields for idleYields more, sleeps after that, and reset drops it
+// back to the free spin level. Timing the spin level would be flaky;
+// instead the sleep level is detected by elapsed wall clock.
+func TestBackoffEscalation(t *testing.T) {
+	b := newIdleBackoff(1)
+	t0 := time.Now()
+	for i := 0; i < idleSpins+idleYields; i++ {
+		b.wait()
+	}
+	if free := time.Since(t0); free > 500*time.Millisecond {
+		t.Fatalf("spin+yield waits took %v; a sleep leaked into the free levels", free)
+	}
+	t0 = time.Now()
+	b.wait() // first sleeping wait: >= idleSleepBase
+	if slept := time.Since(t0); slept < idleSleepBase {
+		t.Fatalf("sleep-level wait returned after %v, want >= %v", slept, idleSleepBase)
+	}
+	b.reset()
+	if b.n != 0 {
+		t.Fatalf("reset left the level at %d", b.n)
+	}
+	t0 = time.Now()
+	b.wait() // back at the free spin level
+	if free := time.Since(t0); free > 500*time.Millisecond {
+		t.Fatalf("post-reset wait took %v; reset did not drop the level", free)
+	}
+}
+
 func TestParseArrival(t *testing.T) {
 	for s, want := range map[string]Arrival{"poisson": Poisson, "fixed": FixedRate} {
 		got, err := ParseArrival(s)

@@ -85,24 +85,15 @@ const (
 	// CloseDrain counts receive operations that observed the
 	// closed-and-drained state of a Chan and returned ErrClosed.
 	CloseDrain
-	// SpinHit counts waits satisfied during the spin/yield phases of
-	// the three-phase wait machine — blocking avoided entirely. The
-	// SpinHit:(SpinHit+SpinMiss) ratio is what the adaptive spin
-	// budget tracks per park point.
-	SpinHit
-	// SpinMiss counts waits whose spin and yield budgets expired
-	// without the condition coming true, forcing a futex park (or at
-	// least a Prepare/re-check round).
-	SpinMiss
 	// WakeTranche counts staggered WakeAll release tranches; the
 	// tranche-size distribution is in Snapshot.Tranches, and
 	// Wake/WakeTranche approximates the mean tranche size when
 	// broadcast wakes dominate.
 	WakeTranche
 	// HandoffSend counts sends that bypassed the ring entirely: the
-	// queue was verifiably empty with a receiver parked (or
-	// spin-waiting) on notEmpty, so the value was published straight
-	// into the claimed waiter's transfer cell.
+	// queue was verifiably empty with a receiver parked on notEmpty,
+	// so the value was published straight into the claimed waiter's
+	// transfer cell.
 	HandoffSend
 	// HandoffRecv counts receives that completed a parked sender's
 	// pending enqueue directly after freeing a slot, so the woken
@@ -141,8 +132,6 @@ var eventNames = [NumEvents]string{
 	"wake",
 	"spurious_wake",
 	"close_drain",
-	"spin_hit",
-	"spin_miss",
 	"wake_tranche",
 	"handoff_send",
 	"handoff_recv",
@@ -185,11 +174,8 @@ type Sink struct {
 	stripes []stripe
 	mask    uintptr
 
-	// parked is the distribution of time waiters spent blocked on a
-	// park.Point, in nanoseconds. Both resolutions of a blocking wait
-	// record here — spin/yield-phase hits (sub-microsecond) and real
-	// futex parks — so the distribution is the wait-latency ladder a
-	// strategy comparison reads, not just the parked tail.
+	// parked is the distribution of time waiters spent registered on a
+	// park.Point before their wake, in nanoseconds.
 	parked Histogram
 
 	// tranches is the distribution of staggered WakeAll tranche sizes
@@ -301,8 +287,7 @@ type Snapshot struct {
 	// Counts holds one total per Event, indexed by the Event value.
 	Counts [NumEvents]uint64
 	// Parked is the blocking-wait duration distribution in
-	// nanoseconds: spin/yield-phase hits and futex parks both record
-	// here (see Sink.ObserveParked).
+	// nanoseconds (see Sink.ObserveParked).
 	Parked HistogramSnapshot
 	// Tranches is the staggered WakeAll tranche-size distribution.
 	Tranches HistogramSnapshot
@@ -339,8 +324,7 @@ func (s *Snapshot) Handoffs() uint64 {
 }
 
 // HandoffRate returns the fraction of handoff attempts that succeeded,
-// in [0, 1] — the hit rate figure h1 reports. Zero when no attempt was
-// recorded.
+// in [0, 1]. Zero when no attempt was recorded.
 func (s *Snapshot) HandoffRate() float64 {
 	hits := s.Handoffs()
 	total := hits + s.Counts[HandoffMiss]

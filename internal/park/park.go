@@ -2,16 +2,8 @@
 // waiting on a condition over a nonblocking queue ("not empty", "not
 // full"). It is the sleep/wake half of the blocking Chan facade: the
 // wait-free rings stay untouched, and blocking callers park here
-// instead of spin-polling.
-//
-// Waiting is a three-phase state machine (see SpinWait): (1) a
-// bounded spin re-checking the condition, (2) a short jittered
-// Gosched phase, (3) the futex park below. The spin budget adapts per
-// Point from the observed spin-success rate (an EWMA over
-// SpinHit/SpinMiss outcomes), so an uncontended point converges to
-// pure spin and an oversubscribed one to immediate park; the
-// internal/backoff Strategy threaded in via SetStrategy tunes or
-// disables the spin phases.
+// instead of spin-polling. A caller whose condition fails registers
+// and parks at once.
 //
 // The park protocol mirrors a futex wait/wake pair and has no lost
 // wakeups:
@@ -29,12 +21,11 @@
 // the condition after waking: wakes can be spurious (forwarded from
 // an aborted waiter), never missing.
 //
-// WakeAll releases waiters in jittered tranches (strategy
-// TrancheSize, default GOMAXPROCS) instead of all at once, so a
-// Close or a sharded not-full broadcast does not make the scheduler
-// swallow a thundering herd. The staggering preserves the invariant
-// that every waiter registered when WakeAll was called is woken by
-// that call.
+// WakeAll releases waiters in tranches of max(GOMAXPROCS, 8) instead
+// of all at once, so a Close or a sharded not-full broadcast does not
+// make the scheduler swallow a thundering herd. The staggering
+// preserves the invariant that every waiter registered when WakeAll
+// was called is woken by that call.
 //
 // # Direct handoff
 //
@@ -53,12 +44,8 @@
 // (context expiry, condition satisfied) goes through Disarm/Abort:
 // Abort reports whether a handoff landed first, in which case the
 // value in the cell counts as delivered and must be consumed — nothing
-// is ever duplicated or dropped. Spin hits cannot starve the handoff
-// path: the pre-registration spin phases consume the condition itself
-// (a real dequeue attempt), so a spinner is invisible to wakers —
-// Waiters() reads 0 and senders use the wait-free ring the spinner is
-// draining — while from PrepareXfer onward the waiter is claimable
-// through its re-checks and the park alike.
+// is ever duplicated or dropped. From PrepareXfer onward the waiter is
+// claimable through its re-checks and the park alike.
 package park
 
 import (
@@ -68,7 +55,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/backoff"
 	"repro/internal/metrics"
 )
 
@@ -118,129 +104,15 @@ var waiterPool = sync.Pool{New: func() any { return &Waiter{ch: make(chan struct
 type Point struct {
 	waiters atomic.Int32 // registered-and-not-yet-woken count (fast-path gate)
 	met     *metrics.Sink
-	strat   *backoff.Strategy // nil = adaptive defaults; set before sharing
-	adapt   backoff.EWMA      // spin-hit rate estimate driving the adaptive budget
 	mu      sync.Mutex
 	head    *Waiter // FIFO: head is woken first
 	tail    *Waiter
-	// wakeRng jitters the inter-tranche stagger of WakeAll; stepped
-	// only under mu.
-	wakeRng backoff.Rand
 }
 
 // SetMetrics points the parking lot at a metrics sink (nil disables):
 // park/wake/spurious-wake counts and the parked-duration histogram.
 // Call it before the Point is shared.
 func (p *Point) SetMetrics(m *metrics.Sink) { p.met = m }
-
-// SetStrategy selects the wait strategy (nil = adaptive defaults).
-// Call it before the Point is shared.
-func (p *Point) SetStrategy(s *backoff.Strategy) { p.strat = s }
-
-// SpinHitRate reports the Point's current spin-success estimate in
-// [0, 1] — the EWMA the adaptive budget is derived from. For tests
-// and introspection.
-func (p *Point) SpinHitRate() float64 { return p.adapt.Rate() }
-
-// SpinWait is phases 1 and 2 of the three-phase wait: it re-checks
-// cond through a bounded spin and then a short jittered Gosched
-// phase, returning true the moment cond does (the caller never
-// parks), false when the budgets expire (the caller proceeds to the
-// Prepare/re-check/park protocol). rng is the caller's private jitter
-// stream (one per handle).
-//
-// Under the adaptive strategy the spin bound tracks this Point's
-// spin-success EWMA: every SpinWait outcome feeds the estimate, a
-// high hit rate earns the full budget and a rate under ~6% collapses
-// it to zero — except for one probing wait in 16 (spin-only, no
-// yields), which keeps the estimate alive so the budget can recover
-// when contention eases. A hit slower than backoff.SpinHitBudget is
-// profitability-gated: it still returns true, but it decays the
-// estimate (spinning that resolves slower than a park round-trip is
-// a loss, however often it "succeeds"). KindSpin always spends the
-// full budgets; KindPark returns false immediately (the pre-adaptive
-// behavior).
-//
-// Hits record into the same blocking-wait histogram parks do (with
-// their much shorter durations), so the wait-latency ladder stays
-// comparable across strategies.
-//
-//wfq:allocok allocation-free itself; calls a caller-provided closure the checker cannot vet
-func (p *Point) SpinWait(rng *backoff.Rand, cond func() bool) bool {
-	st := p.strat
-	mode := st.Mode()
-	if mode == backoff.KindPark {
-		return false
-	}
-	spins := st.SpinBudget()
-	adaptive := mode == backoff.KindAdaptive
-	probing := false
-	if adaptive {
-		spins = p.adapt.Budget(spins)
-		if spins == 0 {
-			if !backoff.Probe(rng) {
-				// Converged to immediate park; don't even count the
-				// outcome, or misses would swamp the estimate the
-				// probes exist to keep honest.
-				return false
-			}
-			probing = true
-			spins = backoff.ProbeSpins
-		}
-	}
-	var t0 time.Time
-	if adaptive || p.met.Enabled() {
-		t0 = time.Now()
-	}
-	hit := false
-	for i := 0; i < spins; i++ {
-		if cond() {
-			hit = true
-			break
-		}
-	}
-	if !hit && !probing {
-		// Phase 2: yield the processor between re-checks. The jittered
-		// count decorrelates a herd of spinners arriving together; on a
-		// single-P runtime the Gosched is also what lets the producer
-		// this waiter is waiting on run at all. Probing waits skip this
-		// phase: a probe samples whether cheap spinning works again, and
-		// a yield-phase "success" on a loaded host is exactly the
-		// Pyrrhic outcome the collapsed budget is avoiding.
-		yields := 1 + rng.Intn(st.YieldBudget())
-		for i := 0; i < yields; i++ {
-			runtime.Gosched()
-			if cond() {
-				hit = true
-				break
-			}
-		}
-	}
-	var elapsed time.Duration
-	if !t0.IsZero() {
-		elapsed = time.Since(t0)
-	}
-	if adaptive {
-		if hit && elapsed > backoff.SpinHitBudget {
-			// Pyrrhic hit: the condition came true, but slower than a
-			// park round-trip would have been. Reinforcing the estimate
-			// here is the oversubscription trap — yields always succeed
-			// eventually — so it decays instead.
-			p.adapt.Decay()
-		} else {
-			p.adapt.Observe(hit)
-		}
-	}
-	if hit {
-		p.met.Inc(metrics.SpinHit)
-		if p.met.Enabled() {
-			p.met.ObserveParked(uint64(elapsed))
-		}
-		return true
-	}
-	p.met.Inc(metrics.SpinMiss)
-	return false
-}
 
 // Prepare registers the calling goroutine as a waiter. The caller
 // MUST re-check its condition after Prepare returns and Abort if it
@@ -332,12 +204,31 @@ func (p *Point) Wake(n int) {
 	p.mu.Unlock()
 }
 
+// minWakeTranche floors the WakeAll tranche size. On a small-P host
+// GOMAXPROCS alone would degenerate to near-per-waiter staggering —
+// O(waiters) yields inside the waker's critical path, which throttles
+// the very progress the woken waiters are waiting on (a broadcast per
+// freed slot turns into a stable re-park herd).
+const minWakeTranche = 8
+
+// trancheStagger is the number of Gosched calls between WakeAll
+// tranches: enough for the woken tranche to reach the scheduler before
+// the next is released.
+const trancheStagger = 2
+
+// trancheSize returns the WakeAll tranche size: GOMAXPROCS sampled at
+// wake time (one runnable waiter per P), floored at minWakeTranche.
+//
+//wfq:noalloc
+func trancheSize() int {
+	return max(runtime.GOMAXPROCS(0), minWakeTranche)
+}
+
 // WakeAll wakes every waiter registered at the moment of the call
 // (used on close and for the sharded not-full broadcast), releasing
-// them in jittered tranches of the strategy's TrancheSize (default
-// GOMAXPROCS) with the lock dropped and a few Gosched calls between
-// tranches, so a large herd reaches the scheduler in runnable-sized
-// waves instead of all at once.
+// them in tranches of trancheSize with the lock dropped and a few
+// Gosched calls between tranches, so a large herd reaches the
+// scheduler in runnable-sized waves instead of all at once.
 //
 // Invariant: no lost wakeups. The target count is snapshotted at
 // entry and waiters are FIFO (new arrivals append at the tail), so
@@ -354,7 +245,7 @@ func (p *Point) WakeAll() {
 		return
 	}
 	met := p.met
-	tranche := p.strat.TrancheSize()
+	tranche := trancheSize()
 	for target > 0 {
 		p.mu.Lock()
 		woken := 0
@@ -369,20 +260,16 @@ func (p *Point) WakeAll() {
 			woken++
 		}
 		empty := p.head == nil
-		stagger := 0
-		if !empty && woken >= tranche {
-			stagger = 1 + int(p.wakeRng.Next()&3)
-		}
 		p.mu.Unlock()
 		if woken > 0 {
 			met.Inc(metrics.WakeTranche)
 			met.ObserveTranche(uint64(woken))
 		}
 		target -= woken
-		if empty || woken == 0 {
+		if empty {
 			return
 		}
-		for i := 0; i < stagger; i++ {
+		for i := 0; i < trancheStagger; i++ {
 			runtime.Gosched()
 		}
 	}

@@ -20,7 +20,6 @@ import (
 
 	wfqueue "repro"
 	"repro/internal/atomicx"
-	"repro/internal/backoff"
 	"repro/internal/ccq"
 	"repro/internal/crturn"
 	"repro/internal/faa"
@@ -65,14 +64,6 @@ type Config struct {
 	// built queue then implements queueapi.Statser. The external
 	// baselines are not instrumented and ignore it.
 	Metrics *metrics.Sink
-	// Wait selects the blocking-wait strategy for the Chan facades
-	// (spin-then-park tuning; nil = adaptive). The nonblocking
-	// variants ignore it.
-	Wait *backoff.Strategy
-	// Handoff toggles the direct-handoff rendezvous fast path of the
-	// Chan facades (the zero value keeps the default: enabled). The
-	// nonblocking variants ignore it.
-	Handoff ringcore.HandoffMode
 }
 
 func (c Config) withDefaults() Config {
@@ -98,9 +89,6 @@ func coreOptions(cfg Config) *ringcore.Options {
 	o.Mode = cfg.Mode
 	if cfg.Metrics != nil {
 		o.Metrics = cfg.Metrics
-	}
-	if cfg.Wait != nil {
-		o.Wait = cfg.Wait
 	}
 	return &o
 }
@@ -439,20 +427,6 @@ func newChanBuilder(name string, backend wfqueue.Backend) Builder {
 		}
 		if cfg.Metrics != nil {
 			opts = append(opts, wfqueue.WithMetrics(cfg.Metrics))
-		}
-		if wait := cfg.Wait; wait != nil {
-			opts = append(opts, wfqueue.WithWaitStrategy(wait))
-		} else if o := cfg.Core; o != nil && o.Wait != nil {
-			opts = append(opts, wfqueue.WithWaitStrategy(o.Wait))
-		}
-		handoff := cfg.Handoff
-		if handoff == ringcore.HandoffDefault {
-			if o := cfg.Core; o != nil {
-				handoff = o.Handoff
-			}
-		}
-		if handoff != ringcore.HandoffDefault {
-			opts = append(opts, wfqueue.WithHandoff(handoff == ringcore.HandoffOn))
 		}
 		if o := cfg.Core; o != nil {
 			opts = append(opts,

@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"repro/internal/atomicx"
-	"repro/internal/backoff"
 	"repro/internal/metrics"
 	"repro/internal/scq"
 	"repro/internal/wcq"
@@ -100,58 +99,6 @@ type Options struct {
 	// whole stack aggregates into one Sink. nil disables recording at
 	// the cost of one predictable branch per event site.
 	Metrics *metrics.Sink
-	// Wait selects the blocking-wait strategy (spin-then-park tuning).
-	// The ring cores themselves never wait — every operation is
-	// bounded — so this field rides along for the layers that do: the
-	// Chan facade's park points and the harness's open-loop retry
-	// paths consume it. nil means the adaptive default.
-	Wait *backoff.Strategy
-	// Handoff selects whether the blocking facade's direct-handoff
-	// rendezvous path is used. Like Wait it rides along for the Chan
-	// layer; the cores themselves never consult it. The zero value
-	// (HandoffDefault) means enabled.
-	Handoff HandoffMode
-}
-
-// HandoffMode is the tri-state direct-handoff selector: the zero value
-// keeps the default (enabled) so an Options literal that never heard
-// of handoff stays correct, while HandoffOff pins the pre-handoff ring
-// path for A/B comparison.
-type HandoffMode uint8
-
-const (
-	// HandoffDefault applies the default, which is enabled.
-	HandoffDefault HandoffMode = iota
-	// HandoffOn enables the direct-handoff rendezvous path explicitly.
-	HandoffOn
-	// HandoffOff disables it: every value moves through the ring and
-	// every wake is a plain token (the pre-handoff behavior).
-	HandoffOff
-)
-
-// Enabled resolves the tri-state to a concrete decision.
-func (m HandoffMode) Enabled() bool { return m != HandoffOff }
-
-// HandoffByName maps the -handoff flag vocabulary ("", "on", "off") to
-// a mode, erroring on unknown names.
-func HandoffByName(name string) (HandoffMode, error) {
-	switch name {
-	case "":
-		return HandoffDefault, nil
-	case "on":
-		return HandoffOn, nil
-	case "off":
-		return HandoffOff, nil
-	}
-	return 0, fmt.Errorf("ringcore: unknown handoff mode %q (have on, off)", name)
-}
-
-// Handoff extracts the handoff mode (HandoffDefault when o is nil).
-func (o *Options) HandoffMode() HandoffMode {
-	if o == nil {
-		return HandoffDefault
-	}
-	return o.Handoff
 }
 
 // WCQ translates the shared options into the wCQ package's own

@@ -46,7 +46,6 @@ import (
 	"fmt"
 
 	"repro/internal/atomicx"
-	"repro/internal/backoff"
 	"repro/internal/metrics"
 	"repro/internal/ringcore"
 	"repro/internal/scq"
@@ -68,8 +67,6 @@ type options struct {
 	ringCap         uint64
 	unboundedShards bool
 	metrics         *metrics.Sink
-	wait            *backoff.Strategy
-	handoff         ringcore.HandoffMode
 }
 
 // core translates the accumulated options into the shared ring-core
@@ -81,8 +78,6 @@ func (o options) core() *ringcore.Options {
 		DeqPatience: o.deqPatience,
 		HelpDelay:   o.helpDelay,
 		Metrics:     o.metrics,
-		Wait:        o.wait,
-		Handoff:     o.handoff,
 	}
 }
 
@@ -132,61 +127,6 @@ func NewMetricsSink() *MetricsSink { return metrics.New() }
 // per potential event, measured at well under a nanosecond.
 func WithMetrics(m *MetricsSink) Option {
 	return func(o *options) { o.metrics = m }
-}
-
-// WaitStrategy tunes how blocking Chan operations wait: a bounded
-// spin re-checking the condition, a short jittered yield phase, then
-// a futex park (the three-phase machine in internal/park). The zero
-// value and nil both mean the adaptive default, where the spin budget
-// tracks each park point's observed spin-success rate. Construct one
-// with AdaptiveWait/SpinWait/ParkWait or WaitStrategyByName.
-type WaitStrategy = backoff.Strategy
-
-// AdaptiveWait returns the default strategy: spin-then-park with the
-// spin budget adapted per park point from the spin-hit EWMA, so an
-// uncontended channel converges to pure spin and an oversubscribed
-// one to immediate park.
-func AdaptiveWait() *WaitStrategy { return backoff.Adaptive() }
-
-// SpinWait returns the always-spin strategy: the full spin and yield
-// budgets are spent on every wait regardless of outcome history.
-// Lowest wakeup latency when waits are short; wasteful when they are
-// not.
-func SpinWait() *WaitStrategy { return backoff.Spin() }
-
-// ParkWait returns the immediate-park strategy: no spin phase at all,
-// the pre-adaptive behavior. The cheapest strategy when waits are
-// long and the baseline the perf gate compares against.
-func ParkWait() *WaitStrategy { return backoff.Park() }
-
-// WaitStrategyByName maps the flag vocabulary ("adaptive", "spin",
-// "park"; "" defaults to adaptive) to a strategy, erroring on unknown
-// names. The inverse of (*WaitStrategy).Name.
-func WaitStrategyByName(name string) (*WaitStrategy, error) { return backoff.ByName(name) }
-
-// WithWaitStrategy selects how NewChan's blocking operations wait
-// (nil or omitted = adaptive). Constructors without blocking
-// operations ignore this option.
-func WithWaitStrategy(s *WaitStrategy) Option {
-	return func(o *options) { o.wait = s }
-}
-
-// WithHandoff enables or disables NewChan's direct-handoff rendezvous
-// path (enabled by default): a Send that finds a receiver already
-// waiting on a verifiably empty Chan publishes the value straight into
-// the waiter's transfer cell instead of crossing the ring, and a Recv
-// that frees a slot while senders wait completes a parked sender's
-// pending enqueue directly. Disabling pins the pre-handoff ring path —
-// the A/B baseline the h1 figure and the perf smoke compare against.
-// Constructors without blocking operations ignore this option.
-func WithHandoff(enabled bool) Option {
-	return func(o *options) {
-		if enabled {
-			o.handoff = ringcore.HandoffOn
-		} else {
-			o.handoff = ringcore.HandoffOff
-		}
-	}
 }
 
 // WithShards sets the shard count for NewSharded (default 4). The
