@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/park"
 	"repro/internal/queueapi"
+	"repro/internal/ringcore"
 )
 
 // ErrClosed is returned by Chan operations after Close: sends fail
@@ -67,74 +68,6 @@ func WithBackend(b Backend) Option {
 	return func(o *options) { o.backend = b }
 }
 
-// chanCore abstracts the nonblocking queue a Chan buffers on.
-type chanCore[T any] interface {
-	newHandle() (chanCoreHandle[T], error)
-	capacity() uint64
-	footprint() uint64
-	// empty is the backend's one-sided emptiness probe (see
-	// ringcore.Core.Empty): true proves an instant during the call at
-	// which every enqueued value had been claimed by a dequeuer, which
-	// is the linearization point that makes a direct handoff FIFO-safe.
-	empty() bool
-}
-
-// chanCoreHandle is the per-goroutine nonblocking view every backend
-// already provides: bounded-step enqueue/dequeue (scalar and native
-// batch) that report full/empty instead of blocking.
-type chanCoreHandle[T any] interface {
-	Enqueue(T) bool
-	Dequeue() (T, bool)
-	EnqueueBatch(vs []T) int
-	DequeueBatch(out []T) int
-}
-
-type wcqChanCore[T any] struct{ q *Queue[T] }
-
-func (c wcqChanCore[T]) newHandle() (chanCoreHandle[T], error) { return c.q.Handle() }
-func (c wcqChanCore[T]) capacity() uint64                      { return c.q.Cap() }
-func (c wcqChanCore[T]) footprint() uint64                     { return c.q.Footprint() }
-func (c wcqChanCore[T]) empty() bool                           { return c.q.q.Empty() }
-
-type scqChanCore[T any] struct{ q *LockFreeQueue[T] }
-
-func (c scqChanCore[T]) newHandle() (chanCoreHandle[T], error) { return c.q.Handle() }
-func (c scqChanCore[T]) capacity() uint64                      { return c.q.Cap() }
-func (c scqChanCore[T]) footprint() uint64                     { return c.q.Footprint() }
-func (c scqChanCore[T]) empty() bool                           { return c.q.q.Empty() }
-
-type shardedChanCore[T any] struct{ q *ShardedQueue[T] }
-
-func (c shardedChanCore[T]) newHandle() (chanCoreHandle[T], error) { return c.q.Handle() }
-func (c shardedChanCore[T]) capacity() uint64                      { return c.q.Cap() }
-func (c shardedChanCore[T]) footprint() uint64                     { return c.q.Footprint() }
-func (c shardedChanCore[T]) empty() bool                           { return c.q.q.Empty() }
-
-type unboundedChanCore[T any] struct{ q *UnboundedQueue[T] }
-
-func (c unboundedChanCore[T]) newHandle() (chanCoreHandle[T], error) {
-	h, err := c.q.Handle()
-	if err != nil {
-		return nil, err
-	}
-	return unboundedChanHandle[T]{h}, nil
-}
-func (c unboundedChanCore[T]) capacity() uint64  { return 0 }
-func (c unboundedChanCore[T]) footprint() uint64 { return c.q.Footprint() }
-func (c unboundedChanCore[T]) empty() bool       { return c.q.q.Empty() }
-
-// unboundedChanHandle adapts the never-full unbounded handle to the
-// bool-returning core contract: Enqueue always reports success, so
-// senders never park on notFull.
-type unboundedChanHandle[T any] struct{ h *UnboundedHandle[T] }
-
-func (h unboundedChanHandle[T]) Enqueue(v T) bool        { h.h.Enqueue(v); return true }
-func (h unboundedChanHandle[T]) Dequeue() (T, bool)      { return h.h.Dequeue() }
-func (h unboundedChanHandle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(vs) }
-func (h unboundedChanHandle[T]) DequeueBatch(out []T) int {
-	return h.h.DequeueBatch(out)
-}
-
 // Chan is a blocking, closable facade over one of the nonblocking
 // queues — the buffered-channel shape services want at the edge of a
 // system, layered on the wait-free cores without touching their hot
@@ -166,7 +99,11 @@ func (h unboundedChanHandle[T]) DequeueBatch(out []T) int {
 // ring-sized steps instead — per shard, for the sharded variant), and
 // only Recv parks. The close contract is unchanged.
 type Chan[T any] struct {
-	core     chanCore[T]
+	// core is the nonblocking queue the Chan buffers on, consumed
+	// through the same contract as every other composition. Its Empty
+	// probe is the linearization point that makes a direct handoff
+	// FIFO-safe (see ringcore.Core.Empty).
+	core     ringcore.Core[T]
 	notEmpty park.Point // receivers park here
 	notFull  park.Point // senders park here
 	// shardedFull marks the sharded backend, where "full" is a
@@ -181,10 +118,11 @@ type Chan[T any] struct {
 	// adds the close-drain count on top of the layers below.
 	met    *metrics.Sink
 	closed atomic.Bool
-	// sending counts in-flight Send/TrySend calls. Receivers treat
-	// "closed" as final only once this is zero: a sender that passed
-	// the closed check may still be buffering its value, and draining
-	// receivers must not give up before it lands (or aborts).
+	// sending counts in-flight sends of every kind (scalar, batch,
+	// blocking and Try). Receivers treat "closed" as final only once
+	// this is zero: a sender that passed the closed check may still be
+	// buffering its value, and draining receivers must not give up
+	// before it lands (or aborts).
 	sending atomic.Int64
 	// takeover enables the sender-side handoff path: a receiver that
 	// frees a slot enqueues a parked sender's pending value on its
@@ -200,7 +138,7 @@ type Chan[T any] struct {
 // concurrent use by multiple goroutines.
 type ChanHandle[T any] struct {
 	c *Chan[T]
-	h chanCoreHandle[T]
+	h ringcore.Handle[T]
 	// rcell and scell are this handle's direct-handoff transfer cells:
 	// a parking receiver arms rcell on notEmpty so a sender can publish
 	// a value into it; a parking sender arms scell on notFull so a
@@ -210,6 +148,10 @@ type ChanHandle[T any] struct {
 	// against the owner's read) — so no cache-line padding is needed.
 	rcell T
 	scell T
+	// one is the scratch that makes a scalar operation the batch
+	// operation over one element. It is zeroed after every use so the
+	// handle keeps no reference to a value it has passed on.
+	one [1]T
 }
 
 // NewChan returns an empty blocking channel facade buffering up to
@@ -221,20 +163,22 @@ type ChanHandle[T any] struct {
 // for the sharded variant) — and Send never blocks.
 func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], error) {
 	o := buildOpts(opts)
-	var core chanCore[T]
+	var (
+		core ringcore.Core[T]
+		err  error
+	)
 	switch o.backend {
 	case BackendWCQ:
-		q, err := New[T](capacity, maxThreads, opts...)
-		if err != nil {
+		if err = validate(capacity, maxThreads); err != nil {
 			return nil, err
 		}
-		core = wcqChanCore[T]{q}
+		core, err = ringcore.New[T](ringcore.KindWCQ, capacity, maxThreads, o.core())
 	case BackendSCQ:
-		q, err := NewLockFree[T](capacity, opts...)
-		if err != nil {
+		// No census, so maxThreads is not validated (as NewLockFree).
+		if err = validate(capacity, 1); err != nil {
 			return nil, err
 		}
-		core = scqChanCore[T]{q}
+		core, err = ringcore.New[T](ringcore.KindSCQ, capacity, maxThreads, o.core())
 	case BackendSharded:
 		// WithUnboundedShards would silently turn this bounded backend
 		// unbounded (Cap 0, no Send backpressure); the unbounded-sharded
@@ -242,37 +186,37 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if o.unboundedShards {
 			return nil, fmt.Errorf("wfqueue: WithUnboundedShards conflicts with BackendSharded; use BackendShardedUnbounded")
 		}
-		q, err := NewSharded[T](capacity, maxThreads, opts...)
-		if err != nil {
-			return nil, err
+		var q *ShardedQueue[T]
+		if q, err = NewSharded[T](capacity, maxThreads, opts...); err == nil {
+			core = q.q.Core()
 		}
-		core = shardedChanCore[T]{q}
 	case BackendUnbounded:
 		// The capacity parameter becomes the linked rings' size: the
 		// buffer has no bound, so Send never parks. Validate it here —
 		// NewUnbounded would silently swap a zero for its default,
 		// hiding a misconfiguration every other backend rejects.
-		if err := validate(capacity, maxThreads); err != nil {
+		if err = validate(capacity, maxThreads); err != nil {
 			return nil, err
 		}
-		q, err := NewUnbounded[T](maxThreads, append(opts, WithRingCapacity(capacity))...)
-		if err != nil {
-			return nil, err
+		var q *UnboundedQueue[T]
+		if q, err = NewUnbounded[T](maxThreads, append(opts, WithRingCapacity(capacity))...); err == nil {
+			core = q.q.Core()
 		}
-		core = unboundedChanCore[T]{q}
 	case BackendShardedUnbounded:
 		// Like BackendUnbounded, capacity is a ring size (here: each
 		// shard's), never a bound, so Send never parks.
-		if err := validate(capacity, maxThreads); err != nil {
+		if err = validate(capacity, maxThreads); err != nil {
 			return nil, err
 		}
-		q, err := NewSharded[T](capacity, maxThreads, append(opts, WithUnboundedShards(o.shards))...)
-		if err != nil {
-			return nil, err
+		var q *ShardedQueue[T]
+		if q, err = NewSharded[T](capacity, maxThreads, append(opts, WithUnboundedShards(o.shards))...); err == nil {
+			core = q.q.Core()
 		}
-		core = shardedChanCore[T]{q}
 	default:
 		return nil, fmt.Errorf("wfqueue: unknown chan backend %d", o.backend)
+	}
+	if err != nil {
+		return nil, err
 	}
 	c := &Chan[T]{
 		core:        core,
@@ -313,7 +257,7 @@ func (c *Chan[T]) wakeNotFullN(n int) {
 // Handle registers the calling goroutine and returns its handle. For
 // census-bound backends it fails once maxThreads handles exist.
 func (c *Chan[T]) Handle() (*ChanHandle[T], error) {
-	h, err := c.core.newHandle()
+	h, err := c.core.Acquire()
 	if err != nil {
 		return nil, err
 	}
@@ -322,14 +266,14 @@ func (c *Chan[T]) Handle() (*ChanHandle[T], error) {
 
 // Cap returns the buffer capacity; 0 means unbounded
 // (BackendUnbounded and BackendShardedUnbounded).
-func (c *Chan[T]) Cap() uint64 { return c.core.capacity() }
+func (c *Chan[T]) Cap() uint64 { return c.core.Cap() }
 
 // Footprint returns the bytes the backing queue retains. For bounded
 // backends this is the construction-time allocation and never changes
 // (parked waiters draw from a shared pool); for BackendUnbounded and
 // BackendShardedUnbounded it is the live ring footprint, which grows
 // with buffered values and shrinks after a drain.
-func (c *Chan[T]) Footprint() uint64 { return c.core.footprint() }
+func (c *Chan[T]) Footprint() uint64 { return c.core.Footprint() }
 
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed.Load() }
@@ -346,23 +290,11 @@ func (c *Chan[T]) Close() error {
 	return nil
 }
 
-// finishSend retires one in-flight send and wakes receivers: one
-// receiver for a delivered value, every parked receiver once the Chan
-// is closed (each must re-evaluate the closed-and-drained condition
-// now that the in-flight count moved).
-//
-//wfq:noalloc
-func (c *Chan[T]) finishSend(delivered bool) {
-	if delivered {
-		c.finishSendN(1)
-	} else {
-		c.finishSendN(0)
-	}
-}
-
-// finishSendN retires one in-flight send (scalar or batch) that
-// delivered n values in its final step and wakes receivers
-// accordingly. Values delivered by earlier steps of a batch send have
+// finishSendN retires one in-flight send that delivered n values in
+// its final step and wakes receivers: n of them for the delivered
+// values, every parked receiver once the Chan is closed (each must
+// re-evaluate the closed-and-drained condition now that the in-flight
+// count moved). Values delivered by earlier steps of a batch send have
 // already been signalled by then (see SendManyCtx).
 //
 //wfq:noalloc
@@ -375,27 +307,47 @@ func (c *Chan[T]) finishSendN(n int) {
 	}
 }
 
+// put buffers a prefix of vs in the core and returns its length. A
+// single value goes through the core's scalar Enqueue, so a scalar
+// Send makes exactly one scalar core call: the core's counters and
+// the per-layer ladder see a scalar operation, not a batch of one.
+//
+//wfq:noalloc
+func (h *ChanHandle[T]) put(vs []T) int {
+	if len(vs) == 1 {
+		if h.h.Enqueue(vs[0]) {
+			return 1
+		}
+		return 0
+	}
+	return h.h.EnqueueBatch(vs)
+}
+
+// take fills a prefix of out from the core and returns its length,
+// through the scalar Dequeue for a single slot (see put).
+//
+//wfq:noalloc
+func (h *ChanHandle[T]) take(out []T) int {
+	if len(out) == 1 {
+		if v, ok := h.h.Dequeue(); ok {
+			out[0] = v
+			return 1
+		}
+		return 0
+	}
+	return h.h.DequeueBatch(out)
+}
+
 // TrySend is the nonblocking send: ok reports whether v was buffered
 // (false with a nil error means the buffer is full), and err is
 // ErrClosed after Close.
 //
 //wfq:noalloc
 func (h *ChanHandle[T]) TrySend(v T) (ok bool, err error) {
-	c := h.c
-	c.sending.Add(1)
-	if c.closed.Load() {
-		c.finishSend(false)
-		return false, ErrClosed
-	}
-	if h.tryHandoff(v) {
-		// Delivered straight to a parked receiver, which was woken
-		// directly — no notEmpty wake needed on top.
-		c.finishSendN(0)
-		return true, nil
-	}
-	ok = h.h.Enqueue(v)
-	c.finishSend(ok)
-	return ok, nil
+	h.one[0] = v
+	n, err := h.TrySendMany(h.one[:])
+	clear(h.one[:])
+	return n == 1, err
 }
 
 // Send blocks until v is buffered, parking when the buffer is full.
@@ -406,70 +358,10 @@ func (h *ChanHandle[T]) Send(v T) error { return h.SendCtx(context.Background(),
 // SendCtx is Send bounded by ctx: it returns ctx.Err() if the
 // context expires before space frees up (v is not buffered).
 func (h *ChanHandle[T]) SendCtx(ctx context.Context, v T) error {
-	c := h.c
-	c.sending.Add(1)
-	for {
-		if c.closed.Load() {
-			c.finishSend(false)
-			return ErrClosed
-		}
-		if h.tryHandoff(v) {
-			// Delivered straight to a parked receiver (woken directly).
-			c.finishSendN(0)
-			return nil
-		}
-		if h.h.Enqueue(v) {
-			c.finishSend(true)
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			c.finishSend(false)
-			return err
-		}
-		w := c.notFull.Prepare()
-		// Re-check after registering: a receiver may have freed a
-		// slot (or the Chan closed) before our waiter was visible,
-		// in which case its wake cannot have targeted us.
-		if c.closed.Load() {
-			c.notFull.Abort(w)
-			c.finishSend(false)
-			return ErrClosed
-		}
-		if h.h.Enqueue(v) {
-			c.notFull.Abort(w)
-			c.finishSend(true)
-			return nil
-		}
-		// Park commit: on takeover backends, arm the transfer cell so a
-		// receiver freeing a slot can enqueue v on our behalf. Arming
-		// only here — after the registered re-checks — keeps those
-		// re-checks (which must be free to Enqueue and Abort) from
-		// having to disarm first on every successful retry.
-		if c.takeover {
-			h.armSend(w, v)
-		}
-		select {
-		case <-w.Ready():
-			// Done before Finish: Finish recycles the waiter and resets
-			// its transfer state.
-			done := w.Done()
-			c.notFull.Finish(w)
-			if done {
-				// A receiver enqueued v for us (exactly once); signal a
-				// receiver for the value it made visible.
-				c.finishSend(true)
-				return nil
-			}
-		case <-ctx.Done():
-			if c.notFull.Abort(w) {
-				// The handoff landed before the abort: v is buffered.
-				c.finishSend(true)
-				return nil
-			}
-			c.finishSend(false)
-			return ctx.Err()
-		}
-	}
+	h.one[0] = v
+	_, err := h.SendManyCtx(ctx, h.one[:])
+	clear(h.one[:])
+	return err
 }
 
 // TryRecv is the nonblocking receive: ok reports whether a value was
@@ -478,23 +370,10 @@ func (h *ChanHandle[T]) SendCtx(ctx context.Context, v T) error {
 //
 //wfq:noalloc
 func (h *ChanHandle[T]) TryRecv() (v T, ok bool, err error) {
-	c := h.c
-	if v, ok := h.h.Dequeue(); ok {
-		h.releaseSlot()
-		return v, true, nil
-	}
-	var zero T
-	if c.closed.Load() && c.sending.Load() == 0 {
-		// Final re-check: with the in-flight counter at zero after
-		// close, every completed send's value is visible.
-		if v, ok := h.h.Dequeue(); ok {
-			h.releaseSlot()
-			return v, true, nil
-		}
-		c.met.Inc(metrics.CloseDrain)
-		return zero, false, ErrClosed
-	}
-	return zero, false, nil
+	n, err := h.TryRecvMany(h.one[:])
+	v = h.one[0]
+	clear(h.one[:])
+	return v, n == 1, err
 }
 
 // Recv blocks until a value arrives, parking while the buffer is
@@ -502,10 +381,20 @@ func (h *ChanHandle[T]) TryRecv() (v T, ok bool, err error) {
 // ErrClosed once none remain.
 func (h *ChanHandle[T]) Recv() (T, error) { return h.RecvCtx(context.Background()) }
 
-// TrySendMany is the nonblocking batch send: it buffers a prefix of
-// vs through the backend's native batch reservation and returns its
-// length (a short count means the buffer filled mid-batch), or
-// ErrClosed after Close (nothing is buffered then).
+// RecvCtx is Recv bounded by ctx: it returns ctx.Err() if the
+// context expires while the buffer is still empty.
+func (h *ChanHandle[T]) RecvCtx(ctx context.Context) (T, error) {
+	_, err := h.RecvManyCtx(ctx, h.one[:])
+	v := h.one[0]
+	clear(h.one[:])
+	return v, err
+}
+
+// TrySendMany is the nonblocking batch send: it hands values to parked
+// receivers first, then buffers a prefix of the rest through the
+// backend's native batch reservation, and returns how many values it
+// delivered either way (a short count means the buffer filled
+// mid-batch), or ErrClosed after Close (nothing is delivered then).
 //
 //wfq:noalloc
 func (h *ChanHandle[T]) TrySendMany(vs []T) (int, error) {
@@ -515,9 +404,12 @@ func (h *ChanHandle[T]) TrySendMany(vs []T) (int, error) {
 		c.finishSendN(0)
 		return 0, ErrClosed
 	}
-	n := h.h.EnqueueBatch(vs)
-	c.finishSendN(n)
-	return n, nil
+	// Handed-off values woke their receivers directly; only the
+	// buffered ones are owed a notEmpty signal.
+	n := h.handoff(vs)
+	m := h.put(vs[n:])
+	c.finishSendN(m)
+	return n + m, nil
 }
 
 // SendMany blocks until every value of vs is buffered, in order,
@@ -533,6 +425,9 @@ func (h *ChanHandle[T]) SendMany(vs []T) (int, error) {
 // is still full. Values buffered before an interruption stay
 // buffered; receivers are woken as each chunk lands, not at the end
 // of the batch.
+//
+// This is the one blocking send loop: Send and SendCtx run it over a
+// batch of one.
 func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 	c := h.c
 	if len(vs) == 0 {
@@ -552,17 +447,14 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 			c.finishSendN(0)
 			return sent, ErrClosed
 		}
-		// Rendezvous fast path: satisfy up to k parked receivers
-		// directly, one value each (each handoff wakes its receiver, so
-		// no notEmpty signal is owed for these).
-		for sent < len(vs) && h.tryHandoff(vs[sent]) {
-			sent++
-		}
-		if sent == len(vs) {
+		// Rendezvous fast path: satisfy parked receivers directly, one
+		// value each (each handoff wakes its receiver, so no notEmpty
+		// signal is owed for these).
+		if sent += h.handoff(vs[sent:]); sent == len(vs) {
 			c.finishSendN(0)
 			return sent, nil
 		}
-		if n := h.h.EnqueueBatch(vs[sent:]); n > 0 {
+		if n := h.put(vs[sent:]); n > 0 {
 			sent += n
 			if sent == len(vs) {
 				c.finishSendN(n)
@@ -575,13 +467,15 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 			return sent, err
 		}
 		w := c.notFull.Prepare()
-		// Re-check after registering (lost-wakeup protocol, as SendCtx).
+		// Re-check after registering: a receiver may have freed a
+		// slot (or the Chan closed) before our waiter was visible,
+		// in which case its wake cannot have targeted us.
 		if c.closed.Load() {
 			c.notFull.Abort(w)
 			c.finishSendN(0)
 			return sent, ErrClosed
 		}
-		if n := h.h.EnqueueBatch(vs[sent:]); n > 0 {
+		if n := h.put(vs[sent:]); n > 0 {
 			c.notFull.Abort(w)
 			sent += n
 			if sent == len(vs) {
@@ -591,17 +485,23 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 			c.notEmpty.Wake(n)
 			continue
 		}
-		// Park commit: arm the next pending value for takeover (see
-		// SendCtx for why arming waits until after the re-checks).
+		// Park commit: on takeover backends, arm the next pending value
+		// so a receiver freeing a slot can enqueue it on our behalf.
+		// Arming only here — after the registered re-checks — keeps
+		// those re-checks (which must be free to enqueue and Abort) from
+		// having to disarm first on every successful retry.
 		if c.takeover {
 			h.armSend(w, vs[sent])
 		}
 		select {
 		case <-w.Ready():
+			// Done before Finish: Finish recycles the waiter and resets
+			// its transfer state.
 			done := w.Done()
 			c.notFull.Finish(w)
 			if done {
-				// A receiver enqueued vs[sent] for us (exactly once).
+				// A receiver enqueued vs[sent] for us (exactly once);
+				// signal a receiver for the value it made visible.
 				sent++
 				if sent == len(vs) {
 					c.finishSendN(1)
@@ -634,14 +534,14 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 //wfq:noalloc
 func (h *ChanHandle[T]) TryRecvMany(out []T) (int, error) {
 	c := h.c
-	if n := h.h.DequeueBatch(out); n > 0 {
+	if n := h.take(out); n > 0 {
 		h.releaseSlots(n)
 		return n, nil
 	}
 	if c.closed.Load() && c.sending.Load() == 0 {
 		// Final re-check: with the in-flight counter at zero after
 		// close, every completed send's value is visible.
-		if n := h.h.DequeueBatch(out); n > 0 {
+		if n := h.take(out); n > 0 {
 			h.releaseSlots(n)
 			return n, nil
 		}
@@ -663,91 +563,30 @@ func (h *ChanHandle[T]) RecvMany(out []T) (int, error) {
 // RecvManyCtx is RecvMany bounded by ctx: it returns ctx.Err() if the
 // context expires while the buffer is still empty.
 //
-// A landed handoff satisfies the "at least one value" contract with
-// out[0]: the claim protocol transfers exactly one value per
-// registration.
+// This is the one blocking receive loop: Recv and RecvCtx run it over
+// a batch of one. A receive that misses registers on notEmpty at once
+// with PrepareXfer, so it is claimable from the moment it is listed:
+// through the registered re-checks below and through the park itself.
+// A sender that finds it delivers straight into the transfer cell,
+// skipping the ring and the dequeue after the wake; a landed handoff
+// satisfies the "at least one value" contract with out[0], since the
+// claim protocol transfers exactly one value per registration. The
+// invariant that keeps exactly-once: an armed receiver never touches
+// the ring without first winning Disarm — a lost Disarm means a
+// claimer owns the registration, and its token and cell value must be
+// consumed.
 func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 	if len(out) == 0 {
 		return 0, nil
 	}
 	c := h.c
 	for {
-		if n := h.h.DequeueBatch(out); n > 0 {
+		if n := h.take(out); n > 0 {
 			h.releaseSlots(n)
 			return n, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
-		}
-		// Register claimable, as RecvCtx.
-		w := c.notEmpty.PrepareXfer(unsafe.Pointer(&h.rcell))
-		if !c.core.empty() || (c.closed.Load() && c.sending.Load() == 0) {
-			if !w.Disarm() {
-				<-w.Ready()
-				out[0] = h.rcell
-				c.notEmpty.Finish(w)
-				return 1, nil
-			}
-			if n := h.h.DequeueBatch(out); n > 0 {
-				c.notEmpty.Abort(w)
-				h.releaseSlots(n)
-				return n, nil
-			}
-			if c.closed.Load() && c.sending.Load() == 0 {
-				if n := h.h.DequeueBatch(out); n > 0 {
-					c.notEmpty.Abort(w)
-					h.releaseSlots(n)
-					return n, nil
-				}
-				c.notEmpty.Abort(w)
-				c.notEmpty.WakeAll()
-				c.met.Inc(metrics.CloseDrain)
-				return 0, ErrClosed
-			}
-			c.notEmpty.Abort(w)
-			continue
-		}
-		select {
-		case <-w.Ready():
-			done := w.Done()
-			if done {
-				out[0] = h.rcell
-			}
-			c.notEmpty.Finish(w)
-			if done {
-				return 1, nil
-			}
-		case <-ctx.Done():
-			if c.notEmpty.Abort(w) {
-				out[0] = h.rcell
-				return 1, nil
-			}
-			return 0, ctx.Err()
-		}
-	}
-}
-
-// RecvCtx is Recv bounded by ctx: it returns ctx.Err() if the
-// context expires while the buffer is still empty.
-//
-// A receive that misses registers on notEmpty at once with PrepareXfer,
-// so it is claimable from the moment it is listed: through the
-// registered re-checks below and through the park itself. A sender
-// that finds it delivers straight into the transfer cell, skipping the
-// ring and the dequeue after the wake. The invariant that keeps
-// exactly-once: an armed receiver never touches the ring without first
-// winning Disarm — a lost Disarm means a claimer owns the
-// registration, and its token and cell value must be consumed.
-func (h *ChanHandle[T]) RecvCtx(ctx context.Context) (T, error) {
-	c := h.c
-	var zero T
-	for {
-		if v, ok := h.h.Dequeue(); ok {
-			h.releaseSlot()
-			return v, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return zero, err
 		}
 		// Register claimable. From here until a won Disarm this
 		// goroutine may not touch the ring.
@@ -755,36 +594,36 @@ func (h *ChanHandle[T]) RecvCtx(ctx context.Context) (T, error) {
 		// Re-check after registering (lost-wakeup protocol): a sender
 		// that missed the registration must have enqueued first, which
 		// this probe observes.
-		if !c.core.empty() || (c.closed.Load() && c.sending.Load() == 0) {
+		if !c.core.Empty() || (c.closed.Load() && c.sending.Load() == 0) {
 			if !w.Disarm() {
 				// Lost the race to a claimer: the handoff owns this
 				// registration now.
 				<-w.Ready()
-				v := h.rcell
+				out[0] = h.rcell
 				c.notEmpty.Finish(w)
-				return v, nil
+				return 1, nil
 			}
 			// Disarmed: exclusive use of the cell again, safe to touch
 			// the ring.
-			if v, ok := h.h.Dequeue(); ok {
+			if n := h.take(out); n > 0 {
 				c.notEmpty.Abort(w)
-				h.releaseSlot()
-				return v, nil
+				h.releaseSlots(n)
+				return n, nil
 			}
 			if c.closed.Load() && c.sending.Load() == 0 {
 				// Final re-check: with the in-flight counter at zero
 				// after close, every completed send's value is visible.
-				if v, ok := h.h.Dequeue(); ok {
+				if n := h.take(out); n > 0 {
 					c.notEmpty.Abort(w)
-					h.releaseSlot()
-					return v, nil
+					h.releaseSlots(n)
+					return n, nil
 				}
 				c.notEmpty.Abort(w)
 				// Nudge any sibling still parked so it re-evaluates the
 				// drained state too.
 				c.notEmpty.WakeAll()
 				c.met.Inc(metrics.CloseDrain)
-				return zero, ErrClosed
+				return 0, ErrClosed
 			}
 			// The ring emptied again between the probe and the dequeue;
 			// retire this registration and re-arm fresh.
@@ -796,22 +635,22 @@ func (h *ChanHandle[T]) RecvCtx(ctx context.Context) (T, error) {
 			// Done before Finish: Finish recycles the waiter and resets
 			// its transfer state.
 			done := w.Done()
-			var v T
 			if done {
-				v = h.rcell
+				out[0] = h.rcell
 			}
 			c.notEmpty.Finish(w)
 			if done {
-				return v, nil
+				return 1, nil
 			}
 			// Plain (possibly forwarded) wake: loop and re-check.
 		case <-ctx.Done():
 			if c.notEmpty.Abort(w) {
 				// The handoff landed before the abort: the value counts
 				// as delivered, exactly once — return it, not the error.
-				return h.rcell, nil
+				out[0] = h.rcell
+				return 1, nil
 			}
-			return zero, ctx.Err()
+			return 0, ctx.Err()
 		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 // Receiver side: a blocking receive that misses registers on notEmpty
 // with an armed transfer cell (ChanHandle rcell) and stays claimable
 // from that moment — through its registered re-checks and through the
-// park (see RecvCtx). A sender that finds the queue verifiably empty —
+// park (see RecvManyCtx). A sender — blocking or not, scalar or batch —
+// that finds the queue verifiably empty —
 // the backend's one-sided Empty probe, the linearization point that
 // keeps per-producer FIFO intact — claims the oldest armed receiver,
 // writes its value straight into the cell, and wakes it. The value
@@ -44,50 +45,41 @@ func (h *ChanHandle[T]) armSend(w *park.Waiter, v T) {
 	w.Arm(unsafe.Pointer(&h.scell))
 }
 
-// tryHandoff attempts to deliver v straight to a parked receiver. It
-// succeeds only when the queue is verifiably empty at the attempt —
-// handing v over while older values sit buffered would reorder this
-// producer's stream — and a claimable receiver exists. On success the
-// receiver has been woken with v in its cell; the caller owes no
-// notEmpty signal.
+// handoff delivers a prefix of vs straight to parked receivers, one
+// value each, and returns its length. Each value goes over only while
+// the queue is verifiably empty at the attempt — handing it over while
+// older values sit buffered would reorder this producer's stream — and
+// a claimable receiver exists. Every receiver served has been woken
+// with its value in its cell; the caller owes no notEmpty signal for
+// the prefix.
 //
 //wfq:noalloc
-func (h *ChanHandle[T]) tryHandoff(v T) bool {
+func (h *ChanHandle[T]) handoff(vs []T) int {
 	c := h.c
-	if c.notEmpty.Waiters() == 0 {
-		return false
+	n := 0
+	// A false Empty means buffered values exist: the parked receivers
+	// are about to be satisfied from the ring (or are
+	// mid-registration); delivering around them would break FIFO. Not
+	// a miss — no rendezvous is attempted when FIFO forbids one.
+	for n < len(vs) && c.notEmpty.Waiters() != 0 && c.core.Empty() {
+		w, cell := c.notEmpty.Claim()
+		if w == nil {
+			c.met.Inc(metrics.HandoffMiss)
+			break
+		}
+		*(*T)(cell) = vs[n]
+		c.notEmpty.Deliver(w)
+		c.met.Inc(metrics.HandoffSend)
+		n++
 	}
-	if !c.core.empty() {
-		// Buffered values exist: the parked receivers are about to be
-		// satisfied from the ring (or are mid-registration); delivering
-		// v around them would break FIFO. Not a miss — no rendezvous is
-		// attempted when FIFO forbids one.
-		return false
-	}
-	w, cell := c.notEmpty.Claim()
-	if w == nil {
-		c.met.Inc(metrics.HandoffMiss)
-		return false
-	}
-	*(*T)(cell) = v
-	c.notEmpty.Deliver(w)
-	c.met.Inc(metrics.HandoffSend)
-	return true
+	return n
 }
-
-// releaseSlot signals capacity after this handle dequeued one value:
-// on takeover backends it first tries to spend the freed slot on a
-// parked sender directly (see releaseSlots); otherwise it falls back
-// to the plain notFull wake.
-//
-//wfq:noalloc
-func (h *ChanHandle[T]) releaseSlot() { h.releaseSlots(1) }
 
 // releaseSlots signals capacity after this handle dequeued n values.
 // On takeover backends it claims up to n parked senders and enqueues
 // each one's pending value on its behalf: the sender wakes already
 // satisfied (it signals notEmpty for the value it now knows is
-// buffered — see finishSend), skipping its whole retry loop. A slot
+// buffered — see SendManyCtx), skipping its whole retry loop. A slot
 // the enqueue cannot win back (racing producers took it) downgrades to
 // a plain wake of that sender. Remaining slots wake senders normally.
 //

@@ -3,6 +3,7 @@ package wfqueue
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,42 +13,64 @@ import (
 )
 
 // TestChanHandoffDeliversToParkedReceiver pins the receiver-side fast
-// path on every backend: with a receiver verifiably parked on an empty
-// Chan, Send must publish through the transfer cell (HandoffSend)
-// rather than the ring, and the receiver gets the value.
+// path on every backend and every send entry point, blocking or not:
+// with a receiver verifiably parked on an empty Chan, the send must
+// publish through the transfer cell (HandoffSend) rather than the
+// ring, and the receiver gets the value.
 func TestChanHandoffDeliversToParkedReceiver(t *testing.T) {
+	sends := []struct {
+		name string
+		send func(h *ChanHandle[int], v int) error
+	}{
+		{"Send", (*ChanHandle[int]).Send},
+		{"TrySend", func(h *ChanHandle[int], v int) error {
+			if ok, err := h.TrySend(v); !ok || err != nil {
+				return fmt.Errorf("TrySend = %v, %v", ok, err)
+			}
+			return nil
+		}},
+		{"TrySendMany", func(h *ChanHandle[int], v int) error {
+			if n, err := h.TrySendMany([]int{v}); n != 1 || err != nil {
+				return fmt.Errorf("TrySendMany = %d, %v", n, err)
+			}
+			return nil
+		}},
+	}
 	for _, b := range backends() {
-		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			c, err := NewChan[int](16, 2, WithBackend(b), WithMetrics(NewMetricsSink()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs, _ := c.Handle()
-			hr, _ := c.Handle()
-			got := make(chan int, 1)
-			go func() {
-				v, err := hr.Recv()
-				if err != nil {
-					t.Error(err)
-				}
-				got <- v
-			}()
-			waitParked(t, &c.notEmpty)
-			if err := hs.Send(41); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case v := <-got:
-				if v != 41 {
-					t.Fatalf("Recv = %d, want 41", v)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("parked receiver never woke")
-			}
-			snap := c.Stats()
-			if n := snap.Counts[metrics.HandoffSend]; n != 1 {
-				t.Fatalf("HandoffSend = %d, want 1 (value crossed the ring instead)", n)
+			for _, s := range sends {
+				t.Run(s.name, func(t *testing.T) {
+					c, err := NewChan[int](16, 2, WithBackend(b), WithMetrics(NewMetricsSink()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					hs, _ := c.Handle()
+					hr, _ := c.Handle()
+					got := make(chan int, 1)
+					go func() {
+						v, err := hr.Recv()
+						if err != nil {
+							t.Error(err)
+						}
+						got <- v
+					}()
+					waitParked(t, &c.notEmpty)
+					if err := s.send(hs, 41); err != nil {
+						t.Fatal(err)
+					}
+					select {
+					case v := <-got:
+						if v != 41 {
+							t.Fatalf("Recv = %d, want 41", v)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatal("parked receiver never woke")
+					}
+					snap := c.Stats()
+					if n := snap.Counts[metrics.HandoffSend]; n != 1 {
+						t.Fatalf("HandoffSend = %d, want 1 (value crossed the ring instead)", n)
+					}
+				})
 			}
 		})
 	}
@@ -165,145 +188,225 @@ func TestChanSendManyHandoffsToParkedReceivers(t *testing.T) {
 	}
 }
 
+// stormEntry is one way of driving a Chan through the storm below. A
+// nil ctx selects the entry's plain, deadline-free form.
+type stormEntry struct {
+	name string
+	// batch bounds the values per send (each send carries 1..batch)
+	// and sizes the receive buffer.
+	batch int
+	send  func(h *ChanHandle[uint64], ctx context.Context, vs []uint64) (int, error)
+	recv  func(h *ChanHandle[uint64], ctx context.Context, out []uint64) (int, error)
+}
+
+// stormEntries covers every blocking entry point: the scalar calls
+// and the batch calls.
+var stormEntries = []stormEntry{
+	{
+		name:  "scalar",
+		batch: 1,
+		send: func(h *ChanHandle[uint64], ctx context.Context, vs []uint64) (int, error) {
+			var err error
+			if ctx == nil {
+				err = h.Send(vs[0])
+			} else {
+				err = h.SendCtx(ctx, vs[0])
+			}
+			if err != nil {
+				return 0, err
+			}
+			return 1, nil
+		},
+		recv: func(h *ChanHandle[uint64], ctx context.Context, out []uint64) (int, error) {
+			var err error
+			if ctx == nil {
+				out[0], err = h.Recv()
+			} else {
+				out[0], err = h.RecvCtx(ctx)
+			}
+			if err != nil {
+				return 0, err
+			}
+			return 1, nil
+		},
+	},
+	{
+		name:  "batch",
+		batch: 4,
+		send: func(h *ChanHandle[uint64], ctx context.Context, vs []uint64) (int, error) {
+			if ctx == nil {
+				return h.SendMany(vs)
+			}
+			return h.SendManyCtx(ctx, vs)
+		},
+		recv: func(h *ChanHandle[uint64], ctx context.Context, out []uint64) (int, error) {
+			if ctx == nil {
+				return h.RecvMany(out)
+			}
+			return h.RecvManyCtx(ctx, out)
+		},
+	},
+}
+
 // TestChanHandoffCloseCancelStorm is the handoff-focused close/cancel
 // race: a receiver-heavy split on a small ring keeps the rendezvous
 // path hot (most sends land in parked receivers' cells), senders mix
 // plain and short-context sends, and Close fires mid-flight. Every
-// value whose Send reported success — including those mid-handoff at
-// close time — must be received exactly once. Run with -race.
+// value whose send reported success — including those mid-handoff at
+// close time, and every value of a batch's delivered prefix — must be
+// received exactly once. It runs once per entry style (stormEntries).
+// Run with -race.
 func TestChanHandoffCloseCancelStorm(t *testing.T) {
+	for _, b := range backends() {
+		t.Run(b.String(), func(t *testing.T) {
+			for _, e := range stormEntries {
+				t.Run(e.name, func(t *testing.T) { handoffStorm(t, b, e) })
+			}
+		})
+	}
+}
+
+func handoffStorm(t *testing.T, b Backend, e stormEntry) {
 	const (
 		senders   = 2
 		receivers = 6
 	)
-	for _, b := range backends() {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
-			c, err := NewChan[uint64](16, senders+receivers+1, WithBackend(b), WithMetrics(NewMetricsSink()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var (
-				wg       sync.WaitGroup
-				mu       sync.Mutex
-				sent     = map[uint64]int{}
-				received = map[uint64]int{}
-				sends    atomic.Uint64
-			)
-			for s := 0; s < senders; s++ {
-				h, err := c.Handle()
-				if err != nil {
-					t.Fatal(err)
+	c, err := NewChan[uint64](16, senders+receivers+1, WithBackend(b), WithMetrics(NewMetricsSink()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		sent     = map[uint64]int{}
+		received = map[uint64]int{}
+		sends    atomic.Uint64
+	)
+	for s := 0; s < senders; s++ {
+		h, err := c.Handle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(id uint64, h *ChanHandle[uint64], withCtx bool) {
+			defer wg.Done()
+			ok := make([]uint64, 0, 1024)
+			defer func() {
+				mu.Lock()
+				for _, v := range ok {
+					sent[v]++
 				}
-				wg.Add(1)
-				go func(id uint64, h *ChanHandle[uint64], withCtx bool) {
-					defer wg.Done()
-					ok := make([]uint64, 0, 1024)
-					defer func() {
-						mu.Lock()
-						for _, v := range ok {
-							sent[v]++
-						}
-						mu.Unlock()
-					}()
-					for seq := uint64(0); ; seq++ {
-						v := id<<32 | seq
-						var err error
-						if withCtx {
-							ctx, cancel := context.WithTimeout(context.Background(), time.Duration(50+seq%200)*time.Microsecond)
-							err = h.SendCtx(ctx, v)
-							cancel()
-						} else {
-							err = h.Send(v)
-						}
-						switch {
-						case err == nil:
-							ok = append(ok, v)
-							sends.Add(1)
-						case errors.Is(err, ErrClosed):
-							return
-						case errors.Is(err, context.DeadlineExceeded):
-							// Not sent; next sequence number.
-						default:
-							t.Errorf("sender %d: %v", id, err)
-							return
-						}
+				mu.Unlock()
+			}()
+			vs := make([]uint64, e.batch)
+			seq := uint64(0)
+			for i := 0; ; i++ {
+				k := 1 + i%e.batch
+				for j := range vs[:k] {
+					vs[j] = id<<32 | seq
+					seq++
+				}
+				var ctx context.Context
+				cancel := context.CancelFunc(func() {})
+				if withCtx {
+					ctx, cancel = context.WithTimeout(context.Background(), time.Duration(50+i%200)*time.Microsecond)
+				}
+				n, err := e.send(h, ctx, vs[:k])
+				cancel()
+				// The delivered prefix counts whatever the error says.
+				ok = append(ok, vs[:n]...)
+				sends.Add(uint64(n))
+				switch {
+				case err == nil:
+					if n != k {
+						t.Errorf("sender %d: sent %d of %d with no error", id, n, k)
+						return
 					}
-				}(uint64(s), h, s%2 == 1)
-			}
-			for r := 0; r < receivers; r++ {
-				h, err := c.Handle()
-				if err != nil {
-					t.Fatal(err)
+				case errors.Is(err, ErrClosed):
+					return
+				case errors.Is(err, context.DeadlineExceeded):
+					// The rest was not sent; fresh values next.
+				default:
+					t.Errorf("sender %d: %v", id, err)
+					return
 				}
-				wg.Add(1)
-				// Half the receivers use short contexts, so cancellation
-				// races the in-flight claims this test exists for.
-				go func(h *ChanHandle[uint64], withCtx bool) {
-					defer wg.Done()
-					got := make([]uint64, 0, 1024)
-					defer func() {
-						mu.Lock()
-						for _, v := range got {
-							received[v]++
-						}
-						mu.Unlock()
-					}()
-					for {
-						var v uint64
-						var err error
-						if withCtx {
-							ctx, cancel := context.WithTimeout(context.Background(), 100*time.Microsecond)
-							v, err = h.RecvCtx(ctx)
-							cancel()
-						} else {
-							v, err = h.Recv()
-						}
-						switch {
-						case err == nil:
-							got = append(got, v)
-						case errors.Is(err, ErrClosed):
-							return
-						case errors.Is(err, context.DeadlineExceeded):
-							// Empty; keep draining.
-						default:
-							t.Errorf("receiver: %v", err)
-							return
-						}
+			}
+		}(uint64(s), h, s%2 == 1)
+	}
+	for r := 0; r < receivers; r++ {
+		h, err := c.Handle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		// Half the receivers use short contexts, so cancellation
+		// races the in-flight claims this test exists for.
+		go func(h *ChanHandle[uint64], withCtx bool) {
+			defer wg.Done()
+			got := make([]uint64, 0, 1024)
+			defer func() {
+				mu.Lock()
+				for _, v := range got {
+					received[v]++
+				}
+				mu.Unlock()
+			}()
+			out := make([]uint64, e.batch)
+			for {
+				var ctx context.Context
+				cancel := context.CancelFunc(func() {})
+				if withCtx {
+					ctx, cancel = context.WithTimeout(context.Background(), 100*time.Microsecond)
+				}
+				n, err := e.recv(h, ctx, out)
+				cancel()
+				got = append(got, out[:n]...)
+				switch {
+				case err == nil:
+					if n == 0 {
+						t.Error("receiver: 0 values with no error")
+						return
 					}
-				}(h, r%2 == 1)
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for sends.Load() < 2000 && time.Now().Before(deadline) {
-				time.Sleep(50 * time.Microsecond)
-			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-			wg.Wait()
-			for v, n := range sent {
-				if n != 1 {
-					t.Fatalf("value %#x sent %d times", v, n)
-				}
-				if received[v] != 1 {
-					t.Fatalf("value %#x sent once, received %d times (lost or duplicated)", v, received[v])
+				case errors.Is(err, ErrClosed):
+					return
+				case errors.Is(err, context.DeadlineExceeded):
+					// Empty; keep draining.
+				default:
+					t.Errorf("receiver: %v", err)
+					return
 				}
 			}
-			for v := range received {
-				if sent[v] != 1 {
-					t.Fatalf("value %#x received but never successfully sent", v)
-				}
-			}
-			// The bounded backends must actually have exercised the fast
-			// path. The unbounded ones legitimately may not: their senders
-			// never block, so under full blast the queue is rarely empty
-			// and receivers rarely park.
-			if b != BackendUnbounded && b != BackendShardedUnbounded {
-				snap := c.Stats()
-				if snap.Handoffs() == 0 {
-					t.Fatal("storm completed without a single handoff: the fast path never ran")
-				}
-			}
-		})
+		}(h, r%2 == 1)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for sends.Load() < 2000 && time.Now().Before(deadline) {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for v, n := range sent {
+		if n != 1 {
+			t.Fatalf("value %#x sent %d times", v, n)
+		}
+		if received[v] != 1 {
+			t.Fatalf("value %#x sent once, received %d times (lost or duplicated)", v, received[v])
+		}
+	}
+	for v := range received {
+		if sent[v] != 1 {
+			t.Fatalf("value %#x received but never successfully sent", v)
+		}
+	}
+	// The bounded backends must actually have exercised the fast
+	// path. The unbounded ones legitimately may not: their senders
+	// never block, so under full blast the queue is rarely empty
+	// and receivers rarely park.
+	if b != BackendUnbounded && b != BackendShardedUnbounded {
+		snap := c.Stats()
+		if snap.Handoffs() == 0 {
+			t.Fatal("storm completed without a single handoff: the fast path never ran")
+		}
 	}
 }

@@ -398,6 +398,70 @@ func TestChanCloseCancelRace(t *testing.T) {
 	}
 }
 
+// TestChanZeroAllocNonParking extends the cores' zero-allocation claim
+// to the Chan facade: every operation that does not park — the Try
+// calls, and the blocking calls while the buffer has room — allocates
+// nothing, on every backend, with the metrics sink absent and
+// attached. Scalar calls run as batches of one over per-handle
+// scratch, so this also pins that the scratch never escapes.
+func TestChanZeroAllocNonParking(t *testing.T) {
+	const batch = 8
+	pairs := []struct {
+		name string
+		op   func(h *ChanHandle[uint64], in, out []uint64)
+	}{
+		{"TrySend/TryRecv", func(h *ChanHandle[uint64], _, _ []uint64) {
+			h.TrySend(42)
+			h.TryRecv()
+		}},
+		{"TrySendMany/TryRecvMany", func(h *ChanHandle[uint64], in, out []uint64) {
+			h.TrySendMany(in)
+			h.TryRecvMany(out)
+		}},
+		{"Send/Recv", func(h *ChanHandle[uint64], _, _ []uint64) {
+			h.Send(42)
+			h.Recv()
+		}},
+		{"SendMany/RecvMany", func(h *ChanHandle[uint64], in, out []uint64) {
+			h.SendMany(in)
+			h.RecvMany(out)
+		}},
+	}
+	for _, b := range backends() {
+		for _, sink := range []*MetricsSink{nil, NewMetricsSink()} {
+			label := "nometrics"
+			if sink != nil {
+				label = "metrics"
+			}
+			t.Run(b.String()+"/"+label, func(t *testing.T) {
+				// 64 slots keep even a sharded home shard (64/4) above
+				// the batch, so no send parks.
+				c, err := NewChan[uint64](64, 2, WithBackend(b), WithMetrics(sink))
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := c.Handle()
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := make([]uint64, batch)
+				out := make([]uint64, batch)
+				for _, p := range pairs {
+					// Warm the path (wCQ handles grow their batch scratch
+					// once; an unbounded handle fills its view cache).
+					p.op(h, in, out)
+					if allocs := testing.AllocsPerRun(200, func() { p.op(h, in, out) }); allocs != 0 {
+						t.Errorf("%s allocates %.1f objects/op, want 0", p.name, allocs)
+					}
+					if n, err := h.TryRecvMany(out); n != 0 || err != nil {
+						t.Fatalf("%s left the buffer non-empty: %d, %v", p.name, n, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestChanSCQBackendHasNoCensus(t *testing.T) {
 	c, err := NewChan[int](8, 1, WithBackend(BackendSCQ))
 	if err != nil {

@@ -21,9 +21,10 @@ import (
 
 // allocVariants lists the cores whose hot paths must be allocation
 // free. The external baselines (MSQueue, LCRQ, YMC, CRTurn) allocate
-// nodes/segments by design and are excluded, as are the Chan facades
-// (parking draws recycled waiters, but close bookkeeping is off the
-// claim's hot path).
+// nodes/segments by design and are excluded. The Chan facades make the
+// same claim for every operation that does not park; the root
+// package's TestChanZeroAllocNonParking guards it on all five backends
+// through the public API.
 var allocVariants = []string{"wCQ", "SCQ", "Sharded", "ShardedUnbounded", "LSCQ", "UWCQ"}
 
 // allocConfigs pairs each variant run with a disabled and an enabled
