@@ -102,7 +102,8 @@ func main() {
 	if *figure == "all" {
 		for _, f := range harness.Figures() {
 			// -blocking narrows "all" to the blocking figures, the same
-			// way -queue all narrows to the Chan facades in wcqstress.
+			// way -queue all narrows to the Chan facades in wcqstressd's
+			// checker scenario.
 			if shared.Blocking && !f.Blocking {
 				continue
 			}

@@ -13,6 +13,18 @@
 //	wcqstressd -validate snap.jsonl             # check a snapshot log and exit
 //	wcqstressd -scenario all -duration 5s       # production-readiness scenarios
 //	wcqstressd -scenario memory_stress -queue UWCQ   # one scenario, one queue
+//	wcqstressd -scenario checker -queue all -duration 2s     # correctness
+//	wcqstressd -scenario checker -queue all -slowpath        # wCQ helped paths
+//	wcqstressd -scenario checker -queue UWCQ -capacity 64    # ring turnover
+//	wcqstressd -scenario checker -blocking -batch 16 -queue all
+//
+// The checker scenario is the long validation run: rounds of the MPMC
+// correctness checker (no loss, no duplication, per-producer FIFO) on
+// a fresh queue each, until -duration elapses, for each queue -queue
+// names. "all" means every real queue, or every Chan facade with
+// -blocking; -batch N drives the batched checkers, and -blocking the
+// close/drain ones. A queue the flags cannot build is a SKIP, not a
+// failure.
 //
 // Endpoints:
 //
@@ -40,9 +52,11 @@ import (
 	"time"
 
 	"repro/internal/benchfmt"
+	"repro/internal/checker"
 	"repro/internal/clihelper"
 	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/queueapi"
 	"repro/internal/queues"
 )
 
@@ -55,7 +69,7 @@ func main() {
 		snapshots = flag.String("snapshots", "", "append one wcqbench/v1 JSON line per interval to this file")
 		duration  = flag.Duration("duration", 0, "total run time (0 = until SIGINT/SIGTERM)")
 		validate  = flag.String("validate", "", "validate a wcqbench/v1 snapshot file and exit")
-		scenario  = flag.String("scenario", "", "run a production-readiness scenario (concurrent_stress, memory_stress, high_frequency, or 'all') against -queue and exit")
+		scenario  = flag.String("scenario", "", "run a scenario (checker, concurrent_stress, memory_stress, high_frequency, or 'all') against -queue and exit")
 	)
 	shared := clihelper.Register(flag.CommandLine, 1<<8)
 	flag.Parse()
@@ -88,7 +102,7 @@ func main() {
 	}
 
 	if *scenario != "" {
-		if err := runScenarios(*scenario, *queueName, cfg, n, *duration); err != nil {
+		if err := runScenarios(*scenario, *queueName, shared, cfg, n, *duration); err != nil {
 			fmt.Fprintln(os.Stderr, "wcqstressd: scenario FAIL:", err)
 			os.Exit(1)
 		}
@@ -190,19 +204,26 @@ loop:
 	fmt.Println("wcqstressd: clean shutdown")
 }
 
-// runScenarios executes the production-readiness stress tier: the
-// named scenario (or every one, for "all") against the selected queue.
-// Any conservation violation, footprint leak or livelock surfaces as
-// the scenario's error and a nonzero exit.
-func runScenarios(scenario, queueName string, cfg queues.Config, threads int, duration time.Duration) error {
+// runScenarios executes the named scenario (or every one, for "all")
+// against the selected queue: the correctness checker and the
+// production-readiness stress tier. Any loss, duplication, order
+// violation, footprint leak or livelock surfaces as the scenario's
+// error and a nonzero exit.
+func runScenarios(scenario, queueName string, shared *clihelper.Flags, cfg queues.Config, threads int, duration time.Duration) error {
 	names := []string{scenario}
 	if scenario == "all" {
-		names = harness.StressScenarioNames()
+		names = append([]string{"checker"}, harness.StressScenarioNames()...)
 	}
 	if duration <= 0 {
 		duration = 5 * time.Second
 	}
 	for _, s := range names {
+		if s == "checker" {
+			if err := runChecker(queueName, shared, cfg, threads, duration); err != nil {
+				return err
+			}
+			continue
+		}
 		res, err := harness.RunStress(s, queueName, cfg, harness.StressOpts{
 			Threads:  threads,
 			Duration: duration,
@@ -216,6 +237,56 @@ func runScenarios(scenario, queueName string, cfg queues.Config, threads int, du
 			fmt.Printf(", %d cycles, baseline %.3f MB", res.Cycles, res.BaselineMB)
 		}
 		fmt.Println()
+	}
+	return nil
+}
+
+// checkerPerProducer is the number of values each producer sends in
+// one checker round.
+const checkerPerProducer = 20000
+
+// runChecker runs checker rounds on each queue the selection names,
+// splitting the workers evenly into producers and consumers, until
+// duration elapses per queue (at least one round each).
+func runChecker(selected string, shared *clihelper.Flags, cfg queues.Config, threads int, duration time.Duration) error {
+	ccfg := checker.Config{
+		Producers:   threads / 2,
+		Consumers:   threads - threads/2,
+		PerProducer: checkerPerProducer,
+		Capacity:    int(shared.Capacity),
+	}
+	for _, name := range shared.QueueNames(selected) {
+		start := time.Now()
+		rounds := 0
+		for ; rounds == 0 || time.Since(start) < duration; rounds++ {
+			q, err := queues.New(name, cfg)
+			if err != nil {
+				fmt.Printf("wcqstressd: checker/%s SKIP (%v)\n", name, err)
+				break
+			}
+			if _, ok := q.(queueapi.Closer); shared.Blocking && !ok {
+				fmt.Printf("wcqstressd: checker/%s SKIP (not a blocking queue; use one of %v with -blocking)\n",
+					name, queues.BlockingQueues())
+				break
+			}
+			switch {
+			case shared.Blocking && shared.Batch > 1:
+				err = checker.RunBlockingBatch(q, ccfg, shared.Batch)
+			case shared.Blocking:
+				err = checker.RunBlocking(q, ccfg)
+			case shared.Batch > 1:
+				err = checker.RunBatch(q, ccfg, shared.Batch)
+			default:
+				err = checker.Run(q, ccfg)
+			}
+			if err != nil {
+				return fmt.Errorf("checker/%s round %d: %w", name, rounds, err)
+			}
+		}
+		if rounds > 0 {
+			fmt.Printf("wcqstressd: checker/%s ok: %d rounds of %d values in %v\n",
+				name, rounds, ccfg.Producers*ccfg.PerProducer, time.Since(start).Round(time.Millisecond))
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clihelper"
 	"repro/internal/metrics"
 	"repro/internal/queues"
 )
@@ -95,5 +96,30 @@ func TestSnapshotFileZeroIntervalValidates(t *testing.T) {
 	f := d.snapshotFile(0, 0)
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCheckerScenario(t *testing.T) {
+	// A zero duration still runs one round per queue: the nonblocking
+	// checker on a ring queue, the blocking batch checker on a Chan,
+	// and a blocking run on a queue with no close surface is a SKIP.
+	cases := []struct {
+		queue    string
+		blocking bool
+		batch    int
+	}{
+		{"SCQ", false, 0},
+		{"Chan", true, 8},
+		{"wCQ", true, 0},
+	}
+	for _, c := range cases {
+		shared := &clihelper.Flags{Capacity: 64, Blocking: c.blocking, Batch: c.batch}
+		cfg, err := shared.Config(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := runChecker(c.queue, shared, cfg, 4, 0); err != nil {
+			t.Fatalf("%s: %v", c.queue, err)
+		}
 	}
 }

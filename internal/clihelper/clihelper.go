@@ -1,10 +1,9 @@
 // Package clihelper centralizes the queue-construction flag plumbing
-// shared by cmd/wcqbench and cmd/wcqstress, so the two tools register
-// the same flags with the same meanings and cannot drift (before this
-// package each tool declared its own subset by hand). That includes
-// the composition dimensions: -shards (how many sub-queues) and -ring
-// (which ring core inside them) are declared once here, so the
-// kind x composition matrix is spelled identically everywhere.
+// shared by cmd/wcqbench and cmd/wcqstressd, so the two tools register
+// the same flags with the same meanings and cannot drift. That
+// includes the composition dimensions: -shards (how many sub-queues)
+// and -ring (which ring core inside them) are declared once here, so
+// the kind x composition matrix is spelled identically everywhere.
 package clihelper
 
 import (

@@ -1,0 +1,256 @@
+package ringcore
+
+import (
+	"fmt"
+
+	"repro/internal/metrics"
+	"repro/internal/pad"
+	"repro/internal/scq"
+	"repro/internal/wcq"
+)
+
+// indexRing is one goroutine's access to an index ring: a registered
+// *wcq.Handle, or the census-free *scq.Ring itself.
+type indexRing interface {
+	Enqueue(uint64)
+	Dequeue() (uint64, bool)
+	EnqueueBatch([]uint64)
+	DequeueBatch([]uint64) int
+}
+
+// ring is the whole-ring surface the payload layer reads: what
+// Footprint, Empty and Stats report. *wcq.Ring and *scq.Ring both
+// provide it.
+type ring interface {
+	Footprint() uint64
+	Drained() bool
+	Metrics() *metrics.Sink
+}
+
+// Compile-time checks: a signature drift in either core breaks the
+// build here, not at a constructor.
+var (
+	_ indexRing = (*wcq.Handle)(nil)
+	_ indexRing = (*scq.Ring)(nil)
+	_ ring      = (*wcq.Ring)(nil)
+	_ ring      = (*scq.Ring)(nil)
+	_ Core[int] = (*Queue[int])(nil)
+	_ Statser   = (*Queue[int])(nil)
+)
+
+// Queue is a bounded MPMC queue of arbitrary values, built from two
+// index rings and a data array via the paper's Figure 2 indirection:
+// fq circulates free indices, aq circulates allocated ones. All memory
+// is allocated at construction. The ring kind decides progress:
+// wait-free over wCQ rings, lock-free over SCQ rings. Only
+// construction and Register know the kind; every operation goes
+// through the indexRing a handle holds.
+//
+// Every operation reads the header fields and none writes them; the
+// pads keep them off any cache line a neighbouring heap object writes.
+type Queue[T any] struct {
+	_    pad.Line
+	aq   ring
+	fq   ring
+	data []T
+	kind Kind
+	_    pad.Line
+}
+
+// QueueHandle is a goroutine's capability to operate on a Queue. It
+// must not be shared between goroutines.
+type QueueHandle[T any] struct {
+	q  *Queue[T]
+	aq indexRing
+	fq indexRing
+	// idxBuf carries index runs between fq, the data array and aq in
+	// the batch operations. It grows to the largest batch this handle
+	// has seen and is then reused forever, so the steady-state batch
+	// hot path allocates nothing.
+	idxBuf []uint64
+}
+
+// New builds an empty ring core of the given kind holding up to
+// capacity values (a power of two >= 2). maxThreads bounds Acquire
+// for census kinds (KindWCQ) and is ignored by census-free kinds. The
+// core is always a *Queue[T].
+func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core[T], error) {
+	q := &Queue[T]{kind: kind}
+	switch kind {
+	case KindWCQ:
+		aq, err := wcq.NewRing(capacity, maxThreads, opts.WCQ())
+		if err != nil {
+			return nil, err
+		}
+		fq, err := wcq.NewFullRing(capacity, maxThreads, opts.WCQ())
+		if err != nil {
+			return nil, err
+		}
+		q.aq, q.fq = aq, fq
+	case KindSCQ:
+		aq, err := scq.NewRing(capacity, opts.mode())
+		if err != nil {
+			return nil, err
+		}
+		fq, err := scq.NewFullRing(capacity, opts.mode())
+		if err != nil {
+			return nil, err
+		}
+		aq.SetMetrics(opts.Sink())
+		fq.SetMetrics(opts.Sink())
+		q.aq, q.fq = aq, fq
+	default:
+		return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
+	}
+	q.data = make([]T, capacity)
+	return q, nil
+}
+
+// Register returns a per-goroutine handle. A wCQ handle takes a thread
+// record in both rings and fails once the census is exhausted; SCQ
+// has no census, so its handle operates on the two rings directly and
+// Register never fails.
+func (q *Queue[T]) Register() (*QueueHandle[T], error) {
+	h := &QueueHandle[T]{q: q}
+	switch q.kind {
+	case KindWCQ:
+		aqh, err := q.aq.(*wcq.Ring).Register()
+		if err != nil {
+			return nil, fmt.Errorf("wcq: registering with aq: %w", err)
+		}
+		fqh, err := q.fq.(*wcq.Ring).Register()
+		if err != nil {
+			return nil, fmt.Errorf("wcq: registering with fq: %w", err)
+		}
+		h.aq, h.fq = aqh, fqh
+	case KindSCQ:
+		h.aq, h.fq = q.aq.(*scq.Ring), q.fq.(*scq.Ring)
+	}
+	return h, nil
+}
+
+// Acquire is Register behind the Core contract.
+func (q *Queue[T]) Acquire() (Handle[T], error) {
+	h, err := q.Register()
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// scratch returns the handle's index buffer, grown to hold n entries
+// but never past the ring capacity — at most Cap() indices can move
+// per call, so a batch far larger than the ring must not pin a
+// buffer sized to the batch (short counts are within the batch
+// contract; the caller resumes with the remainder).
+//
+//wfq:allocok grows to ring capacity once per handle, then reused
+func (h *QueueHandle[T]) scratch(n int) []uint64 {
+	if c := int(h.q.Cap()); n > c {
+		n = c
+	}
+	if cap(h.idxBuf) < n {
+		h.idxBuf = make([]uint64, n)
+	}
+	return h.idxBuf[:n]
+}
+
+// Enqueue appends v; it returns false when the queue is full.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) Enqueue(v T) bool {
+	idx, ok := h.fq.Dequeue()
+	if !ok {
+		return false
+	}
+	h.q.data[idx] = v
+	h.aq.Enqueue(idx)
+	return true
+}
+
+// Dequeue removes and returns the oldest value; ok is false when the
+// queue is empty.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
+	idx, ok := h.aq.Dequeue()
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	v = h.q.data[idx]
+	var zero T
+	h.q.data[idx] = zero // release references before recycling the slot
+	h.fq.Enqueue(idx)
+	return v, true
+}
+
+// EnqueueBatch appends a prefix of vs in order and returns its length;
+// a short count means the queue filled up mid-batch. Index traffic
+// with fq/aq moves through the native ring batches, so the fast path
+// pays one F&A per ring per batch instead of one per element.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
+	if len(vs) == 0 {
+		return 0
+	}
+	buf := h.scratch(len(vs))
+	n := h.fq.DequeueBatch(buf)
+	for j := 0; j < n; j++ {
+		h.q.data[buf[j]] = vs[j]
+	}
+	h.aq.EnqueueBatch(buf[:n])
+	return n
+}
+
+// DequeueBatch fills a prefix of out with the oldest values and
+// returns its length; 0 means the queue appeared empty.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) DequeueBatch(out []T) int {
+	if len(out) == 0 {
+		return 0
+	}
+	buf := h.scratch(len(out))
+	n := h.aq.DequeueBatch(buf)
+	var zero T
+	for j := 0; j < n; j++ {
+		idx := buf[j]
+		out[j] = h.q.data[idx]
+		h.q.data[idx] = zero // release references before recycling the slot
+	}
+	h.fq.EnqueueBatch(buf[:n])
+	return n
+}
+
+// Empty reports that the queue held no value at some instant during
+// the call: aq's head counter had caught up with its tail counter, so
+// every enqueued value had been claimed by a dequeue. The probe is
+// one-sided (a concurrent enqueue may land right after), which is the
+// guarantee the blocking facade's direct handoff needs — handing a
+// value past the ring is FIFO-safe iff nothing unclaimed precedes it.
+//
+//wfq:noalloc
+func (q *Queue[T]) Empty() bool { return q.aq.Drained() }
+
+// Cap returns the queue capacity: one data slot per ring index.
+//
+//wfq:noalloc
+func (q *Queue[T]) Cap() uint64 { return uint64(len(q.data)) }
+
+// Kind reports the ring kind the queue is built from.
+func (q *Queue[T]) Kind() Kind { return q.kind }
+
+// Stats snapshots the metrics sink both rings record into (zero when
+// disabled). aq and fq are built from the same Options, so one ring
+// answers for the queue.
+func (q *Queue[T]) Stats() metrics.Snapshot { return q.aq.Metrics().Snapshot() }
+
+// Footprint returns the statically allocated byte size of the queue
+// (both rings, any thread records, and the payload array slots).
+//
+//wfq:noalloc
+func (q *Queue[T]) Footprint() uint64 {
+	return q.aq.Footprint() + q.fq.Footprint() + uint64(cap(q.data))*8
+}

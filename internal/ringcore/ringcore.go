@@ -4,13 +4,9 @@
 // unbounded linked rings, the queue registry, the blocking facade) is
 // written once against Core/Handle instead of once per core.
 //
-// Before this package, each consumer carried its own dual plumbing:
-// parallel `[]*wcq.Queue` / `[]*scq.Queue` arrays with a backend
-// branch in every operation (sharded), hand-written ctl/view adapter
-// pairs (unbounded), and a bespoke adapter struct per registry
-// variant. The contract collapses all of that: a new core kind is one
-// adapter here plus a Kind constant, and every composition picks it
-// up for free.
+// Both kinds share one payload layer, Queue (payload.go): the paper's
+// Figure 2 data array between a free-index ring and an
+// allocated-index ring, written once over either kind of index ring.
 //
 // The split between the two interfaces follows who needs what:
 //
@@ -30,7 +26,6 @@ import (
 
 	"repro/internal/atomicx"
 	"repro/internal/metrics"
-	"repro/internal/scq"
 	"repro/internal/wcq"
 )
 
@@ -192,64 +187,4 @@ type Core[T any] interface {
 	Empty() bool
 	// Kind identifies the ring kind the core is built from.
 	Kind() Kind
-}
-
-// New builds an empty ring core of the given kind holding up to
-// capacity values (a power of two >= 2). maxThreads bounds Acquire
-// for census kinds (KindWCQ) and is ignored by census-free kinds.
-func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core[T], error) {
-	switch kind {
-	case KindWCQ:
-		q, err := wcq.NewQueue[T](capacity, maxThreads, opts.WCQ())
-		if err != nil {
-			return nil, err
-		}
-		return wcqCore[T]{q}, nil
-	case KindSCQ:
-		q, err := scq.NewQueue[T](capacity, opts.mode())
-		if err != nil {
-			return nil, err
-		}
-		q.SetMetrics(opts.Sink())
-		return scqCore[T]{q}, nil
-	}
-	return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
-}
-
-// wcqCore adapts *wcq.Queue to the Core contract. The embedded queue
-// already provides Cap/Footprint/Empty; only handle acquisition and
-// the kind tag are added, and *wcq.QueueHandle satisfies Handle
-// structurally (it carries the per-handle batch scratch itself).
-type wcqCore[T any] struct{ *wcq.Queue[T] }
-
-// Kind reports KindWCQ.
-func (c wcqCore[T]) Kind() Kind { return KindWCQ }
-
-// Stats snapshots the queue's metrics sink (zero when disabled).
-func (c wcqCore[T]) Stats() metrics.Snapshot { return c.Queue.Metrics().Snapshot() }
-
-// Acquire registers a thread record in both underlying rings; it
-// fails once the census is exhausted.
-func (c wcqCore[T]) Acquire() (Handle[T], error) {
-	h, err := c.Queue.Register()
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// scqCore adapts *scq.Queue to the Core contract. SCQ has no thread
-// census: Acquire never fails and merely hands out a fresh
-// *scq.QueueHandle carrying the per-handle batch scratch.
-type scqCore[T any] struct{ *scq.Queue[T] }
-
-// Kind reports KindSCQ.
-func (c scqCore[T]) Kind() Kind { return KindSCQ }
-
-// Stats snapshots the queue's metrics sink (zero when disabled).
-func (c scqCore[T]) Stats() metrics.Snapshot { return c.Queue.Metrics().Snapshot() }
-
-// Acquire returns a fresh census-free handle.
-func (c scqCore[T]) Acquire() (Handle[T], error) {
-	return c.Queue.Register(), nil
 }

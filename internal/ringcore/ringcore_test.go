@@ -1,9 +1,12 @@
-// Contract test: both ring-core adapters (wCQ, SCQ) run through one
-// shared suite, so any behavioral drift between the cores behind the
-// Core/Handle contract fails here before a composition trips over it.
+// Contract test: the payload layer over both ring kinds (wCQ, SCQ)
+// runs through one shared suite, so any behavioral drift between the
+// kinds behind the Core/Handle contract fails here before a
+// composition trips over it.
 package ringcore
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/atomicx"
@@ -76,20 +79,29 @@ func TestContractConstruction(t *testing.T) {
 
 func TestContractScalarFIFO(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		r := mustNew(t, kind, 8, 2)
-		h := mustAcquire(t, r)
-		for i := uint64(0); i < 8; i++ {
-			if !h.Enqueue(i) {
-				t.Fatalf("enqueue %d failed below capacity", i)
+		r, err := New[string](kind, 4, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := r.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := h.Dequeue(); ok {
+			t.Fatal("empty queue returned a value")
+		}
+		in := []string{"a", "b", "c", "d"}
+		for _, s := range in {
+			if !h.Enqueue(s) {
+				t.Fatalf("enqueue %q failed below capacity", s)
 			}
 		}
-		if h.Enqueue(99) {
+		if h.Enqueue("x") {
 			t.Fatal("enqueue beyond capacity succeeded")
 		}
-		for i := uint64(0); i < 8; i++ {
-			v, ok := h.Dequeue()
-			if !ok || v != i {
-				t.Fatalf("got (%d,%v), want %d", v, ok, i)
+		for _, want := range in {
+			if v, ok := h.Dequeue(); !ok || v != want {
+				t.Fatalf("got (%q,%v), want %q", v, ok, want)
 			}
 		}
 		if _, ok := h.Dequeue(); ok {
@@ -123,6 +135,33 @@ func TestContractBatch(t *testing.T) {
 		if n := h.DequeueBatch(out); n != 0 {
 			t.Fatalf("empty core yielded %d values", n)
 		}
+		// Batches of 6 through 8 slots wrap the rings at a different
+		// offset every round; single-threaded, every batch must succeed
+		// whole and the order must be exact.
+		next, expect := uint64(0), uint64(0)
+		for round := 0; round < 50; round++ {
+			batch := make([]uint64, 6)
+			for i := range batch {
+				batch[i] = next
+				next++
+			}
+			if n := h.EnqueueBatch(batch); n != len(batch) {
+				t.Fatalf("round %d: EnqueueBatch = %d, want %d", round, n, len(batch))
+			}
+			for got := 0; got < len(batch); {
+				n := h.DequeueBatch(out[:len(batch)-got])
+				if n == 0 {
+					t.Fatalf("round %d: lost values", round)
+				}
+				for _, v := range out[:n] {
+					if v != expect {
+						t.Fatalf("round %d: got %d, want %d", round, v, expect)
+					}
+					expect++
+				}
+				got += n
+			}
+		}
 	})
 }
 
@@ -130,12 +169,13 @@ func TestContractReuseAfterDrain(t *testing.T) {
 	// Rings have no lifecycle: the unbounded construction seals and
 	// drains its list nodes and recycles a drained ring as it stands.
 	// So a ring filled to capacity and drained, round after round, must
-	// keep taking values in FIFO order, and Empty must read true exactly
-	// when every value has been taken.
+	// keep taking values in FIFO order, report full and empty at the
+	// edges, and Empty must read true exactly when every value has been
+	// taken.
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		r := mustNew(t, kind, 8, 2)
 		h := mustAcquire(t, r)
-		for round := uint64(0); round < 3; round++ {
+		for round := uint64(0); round < 200; round++ {
 			if !r.Empty() {
 				t.Fatalf("round %d: drained ring not Empty", round)
 			}
@@ -154,6 +194,9 @@ func TestContractReuseAfterDrain(t *testing.T) {
 				if v, ok := h.Dequeue(); !ok || v != round*8+i {
 					t.Fatalf("round %d: got (%d,%v), want %d", round, v, ok, round*8+i)
 				}
+			}
+			if _, ok := h.Dequeue(); ok {
+				t.Fatalf("round %d: empty not detected", round)
 			}
 		}
 		if !r.Empty() {
@@ -221,6 +264,213 @@ func TestContractEmulatedMode(t *testing.T) {
 		for i := uint64(0); i < 8; i++ {
 			if v, ok := h.Dequeue(); !ok || v != i {
 				t.Fatalf("emulated got (%d,%v), want %d", v, ok, i)
+			}
+		}
+	})
+}
+
+func TestContractFootprintConstant(t *testing.T) {
+	// Bounded memory: the footprint is fixed at construction and no
+	// amount of traffic changes it.
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		r := mustNew(t, kind, 64, 1)
+		h := mustAcquire(t, r)
+		f0 := r.Footprint()
+		for i := uint64(0); i < 10000; i++ {
+			h.Enqueue(i)
+			h.Dequeue()
+		}
+		if f := r.Footprint(); f != f0 {
+			t.Fatalf("footprint changed: %d -> %d", f0, f)
+		}
+	})
+}
+
+func TestContractReleasesReferences(t *testing.T) {
+	// GC hygiene: a dequeued payload slot must not keep its value
+	// reachable, on the scalar and the batch path alike.
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		c, err := New[*int](kind, 4, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := c.(*Queue[*int])
+		h, err := q.Register()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(path string) {
+			for i, p := range q.data {
+				if p != nil {
+					t.Fatalf("%s: payload slot %d retains a pointer after dequeue", path, i)
+				}
+			}
+		}
+		h.Enqueue(new(int))
+		h.Dequeue()
+		check("Dequeue")
+		in := []*int{new(int), new(int), new(int)}
+		if n := h.EnqueueBatch(in); n != len(in) {
+			t.Fatalf("EnqueueBatch = %d, want %d", n, len(in))
+		}
+		if n := h.DequeueBatch(make([]*int, len(in))); n != len(in) {
+			t.Fatalf("DequeueBatch = %d, want %d", n, len(in))
+		}
+		check("DequeueBatch")
+	})
+}
+
+func TestContractMPMCValues(t *testing.T) {
+	// Scalar MPMC: every value comes out exactly once.
+	const (
+		producers = 4
+		consumers = 4
+		perProd   = 10000
+		total     = producers * perProd
+	)
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		r := mustNew(t, kind, 256, producers+consumers)
+		var wg sync.WaitGroup
+		out := make(chan uint64, total)
+		for g := 0; g < producers; g++ {
+			h := mustAcquire(t, r)
+			wg.Add(1)
+			go func(g uint64) {
+				defer wg.Done()
+				for i := uint64(0); i < perProd; i++ {
+					for !h.Enqueue(g<<32 | i) {
+						runtime.Gosched()
+					}
+				}
+			}(uint64(g))
+		}
+		var mu sync.Mutex
+		done := 0
+		for g := 0; g < consumers; g++ {
+			h := mustAcquire(t, r)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					mu.Lock()
+					finished := done >= total
+					mu.Unlock()
+					if finished {
+						return
+					}
+					v, ok := h.Dequeue()
+					if !ok {
+						runtime.Gosched()
+						continue
+					}
+					out <- v
+					mu.Lock()
+					done++
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		close(out)
+		seen := make(map[uint64]bool, total)
+		for v := range out {
+			if seen[v] {
+				t.Fatalf("duplicate value %#x", v)
+			}
+			seen[v] = true
+		}
+		if len(seen) != total {
+			t.Fatalf("got %d values, want %d", len(seen), total)
+		}
+	})
+}
+
+func TestContractBatchConcurrent(t *testing.T) {
+	// Concurrent batches: exactly-once delivery and per-producer order.
+	// Patience 1 with eager helping makes wCQ's batch fast path fail
+	// often and degrade through the helped slow path (SCQ ignores the
+	// wCQ tuning), and batches larger than the 16-slot ring exercise
+	// the scratch clamp at ring capacity.
+	const (
+		producers   = 3
+		consumers   = 3
+		perProducer = 4000
+		batch       = 24
+		total       = producers * perProducer
+	)
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		r, err := New[uint64](kind, 16, producers+consumers,
+			&Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg, cg sync.WaitGroup
+		var mu sync.Mutex
+		seen := make(map[uint64]int, total)
+		consumed := 0
+		for p := 0; p < producers; p++ {
+			h := mustAcquire(t, r)
+			wg.Add(1)
+			go func(p uint64) {
+				defer wg.Done()
+				buf := make([]uint64, 0, batch)
+				for i := 0; i < perProducer; {
+					buf = buf[:0]
+					for j := i; j < perProducer && len(buf) < batch; j++ {
+						buf = append(buf, p<<32|uint64(j))
+					}
+					for sent := 0; sent < len(buf); {
+						n := h.EnqueueBatch(buf[sent:])
+						sent += n
+						if n == 0 {
+							runtime.Gosched()
+						}
+					}
+					i += len(buf)
+				}
+			}(uint64(p))
+		}
+		for c := 0; c < consumers; c++ {
+			h := mustAcquire(t, r)
+			cg.Add(1)
+			go func() {
+				defer cg.Done()
+				out := make([]uint64, batch)
+				last := map[uint64]uint64{}
+				for {
+					mu.Lock()
+					done := consumed >= total
+					mu.Unlock()
+					if done {
+						return
+					}
+					n := h.DequeueBatch(out)
+					if n == 0 {
+						runtime.Gosched()
+						continue
+					}
+					mu.Lock()
+					for _, v := range out[:n] {
+						p, seq := v>>32, v&0xffffffff
+						if prev, ok := last[p]; ok && seq <= prev {
+							t.Errorf("producer %d: seq %d after %d", p, seq, prev)
+						}
+						last[p] = seq
+						seen[v]++
+						consumed++
+					}
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		cg.Wait()
+		if len(seen) != total {
+			t.Fatalf("saw %d distinct values, want %d", len(seen), total)
+		}
+		for v, n := range seen {
+			if n != 1 {
+				t.Fatalf("value %#x delivered %d times", v, n)
 			}
 		}
 	})

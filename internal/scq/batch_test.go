@@ -1,8 +1,6 @@
 package scq
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/atomicx"
@@ -101,96 +99,6 @@ func TestRingBatchFIFO(t *testing.T) {
 				expect++
 			}
 			got += n
-		}
-	}
-}
-
-// TestQueueBatchConcurrent drives the payload-level batch ops (one
-// per-goroutine QueueHandle each, carrying the zero-alloc scratch)
-// under real concurrency: exactly-once delivery and per-producer
-// order.
-func TestQueueBatchConcurrent(t *testing.T) {
-	const (
-		producers   = 3
-		consumers   = 3
-		perProducer = 6000
-		batch       = 24
-	)
-	q, err := NewQueue[uint64](256, atomicx.NativeFAA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	seen := make(map[uint64]int)
-	var consumed, total int
-	total = producers * perProducer
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			h := q.Register()
-			buf := make([]uint64, 0, batch)
-			for i := 0; i < perProducer; {
-				buf = buf[:0]
-				for j := i; j < perProducer && len(buf) < batch; j++ {
-					buf = append(buf, uint64(p)<<32|uint64(j))
-				}
-				sent := 0
-				for sent < len(buf) {
-					n := h.EnqueueBatch(buf[sent:])
-					sent += n
-					if n == 0 {
-						runtime.Gosched()
-					}
-				}
-				i += len(buf)
-			}
-		}(p)
-	}
-	var cg sync.WaitGroup
-	for c := 0; c < consumers; c++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			h := q.Register()
-			out := make([]uint64, batch)
-			last := map[uint64]uint64{}
-			for {
-				mu.Lock()
-				done := consumed >= total
-				mu.Unlock()
-				if done {
-					return
-				}
-				n := h.DequeueBatch(out)
-				if n == 0 {
-					runtime.Gosched()
-					continue
-				}
-				mu.Lock()
-				for _, v := range out[:n] {
-					p, seq := v>>32, v&0xffffffff
-					if prev, ok := last[p]; ok && seq <= prev {
-						t.Errorf("producer %d: seq %d after %d", p, seq, prev)
-					}
-					last[p] = seq
-					seen[v]++
-					consumed++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	cg.Wait()
-	if len(seen) != total {
-		t.Fatalf("saw %d distinct values, want %d", len(seen), total)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("value %#x delivered %d times", v, n)
 		}
 	}
 }

@@ -15,8 +15,8 @@
 //	bit  o         IsSafe
 //	bits (o, 63]   Cycle      (monotonic, 63-o bits — never wraps in practice)
 //
-// Queue[T] layers arbitrary fixed-size data on top of two Rings via the
-// paper's Figure 2 indirection: fq holds free indices, aq holds
+// internal/ringcore layers arbitrary values on top of two Rings via
+// the paper's Figure 2 indirection: fq holds free indices, aq holds
 // allocated ones, and a plain data array carries the payloads.
 package scq
 
@@ -481,188 +481,4 @@ func (q *Ring) catchup(tail, head uint64) {
 			return
 		}
 	}
-}
-
-// Queue is a bounded lock-free MPMC queue of arbitrary values, built
-// from two Rings and a data array via the paper's Figure 2 indirection.
-//
-// Every operation reads the three fields and none writes them; the
-// pads keep them off any cache line a neighbouring heap object writes.
-type Queue[T any] struct {
-	_    pad.Line
-	aq   *Ring
-	fq   *Ring
-	data []T
-	_    pad.Line
-}
-
-// NewQueue returns an empty Queue holding up to capacity values.
-// capacity must be a power of two >= 2.
-func NewQueue[T any](capacity uint64, mode atomicx.Mode) (*Queue[T], error) {
-	aq, err := NewRing(capacity, mode)
-	if err != nil {
-		return nil, err
-	}
-	fq, err := NewFullRing(capacity, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &Queue[T]{aq: aq, fq: fq, data: make([]T, capacity)}, nil
-}
-
-// Enqueue appends v. It returns false when the queue is full.
-//
-//wfq:noalloc
-func (q *Queue[T]) Enqueue(v T) bool {
-	idx, ok := q.fq.Dequeue()
-	if !ok {
-		return false
-	}
-	q.data[idx] = v
-	q.aq.Enqueue(idx)
-	return true
-}
-
-// Empty reports that the queue held no value at some instant during
-// the call: aq's head counter had caught up with its tail counter, so
-// every enqueued value had been claimed by a dequeue. One-sided (a
-// concurrent enqueue may land right after) — the guarantee the
-// blocking facade's direct handoff needs to stay FIFO.
-//
-//wfq:noalloc
-func (q *Queue[T]) Empty() bool { return q.aq.Drained() }
-
-// QueueHandle is a goroutine's view of a Queue. Unlike wCQ's handles
-// it draws on no thread census — SCQ is census-free, and Register
-// never fails — but like them it must not be shared between
-// goroutines: it carries the per-handle index scratch the batch
-// operations use, the same zero-allocation strategy as the wCQ
-// payload layer (before this type, SCQ batches chunked through a
-// 128-slot stack buffer instead — one reservation F&A per chunk; the
-// handle pays one per whole batch).
-type QueueHandle[T any] struct {
-	q *Queue[T]
-	// idxBuf carries index runs between fq, the data array and aq in
-	// the batch operations. It grows to the largest batch this handle
-	// has seen and is then reused forever, so the steady-state batch
-	// hot path allocates nothing.
-	idxBuf []uint64
-}
-
-// Register returns a fresh per-goroutine handle. SCQ has no thread
-// census, so any number of handles may be created.
-func (q *Queue[T]) Register() *QueueHandle[T] {
-	return &QueueHandle[T]{q: q}
-}
-
-// scratch returns the handle's index buffer, grown to hold n entries
-// but never past the ring capacity — at most Cap() indices can move
-// per call, so a batch far larger than the ring must not pin a
-// buffer sized to the batch (short counts are within the batch
-// contract; the caller resumes with the remainder).
-//
-//wfq:allocok grows to ring capacity once per handle, then reused
-func (h *QueueHandle[T]) scratch(n int) []uint64 {
-	if c := int(h.q.Cap()); n > c {
-		n = c
-	}
-	if cap(h.idxBuf) < n {
-		h.idxBuf = make([]uint64, n)
-	}
-	return h.idxBuf[:n]
-}
-
-// Enqueue appends v; it returns false when the queue is full.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) Enqueue(v T) bool { return h.q.Enqueue(v) }
-
-// Dequeue removes and returns the oldest value; ok is false when the
-// queue is empty.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) Dequeue() (v T, ok bool) { return h.q.Dequeue() }
-
-// EnqueueBatch appends a prefix of vs in order and returns its length;
-// a short count means the queue filled up mid-batch. Index traffic
-// with fq/aq moves through the native ring batch operations: one
-// reservation F&A per ring for the whole batch.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
-	if len(vs) == 0 {
-		return 0
-	}
-	q := h.q
-	buf := h.scratch(len(vs))
-	n := q.fq.DequeueBatch(buf)
-	for j := 0; j < n; j++ {
-		q.data[buf[j]] = vs[j]
-	}
-	q.aq.EnqueueBatch(buf[:n])
-	return n
-}
-
-// DequeueBatch fills a prefix of out with the oldest values and
-// returns its length; 0 means the queue appeared empty.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) DequeueBatch(out []T) int {
-	if len(out) == 0 {
-		return 0
-	}
-	q := h.q
-	buf := h.scratch(len(out))
-	n := q.aq.DequeueBatch(buf)
-	var zero T
-	for j := 0; j < n; j++ {
-		idx := buf[j]
-		out[j] = q.data[idx]
-		q.data[idx] = zero // drop references for GC hygiene
-	}
-	q.fq.EnqueueBatch(buf[:n])
-	return n
-}
-
-// Dequeue removes and returns the oldest value. ok is false when the
-// queue is empty.
-//
-//wfq:noalloc
-func (q *Queue[T]) Dequeue() (v T, ok bool) {
-	idx, ok := q.aq.Dequeue()
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	v = q.data[idx]
-	var zero T
-	q.data[idx] = zero // drop references for GC hygiene
-	q.fq.Enqueue(idx)
-	return v, true
-}
-
-// SetMetrics points both underlying rings at a metrics sink (nil
-// disables). Must be called before the queue is shared.
-func (q *Queue[T]) SetMetrics(m *metrics.Sink) {
-	q.aq.SetMetrics(m)
-	q.fq.SetMetrics(m)
-}
-
-// Metrics returns the sink the queue records into (nil when disabled).
-//
-//wfq:noalloc
-func (q *Queue[T]) Metrics() *metrics.Sink { return q.aq.Metrics() }
-
-// Cap returns the queue capacity.
-//
-//wfq:noalloc
-func (q *Queue[T]) Cap() uint64 { return q.aq.n }
-
-// Footprint returns the statically allocated byte size (rings + data
-// array descriptor; excludes the payloads' own heap, which belongs to
-// the caller).
-//
-//wfq:noalloc
-func (q *Queue[T]) Footprint() uint64 {
-	return q.aq.Footprint() + q.fq.Footprint() + uint64(cap(q.data))*8
 }

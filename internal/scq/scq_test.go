@@ -252,120 +252,6 @@ func TestRingMPMC(t *testing.T) {
 	}
 }
 
-func TestQueueSequential(t *testing.T) {
-	q, err := NewQueue[string](4, atomicx.NativeFAA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("empty queue returned a value")
-	}
-	for _, s := range []string{"a", "b", "c", "d"} {
-		if !q.Enqueue(s) {
-			t.Fatalf("enqueue %q failed", s)
-		}
-	}
-	if q.Enqueue("overflow") {
-		t.Fatal("enqueue beyond capacity succeeded")
-	}
-	for _, want := range []string{"a", "b", "c", "d"} {
-		v, ok := q.Dequeue()
-		if !ok || v != want {
-			t.Fatalf("got (%q,%v), want %q", v, ok, want)
-		}
-	}
-}
-
-func TestQueueFullEmptyCycles(t *testing.T) {
-	q, _ := NewQueue[int](8, atomicx.NativeFAA)
-	for round := 0; round < 200; round++ {
-		for i := 0; i < 8; i++ {
-			if !q.Enqueue(round*8 + i) {
-				t.Fatalf("round %d: premature full at %d", round, i)
-			}
-		}
-		if q.Enqueue(-1) {
-			t.Fatalf("round %d: full not detected", round)
-		}
-		for i := 0; i < 8; i++ {
-			v, ok := q.Dequeue()
-			if !ok || v != round*8+i {
-				t.Fatalf("round %d: got (%d,%v), want %d", round, v, ok, round*8+i)
-			}
-		}
-		if _, ok := q.Dequeue(); ok {
-			t.Fatalf("round %d: empty not detected", round)
-		}
-	}
-}
-
-func TestQueueMPMCValues(t *testing.T) {
-	const (
-		producers = 4
-		consumers = 4
-		perProd   = 10000
-	)
-	q, _ := NewQueue[uint64](256, atomicx.NativeFAA)
-	var wg sync.WaitGroup
-	out := make(chan uint64, producers*perProd)
-	var done atomicCounter
-	for g := 0; g < producers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perProd; i++ {
-				v := uint64(g)<<32 | uint64(i)
-				for !q.Enqueue(v) {
-				}
-			}
-		}(g)
-	}
-	for g := 0; g < consumers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if done.load() >= producers*perProd {
-					return
-				}
-				if v, ok := q.Dequeue(); ok {
-					out <- v
-					done.add(1)
-				} else {
-					runtime.Gosched()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(out)
-	// Per-producer FIFO: sequence numbers from one producer must arrive
-	// in order per consumer... across consumers we only check no loss,
-	// no duplication, since interleaving reorders observation.
-	seen := make(map[uint64]bool, producers*perProd)
-	for v := range out {
-		if seen[v] {
-			t.Fatalf("duplicate value %x", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != producers*perProd {
-		t.Fatalf("got %d values, want %d", len(seen), producers*perProd)
-	}
-}
-
-func TestFootprintConstant(t *testing.T) {
-	q, _ := NewQueue[uint64](64, atomicx.NativeFAA)
-	f0 := q.Footprint()
-	for i := 0; i < 10000; i++ {
-		q.Enqueue(uint64(i))
-		q.Dequeue()
-	}
-	if q.Footprint() != f0 {
-		t.Fatalf("footprint changed: %d -> %d", f0, q.Footprint())
-	}
-}
-
 // atomicCounter is a tiny local alias used by the concurrent tests.
 type atomicCounter struct{ v atomic.Int64 }
 

@@ -1,8 +1,6 @@
 package wcq
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/atomicx"
@@ -79,137 +77,6 @@ func TestDequeueBatchAbandonedRun(t *testing.T) {
 				t.Fatalf("got %d, want %d", v, expect)
 			}
 			expect++
-		}
-	}
-}
-
-// TestQueueBatchWrap exercises the payload-level batches across many
-// ring wraps single-threaded, where the fast path must always succeed
-// and order must be exact.
-func TestQueueBatchWrap(t *testing.T) {
-	q, err := NewQueue[uint64](64, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := q.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, expect := uint64(0), uint64(0)
-	out := make([]uint64, 48)
-	for round := 0; round < 50; round++ {
-		in := make([]uint64, 48)
-		for i := range in {
-			in[i] = next
-			next++
-		}
-		if n := h.EnqueueBatch(in); n != len(in) {
-			t.Fatalf("round %d: EnqueueBatch = %d, want %d", round, n, len(in))
-		}
-		got := 0
-		for got < len(in) {
-			n := h.DequeueBatch(out[:len(in)-got])
-			for _, v := range out[:n] {
-				if v != expect {
-					t.Fatalf("round %d: got %d, want %d", round, v, expect)
-				}
-				expect++
-			}
-			got += n
-		}
-	}
-}
-
-// TestQueueBatchSlowpathDegrade forces patience-1 eager helping so
-// batch fast-path failures degrade through the helped slow path, and
-// verifies exactly-once + per-producer order under concurrency.
-func TestQueueBatchSlowpathDegrade(t *testing.T) {
-	const (
-		producers   = 2
-		consumers   = 2
-		perProducer = 3000
-		batch       = 16
-	)
-	q, err := NewQueue[uint64](16, producers+consumers, &Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg, cg sync.WaitGroup
-	var mu sync.Mutex
-	seen := make(map[uint64]int)
-	consumed := 0
-	total := producers * perProducer
-
-	for p := 0; p < producers; p++ {
-		h, herr := q.Register()
-		if herr != nil {
-			t.Fatal(herr)
-		}
-		wg.Add(1)
-		go func(p int, h *QueueHandle[uint64]) {
-			defer wg.Done()
-			buf := make([]uint64, 0, batch)
-			for i := 0; i < perProducer; {
-				buf = buf[:0]
-				for j := i; j < perProducer && len(buf) < batch; j++ {
-					buf = append(buf, uint64(p)<<32|uint64(j))
-				}
-				sent := 0
-				for sent < len(buf) {
-					n := h.EnqueueBatch(buf[sent:])
-					sent += n
-					if n == 0 {
-						runtime.Gosched()
-					}
-				}
-				i += len(buf)
-			}
-		}(p, h)
-	}
-	for c := 0; c < consumers; c++ {
-		h, herr := q.Register()
-		if herr != nil {
-			t.Fatal(herr)
-		}
-		cg.Add(1)
-		go func(h *QueueHandle[uint64]) {
-			defer cg.Done()
-			out := make([]uint64, batch)
-			last := map[uint64]uint64{}
-			for {
-				mu.Lock()
-				done := consumed >= total
-				mu.Unlock()
-				if done {
-					return
-				}
-				n := h.DequeueBatch(out)
-				if n == 0 {
-					runtime.Gosched()
-					continue
-				}
-				mu.Lock()
-				for _, v := range out[:n] {
-					p, seq := v>>32, v&0xffffffff
-					if prev, ok := last[p]; ok && seq <= prev {
-						t.Errorf("producer %d: seq %d after %d", p, seq, prev)
-					}
-					last[p] = seq
-					seen[v]++
-					consumed++
-				}
-				mu.Unlock()
-			}
-		}(h)
-	}
-	wg.Wait()
-	cg.Wait()
-	if len(seen) != total {
-		t.Fatalf("saw %d distinct values, want %d", len(seen), total)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("value %#x delivered %d times", v, n)
 		}
 	}
 }

@@ -354,3 +354,19 @@ func TestNoAllocationSteadyState(t *testing.T) {
 		t.Fatalf("steady-state operations allocate %v bytes/op", allocs)
 	}
 }
+
+func TestRingDrained(t *testing.T) {
+	q, hs := newTestRing(t, 8, 1, nil)
+	h := hs[0]
+	if !q.Drained() {
+		t.Fatal("fresh ring (head==tail) should report drained")
+	}
+	h.Enqueue(1)
+	if q.Drained() {
+		t.Fatal("ring with pending ticket reported drained")
+	}
+	h.Dequeue()
+	if !q.Drained() {
+		t.Fatal("consumed ring not drained")
+	}
+}

@@ -48,7 +48,6 @@ import (
 	"repro/internal/atomicx"
 	"repro/internal/metrics"
 	"repro/internal/ringcore"
-	"repro/internal/scq"
 	"repro/internal/sharded"
 	"repro/internal/wcq"
 )
@@ -180,14 +179,14 @@ func (o options) wcq() *wcq.Options { return o.core().WCQ() }
 
 // Queue is a bounded wait-free MPMC FIFO of values of type T.
 type Queue[T any] struct {
-	q *wcq.Queue[T]
+	q *ringcore.Queue[T]
 }
 
 // Handle is a goroutine's capability to use a Queue. Not safe for
 // concurrent use by multiple goroutines; operations are wait-free
 // (bounded steps regardless of other goroutines).
 type Handle[T any] struct {
-	h *wcq.QueueHandle[T]
+	h *ringcore.QueueHandle[T]
 }
 
 // New returns an empty wait-free queue holding up to capacity values
@@ -197,12 +196,22 @@ func New[T any](capacity uint64, maxThreads int, opts ...Option) (*Queue[T], err
 	if err := validate(capacity, maxThreads); err != nil {
 		return nil, err
 	}
-	o := buildOpts(opts)
-	q, err := wcq.NewQueue[T](capacity, maxThreads, o.wcq())
+	q, err := newPayload[T](ringcore.KindWCQ, capacity, maxThreads, buildOpts(opts))
 	if err != nil {
 		return nil, err
 	}
 	return &Queue[T]{q: q}, nil
+}
+
+// newPayload builds the Figure 2 payload queue of the given ring kind
+// and keeps its concrete type, so the public handles call it directly
+// instead of through the ringcore.Handle interface.
+func newPayload[T any](kind ringcore.Kind, capacity uint64, maxThreads int, o options) (*ringcore.Queue[T], error) {
+	c, err := ringcore.New[T](kind, capacity, maxThreads, o.core())
+	if err != nil {
+		return nil, err
+	}
+	return c.(*ringcore.Queue[T]), nil
 }
 
 // Handle registers the calling goroutine and returns its handle. It
@@ -224,7 +233,7 @@ func (q *Queue[T]) Footprint() uint64 { return q.q.Footprint() }
 
 // Stats snapshots the queue's metrics sink. The zero snapshot is
 // returned when the queue was built without WithMetrics.
-func (q *Queue[T]) Stats() MetricsSnapshot { return q.q.Metrics().Snapshot() }
+func (q *Queue[T]) Stats() MetricsSnapshot { return q.q.Stats() }
 
 // Enqueue appends v; it returns false when the queue is full. The
 // operation completes in a bounded number of steps.
@@ -319,7 +328,13 @@ func (h *RingHandle) Dequeue() (index uint64, ok bool) { return h.h.Dequeue() }
 // (not wait-free) progress, no handle census — any goroutine may call
 // it directly.
 type LockFreeQueue[T any] struct {
-	q *scq.Queue[T]
+	q *ringcore.Queue[T]
+	// h serves the handle-free Enqueue and Dequeue for every goroutine
+	// at once. That is safe because an SCQ handle's scalar path writes
+	// no handle state: it only calls the two rings, which are the
+	// shared rings themselves. The batch scratch is the one per-handle
+	// state, and only Handle's batches touch it.
+	h *ringcore.QueueHandle[T]
 }
 
 // NewLockFree returns an empty lock-free (SCQ) queue.
@@ -327,24 +342,26 @@ func NewLockFree[T any](capacity uint64, opts ...Option) (*LockFreeQueue[T], err
 	if err := validate(capacity, 1); err != nil {
 		return nil, err
 	}
-	o := buildOpts(opts)
-	q, err := scq.NewQueue[T](capacity, o.mode)
+	q, err := newPayload[T](ringcore.KindSCQ, capacity, 1, buildOpts(opts))
 	if err != nil {
 		return nil, err
 	}
-	q.SetMetrics(o.metrics)
-	return &LockFreeQueue[T]{q: q}, nil
+	h, err := q.Register()
+	if err != nil {
+		return nil, err
+	}
+	return &LockFreeQueue[T]{q: q, h: h}, nil
 }
 
 // Enqueue appends v; false when full. Safe for any goroutine.
 //
 //wfq:noalloc
-func (q *LockFreeQueue[T]) Enqueue(v T) bool { return q.q.Enqueue(v) }
+func (q *LockFreeQueue[T]) Enqueue(v T) bool { return q.h.Enqueue(v) }
 
 // Dequeue removes the oldest value; ok is false when empty.
 //
 //wfq:noalloc
-func (q *LockFreeQueue[T]) Dequeue() (T, bool) { return q.q.Dequeue() }
+func (q *LockFreeQueue[T]) Dequeue() (T, bool) { return q.h.Dequeue() }
 
 // Handle returns a per-goroutine view carrying the zero-allocation
 // batch scratch. SCQ has no thread census, so Handle never fails and
@@ -354,7 +371,11 @@ func (q *LockFreeQueue[T]) Dequeue() (T, bool) { return q.q.Dequeue() }
 // operations need one (their scratch buffer is what makes them
 // allocation-free, and a shared buffer could not be).
 func (q *LockFreeQueue[T]) Handle() (*LockFreeHandle[T], error) {
-	return &LockFreeHandle[T]{h: q.q.Register()}, nil
+	h, err := q.q.Register()
+	if err != nil {
+		return nil, err
+	}
+	return &LockFreeHandle[T]{h: h}, nil
 }
 
 // Cap returns the queue capacity.
@@ -366,13 +387,13 @@ func (q *LockFreeQueue[T]) Footprint() uint64 { return q.q.Footprint() }
 
 // Stats snapshots the queue's metrics sink. The zero snapshot is
 // returned when the queue was built without WithMetrics.
-func (q *LockFreeQueue[T]) Stats() MetricsSnapshot { return q.q.Metrics().Snapshot() }
+func (q *LockFreeQueue[T]) Stats() MetricsSnapshot { return q.q.Stats() }
 
 // LockFreeHandle is a goroutine's capability to use a LockFreeQueue,
 // carrying the per-handle scratch the native batch reservation uses.
 // Not safe for concurrent use by multiple goroutines.
 type LockFreeHandle[T any] struct {
-	h *scq.QueueHandle[T]
+	h *ringcore.QueueHandle[T]
 }
 
 // Enqueue appends v; false when full.
