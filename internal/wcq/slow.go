@@ -246,8 +246,13 @@ func (q *Ring) tryDeqSlow(h uint64, r *record) bool {
 			q.catchup(t, h+1)
 		}
 		if q.threshold.Load() < 0 {
-			r.localHead.CompareAndSwap(h, h|flagFIN)
-			return true // empty result; gather will see no value
+			// Empty result, but only at the group's current ticket: a
+			// peer that saw a non-negative threshold at h may already
+			// have moved localHead to a fresh Head ticket. That ticket is
+			// reserved and must pass through here — leaving it would let
+			// a late enqueuer publish behind Head, losing the value — so
+			// rejoin the group unless the request is finalized.
+			return r.localHead.CompareAndSwap(h, h|flagFIN) || r.localHead.Load()&flagFIN != 0
 		}
 		return false
 	}

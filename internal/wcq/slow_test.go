@@ -122,6 +122,41 @@ func TestHelperCompletesStalledDequeue(t *testing.T) {
 	}
 }
 
+// TestDeqSlowEmptyKeepsPeerTicket: a cooperative dequeue group member
+// that sees a negative threshold at ticket h must not end the request
+// once a peer has already taken the next Head ticket for the group.
+// Ending it there abandons that ticket unprocessed, and a late enqueue
+// of the same cycle then publishes a value behind Head where no
+// dequeuer will ever look.
+func TestDeqSlowEmptyKeepsPeerTicket(t *testing.T) {
+	q, hs := newTestRing(t, 8, 2, nil)
+	owner, peer := hs[0], hs[1]
+	h := q.headCnt()
+	seq := stageDequeueRequest(owner, h)
+	q.head.Store(packGlobal(h+1, 0)) // h was the group's ticket
+
+	// The peer saw a non-negative threshold at h and took h+1.
+	v := h
+	if !q.slowFAA(&q.head, &owner.r.localHead, &v, true, peer.r) || v != h+1 {
+		t.Fatalf("peer slowFAA: ticket %d, want %d", v, h+1)
+	}
+	// The owner now sees an empty ring at h.
+	q.threshold.Store(-1)
+	if q.tryDeqSlow(h, owner.r) {
+		t.Fatal("tryDeqSlow ended the request while the group held an unprocessed ticket")
+	}
+	// Rejoining, the owner processes h+1, which finalizes the request.
+	q.dequeueSlow(h, owner.r, seq, owner.r)
+	finishRequest(owner, seq)
+	if lh := owner.r.localHead.Load(); lh != (h+1)|flagFIN {
+		t.Fatalf("localHead %#x, want ticket %d with FIN", lh, h+1)
+	}
+	// The slot at h+1 was raised past the late enqueuer's cycle.
+	if q.enqueueAt(h+1, 3) {
+		t.Fatal("late enqueuer published at a ticket Head had passed")
+	}
+}
+
 // TestSlowFAAFINStopsHelpers: once FIN is set on the request's local
 // counter, slowFAA must return false without touching the global.
 func TestSlowFAAFINStopsHelpers(t *testing.T) {
