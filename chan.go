@@ -188,7 +188,7 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		}
 		var q *ShardedQueue[T]
 		if q, err = NewSharded[T](capacity, maxThreads, opts...); err == nil {
-			core = q.q.Core()
+			core = q.q
 		}
 	case BackendUnbounded:
 		// The capacity parameter becomes the linked rings' size: the
@@ -200,7 +200,7 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		}
 		var q *UnboundedQueue[T]
 		if q, err = NewUnbounded[T](maxThreads, append(opts, WithRingCapacity(capacity))...); err == nil {
-			core = q.q.Core()
+			core = q.q
 		}
 	case BackendShardedUnbounded:
 		// Like BackendUnbounded, capacity is a ring size (here: each
@@ -210,7 +210,7 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		}
 		var q *ShardedQueue[T]
 		if q, err = NewSharded[T](capacity, maxThreads, append(opts, WithUnboundedShards(o.shards))...); err == nil {
-			core = q.q.Core()
+			core = q.q
 		}
 	default:
 		return nil, fmt.Errorf("wfqueue: unknown chan backend %d", o.backend)

@@ -134,7 +134,7 @@ func buildSharded(unboundedShards bool) func(Config) (ringcore.Core[uint64], err
 		if err != nil {
 			return nil, err
 		}
-		return q.Core(), nil
+		return q, nil
 	}
 }
 
@@ -147,7 +147,7 @@ func buildUnbounded(kind ringcore.Kind) func(Config) (ringcore.Core[uint64], err
 		if err != nil {
 			return nil, err
 		}
-		return q.Core(), nil
+		return q, nil
 	}
 }
 
@@ -228,15 +228,9 @@ func (w *coreQueue) Cap() uint64       { return w.core.Cap() }
 func (w *coreQueue) Footprint() uint64 { return w.core.Footprint() }
 func (w *coreQueue) Name() string      { return w.name }
 
-// Stats satisfies queueapi.Statser through the ringcore Statser
-// contract every ring-based core implements; cores built without a
-// sink report the zero snapshot.
-func (w *coreQueue) Stats() metrics.Snapshot {
-	if s, ok := w.core.(ringcore.Statser); ok {
-		return s.Stats()
-	}
-	return metrics.Snapshot{}
-}
+// Stats satisfies queueapi.Statser through the core's own Stats; cores
+// built without a sink report the zero snapshot.
+func (w *coreQueue) Stats() metrics.Snapshot { return w.core.Stats() }
 
 // Rings forwards the live linked-ring population of the unbounded
 // cores (0 for bounded cores, which have exactly their one ring), so

@@ -35,7 +35,6 @@ var (
 	_ ring      = (*wcq.Ring)(nil)
 	_ ring      = (*scq.Ring)(nil)
 	_ Core[int] = (*Queue[int])(nil)
-	_ Statser   = (*Queue[int])(nil)
 )
 
 // Queue is a bounded MPMC queue of arbitrary values, built from two
@@ -238,9 +237,6 @@ func (q *Queue[T]) Empty() bool { return q.aq.Drained() }
 //
 //wfq:noalloc
 func (q *Queue[T]) Cap() uint64 { return uint64(len(q.data)) }
-
-// Kind reports the ring kind the queue is built from.
-func (q *Queue[T]) Kind() Kind { return q.kind }
 
 // Stats snapshots the metrics sink both rings record into (zero when
 // disabled). aq and fq are built from the same Options, so one ring

@@ -14,7 +14,11 @@
 //     native-batch enqueue/dequeue.
 //   - Core is what any composition needs to hold a sub-queue: handle
 //     acquisition, capacity, live footprint, the emptiness probe, and
-//     the ring kind.
+//     the metrics snapshot.
+//
+// The compositions implement the same two interfaces: a sharded or an
+// unbounded queue is itself a Core, so it can be composed again or
+// served by the registry and the blocking facade with no adapter.
 //
 // A ring has no lifecycle of its own: the unbounded construction seals
 // and drains its list nodes, not the rings, so a drained ring is
@@ -132,17 +136,6 @@ func (o *Options) mode() atomicx.Mode {
 	return o.Mode
 }
 
-// Statser is the optional introspection face of a core: a snapshot of
-// the metrics sink it records into. Every core and composition in this
-// repository implements it; because one Sink is threaded through all
-// the layers of a composition, the outermost Stats() already
-// aggregates the whole stack. A core built without metrics returns the
-// zero Snapshot.
-type Statser interface {
-	// Stats snapshots the core's metrics sink.
-	Stats() metrics.Snapshot
-}
-
 // Handle is a goroutine's capability to operate on a core. Like the
 // underlying queues' handles it must not be used by two goroutines
 // concurrently. Batch operations move through the cores' native
@@ -164,8 +157,8 @@ type Handle[T any] interface {
 // Core is a queue core behind the one contract every composition
 // consumes: handle acquisition plus the introspection the registry
 // and the harness need. Both bounded ring kinds implement it, and so
-// do the composites that want to be composed again — the sharded and
-// unbounded queues each expose themselves as a Core.
+// do the compositions — the sharded and unbounded queues are Cores
+// themselves.
 type Core[T any] interface {
 	// Acquire returns a per-goroutine Handle. For kinds with a thread
 	// census (KindWCQ) it fails once the census is exhausted;
@@ -185,6 +178,9 @@ type Core[T any] interface {
 	// handoff relies on exactly this — bypassing the ring is FIFO-safe
 	// iff no unclaimed value precedes the handed-off one.
 	Empty() bool
-	// Kind identifies the ring kind the core is built from.
-	Kind() Kind
+	// Stats snapshots the metrics sink the core records into. One Sink
+	// is threaded through every layer of a composition, so the
+	// outermost Stats already aggregates the whole stack; a core built
+	// without metrics returns the zero Snapshot.
+	Stats() metrics.Snapshot
 }

@@ -61,15 +61,18 @@ func TestContractConstruction(t *testing.T) {
 		if _, err := New[uint64](kind, 24, 4, nil); err == nil {
 			t.Fatal("non-power-of-two capacity accepted")
 		}
-		r := mustNew(t, kind, 64, 4)
+		r := mustNew(t, kind, 64, 2)
 		if r.Cap() != 64 {
 			t.Fatalf("Cap() = %d, want 64", r.Cap())
 		}
 		if r.Footprint() == 0 {
 			t.Fatal("zero footprint")
 		}
-		if r.Kind() != kind {
-			t.Fatalf("Kind() = %v, want %v", r.Kind(), kind)
+		// The kind shows in behaviour: only wCQ has a thread census.
+		mustAcquire(t, r)
+		mustAcquire(t, r)
+		if _, err := r.Acquire(); (err == nil) != (kind == KindSCQ) {
+			t.Fatalf("third Acquire with maxThreads 2: err = %v", err)
 		}
 	})
 	if _, err := New[uint64](Kind(99), 64, 4, nil); err == nil {

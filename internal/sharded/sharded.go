@@ -8,7 +8,10 @@
 // one code path serves the whole kind x composition matrix: bounded
 // wCQ or SCQ shards (Options.Kind), and unbounded linked-ring shards
 // (Options.Unbounded) whose per-shard growth removes the global
-// capacity bound entirely.
+// capacity bound entirely. An unbounded shard is the unbounded queue
+// itself, which is a ringcore.Core; and the sharded queue is a
+// ringcore.Core in turn, so the registry and the blocking facade hold
+// it with no adapter.
 //
 // # Semantics
 //
@@ -59,6 +62,13 @@ import (
 	"repro/internal/unbounded"
 )
 
+// Compile-time checks: the composition is consumed through the same
+// contract as a single ring.
+var (
+	_ ringcore.Core[int]   = (*Queue[int])(nil)
+	_ ringcore.Handle[int] = (*Handle[int])(nil)
+)
+
 // DefaultShards is the shard count used when Options.Shards is 0.
 const DefaultShards = 4
 
@@ -103,7 +113,6 @@ func (o *Options) withDefaults() Options {
 type Queue[T any] struct {
 	cores     []ringcore.Core[T]
 	perCap    uint64 // per-shard capacity; 0 with unbounded shards
-	kind      ringcore.Kind
 	unbounded bool
 	met       *metrics.Sink // shared with every shard via Options.Core
 	nextHome  atomic.Int64
@@ -139,14 +148,14 @@ func New[T any](capacity uint64, maxThreads int, opts *Options) (*Queue[T], erro
 	if o.Shards < 1 {
 		return nil, fmt.Errorf("sharded: shard count must be >= 1, got %d", o.Shards)
 	}
-	q := &Queue[T]{kind: o.Kind, unbounded: o.Unbounded, met: o.Core.Sink()}
+	q := &Queue[T]{unbounded: o.Unbounded, met: o.Core.Sink()}
 	if o.Unbounded {
 		for i := 0; i < o.Shards; i++ {
 			u, err := unbounded.New[T](o.Kind, capacity, maxThreads, o.Core)
 			if err != nil {
 				return nil, fmt.Errorf("sharded: shard %d: %w", i, err)
 			}
-			q.cores = append(q.cores, u.Core())
+			q.cores = append(q.cores, u)
 		}
 		return q, nil
 	}
@@ -185,15 +194,22 @@ func (q *Queue[T]) Register() (*Handle[T], error) {
 	return &Handle[T]{hs: hs, n: n, home: home, met: q.met, cursor: home}, nil
 }
 
+// Acquire is Register behind the ringcore.Core contract.
+func (q *Queue[T]) Acquire() (ringcore.Handle[T], error) {
+	h, err := q.Register()
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
 // Shards returns the shard count.
 func (q *Queue[T]) Shards() int { return len(q.cores) }
 
-// Metrics returns the sink shared by the queue and every shard (nil
-// when metrics are disabled).
-func (q *Queue[T]) Metrics() *metrics.Sink { return q.met }
-
-// Kind returns the ring kind the shards are built from.
-func (q *Queue[T]) Kind() ringcore.Kind { return q.kind }
+// Stats snapshots the composition's metrics sink. The shards record
+// into the same sink (threaded through Options.Core), so this single
+// snapshot covers steal traffic AND every shard's core events.
+func (q *Queue[T]) Stats() metrics.Snapshot { return q.met.Snapshot() }
 
 // Unbounded reports whether the shards are unbounded linked-ring
 // queues.
@@ -232,25 +248,6 @@ func (q *Queue[T]) Empty() bool {
 	}
 	return true
 }
-
-// Core exposes the sharded queue itself through the ringcore.Core
-// contract, so the registry's generic adapter (and any further
-// composition) consumes it exactly like a single ring core.
-func (q *Queue[T]) Core() ringcore.Core[T] { return shardedCore[T]{q} }
-
-// shardedCore adapts *Queue to ringcore.Core.
-type shardedCore[T any] struct{ q *Queue[T] }
-
-func (c shardedCore[T]) Acquire() (ringcore.Handle[T], error) { return c.q.Register() }
-func (c shardedCore[T]) Cap() uint64                          { return c.q.Cap() }
-func (c shardedCore[T]) Footprint() uint64                    { return c.q.Footprint() }
-func (c shardedCore[T]) Empty() bool                          { return c.q.Empty() }
-func (c shardedCore[T]) Kind() ringcore.Kind                  { return c.q.kind }
-
-// Stats snapshots the composition's metrics sink. The shards record
-// into the same sink (threaded through Options.Core), so this single
-// snapshot covers steal traffic AND every shard's core events.
-func (c shardedCore[T]) Stats() metrics.Snapshot { return c.q.met.Snapshot() }
 
 // Enqueue appends v to the handle's home shard; false means that shard
 // is full (see the package comment for the capacity relaxation; with

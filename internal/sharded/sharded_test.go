@@ -71,11 +71,25 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if q.Footprint() == 0 {
 		t.Fatal("zero footprint")
 	}
-	if q.Kind() != ringcore.KindWCQ {
-		t.Fatalf("Kind() = %v, want wCQ", q.Kind())
-	}
 	if q.Unbounded() {
 		t.Fatal("default shards reported unbounded")
+	}
+	assertCensus(t, nil, true)
+}
+
+// assertCensus checks the shard kind through behaviour: with
+// maxThreads 2 a third handle fails on wCQ shards (each shard's census
+// is full) and succeeds on census-free SCQ shards.
+func assertCensus(t *testing.T, opts *sharded.Options, census bool) {
+	t.Helper()
+	q := mustNew(t, 64, 2, opts)
+	for i := 0; i < 2; i++ {
+		if _, err := q.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := q.Acquire(); (err != nil) != census {
+		t.Fatalf("third Acquire with maxThreads 2: err = %v, want failure %v", err, census)
 	}
 }
 
@@ -198,10 +212,9 @@ func TestDequeueBatchDrainsAcrossShards(t *testing.T) {
 }
 
 func TestSCQBackend(t *testing.T) {
-	q := mustNew(t, 64, 4, &sharded.Options{Shards: 4, Kind: ringcore.KindSCQ})
-	if q.Kind() != ringcore.KindSCQ {
-		t.Fatalf("Kind() = %v, want SCQ", q.Kind())
-	}
+	opts := &sharded.Options{Shards: 4, Kind: ringcore.KindSCQ}
+	assertCensus(t, opts, false)
+	q := mustNew(t, 64, 4, opts)
 	a := &apiQueue{q: q}
 	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64}); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,16 @@
 // the ringcore contract (ringcore.Core / ringcore.Handle), so the
 // kind is a constructor parameter instead of a pair of hand-written
 // adapter stacks, and any future ring kind rides along for free. The
-// rings themselves have no lifecycle: sealing and draining happen on
-// the list node that holds a ring, so a drained ring is reused as it
-// stands.
+// composition is itself a ringcore.Core (and its Handle a
+// ringcore.Handle), so the sharded queue, the registry and the
+// blocking facade consume it with no adapter. The rings themselves
+// have no lifecycle: sealing and draining happen on the list node that
+// holds a ring, so a drained ring is reused as it stands.
+//
+// No operation reports an error: ring construction and ring
+// registration cannot fail once New and Handle have succeeded, so a
+// failure there is a broken invariant and panics where it is detected,
+// instead of reading as a full or empty queue a caller would spin on.
 //
 // To keep the paper's "bounded memory usage" story honest under churn,
 // drained rings are not abandoned to the garbage collector: a bounded
@@ -40,6 +47,13 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pad"
 	"repro/internal/ringcore"
+)
+
+// Compile-time checks: the composition is consumed through the same
+// contract as a single ring.
+var (
+	_ ringcore.Core[int]   = (*Queue[int])(nil)
+	_ ringcore.Handle[int] = (*Handle[int])(nil)
 )
 
 // DefaultPoolRings is the default capacity of the drained-ring
@@ -110,15 +124,12 @@ type Queue[T any] struct {
 	mk      func() (ringcore.Core[T], error)
 	met     *metrics.Sink //wfq:stable nil = disabled; shared with the rings via Options
 	pool    ringPool[T]
-	allocd  atomic.Int64 //wfq:cold rings ever constructed: once per turnover
-	reused  atomic.Int64 //wfq:cold rings served from the pool: once per turnover
 	handles atomic.Int64 //wfq:cold registration only
 	// maxHandles bounds Handle() calls (0 = unlimited). Census kinds
 	// (wCQ) set it to the per-ring thread census so view registration
 	// can never fail.
 	maxHandles int
 	ringCap    uint64
-	kind       ringcore.Kind
 }
 
 // Handle is a goroutine's view of a Queue. It lazily registers with
@@ -131,8 +142,10 @@ type Handle[T any] struct {
 	// every registration the handle still needs, for the misses.
 	tail, head cachedView[T]
 	views      map[ringcore.Core[T]]ringcore.Handle[T]
-	// one carries a scalar Enqueue's value into EnqueueBatch when the
-	// tail ring turns over.
+	// one carries a scalar operation's value through the batch
+	// operation on a miss: into EnqueueBatch when the tail ring turns
+	// over, out of DequeueBatch when the head ring is empty. It is
+	// zeroed after every use so the handle keeps no reference.
 	one [1]T
 }
 
@@ -159,7 +172,7 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 	mk := func() (ringcore.Core[T], error) {
 		return ringcore.New[T](kind, ringCap, maxThreads, opts)
 	}
-	q := &Queue[T]{mk: mk, ringCap: ringCap, maxHandles: maxHandles, kind: kind, met: opts.Sink()}
+	q := &Queue[T]{mk: mk, ringCap: ringCap, maxHandles: maxHandles, met: opts.Sink()}
 	q.pool.max = DefaultPoolRings
 	first, err := mk()
 	if err != nil {
@@ -168,13 +181,8 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 	n := &node[T]{r: first}
 	q.head.Store(n)
 	q.tail.Store(n)
-	q.allocd.Store(1)
 	return q, nil
 }
-
-// SetPoolCap resizes the drained-ring free-list (0 disables recycling).
-// Call it before the queue is shared between goroutines.
-func (q *Queue[T]) SetPoolCap(n int) { q.pool.max = n }
 
 // Handle returns a per-goroutine view. For census ring kinds it fails
 // once maxThreads handles exist.
@@ -186,24 +194,25 @@ func (q *Queue[T]) Handle() (*Handle[T], error) {
 	return &Handle[T]{q: q, views: make(map[ringcore.Core[T]]ringcore.Handle[T])}, nil
 }
 
-// Kind returns the ring kind the queue links.
-func (q *Queue[T]) Kind() ringcore.Kind { return q.kind }
+// Acquire is Handle behind the ringcore.Core contract.
+func (q *Queue[T]) Acquire() (ringcore.Handle[T], error) {
+	h, err := q.Handle()
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
+}
 
-// Metrics returns the sink shared by the queue and its rings (nil when
-// metrics are disabled).
-func (q *Queue[T]) Metrics() *metrics.Sink { return q.met }
+// Cap reports 0: the queue has no capacity bound.
+func (q *Queue[T]) Cap() uint64 { return 0 }
+
+// Stats snapshots the queue's metrics sink: the linked rings record
+// their core events into the same sink (threaded through Options), so
+// one snapshot covers ring turnover AND the per-ring slow paths.
+func (q *Queue[T]) Stats() metrics.Snapshot { return q.met.Snapshot() }
 
 // RingCap returns the capacity of each ring.
 func (q *Queue[T]) RingCap() uint64 { return q.ringCap }
-
-// RingsAllocated reports how many rings were ever constructed. With
-// recycling, a steady burst/drain workload keeps this flat once the
-// pool is primed.
-func (q *Queue[T]) RingsAllocated() int64 { return q.allocd.Load() }
-
-// RingsRecycled reports how many ring turnovers were served from the
-// pool instead of allocating.
-func (q *Queue[T]) RingsRecycled() int64 { return q.reused.Load() }
 
 // Rings returns the number of live rings — the current length of the
 // outer list, excluding pooled rings. Racy by nature; for
@@ -234,9 +243,9 @@ func (q *Queue[T]) Footprint() uint64 {
 // pointer comparison away.
 //
 //wfq:noalloc
-func (h *Handle[T]) view(c *cachedView[T], r ringcore.Core[T]) (ringcore.Handle[T], error) {
+func (h *Handle[T]) view(c *cachedView[T], r ringcore.Core[T]) ringcore.Handle[T] {
 	if c.r == r {
-		return c.v, nil
+		return c.v
 	}
 	return h.miss(c, r)
 }
@@ -247,15 +256,16 @@ func (h *Handle[T]) view(c *cachedView[T], r ringcore.Core[T]) (ringcore.Handle[
 // retire), so a handle registers with any given ring at most once —
 // the invariant that keeps wCQ's per-ring census sufficient. Pruning
 // clears a cached entry along with its map entry, so the cache never
-// holds a ring the map has forgotten.
+// holds a ring the map has forgotten. Registration cannot fail: Handle
+// caps the handle count at the rings' census.
 //
 //wfq:allocok per-ring view cache: registers once per ring generation
-func (h *Handle[T]) miss(c *cachedView[T], r ringcore.Core[T]) (ringcore.Handle[T], error) {
+func (h *Handle[T]) miss(c *cachedView[T], r ringcore.Core[T]) ringcore.Handle[T] {
 	v, ok := h.views[r]
 	if !ok {
 		var err error
 		if v, err = r.Acquire(); err != nil {
-			return nil, err
+			panic("unbounded: ring view registration failed: " + err.Error())
 		}
 		h.views[r] = v
 	}
@@ -274,7 +284,7 @@ func (h *Handle[T]) miss(c *cachedView[T], r ringcore.Core[T]) (ringcore.Handle[
 			h.head = cachedView[T]{}
 		}
 	}
-	return v, nil
+	return v
 }
 
 // reachableRings snapshots every ring that can still recur: live,
@@ -305,90 +315,71 @@ func (q *Queue[T]) reachableRings() map[ringcore.Core[T]]bool {
 // takeRing produces the next tail ring: from the pool when one is
 // parked there, freshly allocated otherwise. Either way the ring is
 // registered as in flight until extend links it or parks it again, so
-// concurrent view pruning cannot orphan census registrations.
+// concurrent view pruning cannot orphan census registrations. A fresh
+// ring is built exactly as New built the first one, so its
+// construction cannot fail.
 //
 //wfq:allocok ring turnover: pooled or freshly allocated, once per ringCap values
-func (q *Queue[T]) takeRing() (ringcore.Core[T], error) {
+func (q *Queue[T]) takeRing() ringcore.Core[T] {
 	if r, ok := q.pool.get(); ok {
-		q.reused.Add(1)
 		q.met.Inc(metrics.RingPoolHit)
-		return r, nil
+		return r
 	}
 	r, err := q.mk()
 	if err != nil {
-		return nil, err
+		panic("unbounded: ring construction failed: " + err.Error())
 	}
 	q.pool.markInflight(r)
-	q.allocd.Add(1)
 	q.met.Inc(metrics.RingAlloc)
-	return r, nil
+	return r
 }
 
-// Enqueue appends v. It always succeeds: when the tail node is sealed
-// or its ring full, EnqueueBatch seals the node for good and appends a
-// fresh ring seeded with v (as Enqueue_Unbounded does in Fig. 13). The
-// returned error is reserved for broken invariants (ring construction
-// or census failures that the constructors rule out); callers that
-// used the constructors can treat it as impossible.
+// Enqueue appends v and returns true: the queue is never full. When the
+// tail node is sealed or its ring full, EnqueueBatch seals the node for
+// good and appends a fresh ring seeded with v (as Enqueue_Unbounded
+// does in Fig. 13).
 //
 //wfq:noalloc
-func (h *Handle[T]) Enqueue(v T) error {
+func (h *Handle[T]) Enqueue(v T) bool {
 	ltail := h.q.tail.Load()
 	ltail.enqs.Add(1)
-	if !ltail.sealed.Load() {
-		view, err := h.view(&h.tail, ltail.r)
-		if err != nil {
-			ltail.enqs.Add(-1)
-			return err
-		}
-		if view.Enqueue(v) {
-			ltail.enqs.Add(-1)
-			return nil
-		}
+	if !ltail.sealed.Load() && h.view(&h.tail, ltail.r).Enqueue(v) {
+		ltail.enqs.Add(-1)
+		return true
 	}
 	ltail.enqs.Add(-1)
 	h.one[0] = v
-	err := h.EnqueueBatch(h.one[:])
+	h.EnqueueBatch(h.one[:])
 	var zero T
 	h.one[0] = zero // release the reference
-	return err
+	return true
 }
 
-// EnqueueBatch appends vs in order, filling the current tail ring with
-// its native batch reservation and rolling over to a fresh ring with
-// the remainder on partial success — so a batch larger than one ring's
-// free space spans rings without losing its internal order. Like
-// Enqueue it always succeeds; the error is reserved for broken
-// invariants.
+// EnqueueBatch appends vs in order and returns len(vs), filling the
+// current tail ring with its native batch reservation and rolling over
+// to a fresh ring with the remainder on partial success — so a batch
+// larger than one ring's free space spans rings without losing its
+// internal order.
 //
 //wfq:noalloc
-func (h *Handle[T]) EnqueueBatch(vs []T) error {
+func (h *Handle[T]) EnqueueBatch(vs []T) int {
 	q := h.q
 	for sent := 0; sent < len(vs); {
 		ltail := q.tail.Load()
 		ltail.enqs.Add(1)
 		if !ltail.sealed.Load() {
-			view, err := h.view(&h.tail, ltail.r)
-			if err != nil {
+			if sent += h.view(&h.tail, ltail.r).EnqueueBatch(vs[sent:]); sent == len(vs) {
 				ltail.enqs.Add(-1)
-				return err
-			}
-			if sent += view.EnqueueBatch(vs[sent:]); sent == len(vs) {
-				ltail.enqs.Add(-1)
-				return nil
+				break
 			}
 			// Full (or short) mid-batch: nothing lands here again.
 			ltail.sealed.Store(true)
 		}
 		// From here on the ring is not touched, so the pin can go.
 		ltail.enqs.Add(-1)
-		n, err := h.extend(ltail, vs[sent:])
-		if err != nil {
-			return err
-		}
-		sent += n
+		sent += h.extend(ltail, vs[sent:])
 	}
-	return nil
+	return len(vs)
 }
 
 // extend moves the list past ltail, a sealed node. When a successor is
@@ -396,35 +387,28 @@ func (h *Handle[T]) EnqueueBatch(vs []T) error {
 // stalled); otherwise it appends a fresh ring seeded with as much of
 // vs as fits. It returns how many values landed — 0 when another
 // enqueuer linked its ring first, in which case the caller retries on
-// the winner's.
+// the winner's. vs is never empty, and a fresh ring is empty, so the
+// seed always lands.
 //
 //wfq:noalloc
-func (h *Handle[T]) extend(ltail *node[T], vs []T) (int, error) {
+func (h *Handle[T]) extend(ltail *node[T], vs []T) int {
 	q := h.q
 	if next := ltail.next.Load(); next != nil {
 		q.tail.CompareAndSwap(ltail, next)
-		return 0, nil
+		return 0
 	}
-	nr, err := q.takeRing()
-	if err != nil {
-		return 0, err
-	}
-	nv, err := h.view(&h.tail, nr)
-	if err != nil {
-		q.pool.unmarkInflight(nr) // don't leak the taken ring
-		return 0, err
-	}
+	nr := q.takeRing()
+	nv := h.view(&h.tail, nr)
 	m := nv.EnqueueBatch(vs)
 	if m == 0 {
-		q.pool.unmarkInflight(nr)
-		return 0, fmt.Errorf("unbounded: fresh ring rejected enqueue") //wfq:ignore hotalloc broken-invariant path
+		panic("unbounded: fresh ring rejected its seed")
 	}
 	nn := &node[T]{r: nr} //wfq:ignore hotalloc growth path: one node per ring turnover
 	if ltail.next.CompareAndSwap(nil, nn) {
 		q.tail.CompareAndSwap(ltail, nn)
 		q.pool.unmarkInflight(nr)
 		q.met.Inc(metrics.RingSeal)
-		return m, nil
+		return m
 	}
 	// Lost the append race: reclaim the seeds (the ring was never
 	// linked, so this handle still owns it exclusively) and park the
@@ -434,47 +418,34 @@ func (h *Handle[T]) extend(ltail *node[T], vs []T) (int, error) {
 	}
 	q.pool.put(nr)
 	q.met.Inc(metrics.RingRecycle)
-	return 0, nil
+	return 0
 }
 
 // Dequeue removes the oldest value; ok is false when the whole queue
-// is empty. Errors are reserved for broken invariants, like Enqueue's.
+// is empty. Like Enqueue it probes the current ring once; on a miss
+// (the head ring empty or retired) it is the batch dequeue over a
+// batch of one. It hands the probe's pin on to that loop instead of
+// releasing it: a pin dropped and retaken there lets a concurrent
+// retire find the node unpinned more often, so more drained rings stay
+// pooled and the footprint left after a drain rises.
 //
 //wfq:noalloc
-func (h *Handle[T]) Dequeue() (v T, ok bool, err error) {
-	q := h.q
-	for {
-		lhead := q.head.Load()
-		lhead.pins.Add(1)
-		if lhead.retired.Load() {
+func (h *Handle[T]) Dequeue() (v T, ok bool) {
+	lhead := h.q.head.Load()
+	lhead.pins.Add(1)
+	if !lhead.retired.Load() {
+		if v, ok = h.view(&h.head, lhead.r).Dequeue(); ok {
 			lhead.pins.Add(-1)
-			continue
+			return v, true
 		}
-		view, err := h.view(&h.head, lhead.r)
-		if err != nil {
-			lhead.pins.Add(-1)
-			return v, false, err
-		}
-		if v, ok = view.Dequeue(); ok {
-			lhead.pins.Add(-1)
-			return v, true, nil
-		}
-		next := lhead.next.Load()
-		if next == nil {
-			lhead.pins.Add(-1)
-			return v, false, nil // no successor: genuinely empty
-		}
-		if !lhead.drained() {
-			lhead.pins.Add(-1)
-			continue // in-flight enqueues may still land here
-		}
-		// One more look after the drain barrier, then advance.
-		if v, ok = view.Dequeue(); ok {
-			lhead.pins.Add(-1)
-			return v, true, nil
-		}
-		q.advance(lhead, next)
 	}
+	if h.dequeueFrom(lhead, h.one[:]) == 0 {
+		return v, false
+	}
+	v = h.one[0]
+	var zero T
+	h.one[0] = zero // release the reference
+	return v, true
 }
 
 // DequeueBatch fills a prefix of out with the oldest values, draining
@@ -486,21 +457,27 @@ func (h *Handle[T]) Dequeue() (v T, ok bool, err error) {
 // still in flight returns the partial prefix instead of spinning.
 //
 //wfq:noalloc
-func (h *Handle[T]) DequeueBatch(out []T) (int, error) {
+func (h *Handle[T]) DequeueBatch(out []T) int { return h.dequeueFrom(nil, out) }
+
+// dequeueFrom is the one dequeue loop. lhead, when not nil, is a head
+// node the caller has already pinned; the loop releases that pin like
+// its own. Every iteration leaves its node unpinned (advance releases
+// the pin too), so the next one pins the new head.
+//
+//wfq:noalloc
+func (h *Handle[T]) dequeueFrom(lhead *node[T], out []T) int {
 	q := h.q
 	filled := 0
-	for filled < len(out) {
-		lhead := q.head.Load()
-		lhead.pins.Add(1)
+	for ; filled < len(out); lhead = nil {
+		if lhead == nil {
+			lhead = q.head.Load()
+			lhead.pins.Add(1)
+		}
 		if lhead.retired.Load() {
 			lhead.pins.Add(-1)
 			continue
 		}
-		view, err := h.view(&h.head, lhead.r)
-		if err != nil {
-			lhead.pins.Add(-1)
-			return filled, err
-		}
+		view := h.view(&h.head, lhead.r)
 		if n := view.DequeueBatch(out[filled:]); n > 0 {
 			filled += n
 			lhead.pins.Add(-1)
@@ -509,12 +486,12 @@ func (h *Handle[T]) DequeueBatch(out []T) (int, error) {
 		next := lhead.next.Load()
 		if next == nil {
 			lhead.pins.Add(-1)
-			return filled, nil // no successor: nothing more buffered
+			return filled // no successor: nothing more buffered
 		}
 		if !lhead.drained() {
 			lhead.pins.Add(-1)
 			if filled > 0 {
-				return filled, nil // partial batch beats spinning on in-flight enqueues
+				return filled // partial batch beats spinning on in-flight enqueues
 			}
 			continue
 		}
@@ -526,7 +503,7 @@ func (h *Handle[T]) DequeueBatch(out []T) (int, error) {
 		}
 		q.advance(lhead, next)
 	}
-	return filled, nil
+	return filled
 }
 
 // advance swings head from lhead, a drained node the caller holds
@@ -663,83 +640,4 @@ func (p *ringPool[T]) footprint() uint64 {
 func (q *Queue[T]) Empty() bool {
 	h := q.head.Load()
 	return h == q.tail.Load() && h.r.Empty()
-}
-
-// Pooled reports how many rings are currently parked in the free-list.
-func (q *Queue[T]) Pooled() int {
-	q.pool.mu.Lock()
-	defer q.pool.mu.Unlock()
-	return len(q.pool.rings)
-}
-
-// Core exposes the unbounded queue through the ringcore.Core contract
-// so compositions consume it exactly like a bounded core: the sharded
-// queue's unbounded shards and the registry's generic adapter both go
-// through this. Cap reports 0 (no bound) and Footprint stays live.
-// The handles it acquires convert this package's invariant errors to
-// panics — the constructors rule them out, and a panic surfaces a
-// broken invariant loudly instead of reading as a full/empty queue
-// callers would spin on forever.
-func (q *Queue[T]) Core() ringcore.Core[T] { return ubCore[T]{q} }
-
-// ubCore adapts *Queue to ringcore.Core.
-type ubCore[T any] struct{ q *Queue[T] }
-
-func (c ubCore[T]) Acquire() (ringcore.Handle[T], error) {
-	h, err := c.q.Handle()
-	if err != nil {
-		return nil, err
-	}
-	return ubHandle[T]{h}, nil
-}
-func (c ubCore[T]) Cap() uint64         { return 0 }
-func (c ubCore[T]) Footprint() uint64   { return c.q.Footprint() }
-func (c ubCore[T]) Empty() bool         { return c.q.Empty() }
-func (c ubCore[T]) Kind() ringcore.Kind { return c.q.kind }
-
-// Stats snapshots the queue's metrics sink: the linked rings record
-// their core events into the same sink (threaded through Options), so
-// one snapshot covers ring turnover AND the per-ring slow paths.
-func (c ubCore[T]) Stats() metrics.Snapshot { return c.q.met.Snapshot() }
-
-// Rings forwards the live ring count for gauge exporters that reach
-// the composition through ringcore.Core.
-func (c ubCore[T]) Rings() int { return c.q.Rings() }
-
-// ubHandle adapts *Handle to ringcore.Handle: enqueues always succeed
-// (the queue grows), and invariant errors panic.
-type ubHandle[T any] struct{ h *Handle[T] }
-
-//wfq:noalloc
-func (h ubHandle[T]) Enqueue(v T) bool {
-	if err := h.h.Enqueue(v); err != nil {
-		panic("unbounded: enqueue invariant broken: " + err.Error())
-	}
-	return true
-}
-
-//wfq:noalloc
-func (h ubHandle[T]) Dequeue() (T, bool) {
-	v, ok, err := h.h.Dequeue()
-	if err != nil {
-		panic("unbounded: dequeue invariant broken: " + err.Error())
-	}
-	return v, ok
-}
-
-//wfq:noalloc
-func (h ubHandle[T]) EnqueueBatch(vs []T) int {
-	if err := h.h.EnqueueBatch(vs); err != nil {
-		panic("unbounded: batch enqueue invariant broken: " + err.Error())
-	}
-	return len(vs)
-}
-
-//wfq:noalloc
-func (h ubHandle[T]) DequeueBatch(out []T) int {
-	n, err := h.h.DequeueBatch(out)
-	if err != nil {
-		panic("unbounded: batch dequeue invariant broken: " + err.Error())
-	}
-	return n
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/ringcore"
 )
 
@@ -14,52 +15,58 @@ type maker func(t *testing.T, ringCap uint64) *Queue[uint64]
 
 func makers() map[string]maker {
 	return map[string]maker{
-		"LSCQ": func(t *testing.T, rc uint64) *Queue[uint64] {
-			q, err := New[uint64](ringcore.KindSCQ, rc, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return q
-		},
-		"UWCQ": func(t *testing.T, rc uint64) *Queue[uint64] {
-			q, err := New[uint64](ringcore.KindWCQ, rc, 64, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return q
-		},
+		"LSCQ": func(t *testing.T, rc uint64) *Queue[uint64] { return newQueue(t, ringcore.KindSCQ, rc, 0) },
+		"UWCQ": func(t *testing.T, rc uint64) *Queue[uint64] { return newQueue(t, ringcore.KindWCQ, rc, 64) },
 	}
+}
+
+// newQueue builds a queue whose sink counts ring turnovers.
+func newQueue(t *testing.T, kind ringcore.Kind, ringCap uint64, maxThreads int) *Queue[uint64] {
+	t.Helper()
+	q, err := New[uint64](kind, ringCap, maxThreads, &ringcore.Options{Metrics: metrics.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// ringsBuilt counts the rings ever constructed: the first, built by
+// New, plus every turnover that allocated.
+func ringsBuilt(q *Queue[uint64]) int { return 1 + int(q.met.Count(metrics.RingAlloc)) }
+
+// ringsReused counts the turnovers served from the pool.
+func ringsReused(q *Queue[uint64]) int { return int(q.met.Count(metrics.RingPoolHit)) }
+
+// pooled counts the rings parked in the free-list.
+func pooled(q *Queue[uint64]) int {
+	q.pool.mu.Lock()
+	defer q.pool.mu.Unlock()
+	return len(q.pool.rings)
 }
 
 func TestUnboundedSequentialGrowth(t *testing.T) {
 	for name, mk := range makers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			q := mk(t, 8)   // tiny rings force frequent ring turnover
-			q.SetPoolCap(0) // no recycling: every turnover allocates
+			q := mk(t, 8)  // tiny rings force frequent ring turnover
+			q.pool.max = 0 // no recycling: every turnover allocates
 			h, err := q.Handle()
 			if err != nil {
 				t.Fatal(err)
 			}
 			const n = 1000
 			for i := uint64(0); i < n; i++ {
-				if err := h.Enqueue(i); err != nil {
-					t.Fatal(err)
-				}
+				h.Enqueue(i)
 			}
-			if q.RingsAllocated() < int64(n/8) {
-				t.Fatalf("only %d rings for %d values in cap-8 rings", q.RingsAllocated(), n)
+			if ringsBuilt(q) < n/8 {
+				t.Fatalf("only %d rings for %d values in cap-8 rings", ringsBuilt(q), n)
 			}
 			for i := uint64(0); i < n; i++ {
-				v, ok, err := h.Dequeue()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok || v != i {
+				if v, ok := h.Dequeue(); !ok || v != i {
 					t.Fatalf("got (%d,%v), want (%d,true)", v, ok, i)
 				}
 			}
-			if _, ok, _ := h.Dequeue(); ok {
+			if _, ok := h.Dequeue(); ok {
 				t.Fatal("phantom value after drain")
 			}
 		})
@@ -75,17 +82,11 @@ func TestUnboundedInterleavedSmallRings(t *testing.T) {
 			next, exp := uint64(0), uint64(0)
 			for round := 0; round < 500; round++ {
 				for k := 0; k < 7; k++ { // deliberately > ring cap
-					if err := h.Enqueue(next); err != nil {
-						t.Fatal(err)
-					}
+					h.Enqueue(next)
 					next++
 				}
 				for k := 0; k < 7; k++ {
-					v, ok, err := h.Dequeue()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok || v != exp {
+					if v, ok := h.Dequeue(); !ok || v != exp {
 						t.Fatalf("round %d: got (%d,%v), want %d", round, v, ok, exp)
 					}
 					exp++
@@ -118,10 +119,7 @@ func TestUnboundedMPMC(t *testing.T) {
 				go func(p int, h *Handle[uint64]) {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						if err := h.Enqueue(uint64(p*per + i)); err != nil {
-							t.Error(err)
-							return
-						}
+						h.Enqueue(uint64(p*per + i))
 					}
 				}(p, h)
 			}
@@ -134,11 +132,7 @@ func TestUnboundedMPMC(t *testing.T) {
 				go func(h *Handle[uint64]) {
 					defer wg.Done()
 					for got.Load() < int64(total) {
-						v, ok, err := h.Dequeue()
-						if err != nil {
-							t.Error(err)
-							return
-						}
+						v, ok := h.Dequeue()
 						if !ok {
 							runtime.Gosched()
 							continue
@@ -151,7 +145,7 @@ func TestUnboundedMPMC(t *testing.T) {
 			wg.Wait()
 			for i := range seen {
 				if n := seen[i].Load(); n != 1 {
-					t.Fatalf("value %d delivered %d times (rings=%d)", i, n, q.RingsAllocated())
+					t.Fatalf("value %d delivered %d times (rings=%d)", i, n, ringsBuilt(q))
 				}
 			}
 		})
@@ -159,10 +153,7 @@ func TestUnboundedMPMC(t *testing.T) {
 }
 
 func TestUnboundedFootprintGrowsWhileBuffered(t *testing.T) {
-	q, err := New[uint64](ringcore.KindSCQ, 8, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := newQueue(t, ringcore.KindSCQ, 8, 0)
 	h, _ := q.Handle()
 	f0 := q.Footprint()
 	for i := uint64(0); i < 200; i++ {
@@ -191,31 +182,25 @@ func TestUnboundedPoolRecyclesRings(t *testing.T) {
 			next, exp := uint64(0), uint64(0)
 			for round := 0; round < 50; round++ {
 				for k := 0; k < 24; k++ { // 3 ring turnovers per round
-					if err := h.Enqueue(next); err != nil {
-						t.Fatal(err)
-					}
+					h.Enqueue(next)
 					next++
 				}
 				for k := 0; k < 24; k++ {
-					v, ok, err := h.Dequeue()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok || v != exp {
+					if v, ok := h.Dequeue(); !ok || v != exp {
 						t.Fatalf("round %d: got (%d,%v), want %d", round, v, ok, exp)
 					}
 					exp++
 				}
 			}
-			if q.RingsRecycled() == 0 {
+			if ringsReused(q) == 0 {
 				t.Fatal("pool never recycled a ring across 50 burst/drain rounds")
 			}
 			// Sequential churn retires every ring unpinned, so the
 			// allocation count must stay near (live + pool), not grow
 			// with the ~150 turnovers.
-			if q.RingsAllocated() > int64(DefaultPoolRings)+5 {
+			if ringsBuilt(q) > DefaultPoolRings+5 {
 				t.Fatalf("allocated %d rings across recycled churn (recycled %d)",
-					q.RingsAllocated(), q.RingsRecycled())
+					ringsBuilt(q), ringsReused(q))
 			}
 		})
 	}
@@ -234,22 +219,20 @@ func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 			}
 			perRing := q.Footprint() // exactly one live ring at rest
 			for i := uint64(0); i < 2000; i++ {
-				if err := h.Enqueue(i); err != nil {
-					t.Fatal(err)
-				}
+				h.Enqueue(i)
 			}
 			peak := q.Footprint()
 			if peak < 100*perRing {
 				t.Fatalf("peak %d B did not reflect the burst (ring %d B)", peak, perRing)
 			}
 			for i := uint64(0); i < 2000; i++ {
-				if _, ok, err := h.Dequeue(); !ok || err != nil {
-					t.Fatalf("drain at %d: ok=%v err=%v", i, ok, err)
+				if _, ok := h.Dequeue(); !ok {
+					t.Fatalf("drain at %d: queue empty", i)
 				}
 			}
 			if got, limit := q.Footprint(), uint64(DefaultPoolRings+1)*perRing; got > limit {
 				t.Fatalf("retained %d B after drain, want <= %d (pool %d rings)",
-					got, limit, q.Pooled())
+					got, limit, pooled(q))
 			}
 		})
 	}
@@ -269,11 +252,7 @@ func TestUnboundedPerProducerFIFOAcrossRings(t *testing.T) {
 	go func() {
 		next := uint64(0)
 		for next < n {
-			v, ok, err := hc.Dequeue()
-			if err != nil {
-				done <- err
-				return
-			}
+			v, ok := hc.Dequeue()
 			if !ok {
 				runtime.Gosched()
 				continue
@@ -287,9 +266,7 @@ func TestUnboundedPerProducerFIFOAcrossRings(t *testing.T) {
 		done <- nil
 	}()
 	for i := uint64(0); i < n; i++ {
-		if err := hp.Enqueue(i); err != nil {
-			t.Fatal(err)
-		}
+		hp.Enqueue(i)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -316,23 +293,29 @@ type errOrder struct{ got, want uint64 }
 
 func (e errOrder) Error() string { return "out of order" }
 
-func TestKindAccessorsAndCore(t *testing.T) {
-	q, err := New[uint64](ringcore.KindSCQ, 8, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+func TestQueueAsCore(t *testing.T) {
+	// The kind shows in behaviour: with maxThreads 2 a third handle
+	// fails on wCQ rings (the census) and succeeds on SCQ rings.
+	for _, kind := range ringcore.Kinds() {
+		var core ringcore.Core[uint64] = newQueue(t, kind, 8, 2)
+		if core.Cap() != 0 {
+			t.Fatalf("%v: Cap() = %d, want 0", kind, core.Cap())
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := core.Acquire(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := core.Acquire(); (err == nil) != (kind == ringcore.KindSCQ) {
+			t.Fatalf("%v: third Acquire with maxThreads 2: err = %v", kind, err)
+		}
 	}
-	if q.Kind() != ringcore.KindSCQ {
-		t.Fatalf("Kind() = %v", q.Kind())
-	}
-	core := q.Core()
-	if core.Cap() != 0 || core.Kind() != ringcore.KindSCQ {
-		t.Fatalf("core: cap=%d kind=%v", core.Cap(), core.Kind())
-	}
+	var core ringcore.Core[uint64] = newQueue(t, ringcore.KindSCQ, 8, 0)
 	h, err := core.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Through the Core adapter: never full, batches always absorbed.
+	// Through the Core contract: never full, batches always absorbed.
 	if !h.Enqueue(1) || !h.Enqueue(2) {
 		t.Fatal("unbounded core reported full")
 	}
@@ -362,20 +345,16 @@ func TestNodeSealStopsEnqueues(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			q := mk(t, 8)
 			h, _ := q.Handle()
-			if err := h.Enqueue(1); err != nil {
-				t.Fatal(err)
-			}
+			h.Enqueue(1)
 			n := q.tail.Load()
 			n.sealed.Store(true)
-			if err := h.Enqueue(2); err != nil {
-				t.Fatal(err)
-			}
+			h.Enqueue(2)
 			if q.tail.Load() == n || n.next.Load() == nil {
 				t.Fatal("enqueue on a sealed node did not append a fresh ring")
 			}
 			for _, want := range []uint64{1, 2} {
-				if v, ok, err := h.Dequeue(); err != nil || !ok || v != want {
-					t.Fatalf("got (%d,%v,%v), want %d", v, ok, err, want)
+				if v, ok := h.Dequeue(); !ok || v != want {
+					t.Fatalf("got (%d,%v), want %d", v, ok, want)
 				}
 			}
 		})
@@ -405,14 +384,12 @@ func TestNodeDrainedBarrier(t *testing.T) {
 				t.Fatal("sealed, unpinned, empty node not drained")
 			}
 			n.sealed.Store(false)
-			if err := h.Enqueue(7); err != nil {
-				t.Fatal(err)
-			}
+			h.Enqueue(7)
 			n.sealed.Store(true)
 			if n.drained() {
 				t.Fatal("drained with a value buffered")
 			}
-			if v, ok, _ := h.Dequeue(); !ok || v != 7 {
+			if v, ok := h.Dequeue(); !ok || v != 7 {
 				t.Fatalf("got (%d,%v), want 7", v, ok)
 			}
 			if !n.drained() {
@@ -429,20 +406,15 @@ func TestRetirePinnedRingGoesToGC(t *testing.T) {
 	for _, straggler := range []string{"none", "dequeuer", "enqueuer"} {
 		straggler := straggler
 		t.Run(straggler, func(t *testing.T) {
-			q, err := New[uint64](ringcore.KindSCQ, 4, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := newQueue(t, ringcore.KindSCQ, 4, 0)
 			h, _ := q.Handle()
 			for i := uint64(0); i < 5; i++ { // fills the first ring, seeds a second
-				if err := h.Enqueue(i); err != nil {
-					t.Fatal(err)
-				}
+				h.Enqueue(i)
 			}
 			first := q.head.Load()
 			next := first.next.Load()
 			for i := uint64(0); i < 4; i++ {
-				if v, ok, _ := h.Dequeue(); !ok || v != i {
+				if v, ok := h.Dequeue(); !ok || v != i {
 					t.Fatalf("got (%d,%v), want %d", v, ok, i)
 				}
 			}
@@ -461,10 +433,10 @@ func TestRetirePinnedRingGoesToGC(t *testing.T) {
 			if straggler == "none" {
 				want = 1
 			}
-			if got := q.Pooled(); got != want {
+			if got := pooled(q); got != want {
 				t.Fatalf("pooled %d rings after retire, want %d", got, want)
 			}
-			if v, ok, _ := h.Dequeue(); !ok || v != 4 {
+			if v, ok := h.Dequeue(); !ok || v != 4 {
 				t.Fatalf("got (%d,%v) after retire, want 4", v, ok)
 			}
 		})
@@ -476,17 +448,12 @@ func TestViewCachePrunedAfterGenerations(t *testing.T) {
 	// retired ring is gone for good. Once more than 16 generations have
 	// passed through a handle's views, pruning must drop the first
 	// ring from the map AND from the cached head view.
-	q, err := New[uint64](ringcore.KindWCQ, 4, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.SetPoolCap(0)
+	q := newQueue(t, ringcore.KindWCQ, 4, 2)
+	q.pool.max = 0
 	a, _ := q.Handle()
 	b, _ := q.Handle()
-	if err := a.Enqueue(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := a.Dequeue(); !ok {
+	a.Enqueue(0)
+	if _, ok := a.Dequeue(); !ok {
 		t.Fatal("lost the first value")
 	}
 	r0 := q.head.Load().r
@@ -498,14 +465,12 @@ func TestViewCachePrunedAfterGenerations(t *testing.T) {
 		// One value more than a ring holds: every round seals a ring and
 		// the drain retires it.
 		for i := 0; i < 5; i++ {
-			if err := a.Enqueue(next); err != nil {
-				t.Fatal(err)
-			}
+			a.Enqueue(next)
 			next++
 		}
 		for i := 0; i < 5; i++ {
-			if v, ok, err := b.Dequeue(); err != nil || !ok || v != exp {
-				t.Fatalf("gen %d: got (%d,%v,%v), want %d", gen, v, ok, err, exp)
+			if v, ok := b.Dequeue(); !ok || v != exp {
+				t.Fatalf("gen %d: got (%d,%v), want %d", gen, v, ok, exp)
 			}
 			exp++
 		}
@@ -516,52 +481,45 @@ func TestViewCachePrunedAfterGenerations(t *testing.T) {
 	if _, ok := a.views[r0]; ok {
 		t.Fatal("view map still holds a retired ring after pruning")
 	}
-	if q.RingsAllocated() < 20 {
-		t.Fatalf("only %d ring generations", q.RingsAllocated())
+	if ringsBuilt(q) < 20 {
+		t.Fatalf("only %d ring generations", ringsBuilt(q))
 	}
-	if err := a.Enqueue(next); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := a.Dequeue(); err != nil || !ok || v != next {
-		t.Fatalf("after pruning: got (%d,%v,%v), want %d", v, ok, err, next)
+	a.Enqueue(next)
+	if v, ok := a.Dequeue(); !ok || v != next {
+		t.Fatalf("after pruning: got (%d,%v), want %d", v, ok, next)
 	}
 }
 
 func TestUWCQCensusSurvivesTurnover(t *testing.T) {
 	// Two handles on a census of two: registering one handle twice with
 	// one ring — a view pruned while its ring could still recur — would
-	// exhaust the census and surface as an error. Bursts of 10 rings
+	// exhaust the census and panic. Bursts of 10 rings
 	// against a pool of 4 mix recycled rings with fresh generations, so
 	// pruning runs while pooled rings must survive it.
 	const ringCap, burstRings, bursts = 4, 10, 100 // 1000 turnovers
-	q, err := New[uint64](ringcore.KindWCQ, ringCap, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := newQueue(t, ringcore.KindWCQ, ringCap, 2)
 	p, _ := q.Handle()
 	c, _ := q.Handle()
 	const perBurst = ringCap * (burstRings + 1) // the empty tail ring, then burstRings more
 	next, exp := uint64(0), uint64(0)
 	for burst := 0; burst < bursts; burst++ {
 		for i := 0; i < perBurst; i++ {
-			if err := p.Enqueue(next); err != nil {
-				t.Fatalf("burst %d: %v", burst, err)
-			}
+			p.Enqueue(next)
 			next++
 		}
 		for i := 0; i < perBurst; i++ {
-			if v, ok, err := c.Dequeue(); err != nil || !ok || v != exp {
-				t.Fatalf("burst %d: got (%d,%v,%v), want %d", burst, v, ok, err, exp)
+			if v, ok := c.Dequeue(); !ok || v != exp {
+				t.Fatalf("burst %d: got (%d,%v), want %d", burst, v, ok, exp)
 			}
 			exp++
 		}
 	}
-	if turns := q.RingsAllocated() + q.RingsRecycled(); turns < bursts*burstRings {
+	if turns := ringsBuilt(q) + ringsReused(q); turns < bursts*burstRings {
 		t.Fatalf("only %d turnovers", turns)
 	}
-	if q.RingsRecycled() == 0 || q.RingsAllocated() < 20 {
+	if ringsReused(q) == 0 || ringsBuilt(q) < 20 {
 		t.Fatalf("want recycled rings and fresh generations both, got %d recycled, %d allocated",
-			q.RingsRecycled(), q.RingsAllocated())
+			ringsReused(q), ringsBuilt(q))
 	}
 }
 
@@ -593,15 +551,10 @@ func TestUnboundedChurnStorm(t *testing.T) {
 							for j := range buf[:k] {
 								buf[j] = uint64(p)<<32 | uint64(i+j)
 							}
-							var err error
 							if batch == 1 {
-								err = h.Enqueue(buf[0])
+								h.Enqueue(buf[0])
 							} else {
-								err = h.EnqueueBatch(buf[:k])
-							}
-							if err != nil {
-								t.Error(err)
-								return
+								h.EnqueueBatch(buf[:k])
 							}
 						}
 					}(p, h)
@@ -621,18 +574,13 @@ func TestUnboundedChurnStorm(t *testing.T) {
 						out := make([]uint64, batch)
 						for got.Load() < producers*per {
 							var n int
-							var err error
 							if batch == 1 {
 								var ok bool
-								if out[0], ok, err = h.Dequeue(); ok {
+								if out[0], ok = h.Dequeue(); ok {
 									n = 1
 								}
 							} else {
-								n, err = h.DequeueBatch(out)
-							}
-							if err != nil {
-								t.Error(err)
-								return
+								n = h.DequeueBatch(out)
 							}
 							if n == 0 {
 								runtime.Gosched()
@@ -659,5 +607,46 @@ func TestUnboundedChurnStorm(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+func TestScalarScratchReleased(t *testing.T) {
+	// A scalar operation that misses the current ring passes its value
+	// through the handle's one-element scratch; the scratch must not
+	// keep the value alive afterwards.
+	for _, kind := range ringcore.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			q, err := New[*int](kind, 4, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, _ := q.Handle()
+			vals := make([]*int, 5)
+			for i := range vals {
+				vals[i] = new(int)
+			}
+			for _, v := range vals[:4] { // fills the first ring
+				h.Enqueue(v)
+			}
+			first := q.tail.Load()
+			h.Enqueue(vals[4])
+			if q.tail.Load() == first {
+				t.Fatal("fifth value did not roll over to a fresh ring")
+			}
+			if h.one[0] != nil {
+				t.Fatal("scalar Enqueue's rollover left its value in the scratch")
+			}
+			for _, want := range vals {
+				if v, ok := h.Dequeue(); !ok || v != want {
+					t.Fatalf("got (%p,%v), want %p", v, ok, want)
+				}
+			}
+			if q.head.Load() == first {
+				t.Fatal("Dequeue did not advance past the drained ring")
+			}
+			if h.one[0] != nil {
+				t.Fatal("scalar Dequeue's advance left its value in the scratch")
+			}
+		})
 	}
 }

@@ -146,46 +146,25 @@ func (q *UnboundedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
 // Stats snapshots the metrics sink shared by the queue and its linked
 // rings. The zero snapshot is returned when the queue was built
 // without WithMetrics.
-func (q *UnboundedQueue[T]) Stats() MetricsSnapshot { return q.q.Metrics().Snapshot() }
+func (q *UnboundedQueue[T]) Stats() MetricsSnapshot { return q.q.Stats() }
 
 // Enqueue appends v. It always succeeds — the queue grows instead of
 // reporting full. An UnboundedQueue built by NewUnbounded cannot fail
 // here; the implementation panics if an internal invariant (ring
 // construction or census accounting) is ever broken.
-func (h *UnboundedHandle[T]) Enqueue(v T) {
-	if err := h.h.Enqueue(v); err != nil {
-		panic("wfqueue: unbounded enqueue invariant broken: " + err.Error())
-	}
-}
+func (h *UnboundedHandle[T]) Enqueue(v T) { h.h.Enqueue(v) }
 
 // Dequeue removes and returns the oldest value; ok is false when the
 // queue is empty.
-func (h *UnboundedHandle[T]) Dequeue() (v T, ok bool) {
-	v, ok, err := h.h.Dequeue()
-	if err != nil {
-		panic("wfqueue: unbounded dequeue invariant broken: " + err.Error())
-	}
-	return v, ok
-}
+func (h *UnboundedHandle[T]) Dequeue() (v T, ok bool) { return h.h.Dequeue() }
 
 // EnqueueBatch appends vs in order. It always enqueues the whole
 // batch — the current ring absorbs what fits in one reservation and
 // the remainder rolls over to fresh rings — and returns len(vs) for
 // symmetry with the bounded queues' batch contract.
-func (h *UnboundedHandle[T]) EnqueueBatch(vs []T) int {
-	if err := h.h.EnqueueBatch(vs); err != nil {
-		panic("wfqueue: unbounded batch enqueue invariant broken: " + err.Error())
-	}
-	return len(vs)
-}
+func (h *UnboundedHandle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(vs) }
 
 // DequeueBatch fills a prefix of out with the oldest values, draining
 // across ring boundaries in FIFO order, and returns its length; 0
 // means the queue appeared empty.
-func (h *UnboundedHandle[T]) DequeueBatch(out []T) int {
-	n, err := h.h.DequeueBatch(out)
-	if err != nil {
-		panic("wfqueue: unbounded batch dequeue invariant broken: " + err.Error())
-	}
-	return n
-}
+func (h *UnboundedHandle[T]) DequeueBatch(out []T) int { return h.h.DequeueBatch(out) }

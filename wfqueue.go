@@ -505,7 +505,7 @@ func (q *ShardedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
 // Stats snapshots the metrics sink shared by the queue and every
 // shard. The zero snapshot is returned when the queue was built
 // without WithMetrics.
-func (q *ShardedQueue[T]) Stats() MetricsSnapshot { return q.q.Metrics().Snapshot() }
+func (q *ShardedQueue[T]) Stats() MetricsSnapshot { return q.q.Stats() }
 
 // Enqueue appends v to the handle's home shard; false means that
 // shard is full (never the case with unbounded shards).
