@@ -32,6 +32,8 @@
 //	                         touched; sharing a line is fine)
 //	//wfq:padded             type: size must be a multiple of the cache
 //	                         line on amd64 AND 386 (falseshare)
+//	//wfq:prepublish         func: a constructor not named New*/new*;
+//	                         may call atomicx.Prepublish (rawatomic)
 //	//wfq:ignore <analyzer> [reason]   line suppression
 package analysis
 

@@ -15,6 +15,9 @@
 // LL/SC expansion would. The emulation flag is fixed at construction
 // time so the branch predicts perfectly and does not distort the
 // comparison.
+//
+// Prepublish is the one sanctioned plain (non-atomic) access to atomic
+// words: a constructor's view of an array it has not published yet.
 package atomicx
 
 import "sync/atomic"

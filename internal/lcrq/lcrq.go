@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"repro/internal/atomicx"
 	"repro/internal/pad"
 	"repro/internal/ring"
 )
@@ -73,9 +74,10 @@ func newCRQ(order uint) *crq {
 		cells:   make([]atomic.Uint64, size),
 		vals:    make([]atomic.Uint64, size),
 	}
-	for i := range c.cells {
+	cells := atomicx.Prepublish(c.cells)
+	for i := range cells {
 		// Unoccupied, safe, ticket = position (first usable ticket).
-		c.cells[i].Store(cellSafeBit | uint64(i))
+		cells[i] = cellSafeBit | uint64(i)
 	}
 	return c
 }

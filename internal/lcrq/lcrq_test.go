@@ -2,6 +2,7 @@ package lcrq
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -113,4 +114,28 @@ func TestConcurrentSmoke(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+func TestNewCRQMatchesStores(t *testing.T) {
+	// The constructor's plain writes must leave the cells the per-cell
+	// Store loop it replaced left.
+	for _, order := range []uint{1, 2, 4, DefaultRingOrder} {
+		got := newCRQ(order)
+		want := make([]atomic.Uint64, 1<<order)
+		for i := range want {
+			want[i].Store(cellSafeBit | uint64(i))
+		}
+		for i := range want {
+			if g, w := got.cells[i].Load(), want[i].Load(); g != w {
+				t.Fatalf("order %d: cell %d = %#x, want %#x", order, i, g, w)
+			}
+		}
+	}
+}
+
+func BenchmarkNewCRQ(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		newCRQ(DefaultRingOrder)
+	}
 }

@@ -46,6 +46,18 @@ func Remap(i uint64, order uint) uint64 {
 	return (i&mask)<<EntriesPerLineShift | i>>low
 }
 
+// Unmap inverts Remap: it returns the logical position i whose slot is
+// physical index j, so a constructor can write a ring in memory order.
+//
+//wfq:noalloc
+func Unmap(j uint64, order uint) uint64 {
+	if order <= EntriesPerLineShift {
+		return j
+	}
+	low := order - EntriesPerLineShift
+	return (j&(1<<EntriesPerLineShift-1))<<low | j>>EntriesPerLineShift
+}
+
 // IsPow2 reports whether v is a power of two (v > 0).
 //
 //wfq:noalloc

@@ -73,6 +73,17 @@ func TestRemapBijection(t *testing.T) {
 	}
 }
 
+func TestUnmapInvertsRemap(t *testing.T) {
+	for _, order := range []uint{0, 1, 3, 4, 5, 8, 12, 17} {
+		n := uint64(1) << order
+		for i := uint64(0); i < n; i++ {
+			if got := Unmap(Remap(i, order), order); got != i {
+				t.Fatalf("order %d: Unmap(Remap(%d)) = %d", order, i, got)
+			}
+		}
+	}
+}
+
 func TestRemapSpreadsAdjacent(t *testing.T) {
 	// Consecutive logical positions must land on different cache lines
 	// (entries are 8 bytes; a line holds 8 of them).

@@ -65,6 +65,46 @@ type Ring struct {
 // NewRing returns an empty Ring holding up to capacity indices, each in
 // [0, capacity). capacity must be a power of two >= 2.
 func NewRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
+	q, err := newRing(capacity, mode)
+	if err != nil {
+		return nil, err
+	}
+	atomicx.Prepublish(q.entries).Fill(q.pack(0, 1, q.bottom))
+	q.threshold.Store(-1) // empty
+	return q, nil
+}
+
+// NewFullRing returns a Ring pre-filled with the indices 0..capacity-1
+// in order, the state a free-index ring (fq) starts in. It writes that
+// state directly, which is exactly what capacity single-threaded
+// enqueues leave, without their per-index F&A and CAS: index i at Tail
+// ticket nSlots+i (cycle 1, safe), every other slot empty, Tail just
+// past the last index, Threshold armed. Each slot is written once, in
+// physical order, with a plain store before the ring is published.
+func NewFullRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
+	q, err := newRing(capacity, mode)
+	if err != nil {
+		return nil, err
+	}
+	order := q.order // hoisted: loop-invariant (//wfq:stable)
+	empty := q.pack(0, 1, q.bottom)
+	index0 := q.pack(1, 1, 0) // Index is the low field: entry i is index0 | i
+	ents := atomicx.Prepublish(q.entries)
+	for p := range ents {
+		if i := ring.Unmap(uint64(p), order); i < capacity {
+			ents[p] = index0 | i
+		} else {
+			ents[p] = empty
+		}
+	}
+	q.tail.Store(q.nSlots + capacity)
+	q.threshold.Store(q.thresh3)
+	return q, nil
+}
+
+// newRing allocates a ring with Head and Tail at cycle 1; the caller
+// writes the entries and the Threshold.
+func newRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
 	if capacity < 2 || !ring.IsPow2(capacity) {
 		return nil, fmt.Errorf("scq: capacity %d must be a power of two >= 2", capacity)
 	}
@@ -83,31 +123,6 @@ func NewRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
 	}
 	q.tail.Init(mode, nSlots) // start at cycle 1 so entries at cycle 0 read "old"
 	q.head.Init(mode, nSlots)
-	q.threshold.Store(-1) // empty
-	empty := q.pack(0, 1, q.bottom)
-	for i := range q.entries {
-		q.entries[i].Store(empty)
-	}
-	return q, nil
-}
-
-// NewFullRing returns a Ring pre-filled with the indices 0..capacity-1
-// in order, the state a free-index ring (fq) starts in. It writes that
-// state directly — index i at Tail ticket nSlots+i (cycle 1, safe),
-// Tail just past the last one, Threshold armed — which is exactly what
-// capacity single-threaded enqueues leave, without their per-index
-// F&A and CAS.
-func NewFullRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
-	q, err := NewRing(capacity, mode)
-	if err != nil {
-		return nil, err
-	}
-	order := q.order // hoisted: loop-invariant (//wfq:stable)
-	for i := uint64(0); i < capacity; i++ {
-		q.entries[ring.Remap(i, order)].Store(q.pack(1, 1, i))
-	}
-	q.tail.Store(q.nSlots + capacity)
-	q.threshold.Store(q.thresh3)
 	return q, nil
 }
 

@@ -84,6 +84,46 @@ type Ring struct {
 // indices in [0, capacity), usable by at most maxThreads registered
 // handles. capacity must be a power of two >= 2.
 func NewRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
+	q, err := newRing(capacity, maxThreads, opts)
+	if err != nil {
+		return nil, err
+	}
+	atomicx.Prepublish(q.entries).Fill(q.lay.initialWord())
+	q.threshold.Store(-1)
+	return q, nil
+}
+
+// NewFullRing returns a Ring pre-filled with indices 0..capacity-1, the
+// initial state of a free-index ring. It writes that state directly,
+// which is exactly what capacity single-threaded fast-path enqueues
+// leave, without their per-index F&A and CAS: index i at Tail ticket
+// nSlots+i (cycle 1, safe, enq), every other slot empty, Tail just
+// past the last index, Threshold armed. Each slot is written once, in
+// physical order, with a plain store before the ring is published.
+func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
+	q, err := newRing(capacity, maxThreads, opts)
+	if err != nil {
+		return nil, err
+	}
+	l := &q.lay
+	order, empty := l.order, l.initialWord()
+	index0 := l.pack(entry{cycle: 1, safe: true, enq: true}) // Index is the low field: entry i is index0 | i
+	ents := atomicx.Prepublish(q.entries)
+	for p := range ents {
+		if i := ring.Unmap(uint64(p), order); i < capacity {
+			ents[p] = index0 | i
+		} else {
+			ents[p] = empty
+		}
+	}
+	q.tail.Store(l.nSlots + capacity)
+	q.threshold.Store(q.thresh3)
+	return q, nil
+}
+
+// newRing allocates a ring and its thread records with Head and Tail
+// at cycle 1; the caller writes the entries and the Threshold.
+func newRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	lay, err := newLayout(capacity)
 	if err != nil {
 		return nil, err
@@ -104,34 +144,9 @@ func NewRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	}
 	q.tail.Init(o.Mode, lay.nSlots) // start at cycle 1
 	q.head.Init(o.Mode, lay.nSlots)
-	q.threshold.Store(-1)
-	w := lay.initialWord()
-	for i := range q.entries {
-		q.entries[i].Store(w)
-	}
 	for i := range q.recs {
 		q.recs[i].init(i, o.HelpDelay)
 	}
-	return q, nil
-}
-
-// NewFullRing returns a Ring pre-filled with indices 0..capacity-1, the
-// initial state of a free-index ring. It writes that state directly —
-// index i at Tail ticket nSlots+i (cycle 1, safe, enq), Tail just past
-// the last one, Threshold armed — which is exactly what capacity
-// single-threaded fast-path enqueues leave, without their per-index
-// F&A and CAS.
-func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
-	q, err := NewRing(capacity, maxThreads, opts)
-	if err != nil {
-		return nil, err
-	}
-	l := &q.lay
-	for i := uint64(0); i < capacity; i++ {
-		q.entries[ring.Remap(i, l.order)].Store(l.pack(entry{cycle: 1, safe: true, enq: true, index: i}))
-	}
-	q.tail.Store(l.nSlots + capacity)
-	q.threshold.Store(q.thresh3)
 	return q, nil
 }
 
