@@ -42,7 +42,7 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "figure id (10a..12c, s1, s2, b1, u1, p2, l1) or 'all'")
+		figure   = flag.String("figure", "all", "figure id (10a..12c, s1, s2, b1, u1, p2, l1, w1) or 'all'")
 		ops      = flag.Int("ops", 200_000, "operations per measurement point (paper: 10,000,000)")
 		reps     = flag.Int("reps", 3, "repetitions per point (paper: 10)")
 		maxThr   = flag.Int("maxthreads", 0, "truncate the thread sweep (0 = full paper sweep)")

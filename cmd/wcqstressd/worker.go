@@ -94,7 +94,7 @@ func (d *daemon) consume(wg *sync.WaitGroup, i int, w queueapi.Waitable) {
 
 // pairwise drives a nonblocking queue in burst/drain cycles: enqueue
 // up to a burst (or until full), then drain it back. Bursts push the
-// unbounded queues across ring boundaries (seal/recycle/pool traffic)
+// unbounded queues across ring boundaries (seal/spare/alloc traffic)
 // and the bounded ones through full/empty transitions — the regimes
 // the event counters exist to watch; a flat one-in-one-out loop would
 // never leave the fast path.

@@ -76,8 +76,7 @@ func ExampleNewChan() {
 }
 
 // The unbounded queue: Enqueue never reports full — the queue grows
-// by linking rings and shrinks back (through a recycling pool) as
-// bursts drain.
+// by linking rings and shrinks back as bursts drain.
 func ExampleNewUnbounded() {
 	q, err := wfqueue.NewUnbounded[int](2, wfqueue.WithRingCapacity(4))
 	if err != nil {

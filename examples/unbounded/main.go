@@ -7,10 +7,10 @@
 // unbounded queue absorbs the whole burst instead, growing in
 // ring-sized steps, and gives the memory back once the slow consumer
 // catches up — the footprint is printed after each phase so the
-// grow/shrink cycle (and the recycling pool's cap on retained rings)
-// is visible. The same shape through the blocking facade is
-// NewChan(..., WithBackend(BackendUnbounded)): Send never parks, only
-// Recv does.
+// grow/shrink cycle is visible: after each drain one ring is left,
+// and every burst peaks at the same size. The same shape through the
+// blocking facade is NewChan(..., WithBackend(BackendUnbounded)):
+// Send never parks, only Recv does.
 package main
 
 import (
@@ -50,9 +50,9 @@ func main() {
 		fmt.Printf("burst %d:   %8d B in %d rings (%.1f MB peak)\n",
 			b, peak, q.Rings(), float64(peak)/(1<<20))
 
-		// The slow consumer catches up; drained rings return to the
-		// bounded pool, so the next burst reuses them instead of
-		// allocating.
+		// The slow consumer catches up; each drained ring is left to
+		// the garbage collector, so the footprint falls back to one
+		// ring.
 		for i := uint64(0); i < burstSize; i++ {
 			v, ok := consumer.Dequeue()
 			if !ok || v != uint64(b)<<32|i {

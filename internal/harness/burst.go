@@ -35,8 +35,8 @@ func BurstSplit(threads int) (producers, consumers int) {
 // operations (enqueue + dequeue), keeping Mops comparable with the
 // pairwise workload. This is the figure u1 engine: it measures the
 // trade the unbounded queues make — absorb any burst, pay for it in
-// live ring memory — and how the ring pool caps the cost once the
-// burst drains.
+// live ring memory — and how little of it stays once the burst
+// drains.
 func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mops, memMB, fpMB float64, err error) {
 	producers, consumers := BurstSplit(opts.Threads)
 	if cfg.MaxThreads < producers+consumers+1 {
@@ -106,7 +106,8 @@ func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mo
 	dg.Wait()
 	elapsed := time.Since(start).Seconds()
 	// Post-drain retention: with the burst gone, Footprint shows what
-	// the ring pool keeps — the bounded-memory half of the story.
+	// the queue keeps (one live ring plus any handle's spare) — the
+	// bounded-memory half of the story.
 	return stats.Mops(2*total, elapsed), memMB, footprintMB(q), nil
 }
 

@@ -76,8 +76,10 @@ func newCRQ(order uint) *crq {
 	}
 	cells := atomicx.Prepublish(c.cells)
 	for i := range cells {
-		// Unoccupied, safe, ticket = position (first usable ticket).
-		cells[i] = cellSafeBit | uint64(i)
+		// Unoccupied, safe, and carrying the first ticket that maps to
+		// this cell: tickets reach cells through ring.Remap, so cell p
+		// first serves ticket ring.Unmap(p), not ticket p.
+		cells[i] = cellSafeBit | ring.Unmap(uint64(i), order)
 	}
 	return c
 }

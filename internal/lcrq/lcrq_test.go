@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/ring"
 )
 
 func TestSequentialFIFO(t *testing.T) {
@@ -123,11 +125,34 @@ func TestNewCRQMatchesStores(t *testing.T) {
 		got := newCRQ(order)
 		want := make([]atomic.Uint64, 1<<order)
 		for i := range want {
-			want[i].Store(cellSafeBit | uint64(i))
+			want[i].Store(cellSafeBit | ring.Unmap(uint64(i), order))
 		}
 		for i := range want {
 			if g, w := got.cells[i].Load(), want[i].Load(); g != w {
 				t.Fatalf("order %d: cell %d = %#x, want %#x", order, i, g, w)
+			}
+		}
+	}
+}
+
+func TestFreshCRQHoldsFullLap(t *testing.T) {
+	// Every cell of a fresh CRQ must carry the ticket that first maps
+	// to it, so the ring takes 2^order values before it closes. Seeding
+	// cell p with ticket p instead closes it early once Remap permutes
+	// cells (order above ring.EntriesPerLineShift).
+	for _, order := range []uint{4, 8, 12} {
+		c := newCRQ(order)
+		for i := uint64(0); i < c.size; i++ {
+			if !c.enqueue(i) {
+				t.Fatalf("order %d: fresh ring closed at enqueue %d of %d", order, i, c.size)
+			}
+		}
+		if c.tail.Load()&closedBit != 0 {
+			t.Fatalf("order %d: ring closed after %d enqueues", order, c.size)
+		}
+		for i := uint64(0); i < c.size; i++ {
+			if v, ok := c.dequeue(); !ok || v != i {
+				t.Fatalf("order %d: dequeue %d = (%d, %v)", order, i, v, ok)
 			}
 		}
 	}

@@ -64,11 +64,10 @@ const (
 	// RingSeal counts unbounded-queue tail nodes sealed because their
 	// ring filled, forcing growth onto a fresh ring.
 	RingSeal
-	// RingRecycle counts retired rings parked in the pool for reuse
-	// (as opposed to being abandoned to the collector).
-	RingRecycle
-	// RingPoolHit counts ring acquisitions served from the recycle
-	// pool rather than a fresh allocation.
+	// RingPoolHit counts unbounded-queue turnovers served by the
+	// handle's spare ring — one it built for an earlier turnover and
+	// could not link — rather than a fresh allocation. The wire name
+	// ring_pool_hit is kept for the readers that already use it.
 	RingPoolHit
 	// RingAlloc counts ring acquisitions that had to allocate.
 	RingAlloc
@@ -125,7 +124,6 @@ var eventNames = [NumEvents]string{
 	"steal_attempt",
 	"steal_hit",
 	"ring_seal",
-	"ring_recycle",
 	"ring_pool_hit",
 	"ring_alloc",
 	"park",

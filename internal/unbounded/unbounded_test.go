@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/ringcore"
@@ -34,22 +35,105 @@ func newQueue(t *testing.T, kind ringcore.Kind, ringCap uint64, maxThreads int) 
 // New, plus every turnover that allocated.
 func ringsBuilt(q *Queue[uint64]) int { return 1 + int(q.met.Count(metrics.RingAlloc)) }
 
-// ringsReused counts the turnovers served from the pool.
+// ringsReused counts the turnovers served by a handle's spare ring.
 func ringsReused(q *Queue[uint64]) int { return int(q.met.Count(metrics.RingPoolHit)) }
 
-// pooled counts the rings parked in the free-list.
-func pooled(q *Queue[uint64]) int {
-	q.pool.mu.Lock()
-	defer q.pool.mu.Unlock()
-	return len(q.pool.rings)
+// turnovers counts the rings linked behind the first one.
+func turnovers(q *Queue[uint64]) int { return int(q.met.Count(metrics.RingSeal)) }
+
+// newHandles registers n handles with q.
+func newHandles(t *testing.T, q *Queue[uint64], n int) []*Handle[uint64] {
+	t.Helper()
+	hs := make([]*Handle[uint64], n)
+	for i := range hs {
+		var err error
+		if hs[i], err = q.Handle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hs
+}
+
+// spares counts the handles of hs that hold a spare ring.
+func spares(hs []*Handle[uint64]) int {
+	n := 0
+	for _, h := range hs {
+		if h.spare != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// raceProducers has every handle of hs enqueue per values at once, so
+// their ring turnovers race; producer i's value j is i<<32 | j.
+func raceProducers(hs []*Handle[uint64], per int) {
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i, h := range hs {
+		wg.Add(1)
+		go func(i int, h *Handle[uint64]) {
+			defer wg.Done()
+			<-start
+			for j := 0; j < per; j++ {
+				h.Enqueue(uint64(i)<<32 | uint64(j))
+			}
+		}(i, h)
+	}
+	close(start)
+	wg.Wait()
+}
+
+// drainChecked dequeues through h until the queue reports empty and
+// fails unless it got each of the producers' per values exactly once
+// and in each producer's order.
+func drainChecked(t *testing.T, h *Handle[uint64], producers, per int) {
+	t.Helper()
+	next := make([]int, producers)
+	for {
+		v, ok := h.Dequeue()
+		if !ok {
+			break
+		}
+		p, j := int(v>>32), int(uint32(v))
+		if p >= producers || j != next[p] {
+			t.Fatalf("value %#x out of order or from no producer", v)
+		}
+		next[p]++
+	}
+	for p, n := range next {
+		if n != per {
+			t.Fatalf("producer %d: drained %d of %d values", p, n, per)
+		}
+	}
+}
+
+// raceUntil runs rounds of racing producers on hs, each drained
+// through hs[0], until done reports true after a drain. Whether two
+// producers meet at a turnover is up to the scheduler, so it runs with
+// at least two Ps and gives up after a deadline.
+func raceUntil(t *testing.T, hs []*Handle[uint64], per int, done func() bool) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; {
+		raceProducers(hs, per)
+		drainChecked(t, hs[0], len(hs), per)
+		if done() {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the producers never met at a turnover")
+		}
+	}
 }
 
 func TestUnboundedSequentialGrowth(t *testing.T) {
 	for name, mk := range makers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			q := mk(t, 8)  // tiny rings force frequent ring turnover
-			q.pool.max = 0 // no recycling: every turnover allocates
+			q := mk(t, 8) // tiny rings force frequent ring turnover
 			h, err := q.Handle()
 			if err != nil {
 				t.Fatal(err)
@@ -167,48 +251,10 @@ func TestUnboundedFootprintGrowsWhileBuffered(t *testing.T) {
 	}
 }
 
-func TestUnboundedPoolRecyclesRings(t *testing.T) {
-	// A sequential burst/drain churn must converge on a fixed ring
-	// population: after the pool is primed, turnovers reuse rings
-	// instead of allocating.
-	for name, mk := range makers() {
-		name, mk := name, mk
-		t.Run(name, func(t *testing.T) {
-			q := mk(t, 8)
-			h, err := q.Handle()
-			if err != nil {
-				t.Fatal(err)
-			}
-			next, exp := uint64(0), uint64(0)
-			for round := 0; round < 50; round++ {
-				for k := 0; k < 24; k++ { // 3 ring turnovers per round
-					h.Enqueue(next)
-					next++
-				}
-				for k := 0; k < 24; k++ {
-					if v, ok := h.Dequeue(); !ok || v != exp {
-						t.Fatalf("round %d: got (%d,%v), want %d", round, v, ok, exp)
-					}
-					exp++
-				}
-			}
-			if ringsReused(q) == 0 {
-				t.Fatal("pool never recycled a ring across 50 burst/drain rounds")
-			}
-			// Sequential churn retires every ring unpinned, so the
-			// allocation count must stay near (live + pool), not grow
-			// with the ~150 turnovers.
-			if ringsBuilt(q) > DefaultPoolRings+5 {
-				t.Fatalf("allocated %d rings across recycled churn (recycled %d)",
-					ringsBuilt(q), ringsReused(q))
-			}
-		})
-	}
-}
-
 func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 	// The paper's bounded-memory claim under churn: once a burst
-	// drains, retained memory is capped by (1 live + pool) rings.
+	// drains, one ring is left. A lone producer never loses an append
+	// race, so it holds no spare.
 	for name, mk := range makers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
@@ -230,9 +276,9 @@ func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 					t.Fatalf("drain at %d: queue empty", i)
 				}
 			}
-			if got, limit := q.Footprint(), uint64(DefaultPoolRings+1)*perRing; got > limit {
-				t.Fatalf("retained %d B after drain, want <= %d (pool %d rings)",
-					got, limit, pooled(q))
+			if got := q.Footprint(); got != perRing || q.Rings() != 1 {
+				t.Fatalf("retained %d B in %d rings after drain, want one ring of %d B",
+					got, q.Rings(), perRing)
 			}
 		})
 	}
@@ -240,7 +286,7 @@ func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 
 func TestUnboundedPerProducerFIFOAcrossRings(t *testing.T) {
 	// One producer, one consumer, ring turnover in the middle: strict
-	// order must survive ring boundaries (and ring recycling).
+	// order must survive ring boundaries.
 	q, err := New[uint64](ringcore.KindWCQ, 4, 8, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -362,9 +408,9 @@ func TestNodeSealStopsEnqueues(t *testing.T) {
 }
 
 func TestNodeDrainedBarrier(t *testing.T) {
-	// drained needs the seal, no enqueuer pinned on the node, and an
-	// empty ring — an enqueuer that found the node open keeps it
-	// undrained until it unpins.
+	// drained needs the seal, no enqueuer in flight on any stripe, and
+	// an empty ring — an enqueuer that found the node open keeps it
+	// undrained until it leaves, whichever stripe its handle counts on.
 	for name, mk := range makers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
@@ -374,14 +420,16 @@ func TestNodeDrainedBarrier(t *testing.T) {
 			if n.drained() {
 				t.Fatal("unsealed node reported drained")
 			}
-			n.enqs.Add(1) // an enqueuer past its seal check, still in flight
 			n.sealed.Store(true)
-			if n.drained() {
-				t.Fatal("drained with an enqueuer pinned")
+			for i := range n.enqs {
+				n.enqs[i].V.Add(1) // an enqueuer past its seal check, still in flight
+				if n.drained() {
+					t.Fatalf("drained with an enqueuer in flight on stripe %d", i)
+				}
+				n.enqs[i].V.Add(-1)
 			}
-			n.enqs.Add(-1)
 			if !n.drained() {
-				t.Fatal("sealed, unpinned, empty node not drained")
+				t.Fatal("sealed, idle, empty node not drained")
 			}
 			n.sealed.Store(false)
 			h.Enqueue(7)
@@ -399,57 +447,80 @@ func TestNodeDrainedBarrier(t *testing.T) {
 	}
 }
 
-func TestRetirePinnedRingGoesToGC(t *testing.T) {
-	// A straggler pinned on a retired node may still touch its ring, so
-	// retire hands that ring to the GC; only an unpinned ring enters the
-	// pool.
-	for _, straggler := range []string{"none", "dequeuer", "enqueuer"} {
-		straggler := straggler
-		t.Run(straggler, func(t *testing.T) {
-			q := newQueue(t, ringcore.KindSCQ, 4, 0)
-			h, _ := q.Handle()
-			for i := uint64(0); i < 5; i++ { // fills the first ring, seeds a second
-				h.Enqueue(i)
+func TestHandlesTakeStripesRoundRobin(t *testing.T) {
+	q := newQueue(t, ringcore.KindSCQ, 8, 0)
+	for i, h := range newHandles(t, q, 2*enqStripes) {
+		if want := uint(i % enqStripes); h.stripe != want {
+			t.Fatalf("handle %d on stripe %d, want %d", i, h.stripe, want)
+		}
+	}
+}
+
+func TestTurnoverRaceKeepsLoserRing(t *testing.T) {
+	// Two producers that fill a ring at once both build a successor;
+	// the one that loses the link keeps its ring as a spare and uses it
+	// at its next turnover. So a turnover builds a ring only when its
+	// handle has no spare, and at most one spare per handle is ever
+	// left over.
+	for name, mk := range makers() {
+		name, mk := name, mk
+		t.Run(name, func(t *testing.T) {
+			q := mk(t, 4)
+			hs := newHandles(t, q, 2)
+			raceUntil(t, hs, 64, func() bool { return ringsReused(q) > 0 })
+			built := ringsBuilt(q) - 1 // the turnovers' builds, not New's
+			if built > turnovers(q)+len(hs) {
+				t.Fatalf("%d rings built for %d turnovers by %d handles", built, turnovers(q), len(hs))
 			}
-			first := q.head.Load()
-			next := first.next.Load()
-			for i := uint64(0); i < 4; i++ {
-				if v, ok := h.Dequeue(); !ok || v != i {
-					t.Fatalf("got (%d,%v), want %d", v, ok, i)
-				}
-			}
-			if !first.drained() {
-				t.Fatal("first node not drained")
-			}
-			switch straggler {
-			case "dequeuer":
-				first.pins.Add(1)
-			case "enqueuer":
-				first.enqs.Add(1)
-			}
-			first.pins.Add(1) // the advancing dequeuer's own pin; advance releases it
-			q.advance(first, next)
-			want := 0
-			if straggler == "none" {
-				want = 1
-			}
-			if got := pooled(q); got != want {
-				t.Fatalf("pooled %d rings after retire, want %d", got, want)
-			}
-			if v, ok := h.Dequeue(); !ok || v != 4 {
-				t.Fatalf("got (%d,%v) after retire, want 4", v, ok)
+			if got := int(q.spares.Load()); got != spares(hs) {
+				t.Fatalf("queue counts %d spares, handles hold %d", got, spares(hs))
 			}
 		})
 	}
 }
 
-func TestViewCachePrunedAfterGenerations(t *testing.T) {
-	// With recycling off every turnover is a new ring generation and a
-	// retired ring is gone for good. Once more than 16 generations have
-	// passed through a handle's views, pruning must drop the first
-	// ring from the map AND from the cached head view.
+func TestFootprintAfterDrainCountsSpares(t *testing.T) {
+	// After a drain the queue retains its one live ring plus every
+	// handle's spare, and Footprint reports exactly that.
+	for name, mk := range makers() {
+		name, mk := name, mk
+		t.Run(name, func(t *testing.T) {
+			q := mk(t, 4)
+			perRing := q.Footprint()
+			hs := newHandles(t, q, 2)
+			raceUntil(t, hs, 64, func() bool { return spares(hs) > 0 })
+			if q.Rings() != 1 {
+				t.Fatalf("%d live rings after a drain, want 1", q.Rings())
+			}
+			if got, want := q.Footprint(), uint64(1+spares(hs))*perRing; got != want {
+				t.Fatalf("footprint %d B after drain, want %d B (1 ring + %d spares)",
+					got, want, spares(hs))
+			}
+		})
+	}
+}
+
+func TestUWCQSpareViewSurvivesPruning(t *testing.T) {
+	// With a census of two, both handles race extend, so spares are
+	// built, kept and linked later while every turnover prunes views
+	// (far more than 16 rings stay live during a round). A spare's view
+	// pruned while the spare waits would register its owner a second
+	// time once the spare is linked, and the other handle's registration
+	// would then exhaust the ring's census and panic.
 	q := newQueue(t, ringcore.KindWCQ, 4, 2)
-	q.pool.max = 0
+	hs := newHandles(t, q, 2)
+	raceUntil(t, hs, 64, func() bool { return ringsReused(q) >= 1000 })
+	// The other handle drains once more, through rings linked since.
+	raceProducers(hs, 64)
+	drainChecked(t, hs[1], len(hs), 64)
+}
+
+func TestViewCachePrunedAfterGenerations(t *testing.T) {
+	// Every turnover is a new ring generation and a drained ring is
+	// gone for good. Once more than 16 generations have passed through
+	// a handle's views, pruning must drop the first ring from the map
+	// AND from the cached head view.
+	q := newQueue(t, ringcore.KindWCQ, 4, 2)
 	a, _ := q.Handle()
 	b, _ := q.Handle()
 	a.Enqueue(0)
@@ -463,7 +534,7 @@ func TestViewCachePrunedAfterGenerations(t *testing.T) {
 	next, exp := uint64(1), uint64(1)
 	for gen := 0; gen < 20; gen++ {
 		// One value more than a ring holds: every round seals a ring and
-		// the drain retires it.
+		// the drain unlinks it.
 		for i := 0; i < 5; i++ {
 			a.Enqueue(next)
 			next++
@@ -476,10 +547,10 @@ func TestViewCachePrunedAfterGenerations(t *testing.T) {
 		}
 	}
 	if a.head.r == r0 {
-		t.Fatal("cached head view still holds a retired ring after pruning")
+		t.Fatal("cached head view still holds an unlinked ring after pruning")
 	}
 	if _, ok := a.views[r0]; ok {
-		t.Fatal("view map still holds a retired ring after pruning")
+		t.Fatal("view map still holds an unlinked ring after pruning")
 	}
 	if ringsBuilt(q) < 20 {
 		t.Fatalf("only %d ring generations", ringsBuilt(q))
@@ -493,9 +564,8 @@ func TestViewCachePrunedAfterGenerations(t *testing.T) {
 func TestUWCQCensusSurvivesTurnover(t *testing.T) {
 	// Two handles on a census of two: registering one handle twice with
 	// one ring — a view pruned while its ring could still recur — would
-	// exhaust the census and panic. Bursts of 10 rings
-	// against a pool of 4 mix recycled rings with fresh generations, so
-	// pruning runs while pooled rings must survive it.
+	// exhaust the census and panic. Bursts of 10 rings keep pruning
+	// running while the producer's tail rings are still live.
 	const ringCap, burstRings, bursts = 4, 10, 100 // 1000 turnovers
 	q := newQueue(t, ringcore.KindWCQ, ringCap, 2)
 	p, _ := q.Handle()
@@ -514,12 +584,8 @@ func TestUWCQCensusSurvivesTurnover(t *testing.T) {
 			exp++
 		}
 	}
-	if turns := ringsBuilt(q) + ringsReused(q); turns < bursts*burstRings {
+	if turns := turnovers(q); turns < bursts*burstRings {
 		t.Fatalf("only %d turnovers", turns)
-	}
-	if ringsReused(q) == 0 || ringsBuilt(q) < 20 {
-		t.Fatalf("want recycled rings and fresh generations both, got %d recycled, %d allocated",
-			ringsReused(q), ringsBuilt(q))
 	}
 }
 

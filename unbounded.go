@@ -60,7 +60,7 @@ func WithRingKind(k RingKind) Option {
 // WithRingCapacity sets the capacity of each ring an unbounded queue
 // links (a power of two >= 2; default DefaultRingCapacity). It bounds
 // the retained-memory granularity: after a burst drains, the queue
-// keeps one live ring plus a small recycling pool of this size.
+// keeps one live ring plus at most one spare ring per handle.
 // Other constructors ignore this option.
 func WithRingCapacity(n uint64) Option {
 	return func(o *options) { o.ringCap = n }
@@ -71,16 +71,13 @@ func WithRingCapacity(n uint64) Option {
 // Enqueue never reports full — when a ring fills, a fresh ring is
 // appended. Memory therefore grows with the number of buffered
 // values (in ring-sized steps, see Footprint) and shrinks back as
-// bursts drain; a bounded free-list recycles drained rings so
-// steady-state churn does not allocate.
+// bursts drain: a drained ring is left to the garbage collector.
 //
 // Progress: within a ring, operations keep the ring kind's guarantee
 // (wait-free for RingWCQ, lock-free for RingSCQ), and the outer list
-// itself is lock-free; ring turnover, however, briefly serializes on
-// the recycling pool's mutex, so the composite as a whole is not
-// lock-free at ring boundaries. Turnover is rare (once per RingCap
-// values), which is why throughput tracks the rings, as the paper
-// observes.
+// that links the rings is lock-free; no lock is taken, turnover
+// included. Turnover is rare (once per RingCap values), which is why
+// throughput tracks the rings, as the paper observes.
 type UnboundedQueue[T any] struct {
 	q *unbounded.Queue[T]
 }
@@ -88,7 +85,7 @@ type UnboundedQueue[T any] struct {
 // UnboundedHandle is a goroutine's capability to use an
 // UnboundedQueue. Not safe for concurrent use by multiple goroutines.
 // Within a ring, operations keep the ring kind's own guarantee; at
-// ring boundaries they may retry and briefly take the pool mutex (see
+// ring boundaries they may retry on the lock-free outer list (see
 // UnboundedQueue).
 type UnboundedHandle[T any] struct {
 	h *unbounded.Handle[T]
@@ -138,9 +135,12 @@ func (q *UnboundedQueue[T]) RingCap() uint64 { return q.q.RingCap() }
 func (q *UnboundedQueue[T]) Rings() int { return q.q.Rings() }
 
 // Footprint returns the bytes retained right now: the live rings plus
-// the bounded recycling pool. Unlike the bounded queues' constant
+// the handles' spare rings. Unlike the bounded queues' constant
 // footprint, this grows in ring-sized steps while values are buffered
-// and shrinks back to at most (1 + pool) rings after a drain.
+// and shrinks back to one ring plus at most one spare per handle after
+// a drain. A spare is a ring a handle built for a turnover that
+// another handle linked first; the handle keeps it for its own next
+// turnover.
 func (q *UnboundedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
 
 // Stats snapshots the metrics sink shared by the queue and its linked

@@ -34,8 +34,8 @@
 // swaps the bounded rings for unbounded linked-ring shards.
 // NewUnbounded links bounded rings into a queue with
 // no capacity limit (the paper's Appendix A): Enqueue never reports
-// full, memory grows and shrinks in ring-sized steps, and drained
-// rings are recycled through a bounded pool. NewChan layers blocking
+// full, memory grows and shrinks in ring-sized steps, and a drained
+// ring is left to the garbage collector. NewChan layers blocking
 // Send/Recv/Close semantics over any of the cores.
 //
 // See ARCHITECTURE.md for the layer map and the progress/memory
