@@ -21,10 +21,12 @@
 // The checker scenario is the long validation run: rounds of the MPMC
 // correctness checker (no loss, no duplication, per-producer FIFO) on
 // a fresh queue each, until -duration elapses, for each queue -queue
-// names. "all" means every real queue, or every Chan facade with
-// -blocking; -batch N drives the batched checkers, and -blocking the
-// close/drain ones. A queue the flags cannot build is a SKIP, not a
-// failure.
+// names. Every round mixes scalar and batch operations; -batch N caps
+// the batch length (default 16). With -blocking the rounds drive the
+// blocking surface and end in Close and a drain, and "all" means every
+// Chan facade instead of every real queue. A queue the flags cannot
+// build is a SKIP, not a failure. The other scenarios are the stress
+// tier: memory_stress and high_frequency.
 //
 // Endpoints:
 //
@@ -47,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -69,7 +72,7 @@ func main() {
 		snapshots = flag.String("snapshots", "", "append one wcqbench/v1 JSON line per interval to this file")
 		duration  = flag.Duration("duration", 0, "total run time (0 = until SIGINT/SIGTERM)")
 		validate  = flag.String("validate", "", "validate a wcqbench/v1 snapshot file and exit")
-		scenario  = flag.String("scenario", "", "run a scenario (checker, concurrent_stress, memory_stress, high_frequency, or 'all') against -queue and exit")
+		scenario  = flag.String("scenario", "", "run a scenario (checker, memory_stress, high_frequency, or 'all') against -queue and exit")
 	)
 	shared := clihelper.Register(flag.CommandLine, 1<<8)
 	flag.Parse()
@@ -210,9 +213,12 @@ loop:
 // violation, footprint leak or livelock surfaces as the scenario's
 // error and a nonzero exit.
 func runScenarios(scenario, queueName string, shared *clihelper.Flags, cfg queues.Config, threads int, duration time.Duration) error {
+	valid := append([]string{"checker"}, harness.StressScenarioNames()...)
 	names := []string{scenario}
 	if scenario == "all" {
-		names = append([]string{"checker"}, harness.StressScenarioNames()...)
+		names = valid
+	} else if !slices.Contains(valid, scenario) {
+		return fmt.Errorf("unknown scenario %q (want one of %v or all)", scenario, valid)
 	}
 	if duration <= 0 {
 		duration = 5 * time.Second
@@ -249,11 +255,13 @@ const checkerPerProducer = 20000
 // splitting the workers evenly into producers and consumers, until
 // duration elapses per queue (at least one round each).
 func runChecker(selected string, shared *clihelper.Flags, cfg queues.Config, threads int, duration time.Duration) error {
+	producers, consumers := harness.EvenSplit(threads)
 	ccfg := checker.Config{
-		Producers:   threads / 2,
-		Consumers:   threads - threads/2,
+		Producers:   producers,
+		Consumers:   consumers,
 		PerProducer: checkerPerProducer,
-		Capacity:    int(shared.Capacity),
+		Batch:       shared.Batch,
+		Blocking:    shared.Blocking,
 	}
 	for _, name := range shared.QueueNames(selected) {
 		start := time.Now()
@@ -269,17 +277,7 @@ func runChecker(selected string, shared *clihelper.Flags, cfg queues.Config, thr
 					name, queues.BlockingQueues())
 				break
 			}
-			switch {
-			case shared.Blocking && shared.Batch > 1:
-				err = checker.RunBlockingBatch(q, ccfg, shared.Batch)
-			case shared.Blocking:
-				err = checker.RunBlocking(q, ccfg)
-			case shared.Batch > 1:
-				err = checker.RunBatch(q, ccfg, shared.Batch)
-			default:
-				err = checker.Run(q, ccfg)
-			}
-			if err != nil {
+			if err := checker.Run(q, ccfg); err != nil {
 				return fmt.Errorf("checker/%s round %d: %w", name, rounds, err)
 			}
 		}

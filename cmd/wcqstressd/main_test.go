@@ -100,9 +100,10 @@ func TestSnapshotFileZeroIntervalValidates(t *testing.T) {
 }
 
 func TestCheckerScenario(t *testing.T) {
-	// A zero duration still runs one round per queue: the nonblocking
-	// checker on a ring queue, the blocking batch checker on a Chan,
-	// and a blocking run on a queue with no close surface is a SKIP.
+	// A zero duration still runs one round per queue: a nonblocking
+	// round on a ring queue, a blocking round with batches capped at 8
+	// on a Chan, and a blocking run on a queue with no close surface is
+	// a SKIP.
 	cases := []struct {
 		queue    string
 		blocking bool
@@ -120,6 +121,18 @@ func TestCheckerScenario(t *testing.T) {
 		}
 		if err := runChecker(c.queue, shared, cfg, 4, 0); err != nil {
 			t.Fatalf("%s: %v", c.queue, err)
+		}
+	}
+}
+
+func TestUnknownScenarioListsValidOnes(t *testing.T) {
+	err := runScenarios("concurrent_stress", "wCQ", &clihelper.Flags{}, queues.Config{}, 2, time.Millisecond)
+	if err == nil {
+		t.Fatal("unknown scenario accepted")
+	}
+	for _, want := range []string{"checker", "memory_stress", "high_frequency", "all"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not list %q", err, want)
 		}
 	}
 }

@@ -7,7 +7,8 @@
 //  3. Per-producer FIFO: each consumer observes any one producer's
 //     values in strictly increasing sequence order (a consequence of
 //     linearizability that is cheap to check without full history
-//     analysis).
+//     analysis). With one producer and one consumer this is strict
+//     global FIFO.
 //
 // Values are encoded as producerID<<32 | sequence.
 package checker
@@ -27,10 +28,13 @@ type Config struct {
 	Producers   int
 	Consumers   int
 	PerProducer int
-	// Capacity bounds in-flight values so bounded queues never report
-	// full in a way the producers cannot absorb; producers spin on a
-	// full queue.
-	Capacity int
+	// Batch caps the length of a batch operation: each one draws a
+	// length in [2, Batch]. Values below 2 mean 16.
+	Batch int
+	// Blocking drives the blocking surface (Send/SendMany,
+	// Recv/RecvMany, then Close and a drain to ErrClosed) instead of
+	// the nonblocking one.
+	Blocking bool
 }
 
 // Encode builds a checker payload value.
@@ -39,23 +43,17 @@ func Encode(producer, seq int) uint64 { return uint64(producer)<<32 | uint64(seq
 // Decode splits a checker payload value.
 func Decode(v uint64) (producer, seq int) { return int(v >> 32), int(v & 0xffffffff) }
 
-// verifier holds the property-checking state shared by Run and
-// RunBatch, so the scalar and batched drivers enforce identical
-// semantics by construction.
+// verifier holds the property-checking state of one Run.
 type verifier struct {
 	cfg       Config
-	total     int
 	delivered []atomic.Int32
-	consumed  atomic.Int64
 	errs      chan error
 }
 
 func newVerifier(cfg Config) *verifier {
-	total := cfg.Producers * cfg.PerProducer
 	return &verifier{
 		cfg:       cfg,
-		total:     total,
-		delivered: make([]atomic.Int32, total),
+		delivered: make([]atomic.Int32, cfg.Producers*cfg.PerProducer),
 		errs:      make(chan error, cfg.Producers+cfg.Consumers+16),
 	}
 }
@@ -74,22 +72,17 @@ func (vf *verifier) observe(v uint64, lastSeq map[int]int) {
 	p, seq := Decode(v)
 	if p >= vf.cfg.Producers || seq >= vf.cfg.PerProducer {
 		vf.report(fmt.Errorf("corrupt value %#x", v))
-		vf.consumed.Add(1)
+		return
+	}
+	if vf.delivered[p*vf.cfg.PerProducer+seq].Add(1) != 1 {
+		vf.report(fmt.Errorf("value %#x delivered more than once", v))
 		return
 	}
 	if prev, seen := lastSeq[p]; seen && seq <= prev {
 		vf.report(fmt.Errorf("per-producer FIFO violation: producer %d seq %d after %d", p, seq, prev))
 	}
 	lastSeq[p] = seq
-	id := p*vf.cfg.PerProducer + seq
-	if vf.delivered[id].Add(1) != 1 {
-		vf.report(fmt.Errorf("value %#x delivered more than once", v))
-	}
-	vf.consumed.Add(1)
 }
-
-// done reports whether every produced value has been observed.
-func (vf *verifier) done() bool { return vf.consumed.Load() >= int64(vf.total) }
 
 // finish returns the first reported error, or the result of the
 // exactly-once sweep.
@@ -107,73 +100,290 @@ func (vf *verifier) finish() error {
 	return nil
 }
 
-// Run drives q with cfg and returns an error describing the first
-// violated property, if any.
-func Run(q queueapi.Queue, cfg Config) error {
-	vf := newVerifier(cfg)
-	var wg sync.WaitGroup
-
-	for p := 0; p < cfg.Producers; p++ {
-		h, err := q.Handle()
-		if err != nil {
-			return fmt.Errorf("producer handle: %w", err)
-		}
-		wg.Add(1)
-		go func(p int, h queueapi.Handle) {
-			defer wg.Done()
-			for i := 0; i < cfg.PerProducer; i++ {
-				for !h.Enqueue(Encode(p, i)) {
-					runtime.Gosched() // full: wait for consumers
-				}
-			}
-		}(p, h)
-	}
-
-	for c := 0; c < cfg.Consumers; c++ {
-		h, err := q.Handle()
-		if err != nil {
-			return fmt.Errorf("consumer handle: %w", err)
-		}
-		wg.Add(1)
-		go func(h queueapi.Handle) {
-			defer wg.Done()
-			lastSeq := make(map[int]int, cfg.Producers)
-			for !vf.done() {
-				v, ok := h.Dequeue()
-				if !ok {
-					runtime.Gosched()
-					continue
-				}
-				vf.observe(v, lastSeq)
-			}
-		}(h)
-	}
-
-	wg.Wait()
-	return vf.finish()
-}
-
 // sentinel poisons dequeue buffers so over-writing batch accounting
 // (a DequeueBatch writing past its returned count) is detectable. It
 // decodes to an impossible producer id, so a leak into real values is
 // caught by observe as corruption.
 const sentinel = ^uint64(0)
 
-// checkBatchAtomicity is RunBatch's deterministic pre-phase: a single
-// handle on an otherwise idle queue, where every batch must take the
-// uncontended fast path, so the batch atomicity contract is exact and
-// checkable — EnqueueBatch(k) buffers exactly k values, DequeueBatch
-// returns them contiguously in FIFO order relative to each other, and
-// neither operation's count ever disagrees with what moved. The queue
-// is left empty for the concurrent phase.
-func checkBatchAtomicity(q queueapi.Queue, cfg Config, batch int) error {
-	h, err := q.Handle()
-	if err != nil {
-		return fmt.Errorf("batch-atomicity handle: %w", err)
+// endpoint is one goroutine's view of the surface a round drives. put
+// moves all of vs in order, as one scalar operation when scalar is set
+// (vs then holds one value) and as batch operations otherwise. take
+// moves at most len(out) values into out the same way: a nonblocking
+// take reports an empty queue as 0 values, a blocking one parks and
+// reports ErrClosed once the queue is closed and drained.
+type endpoint interface {
+	put(vs []uint64, scalar bool) error
+	take(out []uint64, scalar bool) (int, error)
+}
+
+// handleEndpoint is the nonblocking surface: Enqueue/Dequeue and the
+// queueapi batch helpers (the native Batcher when the handle has one).
+type handleEndpoint struct{ h queueapi.Handle }
+
+func (e handleEndpoint) put(vs []uint64, scalar bool) error {
+	if scalar {
+		for !e.h.Enqueue(vs[0]) {
+			runtime.Gosched() // full: wait for consumers
+		}
+		return nil
 	}
+	for sent := 0; sent < len(vs); {
+		n := queueapi.EnqueueBatch(e.h, vs[sent:])
+		if n < 0 || n > len(vs)-sent {
+			return fmt.Errorf("EnqueueBatch returned %d for a %d-element batch", n, len(vs)-sent)
+		}
+		if n == 0 {
+			runtime.Gosched()
+		}
+		sent += n // a short count is a prefix: resume right after it
+	}
+	return nil
+}
+
+func (e handleEndpoint) take(out []uint64, scalar bool) (int, error) {
+	if !scalar {
+		return queueapi.DequeueBatch(e.h, out), nil
+	}
+	v, ok := e.h.Dequeue()
+	if !ok {
+		return 0, nil
+	}
+	out[0] = v
+	return 1, nil
+}
+
+// blockingHandle is what a blocking round needs of a handle.
+type blockingHandle interface {
+	queueapi.Waitable
+	queueapi.BatchWaitable
+}
+
+// waitEndpoint is the blocking surface: parked Send/SendMany and
+// Recv/RecvMany.
+type waitEndpoint struct{ w blockingHandle }
+
+func (e waitEndpoint) put(vs []uint64, scalar bool) error {
+	if scalar {
+		return e.w.Send(vs[0])
+	}
+	n, err := e.w.SendMany(vs)
+	if err == nil && n != len(vs) {
+		return fmt.Errorf("SendMany delivered %d of %d without error", n, len(vs))
+	}
+	return err
+}
+
+func (e waitEndpoint) take(out []uint64, scalar bool) (int, error) {
+	if scalar {
+		v, err := e.w.Recv()
+		if err != nil {
+			return 0, err
+		}
+		out[0] = v
+		return 1, nil
+	}
+	n, err := e.w.RecvMany(out)
+	if err == nil && n == 0 {
+		return 0, errors.New("RecvMany returned 0 values with nil error")
+	}
+	return n, err
+}
+
+func newEndpoint(q queueapi.Queue, blocking bool) (endpoint, error) {
+	h, err := q.Handle()
+	if err != nil || !blocking {
+		return handleEndpoint{h}, err
+	}
+	w, ok := h.(blockingHandle)
+	if !ok {
+		return nil, fmt.Errorf("%s handle is not blocking (no Send/SendMany/Recv/RecvMany)", q.Name())
+	}
+	return waitEndpoint{w}, nil
+}
+
+func xorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
+}
+
+// draw advances a goroutine's operation stream and picks its next
+// operation: scalar with odds 1/2, else a batch of length [2, batch].
+func draw(rng uint64, batch int) (next uint64, n int, scalar bool) {
+	rng = xorshift(rng)
+	if rng&1 == 0 {
+		return rng, 1, true
+	}
+	return rng, 2 + int((rng>>1)%uint64(batch-1)), false
+}
+
+// Run drives q with cfg and returns an error describing the first
+// violated property, if any.
+//
+// Each producer and each consumer draws every operation from its own
+// xorshift stream, seeded from its index: a scalar operation or, with
+// equal odds, a batch of length [2, cfg.Batch]. Producers resume a
+// short batch count after the delivered prefix (the FIFO check proves
+// the prefix contract), consumers poison their buffers with a sentinel
+// so a batch receive writing past its count is caught, and the
+// exactly-once sweep catches values a receive took but never handed
+// over.
+//
+// A nonblocking round spins on full and empty. Consumers stop at the
+// first empty result after every producer has finished, and the queue,
+// then quiescent, is drained through one more handle, so lost values
+// end the round instead of hanging it. That handle then runs
+// checkBatchAtomicity on the empty queue.
+//
+// A blocking round (cfg.Blocking) needs a queueapi.Closer whose
+// handles are Waitable and BatchWaitable. Once every producer
+// finishes, the queue is closed and consumers drain it until their
+// receive reports ErrClosed: Close must lose nothing.
+func Run(q queueapi.Queue, cfg Config) error {
+	if cfg.Batch < 2 {
+		cfg.Batch = 16
+	}
+	var closer queueapi.Closer
+	if cfg.Blocking {
+		c, ok := q.(queueapi.Closer)
+		if !ok {
+			return fmt.Errorf("checker: %s does not implement queueapi.Closer", q.Name())
+		}
+		closer = c
+	}
+	var last queueapi.Handle // the nonblocking round's drain handle
+	if !cfg.Blocking {
+		h, err := q.Handle()
+		if err != nil {
+			return fmt.Errorf("drain handle: %w", err)
+		}
+		last = h
+	}
+	prods := make([]endpoint, cfg.Producers)
+	for p := range prods {
+		e, err := newEndpoint(q, cfg.Blocking)
+		if err != nil {
+			return fmt.Errorf("producer handle: %w", err)
+		}
+		prods[p] = e
+	}
+	conss := make([]endpoint, cfg.Consumers)
+	for c := range conss {
+		e, err := newEndpoint(q, cfg.Blocking)
+		if err != nil {
+			return fmt.Errorf("consumer handle: %w", err)
+		}
+		conss[c] = e
+	}
+
+	vf := newVerifier(cfg)
+	var producers, consumers sync.WaitGroup
+	var producersDone atomic.Bool
+	for p, e := range prods {
+		producers.Add(1)
+		go func() {
+			defer producers.Done()
+			buf := make([]uint64, cfg.Batch)
+			rng := uint64(p+1)*2654435761 + 1
+			for i := 0; i < cfg.PerProducer; {
+				var n int
+				var scalar bool
+				rng, n, scalar = draw(rng, cfg.Batch)
+				vs := buf[:min(n, cfg.PerProducer-i)]
+				for j := range vs {
+					vs[j] = Encode(p, i+j)
+				}
+				if err := e.put(vs, scalar); err != nil {
+					vf.report(fmt.Errorf("producer %d: %w", p, err))
+					return
+				}
+				i += len(vs)
+			}
+		}()
+	}
+	for c, e := range conss {
+		consumers.Add(1)
+		go func() {
+			defer consumers.Done()
+			lastSeq := make(map[int]int, cfg.Producers)
+			buf := make([]uint64, cfg.Batch)
+			rng := uint64(c+101)*2654435761 + 1
+			for {
+				var n int
+				var scalar bool
+				rng, n, scalar = draw(rng, cfg.Batch)
+				out := buf[:n]
+				for i := range out {
+					out[i] = sentinel
+				}
+				got, err := e.take(out, scalar)
+				if got < 0 || got > n {
+					vf.report(fmt.Errorf("consumer %d: batch receive returned %d for a %d-slot buffer", c, got, n))
+					got = 0
+				}
+				for i := got; i < n; i++ {
+					if out[i] != sentinel {
+						vf.report(fmt.Errorf("consumer %d: batch receive wrote past its count at [%d]", c, i))
+						break
+					}
+				}
+				for _, v := range out[:got] {
+					vf.observe(v, lastSeq)
+				}
+				if err != nil {
+					if !errors.Is(err, queueapi.ErrClosed) {
+						vf.report(fmt.Errorf("consumer %d: %w", c, err))
+					}
+					return
+				}
+				if got == 0 {
+					if producersDone.Load() {
+						return
+					}
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+
+	producers.Wait()
+	if closer != nil {
+		if err := closer.Close(); err != nil {
+			return fmt.Errorf("checker: Close: %w", err)
+		}
+	}
+	producersDone.Store(true)
+	consumers.Wait()
+	if cfg.Blocking {
+		return vf.finish()
+	}
+	lastSeq := make(map[int]int, cfg.Producers)
+	for v, ok := last.Dequeue(); ok; v, ok = last.Dequeue() {
+		vf.observe(v, lastSeq)
+	}
+	if err := vf.finish(); err != nil {
+		return err
+	}
+	if err := checkBatchAtomicity(q, last, cfg.Batch); err != nil {
+		return fmt.Errorf("batch atomicity: %w", err)
+	}
+	return nil
+}
+
+// checkBatchAtomicity is the deterministic batch phase of a
+// nonblocking round: one handle on the drained, otherwise idle queue,
+// where every batch must take the uncontended fast path, so the batch
+// atomicity contract is exact and checkable — EnqueueBatch(k) buffers
+// exactly k values, DequeueBatch returns them contiguously in FIFO
+// order relative to each other, and neither operation's count ever
+// disagrees with what moved. The batch is capped at half the queue's
+// capacity (no cap when unbounded); the queue is left empty.
+func checkBatchAtomicity(q queueapi.Queue, h queueapi.Handle, batch int) error {
 	k := batch
-	if cfg.Capacity > 0 && k > cfg.Capacity/2 {
-		k = cfg.Capacity / 2
+	if c := int(q.Cap()); c > 0 && k > c/2 {
+		k = c / 2
 	}
 	if k < 1 {
 		k = 1
@@ -235,294 +445,6 @@ func checkBatchAtomicity(q queueapi.Queue, cfg Config, batch int) error {
 		}
 	}
 	return nil
-}
-
-// RunBatch drives q with batched enqueues and dequeues (through the
-// queueapi.Batcher fast path when the queue has one, the generic
-// fallback otherwise) and verifies the same three properties as Run —
-// no loss, no duplication, per-producer FIFO — plus the batch
-// contract: a deterministic pre-phase asserts batch atomicity (a
-// fast-path batch's elements are contiguous in FIFO order relative to
-// each other) where it is exact, and the concurrent phase checks
-// partial-success accounting — short enqueue counts are prefixes (so
-// producers resume mid-batch without reordering, which the FIFO check
-// then proves) and dequeue counts match exactly what was written
-// (sentinel-poisoned buffers catch over-writes, the exactly-once sweep
-// catches under-counts).
-func RunBatch(q queueapi.Queue, cfg Config, batch int) error {
-	if batch < 1 {
-		return fmt.Errorf("checker: batch size %d < 1", batch)
-	}
-	if err := checkBatchAtomicity(q, cfg, batch); err != nil {
-		return fmt.Errorf("batch atomicity: %w", err)
-	}
-	vf := newVerifier(cfg)
-	var wg sync.WaitGroup
-
-	for p := 0; p < cfg.Producers; p++ {
-		h, err := q.Handle()
-		if err != nil {
-			return fmt.Errorf("producer handle: %w", err)
-		}
-		wg.Add(1)
-		go func(p int, h queueapi.Handle) {
-			defer wg.Done()
-			buf := make([]uint64, 0, batch)
-			for i := 0; i < cfg.PerProducer; i += len(buf) {
-				buf = buf[:0]
-				for j := i; j < cfg.PerProducer && len(buf) < batch; j++ {
-					buf = append(buf, Encode(p, j))
-				}
-				sent := 0
-				for sent < len(buf) {
-					n := queueapi.EnqueueBatch(h, buf[sent:])
-					if n < 0 || n > len(buf)-sent {
-						vf.report(fmt.Errorf("EnqueueBatch returned %d for a %d-element batch", n, len(buf)-sent))
-						return
-					}
-					sent += n
-					if n == 0 {
-						runtime.Gosched() // full: wait for consumers
-					}
-				}
-			}
-		}(p, h)
-	}
-
-	for c := 0; c < cfg.Consumers; c++ {
-		h, err := q.Handle()
-		if err != nil {
-			return fmt.Errorf("consumer handle: %w", err)
-		}
-		wg.Add(1)
-		go func(h queueapi.Handle) {
-			defer wg.Done()
-			lastSeq := make(map[int]int, cfg.Producers)
-			buf := make([]uint64, batch)
-			for !vf.done() {
-				for i := range buf {
-					buf[i] = sentinel
-				}
-				n := queueapi.DequeueBatch(h, buf)
-				if n < 0 || n > len(buf) {
-					vf.report(fmt.Errorf("DequeueBatch returned %d for a %d-slot buffer", n, len(buf)))
-					return
-				}
-				if n == 0 {
-					runtime.Gosched()
-					continue
-				}
-				for i := n; i < len(buf); i++ {
-					if buf[i] != sentinel {
-						vf.report(fmt.Errorf("DequeueBatch wrote past its count at [%d]", i))
-						return
-					}
-				}
-				for _, v := range buf[:n] {
-					vf.observe(v, lastSeq)
-				}
-			}
-		}(h)
-	}
-
-	wg.Wait()
-	return vf.finish()
-}
-
-// RunBlockingBatch drives a blocking queue whose handles implement
-// queueapi.BatchWaitable through parked SendMany/RecvMany and a
-// graceful Close, verifying the same properties as RunBlocking plus
-// the batch close contract: SendMany delivers whole batches before
-// the close, RecvMany never returns 0 values without an error, and at
-// close-drain the final values arrive as a partial batch with every
-// produced value still delivered exactly once.
-func RunBlockingBatch(q queueapi.Queue, cfg Config, batch int) error {
-	if batch < 1 {
-		return fmt.Errorf("checker: batch size %d < 1", batch)
-	}
-	closer, ok := q.(queueapi.Closer)
-	if !ok {
-		return fmt.Errorf("checker: %s does not implement queueapi.Closer", q.Name())
-	}
-
-	vf := newVerifier(cfg)
-	var producers, consumers sync.WaitGroup
-
-	batchHandle := func() (queueapi.BatchWaitable, error) {
-		w, err := queueapi.WaitableHandle(q)
-		if err != nil {
-			return nil, err
-		}
-		bw, ok := w.(queueapi.BatchWaitable)
-		if !ok {
-			return nil, fmt.Errorf("%s handle is not batch-blocking (no SendMany/RecvMany)", q.Name())
-		}
-		return bw, nil
-	}
-
-	for p := 0; p < cfg.Producers; p++ {
-		bw, err := batchHandle()
-		if err != nil {
-			return fmt.Errorf("producer handle: %w", err)
-		}
-		producers.Add(1)
-		go func(p int, bw queueapi.BatchWaitable) {
-			defer producers.Done()
-			buf := make([]uint64, 0, batch)
-			for i := 0; i < cfg.PerProducer; i += len(buf) {
-				buf = buf[:0]
-				for j := i; j < cfg.PerProducer && len(buf) < batch; j++ {
-					buf = append(buf, Encode(p, j))
-				}
-				n, err := bw.SendMany(buf)
-				if err != nil {
-					vf.report(fmt.Errorf("producer %d: SendMany: %w", p, err))
-					return
-				}
-				if n != len(buf) {
-					vf.report(fmt.Errorf("producer %d: SendMany delivered %d of %d without error", p, n, len(buf)))
-					return
-				}
-			}
-		}(p, bw)
-	}
-
-	for c := 0; c < cfg.Consumers; c++ {
-		bw, err := batchHandle()
-		if err != nil {
-			return fmt.Errorf("consumer handle: %w", err)
-		}
-		consumers.Add(1)
-		go func(bw queueapi.BatchWaitable) {
-			defer consumers.Done()
-			lastSeq := make(map[int]int, cfg.Producers)
-			out := make([]uint64, batch)
-			for {
-				n, err := bw.RecvMany(out)
-				if err != nil {
-					if !errors.Is(err, queueapi.ErrClosed) {
-						vf.report(fmt.Errorf("consumer: RecvMany: %w", err))
-					}
-					return
-				}
-				if n < 1 || n > len(out) {
-					vf.report(fmt.Errorf("RecvMany returned %d values with nil error", n))
-					return
-				}
-				for _, v := range out[:n] {
-					vf.observe(v, lastSeq)
-				}
-			}
-		}(bw)
-	}
-
-	producers.Wait()
-	if err := closer.Close(); err != nil {
-		return fmt.Errorf("checker: Close: %w", err)
-	}
-	consumers.Wait()
-	return vf.finish()
-}
-
-// RunBlocking drives a blocking queue — one whose handles implement
-// queueapi.Waitable and that itself implements queueapi.Closer —
-// through parked Send/Recv and a graceful Close, and verifies the
-// same three properties as Run plus the close contract: producers
-// Send every value (no spinning on full; they park), the queue is
-// closed once all producers finish, and consumers drain until Recv
-// reports ErrClosed. Every produced value must still be delivered
-// exactly once — drain semantics mean Close loses nothing.
-func RunBlocking(q queueapi.Queue, cfg Config) error {
-	closer, ok := q.(queueapi.Closer)
-	if !ok {
-		return fmt.Errorf("checker: %s does not implement queueapi.Closer", q.Name())
-	}
-
-	vf := newVerifier(cfg)
-	var producers, consumers sync.WaitGroup
-
-	for p := 0; p < cfg.Producers; p++ {
-		w, err := queueapi.WaitableHandle(q)
-		if err != nil {
-			return fmt.Errorf("producer handle: %w", err)
-		}
-		producers.Add(1)
-		go func(p int, w queueapi.Waitable) {
-			defer producers.Done()
-			for i := 0; i < cfg.PerProducer; i++ {
-				if err := w.Send(Encode(p, i)); err != nil {
-					vf.report(fmt.Errorf("producer %d: Send(%d): %w", p, i, err))
-					return
-				}
-			}
-		}(p, w)
-	}
-
-	for c := 0; c < cfg.Consumers; c++ {
-		w, err := queueapi.WaitableHandle(q)
-		if err != nil {
-			return fmt.Errorf("consumer handle: %w", err)
-		}
-		consumers.Add(1)
-		go func(w queueapi.Waitable) {
-			defer consumers.Done()
-			lastSeq := make(map[int]int, cfg.Producers)
-			for {
-				v, err := w.Recv()
-				if err != nil {
-					if !errors.Is(err, queueapi.ErrClosed) {
-						vf.report(fmt.Errorf("consumer: Recv: %w", err))
-					}
-					return
-				}
-				vf.observe(v, lastSeq)
-			}
-		}(w)
-	}
-
-	producers.Wait()
-	if err := closer.Close(); err != nil {
-		return fmt.Errorf("checker: Close: %w", err)
-	}
-	consumers.Wait()
-	return vf.finish()
-}
-
-// RunSPSC verifies strict global FIFO order with one producer and one
-// consumer, the strongest order property observable without full
-// linearizability analysis.
-func RunSPSC(q queueapi.Queue, n int) error {
-	hp, err := q.Handle()
-	if err != nil {
-		return err
-	}
-	hc, err := q.Handle()
-	if err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() {
-		next := 0
-		for next < n {
-			v, ok := hc.Dequeue()
-			if !ok {
-				runtime.Gosched()
-				continue
-			}
-			if int(v) != next {
-				done <- fmt.Errorf("FIFO violation: got %d, want %d", v, next)
-				return
-			}
-			next++
-		}
-		done <- nil
-	}()
-	for i := 0; i < n; i++ {
-		for !hp.Enqueue(uint64(i)) {
-			runtime.Gosched()
-		}
-	}
-	return <-done
 }
 
 // RunDrain enqueues n values (spinning on full), then drains the queue

@@ -87,7 +87,8 @@ func (q *lifoQueue) Dequeue() (uint64, bool) {
 }
 
 // blockingRef is a trivially correct blocking queue (a Go channel)
-// used to validate RunBlocking accepts correct close/drain behaviour.
+// used to validate that blocking rounds accept correct close/drain
+// behaviour; with drop > 0 it silently loses values.
 type blockingRef struct {
 	ch   chan uint64
 	drop int // deliver every drop-th value nowhere (0 = correct)
@@ -162,35 +163,86 @@ func (q *blockingRef) RecvCtx(ctx context.Context) (uint64, error) {
 	}
 }
 
-func TestBlockingCheckerAcceptsCorrectQueue(t *testing.T) {
-	q := newBlockingRef(64, 0)
-	err := RunBlocking(q, Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64})
+func (q *blockingRef) SendMany(vs []uint64) (int, error) {
+	for i, v := range vs {
+		if err := q.Send(v); err != nil {
+			return i, err
+		}
+	}
+	return len(vs), nil
+}
+func (q *blockingRef) RecvMany(out []uint64) (int, error) {
+	v, err := q.Recv()
 	if err != nil {
-		t.Fatalf("correct blocking queue rejected: %v", err)
+		return 0, err
 	}
+	out[0] = v
+	for n := 1; n < len(out); n++ {
+		select {
+		case v, ok := <-q.ch:
+			if !ok {
+				return n, nil
+			}
+			out[n] = v
+		default:
+			return n, nil
+		}
+	}
+	return len(out), nil
 }
 
-func TestBlockingCheckerCatchesLoss(t *testing.T) {
-	q := newBlockingRef(64, 100) // silently drops every 100th value
-	err := RunBlocking(q, Config{Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 64})
-	if err == nil {
-		t.Fatal("lost values not detected by blocking checker")
-	}
+// faultyBatcher is a mutexQueue with a native queueapi.Batcher that
+// breaks one batch contract, named by fault ("" is correct).
+type faultyBatcher struct {
+	mutexQueue
+	fault string
 }
 
-func TestBlockingCheckerRejectsNonBlockingQueue(t *testing.T) {
-	if err := RunBlocking(&mutexQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 1}); err == nil {
-		t.Fatal("queue without Closer/Waitable accepted")
+func (q *faultyBatcher) Handle() (queueapi.Handle, error) { return q, nil }
+func (q *faultyBatcher) EnqueueBatch(vs []uint64) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i := range vs {
+		if q.fault == "reverse" {
+			i = len(vs) - 1 - i
+		}
+		q.vs = append(q.vs, vs[i])
 	}
+	return len(vs)
+}
+func (q *faultyBatcher) DequeueBatch(out []uint64) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.fault == "partial-empty" && len(q.vs) < len(out) {
+		return 0 // reports empty unless it can fill the whole buffer
+	}
+	n := copy(out, q.vs)
+	q.vs = q.vs[n:]
+	switch {
+	case q.fault == "overwrite" && n < len(out):
+		out[n] = 0 // one slot past the count
+	case q.fault == "undercount" && n > 0:
+		return n - 1 // the last value written is not counted
+	case q.fault == "drop" && n > 0:
+		out[n-1] = sentinel
+		return n - 1 // the last value taken is neither written nor counted
+	case q.fault == "duplicate" && n > 0:
+		q.vs = append([]uint64{out[n-1]}, q.vs...) // delivered again later
+	}
+	return n
 }
 
 func TestCheckerAcceptsCorrectQueue(t *testing.T) {
-	q := &mutexQueue{}
-	if err := Run(q, Config{Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 64}); err != nil {
-		t.Fatalf("correct queue rejected: %v", err)
-	}
-	if err := RunSPSC(&mutexQueue{}, 5000); err != nil {
-		t.Fatalf("correct queue rejected by SPSC: %v", err)
+	for _, q := range []func() queueapi.Queue{
+		func() queueapi.Queue { return &mutexQueue{} }, // batches through the queueapi fallback
+		func() queueapi.Queue { return &faultyBatcher{} },
+	} {
+		if err := Run(q(), Config{Producers: 2, Consumers: 2, PerProducer: 2000}); err != nil {
+			t.Fatalf("correct queue rejected: %v", err)
+		}
+		if err := Run(q(), Config{Producers: 1, Consumers: 1, PerProducer: 5000}); err != nil {
+			t.Fatalf("correct queue rejected at 1x1: %v", err)
+		}
 	}
 	if err := RunDrain(&mutexQueue{}, 5000); err != nil {
 		t.Fatalf("correct queue rejected by drain: %v", err)
@@ -198,31 +250,72 @@ func TestCheckerAcceptsCorrectQueue(t *testing.T) {
 }
 
 func TestBatchCheckerAcceptsCorrectQueue(t *testing.T) {
-	// The mutex queue has no native Batcher, so this also exercises
-	// the queueapi fallback path end to end.
-	q := &mutexQueue{}
-	if err := RunBatch(q, Config{Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 64}, 8); err != nil {
-		t.Fatalf("correct queue rejected by batch checker: %v", err)
-	}
-}
-
-func TestBatchCheckerCatchesDuplicates(t *testing.T) {
-	err := RunBatch(&dupQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 200, Capacity: 64}, 4)
-	if err == nil {
-		t.Fatal("duplicate deliveries not detected by batch checker")
+	// Batch lengths run up to 8 here; the bounded reference caps the
+	// deterministic batch phase at half its 6 slots.
+	for _, q := range []queueapi.Queue{&mutexQueue{}, &faultyBatcher{}, newBlockingRef(6, 0)} {
+		if err := Run(q, Config{Producers: 2, Consumers: 2, PerProducer: 2000, Batch: 8}); err != nil {
+			t.Fatalf("%s: correct queue rejected by batched rounds: %v", q.Name(), err)
+		}
 	}
 }
 
 func TestCheckerCatchesDuplicates(t *testing.T) {
-	err := Run(&dupQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 100, Capacity: 64})
-	if err == nil {
-		t.Fatal("duplicate deliveries not detected")
+	err := Run(&dupQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 100})
+	if err == nil || !strings.Contains(err.Error(), "more than once") {
+		t.Fatalf("duplicate deliveries not detected: %v", err)
+	}
+}
+
+func TestBatchCheckerCatchesDuplicates(t *testing.T) {
+	err := Run(&faultyBatcher{fault: "duplicate"}, Config{Producers: 2, Consumers: 2, PerProducer: 200, Batch: 4})
+	if err == nil || !strings.Contains(err.Error(), "more than once") {
+		t.Fatalf("batch duplicate deliveries not detected: %v", err)
 	}
 }
 
 func TestCheckerCatchesFIFOViolation(t *testing.T) {
-	err := RunSPSC(&lifoQueue{}, 1000)
-	if err == nil || !strings.Contains(err.Error(), "FIFO") {
+	err := Run(&lifoQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 1000})
+	if err == nil || !strings.Contains(err.Error(), "per-producer FIFO violation") {
 		t.Fatalf("LIFO order not detected: %v", err)
+	}
+}
+
+// TestCheckerCatchesBatchFaults: each broken batch contract fails a
+// mixed round with the check aimed at it.
+func TestCheckerCatchesBatchFaults(t *testing.T) {
+	for _, c := range []struct{ fault, want string }{
+		{"reverse", "per-producer FIFO violation"},
+		{"overwrite", "wrote past its count"},
+		{"undercount", "wrote past its count"}, // the uncounted value sits past the count
+		{"drop", "delivered 0 times"},
+		// Consumers retry and the final drain is scalar, so only the
+		// deterministic phase on the drained queue sees this one.
+		{"partial-empty", "batch lost values"},
+	} {
+		err := Run(&faultyBatcher{fault: c.fault}, Config{Producers: 1, Consumers: 1, PerProducer: 1000})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.fault, err, c.want)
+		}
+	}
+}
+
+func TestBlockingCheckerAcceptsCorrectQueue(t *testing.T) {
+	q := newBlockingRef(64, 0)
+	if err := Run(q, Config{Producers: 3, Consumers: 3, PerProducer: 3000, Blocking: true}); err != nil {
+		t.Fatalf("correct blocking queue rejected: %v", err)
+	}
+}
+
+func TestBlockingCheckerCatchesLoss(t *testing.T) {
+	q := newBlockingRef(64, 100) // silently drops every 100th value
+	err := Run(q, Config{Producers: 2, Consumers: 2, PerProducer: 2000, Blocking: true})
+	if err == nil || !strings.Contains(err.Error(), "delivered 0 times") {
+		t.Fatalf("lost values not detected by the blocking round: %v", err)
+	}
+}
+
+func TestBlockingCheckerRejectsNonBlockingQueue(t *testing.T) {
+	if err := Run(&mutexQueue{}, Config{Producers: 1, Consumers: 1, PerProducer: 1, Blocking: true}); err == nil {
+		t.Fatal("queue without Closer/Waitable accepted")
 	}
 }

@@ -12,21 +12,6 @@ import (
 	"repro/internal/stats"
 )
 
-// BurstSplit derives the producer/consumer role split for the burst
-// workload: half the goroutines produce, half consume (minimum one of
-// each), since both phases run the full population.
-func BurstSplit(threads int) (producers, consumers int) {
-	producers = threads / 2
-	if producers < 1 {
-		producers = 1
-	}
-	consumers = threads - producers
-	if consumers < 1 {
-		consumers = 1
-	}
-	return producers, consumers
-}
-
 // runBurstOnce drives one burst/drain cycle against a fresh queue:
 // producers enqueue `burst` values as fast as they can (an unbounded
 // queue absorbs all of them; a bounded one would shed), the peak
@@ -38,7 +23,7 @@ func BurstSplit(threads int) (producers, consumers int) {
 // live ring memory — and how little of it stays once the burst
 // drains.
 func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mops, memMB, fpMB float64, err error) {
-	producers, consumers := BurstSplit(opts.Threads)
+	producers, consumers := EvenSplit(opts.Threads)
 	if cfg.MaxThreads < producers+consumers+1 {
 		cfg.MaxThreads = producers + consumers + 1
 	}

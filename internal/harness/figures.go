@@ -383,7 +383,7 @@ func (f Figure) loadSweep(opts RunOpts) ([]float64, Arrival) {
 // across reps like every other figure.
 func (f Figure) runLoads(opts RunOpts, qs []string) []Point {
 	threads := f.fixedThreads(opts)
-	producers, consumers := OpenLoopSplit(threads)
+	producers, consumers := EvenSplit(threads)
 	loads, arrival := f.loadSweep(opts)
 	var pts []Point
 	for _, name := range qs {
@@ -527,7 +527,7 @@ func (f Figure) Render(w io.Writer, pts []Point, opts RunOpts) {
 	}
 	if len(f.Loads) > 0 {
 		loads, arrival := f.loadSweep(opts)
-		producers, consumers := OpenLoopSplit(f.fixedThreads(opts))
+		producers, consumers := EvenSplit(f.fixedThreads(opts))
 		fmt.Fprintf(w, "Figure %s: %s (%d producers / %d consumers, %s arrivals, %s)\n",
 			f.ID, f.Title, producers, consumers, arrival, f.Mode)
 		io.WriteString(w, FormatLoadPoints(pts, loads, qs))

@@ -248,6 +248,14 @@ func runBatched(h queueapi.Handle, w Workload, perThread int, opts PointOpts, rn
 	}
 }
 
+// EvenSplit derives a producer/consumer split from a total goroutine
+// count: half produce, half consume (minimum one of each). The burst,
+// open-loop and stress workloads and the checker scenario all use it.
+func EvenSplit(threads int) (producers, consumers int) {
+	producers = max(threads/2, 1)
+	return producers, max(threads-producers, 1)
+}
+
 // xorshift is a tiny per-thread PRNG (no allocation, no locks).
 func xorshift(x uint64) uint64 {
 	x ^= x << 13

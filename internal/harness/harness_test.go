@@ -269,17 +269,6 @@ func TestBatchFigureRunAndRender(t *testing.T) {
 	}
 }
 
-func TestBurstSplit(t *testing.T) {
-	for _, c := range []struct{ threads, p, c int }{
-		{1, 1, 1}, {2, 1, 1}, {4, 2, 2}, {7, 3, 4},
-	} {
-		p, cons := BurstSplit(c.threads)
-		if p != c.p || cons != c.c {
-			t.Fatalf("BurstSplit(%d) = (%d, %d), want (%d, %d)", c.threads, p, cons, c.p, c.c)
-		}
-	}
-}
-
 func TestBlockingSplit(t *testing.T) {
 	for _, c := range []struct{ threads, p, c int }{
 		{1, 1, 1}, {2, 1, 1}, {4, 1, 3}, {8, 2, 6}, {72, 18, 54},

@@ -169,26 +169,10 @@ func fullJitter(r uint64, attempt int) time.Duration {
 	return idleSleepBase + time.Duration(r%uint64(ceil-idleSleepBase+1))
 }
 
-// OpenLoopSplit derives the producer/consumer split for the open-loop
-// engine from a total goroutine count: half produce, half consume
-// (minimum one of each), mirroring the pairwise closed-loop workload
-// the capacity calibration runs.
-func OpenLoopSplit(threads int) (producers, consumers int) {
-	producers = threads / 2
-	if producers < 1 {
-		producers = 1
-	}
-	consumers = threads - producers
-	if consumers < 1 {
-		consumers = 1
-	}
-	return producers, consumers
-}
-
 // OpenLoopOpts sizes one open-loop measurement.
 type OpenLoopOpts struct {
 	// Producers and Consumers set the goroutine split (each must be at
-	// least 1; OpenLoopSplit derives them from a thread count).
+	// least 1; EvenSplit derives them from a thread count).
 	Producers int
 	Consumers int
 	// Ops is the total number of transfers across all producers.

@@ -9,13 +9,15 @@ import (
 	"repro/internal/queues"
 )
 
+// TestOpenLoopSplit pins EvenSplit, the split the open-loop engine
+// shares with the burst and stress workloads.
 func TestOpenLoopSplit(t *testing.T) {
 	for _, c := range []struct{ threads, p, c int }{
 		{1, 1, 1}, {2, 1, 1}, {4, 2, 2}, {7, 3, 4},
 	} {
-		p, cons := OpenLoopSplit(c.threads)
+		p, cons := EvenSplit(c.threads)
 		if p != c.p || cons != c.c {
-			t.Fatalf("OpenLoopSplit(%d) = (%d, %d), want (%d, %d)", c.threads, p, cons, c.p, c.c)
+			t.Fatalf("EvenSplit(%d) = (%d, %d), want (%d, %d)", c.threads, p, cons, c.p, c.c)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checker"
 	"repro/internal/queues"
 )
 
@@ -18,17 +19,29 @@ import (
 // composition, an unbounded composition, and a blocking facade.
 var soakQueues = []string{"wCQ", "Sharded", "UWCQ", "Chan"}
 
-func TestSoakConcurrentStress(t *testing.T) {
+// TestSoakCheckerRounds sustains mixed scalar+batch traffic at 8
+// goroutines for 3 s per queue as back-to-back checker rounds, each on
+// a fresh queue, so every round ends in the exactly-once sweep and the
+// per-producer FIFO check.
+func TestSoakCheckerRounds(t *testing.T) {
+	const threads = 8
+	producers, consumers := EvenSplit(threads)
+	cfg := checker.Config{Producers: producers, Consumers: consumers, PerProducer: 5000}
 	for _, name := range soakQueues {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			res, err := ConcurrentStress(name, queues.Config{Capacity: 1 << 10}, StressOpts{
-				Threads: 8, Duration: 3 * time.Second,
-			})
-			if err != nil {
-				t.Fatal(err)
+			start := time.Now()
+			rounds := 0
+			for ; time.Since(start) < 3*time.Second; rounds++ {
+				q, err := queues.New(name, queues.Config{Capacity: 1 << 10, MaxThreads: threads + 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := checker.Run(q, cfg); err != nil {
+					t.Fatalf("round %d: %v", rounds, err)
+				}
 			}
-			t.Logf("%s: %d transfers in %v", name, res.Transfers, res.Elapsed)
+			t.Logf("%s: %d rounds of %d values in %v", name, rounds, producers*cfg.PerProducer, time.Since(start))
 		})
 	}
 }

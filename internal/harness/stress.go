@@ -1,10 +1,11 @@
 // Production-readiness stress tier: long-horizon scenarios that hunt
-// the failure modes figure tables can't show — lost or duplicated
-// values under sustained concurrency, footprint creep across
+// the failure modes figure tables can't show — footprint creep across
 // fill/drain cycles, and livelock under maximum-frequency contention.
-// The scenarios run three ways: scaled-down in the regular test suite,
-// full-length behind the soak build tag (CI's soak-smoke job), and
-// on demand via cmd/wcqstressd -scenario.
+// Lost, duplicated and reordered values under sustained mixed traffic
+// are the checker's job (internal/checker.Run). The scenarios run
+// three ways: scaled-down in the regular test suite, full-length
+// behind the soak build tag (CI's soak-smoke job), and on demand via
+// cmd/wcqstressd -scenario.
 package harness
 
 import (
@@ -21,7 +22,7 @@ import (
 // StressOpts sizes one stress scenario.
 type StressOpts struct {
 	// Threads is the total goroutine count (split half/half into
-	// producers and consumers by OpenLoopSplit; minimum one of each).
+	// producers and consumers by EvenSplit; minimum one of each).
 	Threads int
 	// Duration is how long the scenario sustains load.
 	Duration time.Duration
@@ -62,14 +63,12 @@ type StressResult struct {
 // display order — the keys accepted by RunStress and by
 // cmd/wcqstressd -scenario.
 func StressScenarioNames() []string {
-	return []string{"concurrent_stress", "memory_stress", "high_frequency"}
+	return []string{"memory_stress", "high_frequency"}
 }
 
 // RunStress dispatches a named stress scenario against a queue.
 func RunStress(scenario, name string, cfg queues.Config, opts StressOpts) (StressResult, error) {
 	switch scenario {
-	case "concurrent_stress":
-		return ConcurrentStress(name, cfg, opts)
 	case "memory_stress":
 		return MemoryStress(name, cfg, opts)
 	case "high_frequency":
@@ -96,129 +95,6 @@ func stressConfig(cfg queues.Config, defaultCap uint64, threads int) queues.Conf
 	return cfg
 }
 
-// ConcurrentStress hammers one queue with sustained mixed traffic —
-// scalar and batched enqueues/dequeues from every goroutine at once —
-// and verifies conservation when the dust settles: every value
-// enqueued is dequeued exactly once. Counts and wrapping sums must
-// both match, so neither loss nor duplication nor substitution can
-// hide.
-func ConcurrentStress(name string, cfg queues.Config, opts StressOpts) (StressResult, error) {
-	opts = opts.withDefaults()
-	producers, consumers := OpenLoopSplit(opts.Threads)
-	q, err := queues.New(name, stressConfig(cfg, 1<<12, opts.Threads))
-	if err != nil {
-		return StressResult{}, err
-	}
-
-	var produced, producedSum, consumed, consumedSum atomic.Uint64
-	var prodDone atomic.Bool
-	var prod, cons sync.WaitGroup
-	deadline := time.Now().Add(opts.Duration)
-	start := time.Now()
-
-	for p := 0; p < producers; p++ {
-		h, herr := q.Handle()
-		if herr != nil {
-			return StressResult{}, herr
-		}
-		prod.Add(1)
-		go func(h queueapi.Handle, seed uint64) {
-			defer prod.Done()
-			rng := seed*2654435761 + 1
-			batch := make([]uint64, 16)
-			var count, sum uint64
-			for i := 0; ; i++ {
-				if i&deadlineMask == 0 && time.Now().After(deadline) {
-					break
-				}
-				rng = xorshift(rng)
-				if rng&7 == 0 {
-					// Batched path every eighth round: a random-length
-					// chunk through the native reservation (or the
-					// scalar fallback), retried until fully in.
-					n := int(rng>>8&7) + 2
-					for j := 0; j < n; j++ {
-						rng = xorshift(rng)
-						batch[j] = rng
-						sum += rng
-					}
-					for off := 0; off < n; {
-						k := queueapi.EnqueueBatch(h, batch[off:n])
-						if k == 0 {
-							runtime.Gosched()
-						}
-						off += k
-					}
-					count += uint64(n)
-					continue
-				}
-				for !h.Enqueue(rng) {
-					runtime.Gosched()
-				}
-				count++
-				sum += rng
-			}
-			produced.Add(count)
-			producedSum.Add(sum)
-		}(h, uint64(p)+1)
-	}
-	for c := 0; c < consumers; c++ {
-		h, herr := q.Handle()
-		if herr != nil {
-			return StressResult{}, herr
-		}
-		cons.Add(1)
-		go func(h queueapi.Handle, seed uint64) {
-			defer cons.Done()
-			rng := seed*2654435761 + 1
-			batch := make([]uint64, 16)
-			for {
-				rng = xorshift(rng)
-				got := 0
-				if rng&7 == 0 {
-					n := int(rng>>8&7) + 2
-					got = queueapi.DequeueBatch(h, batch[:n])
-					for j := 0; j < got; j++ {
-						consumedSum.Add(batch[j])
-					}
-					consumed.Add(uint64(got))
-				} else if v, ok := h.Dequeue(); ok {
-					consumedSum.Add(v)
-					consumed.Add(1)
-					got = 1
-				}
-				if got > 0 {
-					continue
-				}
-				// Queue looked empty. Producers publish their counts
-				// before prodDone flips, so once the live consumed
-				// total catches the final produced total there is
-				// nothing left in flight anywhere.
-				if prodDone.Load() && consumed.Load() >= produced.Load() {
-					return
-				}
-				runtime.Gosched()
-			}
-		}(h, uint64(c)+101)
-	}
-
-	prod.Wait()
-	prodDone.Store(true)
-	cons.Wait()
-	elapsed := time.Since(start)
-
-	if produced.Load() != consumed.Load() || producedSum.Load() != consumedSum.Load() {
-		return StressResult{}, fmt.Errorf(
-			"harness: %s conservation violated: produced %d (sum %#x), consumed %d (sum %#x)",
-			name, produced.Load(), producedSum.Load(), consumed.Load(), consumedSum.Load())
-	}
-	return StressResult{
-		Transfers:   consumed.Load(),
-		FootprintMB: footprintMB(q),
-		Elapsed:     elapsed,
-	}, nil
-}
-
 // MemoryStress drives repeated fill/drain cycles and holds every
 // post-drain Footprint() to the steady state observed after the FIRST
 // drain: a queue that retains memory proportionally to traffic (an
@@ -227,7 +103,7 @@ func ConcurrentStress(name string, cfg queues.Config, opts StressOpts) (StressRe
 // warm-up allocation is tolerated by construction.
 func MemoryStress(name string, cfg queues.Config, opts StressOpts) (StressResult, error) {
 	opts = opts.withDefaults()
-	producers, consumers := OpenLoopSplit(opts.Threads)
+	producers, consumers := EvenSplit(opts.Threads)
 	q, err := queues.New(name, stressConfig(cfg, 1<<10, opts.Threads))
 	if err != nil {
 		return StressResult{}, err
@@ -323,7 +199,7 @@ func MemoryStress(name string, cfg queues.Config, opts StressOpts) (StressResult
 // transfer means livelock and fails the scenario.
 func HighFrequency(name string, cfg queues.Config, opts StressOpts) (StressResult, error) {
 	opts = opts.withDefaults()
-	producers, consumers := OpenLoopSplit(opts.Threads)
+	producers, consumers := EvenSplit(opts.Threads)
 	q, err := queues.New(name, stressConfig(cfg, 64, opts.Threads))
 	if err != nil {
 		return StressResult{}, err

@@ -21,8 +21,8 @@ func stressDuration(t *testing.T) time.Duration {
 
 func TestStressScenarioNamesDispatch(t *testing.T) {
 	names := StressScenarioNames()
-	if len(names) != 3 {
-		t.Fatalf("have %d scenarios, want 3", len(names))
+	if len(names) != 2 {
+		t.Fatalf("have %d scenarios, want 2", len(names))
 	}
 	for _, s := range names {
 		s := s
@@ -40,28 +40,8 @@ func TestStressScenarioNamesDispatch(t *testing.T) {
 	}
 	if _, err := RunStress("fork_bomb", "wCQ", queues.Config{}, StressOpts{}); err == nil {
 		t.Fatal("unknown scenario accepted")
-	} else if !strings.Contains(err.Error(), "concurrent_stress") {
+	} else if !strings.Contains(err.Error(), "memory_stress") {
 		t.Fatalf("error does not list the valid scenarios: %v", err)
-	}
-}
-
-func TestConcurrentStressConservation(t *testing.T) {
-	// The conservation check must hold on the bare rings, the sharded
-	// composition, an unbounded queue, and a blocking facade's
-	// nonblocking surface alike.
-	for _, name := range []string{"wCQ", "SCQ", "Sharded", "UWCQ", "Chan"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			res, err := ConcurrentStress(name, queues.Config{Capacity: 512}, StressOpts{
-				Threads: 4, Duration: stressDuration(t),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Transfers == 0 || res.Elapsed <= 0 {
-				t.Fatalf("underfilled result: %+v", res)
-			}
-		})
 	}
 }
 

@@ -53,7 +53,7 @@ type Handle interface {
 // full/empty, and the context variants honor cancellation and
 // deadlines. Send returns ErrClosed once the queue is closed; Recv
 // drains remaining values and then returns ErrClosed. The checker's
-// RunBlocking and the harness's blocking workloads drive queues
+// blocking rounds and the harness's blocking workloads drive queues
 // through this interface.
 type Waitable interface {
 	// Send blocks until v is enqueued or the queue closes.

@@ -1,9 +1,10 @@
 // Cross-implementation conformance suite: every real queue must pass
 // the same MPMC correctness checks (no loss, no duplication,
-// per-producer FIFO, strict SPSC order, full/empty drains).
+// per-producer FIFO, strict 1x1 order, full/empty drains).
 package queues
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/atomicx"
@@ -34,45 +35,37 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestBlockingConformance runs the Chan facades through the checker
-// suite via the queueapi.Waitable adapter: the nonblocking checker
-// (TrySend/TryRecv keep the Queue contract) and the blocking checker
-// (parked Send/Recv with a graceful Close and full drain).
-func TestBlockingConformance(t *testing.T) {
-	for _, name := range BlockingQueues() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			q, err := New(name, testCfg())
-			if err != nil {
-				t.Fatal(err)
+// TestConformance runs every registry queue through the checker's
+// mixed scalar+batch rounds: a 4x4 nonblocking round, a 1x1 round
+// (where per-producer FIFO is strict global FIFO), and for each Chan
+// facade a blocking round — parked Send/SendMany and Recv/RecvMany,
+// then Close and a drain to ErrClosed. The queues with a native
+// queueapi.Batcher exercise their reservation path, the baselines the
+// generic fallback.
+func TestConformance(t *testing.T) {
+	rounds := []struct {
+		name string
+		cfg  checker.Config
+	}{
+		{"mpmc", checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000}},
+		{"1x1", checker.Config{Producers: 1, Consumers: 1, PerProducer: 30000}},
+		{"blocking", checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Blocking: true}},
+	}
+	for _, name := range append(RealQueues(), BlockingQueues()...) {
+		for _, r := range rounds {
+			if r.cfg.Blocking && !slices.Contains(BlockingQueues(), name) {
+				continue
 			}
-			if _, ok := q.(queueapi.Closer); !ok {
-				t.Fatalf("%s does not implement queueapi.Closer", name)
-			}
-			h, err := q.Handle()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := h.(queueapi.Waitable); !ok {
-				t.Fatalf("%s handle does not implement queueapi.Waitable", name)
-			}
-			err = checker.Run(q, checker.Config{
-				Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 256,
+			t.Run(name+"/"+r.name, func(t *testing.T) {
+				q, err := New(name, testCfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := checker.Run(q, r.cfg); err != nil {
+					t.Fatal(err)
+				}
 			})
-			if err != nil {
-				t.Fatalf("nonblocking checker: %v", err)
-			}
-			q2, err := New(name, testCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = checker.RunBlocking(q2, checker.Config{
-				Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 256,
-			})
-			if err != nil {
-				t.Fatalf("blocking checker: %v", err)
-			}
-		})
+		}
 	}
 }
 
@@ -85,8 +78,8 @@ func TestBlockingSlowpathConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = checker.RunBlocking(q, checker.Config{
-		Producers: 2, Consumers: 2, PerProducer: 2000, Capacity: 256,
+	err = checker.Run(q, checker.Config{
+		Producers: 2, Consumers: 2, PerProducer: 2000, Blocking: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,21 +150,6 @@ func TestLCRQUnavailableUnderEmulation(t *testing.T) {
 	}
 }
 
-func TestSPSCOrder(t *testing.T) {
-	for _, name := range RealQueues() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			q, err := New(name, testCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := checker.RunSPSC(q, 30000); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func TestDrainCycles(t *testing.T) {
 	for _, name := range RealQueues() {
 		name := name
@@ -181,24 +159,6 @@ func TestDrainCycles(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := checker.RunDrain(q, 20000); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestMPMCExactlyOnce(t *testing.T) {
-	for _, name := range RealQueues() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			q, err := New(name, testCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = checker.Run(q, checker.Config{
-				Producers: 4, Consumers: 4, PerProducer: 5000, Capacity: 256,
-			})
-			if err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -220,7 +180,7 @@ func TestMPMCEmulatedFAA(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = checker.Run(q, checker.Config{
-				Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 256,
+				Producers: 3, Consumers: 3, PerProducer: 3000,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -242,7 +202,7 @@ func TestMPMCAsymmetric(t *testing.T) {
 					t.Fatal(err)
 				}
 				err = checker.Run(q, checker.Config{
-					Producers: sh.p, Consumers: sh.c, PerProducer: 3000, Capacity: 256,
+					Producers: sh.p, Consumers: sh.c, PerProducer: 3000,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -265,7 +225,7 @@ func TestWCQTinyCapacityContention(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = checker.Run(q, checker.Config{
-				Producers: 3, Consumers: 3, PerProducer: 4000, Capacity: 4,
+				Producers: 3, Consumers: 3, PerProducer: 4000,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -320,31 +280,6 @@ func TestFootprintSemantics(t *testing.T) {
 	}
 }
 
-func TestMPMCBatched(t *testing.T) {
-	// Batched conformance across the whole registry (minus the FAA
-	// pseudo-queue, which is not a real FIFO): the queues with a native
-	// queueapi.Batcher — wCQ, SCQ, Sharded, LSCQ, UWCQ and every Chan
-	// facade — exercise the single-F&A reservation path, the baselines
-	// the generic fallback. RunBatch also asserts the batch atomicity
-	// and partial-success accounting contracts.
-	names := append(append([]string{}, RealQueues()...), BlockingQueues()...)
-	for _, name := range names {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			q, err := New(name, testCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = checker.RunBatch(q, checker.Config{
-				Producers: 3, Consumers: 3, PerProducer: 4000, Capacity: 256,
-			}, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestNativeBatchers pins which registry handles expose the native
 // queueapi.Batcher: every ring-based queue and facade in this
 // repository, i.e. everything but the paper's external baselines.
@@ -363,35 +298,6 @@ func TestNativeBatchers(t *testing.T) {
 		if _, ok := h.(queueapi.Batcher); !ok {
 			t.Errorf("%s handle does not implement queueapi.Batcher", name)
 		}
-	}
-}
-
-// TestBlockingBatchConformance drives every Chan facade through the
-// blocking batch checker: parked SendMany/RecvMany, graceful Close,
-// and the partial batch at close-drain — with every value delivered
-// exactly once.
-func TestBlockingBatchConformance(t *testing.T) {
-	for _, name := range BlockingQueues() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			q, err := New(name, testCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := q.Handle()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := h.(queueapi.BatchWaitable); !ok {
-				t.Fatalf("%s handle does not implement queueapi.BatchWaitable", name)
-			}
-			err = checker.RunBlockingBatch(q, checker.Config{
-				Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 256,
-			}, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -216,7 +216,7 @@ func TestSCQBackend(t *testing.T) {
 	assertCensus(t, opts, false)
 	q := mustNew(t, 64, 4, opts)
 	a := &apiQueue{q: q}
-	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64}); err != nil {
+	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,7 +226,7 @@ func TestCheckerMPMC(t *testing.T) {
 	// the linearizable-per-shard composition property.
 	q := mustNew(t, 256, 16, &sharded.Options{Shards: 4})
 	a := &apiQueue{q: q}
-	if err := checker.Run(a, checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000, Capacity: 256}); err != nil {
+	if err := checker.Run(a, checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -234,7 +234,7 @@ func TestCheckerMPMC(t *testing.T) {
 func TestCheckerBatchedMPMC(t *testing.T) {
 	q := mustNew(t, 256, 16, &sharded.Options{Shards: 4})
 	a := &apiQueue{q: q}
-	if err := checker.RunBatch(a, checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000, Capacity: 256}, 32); err != nil {
+	if err := checker.Run(a, checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000, Batch: 32}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -246,7 +246,7 @@ func TestCheckerSlowPath(t *testing.T) {
 		Core:   &ringcore.Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1},
 	})
 	a := &apiQueue{q: q}
-	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64}); err != nil {
+	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -291,7 +291,7 @@ func TestUnboundedShards(t *testing.T) {
 		t.Fatalf("retained %d B after drain (rest %d B)", got, rest)
 	}
 	a := &apiQueue{q: q}
-	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64}); err != nil {
+	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -299,7 +299,7 @@ func TestUnboundedShards(t *testing.T) {
 func TestUnboundedShardsSCQKind(t *testing.T) {
 	q := mustNew(t, 16, 16, &sharded.Options{Shards: 2, Unbounded: true, Kind: ringcore.KindSCQ})
 	a := &apiQueue{q: q}
-	if err := checker.RunBatch(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Capacity: 64}, 16); err != nil {
+	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000}); err != nil {
 		t.Fatal(err)
 	}
 }
