@@ -4,7 +4,6 @@
 package queues
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/atomicx"
@@ -35,38 +34,88 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestConformance runs every registry queue through the checker's
-// mixed scalar+batch rounds: a 4x4 nonblocking round, a 1x1 round
-// (where per-producer FIFO is strict global FIFO), and for each Chan
-// facade a blocking round — parked Send/SendMany and Recv/RecvMany,
-// then Close and a drain to ErrClosed. The queues with a native
-// queueapi.Batcher exercise their reservation path, the baselines the
-// generic fallback.
-func TestConformance(t *testing.T) {
-	rounds := []struct {
-		name string
-		cfg  checker.Config
-	}{
-		{"mpmc", checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000}},
-		{"1x1", checker.Config{Producers: 1, Consumers: 1, PerProducer: 30000}},
-		{"blocking", checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Blocking: true}},
-	}
-	for _, name := range append(RealQueues(), BlockingQueues()...) {
-		for _, r := range rounds {
-			if r.cfg.Blocking && !slices.Contains(BlockingQueues(), name) {
-				continue
-			}
-			t.Run(name+"/"+r.name, func(t *testing.T) {
+// conformRounds runs one subtest per registry queue in names: build
+// the queue, check that its handle implements want (when non-nil),
+// then run each of the checker's mixed scalar+batch rounds in cfgs on
+// a fresh queue. The queues with a native queueapi.Batcher exercise
+// their reservation path, the baselines the generic fallback.
+func conformRounds(t *testing.T, names []string, want func(queueapi.Handle) bool, cfgs ...checker.Config) {
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			for _, cfg := range cfgs {
 				q, err := New(name, testCfg())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := checker.Run(q, r.cfg); err != nil {
-					t.Fatal(err)
+				if want != nil {
+					h, err := q.Handle()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !want(h) {
+						t.Fatalf("%s handle lacks the blocking surface (%T)", name, h)
+					}
 				}
-			})
+				if err := checker.Run(q, cfg); err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+			}
+		})
+	}
+}
+
+func isWaitable(h queueapi.Handle) bool      { _, ok := h.(queueapi.Waitable); return ok }
+func isBatchWaitable(h queueapi.Handle) bool { _, ok := h.(queueapi.BatchWaitable); return ok }
+
+// The conformance table: each test below is one row of rounds over a
+// slice of the registry.
+
+// TestMPMCExactlyOnce: a 4x4 nonblocking round on every real queue.
+func TestMPMCExactlyOnce(t *testing.T) {
+	conformRounds(t, RealQueues(), nil,
+		checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000})
+}
+
+// TestSPSCOrder: a 1x1 round, where per-producer FIFO is strict
+// global FIFO.
+func TestSPSCOrder(t *testing.T) {
+	conformRounds(t, RealQueues(), nil,
+		checker.Config{Producers: 1, Consumers: 1, PerProducer: 30000})
+}
+
+// TestMPMCBatched: a nonblocking round with long batches (up to 64,
+// a quarter of the test capacity) over the whole registry minus the
+// FAA pseudo-queue, the Chan facades through TrySend/TryRecv.
+func TestMPMCBatched(t *testing.T) {
+	conformRounds(t, append(RealQueues(), BlockingQueues()...), nil,
+		checker.Config{Producers: 3, Consumers: 3, PerProducer: 4000, Batch: 64})
+}
+
+// TestBlockingConformance: every Chan facade is a queueapi.Closer with
+// Waitable handles, and passes both a nonblocking round and a blocking
+// round — parked Send/SendMany and Recv/RecvMany, then Close and a
+// drain to ErrClosed.
+func TestBlockingConformance(t *testing.T) {
+	for _, name := range BlockingQueues() {
+		q, err := New(name, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := q.(queueapi.Closer); !ok {
+			t.Fatalf("%s does not implement queueapi.Closer", name)
 		}
 	}
+	conformRounds(t, BlockingQueues(), isWaitable,
+		checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000},
+		checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Blocking: true})
+}
+
+// TestBlockingBatchConformance: a blocking round with long batches,
+// so SendMany parks mid-batch and the close-drain ends on a partial
+// RecvMany.
+func TestBlockingBatchConformance(t *testing.T) {
+	conformRounds(t, BlockingQueues(), isBatchWaitable,
+		checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Batch: 64, Blocking: true})
 }
 
 func TestBlockingSlowpathConformance(t *testing.T) {
