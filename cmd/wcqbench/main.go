@@ -1,6 +1,9 @@
 // Command wcqbench regenerates the tables behind every figure of the
 // wCQ paper's evaluation (SPAA '22, §6, Figs. 10-12) and the
-// post-paper figures (s1/s2 sharded scale-out, b1 blocking facade).
+// post-paper figures: s1/s2 sharded scale-out, b1 blocking facade, u1
+// unbounded burst/drain, p2 native batch reservation, l1 open-loop
+// latency vs offered load, and w1 blocking throughput and wait ladder
+// vs waiter count.
 //
 // Usage:
 //
@@ -83,13 +86,19 @@ func main() {
 	if *queuesF != "" {
 		opts.Queues = strings.Split(*queuesF, ",")
 	}
-	if opts.Loads, err = clihelper.ParseFloatList(*loadsF); err != nil {
+	loads, err := clihelper.ParseFloatList(*loadsF)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if opts.Waiters, err = clihelper.ParseIntList(*waitersF); err != nil {
+	waiters, err := clihelper.ParseIntList(*waitersF)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	opts.Sweeps = map[harness.Axis][]float64{harness.LoadAxis: loads}
+	for _, n := range waiters {
+		opts.Sweeps[harness.WaitersAxis] = append(opts.Sweeps[harness.WaitersAxis], float64(n))
 	}
 	if *arrivalF != "" {
 		if opts.Arrival, err = harness.ParseArrival(*arrivalF); err != nil {
@@ -136,7 +145,7 @@ func main() {
 			case pt.Batch > 0:
 				// Batch-sweep figures (p2) stamp their own per-point size.
 				bp.Batch = pt.Batch
-			case !f.Blocking && len(f.Bursts) == 0 && len(f.Loads) == 0:
+			case f.Sweep.Axis == harness.ThreadsAxis && !f.Blocking:
 				// The blocking, burst and open-loop workloads ignore
 				// -batch; stamping it here would record a batched run
 				// that never happened.
@@ -164,7 +173,11 @@ func main() {
 			md.WriteString("```\n\n")
 		}
 		if f.Blocking {
-			reportWakeupLatency(f, opts, shared, *latSamp, &md, *record != "")
+			wl := wakeupLatency(f, opts, shared, *latSamp)
+			fmt.Print(wl + "\n")
+			if *record != "" {
+				md.WriteString("```\n" + wl + "```\n\n")
+			}
 		}
 	}
 
@@ -183,12 +196,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		out, err := json.MarshalIndent(jf, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
+		if err := writeJSON(*jsonPath, jf); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -387,17 +395,28 @@ func smokeWait(points []benchfmt.Point) error {
 	return nil
 }
 
-// reportWakeupLatency prints (and optionally records) the parked-Recv
-// wakeup latency for each queue of a blocking figure — the companion
-// metric to figure b1's throughput sweep.
-func reportWakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelper.Flags, samples int, md *strings.Builder, record bool) {
-	names := f.Queues
-	if len(opts.Queues) > 0 {
-		names = opts.Queues
+// writeJSON validates jf against the wcqbench/v1 schema, then writes
+// it to path: a malformed point is refused here rather than landing in
+// a file that only fails later, in a gate that reads it.
+func writeJSON(path string, jf benchfmt.File) error {
+	if err := jf.Validate(); err != nil {
+		return fmt.Errorf("refusing to write %s: %w", path, err)
 	}
+	out, err := json.MarshalIndent(jf, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
+// wakeupLatency measures the parked-Recv wakeup latency of each queue
+// in a blocking figure's line-up (the same line-up Run measured) and
+// returns it as text: the companion metric to figure b1's throughput
+// sweep.
+func wakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelper.Flags, samples int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Wakeup latency (parked Recv -> Send, %d samples, µs):\n", samples)
-	for _, name := range names {
+	for _, name := range f.Lineup(opts) {
 		cfg, err := shared.Config(4)
 		var hist metrics.HistogramSnapshot
 		if err == nil {
@@ -411,8 +430,5 @@ func reportWakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelp
 		fmt.Fprintf(&sb, "%-16s p50 %.1f  p90 %.1f  p99 %.1f  p99.9 %.1f  max %.1f\n",
 			name, us(0.50), us(0.90), us(0.99), us(0.999), float64(hist.Max)/1e3)
 	}
-	fmt.Print(sb.String() + "\n")
-	if record {
-		md.WriteString("```\n" + sb.String() + "```\n\n")
-	}
+	return sb.String()
 }

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/benchfmt"
+	"repro/internal/clihelper"
+	"repro/internal/harness"
 )
 
 // w1Row is one measured w1 point: mean throughput and wait p99.
@@ -83,5 +88,53 @@ func TestSmokeWaitThroughputCliff(t *testing.T) {
 	}
 	if err := smokeWait(w1Points(parkRowsP1[:2])); err == nil {
 		t.Fatal("a run without ChanSharded passed the gate")
+	}
+}
+
+// TestWakeupLatencyUsesFigureLineup: -queues narrows the wakeup report
+// to the figure's own line-up, as it narrows Run, so a nonblocking
+// queue named on the command line never reaches the blocking probe.
+func TestWakeupLatencyUsesFigureLineup(t *testing.T) {
+	f, err := harness.FigureByID("b1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := wakeupLatency(f, harness.RunOpts{Queues: []string{"wCQ", "Chan"}}, &clihelper.Flags{Capacity: 256}, 2)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "Chan ") || strings.Contains(lines[1], "n/a") {
+		t.Fatalf("wakeup report, want a header and one measured Chan line:\n%s", out)
+	}
+}
+
+// TestWriteJSONValidates: a malformed point is refused before the file
+// is written; a well-formed file is written and reads back valid.
+func TestWriteJSONValidates(t *testing.T) {
+	dir := t.TempDir()
+	bad := benchfmt.New(100, 1)
+	bad.Points = []benchfmt.Point{{Figure: "11b", Queue: "wCQ", Threads: 0}}
+	path := filepath.Join(dir, "bad.json")
+	if err := writeJSON(path, bad); err == nil || !strings.Contains(err.Error(), "thread count") {
+		t.Fatalf("writeJSON(invalid) = %v, want a thread-count validation error", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("invalid results reached disk (stat: %v)", err)
+	}
+
+	good := benchfmt.New(100, 1)
+	good.Points = []benchfmt.Point{{Figure: "11b", Queue: "wCQ", Threads: 1, MopsMin: 1, MopsMean: 2, MopsMax: 3}}
+	path = filepath.Join(dir, "good.json")
+	if err := writeJSON(path, good); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back benchfmt.File
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil || len(back.Points) != 1 {
+		t.Fatalf("written file: %d points, validate %v", len(back.Points), err)
 	}
 }

@@ -35,18 +35,18 @@ func BlockingSplit(threads int) (producers, consumers int) {
 // they finish, and consumers Recv until the drain completes. Each
 // transferred value counts as two operations (send + recv), keeping
 // Mops comparable with the pairwise workload.
-func runBlockingOnce(name string, cfg queues.Config, opts PointOpts) (mops, memMB, fpMB float64, err error) {
+func runBlockingOnce(name string, cfg queues.Config, opts PointOpts) (sample, error) {
 	producers, consumers := BlockingSplit(opts.Threads)
 	if cfg.MaxThreads < producers+consumers+1 {
 		cfg.MaxThreads = producers + consumers + 1
 	}
 	q, err := queues.New(name, cfg)
 	if err != nil {
-		return 0, 0, 0, err
+		return sample{}, err
 	}
 	closer, ok := q.(queueapi.Closer)
 	if !ok {
-		return 0, 0, 0, fmt.Errorf("harness: %s is not a blocking queue (no Close)", name)
+		return sample{}, fmt.Errorf("harness: %s is not a blocking queue (no Close)", name)
 	}
 
 	perProducer := opts.Ops / (2 * producers)
@@ -61,7 +61,7 @@ func runBlockingOnce(name string, cfg queues.Config, opts PointOpts) (mops, memM
 	for p := 0; p < producers; p++ {
 		w, herr := queueapi.WaitableHandle(q)
 		if herr != nil {
-			return 0, 0, 0, herr
+			return sample{}, herr
 		}
 		prod.Add(1)
 		go func(seed uint64, w queueapi.Waitable) {
@@ -80,7 +80,7 @@ func runBlockingOnce(name string, cfg queues.Config, opts PointOpts) (mops, memM
 	for c := 0; c < consumers; c++ {
 		w, herr := queueapi.WaitableHandle(q)
 		if herr != nil {
-			return 0, 0, 0, herr
+			return sample{}, herr
 		}
 		cons.Add(1)
 		go func(w queueapi.Waitable) {
@@ -101,16 +101,16 @@ func runBlockingOnce(name string, cfg queues.Config, opts PointOpts) (mops, memM
 	barrier.Done()
 	prod.Wait()
 	if cerr := closer.Close(); cerr != nil {
-		return 0, 0, 0, cerr
+		return sample{}, cerr
 	}
 	cons.Wait()
 	elapsed := time.Since(start).Seconds()
 	select {
 	case werr := <-errs:
-		return 0, 0, 0, werr
+		return sample{}, werr
 	default:
 	}
-	return stats.Mops(2*producers*perProducer, elapsed), 0, footprintMB(q), nil
+	return sample{mops: stats.Mops(2*producers*perProducer, elapsed), fpMB: footprintMB(q)}, nil
 }
 
 // WakeupLatency measures the blocking facade's parked-wakeup latency:

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,14 +21,14 @@ import (
 // trade the unbounded queues make — absorb any burst, pay for it in
 // live ring memory — and how little of it stays once the burst
 // drains.
-func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mops, memMB, fpMB float64, err error) {
+func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (sample, error) {
 	producers, consumers := EvenSplit(opts.Threads)
 	if cfg.MaxThreads < producers+consumers+1 {
 		cfg.MaxThreads = producers + consumers + 1
 	}
 	q, err := queues.New(name, cfg)
 	if err != nil {
-		return 0, 0, 0, err
+		return sample{}, err
 	}
 
 	perProducer := burst / producers
@@ -44,7 +43,7 @@ func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mo
 	for p := 0; p < producers; p++ {
 		h, herr := q.Handle()
 		if herr != nil {
-			return 0, 0, 0, herr
+			return sample{}, herr
 		}
 		wg.Add(1)
 		go func(seed uint64, h queueapi.Handle) {
@@ -67,14 +66,14 @@ func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mo
 
 	// The whole burst is live right now: this is the figure's memory
 	// axis — peak retained bytes as a function of burst size.
-	memMB = float64(q.Footprint()) / (1 << 20)
+	peakMB := float64(q.Footprint()) / (1 << 20)
 
 	var dg sync.WaitGroup
 	var drained atomic.Int64
 	for c := 0; c < consumers; c++ {
 		h, herr := q.Handle()
 		if herr != nil {
-			return 0, 0, 0, herr
+			return sample{}, herr
 		}
 		dg.Add(1)
 		go func(h queueapi.Handle) {
@@ -93,33 +92,5 @@ func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (mo
 	// Post-drain retention: with the burst gone, Footprint shows what
 	// the queue keeps (one live ring plus any handle's spare) — the
 	// bounded-memory half of the story.
-	return stats.Mops(2*total, elapsed), memMB, footprintMB(q), nil
-}
-
-// FormatBurstPoints renders a burst figure's results: one row per
-// burst size, and per queue a throughput and a peak-memory column —
-// both axes of the absorb-vs-retain trade in one table.
-func FormatBurstPoints(pts []Point, bursts []int, queueNames []string) string {
-	byKey := map[string]Point{}
-	for _, p := range pts {
-		byKey[fmt.Sprintf("%s/%d", p.Queue, p.Burst)] = p
-	}
-	out := "burst"
-	for _, q := range queueNames {
-		out += fmt.Sprintf("\t%s Mops\t%s peakMB", q, q)
-	}
-	out += "\n"
-	for _, b := range bursts {
-		out += fmt.Sprintf("%d", b)
-		for _, q := range queueNames {
-			p, ok := byKey[fmt.Sprintf("%s/%d", q, b)]
-			if !ok || p.Err != nil {
-				out += "\tn/a\tn/a"
-				continue
-			}
-			out += fmt.Sprintf("\t%.3f\t%.3f", p.Mops.Mean, p.MemoryMB)
-		}
-		out += "\n"
-	}
-	return out
+	return sample{mops: stats.Mops(2*total, elapsed), memMB: peakMB, fpMB: footprintMB(q)}, nil
 }

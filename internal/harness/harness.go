@@ -1,7 +1,8 @@
 // Package harness reproduces the wCQ paper's benchmark framework
 // (§6, originally the YMC test framework extended with SCQ, CRTurn and
-// wCQ): workload generators, thread sweeps, throughput and memory
-// measurement, and one runner per figure of the evaluation.
+// wCQ): workload generators, throughput and memory measurement, and
+// one sweep engine that runs and renders every figure of the
+// evaluation as a line-up of queues along one axis.
 //
 // Differences from the paper's testbed are confined to this package
 // and documented in ARCHITECTURE.md: goroutines instead of pinned pthreads,
@@ -10,7 +11,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -70,9 +70,9 @@ type PointOpts struct {
 	Blocking bool
 }
 
-// Point is one (queue, thread-count) measurement. Burst figures key
-// points by (queue, burst size) and batch figures by (queue, batch
-// size) instead, at a fixed thread count.
+// Point is one (queue, sweep value) measurement. Threads is the swept
+// thread or waiter count, or the fixed count of a burst, batch or load
+// sweep, whose value Burst, Batch or Load carries.
 type Point struct {
 	Queue    string
 	Threads  int
@@ -103,24 +103,38 @@ type Point struct {
 
 // RunPoint measures one queue at one thread count.
 func RunPoint(name string, cfg queues.Config, w Workload, opts PointOpts) Point {
-	pt := Point{Queue: name, Threads: opts.Threads}
-	if opts.Reps <= 0 {
-		opts.Reps = 1
-	}
-	mops := make([]float64, 0, opts.Reps)
-	for rep := 0; rep < opts.Reps; rep++ {
-		m, mem, fp, err := runOnce(name, cfg, w, opts)
+	return repeat(Point{Queue: name, Threads: opts.Threads}, opts.Reps, func() (sample, error) {
+		return runOnce(name, cfg, w, opts)
+	})
+}
+
+// sample is one rep's measurement of a point.
+type sample struct {
+	mops, memMB, fpMB float64
+	offeredMops       float64
+	latency           metrics.HistogramSnapshot
+}
+
+// repeat is the rep loop every point runs through: it calls the
+// point's one-rep measurement reps times (at least once) and folds the
+// samples into pt. Mops is summarized across reps, memory and
+// footprint keep their maxima, and latency histograms merge (tails
+// want samples, not averages). The first failing rep sets pt.Err and
+// ends the point.
+func repeat(pt Point, reps int, once func() (sample, error)) Point {
+	reps = max(reps, 1)
+	mops := make([]float64, 0, reps)
+	for rep := 0; rep < reps; rep++ {
+		s, err := once()
 		if err != nil {
 			pt.Err = err
 			return pt
 		}
-		mops = append(mops, m)
-		if mem > pt.MemoryMB {
-			pt.MemoryMB = mem
-		}
-		if fp > pt.FootprintMB {
-			pt.FootprintMB = fp
-		}
+		mops = append(mops, s.mops)
+		pt.MemoryMB = max(pt.MemoryMB, s.memMB)
+		pt.FootprintMB = max(pt.FootprintMB, s.fpMB)
+		pt.OfferedMops = s.offeredMops
+		pt.Latency.Merge(s.latency)
 	}
 	pt.Mops = stats.Summarize(mops)
 	return pt
@@ -130,7 +144,7 @@ func RunPoint(name string, cfg queues.Config, w Workload, opts PointOpts) Point 
 func footprintMB(q queueapi.Queue) float64 { return float64(q.Footprint()) / (1 << 20) }
 
 // runOnce builds a fresh queue and drives one timed run.
-func runOnce(name string, cfg queues.Config, w Workload, opts PointOpts) (mops, memMB, fpMB float64, err error) {
+func runOnce(name string, cfg queues.Config, w Workload, opts PointOpts) (sample, error) {
 	if opts.Blocking {
 		return runBlockingOnce(name, cfg, opts)
 	}
@@ -139,7 +153,7 @@ func runOnce(name string, cfg queues.Config, w Workload, opts PointOpts) (mops, 
 	}
 	q, err := queues.New(name, cfg)
 	if err != nil {
-		return 0, 0, 0, err
+		return sample{}, err
 	}
 
 	var baseline runtime.MemStats
@@ -160,7 +174,7 @@ func runOnce(name string, cfg queues.Config, w Workload, opts PointOpts) (mops, 
 	for t := 0; t < opts.Threads; t++ {
 		h, herr := q.Handle()
 		if herr != nil {
-			return 0, 0, 0, herr
+			return sample{}, herr
 		}
 		wg.Add(1)
 		go func(seed uint64) {
@@ -199,6 +213,7 @@ func runOnce(name string, cfg queues.Config, w Workload, opts PointOpts) (mops, 
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
+	s := sample{mops: stats.Mops(opts.Ops, elapsed), fpMB: footprintMB(q)}
 	if opts.Memory {
 		peak := sampler.stop()
 		var heapMB float64
@@ -207,9 +222,9 @@ func runOnce(name string, cfg queues.Config, w Workload, opts PointOpts) (mops, 
 		}
 		// Cumulative static/ring allocation (wCQ/SCQ: fixed; LCRQ/YMC:
 		// grows with closed rings / segments) plus dynamic heap growth.
-		memMB = float64(q.Footprint())/(1<<20) + heapMB
+		s.memMB = float64(q.Footprint())/(1<<20) + heapMB
 	}
-	return stats.Mops(opts.Ops, elapsed), memMB, footprintMB(q), nil
+	return s, nil
 }
 
 // runBatched is the batched twin of the scalar workload loop: the
@@ -311,35 +326,4 @@ func (s *memSampler) stop() uint64 {
 		s.peak.Store(ms.HeapAlloc)
 	}
 	return s.peak.Load()
-}
-
-// FormatPoints renders a figure's results as the table the paper plots:
-// one row per thread count, one column per queue.
-func FormatPoints(pts []Point, threads []int, queueNames []string, memory bool) string {
-	cell := func(p Point) string {
-		if p.Err != nil {
-			return "n/a"
-		}
-		if memory {
-			return fmt.Sprintf("%.2f", p.MemoryMB)
-		}
-		return fmt.Sprintf("%.3f", p.Mops.Mean)
-	}
-	byKey := map[string]Point{}
-	for _, p := range pts {
-		byKey[fmt.Sprintf("%s/%d", p.Queue, p.Threads)] = p
-	}
-	out := "threads"
-	for _, q := range queueNames {
-		out += fmt.Sprintf("\t%s", q)
-	}
-	out += "\n"
-	for _, t := range threads {
-		out += fmt.Sprintf("%d", t)
-		for _, q := range queueNames {
-			out += "\t" + cell(byKey[fmt.Sprintf("%s/%d", q, t)])
-		}
-		out += "\n"
-	}
-	return out
 }

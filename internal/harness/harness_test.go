@@ -59,8 +59,12 @@ func TestFiguresComplete(t *testing.T) {
 		if f.ID != want[i] {
 			t.Fatalf("figure %d is %q, want %q", i, f.ID, want[i])
 		}
-		if len(f.Threads) == 0 || len(f.Queues) == 0 {
+		if len(f.Sweep.Values) == 0 || len(f.Queues) == 0 {
 			t.Fatalf("figure %s underspecified", f.ID)
+		}
+		// Burst, batch and load sweeps run at one fixed thread count.
+		if fixed := f.Sweep.Axis != ThreadsAxis && f.Sweep.Axis != WaitersAxis; fixed != (f.Threads > 0) {
+			t.Fatalf("figure %s: %s sweep with fixed thread count %d", f.ID, f.Sweep.Axis, f.Threads)
 		}
 	}
 	// PowerPC figures must use emulation and exclude LCRQ.
@@ -150,7 +154,7 @@ func TestBurstFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Bursts) == 0 {
+	if f.Sweep.Axis != BurstAxis || len(f.Sweep.Values) == 0 {
 		t.Fatal("figure u1 has no burst sweep")
 	}
 	for _, name := range []string{"LSCQ", "UWCQ", "ChanUnbounded"} {
@@ -170,17 +174,17 @@ func TestBurstFigure(t *testing.T) {
 	for _, name := range f.Queues {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			mops, memMB, fpMB, err := runBurstOnce(name, cfg, 2048, PointOpts{Threads: 4})
+			s, err := runBurstOnce(name, cfg, 2048, PointOpts{Threads: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mops <= 0 {
+			if s.mops <= 0 {
 				t.Fatal("no throughput measured")
 			}
-			if memMB <= 0 {
+			if s.memMB <= 0 {
 				t.Fatal("no peak footprint measured (unbounded Footprint must be live)")
 			}
-			if fpMB <= 0 {
+			if s.fpMB <= 0 {
 				t.Fatal("no post-drain footprint measured")
 			}
 		})
@@ -192,7 +196,7 @@ func TestBurstFigureRunAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Bursts = []int{256, 512} // scale the sweep down for CI
+	f.Sweep.Values = []float64{256, 512} // scale the sweep down for CI
 	opts := RunOpts{Reps: 1, Queues: []string{"LSCQ"}, Capacity: 16}
 	pts := f.Run(opts)
 	if len(pts) != 2 {
@@ -219,10 +223,10 @@ func TestBatchFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Batches) == 0 {
+	if f.Sweep.Axis != BatchAxis || len(f.Sweep.Values) == 0 {
 		t.Fatal("figure p2 has no batch sweep")
 	}
-	if f.Batches[0] != 1 {
+	if f.Sweep.Values[0] != 1 {
 		t.Fatal("figure p2 must include the scalar baseline (batch 1)")
 	}
 	for _, name := range []string{"wCQ", "SCQ", "Sharded", "UWCQ"} {
@@ -243,7 +247,7 @@ func TestBatchFigureRunAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Batches = []int{1, 8} // scale the sweep down for CI
+	f.Sweep.Values = []float64{1, 8} // scale the sweep down for CI
 	opts := RunOpts{Ops: 4000, Reps: 1, Queues: []string{"wCQ"}, Capacity: 1 << 10}
 	pts := f.Run(opts)
 	if len(pts) != 2 {
@@ -308,7 +312,7 @@ func TestWaiterFigureRunAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := RunOpts{Ops: 4000, Reps: 1, Waiters: []int{8}}
+	opts := RunOpts{Ops: 4000, Reps: 1, Sweeps: map[Axis][]float64{WaitersAxis: {8}}}
 	pts := f.Run(opts)
 	if len(pts) != len(f.Queues) {
 		t.Fatalf("got %d points, want one per queue (%d)", len(pts), len(f.Queues))
@@ -324,8 +328,20 @@ func TestWaiterFigureRunAndRender(t *testing.T) {
 	var sb strings.Builder
 	f.Render(&sb, pts, opts)
 	out := sb.String()
-	if !strings.Contains(out, "Figure w1") || !strings.Contains(out, "waiters") || !strings.Contains(out, "ChanSharded\t8\t") {
+	// One row per waiter count; each queue gets Mops/s and the wait
+	// p50/p99/max columns, and the measured 8-waiter row fills all 8.
+	if !strings.Contains(out, "Figure w1") || !strings.Contains(out, "\nwaiters\tChan Mops/s\t") ||
+		!strings.Contains(out, "\tChanSharded Mops/s\tChanSharded wait p50(µs)\tChanSharded wait p99(µs)\tChanSharded wait max(µs)\n") {
 		t.Fatalf("waiter render malformed:\n%s", out)
+	}
+	row := ""
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "8\t") {
+			row = line
+		}
+	}
+	if cells := strings.Split(row, "\t"); len(cells) != 9 || strings.Contains(row, "n/a") {
+		t.Fatalf("waiter render has no full 8-waiter row:\n%s", out)
 	}
 }
 
@@ -364,9 +380,10 @@ func TestWakeupLatencyRejectsNonBlockingQueue(t *testing.T) {
 }
 
 func TestFormatPointsNA(t *testing.T) {
-	pts := []Point{{Queue: "LCRQ", Threads: 1, Err: errFake}}
-	out := FormatPoints(pts, []int{1}, []string{"LCRQ"}, false)
-	if !strings.Contains(out, "n/a") {
+	f := Figure{ID: "t", Queues: []string{"LCRQ"}, Sweep: Sweep{ThreadsAxis, []float64{1}}}
+	var sb strings.Builder
+	f.Render(&sb, []Point{{Queue: "LCRQ", Threads: 1, Err: errFake}}, RunOpts{})
+	if out := sb.String(); !strings.HasSuffix(out, "\nthreads\tLCRQ\n1\tn/a\n") {
 		t.Fatalf("missing n/a cell: %q", out)
 	}
 }
@@ -386,13 +403,5 @@ func TestXorshiftNonDegenerate(t *testing.T) {
 			t.Fatalf("cycle after %d steps", i)
 		}
 		seen[x] = true
-	}
-}
-
-func TestSortPoints(t *testing.T) {
-	pts := []Point{{Queue: "b", Threads: 2}, {Queue: "a", Threads: 4}, {Queue: "a", Threads: 1}}
-	SortPoints(pts)
-	if pts[0].Queue != "a" || pts[0].Threads != 1 || pts[2].Queue != "b" {
-		t.Fatalf("bad order: %+v", pts)
 	}
 }

@@ -203,8 +203,8 @@ func TestLoadFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Loads) < 4 {
-		t.Fatalf("figure l1 sweeps %d loads, want at least 4", len(f.Loads))
+	if f.Sweep.Axis != LoadAxis || len(f.Sweep.Values) < 4 {
+		t.Fatalf("figure l1 sweeps %d loads, want at least 4", len(f.Sweep.Values))
 	}
 	if f.Arrival != Poisson {
 		t.Fatal("figure l1 must default to Poisson arrivals")
@@ -213,7 +213,7 @@ func TestLoadFigure(t *testing.T) {
 		t.Fatalf("figure l1 has %d queues, want at least 5", len(f.Queues))
 	}
 	sawKnee := false
-	for _, load := range f.Loads {
+	for _, load := range f.Sweep.Values {
 		if load > 1 {
 			sawKnee = true
 		}
@@ -239,7 +239,7 @@ func TestLoadFigureRunAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Loads = []float64{0.5} // scale the sweep down for CI
+	f.Sweep.Values = []float64{0.5} // scale the sweep down for CI
 	opts := RunOpts{Ops: 3000, Reps: 1, Queues: []string{"Chan", "wCQ"}}
 	pts := f.Run(opts)
 	if len(pts) != 2 {

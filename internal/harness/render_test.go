@@ -18,30 +18,15 @@ var updateGolden = flag.Bool("update", false, "rewrite the render goldens under 
 // second sweep value) and marks one point errored (the last queue at
 // the first sweep value).
 func synthPoints(f Figure) []Point {
-	var xs []float64
+	xs := f.Sweep.Values
 	point := func(q string, x float64) Point { return Point{Queue: q, Threads: int(x)} }
-	switch {
-	case len(f.Bursts) > 0:
-		for _, b := range f.Bursts {
-			xs = append(xs, float64(b))
-		}
-		point = func(q string, x float64) Point { return Point{Queue: q, Threads: f.Threads[0], Burst: int(x)} }
-	case len(f.Batches) > 0:
-		for _, b := range f.Batches {
-			xs = append(xs, float64(b))
-		}
-		point = func(q string, x float64) Point { return Point{Queue: q, Threads: f.Threads[0], Batch: int(x)} }
-	case len(f.Loads) > 0:
-		xs = f.Loads
-		point = func(q string, x float64) Point { return Point{Queue: q, Threads: f.Threads[0], Load: x} }
-	case len(f.Waiters) > 0:
-		for _, n := range f.Waiters {
-			xs = append(xs, float64(n))
-		}
-	default:
-		for _, th := range f.Threads {
-			xs = append(xs, float64(th))
-		}
+	switch f.Sweep.Axis {
+	case BurstAxis:
+		point = func(q string, x float64) Point { return Point{Queue: q, Threads: f.Threads, Burst: int(x)} }
+	case BatchAxis:
+		point = func(q string, x float64) Point { return Point{Queue: q, Threads: f.Threads, Batch: int(x)} }
+	case LoadAxis:
+		point = func(q string, x float64) Point { return Point{Queue: q, Threads: f.Threads, Load: x} }
 	}
 	var pts []Point
 	for qi, q := range f.Queues {
