@@ -74,13 +74,10 @@ func newCRQ(order uint) *crq {
 		cells:   make([]atomic.Uint64, size),
 		vals:    make([]atomic.Uint64, size),
 	}
-	cells := atomicx.Prepublish(c.cells)
-	for i := range cells {
-		// Unoccupied, safe, and carrying the first ticket that maps to
-		// this cell: tickets reach cells through ring.Remap, so cell p
-		// first serves ticket ring.Unmap(p), not ticket p.
-		cells[i] = cellSafeBit | ring.Unmap(uint64(i), order)
-	}
+	// Every cell unoccupied, safe, and carrying the first ticket that
+	// maps to it: tickets reach cells through ring.Remap, so cell p
+	// first serves ticket ring.Unmap(p), not ticket p.
+	ring.Seed(atomicx.Prepublish(c.cells), order, cellSafeBit, size, 0)
 	return c
 }
 

@@ -121,7 +121,7 @@ func TestConcurrentSmoke(t *testing.T) {
 func TestNewCRQMatchesStores(t *testing.T) {
 	// The constructor's plain writes must leave the cells the per-cell
 	// Store loop it replaced left.
-	for _, order := range []uint{1, 2, 4, DefaultRingOrder} {
+	for _, order := range []uint{1, 2, 3, 4, DefaultRingOrder} {
 		got := newCRQ(order)
 		want := make([]atomic.Uint64, 1<<order)
 		for i := range want {

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -114,5 +115,56 @@ func TestRemapLineReuseDistance(t *testing.T) {
 	}
 	if want := uint64(1) << (order - EntriesPerLineShift); minDist < want {
 		t.Fatalf("cache line reused after %d steps, want >= %d", minDist, want)
+	}
+}
+
+// seedRef is the per-slot loop Seed replaced: every slot asks Unmap
+// which position it holds.
+func seedRef(dst []uint64, order uint, base, limit, rest uint64) {
+	for p := range dst {
+		if i := Unmap(uint64(p), order); i < limit {
+			dst[p] = base | i
+		} else {
+			dst[p] = rest
+		}
+	}
+}
+
+func TestSeedMatchesUnmap(t *testing.T) {
+	const base, rest = 3 << 40, 0xdead
+	for order := uint(1); order <= 16; order++ {
+		n := uint64(1) << order
+		// n/2 is the free-index ring (wCQ, SCQ), n the LCRQ cells; the
+		// others cut a line pattern part way through the lines.
+		for _, limit := range []uint64{n / 2, n, 0, 1, n/2 + 3, n - 1} {
+			got, want := make([]uint64, n), make([]uint64, n)
+			Seed(got, order, base, limit, rest)
+			seedRef(want, order, base, limit, rest)
+			for p := range want {
+				if got[p] != want[p] {
+					t.Fatalf("order %d limit %d: slot %d = %#x, want %#x", order, limit, p, got[p], want[p])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSeed seeds the free-index rings of capacity 2^10 and 2^16
+// (2^11 and 2^17 slots), against the per-slot loop it replaced.
+func BenchmarkSeed(b *testing.B) {
+	for _, order := range []uint{11, 17} {
+		n := uint64(1) << order
+		dst := make([]uint64, n)
+		for _, c := range []struct {
+			name string
+			seed func([]uint64, uint, uint64, uint64, uint64)
+		}{{"lines", Seed}, {"unmap", seedRef}} {
+			b.Run(fmt.Sprintf("%s/order=%d", c.name, order), func(b *testing.B) {
+				b.SetBytes(int64(n * 8))
+				for b.Loop() {
+					c.seed(dst, order, 1<<40, n/2, 7)
+				}
+			})
+		}
 	}
 }

@@ -37,7 +37,7 @@ func storeBuilt(t *testing.T, capacity uint64, mode atomicx.Mode, full bool) *Ri
 
 func TestNewRingMatchesStores(t *testing.T) {
 	for _, mode := range []atomicx.Mode{atomicx.NativeFAA, atomicx.EmulatedFAA, atomicx.CountingFAA} {
-		for _, c := range []uint64{2, 8, 1024, 1 << 16} {
+		for _, c := range []uint64{2, 4, 8, 1024, 1 << 16} {
 			for _, full := range []bool{false, true} {
 				build := NewRing
 				if full {

@@ -79,24 +79,16 @@ func NewRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
 // state directly, which is exactly what capacity single-threaded
 // enqueues leave, without their per-index F&A and CAS: index i at Tail
 // ticket nSlots+i (cycle 1, safe), every other slot empty, Tail just
-// past the last index, Threshold armed. Each slot is written once, in
-// physical order, with a plain store before the ring is published.
+// past the last index, Threshold armed. ring.Seed writes the slots a
+// cache line at a time, with plain stores before the ring is published.
 func NewFullRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
 	q, err := newRing(capacity, mode)
 	if err != nil {
 		return nil, err
 	}
-	order := q.order // hoisted: loop-invariant (//wfq:stable)
 	empty := q.pack(0, 1, q.bottom)
 	index0 := q.pack(1, 1, 0) // Index is the low field: entry i is index0 | i
-	ents := atomicx.Prepublish(q.entries)
-	for p := range ents {
-		if i := ring.Unmap(uint64(p), order); i < capacity {
-			ents[p] = index0 | i
-		} else {
-			ents[p] = empty
-		}
-	}
+	ring.Seed(atomicx.Prepublish(q.entries), q.order, index0, capacity, empty)
 	q.tail.Store(q.nSlots + capacity)
 	q.threshold.Store(q.thresh3)
 	return q, nil

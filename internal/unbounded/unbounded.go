@@ -134,6 +134,12 @@ type Handle[T any] struct {
 	// every registration the handle still needs, for the misses.
 	tail, head cachedView[T]
 	views      map[ringcore.Core[T]]ringcore.Handle[T]
+	// keep is prune's set of rings that can recur, empty between
+	// prunes. A fresh registration prunes once views holds more than
+	// pruneAt; prunes counts the prunes run.
+	keep    map[ringcore.Core[T]]struct{}
+	pruneAt int
+	prunes  int
 	// spare is a ring this handle built for a turnover but did not
 	// link, emptied again and kept for its next turnover; nil when it
 	// has none. No other handle has seen it.
@@ -188,9 +194,11 @@ func (q *Queue[T]) Handle() (*Handle[T], error) {
 		return nil, fmt.Errorf("unbounded: handle census exhausted (maxThreads %d)", q.maxHandles)
 	}
 	return &Handle[T]{
-		q:      q,
-		stripe: uint(n-1) % enqStripes,
-		views:  make(map[ringcore.Core[T]]ringcore.Handle[T]),
+		q:       q,
+		stripe:  uint(n-1) % enqStripes,
+		views:   make(map[ringcore.Core[T]]ringcore.Handle[T]),
+		keep:    make(map[ringcore.Core[T]]struct{}),
+		pruneAt: minPruneViews,
 	}, nil
 }
 
@@ -251,12 +259,15 @@ func (h *Handle[T]) view(c *cachedView[T], r ringcore.Core[T]) ringcore.Handle[T
 	return h.miss(c, r)
 }
 
+// minPruneViews is the fewest views a handle holds before it prunes.
+const minPruneViews = 16
+
 // miss finds or creates the view of r and caches it in c. Once more
-// than 16 views are held, a fresh registration prunes the views of
-// rings that can no longer recur, so a handle registers with any given
-// ring at most once — the invariant that keeps wCQ's per-ring census
-// sufficient. Registration cannot fail: Handle caps the handle count at
-// the rings' census.
+// than pruneAt views are held, a fresh registration prunes the views
+// of rings that can no longer recur, so a handle registers with any
+// given ring at most once — the invariant that keeps wCQ's per-ring
+// census sufficient. Registration cannot fail: Handle caps the handle
+// count at the rings' census.
 //
 //wfq:allocok per-ring view cache: registers once per ring generation
 func (h *Handle[T]) miss(c *cachedView[T], r ringcore.Core[T]) ringcore.Handle[T] {
@@ -269,7 +280,7 @@ func (h *Handle[T]) miss(c *cachedView[T], r ringcore.Core[T]) ringcore.Handle[T
 		h.views[r] = v
 	}
 	*c = cachedView[T]{r: r, v: v}
-	if !ok && len(h.views) > 16 {
+	if !ok && len(h.views) > h.pruneAt {
 		h.prune(r)
 	}
 	return v
@@ -282,23 +293,35 @@ func (h *Handle[T]) miss(c *cachedView[T], r ringcore.Core[T]) ringcore.Handle[T
 // before it starts never comes back, and a ring linked after it starts
 // was either never seen by this handle or is r or the spare.
 //
-//wfq:allocok per-ring view cache: runs once per fresh registration past 16 views
+// A prune costs the views it scans plus the live rings it walks, so
+// the next one waits until the handle holds that many views (at least
+// minPruneViews): pruning is amortized O(1) per registration, and
+// while the list grows a handle holds at most max(minPruneViews,
+// 2×live+2) views.
+//
+//wfq:allocok per-ring view cache: keep grows to the longest live list walked
 func (h *Handle[T]) prune(r ringcore.Core[T]) {
-	keep := map[ringcore.Core[T]]bool{r: true, h.spare: true}
+	keep := h.keep
+	keep[r], keep[h.spare] = struct{}{}, struct{}{}
+	walked := 0
 	for n := h.q.head.Load(); n != nil; n = n.next.Load() {
-		keep[n.r] = true
+		keep[n.r] = struct{}{}
+		walked++
 	}
 	for k := range h.views {
-		if !keep[k] {
+		if _, ok := keep[k]; !ok {
 			delete(h.views, k)
 		}
 	}
-	if !keep[h.tail.r] {
+	clear(keep)
+	if _, ok := h.views[h.tail.r]; !ok {
 		h.tail = cachedView[T]{}
 	}
-	if !keep[h.head.r] {
+	if _, ok := h.views[h.head.r]; !ok {
 		h.head = cachedView[T]{}
 	}
+	h.pruneAt = max(minPruneViews, len(h.views)+walked)
+	h.prunes++
 }
 
 // Enqueue appends v and returns true: the queue is never full. When the

@@ -561,6 +561,42 @@ func TestViewCachePrunedAfterGenerations(t *testing.T) {
 	}
 }
 
+func TestPruneAmortizedOverLongBurst(t *testing.T) {
+	// One handle buffers a burst spanning 4096 rings. Each turnover is
+	// a fresh registration, so pruning on every one past 16 views would
+	// walk the whole live list each time: O(R^2) for R rings. Pruning
+	// must instead run O(log R) times, and the handle may hold no more
+	// than about two views per live ring.
+	const ringCap, rings = 4, 4096
+	for name, mk := range makers() {
+		t.Run(name, func(t *testing.T) {
+			q := mk(t, ringCap)
+			h, err := q.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range uint64(rings * ringCap) {
+				h.Enqueue(i)
+				// Nothing is dequeued, so value i sits in ring i/ringCap.
+				if live := int(i/ringCap) + 1; len(h.views) > 2*live+minPruneViews {
+					t.Fatalf("value %d: %d views held over %d live rings", i, len(h.views), live)
+				}
+			}
+			if q.Rings() != rings {
+				t.Fatalf("burst spans %d rings, want %d", q.Rings(), rings)
+			}
+			if h.prunes == 0 || h.prunes > 12 {
+				t.Fatalf("%d prunes over a %d-ring burst, want 1..12", h.prunes, rings)
+			}
+			for i := range uint64(rings * ringCap) {
+				if v, ok := h.Dequeue(); !ok || v != i {
+					t.Fatalf("got (%d,%v), want %d", v, ok, i)
+				}
+			}
+		})
+	}
+}
+
 func TestUWCQCensusSurvivesTurnover(t *testing.T) {
 	// Two handles on a census of two: registering one handle twice with
 	// one ring — a view pruned while its ring could still recur — would
@@ -713,6 +749,32 @@ func TestScalarScratchReleased(t *testing.T) {
 			if h.one[0] != nil {
 				t.Fatal("scalar Dequeue's advance left its value in the scratch")
 			}
+		})
+	}
+}
+
+// BenchmarkBurstEnqueue buffers one burst spanning the given number of
+// 64-value wCQ rings through one handle, and reports the cost per
+// value: a handle's view upkeep must stay flat as the burst grows.
+func BenchmarkBurstEnqueue(b *testing.B) {
+	const ringCap = 64
+	for _, rings := range []int{256, 1024, 4096, 16384} {
+		b.Run(fmt.Sprintf("rings=%d", rings), func(b *testing.B) {
+			n := rings * ringCap
+			for b.Loop() {
+				q, err := New[uint64](ringcore.KindWCQ, ringCap, 1, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				h, err := q.Handle()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := range n {
+					h.Enqueue(uint64(i))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
 		})
 	}
 }

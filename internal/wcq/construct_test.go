@@ -38,7 +38,7 @@ func storeBuilt(t *testing.T, capacity uint64, opts *Options, full bool) *Ring {
 
 func TestNewRingMatchesStores(t *testing.T) {
 	for _, mode := range []atomicx.Mode{atomicx.NativeFAA, atomicx.EmulatedFAA, atomicx.CountingFAA} {
-		for _, c := range []uint64{2, 8, 1024, 1 << 16} {
+		for _, c := range []uint64{2, 4, 8, 1024, 1 << 16} {
 			opts := &Options{Mode: mode}
 			for _, full := range []bool{false, true} {
 				build := NewRing

@@ -2,6 +2,7 @@ package wcq
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/pad"
 )
@@ -46,6 +47,10 @@ type record struct {
 
 	_ pad.Line // keep adjacent records off each other's lines
 }
+
+// recSize is what Footprint charges per record: its size rounded up
+// to whole cache lines (184 B -> 192 B on 64-bit targets).
+const recSize = uint64((unsafe.Sizeof(record{}) + pad.CacheLineSize - 1) &^ (pad.CacheLineSize - 1))
 
 func (r *record) init(tid, helpDelay int) {
 	r.tid = tid

@@ -98,24 +98,16 @@ func NewRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 // which is exactly what capacity single-threaded fast-path enqueues
 // leave, without their per-index F&A and CAS: index i at Tail ticket
 // nSlots+i (cycle 1, safe, enq), every other slot empty, Tail just
-// past the last index, Threshold armed. Each slot is written once, in
-// physical order, with a plain store before the ring is published.
+// past the last index, Threshold armed. ring.Seed writes the slots a
+// cache line at a time, with plain stores before the ring is published.
 func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	q, err := newRing(capacity, maxThreads, opts)
 	if err != nil {
 		return nil, err
 	}
 	l := &q.lay
-	order, empty := l.order, l.initialWord()
 	index0 := l.pack(entry{cycle: 1, safe: true, enq: true}) // Index is the low field: entry i is index0 | i
-	ents := atomicx.Prepublish(q.entries)
-	for p := range ents {
-		if i := ring.Unmap(uint64(p), order); i < capacity {
-			ents[p] = index0 | i
-		} else {
-			ents[p] = empty
-		}
-	}
+	ring.Seed(atomicx.Prepublish(q.entries), l.order, index0, capacity, l.initialWord())
 	q.tail.Store(l.nSlots + capacity)
 	q.threshold.Store(q.thresh3)
 	return q, nil
@@ -174,7 +166,6 @@ func (q *Ring) Cap() uint64 { return q.n }
 //
 //wfq:noalloc
 func (q *Ring) Footprint() uint64 {
-	const recSize = 192 // unsafe.Sizeof(record{}) rounded to lines
 	return uint64(len(q.entries))*8 + uint64(len(q.recs))*recSize + 6*pad.CacheLineSize
 }
 

@@ -5,8 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/atomicx"
+	"repro/internal/pad"
 )
 
 // newTestRing builds a ring with a registered handle, failing the test
@@ -336,6 +338,30 @@ func TestFootprintConstantUnderLoad(t *testing.T) {
 	}
 	if q.Footprint() != f0 {
 		t.Fatalf("footprint changed %d -> %d", f0, q.Footprint())
+	}
+}
+
+func TestRecSizeMatchesRecord(t *testing.T) {
+	// Footprint charges recSize per record: the record rounded up to
+	// whole lines, which must still cover its trailing pad line.
+	size := uint64(unsafe.Sizeof(record{}))
+	if recSize%pad.CacheLineSize != 0 || recSize < size || recSize-size >= pad.CacheLineSize {
+		t.Fatalf("recSize %d is not record's %d B rounded up to %d B lines", recSize, size, pad.CacheLineSize)
+	}
+	var r record
+	if shared := uint64(unsafe.Offsetof(r.seq2)) + 8; size < shared+pad.CacheLineSize {
+		t.Fatalf("record is %d B, its shared fields end at %d B: no pad line after them", size, shared)
+	}
+	// The Fig. 10a footprints assume 192 B records on 64-bit targets.
+	if unsafe.Sizeof(uintptr(0)) == 8 && recSize != 192 {
+		t.Fatalf("recSize %d on a 64-bit target, want 192", recSize)
+	}
+	q, err := NewRing(64, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := q.Footprint(), uint64(128*8+3*recSize+6*pad.CacheLineSize); got != want {
+		t.Fatalf("Footprint = %d, want %d", got, want)
 	}
 }
 
