@@ -71,11 +71,15 @@ const enqStripes = 8
 // every stripe at 0, every enqueuer that found the node open has left,
 // and every later one sees the seal.
 //
-// r, next and sealed are read often but written about once per node;
-// each stripe sits on its own cache line, so enqueuers on different
-// handles never invalidate those reads or each other.
+// seq numbers the nodes in list order, from 0 for the first ring; a
+// node whose seq is below head's is unlinked for good.
+//
+// r, seq, next and sealed are read often but written about once per
+// node; each stripe sits on its own cache line, so enqueuers on
+// different handles never invalidate those reads or each other.
 type node[T any] struct {
 	r      ringcore.Core[T]
+	seq    uint64
 	next   atomic.Pointer[node[T]]
 	sealed atomic.Bool
 	_      pad.Line
@@ -131,15 +135,13 @@ type Handle[T any] struct {
 	stripe uint
 	// tail and head cache the view this handle last used on each side
 	// of the list, so the common case costs one comparison. views holds
-	// every registration the handle still needs, for the misses.
+	// every registration the handle still needs, for the misses, with
+	// the seq of the node that holds its ring.
 	tail, head cachedView[T]
-	views      map[ringcore.Core[T]]ringcore.Handle[T]
-	// keep is prune's set of rings that can recur, empty between
-	// prunes. A fresh registration prunes once views holds more than
-	// pruneAt; prunes counts the prunes run.
-	keep    map[ringcore.Core[T]]struct{}
-	pruneAt int
-	prunes  int
+	views      map[ringcore.Core[T]]seqView[T]
+	// kept is the number of views the last prune kept; prunes counts
+	// the prunes run.
+	kept, prunes int
 	// spare is a ring this handle built for a turnover but did not
 	// link, emptied again and kept for its next turnover; nil when it
 	// has none. No other handle has seen it.
@@ -155,6 +157,12 @@ type Handle[T any] struct {
 type cachedView[T any] struct {
 	r ringcore.Core[T]
 	v ringcore.Handle[T]
+}
+
+// seqView is a registration and the seq of the node holding its ring.
+type seqView[T any] struct {
+	v   ringcore.Handle[T]
+	seq uint64
 }
 
 // New returns an unbounded queue linking rings of the given kind,
@@ -194,11 +202,9 @@ func (q *Queue[T]) Handle() (*Handle[T], error) {
 		return nil, fmt.Errorf("unbounded: handle census exhausted (maxThreads %d)", q.maxHandles)
 	}
 	return &Handle[T]{
-		q:       q,
-		stripe:  uint(n-1) % enqStripes,
-		views:   make(map[ringcore.Core[T]]ringcore.Handle[T]),
-		keep:    make(map[ringcore.Core[T]]struct{}),
-		pruneAt: minPruneViews,
+		q:      q,
+		stripe: uint(n-1) % enqStripes,
+		views:  make(map[ringcore.Core[T]]seqView[T]),
 	}, nil
 }
 
@@ -247,80 +253,95 @@ func (q *Queue[T]) Footprint() uint64 {
 	return f
 }
 
-// view returns this handle's view of r, consulting the one-entry cache
-// c first: a ring the handle used last time on the same side is a
-// pointer comparison away.
+// live returns the number of live rings from the seqs of the list's
+// ends: O(1), and racy like Rings. Tail may lag head by a node.
 //
 //wfq:noalloc
-func (h *Handle[T]) view(c *cachedView[T], r ringcore.Core[T]) ringcore.Handle[T] {
-	if c.r == r {
+func (q *Queue[T]) live() int {
+	t := q.tail.Load().seq
+	h := q.head.Load().seq
+	if t <= h {
+		return 1
+	}
+	return int(t-h) + 1
+}
+
+// view returns this handle's view of n's ring, consulting the
+// one-entry cache c first: a ring the handle used last time on the
+// same side is a pointer comparison away.
+//
+//wfq:noalloc
+func (h *Handle[T]) view(c *cachedView[T], n *node[T]) ringcore.Handle[T] {
+	if c.r == n.r {
 		return c.v
 	}
-	return h.miss(c, r)
+	return h.miss(c, n)
 }
 
-// minPruneViews is the fewest views a handle holds before it prunes.
+// minPruneViews is the most views a handle holds without pruning.
 const minPruneViews = 16
 
-// miss finds or creates the view of r and caches it in c. Once more
-// than pruneAt views are held, a fresh registration prunes the views
-// of rings that can no longer recur, so a handle registers with any
-// given ring at most once — the invariant that keeps wCQ's per-ring
-// census sufficient. Registration cannot fail: Handle caps the handle
-// count at the rings' census.
+// miss finds or creates the view of n's ring, stamps it with n's seq
+// and caches it in c. A fresh registration that leaves the handle
+// holding more than minPruneViews views, and more than twice the
+// views its last prune kept or twice the live rings plus 2, prunes
+// the views of rings that can no longer recur. So a handle registers
+// with any given ring at most once — the invariant that keeps wCQ's
+// per-ring census sufficient. Registration cannot fail: Handle caps
+// the handle count at the rings' census.
 //
 //wfq:allocok per-ring view cache: registers once per ring generation
-func (h *Handle[T]) miss(c *cachedView[T], r ringcore.Core[T]) ringcore.Handle[T] {
-	v, ok := h.views[r]
+func (h *Handle[T]) miss(c *cachedView[T], n *node[T]) ringcore.Handle[T] {
+	e, ok := h.views[n.r]
 	if !ok {
-		var err error
-		if v, err = r.Acquire(); err != nil {
+		v, err := n.r.Acquire()
+		if err != nil {
 			panic("unbounded: ring view registration failed: " + err.Error())
 		}
-		h.views[r] = v
+		e = seqView[T]{v: v, seq: n.seq}
+		h.views[n.r] = e
+	} else if e.seq != n.seq {
+		// The spare, registered for a node that lost the append race,
+		// now rides in a new one.
+		e.seq = n.seq
+		h.views[n.r] = e
 	}
-	*c = cachedView[T]{r: r, v: v}
-	if !ok && len(h.views) > h.pruneAt {
-		h.prune(r)
+	*c = cachedView[T]{r: n.r, v: e.v}
+	if views := len(h.views); !ok && views > minPruneViews &&
+		(views > 2*h.kept || views > 2*h.q.live()+2) {
+		h.prune(n.r)
 	}
-	return v
+	return e.v
 }
 
-// prune drops every view whose ring can no longer recur, from the map
-// and from the cached entries together. A ring recurs only while it is
-// live, is r (being registered, possibly before extend links it), or
-// is this handle's spare. The walk needs no lock: a ring unlinked
-// before it starts never comes back, and a ring linked after it starts
-// was either never seen by this handle or is r or the spare.
+// prune drops, from the map and the cached entries together, every
+// view whose ring can no longer recur: its node's seq is below head's,
+// and it is neither r (being registered, possibly for a node that
+// loses the append race) nor this handle's spare. Head only moves
+// forward, so a node behind it is never reached again.
 //
-// A prune costs the views it scans plus the live rings it walks, so
-// the next one waits until the handle holds that many views (at least
-// minPruneViews): pruning is amortized O(1) per registration, and
-// while the list grows a handle holds at most max(minPruneViews,
-// 2×live+2) views.
+// A prune costs O(views). The trigger in miss makes that amortized
+// O(1) per registration: a prune past twice the last kept count is
+// paid for by the registrations since, and one past twice the live
+// rings plus 2 drops more views than it keeps (it keeps at most the
+// live rings plus r and the spare). After every registration a
+// handle holds at most max(minPruneViews, 2×live+2) views.
 //
-//wfq:allocok per-ring view cache: keep grows to the longest live list walked
+//wfq:allocok per-ring view cache: deletes the views of dead rings
 func (h *Handle[T]) prune(r ringcore.Core[T]) {
-	keep := h.keep
-	keep[r], keep[h.spare] = struct{}{}, struct{}{}
-	walked := 0
-	for n := h.q.head.Load(); n != nil; n = n.next.Load() {
-		keep[n.r] = struct{}{}
-		walked++
-	}
-	for k := range h.views {
-		if _, ok := keep[k]; !ok {
+	head := h.q.head.Load().seq
+	for k, e := range h.views {
+		if e.seq < head && k != r && k != h.spare {
 			delete(h.views, k)
 		}
 	}
-	clear(keep)
 	if _, ok := h.views[h.tail.r]; !ok {
 		h.tail = cachedView[T]{}
 	}
 	if _, ok := h.views[h.head.r]; !ok {
 		h.head = cachedView[T]{}
 	}
-	h.pruneAt = max(minPruneViews, len(h.views)+walked)
+	h.kept = len(h.views)
 	h.prunes++
 }
 
@@ -334,7 +355,7 @@ func (h *Handle[T]) Enqueue(v T) bool {
 	ltail := h.q.tail.Load()
 	enqs := &ltail.enqs[h.stripe%enqStripes].V
 	enqs.Add(1)
-	if !ltail.sealed.Load() && h.view(&h.tail, ltail.r).Enqueue(v) {
+	if !ltail.sealed.Load() && h.view(&h.tail, ltail).Enqueue(v) {
 		enqs.Add(-1)
 		return true
 	}
@@ -360,7 +381,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) int {
 		enqs := &ltail.enqs[h.stripe%enqStripes].V
 		enqs.Add(1)
 		if !ltail.sealed.Load() {
-			if sent += h.view(&h.tail, ltail.r).EnqueueBatch(vs[sent:]); sent == len(vs) {
+			if sent += h.view(&h.tail, ltail).EnqueueBatch(vs[sent:]); sent == len(vs) {
 				enqs.Add(-1)
 				break
 			}
@@ -390,12 +411,14 @@ func (h *Handle[T]) extend(ltail *node[T], vs []T) int {
 		return 0
 	}
 	nr := h.takeRing()
-	nv := h.view(&h.tail, nr)
+	nn := &node[T]{r: nr, seq: ltail.seq + 1} //wfq:ignore hotalloc growth path: one node per ring turnover
+	// Straight to miss, past the cache: a reused spare's view still
+	// carries the seq of the node it failed to join.
+	nv := h.miss(&h.tail, nn)
 	m := nv.EnqueueBatch(vs)
 	if m == 0 {
 		panic("unbounded: fresh ring rejected its seed")
 	}
-	nn := &node[T]{r: nr} //wfq:ignore hotalloc growth path: one node per ring turnover
 	if ltail.next.CompareAndSwap(nil, nn) {
 		q.tail.CompareAndSwap(ltail, nn)
 		q.met.Inc(metrics.RingSeal)
@@ -439,7 +462,7 @@ func (h *Handle[T]) takeRing() ringcore.Core[T] {
 //
 //wfq:noalloc
 func (h *Handle[T]) Dequeue() (v T, ok bool) {
-	if v, ok = h.view(&h.head, h.q.head.Load().r).Dequeue(); ok {
+	if v, ok = h.view(&h.head, h.q.head.Load()).Dequeue(); ok {
 		return v, true
 	}
 	if h.DequeueBatch(h.one[:]) == 0 {
@@ -465,7 +488,7 @@ func (h *Handle[T]) DequeueBatch(out []T) int {
 	filled := 0
 	for filled < len(out) {
 		lhead := q.head.Load()
-		view := h.view(&h.head, lhead.r)
+		view := h.view(&h.head, lhead)
 		if n := view.DequeueBatch(out[filled:]); n > 0 {
 			filled += n
 			continue

@@ -578,7 +578,7 @@ func TestPruneAmortizedOverLongBurst(t *testing.T) {
 			for i := range uint64(rings * ringCap) {
 				h.Enqueue(i)
 				// Nothing is dequeued, so value i sits in ring i/ringCap.
-				if live := int(i/ringCap) + 1; len(h.views) > 2*live+minPruneViews {
+				if live := int(i/ringCap) + 1; len(h.views) > viewBound(live) {
 					t.Fatalf("value %d: %d views held over %d live rings", i, len(h.views), live)
 				}
 			}
@@ -593,6 +593,62 @@ func TestPruneAmortizedOverLongBurst(t *testing.T) {
 					t.Fatalf("got (%d,%v), want %d", v, ok, i)
 				}
 			}
+		})
+	}
+}
+
+// viewBound is the most views a handle may hold after a fresh
+// registration while live rings are linked.
+func viewBound(live int) int { return max(minPruneViews, 2*live+2) }
+
+func TestPruneBoundAcrossDrain(t *testing.T) {
+	// A producer buffers a burst spanning 4096 rings, a consumer drains
+	// it, and the producer goes on through a few more rings. Neither
+	// handle may keep views of dead rings beyond the bound once it
+	// registers again: the consumer, which only ever sees rings as they
+	// die, holds at most minPruneViews; the producer, which held a view
+	// of every ring in the burst, drops them at its next turnover.
+	const ringCap, rings, after = 4, 4096, 64
+	for name, mk := range makers() {
+		t.Run(name, func(t *testing.T) {
+			q := mk(t, ringCap)
+			prod, err := q.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cons, err := q.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, exp := uint64(0), uint64(0)
+			enqueue := func(n int) {
+				for range n {
+					before := len(prod.views)
+					prod.Enqueue(next)
+					next++
+					if len(prod.views) != before && len(prod.views) > viewBound(q.Rings()) {
+						t.Fatalf("producer at value %d: %d views over %d live rings", next, len(prod.views), q.Rings())
+					}
+				}
+			}
+			drain := func() {
+				for exp < next {
+					if v, ok := cons.Dequeue(); !ok || v != exp {
+						t.Fatalf("got (%d,%v), want %d", v, ok, exp)
+					}
+					exp++
+					if len(cons.views) > minPruneViews {
+						t.Fatalf("consumer at value %d: %d views over %d live rings", exp, len(cons.views), q.Rings())
+					}
+				}
+			}
+			enqueue(rings * ringCap)
+			drain()
+			enqueue(after * ringCap)
+			if len(prod.views) > viewBound(q.Rings()) {
+				t.Fatalf("producer after the drain: %d views over %d live rings", len(prod.views), q.Rings())
+			}
+			drain()
 		})
 	}
 }
