@@ -111,6 +111,57 @@ func TestZeroAllocBatchHotPath(t *testing.T) {
 	}
 }
 
+// TestZeroAllocSealedDrain covers the unbounded queues' other dequeue
+// path: a sealed head ring is drained without recycling its indices.
+// One full ring plus one value seals the head ring (the handle's home
+// shard's, for ShardedUnbounded), and every measured dequeue stays
+// inside it.
+func TestZeroAllocSealedDrain(t *testing.T) {
+	const batch = 8
+	for _, name := range []string{"LSCQ", "UWCQ", "ShardedUnbounded"} {
+		for _, mc := range allocConfigs {
+			t.Run(name+"/"+mc.label, func(t *testing.T) {
+				cfg := testCfg()
+				cfg.Metrics = mc.sink()
+				q, err := New(name, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := q.Handle()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, ok := h.(queueapi.Batcher)
+				if !ok {
+					t.Fatalf("%s handle has no native Batcher", name)
+				}
+				for i := uint64(0); i <= uint64(cfg.Capacity); i++ {
+					h.Enqueue(i)
+				}
+				// Warm the path (the first dequeue registers with the head ring).
+				if _, ok := h.Dequeue(); !ok {
+					t.Fatal("warmup Dequeue found nothing")
+				}
+				// 101 scalar dequeues and 11 batches of 8: 189 values,
+				// all from the sealed ring's 256 minus the warmup.
+				allocs := testing.AllocsPerRun(100, func() { h.Dequeue() })
+				if allocs != 0 {
+					t.Fatalf("scalar Dequeue from a sealed ring allocates %.1f objects/op, want 0", allocs)
+				}
+				out := make([]uint64, batch)
+				allocs = testing.AllocsPerRun(10, func() {
+					if b.DequeueBatch(out) != batch {
+						t.Fatal("short batch inside the sealed ring")
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("DequeueBatch from a sealed ring allocates %.1f objects/op, want 0", allocs)
+				}
+			})
+		}
+	}
+}
+
 // TestZeroAllocStatsSnapshot pins the observation side: taking a
 // Stats() snapshot copies fixed-size arrays and must not allocate
 // either, so a scraper can poll a live queue without perturbing it.

@@ -174,14 +174,38 @@ func (h *QueueHandle[T]) Enqueue(v T) bool {
 func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
 	idx, ok := h.aq.Dequeue()
 	if !ok {
-		var zero T
-		return zero, false
+		return v, false
 	}
-	v = h.q.data[idx]
-	var zero T
-	h.q.data[idx] = zero // release references before recycling the slot
+	v = h.move(idx)
 	h.fq.Enqueue(idx)
 	return v, true
+}
+
+// Drain is Dequeue without recycling: the value's index is not handed
+// back to fq, so its slot never takes another value. It is for a queue
+// that takes no more enqueues, such as a sealed ring of the unbounded
+// construction: an Enqueue still in flight on it finds fq empty once
+// every index has been drained, and reports full.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) Drain() (v T, ok bool) {
+	idx, ok := h.aq.Dequeue()
+	if !ok {
+		return v, false
+	}
+	return h.move(idx), true
+}
+
+// move takes the value out of data slot idx, zeroing the slot to
+// release references; Dequeue and Drain differ only in what they then
+// do with idx.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) move(idx uint64) T {
+	v := h.q.data[idx]
+	var zero T
+	h.q.data[idx] = zero
+	return v
 }
 
 // EnqueueBatch appends a prefix of vs in order and returns its length;
@@ -213,14 +237,34 @@ func (h *QueueHandle[T]) DequeueBatch(out []T) int {
 	}
 	buf := h.scratch(len(out))
 	n := h.aq.DequeueBatch(buf)
-	var zero T
-	for j := 0; j < n; j++ {
-		idx := buf[j]
-		out[j] = h.q.data[idx]
-		h.q.data[idx] = zero // release references before recycling the slot
-	}
+	h.moveBatch(out, buf[:n])
 	h.fq.EnqueueBatch(buf[:n])
 	return n
+}
+
+// DrainBatch is DequeueBatch without recycling, as Drain is Dequeue
+// without it.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) DrainBatch(out []T) int {
+	if len(out) == 0 {
+		return 0
+	}
+	buf := h.scratch(len(out))
+	n := h.aq.DequeueBatch(buf)
+	h.moveBatch(out, buf[:n])
+	return n
+}
+
+// moveBatch is move over a run of indices, into a prefix of out.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) moveBatch(out []T, idx []uint64) {
+	var zero T
+	for j, i := range idx {
+		out[j] = h.q.data[i]
+		h.q.data[i] = zero
+	}
 }
 
 // Empty reports that the queue held no value at some instant during

@@ -1,12 +1,17 @@
 // Package ringcore defines the one contract both of the paper's
 // index-ring cores — the wait-free wCQ and the lock-free SCQ — are
-// consumed through, so every composition in this repository (sharded,
-// unbounded linked rings, the queue registry, the blocking facade) is
-// written once against Core/Handle instead of once per core.
+// consumed through, so the sharded queue, the queue registry and the
+// blocking facade are written once against Core/Handle instead of
+// once per core.
 //
 // Both kinds share one payload layer, Queue (payload.go): the paper's
 // Figure 2 data array between a free-index ring and an
 // allocated-index ring, written once over either kind of index ring.
+// The unbounded linked rings and the public wfqueue types hold that
+// concrete *Queue, which is always what New builds, rather than the
+// contract: they call its handles directly, and the unbounded
+// construction also uses QueueHandle's drain-only dequeue, which the
+// contract does not carry.
 //
 // The split between the two interfaces follows who needs what:
 //
@@ -21,8 +26,9 @@
 // served by the registry and the blocking facade with no adapter.
 //
 // A ring has no lifecycle of its own: the unbounded construction seals
-// and drains its list nodes, not the rings, so a drained ring is
-// reused as it stands.
+// its list nodes, not the rings. A sealed node's ring is emptied with
+// Drain, which leaves its indices out of the free-index ring, and is
+// never linked again.
 package ringcore
 
 import (

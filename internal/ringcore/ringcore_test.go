@@ -169,8 +169,7 @@ func TestContractBatch(t *testing.T) {
 }
 
 func TestContractReuseAfterDrain(t *testing.T) {
-	// Rings have no lifecycle: the unbounded construction seals and
-	// drains its list nodes and recycles a drained ring as it stands.
+	// Rings have no lifecycle: Dequeue recycles every index it takes.
 	// So a ring filled to capacity and drained, round after round, must
 	// keep taking values in FIFO order, report full and empty at the
 	// edges, and Empty must read true exactly when every value has been
@@ -205,6 +204,75 @@ func TestContractReuseAfterDrain(t *testing.T) {
 		if !r.Empty() {
 			t.Fatal("drained ring not Empty")
 		}
+	})
+}
+
+func TestPayloadDrainDoesNotRecycle(t *testing.T) {
+	// Drain and DrainBatch hand out values in FIFO order like Dequeue
+	// and DequeueBatch, but keep their indices out of fq: a drained
+	// queue reports full, while one emptied by Dequeue takes a full
+	// load again.
+	fill := func(t *testing.T, h *QueueHandle[uint64]) {
+		t.Helper()
+		for i := uint64(0); i < 4; i++ {
+			if !h.Enqueue(i) {
+				t.Fatalf("enqueue %d failed below capacity", i)
+			}
+		}
+	}
+	drains := map[string]func(h *QueueHandle[uint64]) []uint64{
+		"Drain": func(h *QueueHandle[uint64]) []uint64 {
+			var got []uint64
+			for v, ok := h.Drain(); ok; v, ok = h.Drain() {
+				got = append(got, v)
+			}
+			return got
+		},
+		"DrainBatch": func(h *QueueHandle[uint64]) []uint64 {
+			out := make([]uint64, 8)
+			return out[:h.DrainBatch(out)]
+		},
+	}
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		for name, drain := range drains {
+			t.Run(name, func(t *testing.T) {
+				q := mustNew(t, kind, 4, 1).(*Queue[uint64])
+				h, err := q.Register()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fill(t, h)
+				got := drain(h)
+				if len(got) != 4 {
+					t.Fatalf("drained %d values, want 4", len(got))
+				}
+				for i, v := range got {
+					if v != uint64(i) {
+						t.Fatalf("drained %v, want FIFO order 0..3", got)
+					}
+				}
+				if !q.Empty() {
+					t.Fatal("drained queue not Empty")
+				}
+				if h.Enqueue(9) {
+					t.Fatal("enqueue succeeded after a drain: an index was recycled")
+				}
+			})
+		}
+		t.Run("Dequeue", func(t *testing.T) {
+			q := mustNew(t, kind, 4, 1).(*Queue[uint64])
+			h, err := q.Register()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(t, h)
+			for i := uint64(0); i < 4; i++ {
+				if v, ok := h.Dequeue(); !ok || v != i {
+					t.Fatalf("got (%d,%v), want %d", v, ok, i)
+				}
+			}
+			fill(t, h)
+		})
 	})
 }
 
@@ -290,8 +358,8 @@ func TestContractFootprintConstant(t *testing.T) {
 }
 
 func TestContractReleasesReferences(t *testing.T) {
-	// GC hygiene: a dequeued payload slot must not keep its value
-	// reachable, on the scalar and the batch path alike.
+	// GC hygiene: a dequeued or drained payload slot must not keep its
+	// value reachable, on the scalar and the batch path alike.
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		c, err := New[*int](kind, 4, 1, nil)
 		if err != nil {
@@ -320,6 +388,16 @@ func TestContractReleasesReferences(t *testing.T) {
 			t.Fatalf("DequeueBatch = %d, want %d", n, len(in))
 		}
 		check("DequeueBatch")
+		h.Enqueue(new(int))
+		h.Drain()
+		check("Drain")
+		if n := h.EnqueueBatch(in[:2]); n != 2 {
+			t.Fatalf("EnqueueBatch = %d, want 2", n)
+		}
+		if n := h.DrainBatch(make([]*int, 2)); n != 2 {
+			t.Fatalf("DrainBatch = %d, want 2", n)
+		}
+		check("DrainBatch")
 	})
 }
 

@@ -5,15 +5,25 @@
 // drained nodes. Outer-list operations are rare, so throughput is
 // dominated by the ring operations, as the paper observes.
 //
-// Both variants are one construction: the rings are consumed through
-// the ringcore contract (ringcore.Core / ringcore.Handle), so the
-// kind is a constructor parameter instead of a pair of hand-written
-// adapter stacks, and any future ring kind rides along for free. The
-// composition is itself a ringcore.Core (and its Handle a
+// Both variants are one construction: every ring is the Figure 2
+// payload queue *ringcore.Queue[T] that ringcore.New builds for either
+// kind, so the kind is a constructor parameter instead of a pair of
+// hand-written adapter stacks. The composition holds rings and views
+// as those concrete types, so its calls into a ring are direct, not
+// dispatched through the ringcore.Core / ringcore.Handle interfaces.
+// The composition is itself a ringcore.Core (and its Handle a
 // ringcore.Handle), so the sharded queue, the registry and the
 // blocking facade consume it with no adapter. The rings themselves
 // have no lifecycle: sealing and draining happen on the list node that
 // holds a ring.
+//
+// A sealed node's ring takes no more values, so dequeuers drain it
+// with QueueHandle.Drain / DrainBatch, which leave each index out of
+// the ring's free-index ring instead of recycling it; only the unsealed
+// tail ring recycles. An enqueuer still in flight on a sealed node
+// either finds an index its free-index ring still holds (its value
+// lands and is drained) or finds none and moves on to the successor,
+// as it does on a full ring.
 //
 // No operation reports an error: ring construction and ring
 // registration cannot fail once New and Handle have succeeded, so a
@@ -78,7 +88,7 @@ const enqStripes = 8
 // node; each stripe sits on its own cache line, so enqueuers on
 // different handles never invalidate those reads or each other.
 type node[T any] struct {
-	r      ringcore.Core[T]
+	r      *ringcore.Queue[T]
 	seq    uint64
 	next   atomic.Pointer[node[T]]
 	sealed atomic.Bool
@@ -114,7 +124,7 @@ type Queue[T any] struct {
 	_       pad.Line
 	tail    atomic.Pointer[node[T]]
 	_       pad.Line
-	mk      func() (ringcore.Core[T], error)
+	mk      func() (*ringcore.Queue[T], error)
 	met     *metrics.Sink //wfq:stable nil = disabled; shared with the rings via Options
 	handles atomic.Int64  //wfq:cold registration only
 	spares  atomic.Int64  //wfq:cold spare rings held by handles; changes at turnover only
@@ -138,14 +148,14 @@ type Handle[T any] struct {
 	// every registration the handle still needs, for the misses, with
 	// the seq of the node that holds its ring.
 	tail, head cachedView[T]
-	views      map[ringcore.Core[T]]seqView[T]
+	views      map[*ringcore.Queue[T]]seqView[T]
 	// kept is the number of views the last prune kept; prunes counts
 	// the prunes run.
 	kept, prunes int
 	// spare is a ring this handle built for a turnover but did not
 	// link, emptied again and kept for its next turnover; nil when it
 	// has none. No other handle has seen it.
-	spare ringcore.Core[T]
+	spare *ringcore.Queue[T]
 	// one carries a scalar operation's value through the batch
 	// operation on a miss: into EnqueueBatch when the tail ring turns
 	// over, out of DequeueBatch when the head ring is empty. It is
@@ -155,13 +165,13 @@ type Handle[T any] struct {
 
 // cachedView is one ring and this handle's registration with it.
 type cachedView[T any] struct {
-	r ringcore.Core[T]
-	v ringcore.Handle[T]
+	r *ringcore.Queue[T]
+	v *ringcore.QueueHandle[T]
 }
 
 // seqView is a registration and the seq of the node holding its ring.
 type seqView[T any] struct {
-	v   ringcore.Handle[T]
+	v   *ringcore.QueueHandle[T]
 	seq uint64
 }
 
@@ -179,8 +189,12 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 		}
 		maxHandles = maxThreads
 	}
-	mk := func() (ringcore.Core[T], error) {
-		return ringcore.New[T](kind, ringCap, maxThreads, opts)
+	mk := func() (*ringcore.Queue[T], error) {
+		c, err := ringcore.New[T](kind, ringCap, maxThreads, opts)
+		if err != nil {
+			return nil, err
+		}
+		return c.(*ringcore.Queue[T]), nil
 	}
 	first, err := mk()
 	if err != nil {
@@ -204,7 +218,7 @@ func (q *Queue[T]) Handle() (*Handle[T], error) {
 	return &Handle[T]{
 		q:      q,
 		stripe: uint(n-1) % enqStripes,
-		views:  make(map[ringcore.Core[T]]seqView[T]),
+		views:  make(map[*ringcore.Queue[T]]seqView[T]),
 	}, nil
 }
 
@@ -271,7 +285,7 @@ func (q *Queue[T]) live() int {
 // same side is a pointer comparison away.
 //
 //wfq:noalloc
-func (h *Handle[T]) view(c *cachedView[T], n *node[T]) ringcore.Handle[T] {
+func (h *Handle[T]) view(c *cachedView[T], n *node[T]) *ringcore.QueueHandle[T] {
 	if c.r == n.r {
 		return c.v
 	}
@@ -291,10 +305,10 @@ const minPruneViews = 16
 // the handle count at the rings' census.
 //
 //wfq:allocok per-ring view cache: registers once per ring generation
-func (h *Handle[T]) miss(c *cachedView[T], n *node[T]) ringcore.Handle[T] {
+func (h *Handle[T]) miss(c *cachedView[T], n *node[T]) *ringcore.QueueHandle[T] {
 	e, ok := h.views[n.r]
 	if !ok {
-		v, err := n.r.Acquire()
+		v, err := n.r.Register()
 		if err != nil {
 			panic("unbounded: ring view registration failed: " + err.Error())
 		}
@@ -328,7 +342,7 @@ func (h *Handle[T]) miss(c *cachedView[T], n *node[T]) ringcore.Handle[T] {
 // handle holds at most max(minPruneViews, 2×live+2) views.
 //
 //wfq:allocok per-ring view cache: deletes the views of dead rings
-func (h *Handle[T]) prune(r ringcore.Core[T]) {
+func (h *Handle[T]) prune(r *ringcore.Queue[T]) {
 	head := h.q.head.Load().seq
 	for k, e := range h.views {
 		if e.seq < head && k != r && k != h.spare {
@@ -440,7 +454,7 @@ func (h *Handle[T]) extend(ltail *node[T], vs []T) int {
 // as New built the first one, so its construction cannot fail.
 //
 //wfq:allocok ring turnover: at most once per ringCap values
-func (h *Handle[T]) takeRing() ringcore.Core[T] {
+func (h *Handle[T]) takeRing() *ringcore.Queue[T] {
 	q := h.q
 	if r := h.spare; r != nil {
 		h.spare = nil
@@ -459,10 +473,19 @@ func (h *Handle[T]) takeRing() ringcore.Core[T] {
 // Dequeue removes the oldest value; ok is false when the whole queue
 // is empty. Like Enqueue it probes the current ring once; on a miss
 // (the head ring empty) it is the batch dequeue over a batch of one.
+// A sealed node's ring takes no more values, so its indices are
+// drained instead of recycled (see ringcore.QueueHandle.Drain).
 //
 //wfq:noalloc
 func (h *Handle[T]) Dequeue() (v T, ok bool) {
-	if v, ok = h.view(&h.head, h.q.head.Load()).Dequeue(); ok {
+	lhead := h.q.head.Load()
+	view := h.view(&h.head, lhead)
+	if lhead.sealed.Load() {
+		v, ok = view.Drain()
+	} else {
+		v, ok = view.Dequeue()
+	}
+	if ok {
 		return v, true
 	}
 	if h.DequeueBatch(h.one[:]) == 0 {
@@ -481,6 +504,7 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 // batch. It returns how many values were written; 0 means the whole
 // queue appeared empty. A batch cut short by a ring whose producers
 // are still in flight returns the partial prefix instead of spinning.
+// As in Dequeue, a sealed node's indices are drained, not recycled.
 //
 //wfq:noalloc
 func (h *Handle[T]) DequeueBatch(out []T) int {
@@ -489,7 +513,13 @@ func (h *Handle[T]) DequeueBatch(out []T) int {
 	for filled < len(out) {
 		lhead := q.head.Load()
 		view := h.view(&h.head, lhead)
-		if n := view.DequeueBatch(out[filled:]); n > 0 {
+		var n int
+		if lhead.sealed.Load() {
+			n = view.DrainBatch(out[filled:])
+		} else {
+			n = view.DequeueBatch(out[filled:])
+		}
+		if n > 0 {
 			filled += n
 			continue
 		}
@@ -503,10 +533,11 @@ func (h *Handle[T]) DequeueBatch(out []T) int {
 			}
 			continue
 		}
-		// One more look after the drain barrier, then advance. A ring
-		// left behind is reachable only by stragglers that loaded this
-		// node earlier, and it has nothing left to give them.
-		if n := view.DequeueBatch(out[filled:]); n > 0 {
+		// One more look after the drain barrier, which saw the seal,
+		// then advance. A ring left behind is reachable only by
+		// stragglers that loaded this node earlier, and it has nothing
+		// left to give them.
+		if n := view.DrainBatch(out[filled:]); n > 0 {
 			filled += n
 			continue
 		}

@@ -447,6 +447,77 @@ func TestNodeDrainedBarrier(t *testing.T) {
 	}
 }
 
+func TestSealedRingsDrainWithoutRecycling(t *testing.T) {
+	// A sealed node's ring takes no more values, so dequeuers drain it
+	// instead of handing its indices back to its free-index ring: a
+	// fresh registration with it then finds it full. The lone tail ring
+	// is never sealed and keeps recycling, so it takes a full load again
+	// with no turnover. The UWCQ maker's census (64) leaves slots for
+	// the probe registrations.
+	drains := map[string]func(h *Handle[uint64]) []uint64{
+		"Dequeue": func(h *Handle[uint64]) []uint64 {
+			var got []uint64
+			for v, ok := h.Dequeue(); ok; v, ok = h.Dequeue() {
+				got = append(got, v)
+			}
+			return got
+		},
+		"DequeueBatch": func(h *Handle[uint64]) []uint64 {
+			out := make([]uint64, 16)
+			return out[:h.DequeueBatch(out)]
+		},
+	}
+	for name, mk := range makers() {
+		for dname, drain := range drains {
+			t.Run(name+"/"+dname, func(t *testing.T) {
+				q := mk(t, 4)
+				h, _ := q.Handle()
+				for i := uint64(0); i < 12; i++ {
+					h.Enqueue(i)
+				}
+				var nodes []*node[uint64]
+				for n := q.head.Load(); n != nil; n = n.next.Load() {
+					nodes = append(nodes, n)
+				}
+				if len(nodes) != 3 {
+					t.Fatalf("12 values in %d rings of 4, want 3", len(nodes))
+				}
+				got := drain(h)
+				if len(got) != 12 {
+					t.Fatalf("drained %d values, want 12", len(got))
+				}
+				for i, v := range got {
+					if v != uint64(i) {
+						t.Fatalf("drained %v, want FIFO order 0..11", got)
+					}
+				}
+				for i, n := range nodes[:2] {
+					if !n.sealed.Load() {
+						t.Fatalf("ring %d not sealed", i)
+					}
+					v, err := n.r.Register()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v.Enqueue(99) {
+						t.Fatalf("sealed ring %d took a value after its drain: its indices were recycled", i)
+					}
+				}
+				tail := q.tail.Load()
+				if tail != nodes[2] {
+					t.Fatal("tail moved during the drain")
+				}
+				for i := uint64(0); i < 4; i++ {
+					h.Enqueue(100 + i)
+				}
+				if q.Rings() != 1 || q.tail.Load() != tail {
+					t.Fatalf("tail ring turned over on a full load after its drain: %d rings", q.Rings())
+				}
+			})
+		}
+	}
+}
+
 func TestHandlesTakeStripesRoundRobin(t *testing.T) {
 	q := newQueue(t, ringcore.KindSCQ, 8, 0)
 	for i, h := range newHandles(t, q, 2*enqStripes) {
@@ -809,25 +880,61 @@ func TestScalarScratchReleased(t *testing.T) {
 	}
 }
 
+// burstRingCap is the ring capacity of the burst benchmarks: small
+// rings, so a burst spans many of them.
+const burstRingCap = 64
+
+// burstHandle returns the one handle of a fresh queue of
+// burstRingCap-value wCQ rings.
+func burstHandle(b *testing.B) *Handle[uint64] {
+	q, err := New[uint64](ringcore.KindWCQ, burstRingCap, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := q.Handle()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return h
+}
+
 // BenchmarkBurstEnqueue buffers one burst spanning the given number of
 // 64-value wCQ rings through one handle, and reports the cost per
 // value: a handle's view upkeep must stay flat as the burst grows.
 func BenchmarkBurstEnqueue(b *testing.B) {
-	const ringCap = 64
 	for _, rings := range []int{256, 1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("rings=%d", rings), func(b *testing.B) {
-			n := rings * ringCap
+			n := rings * burstRingCap
 			for b.Loop() {
-				q, err := New[uint64](ringcore.KindWCQ, ringCap, 1, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				h, err := q.Handle()
-				if err != nil {
-					b.Fatal(err)
-				}
+				h := burstHandle(b)
 				for i := range n {
 					h.Enqueue(uint64(i))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
+		})
+	}
+}
+
+// BenchmarkBurstDrain buffers one burst spanning the given number of
+// 64-value wCQ rings through one handle outside the timer, then times
+// draining it through the same handle and reports the cost per value:
+// every ring but the last is sealed, so this is the drain path.
+func BenchmarkBurstDrain(b *testing.B) {
+	for _, rings := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("rings=%d", rings), func(b *testing.B) {
+			n := rings * burstRingCap
+			for b.Loop() {
+				b.StopTimer()
+				h := burstHandle(b)
+				for i := range n {
+					h.Enqueue(uint64(i))
+				}
+				b.StartTimer()
+				for range n {
+					if _, ok := h.Dequeue(); !ok {
+						b.Fatal("the burst lost a value")
+					}
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
