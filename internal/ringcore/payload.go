@@ -3,6 +3,7 @@ package ringcore
 import (
 	"fmt"
 
+	"repro/internal/atomicx"
 	"repro/internal/metrics"
 	"repro/internal/pad"
 	"repro/internal/scq"
@@ -45,15 +46,25 @@ var (
 // construction and Register know the kind; every operation goes
 // through the indexRing a handle holds.
 //
+// The paper's fq starts full of 0..n-1. Here fq starts empty and the
+// fresh counter hands out the indices no value has used yet, in
+// order, so fq only ever holds recycled indices. An enqueue asks the
+// counter first (claim) and fq only once the counter is exhausted, so
+// a ring's first lap costs one F&A per index instead of a full fq
+// dequeue.
+//
 // Every operation reads the header fields and none writes them; the
-// pads keep them off any cache line a neighbouring heap object writes.
+// pads keep them off any cache line that fresh or a neighbouring heap
+// object writes.
 type Queue[T any] struct {
-	_    pad.Line
-	aq   ring
-	fq   ring
-	data []T
-	kind Kind
-	_    pad.Line
+	_     pad.Line
+	aq    ring
+	fq    ring
+	data  []T
+	kind  Kind
+	_     pad.Line
+	fresh atomicx.Counter
+	_     pad.Line
 }
 
 // QueueHandle is a goroutine's capability to operate on a Queue. It
@@ -81,7 +92,7 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 		if err != nil {
 			return nil, err
 		}
-		fq, err := wcq.NewFullRing(capacity, maxThreads, opts.WCQ())
+		fq, err := wcq.NewRing(capacity, maxThreads, opts.WCQ())
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +102,7 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 		if err != nil {
 			return nil, err
 		}
-		fq, err := scq.NewFullRing(capacity, opts.mode())
+		fq, err := scq.NewRing(capacity, opts.mode())
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +113,25 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 		return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
 	}
 	q.data = make([]T, capacity)
+	q.fresh.Init(opts.mode(), 0)
 	return q, nil
+}
+
+// claim hands out up to k indices no value has used yet: first and
+// the m-1 after it. m is 0 once the counter has handed out all n. The
+// Load keeps the steady state from writing the counter's line: after
+// the first lap it is one read of a word that no longer changes.
+//
+//wfq:noalloc
+func (q *Queue[T]) claim(k uint64) (first, m uint64) {
+	n := q.Cap()
+	if q.fresh.Load() >= n {
+		return 0, 0
+	}
+	if first = q.fresh.Add(k); first >= n {
+		return 0, 0
+	}
+	return first, min(k, n-first)
 }
 
 // Register returns a per-goroutine handle. A wCQ handle takes a thread
@@ -158,9 +187,12 @@ func (h *QueueHandle[T]) scratch(n int) []uint64 {
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Enqueue(v T) bool {
-	idx, ok := h.fq.Dequeue()
-	if !ok {
-		return false
+	idx, m := h.q.claim(1)
+	if m == 0 {
+		var ok bool
+		if idx, ok = h.fq.Dequeue(); !ok {
+			return false
+		}
 	}
 	h.q.data[idx] = v
 	h.aq.Enqueue(idx)
@@ -184,8 +216,9 @@ func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
 // Drain is Dequeue without recycling: the value's index is not handed
 // back to fq, so its slot never takes another value. It is for a queue
 // that takes no more enqueues, such as a sealed ring of the unbounded
-// construction: an Enqueue still in flight on it finds fq empty once
-// every index has been drained, and reports full.
+// construction: the short enqueue that sealed it found the fresh
+// counter exhausted, so an Enqueue still in flight on it finds fq
+// empty once every index has been drained, and reports full.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Drain() (v T, ok bool) {
@@ -209,9 +242,11 @@ func (h *QueueHandle[T]) move(idx uint64) T {
 }
 
 // EnqueueBatch appends a prefix of vs in order and returns its length;
-// a short count means the queue filled up mid-batch. Index traffic
-// with fq/aq moves through the native ring batches, so the fast path
-// pays one F&A per ring per batch instead of one per element.
+// a short count means the queue filled up mid-batch. The batch takes
+// a run of never-used indices with one F&A on the fresh counter and
+// the rest from fq. Index traffic with fq/aq moves through the native
+// ring batches, so the fast path pays one F&A per ring per batch
+// instead of one per element.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
@@ -219,7 +254,14 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 		return 0
 	}
 	buf := h.scratch(len(vs))
-	n := h.fq.DequeueBatch(buf)
+	first, m := h.q.claim(uint64(len(buf)))
+	for j := range m {
+		buf[j] = first + j
+	}
+	n := int(m)
+	if n < len(buf) {
+		n += h.fq.DequeueBatch(buf[n:])
+	}
 	for j := 0; j < n; j++ {
 		h.q.data[buf[j]] = vs[j]
 	}

@@ -7,6 +7,9 @@
 // Both kinds share one payload layer, Queue (payload.go): the paper's
 // Figure 2 data array between a free-index ring and an
 // allocated-index ring, written once over either kind of index ring.
+// Where the paper starts the free-index ring full of 0..n-1, a Queue
+// starts it empty and hands out the never-used indices from a counter,
+// so the free-index ring only ever holds recycled indices.
 // The unbounded linked rings and the public wfqueue types hold that
 // concrete *Queue, which is always what New builds, rather than the
 // contract: they call its handles directly, and the unbounded

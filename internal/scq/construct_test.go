@@ -6,15 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/atomicx"
-	"repro/internal/ring"
 )
 
-// storeBuilt builds the ring the constructors built before they wrote
-// entries with plain stores: every entry through a sequentially
-// consistent Store, and for a full ring the index entries overwritten
-// the same way. It is the reference TestNewRingMatchesStores compares
+// storeBuilt builds the ring NewRing built before it wrote entries
+// with plain stores: every entry through a sequentially consistent
+// Store. It is the reference TestNewRingMatchesStores compares
 // against.
-func storeBuilt(t *testing.T, capacity uint64, mode atomicx.Mode, full bool) *Ring {
+func storeBuilt(t *testing.T, capacity uint64, mode atomicx.Mode) *Ring {
 	t.Helper()
 	q, err := newRing(capacity, mode)
 	if err != nil {
@@ -25,63 +23,54 @@ func storeBuilt(t *testing.T, capacity uint64, mode atomicx.Mode, full bool) *Ri
 		q.entries[i].Store(empty)
 	}
 	q.threshold.Store(-1)
-	if full {
-		for i := uint64(0); i < capacity; i++ {
-			q.entries[ring.Remap(i, q.order)].Store(q.pack(1, 1, i))
-		}
-		q.tail.Store(q.nSlots + capacity)
-		q.threshold.Store(q.thresh3)
-	}
 	return q
 }
 
 func TestNewRingMatchesStores(t *testing.T) {
 	for _, mode := range []atomicx.Mode{atomicx.NativeFAA, atomicx.EmulatedFAA, atomicx.CountingFAA} {
 		for _, c := range []uint64{2, 4, 8, 1024, 1 << 16} {
-			for _, full := range []bool{false, true} {
-				build := NewRing
-				if full {
-					build = NewFullRing
-				}
-				got, err := build(c, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := storeBuilt(t, c, mode, full)
-				if got.head.Load() != want.head.Load() || got.tail.Load() != want.tail.Load() ||
-					got.threshold.Load() != want.threshold.Load() {
-					t.Fatalf("%v cap %d full %v: head/tail/threshold %d/%d/%d, want %d/%d/%d", mode, c, full,
-						got.head.Load(), got.tail.Load(), got.threshold.Load(),
-						want.head.Load(), want.tail.Load(), want.threshold.Load())
-				}
-				if len(got.entries) != len(want.entries) {
-					t.Fatalf("%v cap %d full %v: %d entries, want %d", mode, c, full, len(got.entries), len(want.entries))
-				}
-				for i := range want.entries {
-					if g, w := got.entries[i].Load(), want.entries[i].Load(); g != w {
-						t.Fatalf("%v cap %d full %v: entry %d = %#x, want %#x", mode, c, full, i, g, w)
-					}
+			got, err := NewRing(c, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := storeBuilt(t, c, mode)
+			if got.head.Load() != want.head.Load() || got.tail.Load() != want.tail.Load() ||
+				got.threshold.Load() != want.threshold.Load() {
+				t.Fatalf("%v cap %d: head/tail/threshold %d/%d/%d, want %d/%d/%d", mode, c,
+					got.head.Load(), got.tail.Load(), got.threshold.Load(),
+					want.head.Load(), want.tail.Load(), want.threshold.Load())
+			}
+			if len(got.entries) != len(want.entries) {
+				t.Fatalf("%v cap %d: %d entries, want %d", mode, c, len(got.entries), len(want.entries))
+			}
+			for i := range want.entries {
+				if g, w := got.entries[i].Load(), want.entries[i].Load(); g != w {
+					t.Fatalf("%v cap %d: entry %d = %#x, want %#x", mode, c, i, g, w)
 				}
 			}
 		}
 	}
 }
 
-// TestPublishedRingMPMC builds a free-index ring and an empty ring on
-// one goroutine and publishes them through a channel to two others,
-// which move every index from one to the other concurrently. Under
-// -race this checks that the constructors' plain writes are ordered
-// before the workers' atomic accesses by the publication alone.
+// TestPublishedRingMPMC builds two rings on one goroutine, fills one
+// with every index, and publishes both through a channel to two
+// others, which move every index from one to the other concurrently.
+// Under -race this checks that the constructor's plain writes are
+// ordered before the workers' atomic accesses by the publication
+// alone.
 func TestPublishedRingMPMC(t *testing.T) {
 	const capacity = 1024
 	type rings struct{ fq, aq *Ring }
 	pub := make(chan rings, 3)
 	go func() {
 		defer close(pub)
-		fq, err := NewFullRing(capacity, atomicx.NativeFAA)
+		fq, err := NewRing(capacity, atomicx.NativeFAA)
 		if err != nil {
 			t.Error(err)
 			return
+		}
+		for i := range uint64(capacity) {
+			fq.Enqueue(i)
 		}
 		aq, err := NewRing(capacity, atomicx.NativeFAA)
 		if err != nil {
@@ -143,19 +132,6 @@ func BenchmarkNewRing(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, err := NewRing(c, atomicx.NativeFAA); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkNewFullRing(b *testing.B) {
-	for _, c := range []uint64{1024, 1 << 16} {
-		b.Run(fmt.Sprintf("cap=%d", c), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := NewFullRing(c, atomicx.NativeFAA); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -74,26 +74,6 @@ func NewRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
 	return q, nil
 }
 
-// NewFullRing returns a Ring pre-filled with the indices 0..capacity-1
-// in order, the state a free-index ring (fq) starts in. It writes that
-// state directly, which is exactly what capacity single-threaded
-// enqueues leave, without their per-index F&A and CAS: index i at Tail
-// ticket nSlots+i (cycle 1, safe), every other slot empty, Tail just
-// past the last index, Threshold armed. ring.Seed writes the slots a
-// cache line at a time, with plain stores before the ring is published.
-func NewFullRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
-	q, err := newRing(capacity, mode)
-	if err != nil {
-		return nil, err
-	}
-	empty := q.pack(0, 1, q.bottom)
-	index0 := q.pack(1, 1, 0) // Index is the low field: entry i is index0 | i
-	ring.Seed(atomicx.Prepublish(q.entries), q.order, index0, capacity, empty)
-	q.tail.Store(q.nSlots + capacity)
-	q.threshold.Store(q.thresh3)
-	return q, nil
-}
-
 // newRing allocates a ring with Head and Tail at cycle 1; the caller
 // writes the entries and the Threshold.
 func newRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {

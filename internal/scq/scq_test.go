@@ -80,56 +80,6 @@ func TestRingInterleaved(t *testing.T) {
 	}
 }
 
-func TestNewFullRing(t *testing.T) {
-	q, err := NewFullRing(8, atomicx.NativeFAA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 8; i++ {
-		v, ok := q.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("got (%d,%v), want (%d,true)", v, ok, i)
-		}
-	}
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("full ring held more than capacity")
-	}
-}
-
-func TestNewFullRingMatchesEnqueues(t *testing.T) {
-	// The direct fill must leave word for word the state capacity
-	// single-threaded enqueues leave, plus the same Head, Tail and
-	// Threshold.
-	for _, mode := range []atomicx.Mode{atomicx.NativeFAA, atomicx.EmulatedFAA, atomicx.CountingFAA} {
-		for _, c := range []uint64{2, 4, 16, 256, 1 << 12} {
-			got, err := NewFullRing(c, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := NewRing(c, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := uint64(0); i < c; i++ {
-				if _, ok := want.TryEnqueue(i); !ok {
-					t.Fatalf("%v cap %d: reference enqueue %d failed", mode, c, i)
-				}
-			}
-			if got.head.Load() != want.head.Load() || got.tail.Load() != want.tail.Load() ||
-				got.threshold.Load() != want.threshold.Load() {
-				t.Fatalf("%v cap %d: head/tail/threshold %d/%d/%d, want %d/%d/%d", mode, c,
-					got.head.Load(), got.tail.Load(), got.threshold.Load(),
-					want.head.Load(), want.tail.Load(), want.threshold.Load())
-			}
-			for i := range want.entries {
-				if g, w := got.entries[i].Load(), want.entries[i].Load(); g != w {
-					t.Fatalf("%v cap %d: entry %d = %#x, want %#x", mode, c, i, g, w)
-				}
-			}
-		}
-	}
-}
-
 func TestPackUnpackRoundTrip(t *testing.T) {
 	q, _ := NewRing(32, atomicx.NativeFAA)
 	f := func(cycle uint32, safe bool, idx uint8) bool {

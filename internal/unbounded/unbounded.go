@@ -20,10 +20,13 @@
 // A sealed node's ring takes no more values, so dequeuers drain it
 // with QueueHandle.Drain / DrainBatch, which leave each index out of
 // the ring's free-index ring instead of recycling it; only the unsealed
-// tail ring recycles. An enqueuer still in flight on a sealed node
-// either finds an index its free-index ring still holds (its value
-// lands and is drained) or finds none and moves on to the successor,
-// as it does on a full ring.
+// tail ring recycles. A ring serves its first lap from its counter of
+// never-used indices, so a ring that is filled once, then sealed and
+// drained, never touches its free-index ring. The short enqueue that
+// sealed a node found that counter exhausted, so an enqueuer still in
+// flight on it either already holds an index or finds one its
+// free-index ring still holds (its value lands and is drained), or
+// finds none and moves on to the successor, as it does on a full ring.
 //
 // No operation reports an error: ring construction and ring
 // registration cannot fail once New and Handle have succeeded, so a

@@ -93,13 +93,14 @@ func NewRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	return q, nil
 }
 
-// NewFullRing returns a Ring pre-filled with indices 0..capacity-1, the
-// initial state of a free-index ring. It writes that state directly,
-// which is exactly what capacity single-threaded fast-path enqueues
-// leave, without their per-index F&A and CAS: index i at Tail ticket
-// nSlots+i (cycle 1, safe, enq), every other slot empty, Tail just
-// past the last index, Threshold armed. ring.Seed writes the slots a
-// cache line at a time, with plain stores before the ring is published.
+// NewFullRing returns a Ring pre-filled with indices 0..capacity-1, a
+// full free-index pool (the public NewRing with full set). It writes
+// that state directly, which is exactly what capacity single-threaded
+// fast-path enqueues leave, without their per-index F&A and CAS: index
+// i at Tail ticket nSlots+i (cycle 1, safe, enq), every other slot
+// empty, Tail just past the last index, Threshold armed. ring.Seed
+// writes the slots a cache line at a time, with plain stores before
+// the ring is published.
 func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	q, err := newRing(capacity, maxThreads, opts)
 	if err != nil {

@@ -25,7 +25,7 @@
 //
 // NewLockFree builds the SCQ variant: same ring, same performance
 // envelope, no helping (lock-free progress only, no handle census).
-// NewRing / NewLockFreeRing expose the underlying index rings for
+// NewRing exposes the underlying wait-free index ring for
 // allocator-style use (DPDK/SPDK-like index pools, Figure 2 of the
 // paper). NewSharded composes several ring cores behind one interface
 // — per-handle enqueue affinity, work-stealing dequeue and native
