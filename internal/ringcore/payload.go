@@ -2,6 +2,7 @@ package ringcore
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/atomicx"
 	"repro/internal/metrics"
@@ -43,8 +44,8 @@ var (
 // fq circulates free indices, aq circulates allocated ones. All memory
 // is allocated at construction. The ring kind decides progress:
 // wait-free over wCQ rings, lock-free over SCQ rings. Only
-// construction and Register know the kind; every operation goes
-// through the indexRing a handle holds.
+// construction, HandleAt and Retarget know the kind; every operation
+// goes through the indexRing a handle holds.
 //
 // The paper's fq starts full of 0..n-1. Here fq starts empty and the
 // fresh counter hands out the indices no value has used yet, in
@@ -53,15 +54,16 @@ var (
 // a ring's first lap costs one F&A per index instead of a full fq
 // dequeue.
 //
-// Every operation reads the header fields and none writes them; the
-// pads keep them off any cache line that fresh or a neighbouring heap
-// object writes.
+// Every operation reads the header fields and none writes them (ids
+// is written by Register only); the pads keep them off any cache line
+// that fresh or a neighbouring heap object writes.
 type Queue[T any] struct {
 	_     pad.Line
 	aq    ring
 	fq    ring
 	data  []T
 	kind  Kind
+	ids   atomic.Int64 // next Register id; registration only
 	_     pad.Line
 	fresh atomicx.Counter
 	_     pad.Line
@@ -134,21 +136,36 @@ func (q *Queue[T]) claim(k uint64) (first, m uint64) {
 	return first, min(k, n-first)
 }
 
-// Register returns a per-goroutine handle. A wCQ handle takes a thread
-// record in both rings and fails once the census is exhausted; SCQ
-// has no census, so its handle operates on the two rings directly and
-// Register never fails.
+// Register returns a per-goroutine handle with the next id: HandleAt
+// over a counter, which is rolled back when HandleAt fails. A wCQ
+// queue therefore fails once its census is exhausted; SCQ never fails.
 func (q *Queue[T]) Register() (*QueueHandle[T], error) {
+	id := q.ids.Add(1) - 1
+	h, err := q.HandleAt(int(id))
+	if err != nil {
+		q.ids.Add(-1)
+		return nil, err
+	}
+	return h, nil
+}
+
+// HandleAt returns a handle that uses thread record id, in [0,
+// maxThreads), in both index rings of a wCQ queue; it fails when id is
+// out of that range. SCQ has no records, so it ignores id and its
+// handle operates on the two rings directly. The caller owns the
+// numbering: no two goroutines may use one id at once, and HandleAt
+// and Register are never mixed on one queue.
+func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
 	h := &QueueHandle[T]{q: q}
 	switch q.kind {
 	case KindWCQ:
-		aqh, err := q.aq.(*wcq.Ring).Register()
+		aqh, err := q.aq.(*wcq.Ring).HandleAt(id)
 		if err != nil {
-			return nil, fmt.Errorf("wcq: registering with aq: %w", err)
+			return nil, err
 		}
-		fqh, err := q.fq.(*wcq.Ring).Register()
+		fqh, err := q.fq.(*wcq.Ring).HandleAt(id)
 		if err != nil {
-			return nil, fmt.Errorf("wcq: registering with fq: %w", err)
+			return nil, err
 		}
 		h.aq, h.fq = aqh, fqh
 	case KindSCQ:
@@ -156,6 +173,29 @@ func (q *Queue[T]) Register() (*QueueHandle[T], error) {
 	}
 	return h, nil
 }
+
+// Retarget points h at queue q, which must be of h's kind and, for
+// wCQ, have at least h's id in records: h keeps its id, and its index
+// scratch, and uses the record with that id in q's rings. h must have
+// no operation in flight. It allocates nothing, so a handle can move
+// from ring to ring as the unbounded construction's turnover does.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) Retarget(q *Queue[T]) {
+	switch q.kind {
+	case KindWCQ:
+		h.aq.(*wcq.Handle).Retarget(q.aq.(*wcq.Ring))
+		h.fq.(*wcq.Handle).Retarget(q.fq.(*wcq.Ring))
+	case KindSCQ:
+		h.aq, h.fq = q.aq.(*scq.Ring), q.fq.(*scq.Ring)
+	}
+	h.q = q
+}
+
+// Queue returns the queue h operates on.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) Queue() *Queue[T] { return h.q }
 
 // Acquire is Register behind the Core contract.
 func (q *Queue[T]) Acquire() (Handle[T], error) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/atomicx"
+	"repro/internal/wcq"
 )
 
 // forEachKind runs the shared suite body once per registered kind.
@@ -553,6 +554,180 @@ func TestContractBatchConcurrent(t *testing.T) {
 			if n != 1 {
 				t.Fatalf("value %#x delivered %d times", v, n)
 			}
+		}
+	})
+}
+
+func TestHandleAtRange(t *testing.T) {
+	// HandleAt binds a chosen wCQ thread record, so an id outside
+	// [0, maxThreads) is an error; SCQ has no records and ignores it.
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		q := mustNew(t, kind, 8, 2).(*Queue[uint64])
+		for _, id := range []int{0, 1} {
+			if _, err := q.HandleAt(id); err != nil {
+				t.Fatalf("HandleAt(%d): %v", id, err)
+			}
+		}
+		for _, id := range []int{-1, 2} {
+			if _, err := q.HandleAt(id); (err != nil) != kind.Census() {
+				t.Fatalf("HandleAt(%d) on a census of 2: err %v", id, err)
+			}
+		}
+	})
+}
+
+func TestRetargetAcrossRings(t *testing.T) {
+	// One handle moves round-robin across three queues, buffering
+	// values in each by scalar and batch calls, then drains them the
+	// same way: every queue keeps its own values in FIFO order, the
+	// handle keeps its id's record and its index scratch, and a move
+	// allocates nothing.
+	const rings, rounds, per = 3, 4, 3
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		qs := make([]*Queue[uint64], rings)
+		for i := range qs {
+			qs[i] = mustNew(t, kind, 16, 4).(*Queue[uint64])
+		}
+		h, err := qs[0].HandleAt(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.EnqueueBatch(make([]uint64, per)) // grow the scratch
+		h.DequeueBatch(make([]uint64, per))
+		scratch := &h.idxBuf[0]
+		vals := make([]uint64, per)
+		for r := range rounds {
+			for i, q := range qs {
+				h.Retarget(q)
+				for j := range vals {
+					vals[j] = uint64(i)<<32 | uint64(r*per+j)
+				}
+				if r%2 == 0 {
+					if n := h.EnqueueBatch(vals); n != per {
+						t.Fatalf("ring %d: EnqueueBatch = %d, want %d", i, n, per)
+					}
+					continue
+				}
+				for _, v := range vals {
+					if !h.Enqueue(v) {
+						t.Fatalf("ring %d: full at %#x", i, v)
+					}
+				}
+			}
+		}
+		out := make([]uint64, per)
+		for r := range rounds {
+			for i, q := range qs {
+				h.Retarget(q)
+				if h.Queue() != q {
+					t.Fatalf("ring %d: handle still on another queue", i)
+				}
+				if kind == KindWCQ && (h.aq.(*wcq.Handle).Ring() != q.aq || h.fq.(*wcq.Handle).Ring() != q.fq) {
+					t.Fatalf("ring %d: index-ring handles not moved", i)
+				}
+				if r%2 == 0 {
+					if n := h.DequeueBatch(out); n != per {
+						t.Fatalf("ring %d: DequeueBatch = %d, want %d", i, n, per)
+					}
+				} else {
+					for j := range out {
+						var ok bool
+						if out[j], ok = h.Dequeue(); !ok {
+							t.Fatalf("ring %d: empty at round %d", i, r)
+						}
+					}
+				}
+				for j, v := range out {
+					if want := uint64(i)<<32 | uint64(r*per+j); v != want {
+						t.Fatalf("ring %d: got %#x, want %#x", i, v, want)
+					}
+				}
+			}
+		}
+		for i, q := range qs {
+			if !q.Empty() {
+				t.Fatalf("ring %d not empty after its drain", i)
+			}
+		}
+		if &h.idxBuf[0] != scratch {
+			t.Fatal("Retarget replaced the index scratch")
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			h.Retarget(qs[1])
+			h.Retarget(qs[2])
+		}); allocs != 0 {
+			t.Fatalf("Retarget allocates %.1f objects", allocs)
+		}
+	})
+}
+
+func TestHandleAtSparseIDsForcedSlow(t *testing.T) {
+	// Two goroutines on ids 0 and maxThreads-1, with the ids between
+	// them never used, on a 2-slot queue with patience 1: wCQ's helped
+	// slow path runs, and its help scans walk records no handle holds.
+	// Each goroutine enqueues its own values and dequeues as it goes;
+	// every value must arrive exactly once, and each goroutine must
+	// see each producer's values in order. The goroutines only meet
+	// mid-operation when they run in parallel.
+	const maxThreads, per = 8, 20000
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		c, err := New[uint64](kind, 2, maxThreads,
+			&Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := c.(*Queue[uint64])
+		ids := []int{0, maxThreads - 1}
+		got := make([][]uint64, len(ids))
+		var wg sync.WaitGroup
+		for g, id := range ids {
+			h, err := q.HandleAt(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range uint64(per) {
+					for !h.Enqueue(uint64(g)<<32 | i) {
+						if v, ok := h.Dequeue(); ok {
+							got[g] = append(got[g], v)
+						}
+					}
+					if v, ok := h.Dequeue(); ok {
+						got[g] = append(got[g], v)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		h, err := q.HandleAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, ok := h.Dequeue(); ok; v, ok = h.Dequeue() {
+			got[0] = append(got[0], v)
+		}
+		seen := make(map[uint64]bool, len(ids)*per)
+		for g, vs := range got {
+			next := make([]uint64, len(ids))
+			for _, v := range vs {
+				p, i := v>>32, v&0xffffffff
+				if seen[v] {
+					t.Fatalf("value %#x delivered twice", v)
+				}
+				seen[v] = true
+				if i < next[p] {
+					t.Fatalf("goroutine %d: producer %d's value %d after %d", g, p, i, next[p]-1)
+				}
+				next[p] = i + 1
+			}
+		}
+		if len(seen) != len(ids)*per {
+			t.Fatalf("delivered %d of %d values", len(seen), len(ids)*per)
 		}
 	})
 }

@@ -28,10 +28,20 @@
 // free-index ring still holds (its value lands and is drained), or
 // finds none and moves on to the successor, as it does on a full ring.
 //
-// No operation reports an error: ring construction and ring
-// registration cannot fail once New and Handle have succeeded, so a
-// failure there is a broken invariant and panics where it is detected,
-// instead of reading as a full or empty queue a caller would spin on.
+// Each handle has one thread id, as each thread does in the appendix,
+// and uses the record with that id in every ring: handle i is record
+// i. A handle holds two views, one for each end of the list, and
+// moving a view to another ring is a QueueHandle.Retarget, so a handle
+// keeps no memory of the rings it has left. The ids are unique and
+// below the per-ring census, so no two goroutines ever share a record
+// in one ring, and a record no handle uses is never pending, so wCQ's
+// helping scan over every record is unaffected by ids that go unused.
+//
+// No operation reports an error: ring construction cannot fail once
+// New has succeeded, and a view moves between rings without
+// registering, so a failure is a broken invariant and panics where it
+// is detected, instead of reading as a full or empty queue a caller
+// would spin on.
 //
 // As in the appendix, a ring is linked once and never reused: once head
 // moves past its drained node, nothing can reach it again and it goes
@@ -39,7 +49,9 @@
 // live ring. The only ring kept outside the list is a handle's spare:
 // an enqueuer that builds a successor but loses the race to link it
 // takes its seed values back out and keeps that ring for its own next
-// turnover, instead of throwing it away (see extend).
+// turnover, instead of throwing it away (see extend). A handle's two
+// views may still point at drained rings, so each handle keeps at most
+// two rings reachable beyond the list and its spare.
 //
 // Faithfulness note: the appendix links rings with the CRTurn wait-free
 // list so the WHOLE unbounded queue is wait-free. This port uses the
@@ -84,15 +96,11 @@ const enqStripes = 8
 // every stripe at 0, every enqueuer that found the node open has left,
 // and every later one sees the seal.
 //
-// seq numbers the nodes in list order, from 0 for the first ring; a
-// node whose seq is below head's is unlinked for good.
-//
-// r, seq, next and sealed are read often but written about once per
+// r, next and sealed are read often but written about once per
 // node; each stripe sits on its own cache line, so enqueuers on
 // different handles never invalidate those reads or each other.
 type node[T any] struct {
 	r      *ringcore.Queue[T]
-	seq    uint64
 	next   atomic.Pointer[node[T]]
 	sealed atomic.Bool
 	_      pad.Line
@@ -132,29 +140,24 @@ type Queue[T any] struct {
 	handles atomic.Int64  //wfq:cold registration only
 	spares  atomic.Int64  //wfq:cold spare rings held by handles; changes at turnover only
 	// maxHandles bounds Handle() calls (0 = unlimited). Census kinds
-	// (wCQ) set it to the per-ring thread census so view registration
-	// can never fail.
+	// (wCQ) set it to the per-ring thread census, so every handle's id
+	// names a record in every ring.
 	maxHandles int
 	ringCap    uint64
 	ringBytes  uint64 // Footprint of one ring
 }
 
-// Handle is a goroutine's view of a Queue. It lazily registers with
-// each ring generation it touches, at most once per ring. A Handle
-// must not be used by two goroutines concurrently.
+// Handle is a goroutine's access to a Queue. The n-th handle has id
+// n-1 and uses the record with that id in every ring it touches. A
+// Handle must not be used by two goroutines concurrently.
 type Handle[T any] struct {
 	q *Queue[T]
 	// stripe picks this handle's drain-barrier counter on every node.
 	stripe uint
-	// tail and head cache the view this handle last used on each side
-	// of the list, so the common case costs one comparison. views holds
-	// every registration the handle still needs, for the misses, with
-	// the seq of the node that holds its ring.
-	tail, head cachedView[T]
-	views      map[*ringcore.Queue[T]]seqView[T]
-	// kept is the number of views the last prune kept; prunes counts
-	// the prunes run.
-	kept, prunes int
+	// tail and head are this handle's views of the ring it last used
+	// at each end of the list. Both use the handle's id; they may view
+	// the same ring, one call after the other.
+	tail, head *ringcore.QueueHandle[T]
 	// spare is a ring this handle built for a turnover but did not
 	// link, emptied again and kept for its next turnover; nil when it
 	// has none. No other handle has seen it.
@@ -166,23 +169,11 @@ type Handle[T any] struct {
 	one [1]T
 }
 
-// cachedView is one ring and this handle's registration with it.
-type cachedView[T any] struct {
-	r *ringcore.Queue[T]
-	v *ringcore.QueueHandle[T]
-}
-
-// seqView is a registration and the seq of the node holding its ring.
-type seqView[T any] struct {
-	v   *ringcore.QueueHandle[T]
-	seq uint64
-}
-
 // New returns an unbounded queue linking rings of the given kind,
 // each holding ringCap values (a power of two >= 2). For census ring
 // kinds (KindWCQ, the paper's UWCQ) maxThreads bounds Handle — the
-// census is per ring, and bounding handles up front is what makes
-// every later ring registration infallible; census-free kinds (the
+// census is per ring, and bounding handles up front is what gives
+// every handle's id a record in every ring; census-free kinds (the
 // paper's LSCQ) accept any number of handles and ignore maxThreads.
 func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringcore.Options) (*Queue[T], error) {
 	maxHandles := 0
@@ -210,19 +201,26 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 	return q, nil
 }
 
-// Handle returns a per-goroutine view. For census ring kinds it fails
-// once maxThreads handles exist.
+// Handle returns a per-goroutine handle whose two views start on the
+// tail ring with the next id. For census ring kinds it fails once
+// maxThreads handles exist, so an id always names a record in every
+// ring.
 func (q *Queue[T]) Handle() (*Handle[T], error) {
 	n := q.handles.Add(1)
 	if q.maxHandles > 0 && n > int64(q.maxHandles) {
 		q.handles.Add(-1)
 		return nil, fmt.Errorf("unbounded: handle census exhausted (maxThreads %d)", q.maxHandles)
 	}
-	return &Handle[T]{
-		q:      q,
-		stripe: uint(n-1) % enqStripes,
-		views:  make(map[*ringcore.Queue[T]]seqView[T]),
-	}, nil
+	h := &Handle[T]{q: q, stripe: uint(n-1) % enqStripes}
+	r := q.tail.Load().r
+	var err error
+	if h.tail, err = r.HandleAt(int(n - 1)); err == nil {
+		h.head, err = r.HandleAt(int(n - 1))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 // Acquire is Handle behind the ringcore.Core contract.
@@ -270,96 +268,15 @@ func (q *Queue[T]) Footprint() uint64 {
 	return f
 }
 
-// live returns the number of live rings from the seqs of the list's
-// ends: O(1), and racy like Rings. Tail may lag head by a node.
+// view returns v, first moved to n's ring if it last viewed another:
+// a hit is one pointer comparison.
 //
 //wfq:noalloc
-func (q *Queue[T]) live() int {
-	t := q.tail.Load().seq
-	h := q.head.Load().seq
-	if t <= h {
-		return 1
+func view[T any](v *ringcore.QueueHandle[T], n *node[T]) *ringcore.QueueHandle[T] {
+	if v.Queue() != n.r {
+		v.Retarget(n.r)
 	}
-	return int(t-h) + 1
-}
-
-// view returns this handle's view of n's ring, consulting the
-// one-entry cache c first: a ring the handle used last time on the
-// same side is a pointer comparison away.
-//
-//wfq:noalloc
-func (h *Handle[T]) view(c *cachedView[T], n *node[T]) *ringcore.QueueHandle[T] {
-	if c.r == n.r {
-		return c.v
-	}
-	return h.miss(c, n)
-}
-
-// minPruneViews is the most views a handle holds without pruning.
-const minPruneViews = 16
-
-// miss finds or creates the view of n's ring, stamps it with n's seq
-// and caches it in c. A fresh registration that leaves the handle
-// holding more than minPruneViews views, and more than twice the
-// views its last prune kept or twice the live rings plus 2, prunes
-// the views of rings that can no longer recur. So a handle registers
-// with any given ring at most once — the invariant that keeps wCQ's
-// per-ring census sufficient. Registration cannot fail: Handle caps
-// the handle count at the rings' census.
-//
-//wfq:allocok per-ring view cache: registers once per ring generation
-func (h *Handle[T]) miss(c *cachedView[T], n *node[T]) *ringcore.QueueHandle[T] {
-	e, ok := h.views[n.r]
-	if !ok {
-		v, err := n.r.Register()
-		if err != nil {
-			panic("unbounded: ring view registration failed: " + err.Error())
-		}
-		e = seqView[T]{v: v, seq: n.seq}
-		h.views[n.r] = e
-	} else if e.seq != n.seq {
-		// The spare, registered for a node that lost the append race,
-		// now rides in a new one.
-		e.seq = n.seq
-		h.views[n.r] = e
-	}
-	*c = cachedView[T]{r: n.r, v: e.v}
-	if views := len(h.views); !ok && views > minPruneViews &&
-		(views > 2*h.kept || views > 2*h.q.live()+2) {
-		h.prune(n.r)
-	}
-	return e.v
-}
-
-// prune drops, from the map and the cached entries together, every
-// view whose ring can no longer recur: its node's seq is below head's,
-// and it is neither r (being registered, possibly for a node that
-// loses the append race) nor this handle's spare. Head only moves
-// forward, so a node behind it is never reached again.
-//
-// A prune costs O(views). The trigger in miss makes that amortized
-// O(1) per registration: a prune past twice the last kept count is
-// paid for by the registrations since, and one past twice the live
-// rings plus 2 drops more views than it keeps (it keeps at most the
-// live rings plus r and the spare). After every registration a
-// handle holds at most max(minPruneViews, 2×live+2) views.
-//
-//wfq:allocok per-ring view cache: deletes the views of dead rings
-func (h *Handle[T]) prune(r *ringcore.Queue[T]) {
-	head := h.q.head.Load().seq
-	for k, e := range h.views {
-		if e.seq < head && k != r && k != h.spare {
-			delete(h.views, k)
-		}
-	}
-	if _, ok := h.views[h.tail.r]; !ok {
-		h.tail = cachedView[T]{}
-	}
-	if _, ok := h.views[h.head.r]; !ok {
-		h.head = cachedView[T]{}
-	}
-	h.kept = len(h.views)
-	h.prunes++
+	return v
 }
 
 // Enqueue appends v and returns true: the queue is never full. When the
@@ -372,7 +289,7 @@ func (h *Handle[T]) Enqueue(v T) bool {
 	ltail := h.q.tail.Load()
 	enqs := &ltail.enqs[h.stripe%enqStripes].V
 	enqs.Add(1)
-	if !ltail.sealed.Load() && h.view(&h.tail, ltail).Enqueue(v) {
+	if !ltail.sealed.Load() && view(h.tail, ltail).Enqueue(v) {
 		enqs.Add(-1)
 		return true
 	}
@@ -398,7 +315,7 @@ func (h *Handle[T]) EnqueueBatch(vs []T) int {
 		enqs := &ltail.enqs[h.stripe%enqStripes].V
 		enqs.Add(1)
 		if !ltail.sealed.Load() {
-			if sent += h.view(&h.tail, ltail).EnqueueBatch(vs[sent:]); sent == len(vs) {
+			if sent += view(h.tail, ltail).EnqueueBatch(vs[sent:]); sent == len(vs) {
 				enqs.Add(-1)
 				break
 			}
@@ -428,11 +345,9 @@ func (h *Handle[T]) extend(ltail *node[T], vs []T) int {
 		return 0
 	}
 	nr := h.takeRing()
-	nn := &node[T]{r: nr, seq: ltail.seq + 1} //wfq:ignore hotalloc growth path: one node per ring turnover
-	// Straight to miss, past the cache: a reused spare's view still
-	// carries the seq of the node it failed to join.
-	nv := h.miss(&h.tail, nn)
-	m := nv.EnqueueBatch(vs)
+	nn := &node[T]{r: nr} //wfq:ignore hotalloc growth path: one node per ring turnover
+	h.tail.Retarget(nr)
+	m := h.tail.EnqueueBatch(vs)
 	if m == 0 {
 		panic("unbounded: fresh ring rejected its seed")
 	}
@@ -445,7 +360,7 @@ func (h *Handle[T]) extend(ltail *node[T], vs []T) int {
 	// still owns it exclusively: take the seeds back out and keep the
 	// empty ring as the spare for its next turnover.
 	for j := 0; j < m; j++ {
-		nv.Dequeue()
+		h.tail.Dequeue()
 	}
 	h.spare = nr
 	q.spares.Add(1)
@@ -482,11 +397,11 @@ func (h *Handle[T]) takeRing() *ringcore.Queue[T] {
 //wfq:noalloc
 func (h *Handle[T]) Dequeue() (v T, ok bool) {
 	lhead := h.q.head.Load()
-	view := h.view(&h.head, lhead)
+	hv := view(h.head, lhead)
 	if lhead.sealed.Load() {
-		v, ok = view.Drain()
+		v, ok = hv.Drain()
 	} else {
-		v, ok = view.Dequeue()
+		v, ok = hv.Dequeue()
 	}
 	if ok {
 		return v, true
@@ -515,12 +430,12 @@ func (h *Handle[T]) DequeueBatch(out []T) int {
 	filled := 0
 	for filled < len(out) {
 		lhead := q.head.Load()
-		view := h.view(&h.head, lhead)
+		hv := view(h.head, lhead)
 		var n int
 		if lhead.sealed.Load() {
-			n = view.DrainBatch(out[filled:])
+			n = hv.DrainBatch(out[filled:])
 		} else {
-			n = view.DequeueBatch(out[filled:])
+			n = hv.DequeueBatch(out[filled:])
 		}
 		if n > 0 {
 			filled += n
@@ -540,7 +455,7 @@ func (h *Handle[T]) DequeueBatch(out []T) int {
 		// then advance. A ring left behind is reachable only by
 		// stragglers that loaded this node earlier, and it has nothing
 		// left to give them.
-		if n := view.DrainBatch(out[filled:]); n > 0 {
+		if n := hv.DrainBatch(out[filled:]); n > 0 {
 			filled += n
 			continue
 		}

@@ -3,10 +3,12 @@ package unbounded
 import (
 	"fmt"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/metrics"
 	"repro/internal/ringcore"
@@ -450,10 +452,10 @@ func TestNodeDrainedBarrier(t *testing.T) {
 func TestSealedRingsDrainWithoutRecycling(t *testing.T) {
 	// A sealed node's ring takes no more values, so dequeuers drain it
 	// instead of handing its indices back to its free-index ring: a
-	// fresh registration with it then finds it full. The lone tail ring
-	// is never sealed and keeps recycling, so it takes a full load again
-	// with no turnover. The UWCQ maker's census (64) leaves slots for
-	// the probe registrations.
+	// probe handle on it then finds it full. The lone tail ring is never
+	// sealed and keeps recycling, so it takes a full load again with no
+	// turnover. The probe uses id 1, which no handle of this queue
+	// holds.
 	drains := map[string]func(h *Handle[uint64]) []uint64{
 		"Dequeue": func(h *Handle[uint64]) []uint64 {
 			var got []uint64
@@ -495,7 +497,7 @@ func TestSealedRingsDrainWithoutRecycling(t *testing.T) {
 					if !n.sealed.Load() {
 						t.Fatalf("ring %d not sealed", i)
 					}
-					v, err := n.r.Register()
+					v, err := n.r.HandleAt(1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -571,157 +573,104 @@ func TestFootprintAfterDrainCountsSpares(t *testing.T) {
 	}
 }
 
+func TestIdleHandleKeepsNoDrainedRings(t *testing.T) {
+	// Handle a buffers a burst over 4096 rings and goes idle; handle b
+	// drains it. A handle reaches rings only through its two views and
+	// its spare, so once the garbage collector has run, at most the
+	// live rings, the spares and two rings per handle may remain.
+	const ringCap, rings = 4, 4096
+	for name, mk := range makers() {
+		t.Run(name, func(t *testing.T) {
+			q := mk(t, ringCap)
+			hs := newHandles(t, q, 2)
+			a, b := hs[0], hs[1]
+			for i := range uint64(rings * ringCap) {
+				a.Enqueue(i)
+			}
+			ws := make([]weak.Pointer[ringcore.Queue[uint64]], 0, rings)
+			for n := q.head.Load(); n != nil; n = n.next.Load() {
+				ws = append(ws, weak.Make(n.r))
+			}
+			if len(ws) != rings {
+				t.Fatalf("burst spans %d rings, want %d", len(ws), rings)
+			}
+			for i := range uint64(rings * ringCap) {
+				if v, ok := b.Dequeue(); !ok || v != i {
+					t.Fatalf("got (%d,%v), want %d", v, ok, i)
+				}
+			}
+			runtime.GC()
+			reachable := 0
+			for _, w := range ws {
+				if w.Value() != nil {
+					reachable++
+				}
+			}
+			if bound := q.Rings() + spares(hs) + 2*len(hs); reachable > bound {
+				t.Fatalf("%d of %d rings reachable after the drain, want at most %d", reachable, rings, bound)
+			}
+			runtime.KeepAlive(hs)
+		})
+	}
+}
+
+// liveHeap collects garbage and returns the bytes of live heap objects
+// the collection marked.
+func liveHeap() int64 {
+	runtime.GC()
+	s := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	rtmetrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}
+
+func TestFootprintTracksLiveHeap(t *testing.T) {
+	// At 1024-slot rings, one handle buffers a 256-ring burst and
+	// another drains it. Footprint counts what the queue retains, so the
+	// live heap must move with it: within 10% over the burst, and after
+	// the drain by no more than the two rings each handle's views may
+	// keep beyond what Footprint counts.
+	const ringCap, rings = 1024, 256
+	for name, mk := range makers() {
+		t.Run(name, func(t *testing.T) {
+			q := mk(t, ringCap)
+			hs := newHandles(t, q, 2)
+			heap0, foot0 := liveHeap(), int64(q.Footprint())
+			for i := range uint64(rings * ringCap) {
+				hs[0].Enqueue(i)
+			}
+			heap, foot := liveHeap()-heap0, int64(q.Footprint())-foot0
+			if r := float64(heap) / float64(foot); r < 0.9 || r > 1.1 {
+				t.Fatalf("burst: live heap +%d B against Footprint +%d B (%.2fx), want within 10%%", heap, foot, r)
+			}
+			t.Logf("burst: live heap +%d B, Footprint +%d B", heap, foot)
+			for i := range uint64(rings * ringCap) {
+				if v, ok := hs[1].Dequeue(); !ok || v != i {
+					t.Fatalf("got (%d,%v), want %d", v, ok, i)
+				}
+			}
+			heap, foot = liveHeap()-heap0, int64(q.Footprint())-foot0
+			if bound := foot + 2*int64(len(hs))*int64(q.ringBytes); heap > bound {
+				t.Fatalf("drain: live heap +%d B against Footprint +%d B, want at most +%d B", heap, foot, bound)
+			}
+			t.Logf("drain: live heap +%d B, Footprint +%d B, ring %d B", heap, foot, q.ringBytes)
+			runtime.KeepAlive(hs)
+		})
+	}
+}
+
 func TestUWCQSpareViewSurvivesPruning(t *testing.T) {
 	// With a census of two, both handles race extend, so spares are
-	// built, kept and linked later while every turnover prunes views
-	// (far more than 16 rings stay live during a round). A spare's view
-	// pruned while the spare waits would register its owner a second
-	// time once the spare is linked, and the other handle's registration
-	// would then exhaust the ring's census and panic.
+	// built, kept and linked later. Each handle uses its own record in
+	// every ring, a spare included: the loser's seeds went in and came
+	// back out through its record in the spare, and once the spare is
+	// linked both handles must still deliver every value through their
+	// own records, with no third record to fall back on.
 	q := newQueue(t, ringcore.KindWCQ, 4, 2)
 	hs := newHandles(t, q, 2)
 	raceUntil(t, hs, 64, func() bool { return ringsReused(q) >= 1000 })
 	// The other handle drains once more, through rings linked since.
 	raceProducers(hs, 64)
 	drainChecked(t, hs[1], len(hs), 64)
-}
-
-func TestViewCachePrunedAfterGenerations(t *testing.T) {
-	// Every turnover is a new ring generation and a drained ring is
-	// gone for good. Once more than 16 generations have passed through
-	// a handle's views, pruning must drop the first ring from the map
-	// AND from the cached head view.
-	q := newQueue(t, ringcore.KindWCQ, 4, 2)
-	a, _ := q.Handle()
-	b, _ := q.Handle()
-	a.Enqueue(0)
-	if _, ok := a.Dequeue(); !ok {
-		t.Fatal("lost the first value")
-	}
-	r0 := q.head.Load().r
-	if a.head.r != r0 {
-		t.Fatal("head view of the first ring not cached")
-	}
-	next, exp := uint64(1), uint64(1)
-	for gen := 0; gen < 20; gen++ {
-		// One value more than a ring holds: every round seals a ring and
-		// the drain unlinks it.
-		for i := 0; i < 5; i++ {
-			a.Enqueue(next)
-			next++
-		}
-		for i := 0; i < 5; i++ {
-			if v, ok := b.Dequeue(); !ok || v != exp {
-				t.Fatalf("gen %d: got (%d,%v), want %d", gen, v, ok, exp)
-			}
-			exp++
-		}
-	}
-	if a.head.r == r0 {
-		t.Fatal("cached head view still holds an unlinked ring after pruning")
-	}
-	if _, ok := a.views[r0]; ok {
-		t.Fatal("view map still holds an unlinked ring after pruning")
-	}
-	if ringsBuilt(q) < 20 {
-		t.Fatalf("only %d ring generations", ringsBuilt(q))
-	}
-	a.Enqueue(next)
-	if v, ok := a.Dequeue(); !ok || v != next {
-		t.Fatalf("after pruning: got (%d,%v), want %d", v, ok, next)
-	}
-}
-
-func TestPruneAmortizedOverLongBurst(t *testing.T) {
-	// One handle buffers a burst spanning 4096 rings. Each turnover is
-	// a fresh registration, so pruning on every one past 16 views would
-	// walk the whole live list each time: O(R^2) for R rings. Pruning
-	// must instead run O(log R) times, and the handle may hold no more
-	// than about two views per live ring.
-	const ringCap, rings = 4, 4096
-	for name, mk := range makers() {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t, ringCap)
-			h, err := q.Handle()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range uint64(rings * ringCap) {
-				h.Enqueue(i)
-				// Nothing is dequeued, so value i sits in ring i/ringCap.
-				if live := int(i/ringCap) + 1; len(h.views) > viewBound(live) {
-					t.Fatalf("value %d: %d views held over %d live rings", i, len(h.views), live)
-				}
-			}
-			if q.Rings() != rings {
-				t.Fatalf("burst spans %d rings, want %d", q.Rings(), rings)
-			}
-			if h.prunes == 0 || h.prunes > 12 {
-				t.Fatalf("%d prunes over a %d-ring burst, want 1..12", h.prunes, rings)
-			}
-			for i := range uint64(rings * ringCap) {
-				if v, ok := h.Dequeue(); !ok || v != i {
-					t.Fatalf("got (%d,%v), want %d", v, ok, i)
-				}
-			}
-		})
-	}
-}
-
-// viewBound is the most views a handle may hold after a fresh
-// registration while live rings are linked.
-func viewBound(live int) int { return max(minPruneViews, 2*live+2) }
-
-func TestPruneBoundAcrossDrain(t *testing.T) {
-	// A producer buffers a burst spanning 4096 rings, a consumer drains
-	// it, and the producer goes on through a few more rings. Neither
-	// handle may keep views of dead rings beyond the bound once it
-	// registers again: the consumer, which only ever sees rings as they
-	// die, holds at most minPruneViews; the producer, which held a view
-	// of every ring in the burst, drops them at its next turnover.
-	const ringCap, rings, after = 4, 4096, 64
-	for name, mk := range makers() {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t, ringCap)
-			prod, err := q.Handle()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cons, err := q.Handle()
-			if err != nil {
-				t.Fatal(err)
-			}
-			next, exp := uint64(0), uint64(0)
-			enqueue := func(n int) {
-				for range n {
-					before := len(prod.views)
-					prod.Enqueue(next)
-					next++
-					if len(prod.views) != before && len(prod.views) > viewBound(q.Rings()) {
-						t.Fatalf("producer at value %d: %d views over %d live rings", next, len(prod.views), q.Rings())
-					}
-				}
-			}
-			drain := func() {
-				for exp < next {
-					if v, ok := cons.Dequeue(); !ok || v != exp {
-						t.Fatalf("got (%d,%v), want %d", v, ok, exp)
-					}
-					exp++
-					if len(cons.views) > minPruneViews {
-						t.Fatalf("consumer at value %d: %d views over %d live rings", exp, len(cons.views), q.Rings())
-					}
-				}
-			}
-			enqueue(rings * ringCap)
-			drain()
-			enqueue(after * ringCap)
-			if len(prod.views) > viewBound(q.Rings()) {
-				t.Fatalf("producer after the drain: %d views over %d live rings", len(prod.views), q.Rings())
-			}
-			drain()
-		})
-	}
 }
 
 func TestUWCQCensusSurvivesTurnover(t *testing.T) {

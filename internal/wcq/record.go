@@ -71,3 +71,11 @@ type Handle struct {
 
 // Ring returns the ring this handle operates on.
 func (h *Handle) Ring() *Ring { return h.q }
+
+// Retarget points h at the record with its own id in ring q, which
+// must have at least as many records as h's ring: one id in every
+// ring, as the paper's unbounded queue gives each thread. h must have
+// no operation in flight.
+//
+//wfq:noalloc
+func (h *Handle) Retarget(q *Ring) { h.q, h.r = q, &q.recs[h.r.tid] }

@@ -153,6 +153,18 @@ func (q *Ring) Register() (*Handle, error) {
 		q.nextRec.Add(-1)
 		return nil, fmt.Errorf("wcq: thread census exhausted (maxThreads=%d)", q.maxThread)
 	}
+	return q.HandleAt(int(id))
+}
+
+// HandleAt returns a Handle bound to thread record id, in [0,
+// maxThreads), without drawing on Register's census: the caller owns
+// the numbering, as the paper's threads own their ids. No two
+// goroutines may use one id at once, and HandleAt and Register are
+// never mixed on one ring.
+func (q *Ring) HandleAt(id int) (*Handle, error) {
+	if id < 0 || id >= len(q.recs) {
+		return nil, fmt.Errorf("wcq: thread record %d outside the census [0, %d)", id, len(q.recs))
+	}
 	return &Handle{q: q, r: &q.recs[id]}, nil
 }
 
