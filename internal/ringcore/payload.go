@@ -2,7 +2,9 @@ package ringcore
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/atomicx"
 	"repro/internal/metrics"
@@ -52,7 +54,9 @@ var (
 // order, so fq only ever holds recycled indices. An enqueue asks the
 // counter first (claim) and fq only once the counter is exhausted, so
 // a ring's first lap costs one F&A per index instead of a full fq
-// dequeue.
+// dequeue. The counter's i-th index names data slot spread(i, n), so
+// two enqueuers claiming neighbouring indices write different cache
+// lines.
 //
 // Every operation reads the header fields and none writes them (ids
 // is written by Register only); the pads keep them off any cache line
@@ -64,6 +68,7 @@ type Queue[T any] struct {
 	data  []T
 	kind  Kind
 	ids   atomic.Int64 // next Register id; registration only
+	refs  bool         // T holds pointers: a taken slot must be zeroed
 	_     pad.Line
 	fresh atomicx.Counter
 	_     pad.Line
@@ -115,14 +120,57 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 		return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
 	}
 	q.data = make([]T, capacity)
+	q.refs = hasPointers(reflect.TypeFor[T]())
 	q.fresh.Init(opts.mode(), 0)
 	return q, nil
 }
 
+// hasPointers reports whether a value of type t holds a reference the
+// garbage collector traces: a pointer, or a string, slice, map,
+// channel, func or interface header, directly or inside an array or a
+// struct. A slot of a type without one keeps nothing alive, so a take
+// need not zero it.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// spread maps the i-th never-used index of an n-slot queue to its data
+// slot: within each aligned run of 16, the even indices take the first
+// 8 slots and the odd ones the last 8, in order. Two enqueuers that
+// claim neighbouring indices therefore write different 64-byte lines
+// of 8-byte values, while a 16-index batch run still fills exactly
+// two. It permutes the low four bits only, so it is a bijection on
+// every aligned run of 16 and thus on [0, n); below 16 slots it is the
+// identity.
+//
+//wfq:noalloc
+func spread(i, n uint64) uint64 {
+	if n < 16 {
+		return i
+	}
+	return i&^15 | (i&1)<<3 | i>>1&7
+}
+
 // claim hands out up to k indices no value has used yet: first and
-// the m-1 after it. m is 0 once the counter has handed out all n. The
-// Load keeps the steady state from writing the counter's line: after
-// the first lap it is one read of a word that no longer changes.
+// the m-1 after it, each to be mapped to its slot by spread. m is 0
+// once the counter has handed out all n. The Load keeps the steady
+// state from writing the counter's line: after the first lap it is one
+// read of a word that no longer changes.
 //
 //wfq:noalloc
 func (q *Queue[T]) claim(k uint64) (first, m uint64) {
@@ -233,6 +281,8 @@ func (h *QueueHandle[T]) Enqueue(v T) bool {
 		if idx, ok = h.fq.Dequeue(); !ok {
 			return false
 		}
+	} else {
+		idx = spread(idx, h.q.Cap())
 	}
 	h.q.data[idx] = v
 	h.aq.Enqueue(idx)
@@ -269,15 +319,20 @@ func (h *QueueHandle[T]) Drain() (v T, ok bool) {
 	return h.move(idx), true
 }
 
-// move takes the value out of data slot idx, zeroing the slot to
-// release references; Dequeue and Drain differ only in what they then
-// do with idx.
+// move takes the value out of data slot idx; Dequeue and Drain differ
+// only in what they then do with idx. When T holds pointers it zeroes
+// the slot, so the queue keeps no taken value alive. A pointer-free
+// slot is left as it is: the store would release nothing and would
+// only write a line that the enqueuers of neighbouring slots also
+// write.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) move(idx uint64) T {
 	v := h.q.data[idx]
-	var zero T
-	h.q.data[idx] = zero
+	if h.q.refs {
+		var zero T
+		h.q.data[idx] = zero
+	}
 	return v
 }
 
@@ -295,8 +350,8 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 	}
 	buf := h.scratch(len(vs))
 	first, m := h.q.claim(uint64(len(buf)))
-	for j := range m {
-		buf[j] = first + j
+	for j, n := uint64(0), h.q.Cap(); j < m; j++ {
+		buf[j] = spread(first+j, n)
 	}
 	n := int(m)
 	if n < len(buf) {
@@ -342,10 +397,15 @@ func (h *QueueHandle[T]) DrainBatch(out []T) int {
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) moveBatch(out []T, idx []uint64) {
-	var zero T
+	data := h.q.data
 	for j, i := range idx {
-		out[j] = h.q.data[i]
-		h.q.data[i] = zero
+		out[j] = data[i]
+	}
+	if h.q.refs {
+		var zero T
+		for _, i := range idx {
+			data[i] = zero
+		}
 	}
 }
 
@@ -370,9 +430,11 @@ func (q *Queue[T]) Cap() uint64 { return uint64(len(q.data)) }
 func (q *Queue[T]) Stats() metrics.Snapshot { return q.aq.Metrics().Snapshot() }
 
 // Footprint returns the statically allocated byte size of the queue
-// (both rings, any thread records, and the payload array slots).
+// (both rings, any thread records, and the payload array slots of T's
+// size each).
 //
 //wfq:noalloc
 func (q *Queue[T]) Footprint() uint64 {
-	return q.aq.Footprint() + q.fq.Footprint() + uint64(cap(q.data))*8
+	var v T
+	return q.aq.Footprint() + q.fq.Footprint() + uint64(cap(q.data))*uint64(unsafe.Sizeof(v))
 }

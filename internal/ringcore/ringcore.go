@@ -9,7 +9,11 @@
 // allocated-index ring, written once over either kind of index ring.
 // Where the paper starts the free-index ring full of 0..n-1, a Queue
 // starts it empty and hands out the never-used indices from a counter,
-// so the free-index ring only ever holds recycled indices.
+// so the free-index ring only ever holds recycled indices. The
+// counter's i-th index names data slot spread(i, n), a fixed
+// permutation that puts neighbouring claims on different cache lines,
+// as the paper's Cache_Remap does for ring entries; a take zeroes its
+// slot only when the value type holds pointers.
 // The unbounded linked rings and the public wfqueue types hold that
 // concrete *Queue, which is always what New builds, rather than the
 // contract: they call its handles directly, and the unbounded

@@ -5,6 +5,8 @@
 package ringcore
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -358,47 +360,95 @@ func TestContractFootprintConstant(t *testing.T) {
 	})
 }
 
-func TestContractReleasesReferences(t *testing.T) {
-	// GC hygiene: a dequeued or drained payload slot must not keep its
-	// value reachable, on the scalar and the batch path alike.
-	forEachKind(t, func(t *testing.T, kind Kind) {
-		c, err := New[*int](kind, 4, 1, nil)
+// takes runs each of the four take paths once over a few values
+// enqueued just before it, and calls check with the path's name and
+// the values it took.
+func takes[T any](t *testing.T, h *QueueHandle[T], next func() T, check func(path string, got []T)) {
+	t.Helper()
+	put := func(k int) {
+		t.Helper()
+		vs := make([]T, k)
+		for i := range vs {
+			vs[i] = next()
+		}
+		if n := h.EnqueueBatch(vs); n != k {
+			t.Fatalf("EnqueueBatch = %d, want %d", n, k)
+		}
+	}
+	scalar := func(path string, take func() (T, bool), k int) {
+		t.Helper()
+		put(k)
+		var got []T
+		for range k {
+			v, ok := take()
+			if !ok {
+				t.Fatalf("%s on a non-empty queue failed", path)
+			}
+			got = append(got, v)
+		}
+		check(path, got)
+	}
+	batch := func(path string, take func([]T) int, k int) {
+		t.Helper()
+		put(k)
+		out := make([]T, k)
+		if n := take(out); n != k {
+			t.Fatalf("%s = %d, want %d", path, n, k)
+		}
+		check(path, out)
+	}
+	// Seventeen values first, so the takes cross a 16-slot spread run.
+	scalar("Dequeue", h.Dequeue, 17)
+	batch("DequeueBatch", h.DequeueBatch, 9)
+	scalar("Drain", h.Drain, 5)
+	batch("DrainBatch", h.DrainBatch, 7)
+}
+
+// checkReleases fills and empties a 32-slot queue of T on every take
+// path and fails if any data slot is left holding a value.
+func checkReleases[T comparable](t *testing.T, kind Kind, mk func(i int) T) {
+	t.Run(reflect.TypeFor[T]().String(), func(t *testing.T) {
+		c, err := New[T](kind, 32, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := c.(*Queue[*int])
+		q := c.(*Queue[T])
 		h, err := q.Register()
 		if err != nil {
 			t.Fatal(err)
 		}
-		check := func(path string) {
-			for i, p := range q.data {
-				if p != nil {
-					t.Fatalf("%s: payload slot %d retains a pointer after dequeue", path, i)
+		i := 0
+		next := func() T { i++; return mk(i) }
+		var zero T
+		takes(t, h, next, func(path string, got []T) {
+			for _, v := range got {
+				if v == zero {
+					t.Fatalf("%s returned a zero value", path)
 				}
 			}
-		}
-		h.Enqueue(new(int))
-		h.Dequeue()
-		check("Dequeue")
-		in := []*int{new(int), new(int), new(int)}
-		if n := h.EnqueueBatch(in); n != len(in) {
-			t.Fatalf("EnqueueBatch = %d, want %d", n, len(in))
-		}
-		if n := h.DequeueBatch(make([]*int, len(in))); n != len(in) {
-			t.Fatalf("DequeueBatch = %d, want %d", n, len(in))
-		}
-		check("DequeueBatch")
-		h.Enqueue(new(int))
-		h.Drain()
-		check("Drain")
-		if n := h.EnqueueBatch(in[:2]); n != 2 {
-			t.Fatalf("EnqueueBatch = %d, want 2", n)
-		}
-		if n := h.DrainBatch(make([]*int, 2)); n != 2 {
-			t.Fatalf("DrainBatch = %d, want 2", n)
-		}
-		check("DrainBatch")
+			for s, v := range q.data {
+				if v != zero {
+					t.Fatalf("%s: payload slot %d retains %v after the take", path, s, v)
+				}
+			}
+		})
+	})
+}
+
+func TestContractReleasesReferences(t *testing.T) {
+	// GC hygiene: a dequeued or drained payload slot of a type that
+	// holds pointers must not keep its value reachable, on the scalar
+	// and the batch paths alike.
+	type tagged struct {
+		n int
+		p *int
+	}
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		checkReleases(t, kind, func(i int) *int { return &i })
+		checkReleases(t, kind, func(i int) string { return fmt.Sprint("v", i) })
+		checkReleases(t, kind, func(i int) tagged { return tagged{i, new(int)} })
+		checkReleases(t, kind, func(i int) [2]*int { return [2]*int{new(int), &i} })
+		checkReleases(t, kind, func(i int) any { return i })
 	})
 }
 

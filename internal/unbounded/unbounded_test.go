@@ -658,6 +658,42 @@ func TestFootprintTracksLiveHeap(t *testing.T) {
 	}
 }
 
+func TestFootprintCountsValueSize(t *testing.T) {
+	// With 24-byte values a ring's data array is three times that of
+	// uint64 rings. A burst over 64 rings of 1024 must move the live
+	// heap by what Footprint reports, within 10%, and each ring must
+	// cost what a ring of uint64 values costs plus 16 B per slot.
+	const ringCap, rings = 1024, 64
+	for _, kind := range ringcore.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			words, err := New[uint64](kind, ringCap, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := New[[3]uint64](kind, ringCap, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := q.ringBytes, words.ringBytes+ringCap*16; got != want {
+				t.Fatalf("ring footprint %d B, want %d B", got, want)
+			}
+			h, err := q.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap0, foot0 := liveHeap(), int64(q.Footprint())
+			for i := range uint64(rings * ringCap) {
+				h.Enqueue([3]uint64{i, i, i})
+			}
+			heap, foot := liveHeap()-heap0, int64(q.Footprint())-foot0
+			if r := float64(heap) / float64(foot); r < 0.9 || r > 1.1 {
+				t.Fatalf("burst: live heap +%d B against Footprint +%d B (%.2fx), want within 10%%", heap, foot, r)
+			}
+			runtime.KeepAlive(h)
+		})
+	}
+}
+
 func TestUWCQSpareViewSurvivesPruning(t *testing.T) {
 	// With a census of two, both handles race extend, so spares are
 	// built, kept and linked later. Each handle uses its own record in
@@ -889,4 +925,60 @@ func BenchmarkBurstDrain(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
 		})
 	}
+}
+
+// BenchmarkBurstPair is the burst_drain workload of the repository
+// benchmark in miniature: two handles on two goroutines each fill one
+// queue of 1024-slot wCQ rings with 32768 values, meet, and drain it
+// together. It reports the cost per value. Unlike the single-handle
+// burst benchmarks, it shows what the two cores pay for cache lines
+// they both write.
+func BenchmarkBurstPair(b *testing.B) {
+	const ringCap, per = 1024, 32768
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	q, err := New[uint64](ringcore.KindWCQ, ringCap, 2, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var hs [2]*Handle[uint64]
+	for i := range hs {
+		if hs[i], err = q.Handle(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for b.Loop() {
+		// arrived counts the goroutines at each meeting point; they
+		// spin rather than park, so both fill and both drain at once.
+		var arrived, taken atomic.Int64
+		meet := func(round int64) {
+			arrived.Add(1)
+			for arrived.Load() < round*int64(len(hs)) {
+				runtime.Gosched()
+			}
+		}
+		var done sync.WaitGroup
+		done.Add(len(hs))
+		for p, h := range hs {
+			go func() {
+				defer done.Done()
+				meet(1)
+				for i := range uint64(per) {
+					h.Enqueue(uint64(p)<<32 | i)
+				}
+				meet(2)
+				n := int64(0)
+				for _, ok := h.Dequeue(); ok; _, ok = h.Dequeue() {
+					n++
+				}
+				taken.Add(n)
+			}()
+		}
+		done.Wait()
+		if got := taken.Load(); got != int64(len(hs))*per {
+			b.Fatalf("drained %d values, want %d", got, len(hs)*per)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(hs)*per), "ns/value")
 }
