@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/metrics"
+	"repro/internal/pad"
 	"repro/internal/park"
 	"repro/internal/queueapi"
 	"repro/internal/ringcore"
@@ -74,9 +75,8 @@ func WithBackend(b Backend) Option {
 // paths. A sender or receiver that finds the buffer full or empty
 // parks at once (futex-style, via internal/park); no operation
 // spin-polls. A send that finds a receiver parked on an empty buffer
-// hands its value over directly, and on the single-ring bounded
-// backends a receive that frees a slot completes a parked sender's
-// pending send (see chan_handoff.go).
+// hands its value over directly (see chan_handoff.go); a receive that
+// frees a slot wakes parked senders, which retry their enqueue.
 //
 // The close contract mirrors Go channels but stays a library: Close
 // makes every subsequent or blocked Send return ErrClosed (the value
@@ -98,6 +98,8 @@ func WithBackend(b Backend) Option {
 // "full": Send always completes without parking (the buffer grows in
 // ring-sized steps instead — per shard, for the sharded variant), and
 // only Recv parks. The close contract is unchanged.
+//
+//wfq:isolate
 type Chan[T any] struct {
 	// core is the nonblocking queue the Chan buffers on, consumed
 	// through the same contract as every other composition. Its Empty
@@ -118,20 +120,17 @@ type Chan[T any] struct {
 	// adds the close-drain count on top of the layers below.
 	met    *metrics.Sink
 	closed atomic.Bool
+	_      pad.Line
 	// sending counts in-flight sends of every kind (scalar, batch,
 	// blocking and Try). Receivers treat "closed" as final only once
 	// this is zero: a sender that passed the closed check may still be
 	// buffering its value, and draining receivers must not give up
-	// before it lands (or aborts).
+	// before it lands (or aborts). Every send writes it twice, so it
+	// has a cache line to itself: on a line shared with the fields
+	// every receive reads (core, shardedFull, notFull), each send
+	// would evict that line from the receivers' caches.
 	sending atomic.Int64
-	// takeover enables the sender-side handoff path: a receiver that
-	// frees a slot enqueues a parked sender's pending value on its
-	// behalf, so the woken sender returns without re-running its retry
-	// loop. Only single-ring bounded backends qualify — on the sharded
-	// backend the receiver's handle would enqueue into the wrong home
-	// shard, breaking per-handle FIFO, and unbounded backends never
-	// park senders.
-	takeover bool
+	_       pad.Line
 }
 
 // ChanHandle is a goroutine's capability to use a Chan. Not safe for
@@ -139,15 +138,13 @@ type Chan[T any] struct {
 type ChanHandle[T any] struct {
 	c *Chan[T]
 	h ringcore.Handle[T]
-	// rcell and scell are this handle's direct-handoff transfer cells:
-	// a parking receiver arms rcell on notEmpty so a sender can publish
-	// a value into it; a parking sender arms scell on notFull so a
-	// receiver can enqueue the pending value on its behalf. They live
-	// in the handle — one goroutine's private memory, never shared
-	// concurrently (the claim protocol serializes the peer's write
-	// against the owner's read) — so no cache-line padding is needed.
+	// rcell is this handle's direct-handoff transfer cell: a parking
+	// receiver arms it on notEmpty so a sender can publish a value into
+	// it. It lives in the handle — one goroutine's private memory,
+	// never shared concurrently (the claim protocol serializes the
+	// sender's write against the owner's read) — so no cache-line
+	// padding is needed.
 	rcell T
-	scell T
 	// one is the scratch that makes a scalar operation the batch
 	// operation over one element. It is zeroed after every use so the
 	// handle keeps no reference to a value it has passed on.
@@ -222,16 +219,15 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		core:        core,
 		shardedFull: o.backend == BackendSharded,
 		met:         o.metrics,
-		takeover:    o.backend == BackendWCQ || o.backend == BackendSCQ,
 	}
 	c.notEmpty.SetMetrics(o.metrics)
 	c.notFull.SetMetrics(o.metrics)
 	return c, nil
 }
 
-// Stats snapshots the Chan's metrics sink: park/wake traffic, the
-// blocking-wait duration ladder and wake-tranche sizes from both park
-// points, close-drain observations, and every event the backing core
+// Stats snapshots the Chan's metrics sink: park/wake traffic and the
+// blocking-wait duration ladder from both park points, send-side
+// handoffs, close-drain observations, and every event the backing core
 // recorded into the shared sink. The Waiters gauge — the goroutines
 // parked on the Chan right now — is filled even without WithMetrics;
 // all other fields are zero then.
@@ -485,41 +481,12 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 			c.notEmpty.Wake(n)
 			continue
 		}
-		// Park commit: on takeover backends, arm the next pending value
-		// so a receiver freeing a slot can enqueue it on our behalf.
-		// Arming only here — after the registered re-checks — keeps
-		// those re-checks (which must be free to enqueue and Abort) from
-		// having to disarm first on every successful retry.
-		if c.takeover {
-			h.armSend(w, vs[sent])
-		}
 		select {
 		case <-w.Ready():
-			// Done before Finish: Finish recycles the waiter and resets
-			// its transfer state.
-			done := w.Done()
+			// Plain (possibly forwarded) wake: loop and retry.
 			c.notFull.Finish(w)
-			if done {
-				// A receiver enqueued vs[sent] for us (exactly once);
-				// signal a receiver for the value it made visible.
-				sent++
-				if sent == len(vs) {
-					c.finishSendN(1)
-					return sent, nil
-				}
-				c.notEmpty.Wake(1)
-			}
 		case <-ctx.Done():
-			if c.notFull.Abort(w) {
-				// The takeover landed before the abort: vs[sent] is
-				// buffered and counts toward the delivered prefix.
-				sent++
-				c.finishSendN(1)
-				if sent == len(vs) {
-					return sent, nil
-				}
-				return sent, ctx.Err()
-			}
+			c.notFull.Abort(w)
 			c.finishSendN(0)
 			return sent, ctx.Err()
 		}
@@ -535,14 +502,14 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 func (h *ChanHandle[T]) TryRecvMany(out []T) (int, error) {
 	c := h.c
 	if n := h.take(out); n > 0 {
-		h.releaseSlots(n)
+		c.wakeNotFullN(n)
 		return n, nil
 	}
 	if c.closed.Load() && c.sending.Load() == 0 {
 		// Final re-check: with the in-flight counter at zero after
 		// close, every completed send's value is visible.
 		if n := h.take(out); n > 0 {
-			h.releaseSlots(n)
+			c.wakeNotFullN(n)
 			return n, nil
 		}
 		c.met.Inc(metrics.CloseDrain)
@@ -582,7 +549,7 @@ func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 	c := h.c
 	for {
 		if n := h.take(out); n > 0 {
-			h.releaseSlots(n)
+			c.wakeNotFullN(n)
 			return n, nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -607,7 +574,7 @@ func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 			// the ring.
 			if n := h.take(out); n > 0 {
 				c.notEmpty.Abort(w)
-				h.releaseSlots(n)
+				c.wakeNotFullN(n)
 				return n, nil
 			}
 			if c.closed.Load() && c.sending.Load() == 0 {
@@ -615,7 +582,7 @@ func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 				// after close, every completed send's value is visible.
 				if n := h.take(out); n > 0 {
 					c.notEmpty.Abort(w)
-					h.releaseSlots(n)
+					c.wakeNotFullN(n)
 					return n, nil
 				}
 				c.notEmpty.Abort(w)

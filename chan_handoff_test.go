@@ -76,24 +76,21 @@ func TestChanHandoffDeliversToParkedReceiver(t *testing.T) {
 	}
 }
 
-// TestChanHandoffSenderTakeover pins the symmetric path on the bounded
-// single-ring backends: a Recv that frees a slot while a sender is
-// parked completes the sender's pending enqueue on its behalf
-// (HandoffRecv), preserving FIFO, and the woken sender returns without
-// retrying. Arming happens at park-commit — a hair after registration —
-// so the observing loop retries until a takeover actually lands.
-func TestChanHandoffSenderTakeover(t *testing.T) {
+// TestChanParkedSendKeepsFIFO pins the parked-sender path on the
+// bounded single-ring backends: a Send parked on a full Chan is woken
+// by the Recv that frees a slot, retries its enqueue, and its value
+// arrives after the buffered ones, in order.
+func TestChanParkedSendKeepsFIFO(t *testing.T) {
+	const rounds = 20
 	for _, b := range []Backend{BackendWCQ, BackendSCQ} {
-		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			c, err := NewChan[int](2, 3, WithBackend(b), WithMetrics(NewMetricsSink()))
+			c, err := NewChan[int](2, 3, WithBackend(b))
 			if err != nil {
 				t.Fatal(err)
 			}
 			hs, _ := c.Handle()
 			hr, _ := c.Handle()
-			deadline := time.Now().Add(10 * time.Second)
-			for round := 0; ; round++ {
+			for round := 0; round < rounds; round++ {
 				base := round * 10
 				if err := hs.Send(base + 1); err != nil {
 					t.Fatal(err)
@@ -112,13 +109,6 @@ func TestChanHandoffSenderTakeover(t *testing.T) {
 				}
 				if err := <-done; err != nil {
 					t.Fatalf("round %d: parked Send = %v", round, err)
-				}
-				snap := c.Stats()
-				if snap.Counts[metrics.HandoffRecv] > 0 {
-					return // takeover landed and accounting above held
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("no sender takeover landed in any round")
 				}
 			}
 		})

@@ -125,7 +125,6 @@ func (d *daemon) vars() any {
 		"handoff_rate":    snap.HandoffRate(),
 		"op_latency_ns":   quantiles(d.latency()),
 		"parked_ns":       quantiles(snap.Parked),
-		"wake_tranche":    quantiles(snap.Tranches),
 	}
 }
 
@@ -157,7 +156,7 @@ func (d *daemon) promText(w io.Writer) {
 	fmt.Fprintf(w, "# HELP wcqstressd_waiters Goroutines currently parked on the queue's blocking facade.\n")
 	fmt.Fprintf(w, "# TYPE wcqstressd_waiters gauge\n")
 	fmt.Fprintf(w, "wcqstressd_waiters{queue=%q} %d\n", d.name, snap.Waiters)
-	fmt.Fprintf(w, "# HELP wcqstressd_handoffs_total Values moved by the direct-handoff rendezvous fast path (sends into parked receivers plus takeovers of parked senders).\n")
+	fmt.Fprintf(w, "# HELP wcqstressd_handoffs_total Values moved by the direct-handoff rendezvous fast path (sends into parked receivers).\n")
 	fmt.Fprintf(w, "# TYPE wcqstressd_handoffs_total counter\n")
 	fmt.Fprintf(w, "wcqstressd_handoffs_total{queue=%q} %d\n", d.name, snap.Handoffs())
 	fmt.Fprintf(w, "# HELP wcqstressd_handoff_hit_rate Fraction of handoff attempts that moved a value past the ring, in [0, 1].\n")

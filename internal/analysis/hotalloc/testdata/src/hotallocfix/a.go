@@ -172,12 +172,12 @@ func publish(w *xferWaiter, v uint64) bool {
 	return true
 }
 
-// leakyArm is the trap the fixture exists to catch: a cell allocated
+// leakyCell is the trap the fixture exists to catch: a cell allocated
 // per handoff instead of living in the owner's handle defeats the
 // zero-alloc fast path, and the analyzer must say so.
 //
 //wfq:noalloc
-func leakyArm(w *xferWaiter) {
+func leakyCell(w *xferWaiter) {
 	c := new(uint64) // want "new allocates"
 	w.arm(unsafe.Pointer(c))
 }

@@ -44,9 +44,10 @@ type Point struct {
 	Burst    int     `json:"burst,omitempty"`
 	MopsMin  float64 `json:"mops_min,omitempty"`
 	MopsMean float64 `json:"mops_mean,omitempty"`
-	// MopsMax is the best rep's throughput: the noise-robust estimator
-	// the relative perf smokes compare, since a single scheduler stall
-	// on a shared runner poisons a mean but not a max.
+	// MopsMax is the best rep's throughput, kept for offline reading:
+	// a single scheduler stall on a shared runner poisons a mean but not
+	// a max. The relative perf smokes (smokeBatch, smokeWait in
+	// cmd/wcqbench) compare MopsMean.
 	MopsMax  float64 `json:"mops_max,omitempty"`
 	MemoryMB float64 `json:"memory_mb,omitempty"`
 	// FootprintMB is the queue's own Footprint() after the run: the

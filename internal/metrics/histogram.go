@@ -82,18 +82,6 @@ func (h *Histogram) Record(v uint64) {
 	}
 }
 
-// RecordSince records the nanoseconds elapsed since t — the one-line
-// form of the closed-loop timing pattern (stamp, operate, record).
-// No-op on a nil receiver.
-//
-//wfq:noalloc
-func (h *Histogram) RecordSince(t time.Time) {
-	if h == nil {
-		return
-	}
-	h.Record(uint64(time.Since(t)))
-}
-
 // RecordElapsed records a duration, clamping negatives to zero. This
 // is the open-loop (coordinated-omission-safe) recording primitive:
 // callers pass completion-time minus INTENDED start time, which the

@@ -84,28 +84,19 @@ const (
 	// CloseDrain counts receive operations that observed the
 	// closed-and-drained state of a Chan and returned ErrClosed.
 	CloseDrain
-	// WakeTranche counts staggered WakeAll release tranches; the
-	// tranche-size distribution is in Snapshot.Tranches, and
-	// Wake/WakeTranche approximates the mean tranche size when
-	// broadcast wakes dominate.
-	WakeTranche
 	// HandoffSend counts sends that bypassed the ring entirely: the
 	// queue was verifiably empty with a receiver parked on notEmpty,
 	// so the value was published straight into the claimed waiter's
 	// transfer cell.
 	HandoffSend
-	// HandoffRecv counts receives that completed a parked sender's
-	// pending enqueue directly after freeing a slot, so the woken
-	// sender skipped its retry loop.
-	HandoffRecv
-	// HandoffMiss counts rendezvous attempts that reached the claim (or
-	// takeover enqueue) and lost it to a concurrent Disarm, wake, or
-	// racing producer, falling back to the ring path. A send that skips
-	// handoff because buffered values exist is NOT a miss — FIFO forbids
-	// the handoff there by design, so no rendezvous was attempted.
-	// (HandoffSend+HandoffRecv) / (HandoffSend+HandoffRecv+HandoffMiss)
-	// is the handoff hit rate: the fraction of attempted rendezvous that
-	// actually moved a value past the ring.
+	// HandoffMiss counts sends that reached the claim and found no
+	// claimable receiver (each had disarmed or been woken), falling
+	// back to the ring path. A send that skips handoff because buffered
+	// values exist is NOT a miss — FIFO forbids the handoff there by
+	// design, so no rendezvous was attempted. HandoffSend /
+	// (HandoffSend+HandoffMiss) is the handoff hit rate: the fraction
+	// of attempted rendezvous that actually moved a value past the
+	// ring.
 	HandoffMiss
 
 	// NumEvents is the number of event kinds; valid events are
@@ -130,9 +121,7 @@ var eventNames = [NumEvents]string{
 	"wake",
 	"spurious_wake",
 	"close_drain",
-	"wake_tranche",
 	"handoff_send",
-	"handoff_recv",
 	"handoff_miss",
 }
 
@@ -175,10 +164,6 @@ type Sink struct {
 	// parked is the distribution of time waiters spent registered on a
 	// park.Point before their wake, in nanoseconds.
 	parked Histogram
-
-	// tranches is the distribution of staggered WakeAll tranche sizes
-	// (waiters released per tranche).
-	tranches Histogram
 }
 
 // New returns an enabled Sink with one counter stripe per (power-of-two
@@ -254,17 +239,6 @@ func (s *Sink) ObserveParked(ns uint64) {
 	s.parked.Record(ns)
 }
 
-// ObserveTranche records one staggered WakeAll tranche's size (number
-// of waiters released together). No-op on a nil Sink.
-//
-//wfq:noalloc
-func (s *Sink) ObserveTranche(n uint64) {
-	if s == nil {
-		return
-	}
-	s.tranches.Record(n)
-}
-
 // Count returns the event's total across all stripes. Nil Sinks report
 // zero. It is a read-side helper; the data path never calls it.
 func (s *Sink) Count(e Event) uint64 {
@@ -287,8 +261,6 @@ type Snapshot struct {
 	// Parked is the blocking-wait duration distribution in
 	// nanoseconds (see Sink.ObserveParked).
 	Parked HistogramSnapshot
-	// Tranches is the staggered WakeAll tranche-size distribution.
-	Tranches HistogramSnapshot
 	// Waiters is the live parked population at snapshot time. The
 	// Sink does not track it — Sink.Snapshot leaves it zero — because
 	// it is a gauge over park.Point state, not a counter: the blocking
@@ -310,19 +282,18 @@ func (s *Sink) Snapshot() Snapshot {
 		}
 	}
 	out.Parked = s.parked.Snapshot()
-	out.Tranches = s.tranches.Snapshot()
 	return out
 }
 
 // Handoffs returns the total number of direct handoffs in the
-// snapshot: ring-bypassing sends to parked receivers plus completed
-// pending enqueues for parked senders.
+// snapshot: sends that bypassed the ring into a parked receiver's
+// transfer cell.
 func (s *Snapshot) Handoffs() uint64 {
-	return s.Counts[HandoffSend] + s.Counts[HandoffRecv]
+	return s.Counts[HandoffSend]
 }
 
-// HandoffRate returns the fraction of handoff attempts that succeeded,
-// in [0, 1]. Zero when no attempt was recorded.
+// HandoffRate returns the fraction of send-side handoff attempts that
+// succeeded, in [0, 1]. Zero when no attempt was recorded.
 func (s *Snapshot) HandoffRate() float64 {
 	hits := s.Handoffs()
 	total := hits + s.Counts[HandoffMiss]
@@ -348,6 +319,5 @@ func (s *Snapshot) Merge(o Snapshot) {
 		s.Counts[e] += o.Counts[e]
 	}
 	s.Parked.Merge(o.Parked)
-	s.Tranches.Merge(o.Tranches)
 	s.Waiters += o.Waiters
 }

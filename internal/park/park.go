@@ -21,35 +21,32 @@
 // the condition after waking: wakes can be spurious (forwarded from
 // an aborted waiter), never missing.
 //
-// WakeAll releases waiters in tranches of max(GOMAXPROCS, 8) instead
-// of all at once, so a Close or a sharded not-full broadcast does not
-// make the scheduler swallow a thundering herd. The staggering
-// preserves the invariant that every waiter registered when WakeAll
-// was called is woken by that call.
+// WakeAll wakes every waiter registered at the moment of the call in
+// one FIFO pass under the lock: the entry snapshot bounds the pass, so
+// no waiter registered then is missed and new arrivals cannot keep it
+// running.
 //
 // # Direct handoff
 //
 // A waiter registered with PrepareXfer is additionally *claimable*: it
 // carries a pointer to a transfer cell owned by the waiting goroutine,
 // and a waker that can satisfy the waiter directly (a sender with a
-// value for a parked receiver, a receiver completing a parked sender's
-// pending enqueue) may Claim it instead of waking it plainly. Claim
-// CAS-transitions the waiter armed→claimed — racing exactly one-shot
-// against the owner's Disarm (armed→idle), so a registration is either
-// claimed once or withdrawn once, never both — then the claimer
-// publishes through the cell and calls Deliver, which stores the done
-// state before sending the token. The token's channel send/receive is
-// the happens-before edge that makes the cell write visible (and
-// race-detector-clean) to the woken owner. An owner that stops waiting
-// (context expiry, condition satisfied) goes through Disarm/Abort:
-// Abort reports whether a handoff landed first, in which case the
-// value in the cell counts as delivered and must be consumed — nothing
-// is ever duplicated or dropped. From PrepareXfer onward the waiter is
-// claimable through its re-checks and the park alike.
+// value for a parked receiver) may Claim it instead of waking it
+// plainly. Claim CAS-transitions the waiter armed→claimed — racing
+// exactly one-shot against the owner's Disarm (armed→idle), so a
+// registration is either claimed once or withdrawn once, never both —
+// then the claimer publishes through the cell and calls Deliver, which
+// stores the done state before sending the token. The token's channel
+// send/receive is the happens-before edge that makes the cell write
+// visible (and race-detector-clean) to the woken owner. An owner that
+// stops waiting (context expiry, condition satisfied) goes through
+// Disarm/Abort: Abort reports whether a handoff landed first, in which
+// case the value in the cell counts as delivered and must be consumed
+// — nothing is ever duplicated or dropped. From PrepareXfer onward the
+// waiter is claimable through its re-checks and the park alike.
 package park
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,8 +125,8 @@ func (p *Point) Prepare() *Waiter {
 // PrepareXfer is Prepare for a claimable waiter: it arms the
 // registration with the owner's transfer cell before the waiter
 // becomes visible on the list, so a waker may Claim it and publish a
-// value (or a completed enqueue) straight through the cell. The same
-// re-check-then-Abort contract as Prepare applies, with one addition:
+// value straight through the cell. The same re-check-then-Abort
+// contract as Prepare applies, with one addition:
 // after any wake — and after a failed Disarm — the owner must consult
 // Done to learn whether a handoff landed in its cell.
 //
@@ -204,80 +201,24 @@ func (p *Point) Wake(n int) {
 	p.mu.Unlock()
 }
 
-// minWakeTranche floors the WakeAll tranche size. On a small-P host
-// GOMAXPROCS alone would degenerate to near-per-waiter staggering —
-// O(waiters) yields inside the waker's critical path, which throttles
-// the very progress the woken waiters are waiting on (a broadcast per
-// freed slot turns into a stable re-park herd).
-const minWakeTranche = 8
-
-// trancheStagger is the number of Gosched calls between WakeAll
-// tranches: enough for the woken tranche to reach the scheduler before
-// the next is released.
-const trancheStagger = 2
-
-// trancheSize returns the WakeAll tranche size: GOMAXPROCS sampled at
-// wake time (one runnable waiter per P), floored at minWakeTranche.
-//
-//wfq:noalloc
-func trancheSize() int {
-	return max(runtime.GOMAXPROCS(0), minWakeTranche)
-}
-
 // WakeAll wakes every waiter registered at the moment of the call
-// (used on close and for the sharded not-full broadcast), releasing
-// them in tranches of trancheSize with the lock dropped and a few
-// Gosched calls between tranches, so a large herd reaches the
-// scheduler in runnable-sized waves instead of all at once.
+// (used on close and for the sharded not-full broadcast) in one FIFO
+// pass.
 //
 // Invariant: no lost wakeups. The target count is snapshotted at
 // entry and waiters are FIFO (new arrivals append at the tail), so
 // waking `target` waiters in order covers everyone registered at call
-// time; waiters that register mid-stagger are beyond the snapshot and
-// belong to the condition's next transition (their own Prepare
-// re-check protocol covers them). The snapshot also bounds the loop:
-// continuous new arrivals cannot turn WakeAll into a livelock.
+// time; waiters that register afterwards belong to the condition's
+// next transition (their own Prepare re-check protocol covers them).
+// The snapshot also bounds the pass: continuous new arrivals cannot
+// turn WakeAll into a livelock.
 //
-//wfq:allocok allocation-free; sync.Mutex calls are outside the checker whitelist
-func (p *Point) WakeAll() {
-	target := int(p.waiters.Load())
-	if target <= 0 {
-		return
-	}
-	met := p.met
-	tranche := trancheSize()
-	for target > 0 {
-		p.mu.Lock()
-		woken := 0
-		for woken < tranche && p.head != nil {
-			w := p.head
-			p.unlink(w)
-			met.Inc(metrics.Wake)
-			if !w.t0.IsZero() {
-				met.ObserveParked(uint64(time.Since(w.t0)))
-			}
-			w.ch <- struct{}{}
-			woken++
-		}
-		empty := p.head == nil
-		p.mu.Unlock()
-		if woken > 0 {
-			met.Inc(metrics.WakeTranche)
-			met.ObserveTranche(uint64(woken))
-		}
-		target -= woken
-		if empty {
-			return
-		}
-		for i := 0; i < trancheStagger; i++ {
-			runtime.Gosched()
-		}
-	}
-}
+//wfq:noalloc
+func (p *Point) WakeAll() { p.Wake(int(p.waiters.Load())) }
 
 // claimScanCap bounds how many queued waiters one Claim examines
 // under the lock. Armed waiters cluster at the head in practice (every
-// blocking Recv/Send arms), so the cap almost never bites; it exists
+// blocking Recv arms), so the cap almost never bites; it exists
 // so a claim racing a run of disarming waiters cannot turn the Point's
 // mutex hold into a scan of the whole park list.
 const claimScanCap = 8
@@ -286,9 +227,8 @@ const claimScanCap = 8
 // with its transfer cell, or (nil, nil) when none is claimable within
 // the scan cap. The armed→claimed CAS races the owner's Disarm, so
 // exactly one of them wins each registration. A successful Claim
-// obligates the caller to send exactly one token: write the value
-// through the cell and Deliver, or — if publishing fails — wake the
-// owner plainly with DeliverWake so it retries its normal path.
+// obligates the caller to write the value through the cell and
+// Deliver it.
 //
 //wfq:allocok allocation-free; sync.Mutex calls are outside the checker whitelist
 func (p *Point) Claim() (*Waiter, unsafe.Pointer) {
@@ -325,37 +265,6 @@ func (p *Point) Deliver(w *Waiter) {
 	w.ch <- struct{}{} // one-slot buffer, at most one token per registration: never blocks
 }
 
-// DeliverWake wakes a claimed waiter WITHOUT marking the handoff done:
-// the claim is abandoned (the claimer could not publish — e.g. the
-// ring slot it freed was stolen before it could enqueue on the owner's
-// behalf) and the owner resumes its normal retry path, exactly like a
-// spurious plain wake.
-//
-//wfq:allocok allocation-free; time calls are outside the checker whitelist
-func (p *Point) DeliverWake(w *Waiter) {
-	p.met.Inc(metrics.Wake)
-	if !w.t0.IsZero() {
-		p.met.ObserveParked(uint64(time.Since(w.t0)))
-	}
-	w.ch <- struct{}{}
-}
-
-// Arm upgrades a plain (Prepare) registration to a claimable one at
-// park-commit time: the cell write precedes the atomic state store, so
-// a claimer that wins the armed→claimed CAS observes the cell. Unlike
-// PrepareXfer — which arms before the waiter is listed — Arm is for
-// callers whose registered re-check must stay free to operate on the
-// queue (a sender's re-check enqueues, which an armed waiter may not
-// do without disarming first); they arm only once the re-check has
-// failed and the park is committed. At most once per registration,
-// before blocking on Ready.
-//
-//wfq:noalloc
-func (w *Waiter) Arm(cell unsafe.Pointer) {
-	w.cell = cell
-	w.state.Store(xferArmed)
-}
-
 // Disarm withdraws an armed waiter from claimability: true means the
 // owner reclaimed exclusive use of its cell (no handoff can land
 // anymore, and the owner may touch the queue itself); false means a
@@ -369,8 +278,7 @@ func (w *Waiter) Disarm() bool {
 }
 
 // Done reports whether a handoff completed on this registration: the
-// owner's cell holds the delivered value (receivers) or records that
-// the pending value was published on the owner's behalf (senders).
+// owner's cell holds the delivered value.
 //
 //wfq:noalloc
 func (w *Waiter) Done() bool { return w.state.Load() == xferDone }

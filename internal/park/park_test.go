@@ -287,49 +287,6 @@ func TestAbortLosesToClaim(t *testing.T) {
 	}
 }
 
-func TestDeliverWakeAbandonsClaim(t *testing.T) {
-	// A claimer that cannot publish wakes the owner plainly; the owner
-	// sees a spurious wake (Done false) and retries its normal path.
-	var p Point
-	var cell int
-	w := p.PrepareXfer(unsafe.Pointer(&cell))
-	cw, _ := p.Claim()
-	if cw == nil {
-		t.Fatal("Claim failed on an armed waiter")
-	}
-	p.DeliverWake(cw)
-	select {
-	case <-w.Ready():
-	case <-time.After(time.Second):
-		t.Fatal("DeliverWake sent no token")
-	}
-	if w.Done() {
-		t.Fatal("Done() = true after an abandoned claim")
-	}
-	p.Finish(w)
-}
-
-func TestArmUpgradesPlainRegistration(t *testing.T) {
-	var p Point
-	var cell int
-	w := p.Prepare()
-	if cw, _ := p.Claim(); cw != nil {
-		t.Fatal("Claim succeeded on a plain (unarmed) waiter")
-	}
-	w.Arm(unsafe.Pointer(&cell))
-	cw, cp := p.Claim()
-	if cw != w {
-		t.Fatal("Claim failed after Arm")
-	}
-	*(*int)(cp) = 5
-	p.Deliver(cw)
-	<-w.Ready()
-	if !w.Done() || cell != 5 {
-		t.Fatalf("Done = %v, cell = %d after armed claim", w.Done(), cell)
-	}
-	p.Finish(w)
-}
-
 func TestClaimSkipsUnarmedWaiters(t *testing.T) {
 	// A plain waiter ahead of an armed one must not block the claim:
 	// the scan passes unarmed registrations and claims the oldest armed

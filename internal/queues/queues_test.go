@@ -94,7 +94,9 @@ func TestMPMCBatched(t *testing.T) {
 // TestBlockingConformance: every Chan facade is a queueapi.Closer with
 // Waitable handles, and passes both a nonblocking round and a blocking
 // round — parked Send/SendMany and Recv/RecvMany, then Close and a
-// drain to ErrClosed.
+// drain to ErrClosed. The sender-heavy 6:2 blocking round fills the
+// bounded buffers, so parked senders must be released by the plain
+// not-full wake alone.
 func TestBlockingConformance(t *testing.T) {
 	for _, name := range BlockingQueues() {
 		q, err := New(name, testCfg())
@@ -107,7 +109,8 @@ func TestBlockingConformance(t *testing.T) {
 	}
 	conformRounds(t, BlockingQueues(), isWaitable,
 		checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000},
-		checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Blocking: true})
+		checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000, Blocking: true},
+		checker.Config{Producers: 6, Consumers: 2, PerProducer: 3000, Blocking: true})
 }
 
 // TestBlockingBatchConformance: a blocking round with long batches,
