@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/queues"
+	"repro/internal/ringcore"
 )
 
 // benchFigure drives a scaled-down version of one paper figure under
@@ -28,7 +29,7 @@ func benchFigure(b *testing.B, id string) {
 	for _, name := range f.Queues {
 		for _, th := range threads {
 			b.Run(fmt.Sprintf("%s/threads=%d", name, th), func(b *testing.B) {
-				cfg := queues.Config{Capacity: 1 << 12, MaxThreads: th + 1, Mode: f.Mode}
+				cfg := queues.Config{Capacity: 1 << 12, MaxThreads: th + 1, Core: ringcore.Options{Mode: f.Mode}}
 				pt := harness.RunPoint(name, cfg, f.Workload, harness.PointOpts{
 					Threads: th,
 					Ops:     max(b.N, 10_000),

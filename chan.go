@@ -169,13 +169,13 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if err = validate(capacity, maxThreads); err != nil {
 			return nil, err
 		}
-		core, err = ringcore.New[T](ringcore.KindWCQ, capacity, maxThreads, o.core())
+		core, err = ringcore.New[T](ringcore.KindWCQ, capacity, maxThreads, &o.core)
 	case BackendSCQ:
 		// No census, so maxThreads is not validated (as NewLockFree).
 		if err = validate(capacity, 1); err != nil {
 			return nil, err
 		}
-		core, err = ringcore.New[T](ringcore.KindSCQ, capacity, maxThreads, o.core())
+		core, err = ringcore.New[T](ringcore.KindSCQ, capacity, maxThreads, &o.core)
 	case BackendSharded:
 		// WithUnboundedShards would silently turn this bounded backend
 		// unbounded (Cap 0, no Send backpressure); the unbounded-sharded
@@ -218,10 +218,10 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 	c := &Chan[T]{
 		core:        core,
 		shardedFull: o.backend == BackendSharded,
-		met:         o.metrics,
+		met:         o.core.Metrics,
 	}
-	c.notEmpty.SetMetrics(o.metrics)
-	c.notFull.SetMetrics(o.metrics)
+	c.notEmpty.SetMetrics(o.core.Metrics)
+	c.notFull.SetMetrics(o.core.Metrics)
 	return c, nil
 }
 

@@ -11,14 +11,14 @@
 //	wcqbench -figure all -ops 1000000    # the full evaluation
 //	wcqbench -figure 10a -queues wCQ,SCQ,LCRQ
 //	wcqbench -figure all -record EXPERIMENTS.md
-//	wcqbench -figure s1 -shards 8        # sharded scale-out sweep
+//	wcqbench -figure s1                  # sharded scale-out sweep
 //	wcqbench -figure s2 -batch 32        # batched 50/50 workload
 //	wcqbench -blocking                   # blocking figures + wakeup latency
 //	wcqbench -figure u1                  # unbounded burst/drain + peak footprint
 //	wcqbench -figure p2                  # native batch reservation sweep
 //	wcqbench -figure p2 -smoke-batch     # CI smoke: batch=32 must beat scalar
 //	wcqbench -figure l1                  # open-loop latency vs offered load
-//	wcqbench -figure l1 -loads 0.25,0.9 -arrival fixed
+//	wcqbench -figure l1 -loads 0.25,0.9
 //	wcqbench -figure l1 -gate BENCH_queue.json   # CI: p99/footprint regression gate
 //	wcqbench -figure w1                  # blocking throughput and wait ladder vs waiter count
 //	wcqbench -figure w1 -waiters 8,1024 -smoke-wait   # CI: no throughput or tail cliff
@@ -40,7 +40,6 @@ import (
 	"repro/internal/benchfmt"
 	"repro/internal/clihelper"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 )
 
 func main() {
@@ -52,10 +51,8 @@ func main() {
 		queuesF  = flag.String("queues", "", "comma-separated queue subset (default: figure's full line-up)")
 		record   = flag.String("record", "", "append results as a markdown section to this file")
 		jsonPath = flag.String("json", "", "write machine-readable results (wcqbench/v1) to this file, e.g. BENCH_queue.json")
-		latSamp  = flag.Int("latency-samples", 50, "wakeup-latency samples per blocking queue")
 		smoke    = flag.Bool("smoke-batch", false, "exit nonzero unless figure p2's batch=32 per-element throughput beats batch=1 for wCQ and SCQ (relative check, robust to host speed)")
 		loadsF   = flag.String("loads", "", "figure l1: comma-separated offered-load fractions of calibrated capacity (default 0.25,0.5,0.75,0.9,1.1)")
-		arrivalF = flag.String("arrival", "", "figure l1: inter-arrival process, poisson (default) or fixed")
 		gate     = flag.String("gate", "", "CI bench gate: compare this run's sub-saturation l1 points against the committed wcqbench/v1 file and exit nonzero on p99/footprint regression")
 		waitersF = flag.String("waiters", "", "figure w1: comma-separated waiter-count sweep (default 8,64,256,1024)")
 		smokeW   = flag.Bool("smoke-wait", false, "exit nonzero unless, for Chan and ChanSharded, figure w1's throughput at the highest waiter count is at least half the lowest count's and its wait p99 there is at most 10ms")
@@ -63,20 +60,12 @@ func main() {
 	shared := clihelper.Register(flag.CommandLine, 1<<16)
 	flag.Parse()
 
-	ringKind, err := shared.RingKind()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	opts := harness.RunOpts{
 		Ops:        *ops,
 		Reps:       *reps,
 		MaxThreads: *maxThr,
-		Shards:     shared.Shards,
-		Ring:       ringKind,
 		Batch:      shared.Batch,
 		Capacity:   shared.Capacity,
-		Emulate:    shared.Emulate,
 		Core:       shared.CoreOptions(),
 		Metrics:    shared.Metrics,
 	}
@@ -99,12 +88,6 @@ func main() {
 	opts.Sweeps = map[harness.Axis][]float64{harness.LoadAxis: loads}
 	for _, n := range waiters {
 		opts.Sweeps[harness.WaitersAxis] = append(opts.Sweeps[harness.WaitersAxis], float64(n))
-	}
-	if *arrivalF != "" {
-		if opts.Arrival, err = harness.ParseArrival(*arrivalF); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 	}
 
 	var figs []harness.Figure
@@ -173,7 +156,7 @@ func main() {
 			md.WriteString("```\n\n")
 		}
 		if f.Blocking {
-			wl := wakeupLatency(f, opts, shared, *latSamp)
+			wl := wakeupLatency(f, opts, shared)
 			fmt.Print(wl + "\n")
 			if *record != "" {
 				md.WriteString("```\n" + wl + "```\n\n")
@@ -409,19 +392,19 @@ func writeJSON(path string, jf benchfmt.File) error {
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
+// wakeupSamples is the number of parked-Recv wakeups measured per
+// blocking queue.
+const wakeupSamples = 50
+
 // wakeupLatency measures the parked-Recv wakeup latency of each queue
 // in a blocking figure's line-up (the same line-up Run measured) and
 // returns it as text: the companion metric to figure b1's throughput
 // sweep.
-func wakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelper.Flags, samples int) string {
+func wakeupLatency(f harness.Figure, opts harness.RunOpts, shared *clihelper.Flags) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Wakeup latency (parked Recv -> Send, %d samples, µs):\n", samples)
+	fmt.Fprintf(&sb, "Wakeup latency (parked Recv -> Send, %d samples, µs):\n", wakeupSamples)
 	for _, name := range f.Lineup(opts) {
-		cfg, err := shared.Config(4)
-		var hist metrics.HistogramSnapshot
-		if err == nil {
-			hist, err = harness.WakeupLatency(name, cfg, samples)
-		}
+		hist, err := harness.WakeupLatency(name, shared.Config(4), wakeupSamples)
 		if err != nil {
 			fmt.Fprintf(&sb, "%-16s n/a (%v)\n", name, err)
 			continue

@@ -99,7 +99,7 @@ func TestWakeupLatencyUsesFigureLineup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := wakeupLatency(f, harness.RunOpts{Queues: []string{"wCQ", "Chan"}}, &clihelper.Flags{Capacity: 256}, 2)
+	out := wakeupLatency(f, harness.RunOpts{Queues: []string{"wCQ", "Chan"}}, &clihelper.Flags{Capacity: 256})
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 || !strings.HasPrefix(lines[1], "Chan ") || strings.Contains(lines[1], "n/a") {
 		t.Fatalf("wakeup report, want a header and one measured Chan line:\n%s", out)

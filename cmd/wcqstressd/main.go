@@ -7,7 +7,7 @@
 //
 //	wcqstressd                                  # Chan over wCQ, GOMAXPROCS workers
 //	wcqstressd -queue UWCQ -capacity 64         # unbounded: heavy ring turnover
-//	wcqstressd -queue ChanSharded -shards 8     # sharded composition under parking
+//	wcqstressd -queue ChanSharded               # sharded composition under parking
 //	wcqstressd -addr :9100 -interval 2s -snapshots snap.jsonl
 //	wcqstressd -duration 30s                    # bounded soak (CI smoke)
 //	wcqstressd -validate snap.jsonl             # check a snapshot log and exit
@@ -98,11 +98,7 @@ func main() {
 	if n < 2 {
 		n = 2
 	}
-	cfg, err := shared.Config(n + 4)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	cfg := shared.Config(n + 4)
 
 	if *scenario != "" {
 		if err := runScenarios(*scenario, *queueName, shared, cfg, n, *duration); err != nil {
@@ -113,8 +109,8 @@ func main() {
 	}
 	// The daemon exists to watch the internals: the sink is always on,
 	// whatever -metrics says.
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.New()
+	if cfg.Core.Metrics == nil {
+		cfg.Core.Metrics = metrics.New()
 	}
 	q, err := queues.New(*queueName, cfg)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/clihelper"
 	"repro/internal/metrics"
 	"repro/internal/queues"
+	"repro/internal/ringcore"
 )
 
 // liveDaemon builds a daemon over a small blocking Chan with metrics
@@ -18,7 +19,7 @@ func liveDaemon(t *testing.T) *daemon {
 	q, err := queues.New("Chan", queues.Config{
 		Capacity:   256,
 		MaxThreads: 8,
-		Metrics:    metrics.New(),
+		Core:       ringcore.Options{Metrics: metrics.New()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +116,7 @@ func TestCheckerScenario(t *testing.T) {
 	}
 	for _, c := range cases {
 		shared := &clihelper.Flags{Capacity: 64, Blocking: c.blocking, Batch: c.batch}
-		cfg, err := shared.Config(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runChecker(c.queue, shared, cfg, 4, 0); err != nil {
+		if err := runChecker(c.queue, shared, shared.Config(8), 4, 0); err != nil {
 			t.Fatalf("%s: %v", c.queue, err)
 		}
 	}

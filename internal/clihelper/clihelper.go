@@ -1,14 +1,12 @@
 // Package clihelper centralizes the queue-construction flag plumbing
 // shared by cmd/wcqbench and cmd/wcqstressd, so the two tools register
-// the same flags with the same meanings and cannot drift. That
-// includes the composition dimensions: -shards (how many sub-queues)
-// and -ring (which ring core inside them) are declared once here, so
-// the kind x composition matrix is spelled identically everywhere.
+// the same flags with the same meanings and cannot drift.
 package clihelper
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -24,13 +22,6 @@ type Flags struct {
 	// queues, the per-ring size for the unbounded variants (LSCQ,
 	// UWCQ, ShardedUnbounded and their Chan facades).
 	Capacity uint64
-	// Shards is the shard count for the sharded compositions and
-	// their Chan facades (0 = the default 4).
-	Shards int
-	// Ring names the ring kind inside the sharded compositions and
-	// ChanUnbounded ("wCQ" or "SCQ"; empty = wCQ). Fixed-kind queue
-	// names (wCQ, SCQ, LSCQ, UWCQ) ignore it.
-	Ring string
 	// Batch > 1 drives batched enqueue/dequeue paths.
 	Batch int
 	// Emulate selects CAS-emulated F&A (the PowerPC configuration).
@@ -52,8 +43,6 @@ type Flags struct {
 func Register(fs *flag.FlagSet, defaultCapacity uint64) *Flags {
 	f := &Flags{}
 	fs.Uint64Var(&f.Capacity, "capacity", defaultCapacity, "ring capacity (total for bounded queues, per-ring for the unbounded variants)")
-	fs.IntVar(&f.Shards, "shards", 0, "shard count for the sharded compositions / sharded Chans (0 = default 4)")
-	fs.StringVar(&f.Ring, "ring", "", "ring kind inside sharded compositions: wCQ (default) or SCQ")
 	fs.IntVar(&f.Batch, "batch", 0, "> 1: drive batched enqueue/dequeue with this batch size")
 	fs.BoolVar(&f.Emulate, "emulate", false, "CAS-emulated F&A (PowerPC mode)")
 	fs.BoolVar(&f.Slowpath, "slowpath", false, "wCQ: patience 1 + eager helping (forces the helped slow paths)")
@@ -62,55 +51,34 @@ func Register(fs *flag.FlagSet, defaultCapacity uint64) *Flags {
 	return f
 }
 
-// RingKind resolves the -ring flag to a ringcore.Kind (wCQ when the
-// flag is unset); an unknown name is a usage error.
-func (f *Flags) RingKind() (ringcore.Kind, error) {
-	if f.Ring == "" {
-		return ringcore.KindWCQ, nil
-	}
-	k, err := ringcore.KindByName(f.Ring)
-	if err != nil {
-		return 0, fmt.Errorf("-ring: %w", err)
-	}
-	return k, nil
-}
-
 // Config translates the flag values into a queues.Config with the
-// given handle budget. The error is a usage error (e.g. an unknown
-// -ring kind).
-func (f *Flags) Config(maxThreads int) (queues.Config, error) {
-	kind, err := f.RingKind()
-	if err != nil {
-		return queues.Config{}, err
-	}
-	cfg := queues.Config{
-		Capacity:   f.Capacity,
-		MaxThreads: maxThreads,
-		Shards:     f.Shards,
-		Ring:       kind,
-	}
-	if f.Emulate {
-		cfg.Mode = atomicx.EmulatedFAA
-	}
+// given handle budget.
+func (f *Flags) Config(maxThreads int) queues.Config {
+	cfg := queues.Config{Capacity: f.Capacity, MaxThreads: maxThreads, Core: f.CoreOptions()}
 	if f.Metrics {
-		cfg.Metrics = metrics.New()
+		cfg.Core.Metrics = metrics.New()
 	}
-	cfg.Core = f.CoreOptions()
-	return cfg, nil
+	return cfg
 }
 
-// CoreOptions returns the ring-core tuning implied by the flags (nil
-// when the defaults apply).
-func (f *Flags) CoreOptions() *ringcore.Options {
-	if !f.Slowpath {
-		return nil
+// CoreOptions returns the ring tuning implied by -emulate and
+// -slowpath (patience 1 and eager helping); the zero value, native
+// F&A and the paper's defaults, without them. It carries no sink:
+// Config adds one per queue under -metrics.
+func (f *Flags) CoreOptions() ringcore.Options {
+	var o ringcore.Options
+	if f.Emulate {
+		o.Mode = atomicx.EmulatedFAA
 	}
-	return &ringcore.Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1}
+	if f.Slowpath {
+		o.EnqPatience, o.DeqPatience, o.HelpDelay = 1, 1, 1
+	}
+	return o
 }
 
-// ParseFloatList parses a comma-separated list of positive floats —
-// the -loads flag format ("0.25,0.5,0.9,1.1"). An empty string yields
-// nil (use the figure's default sweep).
+// ParseFloatList parses a comma-separated list of positive finite
+// floats — the -loads flag format ("0.25,0.5,0.9,1.1"). An empty
+// string yields nil (use the figure's default sweep).
 func ParseFloatList(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -122,8 +90,8 @@ func ParseFloatList(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("clihelper: bad float %q in list: %w", p, err)
 		}
-		if v <= 0 {
-			return nil, fmt.Errorf("clihelper: list values must be positive, got %g", v)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("clihelper: list values must be positive and finite, got %g", v)
 		}
 		out = append(out, v)
 	}

@@ -16,54 +16,66 @@ func TestRegisterDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if f.Capacity != 1<<16 || f.Shards != 0 || f.Ring != "" || f.Batch != 0 || f.Emulate || f.Slowpath || f.Blocking {
+	if f.Capacity != 1<<16 || f.Batch != 0 || f.Emulate || f.Slowpath || f.Blocking || f.Metrics {
 		t.Fatalf("defaults: %+v", f)
 	}
-	cfg, err := f.Config(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Capacity != 1<<16 || cfg.MaxThreads != 8 || cfg.Mode != atomicx.NativeFAA || cfg.Core != nil {
+	cfg := f.Config(8)
+	if cfg.Capacity != 1<<16 || cfg.MaxThreads != 8 || cfg.Core != (ringcore.Options{}) {
 		t.Fatalf("config: %+v", cfg)
-	}
-	if cfg.Ring != ringcore.KindWCQ {
-		t.Fatalf("default ring kind: %v", cfg.Ring)
 	}
 }
 
 func TestRegisterParse(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := Register(fs, 256)
-	err := fs.Parse([]string{"-capacity", "512", "-shards", "8", "-ring", "SCQ", "-batch", "32", "-emulate", "-slowpath", "-blocking"})
+	err := fs.Parse([]string{"-capacity", "512", "-batch", "32", "-emulate", "-slowpath", "-blocking", "-metrics"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := f.Config(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Capacity != 512 || cfg.Shards != 8 || cfg.Mode != atomicx.EmulatedFAA {
+	cfg := f.Config(4)
+	if cfg.Capacity != 512 || cfg.MaxThreads != 4 || cfg.Core.Mode != atomicx.EmulatedFAA {
 		t.Fatalf("config: %+v", cfg)
 	}
-	if cfg.Ring != ringcore.KindSCQ {
-		t.Fatalf("ring kind: %v", cfg.Ring)
-	}
-	if cfg.Core == nil || cfg.Core.EnqPatience != 1 {
+	if cfg.Core.EnqPatience != 1 || cfg.Core.DeqPatience != 1 || cfg.Core.HelpDelay != 1 {
 		t.Fatalf("slowpath options: %+v", cfg.Core)
+	}
+	if cfg.Core.Metrics == nil {
+		t.Fatal("-metrics built no sink")
 	}
 	if f.Batch != 32 || !f.Blocking {
 		t.Fatalf("flags: %+v", f)
 	}
+	for _, gone := range []string{"ring", "shards"} {
+		if fs.Lookup(gone) != nil {
+			t.Fatalf("-%s is registered", gone)
+		}
+	}
 }
 
-func TestRingFlagRejectsUnknownKind(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f := Register(fs, 256)
-	if err := fs.Parse([]string{"-ring", "XYZ"}); err != nil {
-		t.Fatal(err)
+func TestParseFloatList(t *testing.T) {
+	got, err := ParseFloatList(" 0.25,0.5 ,1.1")
+	if err != nil || !reflect.DeepEqual(got, []float64{0.25, 0.5, 1.1}) {
+		t.Fatalf("ParseFloatList = %v, %v", got, err)
 	}
-	if _, err := f.Config(4); err == nil {
-		t.Fatal("unknown -ring kind accepted")
+	if got, err := ParseFloatList(""); got != nil || err != nil {
+		t.Fatalf("empty list = %v, %v", got, err)
+	}
+	for _, bad := range []string{"0.5,nan", "NaN", "Inf", "+Inf", "-Inf", "0.5,inf", "0", "-1", "0.5,", "x"} {
+		if got, err := ParseFloatList(bad); err == nil {
+			t.Errorf("ParseFloatList(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
+func TestParseIntList(t *testing.T) {
+	got, err := ParseIntList("8, 1024")
+	if err != nil || !reflect.DeepEqual(got, []int{8, 1024}) {
+		t.Fatalf("ParseIntList = %v, %v", got, err)
+	}
+	for _, bad := range []string{"0", "-8", "8,", "1.5"} {
+		if got, err := ParseIntList(bad); err == nil {
+			t.Errorf("ParseIntList(%q) = %v, want an error", bad, got)
+		}
 	}
 }
 

@@ -129,11 +129,11 @@ func WakeupLatency(name string, cfg queues.Config, samples int) (metrics.Histogr
 	if cfg.MaxThreads < 3 {
 		cfg.MaxThreads = 3
 	}
-	if cfg.Metrics == nil {
+	if cfg.Core.Metrics == nil {
 		// The park counter below is how each Send waits for the
 		// consumer to actually be parked, so the measurement needs a
 		// sink even when the caller didn't ask for one.
-		cfg.Metrics = metrics.New()
+		cfg.Core.Metrics = metrics.New()
 	}
 	q, err := queues.New(name, cfg)
 	if err != nil {

@@ -57,8 +57,6 @@ type Figure struct {
 	Delays   bool   // tiny random delays (memory test)
 	Memory   bool   // report MB instead of Mops
 	Blocking bool   // drive the blocking Send/Recv/Close surface (Chan facades)
-	// Arrival is the inter-arrival process for open-loop figures.
-	Arrival Arrival
 }
 
 // Thread sweeps from the paper: x86 peaks at one 18-core socket then
@@ -133,9 +131,9 @@ func Figures() []Figure {
 			Mode: atomicx.EmulatedFAA, Queues: ppcQueues},
 		{ID: "12c", Title: "50%/50% enqueue-dequeue, emulated PowerPC (Mops/s)", Workload: Mixed, Sweep: ppcThreads,
 			Mode: atomicx.EmulatedFAA, Queues: ppcQueues},
-		// Beyond the paper: the sharded composition against the
-		// single-ring queues it is built from (use -shards / -batch to
-		// sweep the new dimensions).
+		// Beyond the paper: the sharded composition (4 wCQ shards)
+		// against the single-ring queues it is built from (-batch
+		// drives the batched loop).
 		{ID: "s1", Title: "Sharded scale-out, pairwise (Mops/s)", Workload: Pairwise, Sweep: x86Threads,
 			Mode: atomicx.NativeFAA, Queues: scaleQueues},
 		{ID: "s2", Title: "Sharded scale-out, 50%/50% (Mops/s)", Workload: Mixed, Sweep: x86Threads,
@@ -163,7 +161,7 @@ func Figures() []Figure {
 		// inflection as load crosses 1.0 is the saturation knee.
 		{ID: "l1", Title: "Open-loop latency vs offered load (µs, CO-safe)", Workload: Pairwise,
 			Threads: 4, Mode: atomicx.NativeFAA, Queues: openLoopQueues,
-			Sweep: loadFractions, Arrival: Poisson},
+			Sweep: loadFractions},
 		// Waiter pressure: from a handful of blocked goroutines to deep
 		// oversubscription, with the blocking-wait ladder per point —
 		// the cliff gate -smoke-wait reads.
@@ -191,12 +189,13 @@ type RunOpts struct {
 	Reps       int
 	MaxThreads int // drop larger thread/waiter counts, clamp a fixed count (0 = full sweep)
 	Queues     []string
-	Shards     int           // shard count for the sharded compositions (0 = default)
-	Ring       ringcore.Kind // ring kind inside the sharded compositions
-	Batch      int           // batch size; > 1 drives the batched workload loop
-	Capacity   uint64        // ring capacity (0 = the figure's)
-	Emulate    bool          // force CAS-emulated F&A regardless of the figure's mode
-	Core       *ringcore.Options
+	Batch      int    // batch size; > 1 drives the batched workload loop
+	Capacity   uint64 // ring capacity (0 = the figure's)
+	// Core tunes every point's rings: wCQ's patience and help delay
+	// (zero selects the paper's defaults), an emulated F&A mode that
+	// replaces the figure's (the native zero value keeps the figure's
+	// mode), and a sink that Metrics replaces.
+	Core ringcore.Options
 	// Metrics gives each point's queue a live metrics sink, so runs
 	// measure the instrumented configuration (the overhead acceptance
 	// check compares a figure with and without this set). Each rep of
@@ -207,9 +206,6 @@ type RunOpts struct {
 	// cmd/wcqbench -loads sets LoadAxis, -waiters sets WaitersAxis (how
 	// CI runs a miniature w1).
 	Sweeps map[Axis][]float64
-	// Arrival overrides an open-loop figure's inter-arrival process
-	// when not DefaultArrival (cmd/wcqbench -arrival).
-	Arrival Arrival
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -246,16 +242,14 @@ func (f Figure) Lineup(opts RunOpts) []string {
 // measured.
 type sweep struct {
 	Sweep
-	threads int     // fixed goroutine count (burst, batch and load axes)
-	arrival Arrival // open-loop inter-arrival process
+	threads int // fixed goroutine count (burst, batch and load axes)
 }
 
 // resolve applies opts to the figure's sweep: an axis override from
-// opts.Sweeps, the arrival override, and -maxthreads, which drops the
-// thread or waiter counts above it and clamps any other axis's fixed
-// goroutine count.
+// opts.Sweeps, and -maxthreads, which drops the thread or waiter
+// counts above it and clamps any other axis's fixed goroutine count.
 func (f Figure) resolve(opts RunOpts) sweep {
-	s := sweep{Sweep: f.Sweep, threads: f.Threads, arrival: cmp.Or(opts.Arrival, f.Arrival, Poisson)}
+	s := sweep{Sweep: f.Sweep, threads: f.Threads}
 	if v := opts.Sweeps[s.Axis]; len(v) > 0 {
 		s.Values = v
 	}
@@ -301,16 +295,13 @@ func (f Figure) config(opts RunOpts, threads int) queues.Config {
 	cfg := queues.Config{
 		Capacity:   cmp.Or(opts.Capacity, f.RingCap, 1<<16),
 		MaxThreads: threads + 1,
-		Mode:       f.Mode,
-		Shards:     opts.Shards,
-		Ring:       opts.Ring,
 		Core:       opts.Core,
 	}
-	if opts.Emulate {
-		cfg.Mode = atomicx.EmulatedFAA
+	if !cfg.Core.Mode.Emulated() {
+		cfg.Core.Mode = f.Mode
 	}
 	if opts.Metrics || f.Sweep.Axis == WaitersAxis {
-		cfg.Metrics = metrics.New()
+		cfg.Core.Metrics = metrics.New()
 	}
 	return cfg
 }
@@ -338,7 +329,6 @@ func (f Figure) measure(name string, s sweep, opts RunOpts) func(x float64) (sam
 				Consumers: consumers,
 				Ops:       opts.Ops,
 				Rate:      load * capacity,
-				Arrival:   s.arrival,
 			})
 			return sample{mops: r.AchievedMops, fpMB: r.FootprintMB, offeredMops: r.OfferedMops, latency: r.Latency}, err
 		}
@@ -355,7 +345,7 @@ func (f Figure) measure(name string, s sweep, opts RunOpts) func(x float64) (sam
 		cfg := f.config(opts, po.Threads)
 		smp, err := runOnce(name, cfg, f.Workload, po)
 		if s.Axis == WaitersAxis {
-			smp.latency = cfg.Metrics.Snapshot().Parked
+			smp.latency = cfg.Core.Metrics.Snapshot().Parked
 		}
 		return smp, err
 	}
@@ -421,7 +411,7 @@ func (f Figure) Render(w io.Writer, pts []Point, opts RunOpts) {
 		setup = fmt.Sprintf("%d threads, %s workload, %s", s.threads, f.Workload, f.Mode)
 	case LoadAxis:
 		producers, consumers := EvenSplit(s.threads)
-		setup = fmt.Sprintf("%d producers / %d consumers, %s arrivals, %s", producers, consumers, s.arrival, f.Mode)
+		setup = fmt.Sprintf("%d producers / %d consumers, poisson arrivals, %s", producers, consumers, f.Mode)
 	case WaitersAxis:
 		setup = fmt.Sprintf("1:3 send/recv split, %s", f.Mode)
 	}

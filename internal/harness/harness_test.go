@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/atomicx"
 	"repro/internal/queues"
+	"repro/internal/ringcore"
 )
 
 func smallOpts(threads int) PointOpts {
@@ -42,7 +43,7 @@ func TestRunPointMemoryProbe(t *testing.T) {
 }
 
 func TestLCRQUnavailableProducesErrPoint(t *testing.T) {
-	cfg := queues.Config{Capacity: 1 << 10, MaxThreads: 8, Mode: atomicx.EmulatedFAA}
+	cfg := queues.Config{Capacity: 1 << 10, MaxThreads: 8, Core: ringcore.Options{Mode: atomicx.EmulatedFAA}}
 	pt := RunPoint("LCRQ", cfg, Pairwise, smallOpts(2))
 	if pt.Err == nil {
 		t.Fatal("expected error point for LCRQ under emulation")

@@ -4,8 +4,8 @@
 // next operation the instant the previous one returns, so a slow queue
 // simply slows the load down with it and latency degenerates to
 // 1/throughput. The open-loop engine measures what a deployed queue's
-// clients actually see: arrivals follow their own schedule (Poisson or
-// fixed-rate), whether or not the queue keeps up, and each transfer's
+// clients actually see: arrivals follow their own Poisson schedule,
+// whether or not the queue keeps up, and each transfer's
 // latency is charged from the moment the schedule INTENDED it to
 // start — not from the moment a backlogged producer finally got to
 // issue it. That intended-time rule is the coordinated-omission guard:
@@ -27,73 +27,33 @@ import (
 	"repro/internal/queues"
 )
 
-// Arrival selects the open-loop inter-arrival process.
-type Arrival uint8
-
-const (
-	// DefaultArrival defers to the figure's configured process
-	// (RunOpts.Arrival only overrides when set to something else).
-	DefaultArrival Arrival = iota
-	// Poisson draws exponential inter-arrival times — the memoryless
-	// arrival stream of an M/x/x system, and the default for figure l1
-	// because bursty arrivals are what expose queueing delay.
-	Poisson
-	// FixedRate spaces arrivals exactly 1/rate apart: a deterministic
-	// schedule with no burstiness, isolating the queue's own jitter.
-	FixedRate
-)
-
-// String names the arrival process for figure headers and flags.
-func (a Arrival) String() string {
-	switch a {
-	case Poisson:
-		return "poisson"
-	case FixedRate:
-		return "fixed"
-	}
-	return "default"
-}
-
-// ParseArrival maps a -arrival flag value to its Arrival.
-func ParseArrival(s string) (Arrival, error) {
-	switch s {
-	case "poisson":
-		return Poisson, nil
-	case "fixed":
-		return FixedRate, nil
-	}
-	return DefaultArrival, fmt.Errorf("harness: unknown arrival process %q (want poisson or fixed)", s)
-}
-
-// schedule generates one producer's intended arrival offsets. The
-// sequence depends only on (arrival, rate, seed) — never on the wall
-// clock — which is the whole coordinated-omission discipline in one
-// place: falling behind cannot re-anchor the schedule, so the delay a
-// backlogged producer accumulates is charged to every subsequent
-// operation until it genuinely catches up.
+// schedule generates one producer's intended arrival offsets: a
+// Poisson process, whose exponential inter-arrival times are the
+// memoryless arrival stream of an M/x/x system — bursty arrivals are
+// what expose queueing delay. The sequence depends only on (rate,
+// seed) — never on the wall clock — which is the whole
+// coordinated-omission discipline in one place: falling behind cannot
+// re-anchor the schedule, so the delay a backlogged producer
+// accumulates is charged to every subsequent operation until it
+// genuinely catches up.
 type schedule struct {
-	arrival Arrival
-	mean    float64 // mean inter-arrival in nanoseconds
-	next    time.Duration
-	rng     uint64
+	mean float64 // mean inter-arrival in nanoseconds
+	next time.Duration
+	rng  uint64
 }
 
-func newSchedule(arrival Arrival, rate float64, seed uint64) *schedule {
-	return &schedule{arrival: arrival, mean: 1e9 / rate, rng: seed*2654435761 + 1}
+func newSchedule(rate float64, seed uint64) *schedule {
+	return &schedule{mean: 1e9 / rate, rng: seed*2654435761 + 1}
 }
 
 // advance steps the schedule and returns the next intended arrival
 // offset (relative to the run's start instant).
 func (s *schedule) advance() time.Duration {
-	d := s.mean
-	if s.arrival == Poisson {
-		// Inverse-CDF exponential draw: -ln(1-U) * mean, with U uniform
-		// in [0,1) from the top 53 bits of the xorshift state.
-		s.rng = xorshift(s.rng)
-		u := float64(s.rng>>11) / (1 << 53)
-		d = -math.Log(1-u) * s.mean
-	}
-	s.next += time.Duration(d)
+	// Inverse-CDF exponential draw: -ln(1-U) * mean, with U uniform in
+	// [0,1) from the top 53 bits of the xorshift state.
+	s.rng = xorshift(s.rng)
+	u := float64(s.rng>>11) / (1 << 53)
+	s.next += time.Duration(-math.Log(1-u) * s.mean)
 	return s.next
 }
 
@@ -178,12 +138,9 @@ type OpenLoopOpts struct {
 	// Ops is the total number of transfers across all producers.
 	Ops int
 	// Rate is the offered load in transfers per second across all
-	// producers; each producer runs an independent schedule at
-	// Rate/Producers.
+	// producers; each producer runs an independent Poisson schedule
+	// at Rate/Producers.
 	Rate float64
-	// Arrival picks the inter-arrival process; DefaultArrival means
-	// Poisson.
-	Arrival Arrival
 }
 
 // OpenLoopResult is one open-loop measurement: the offered and
@@ -217,8 +174,8 @@ func RunOpenLoop(name string, cfg queues.Config, opts OpenLoopOpts) (OpenLoopRes
 		return zero, fmt.Errorf("harness: open loop needs at least one producer and one consumer (got %d/%d)",
 			opts.Producers, opts.Consumers)
 	}
-	if opts.Rate <= 0 {
-		return zero, fmt.Errorf("harness: open loop needs a positive offered rate (got %f)", opts.Rate)
+	if !(opts.Rate > 0) || math.IsInf(opts.Rate, 1) {
+		return zero, fmt.Errorf("harness: open loop needs a positive finite offered rate (got %f)", opts.Rate)
 	}
 	if cfg.MaxThreads < opts.Producers+opts.Consumers+2 {
 		cfg.MaxThreads = opts.Producers + opts.Consumers + 2
@@ -239,10 +196,6 @@ func RunOpenLoop(name string, cfg queues.Config, opts OpenLoopOpts) (OpenLoopRes
 	}
 	total := perProducer * opts.Producers
 	perRate := opts.Rate / float64(opts.Producers)
-	arrival := opts.Arrival
-	if arrival == DefaultArrival {
-		arrival = Poisson
-	}
 
 	var prod, cons sync.WaitGroup
 	var barrier sync.WaitGroup
@@ -258,7 +211,7 @@ func RunOpenLoop(name string, cfg queues.Config, opts OpenLoopOpts) (OpenLoopRes
 		if herr != nil {
 			return zero, herr
 		}
-		sc := newSchedule(arrival, perRate, uint64(p)+1)
+		sc := newSchedule(perRate, uint64(p)+1)
 		prod.Add(1)
 		go func(h queueapi.Handle, sc *schedule, seed uint64) {
 			defer prod.Done()

@@ -75,35 +75,9 @@ func TestBackoffEscalation(t *testing.T) {
 	}
 }
 
-func TestParseArrival(t *testing.T) {
-	for s, want := range map[string]Arrival{"poisson": Poisson, "fixed": FixedRate} {
-		got, err := ParseArrival(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseArrival(%q) = %v, %v", s, got, err)
-		}
-		if got.String() != s {
-			t.Fatalf("%v.String() = %q, want %q", got, got.String(), s)
-		}
-	}
-	if _, err := ParseArrival("uniform"); err == nil {
-		t.Fatal("unknown arrival process accepted")
-	}
-}
-
-func TestScheduleFixedRateIsExact(t *testing.T) {
-	// 1M arrivals/sec: the k-th intended offset is exactly k µs.
-	sc := newSchedule(FixedRate, 1e6, 1)
-	for k := 1; k <= 100; k++ {
-		got := sc.advance()
-		if got != time.Duration(k)*time.Microsecond {
-			t.Fatalf("arrival %d at %v, want %dµs", k, got, k)
-		}
-	}
-}
-
 func TestSchedulePoissonMeanAndMonotone(t *testing.T) {
 	const rate = 1e6
-	sc := newSchedule(Poisson, rate, 3)
+	sc := newSchedule(rate, 3)
 	const n = 200_000
 	prev := time.Duration(0)
 	for i := 0; i < n; i++ {
@@ -124,10 +98,10 @@ func TestSchedulePoissonMeanAndMonotone(t *testing.T) {
 
 func TestScheduleIgnoresWallClock(t *testing.T) {
 	// The coordinated-omission guard: the intended sequence is a pure
-	// function of (arrival, rate, seed). Wall-clock delays between
+	// function of (rate, seed). Wall-clock delays between
 	// draws — a stalled producer — must not shift a single arrival.
-	a := newSchedule(Poisson, 1e6, 7)
-	b := newSchedule(Poisson, 1e6, 7)
+	a := newSchedule(1e6, 7)
+	b := newSchedule(1e6, 7)
 	for i := 0; i < 50; i++ {
 		va := a.advance()
 		if i == 10 {
@@ -170,15 +144,18 @@ func TestRunOpenLoopRejectsBadOpts(t *testing.T) {
 	if _, err := RunOpenLoop("Chan", cfg, OpenLoopOpts{Producers: 0, Consumers: 1, Ops: 10, Rate: 1e6}); err == nil {
 		t.Fatal("zero producers accepted")
 	}
-	if _, err := RunOpenLoop("Chan", cfg, OpenLoopOpts{Producers: 1, Consumers: 1, Ops: 10}); err == nil {
-		t.Fatal("zero rate accepted")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := RunOpenLoop("Chan", cfg, OpenLoopOpts{Producers: 1, Consumers: 1, Ops: 10, Rate: rate}); err == nil {
+			t.Fatalf("rate %g accepted", rate)
+		}
 	}
 }
 
 func TestRunOpenLoopChargesBacklogDelay(t *testing.T) {
 	// The coordinated-omission acceptance test: offer load far past
-	// capacity through a tiny ring, so producers stall on a full queue
-	// while the schedule marches on. Under the intended-time rule the
+	// capacity through a tiny ring (Poisson arrivals at 1e9/s, a mean
+	// gap of 1 ns), so producers stall on a full queue while the
+	// schedule marches on. Under the intended-time rule the
 	// i-th transfer's latency is roughly its drain position, so the
 	// MEAN latency must be a large fraction of the whole run's
 	// duration. An engine that (wrongly) stamped actual send time
@@ -186,7 +163,7 @@ func TestRunOpenLoopChargesBacklogDelay(t *testing.T) {
 	// fraction of the run — and fail this bound.
 	const ops = 4000
 	r, err := RunOpenLoop("Chan", queues.Config{Capacity: 64}, OpenLoopOpts{
-		Producers: 1, Consumers: 1, Ops: ops, Rate: 1e9, Arrival: FixedRate,
+		Producers: 1, Consumers: 1, Ops: ops, Rate: 1e9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +182,6 @@ func TestLoadFigure(t *testing.T) {
 	}
 	if f.Sweep.Axis != LoadAxis || len(f.Sweep.Values) < 4 {
 		t.Fatalf("figure l1 sweeps %d loads, want at least 4", len(f.Sweep.Values))
-	}
-	if f.Arrival != Poisson {
-		t.Fatal("figure l1 must default to Poisson arrivals")
 	}
 	if len(f.Queues) < 5 {
 		t.Fatalf("figure l1 has %d queues, want at least 5", len(f.Queues))

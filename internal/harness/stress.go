@@ -26,10 +26,6 @@ type StressOpts struct {
 	Threads int
 	// Duration is how long the scenario sustains load.
 	Duration time.Duration
-	// Burst overrides the per-cycle fill size of memory_stress
-	// (default: the queue's capacity for bounded queues, 4096 for
-	// unbounded ones).
-	Burst int
 }
 
 func (o StressOpts) withDefaults() StressOpts {
@@ -108,12 +104,11 @@ func MemoryStress(name string, cfg queues.Config, opts StressOpts) (StressResult
 	if err != nil {
 		return StressResult{}, err
 	}
-	burst := opts.Burst
-	if burst <= 0 {
-		burst = int(q.Cap())
-		if burst == 0 {
-			burst = 4096 // unbounded: deep enough to grow the outer list
-		}
+	// A cycle fills the queue to capacity, or an unbounded one deep
+	// enough to grow its outer list.
+	burst := int(q.Cap())
+	if burst == 0 {
+		burst = 4096
 	}
 
 	// Handles are allocated once and reused across cycles (sequential

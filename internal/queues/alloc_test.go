@@ -42,7 +42,7 @@ func TestZeroAllocScalarHotPath(t *testing.T) {
 		for _, mc := range allocConfigs {
 			t.Run(name+"/"+mc.label, func(t *testing.T) {
 				cfg := testCfg()
-				cfg.Metrics = mc.sink()
+				cfg.Core.Metrics = mc.sink()
 				q, err := New(name, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -74,7 +74,7 @@ func TestZeroAllocBatchHotPath(t *testing.T) {
 		for _, mc := range allocConfigs {
 			t.Run(name+"/"+mc.label, func(t *testing.T) {
 				cfg := testCfg()
-				cfg.Metrics = mc.sink()
+				cfg.Core.Metrics = mc.sink()
 				q, err := New(name, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -122,7 +122,7 @@ func TestZeroAllocSealedDrain(t *testing.T) {
 		for _, mc := range allocConfigs {
 			t.Run(name+"/"+mc.label, func(t *testing.T) {
 				cfg := testCfg()
-				cfg.Metrics = mc.sink()
+				cfg.Core.Metrics = mc.sink()
 				q, err := New(name, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -167,7 +167,7 @@ func TestZeroAllocSealedDrain(t *testing.T) {
 // either, so a scraper can poll a live queue without perturbing it.
 func TestZeroAllocStatsSnapshot(t *testing.T) {
 	cfg := testCfg()
-	cfg.Metrics = metrics.New()
+	cfg.Core.Metrics = metrics.New()
 	q, err := New("wCQ", cfg)
 	if err != nil {
 		t.Fatal(err)

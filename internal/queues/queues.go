@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	wfqueue "repro"
-	"repro/internal/atomicx"
 	"repro/internal/ccq"
 	"repro/internal/crturn"
 	"repro/internal/faa"
@@ -43,27 +42,14 @@ type Config struct {
 	// MaxThreads bounds the number of Handle() calls for queues with
 	// per-thread state.
 	MaxThreads int
-	// Mode selects native or emulated F&A (the Fig. 12 configuration).
-	Mode atomicx.Mode
-	// LCRQOrder overrides the CRQ ring order (default 12, as in the
-	// paper).
-	LCRQOrder uint
-	// Shards is the sub-queue count for the sharded compositions
-	// (default sharded.DefaultShards).
-	Shards int
-	// Ring selects the ring kind inside the sharded compositions
-	// (Sharded, ShardedUnbounded, ChanSharded, ChanShardedUnbounded)
-	// and the ChanUnbounded facade: wait-free wCQ (the default) or
-	// lock-free SCQ. The fixed-kind variants (wCQ, SCQ, LSCQ, UWCQ)
-	// ignore it — their name is their kind.
-	Ring ringcore.Kind
-	// Core tunes the ring cores; nil selects the paper's defaults.
-	Core *ringcore.Options
-	// Metrics, when non-nil, makes the ring-based variants record into
-	// the sink (threaded through every layer of a composition); the
-	// built queue then implements queueapi.Statser. The external
-	// baselines are not instrumented and ignore it.
-	Metrics *metrics.Sink
+	// Core tunes the ring-based variants: the F&A mode (the Fig. 12
+	// configuration), wCQ's patience and help delay, and the metrics
+	// sink. The zero value selects native F&A, the paper's defaults
+	// and no metrics. With a sink, every layer of a composition records
+	// into it and the built queue implements queueapi.Statser. Of the
+	// external baselines, LCRQ and FAA read only the mode (LCRQ refuses
+	// emulated F&A); the rest ignore Core.
+	Core ringcore.Options
 }
 
 func (c Config) withDefaults() Config {
@@ -79,28 +65,14 @@ func (c Config) withDefaults() Config {
 // Builder constructs a queue implementation.
 type Builder func(Config) (queueapi.Queue, error)
 
-// coreOptions merges cfg.Mode into a private copy of cfg.Core, so
-// builders never write through the caller's pointer.
-func coreOptions(cfg Config) *ringcore.Options {
-	var o ringcore.Options
-	if cfg.Core != nil {
-		o = *cfg.Core
-	}
-	o.Mode = cfg.Mode
-	if cfg.Metrics != nil {
-		o.Metrics = cfg.Metrics
-	}
-	return &o
-}
-
 // registry maps figure names to builders. The ring-based variants all
 // route through newCoreBuilder; adding a composition is one entry.
 var registry = map[string]Builder{
 	"wCQ": newCoreBuilder("wCQ", func(cfg Config) (ringcore.Core[uint64], error) {
-		return ringcore.New[uint64](ringcore.KindWCQ, cfg.Capacity, cfg.MaxThreads, coreOptions(cfg))
+		return ringcore.New[uint64](ringcore.KindWCQ, cfg.Capacity, cfg.MaxThreads, &cfg.Core)
 	}),
 	"SCQ": newCoreBuilder("SCQ", func(cfg Config) (ringcore.Core[uint64], error) {
-		return ringcore.New[uint64](ringcore.KindSCQ, cfg.Capacity, cfg.MaxThreads, coreOptions(cfg))
+		return ringcore.New[uint64](ringcore.KindSCQ, cfg.Capacity, cfg.MaxThreads, &cfg.Core)
 	}),
 	"Sharded":          newCoreBuilder("Sharded", buildSharded(false)),
 	"ShardedUnbounded": newCoreBuilder("ShardedUnbounded", buildSharded(true)),
@@ -121,15 +93,13 @@ var registry = map[string]Builder{
 }
 
 // buildSharded returns the core build function for the sharded
-// compositions: bounded ring shards, or unbounded linked-ring shards
-// (per-shard growth, Cap 0). cfg.Ring picks the shard kind.
+// compositions: sharded.DefaultShards wCQ shards, bounded rings or
+// unbounded linked rings (per-shard growth, Cap 0).
 func buildSharded(unboundedShards bool) func(Config) (ringcore.Core[uint64], error) {
 	return func(cfg Config) (ringcore.Core[uint64], error) {
 		q, err := sharded.New[uint64](cfg.Capacity, cfg.MaxThreads, &sharded.Options{
-			Shards:    cfg.Shards,
-			Kind:      cfg.Ring,
 			Unbounded: unboundedShards,
-			Core:      coreOptions(cfg),
+			Core:      &cfg.Core,
 		})
 		if err != nil {
 			return nil, err
@@ -143,7 +113,7 @@ func buildSharded(unboundedShards bool) func(Config) (ringcore.Core[uint64], err
 // capacity, not a bound.
 func buildUnbounded(kind ringcore.Kind) func(Config) (ringcore.Core[uint64], error) {
 	return func(cfg Config) (ringcore.Core[uint64], error) {
-		q, err := unbounded.New[uint64](kind, cfg.Capacity, cfg.MaxThreads, coreOptions(cfg))
+		q, err := unbounded.New[uint64](kind, cfg.Capacity, cfg.MaxThreads, &cfg.Core)
 		if err != nil {
 			return nil, err
 		}
@@ -249,13 +219,14 @@ type lcrqHandle struct{ q *lcrq.Queue }
 
 // newLCRQ builds the Morrison & Afek queue. It is excluded from the
 // emulated-F&A (PowerPC) figures, as in the paper; construction under
-// EmulatedFAA fails so harnesses skip it explicitly.
+// emulated F&A (EmulatedFAA or CountingFAA) fails so harnesses skip
+// it explicitly.
 func newLCRQ(cfg Config) (queueapi.Queue, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Mode == atomicx.EmulatedFAA {
+	if cfg.Core.Mode.Emulated() {
 		return nil, fmt.Errorf("lcrq: not available without CAS2 (the paper omits it on PowerPC)")
 	}
-	return &lcrqQueue{q: lcrq.New(cfg.LCRQOrder)}, nil
+	return &lcrqQueue{q: lcrq.New(lcrq.DefaultRingOrder)}, nil
 }
 
 func (w *lcrqQueue) Handle() (queueapi.Handle, error) { return &lcrqHandle{q: w.q}, nil }
@@ -372,7 +343,7 @@ type faaHandle struct{ q *faa.Queue }
 // feed it to the correctness checker.
 func newFAA(cfg Config) (queueapi.Queue, error) {
 	cfg = cfg.withDefaults()
-	return &faaQueue{q: faa.New(cfg.Mode)}, nil
+	return &faaQueue{q: faa.New(cfg.Core.Mode)}, nil
 }
 
 func (w *faaQueue) Handle() (queueapi.Handle, error) { return &faaHandle{q: w.q}, nil }
@@ -398,34 +369,22 @@ type chanQueue struct {
 
 type chanHandle struct{ h *wfqueue.ChanHandle[uint64] }
 
-// ringKindOption translates cfg.Ring to the public WithRingKind
-// option.
-func ringKindOption(cfg Config) wfqueue.Option {
-	if cfg.Ring == ringcore.KindSCQ {
-		return wfqueue.WithRingKind(wfqueue.RingSCQ)
-	}
-	return wfqueue.WithRingKind(wfqueue.RingWCQ)
-}
-
 // newChanBuilder adapts NewChan over the given backend to the
-// registry's Builder shape, mapping Config onto the public options.
+// registry's Builder shape, mapping cfg.Core onto the public options.
+// The public API has one emulated mode, so CountingFAA builds an
+// EmulatedFAA Chan.
 func newChanBuilder(name string, backend wfqueue.Backend) Builder {
 	return func(cfg Config) (queueapi.Queue, error) {
 		cfg = cfg.withDefaults()
-		opts := []wfqueue.Option{wfqueue.WithBackend(backend), ringKindOption(cfg)}
-		if cfg.Mode == atomicx.EmulatedFAA {
+		o := cfg.Core
+		opts := []wfqueue.Option{
+			wfqueue.WithBackend(backend),
+			wfqueue.WithPatience(o.EnqPatience, o.DeqPatience),
+			wfqueue.WithHelpDelay(o.HelpDelay),
+			wfqueue.WithMetrics(o.Metrics),
+		}
+		if o.Mode.Emulated() {
 			opts = append(opts, wfqueue.WithEmulatedFAA())
-		}
-		if cfg.Shards > 0 {
-			opts = append(opts, wfqueue.WithShards(cfg.Shards))
-		}
-		if cfg.Metrics != nil {
-			opts = append(opts, wfqueue.WithMetrics(cfg.Metrics))
-		}
-		if o := cfg.Core; o != nil {
-			opts = append(opts,
-				wfqueue.WithPatience(o.EnqPatience, o.DeqPatience),
-				wfqueue.WithHelpDelay(o.HelpDelay))
 		}
 		c, err := wfqueue.NewChan[uint64](cfg.Capacity, cfg.MaxThreads, opts...)
 		if err != nil {

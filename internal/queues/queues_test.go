@@ -8,8 +8,10 @@ import (
 
 	"repro/internal/atomicx"
 	"repro/internal/checker"
+	"repro/internal/metrics"
 	"repro/internal/queueapi"
 	"repro/internal/ringcore"
+	"repro/internal/sharded"
 )
 
 func testCfg() Config {
@@ -125,7 +127,7 @@ func TestBlockingSlowpathConformance(t *testing.T) {
 	// The wCQ-backed Chan with patience 1 + eager helping: parked
 	// blocking ops layered over the helped slow paths.
 	cfg := testCfg()
-	cfg.Core = &ringcore.Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1}
+	cfg.Core = ringcore.Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1}
 	q, err := New("Chan", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -195,10 +197,53 @@ func TestUnboundedConformance(t *testing.T) {
 }
 
 func TestLCRQUnavailableUnderEmulation(t *testing.T) {
-	cfg := testCfg()
-	cfg.Mode = atomicx.EmulatedFAA
-	if _, err := New("LCRQ", cfg); err == nil {
-		t.Fatal("LCRQ built under emulated F&A; the paper omits it on PowerPC")
+	// CountingFAA is EmulatedFAA plus a tally, so it excludes LCRQ too.
+	for _, mode := range []atomicx.Mode{atomicx.EmulatedFAA, atomicx.CountingFAA} {
+		cfg := testCfg()
+		cfg.Core.Mode = mode
+		if _, err := New("LCRQ", cfg); err == nil {
+			t.Fatalf("LCRQ built under %v; the paper omits it on PowerPC", mode)
+		}
+	}
+}
+
+// TestSinkReachesEveryQueue builds every ring-based queue and every
+// Chan facade with a metrics sink in Config.Core and checks that one
+// Enqueue shows up in Stats: the first enqueue into an empty wCQ or SCQ
+// ring re-arms its emptiness threshold, which records threshold_reset.
+func TestSinkReachesEveryQueue(t *testing.T) {
+	baselines := map[string]bool{"LCRQ": true, "YMC": true, "CRTurn": true, "CCQueue": true, "MSQueue": true, "FAA": true}
+	checked := 0
+	for _, name := range Names() {
+		if baselines[name] {
+			continue
+		}
+		checked++
+		t.Run(name, func(t *testing.T) {
+			cfg := testCfg()
+			cfg.Core.Metrics = metrics.New()
+			q, err := New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := q.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !h.Enqueue(1) {
+				t.Fatal("Enqueue into an empty queue failed")
+			}
+			s, ok := q.(queueapi.Statser)
+			if !ok {
+				t.Fatalf("%T has no Stats", q)
+			}
+			if snap := s.Stats(); snap.Counts[metrics.ThresholdReset] < 1 {
+				t.Fatalf("threshold_reset = %d after one Enqueue, want >= 1", snap.Counts[metrics.ThresholdReset])
+			}
+		})
+	}
+	if checked != 11 {
+		t.Fatalf("checked %d ring-based and Chan queues, want 11", checked)
 	}
 }
 
@@ -226,7 +271,7 @@ func TestMPMCEmulatedFAA(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := testCfg()
-			cfg.Mode = atomicx.EmulatedFAA
+			cfg.Core.Mode = atomicx.EmulatedFAA
 			q, err := New(name, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -354,10 +399,9 @@ func TestNativeBatchers(t *testing.T) {
 }
 
 func TestShardedConfig(t *testing.T) {
-	// Capacity is split across shards; totals and shard counts must
-	// line up, and indivisible capacities fail fast.
+	// The registry's sharded queue splits the total capacity across
+	// sharded.DefaultShards shards.
 	cfg := testCfg()
-	cfg.Shards = 8
 	q, err := New("Sharded", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -365,9 +409,8 @@ func TestShardedConfig(t *testing.T) {
 	if q.Cap() != cfg.Capacity {
 		t.Fatalf("Cap() = %d, want total %d", q.Cap(), cfg.Capacity)
 	}
-	cfg.Shards = 3
-	if _, err := New("Sharded", cfg); err == nil {
-		t.Fatal("capacity 256 over 3 shards accepted")
+	if n := q.(*coreQueue).core.(*sharded.Queue[uint64]).Shards(); n != sharded.DefaultShards {
+		t.Fatalf("Shards() = %d, want %d", n, sharded.DefaultShards)
 	}
 }
 

@@ -92,36 +92,40 @@ type QueueHandle[T any] struct {
 // for census kinds (KindWCQ) and is ignored by census-free kinds. The
 // core is always a *Queue[T].
 func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core[T], error) {
+	var o Options
+	if opts != nil {
+		o = *opts
+	}
 	q := &Queue[T]{kind: kind}
 	switch kind {
 	case KindWCQ:
-		aq, err := wcq.NewRing(capacity, maxThreads, opts.WCQ())
+		aq, err := wcq.NewRing(capacity, maxThreads, &o)
 		if err != nil {
 			return nil, err
 		}
-		fq, err := wcq.NewRing(capacity, maxThreads, opts.WCQ())
+		fq, err := wcq.NewRing(capacity, maxThreads, &o)
 		if err != nil {
 			return nil, err
 		}
 		q.aq, q.fq = aq, fq
 	case KindSCQ:
-		aq, err := scq.NewRing(capacity, opts.mode())
+		aq, err := scq.NewRing(capacity, o.Mode)
 		if err != nil {
 			return nil, err
 		}
-		fq, err := scq.NewRing(capacity, opts.mode())
+		fq, err := scq.NewRing(capacity, o.Mode)
 		if err != nil {
 			return nil, err
 		}
-		aq.SetMetrics(opts.Sink())
-		fq.SetMetrics(opts.Sink())
+		aq.SetMetrics(o.Metrics)
+		fq.SetMetrics(o.Metrics)
 		q.aq, q.fq = aq, fq
 	default:
 		return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
 	}
 	q.data = make([]T, capacity)
 	q.refs = hasPointers(reflect.TypeFor[T]())
-	q.fresh.Init(opts.mode(), 0)
+	q.fresh.Init(o.Mode, 0)
 	return q, nil
 }
 

@@ -39,9 +39,6 @@
 package ringcore
 
 import (
-	"fmt"
-
-	"repro/internal/atomicx"
 	"repro/internal/metrics"
 	"repro/internal/wcq"
 )
@@ -81,73 +78,15 @@ func (k Kind) Census() bool { return k == KindWCQ }
 // Kinds lists every registered ring kind, in registry-name order.
 func Kinds() []Kind { return []Kind{KindWCQ, KindSCQ} }
 
-// KindByName resolves a registry-style name ("wCQ", "SCQ") to its
-// Kind, for flag parsing.
-func KindByName(name string) (Kind, error) {
-	for _, k := range Kinds() {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("ringcore: unknown ring kind %q (have wCQ, SCQ)", name)
-}
-
-// Options tunes a core. The zero value selects native F&A and the
-// paper's wCQ defaults; KindSCQ only consults Mode.
-type Options struct {
-	// Mode selects native or CAS-emulated F&A (the paper's PowerPC
-	// configuration).
-	Mode atomicx.Mode
-	// EnqPatience / DeqPatience bound the wCQ fast path before the
-	// helped slow path takes over (MAX_PATIENCE; 0 = paper defaults).
-	EnqPatience int
-	DeqPatience int
-	// HelpDelay is the number of wCQ operations between help scans
-	// (HELP_DELAY; 0 = paper default).
-	HelpDelay int
-	// Metrics, when non-nil, receives the core's slow-path events
-	// (internal/metrics event taxonomy). Compositions thread the SAME
-	// sink into every sub-core they build from these options, so a
-	// whole stack aggregates into one Sink. nil disables recording at
-	// the cost of one predictable branch per event site.
-	Metrics *metrics.Sink
-}
-
-// WCQ translates the shared options into the wCQ package's own
-// tuning struct — the ONE mapping between the two, used both by New
-// and by callers that talk to internal/wcq directly (a future field
-// added here cannot silently miss a constructor). A nil receiver
-// selects all defaults.
-func (o *Options) WCQ() *wcq.Options {
-	if o == nil {
-		return nil
-	}
-	return &wcq.Options{
-		Mode:        o.Mode,
-		EnqPatience: o.EnqPatience,
-		DeqPatience: o.DeqPatience,
-		HelpDelay:   o.HelpDelay,
-		Metrics:     o.Metrics,
-	}
-}
-
-// Sink extracts the metrics sink (nil when disabled or when o is nil).
-// Compositions use it to pick up the shared sink for their own events
-// (steals, ring recycling) without re-plumbing a second option.
-func (o *Options) Sink() *metrics.Sink {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics
-}
-
-// mode extracts the F&A mode (the only field KindSCQ consults).
-func (o *Options) mode() atomicx.Mode {
-	if o == nil {
-		return atomicx.NativeFAA
-	}
-	return o.Mode
-}
+// Options tunes a core: the F&A mode, wCQ's MAX_PATIENCE bounds and
+// HELP_DELAY, and the metrics sink. It is wCQ's own tuning struct, so
+// every layer — ring, payload queue, composition, registry, public
+// option — carries the same one; KindSCQ only consults Mode and
+// Metrics. Compositions thread the SAME sink into every sub-core they
+// build from these options, so a whole stack aggregates into one
+// Sink. A nil *Options selects native F&A, the paper's defaults and
+// no metrics.
+type Options = wcq.Options
 
 // Handle is a goroutine's capability to operate on a core. Like the
 // underlying queues' handles it must not be used by two goroutines

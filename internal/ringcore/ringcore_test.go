@@ -45,15 +45,6 @@ func TestKindNames(t *testing.T) {
 	if KindWCQ.String() != "wCQ" || KindSCQ.String() != "SCQ" {
 		t.Fatalf("kind names: %s, %s", KindWCQ, KindSCQ)
 	}
-	for _, kind := range Kinds() {
-		got, err := KindByName(kind.String())
-		if err != nil || got != kind {
-			t.Fatalf("KindByName(%s) = (%v, %v)", kind, got, err)
-		}
-	}
-	if _, err := KindByName("nope"); err == nil {
-		t.Fatal("unknown kind name accepted")
-	}
 	if !KindWCQ.Census() || KindSCQ.Census() {
 		t.Fatal("census flags inverted")
 	}

@@ -20,7 +20,9 @@ const (
 )
 
 // Options tune a Ring. The zero value selects the paper's defaults and
-// native F&A.
+// native F&A. It is also the one tuning struct of every layer built
+// over the rings (ringcore.Options is an alias of it), so SCQ rings,
+// compositions and the public options read the same fields.
 type Options struct {
 	// Mode selects native or CAS-emulated F&A (the Fig. 12 PowerPC
 	// configuration).
@@ -35,6 +37,16 @@ type Options struct {
 	// resets and batch degradations. nil (the default) records
 	// nothing; each site pays one predictable nil-check branch.
 	Metrics *metrics.Sink
+}
+
+// Sink returns the metrics sink; nil when recording is disabled or o
+// is nil. Compositions use it to pick up the shared sink for their own
+// events (steals, ring recycling).
+func (o *Options) Sink() *metrics.Sink {
+	if o == nil {
+		return nil
+	}
+	return o.Metrics
 }
 
 func (o *Options) withDefaults() Options {

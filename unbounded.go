@@ -110,7 +110,7 @@ func NewUnbounded[T any](maxThreads int, opts ...Option) (*UnboundedQueue[T], er
 	if o.ringKind != RingWCQ && o.ringKind != RingSCQ {
 		return nil, fmt.Errorf("wfqueue: unknown ring kind %d", o.ringKind)
 	}
-	q, err := unbounded.New[T](o.ringKind.kind(), ringCap, maxThreads, o.core())
+	q, err := unbounded.New[T](o.ringKind.kind(), ringCap, maxThreads, &o.core)
 	if err != nil {
 		return nil, err
 	}

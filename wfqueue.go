@@ -56,35 +56,21 @@ import (
 type Option func(*options)
 
 type options struct {
-	mode            atomicx.Mode
-	enqPatience     int
-	deqPatience     int
-	helpDelay       int
+	// core is the ring tuning (F&A mode, patience, help delay, metrics
+	// sink) handed unchanged to every layer the constructor builds.
+	core            ringcore.Options
 	shards          int
 	backend         Backend
 	ringKind        RingKind
 	ringCap         uint64
 	unboundedShards bool
-	metrics         *metrics.Sink
-}
-
-// core translates the accumulated options into the shared ring-core
-// tuning struct every composition consumes.
-func (o options) core() *ringcore.Options {
-	return &ringcore.Options{
-		Mode:        o.mode,
-		EnqPatience: o.enqPatience,
-		DeqPatience: o.deqPatience,
-		HelpDelay:   o.helpDelay,
-		Metrics:     o.metrics,
-	}
 }
 
 // WithEmulatedFAA makes every fetch-and-add a CAS loop, modelling
 // LL/SC architectures without native F&A (the paper's PowerPC port,
 // §4). Mostly useful for benchmarking.
 func WithEmulatedFAA() Option {
-	return func(o *options) { o.mode = atomicx.EmulatedFAA }
+	return func(o *options) { o.core.Mode = atomicx.EmulatedFAA }
 }
 
 // WithPatience sets MAX_PATIENCE: how many fast-path attempts an
@@ -92,13 +78,13 @@ func WithEmulatedFAA() Option {
 // The paper uses 16 and 64. Lower values bound worst-case latency more
 // tightly at some throughput cost.
 func WithPatience(enqueue, dequeue int) Option {
-	return func(o *options) { o.enqPatience, o.deqPatience = enqueue, dequeue }
+	return func(o *options) { o.core.EnqPatience, o.core.DeqPatience = enqueue, dequeue }
 }
 
 // WithHelpDelay sets how many operations pass between scans for
 // stalled peers (HELP_DELAY).
 func WithHelpDelay(n int) Option {
-	return func(o *options) { o.helpDelay = n }
+	return func(o *options) { o.core.HelpDelay = n }
 }
 
 // MetricsSink accumulates event counters (slow-path entries, threshold
@@ -125,7 +111,7 @@ func NewMetricsSink() *MetricsSink { return metrics.New() }
 // disables recording; the hot paths then pay one predictable branch
 // per potential event, measured at well under a nanosecond.
 func WithMetrics(m *MetricsSink) Option {
-	return func(o *options) { o.metrics = m }
+	return func(o *options) { o.core.Metrics = m }
 }
 
 // WithShards sets the shard count for NewSharded (default 4). The
@@ -172,11 +158,6 @@ func buildOpts(opts []Option) options {
 	return o
 }
 
-// wcq translates the accumulated options for the constructors that
-// talk to internal/wcq directly, through ringcore's single
-// Options-to-wcq mapping (so the two structs cannot drift).
-func (o options) wcq() *wcq.Options { return o.core().WCQ() }
-
 // Queue is a bounded wait-free MPMC FIFO of values of type T.
 type Queue[T any] struct {
 	q *ringcore.Queue[T]
@@ -207,7 +188,7 @@ func New[T any](capacity uint64, maxThreads int, opts ...Option) (*Queue[T], err
 // and keeps its concrete type, so the public handles call it directly
 // instead of through the ringcore.Handle interface.
 func newPayload[T any](kind ringcore.Kind, capacity uint64, maxThreads int, o options) (*ringcore.Queue[T], error) {
-	c, err := ringcore.New[T](kind, capacity, maxThreads, o.core())
+	c, err := ringcore.New[T](kind, capacity, maxThreads, &o.core)
 	if err != nil {
 		return nil, err
 	}
@@ -286,9 +267,9 @@ func NewRing(capacity uint64, maxThreads int, full bool, opts ...Option) (*Ring,
 	var r *wcq.Ring
 	var err error
 	if full {
-		r, err = wcq.NewFullRing(capacity, maxThreads, o.wcq())
+		r, err = wcq.NewFullRing(capacity, maxThreads, &o.core)
 	} else {
-		r, err = wcq.NewRing(capacity, maxThreads, o.wcq())
+		r, err = wcq.NewRing(capacity, maxThreads, &o.core)
 	}
 	if err != nil {
 		return nil, err
@@ -468,7 +449,7 @@ func NewSharded[T any](capacity uint64, maxThreads int, opts ...Option) (*Sharde
 		Shards:    o.shards,
 		Kind:      o.ringKind.kind(),
 		Unbounded: o.unboundedShards,
-		Core:      o.core(),
+		Core:      &o.core,
 	})
 	if err != nil {
 		return nil, err
