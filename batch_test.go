@@ -59,16 +59,28 @@ func TestPublicBatchRoundTrip(t *testing.T) {
 		check(t, h.EnqueueBatch, h.DequeueBatch)
 	})
 	t.Run("ShardedUnbounded", func(t *testing.T) {
-		// Ring size 8 forces rollover inside each shard mid-batch.
-		q, err := NewSharded[int](8, 2, WithUnboundedShards(4))
+		// The sharded-unbounded composition is public only as a Chan
+		// backend; its nonblocking batch calls reach the shards'
+		// native batches. Ring size 8 forces rollover inside the home
+		// shard mid-batch.
+		c, err := NewChan[int](8, 2, WithBackend(BackendShardedUnbounded))
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := q.Handle()
+		h, err := c.Handle()
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, h.EnqueueBatch, h.DequeueBatch)
+		try := func(f func([]int) (int, error)) func([]int) int {
+			return func(vs []int) int {
+				n, err := f(vs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		check(t, try(h.TrySendMany), try(h.TryRecvMany))
 	})
 	t.Run("Sharded", func(t *testing.T) {
 		// Home-shard capacity is total/shards; 256/4 = 64 >= the batch.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/park"
 	"repro/internal/queueapi"
 	"repro/internal/ringcore"
+	"repro/internal/sharded"
 )
 
 // ErrClosed is returned by Chan operations after Close: sends fail
@@ -29,20 +30,19 @@ const (
 	// census, so a Chan over it accepts any number of Handles.
 	BackendSCQ
 	// BackendSharded buffers on the sharded wCQ composition (see
-	// NewSharded); tune the shard count with WithShards.
+	// NewSharded): four bounded wCQ shards.
 	BackendSharded
 	// BackendUnbounded buffers on the unbounded linked-ring queue (see
 	// NewUnbounded): Send never blocks on capacity — only Recv parks —
 	// and NewChan's capacity parameter becomes the linked rings' size
-	// (the retained-memory granularity), not a bound. Tune the ring
-	// kind with WithRingKind.
+	// (the retained-memory granularity), not a bound.
 	BackendUnbounded
 	// BackendShardedUnbounded buffers on the sharded composition over
-	// unbounded linked-ring shards (see NewSharded with
-	// WithUnboundedShards): the head/tail hot words are spread across
-	// shards AND Send never blocks on capacity — each shard grows
+	// four unbounded linked-ring wCQ shards (see NewSharded and
+	// NewUnbounded): the head/tail hot words are spread across shards
+	// AND Send never blocks on capacity — each shard grows
 	// independently, only Recv parks. The capacity parameter becomes
-	// each shard's ring size. Tune with WithShards and WithRingKind.
+	// each shard's ring size.
 	BackendShardedUnbounded
 )
 
@@ -177,12 +177,6 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		}
 		core, err = ringcore.New[T](ringcore.KindSCQ, capacity, maxThreads, &o.core)
 	case BackendSharded:
-		// WithUnboundedShards would silently turn this bounded backend
-		// unbounded (Cap 0, no Send backpressure); the unbounded-sharded
-		// Chan is its own backend, so reject the mix instead.
-		if o.unboundedShards {
-			return nil, fmt.Errorf("wfqueue: WithUnboundedShards conflicts with BackendSharded; use BackendShardedUnbounded")
-		}
 		var q *ShardedQueue[T]
 		if q, err = NewSharded[T](capacity, maxThreads, opts...); err == nil {
 			core = q.q
@@ -205,10 +199,7 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if err = validate(capacity, maxThreads); err != nil {
 			return nil, err
 		}
-		var q *ShardedQueue[T]
-		if q, err = NewSharded[T](capacity, maxThreads, append(opts, WithUnboundedShards(o.shards))...); err == nil {
-			core = q.q
-		}
+		core, err = sharded.New[T](capacity, maxThreads, &sharded.Options{Unbounded: true, Core: &o.core})
 	default:
 		return nil, fmt.Errorf("wfqueue: unknown chan backend %d", o.backend)
 	}

@@ -525,11 +525,3 @@ func TestChanUnboundedRejectsZeroCapacity(t *testing.T) {
 		t.Fatal("capacity 0 accepted by the unbounded backend")
 	}
 }
-
-func TestChanShardedRejectsUnboundedShardsOption(t *testing.T) {
-	// WithUnboundedShards would silently void the bounded backend's
-	// backpressure; the unbounded-sharded Chan is its own backend.
-	if _, err := NewChan[int](16, 2, WithBackend(BackendSharded), WithUnboundedShards(2)); err == nil {
-		t.Fatal("BackendSharded accepted WithUnboundedShards")
-	}
-}

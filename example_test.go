@@ -31,10 +31,10 @@ func ExampleNew() {
 	// world
 }
 
-// The sharded composition: several wCQ rings behind one queue, with
+// The sharded composition: four wCQ rings behind one queue, with
 // native batch operations. One handle's values keep FIFO order.
 func ExampleNewSharded() {
-	q, err := wfqueue.NewSharded[int](16, 2, wfqueue.WithShards(2))
+	q, err := wfqueue.NewSharded[int](16, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -102,36 +102,4 @@ func ExampleNewUnbounded() {
 	// Output:
 	// rings: true
 	// sum: 45
-}
-
-// The full matrix in one constructor: sharded over unbounded
-// linked-ring shards — the head/tail hot words are spread across
-// shards AND no shard ever reports full.
-func ExampleNewSharded_unboundedShards() {
-	q, err := wfqueue.NewSharded[int](8, 2,
-		wfqueue.WithUnboundedShards(4),        // 4 shards, each an unbounded linked-ring queue
-		wfqueue.WithRingKind(wfqueue.RingWCQ)) // wait-free rings inside every shard
-	if err != nil {
-		panic(err)
-	}
-	h, err := q.Handle()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("cap:", q.Cap()) // 0: no global bound
-	for i := 0; i < 100; i++ {   // far beyond one ring: the home shard grows
-		h.Enqueue(i)
-	}
-	sum := 0
-	for {
-		v, ok := h.Dequeue()
-		if !ok {
-			break
-		}
-		sum += v
-	}
-	fmt.Println("sum:", sum)
-	// Output:
-	// cap: 0
-	// sum: 4950
 }

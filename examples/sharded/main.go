@@ -31,7 +31,7 @@ type event struct {
 }
 
 func main() {
-	bus, err := wfqueue.NewSharded[event](1<<12, producers+consumers, wfqueue.WithShards(4))
+	bus, err := wfqueue.NewSharded[event](1<<12, producers+consumers)
 	if err != nil {
 		panic(err)
 	}

@@ -56,11 +56,52 @@ func (m Mode) String() string {
 // CAS loop (EmulatedFAA and its counting variant).
 func (m Mode) Emulated() bool { return m != NativeFAA }
 
+// FetchAdd atomically adds d to *p and returns the PREVIOUS value
+// (the algorithms in the paper are written against F&A, which returns
+// the old value, unlike atomic.Int64.Add). With emulate set it spins
+// on CompareAndSwap, the way an LL/SC architecture expands F&A. It is
+// the one F&A of the repository: Counter.Add and the rings' Threshold
+// counters both run it.
+//
+//wfq:noalloc
+func FetchAdd(p *atomic.Int64, d int64, emulate bool) int64 {
+	if !emulate {
+		return p.Add(d) - d
+	}
+	for {
+		old := p.Load()
+		if p.CompareAndSwap(old, old+d) {
+			return old
+		}
+	}
+}
+
+// Or atomically ORs bits into *p, as the rings' consume() marks a slot
+// (⊥c). With emulate set it spins on CompareAndSwap instead (§3.3: OR
+// may be emulated with CAS on architectures that lack it), stopping
+// early once the bits are already set.
+//
+//wfq:noalloc
+func Or(p *atomic.Uint64, bits uint64, emulate bool) {
+	if !emulate {
+		p.Or(bits)
+		return
+	}
+	for {
+		old := p.Load()
+		if old&bits == bits || p.CompareAndSwap(old, old|bits) {
+			return
+		}
+	}
+}
+
 // Counter is a 64-bit atomic counter whose Add either uses native F&A
 // or a CAS loop depending on the Mode it was created with. The zero
-// value is a native-mode counter at 0.
+// value is a native-mode counter at 0. The word is held as an
+// atomic.Int64 so that Add shares FetchAdd; the conversions to and
+// from uint64 are free.
 type Counter struct {
-	v       atomic.Uint64
+	v       atomic.Int64
 	emulate bool
 	count   bool
 	adds    atomic.Int64
@@ -71,37 +112,28 @@ type Counter struct {
 func (c *Counter) Init(mode Mode, v uint64) {
 	c.emulate = mode.Emulated()
 	c.count = mode == CountingFAA
-	c.v.Store(v)
+	c.v.Store(int64(v))
 }
 
 // Load returns the current value.
 //
 //wfq:noalloc
-func (c *Counter) Load() uint64 { return c.v.Load() }
+func (c *Counter) Load() uint64 { return uint64(c.v.Load()) }
 
 // Store unconditionally writes v.
 //
 //wfq:noalloc
-func (c *Counter) Store(v uint64) { c.v.Store(v) }
+func (c *Counter) Store(v uint64) { c.v.Store(int64(v)) }
 
-// Add atomically adds delta and returns the PREVIOUS value (the
-// algorithms in the paper are written against F&A, which returns the
-// old value, unlike atomic.Uint64.Add).
+// Add atomically adds delta and returns the PREVIOUS value (see
+// FetchAdd).
 //
 //wfq:noalloc
 func (c *Counter) Add(delta uint64) uint64 {
-	if !c.emulate {
-		return c.v.Add(delta) - delta
-	}
 	if c.count {
 		c.adds.Add(1)
 	}
-	for {
-		old := c.v.Load()
-		if c.v.CompareAndSwap(old, old+delta) {
-			return old
-		}
-	}
+	return uint64(FetchAdd(&c.v, int64(delta), c.emulate))
 }
 
 // Adds returns how many fetch-and-add operations this counter has
@@ -115,24 +147,5 @@ func (c *Counter) Adds() int64 { return c.adds.Load() }
 //
 //wfq:noalloc
 func (c *Counter) CompareAndSwap(old, new uint64) bool {
-	return c.v.CompareAndSwap(old, new)
-}
-
-// Or atomically ORs bits into the counter word and returns the old
-// value. Used by consume() (⊥c marking) and queue finalization.
-//
-//wfq:noalloc
-func (c *Counter) Or(bits uint64) uint64 {
-	if !c.emulate {
-		return c.v.Or(bits)
-	}
-	for {
-		old := c.v.Load()
-		if old&bits == bits {
-			return old
-		}
-		if c.v.CompareAndSwap(old, old|bits) {
-			return old
-		}
-	}
+	return c.v.CompareAndSwap(int64(old), int64(new))
 }

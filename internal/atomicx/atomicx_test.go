@@ -2,6 +2,7 @@ package atomicx
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -58,19 +59,37 @@ func TestCounterConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestCounterOr(t *testing.T) {
+func TestOr(t *testing.T) {
 	for _, mode := range []Mode{NativeFAA, EmulatedFAA} {
-		var c Counter
-		c.Init(mode, 0b0101)
-		if old := c.Or(0b0011); old != 0b0101 {
-			t.Errorf("%v: Or returned %#b, want 0b0101", mode, old)
-		}
-		if got := c.Load(); got != 0b0111 {
-			t.Errorf("%v: Load = %#b, want 0b0111", mode, got)
+		var w atomic.Uint64
+		w.Store(0b0101)
+		Or(&w, 0b0011, mode.Emulated())
+		if got := w.Load(); got != 0b0111 {
+			t.Errorf("%v: word = %#b, want 0b0111", mode, got)
 		}
 		// Idempotent when all bits already set.
-		if old := c.Or(0b0111); old != 0b0111 {
-			t.Errorf("%v: second Or returned %#b", mode, old)
+		Or(&w, 0b0110, mode.Emulated())
+		if got := w.Load(); got != 0b0111 {
+			t.Errorf("%v: second Or left %#b", mode, got)
+		}
+	}
+}
+
+func TestFetchAdd(t *testing.T) {
+	for _, mode := range []Mode{NativeFAA, EmulatedFAA} {
+		// A Threshold-style decrement returns the old value.
+		var th atomic.Int64
+		if got := FetchAdd(&th, -1, mode.Emulated()); got != 0 || th.Load() != -1 {
+			t.Errorf("%v: FetchAdd(0, -1) returned %d, left %d", mode, got, th.Load())
+		}
+		// Counter values above the int64 range survive the round trip.
+		var c Counter
+		c.Init(mode, 1<<63+5)
+		if got := c.Add(2); got != 1<<63+5 || c.Load() != 1<<63+7 {
+			t.Errorf("%v: Add returned %d, left %d", mode, got, c.Load())
+		}
+		if !c.CompareAndSwap(1<<63+7, 3) || c.Load() != 3 {
+			t.Errorf("%v: CAS above the int64 range failed", mode)
 		}
 	}
 }

@@ -93,7 +93,7 @@ var registry = map[string]Builder{
 }
 
 // buildSharded returns the core build function for the sharded
-// compositions: sharded.DefaultShards wCQ shards, bounded rings or
+// compositions: sharded.Shards wCQ shards, bounded rings or
 // unbounded linked rings (per-shard growth, Cap 0).
 func buildSharded(unboundedShards bool) func(Config) (ringcore.Core[uint64], error) {
 	return func(cfg Config) (ringcore.Core[uint64], error) {

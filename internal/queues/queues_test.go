@@ -400,7 +400,7 @@ func TestNativeBatchers(t *testing.T) {
 
 func TestShardedConfig(t *testing.T) {
 	// The registry's sharded queue splits the total capacity across
-	// sharded.DefaultShards shards.
+	// sharded.Shards shards.
 	cfg := testCfg()
 	q, err := New("Sharded", cfg)
 	if err != nil {
@@ -409,8 +409,8 @@ func TestShardedConfig(t *testing.T) {
 	if q.Cap() != cfg.Capacity {
 		t.Fatalf("Cap() = %d, want total %d", q.Cap(), cfg.Capacity)
 	}
-	if n := q.(*coreQueue).core.(*sharded.Queue[uint64]).Shards(); n != sharded.DefaultShards {
-		t.Fatalf("Shards() = %d, want %d", n, sharded.DefaultShards)
+	if n := q.(*coreQueue).core.(*sharded.Queue[uint64]).Shards(); n != sharded.Shards {
+		t.Fatalf("Shards() = %d, want %d", n, sharded.Shards)
 	}
 }
 

@@ -137,43 +137,6 @@ func (q *Ring) unpack(w uint64) (cycle, safe, index uint64) {
 //wfq:noalloc
 func (q *Ring) cycleOf(c uint64) uint64 { return c >> q.order }
 
-// thresholdFAA atomically adds d to Threshold and returns the PREVIOUS
-// value, honoring the emulated-F&A mode.
-//
-//wfq:noalloc
-func (q *Ring) thresholdFAA(d int64) int64 {
-	if !q.emulate {
-		return q.threshold.Add(d) - d
-	}
-	for {
-		old := q.threshold.Load()
-		if q.threshold.CompareAndSwap(old, old+d) {
-			return old
-		}
-	}
-}
-
-// entryOr ORs bits into an entry word, honoring the emulated mode the
-// same way consume() does in the paper (§3.3: OR may be emulated with
-// CAS on architectures that lack it).
-//
-//wfq:noalloc
-func (q *Ring) entryOr(e *atomic.Uint64, bits uint64) {
-	if !q.emulate {
-		e.Or(bits)
-		return
-	}
-	for {
-		old := e.Load()
-		if old&bits == bits {
-			return
-		}
-		if e.CompareAndSwap(old, old|bits) {
-			return
-		}
-	}
-}
-
 // Drained reports whether the head counter has caught the tail
 // counter, i.e. every issued enqueue ticket has been examined by a
 // dequeuer.
@@ -272,14 +235,14 @@ const (
 //wfq:noalloc
 func (q *Ring) dequeueAt(h uint64) (index uint64, st deqStatus) {
 	hCycle := q.cycleOf(h)
-	bottom, bottomC := q.bottom, q.bottomC // hoisted: loop-invariant (//wfq:stable)
+	bottom, bottomC, emulate := q.bottom, q.bottomC, q.emulate // hoisted: loop-invariant (//wfq:stable)
 	e := &q.entries[ring.Remap(h&q.posMask, q.order)]
 	for {
 		w := e.Load()
 		eCycle, safe, idx := q.unpack(w)
 		if eCycle == hCycle {
 			// consume: set the index bits to ⊥c, keep cycle/safe.
-			q.entryOr(e, bottomC)
+			atomicx.Or(e, bottomC, emulate)
 			return idx, deqGot
 		}
 		var nw uint64
@@ -297,10 +260,10 @@ func (q *Ring) dequeueAt(h uint64) (index uint64, st deqStatus) {
 		t := q.tail.Load()
 		if t <= h+1 {
 			q.catchup(t, h+1)
-			q.thresholdFAA(-1)
+			atomicx.FetchAdd(&q.threshold, -1, emulate)
 			return 0, deqEmpty
 		}
-		if q.thresholdFAA(-1) <= 0 {
+		if atomicx.FetchAdd(&q.threshold, -1, emulate) <= 0 {
 			return 0, deqEmpty
 		}
 		return 0, deqRetry

@@ -1,12 +1,12 @@
-// Package sharded composes N independent ring cores into one MPMC
-// FIFO that spreads the single fetch-and-add hot word of the
-// underlying queues across N head/tail pairs — the "independent
+// Package sharded composes Shards independent ring cores into one
+// MPMC FIFO that spreads the single fetch-and-add hot word of the
+// underlying queues across Shards head/tail pairs — the "independent
 // sub-structure" scaling step the paper's evaluation motivates once a
 // single ring saturates.
 //
-// Shards are consumed exclusively through the ringcore contract, so
-// one code path serves the whole kind x composition matrix: bounded
-// wCQ or SCQ shards (Options.Kind), and unbounded linked-ring shards
+// Shards are wait-free wCQ rings, consumed exclusively through the
+// ringcore contract, so one code path serves both compositions:
+// bounded ring shards, and unbounded linked-ring shards
 // (Options.Unbounded) whose per-shard growth removes the global
 // capacity bound entirely. An unbounded shard is the unbounded queue
 // itself, which is a ringcore.Core; and the sharded queue is a
@@ -47,10 +47,10 @@
 // an enqueue batch pays the home-shard lookup once and hands the whole
 // batch to the shard's native ring batch (one Tail F&A per batch
 // instead of one per element); a dequeue batch drains chunk-sized runs
-// from one shard before rotating, each chunk one Head F&A. The
-// stealStride fairness bound is kept by counting every stolen value
-// against the cursor's streak. They implement the queueapi.Batcher
-// contract natively.
+// from one shard before rotating, each chunk one Head F&A. Scalar and
+// batch dequeues share one steal scan, so the stealStride fairness
+// bound holds for both. They implement the queueapi.Batcher contract
+// natively.
 package sharded
 
 import (
@@ -69,67 +69,46 @@ var (
 	_ ringcore.Handle[int] = (*Handle[int])(nil)
 )
 
-// DefaultShards is the shard count used when Options.Shards is 0.
-const DefaultShards = 4
+// Shards is the number of independent sub-queues. For bounded shards
+// the total capacity is split evenly, so capacity / Shards must itself
+// be a power of two >= 2.
+const Shards = 4
 
 // Options tunes the sharded composition.
 type Options struct {
-	// Shards is the number of independent sub-queues (default
-	// DefaultShards). For bounded shards the total capacity is split
-	// evenly, so capacity / Shards must itself be a power of two >= 2.
-	Shards int
-	// Kind selects the ring core each shard is built from:
-	// wait-free wCQ (the default) or lock-free SCQ.
-	Kind ringcore.Kind
-	// Unbounded makes every shard an unbounded linked-ring queue of
-	// the configured Kind (per-shard growth, no global capacity):
-	// the capacity argument of New becomes each shard's ring size
-	// instead of a bound, Cap() reports 0, Enqueue never reports
-	// full, and Footprint() is live.
+	// Unbounded makes every shard an unbounded linked-ring queue
+	// (per-shard growth, no global capacity): the capacity argument of
+	// New becomes each shard's ring size instead of a bound, Cap()
+	// reports 0, Enqueue never reports full, and Footprint() is live.
 	Unbounded bool
 	// Core tunes the ring cores; nil selects the paper's defaults.
 	Core *ringcore.Options
 }
 
-func (o *Options) withDefaults() Options {
-	var v Options
-	if o != nil {
-		v = *o
-	}
-	if v.Shards == 0 {
-		v.Shards = DefaultShards
-	}
-	return v
-}
-
 // Queue is a sharded MPMC FIFO of values of type T over
-// []ringcore.Core — one code path regardless of shard kind or
-// boundedness. The pre-ringcore implementation kept parallel concrete
-// arrays per kind so the scalar hot path avoided dynamic dispatch;
-// this version deliberately trades that (one indirect call per
-// scalar op, a few percent at 1 vCPU) for a composition that works
-// with every current and future core, and the batch paths amortize
-// the dispatch along with everything else.
+// []ringcore.Core — one code path whether the shards are bounded or
+// unbounded.
 type Queue[T any] struct {
-	cores     []ringcore.Core[T]
-	perCap    uint64 // per-shard capacity; 0 with unbounded shards
-	unbounded bool
-	met       *metrics.Sink // shared with every shard via Options.Core
-	nextHome  atomic.Int64
+	cores    []ringcore.Core[T]
+	perCap   uint64        // per-shard capacity; 0 with unbounded shards
+	met      *metrics.Sink // shared with every shard via Options.Core
+	nextHome atomic.Int64
 }
 
 // Handle is a goroutine's capability to use a sharded Queue. Like the
 // underlying core handles it must not be shared between goroutines.
 type Handle[T any] struct {
 	hs     []ringcore.Handle[T] //wfq:stable
-	n      int                  //wfq:stable shard count
 	home   int                  //wfq:stable
 	met    *metrics.Sink        //wfq:stable nil = disabled
 	cursor int                  // steal scan position, persists across calls
 	streak int                  // consecutive steals from shard `cursor`
+	// one is the scalar Dequeue's steal buffer; it is zeroed after
+	// each steal so the handle keeps no reference to a value.
+	one [1]T
 }
 
-// stealStride bounds how many consecutive steals a handle takes from
+// stealStride bounds how many consecutive values a handle steals from
 // one foreign shard before its steal cursor rotates onward. Sticking
 // to a yielding shard is cheap; the bound guarantees the steal scan
 // visits every shard at least once per stealStride*Shards steals, so
@@ -138,20 +117,21 @@ const stealStride = 128
 
 // New returns an empty sharded queue usable by at most maxThreads
 // handles. With bounded shards (the default), capacity is the TOTAL
-// capacity split evenly across shards, and capacity / shards must be
-// a power of two >= 2. With Options.Unbounded, capacity is instead
-// the ring size of EVERY shard's linked rings (a power of two >= 2, a
-// growth granularity rather than a bound). Every handle registers
-// with every shard, so each shard is built for maxThreads.
+// capacity split evenly across the Shards shards, and capacity /
+// Shards must be a power of two >= 2. With Options.Unbounded,
+// capacity is instead the ring size of EVERY shard's linked rings (a
+// power of two >= 2, a growth granularity rather than a bound). Every
+// handle registers with every shard, so each shard is built for
+// maxThreads.
 func New[T any](capacity uint64, maxThreads int, opts *Options) (*Queue[T], error) {
-	o := opts.withDefaults()
-	if o.Shards < 1 {
-		return nil, fmt.Errorf("sharded: shard count must be >= 1, got %d", o.Shards)
+	var o Options
+	if opts != nil {
+		o = *opts
 	}
-	q := &Queue[T]{unbounded: o.Unbounded, met: o.Core.Sink()}
+	q := &Queue[T]{met: o.Core.Sink()}
 	if o.Unbounded {
-		for i := 0; i < o.Shards; i++ {
-			u, err := unbounded.New[T](o.Kind, capacity, maxThreads, o.Core)
+		for i := 0; i < Shards; i++ {
+			u, err := unbounded.New[T](ringcore.KindWCQ, capacity, maxThreads, o.Core)
 			if err != nil {
 				return nil, fmt.Errorf("sharded: shard %d: %w", i, err)
 			}
@@ -159,17 +139,17 @@ func New[T any](capacity uint64, maxThreads int, opts *Options) (*Queue[T], erro
 		}
 		return q, nil
 	}
-	if capacity == 0 || capacity%uint64(o.Shards) != 0 {
-		return nil, fmt.Errorf("sharded: capacity %d not divisible by %d shards", capacity, o.Shards)
+	if capacity == 0 || capacity%Shards != 0 {
+		return nil, fmt.Errorf("sharded: capacity %d not divisible by %d shards", capacity, Shards)
 	}
-	per := capacity / uint64(o.Shards)
+	per := capacity / Shards
 	if per < 2 || per&(per-1) != 0 {
 		return nil, fmt.Errorf("sharded: per-shard capacity %d (= %d/%d) must be a power of two >= 2",
-			per, capacity, o.Shards)
+			per, capacity, Shards)
 	}
 	q.perCap = per
-	for i := 0; i < o.Shards; i++ {
-		core, err := ringcore.New[T](o.Kind, per, maxThreads, o.Core)
+	for i := 0; i < Shards; i++ {
+		core, err := ringcore.New[T](ringcore.KindWCQ, per, maxThreads, o.Core)
 		if err != nil {
 			return nil, fmt.Errorf("sharded: shard %d: %w", i, err)
 		}
@@ -181,9 +161,8 @@ func New[T any](capacity uint64, maxThreads int, opts *Options) (*Queue[T], erro
 // Register allocates a handle with home-shard affinity assigned
 // round-robin across registrations. Safe to call concurrently.
 func (q *Queue[T]) Register() (*Handle[T], error) {
-	n := q.Shards()
-	home := int((q.nextHome.Add(1) - 1) % int64(n))
-	hs := make([]ringcore.Handle[T], n)
+	home := int((q.nextHome.Add(1) - 1) % Shards)
+	hs := make([]ringcore.Handle[T], Shards)
 	for i, core := range q.cores {
 		ch, err := core.Acquire()
 		if err != nil {
@@ -191,7 +170,7 @@ func (q *Queue[T]) Register() (*Handle[T], error) {
 		}
 		hs[i] = ch
 	}
-	return &Handle[T]{hs: hs, n: n, home: home, met: q.met, cursor: home}, nil
+	return &Handle[T]{hs: hs, home: home, met: q.met, cursor: home}, nil
 }
 
 // Acquire is Register behind the ringcore.Core contract.
@@ -204,20 +183,16 @@ func (q *Queue[T]) Acquire() (ringcore.Handle[T], error) {
 }
 
 // Shards returns the shard count.
-func (q *Queue[T]) Shards() int { return len(q.cores) }
+func (q *Queue[T]) Shards() int { return Shards }
 
 // Stats snapshots the composition's metrics sink. The shards record
 // into the same sink (threaded through Options.Core), so this single
 // snapshot covers steal traffic AND every shard's core events.
 func (q *Queue[T]) Stats() metrics.Snapshot { return q.met.Snapshot() }
 
-// Unbounded reports whether the shards are unbounded linked-ring
-// queues.
-func (q *Queue[T]) Unbounded() bool { return q.unbounded }
-
 // Cap returns the total capacity (sum over shards), or 0 with
 // unbounded shards.
-func (q *Queue[T]) Cap() uint64 { return q.perCap * uint64(q.Shards()) }
+func (q *Queue[T]) Cap() uint64 { return q.perCap * Shards }
 
 // Footprint returns the bytes the shards retain right now, summed
 // through the ringcore contract: a constant for bounded shards, a
@@ -260,56 +235,20 @@ func (h *Handle[T]) Enqueue(v T) bool {
 
 // Dequeue removes the oldest value of some shard: the home shard
 // first (the hit case in balanced workloads — one probe, and every
-// handle preferentially drains the shard it fills), then a stealing
-// scan over the others from the persistent cursor. ok is false only
-// after home plus a full scan found every shard empty.
+// handle preferentially drains the shard it fills), then the steal
+// scan over the others. ok is false only after home plus a full scan
+// found every shard empty.
 //
 //wfq:noalloc
 func (h *Handle[T]) Dequeue() (v T, ok bool) {
 	if v, ok = h.hs[h.home].Dequeue(); ok {
 		return v, ok
 	}
-	return h.steal()
-}
-
-// steal scans the foreign shards round-robin from the cursor. On a
-// hit the cursor sticks (the shard likely has more) up to stealStride
-// consecutive steals, then rotates onward. Each scan counts one
-// StealAttempt; a scan that yields a value counts one StealHit, so
-// hit/attempt is the steal success rate.
-//
-//wfq:noalloc
-func (h *Handle[T]) steal() (v T, ok bool) {
-	hs, n, home := h.hs, h.n, h.home // hoisted: loop-invariant (//wfq:stable)
-	met := h.met                     // hoisted: loop-invariant (//wfq:stable)
-	met.Inc(metrics.StealAttempt)
-	for i := 0; i < n; i++ {
-		s := h.cursor + i
-		if s >= n {
-			s -= n
-		}
-		if s == home {
-			continue // already probed
-		}
-		if v, ok := hs[s].Dequeue(); ok {
-			if s == h.cursor {
-				h.streak++
-			} else {
-				h.streak = 1
-			}
-			if h.streak >= stealStride {
-				h.streak = 0
-				s++
-				if s == n {
-					s = 0
-				}
-			}
-			h.cursor = s
-			met.Inc(metrics.StealHit)
-			return v, true
-		}
+	if h.steal(h.one[:]) == 0 {
+		return v, false
 	}
-	return v, false
+	v, h.one[0] = h.one[0], v // v is zero here: clear the buffer
+	return v, true
 }
 
 // EnqueueBatch appends a prefix of vs in order to the home shard
@@ -342,63 +281,60 @@ func (h *Handle[T]) drainInto(s int, out []T) (n int, drained bool) {
 }
 
 // DequeueBatch fills out with values: a draining run of native ring
-// batches from the home shard first, then stealing runs from the other
-// shards round-robin from the persistent cursor. Every stolen value
-// counts toward the cursor's streak, so the stealStride fairness bound
-// holds across batches exactly as it does for scalar steals. It
-// returns how many values were written; 0 means home plus a full scan
-// found all shards empty.
+// batches from the home shard first, then the steal scan over the
+// other shards. It returns how many values were written; 0 means home
+// plus a full scan found all shards empty.
 //
 //wfq:noalloc
 func (h *Handle[T]) DequeueBatch(out []T) int {
-	n, home := h.n, h.home // hoisted: loop-invariant (//wfq:stable)
-	filled, _ := h.drainInto(home, out)
-	fromHome := filled
-	if n > 1 && filled < len(out) {
-		// The foreign scan below will run: one steal attempt, a hit if
-		// it yields anything — the same accounting as the scalar steal.
-		h.met.Inc(metrics.StealAttempt)
+	filled, _ := h.drainInto(h.home, out)
+	if filled < len(out) {
+		filled += h.steal(out[filled:])
 	}
+	return filled
+}
+
+// steal fills a prefix of out (len(out) >= 1) from the foreign shards,
+// scanning round-robin from the persistent cursor, and returns its
+// length. A shard that still has values after a run keeps the cursor
+// (it likely has more), until stealStride consecutive values came
+// from it; then the cursor rotates onward. A run is cut short at that
+// bound, so it holds for every buffer size, scalar Dequeue's one slot
+// included. A shard that drains moves the cursor past it. Each scan
+// counts one StealAttempt; a scan that yields a value counts one
+// StealHit, so hit/attempt is the steal success rate.
+//
+//wfq:noalloc
+func (h *Handle[T]) steal(out []T) (filled int) {
+	home := h.home // hoisted: loop-invariant (//wfq:stable)
+	h.met.Inc(metrics.StealAttempt)
 	start := h.cursor
-	for i := 0; i < n && filled < len(out); i++ {
-		s := start + i
-		if s >= n {
-			s -= n
-		}
+	for i := 0; i < Shards && filled < len(out); i++ {
+		s := (start + i) % Shards
 		if s == home {
-			continue // already drained
+			continue // already probed
 		}
-		got, drained := h.drainInto(s, out[filled:])
+		streak := 0
+		if s == h.cursor {
+			streak = h.streak
+		}
+		run := out[filled:]
+		if len(run) > stealStride-streak {
+			run = run[:stealStride-streak]
+		}
+		got, drained := h.drainInto(s, run)
 		filled += got
-		if !drained {
-			// Buffer full mid-shard: the shard may have more. Stick to
-			// it, unless the accumulated streak exhausts the fairness
-			// bound, in which case rotate onward. The streak is
-			// per-shard, exactly as in the scalar steal(): a run from a
-			// shard other than the current cursor starts a fresh streak.
-			if s == h.cursor {
-				h.streak += got
-			} else {
-				h.streak = got
+		switch {
+		case drained && got > 0:
+			h.cursor, h.streak = (s+1)%Shards, 0
+		case !drained:
+			if streak += got; streak >= stealStride {
+				s, streak = (s+1)%Shards, 0
 			}
-			if h.streak >= stealStride {
-				h.streak = 0
-				s++
-				if s == n {
-					s = 0
-				}
-			}
-			h.cursor = s
-		} else if got > 0 {
-			next := s + 1
-			if next == n {
-				next = 0
-			}
-			h.cursor = next
-			h.streak = 0
+			h.cursor, h.streak = s, streak
 		}
 	}
-	if filled > fromHome {
+	if filled > 0 {
 		h.met.Inc(metrics.StealHit)
 	}
 	return filled

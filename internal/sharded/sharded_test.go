@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/checker"
+	"repro/internal/metrics"
 	"repro/internal/queueapi"
 	"repro/internal/ringcore"
 	"repro/internal/sharded"
@@ -41,29 +42,27 @@ func mustNew(t *testing.T, capacity uint64, threads int, opts *sharded.Options) 
 }
 
 func TestConstructionValidation(t *testing.T) {
-	cases := []struct {
+	// Bounded shards split the capacity over sharded.Shards (4) rings,
+	// each a power of two >= 2.
+	for _, c := range []struct {
 		name     string
 		capacity uint64
-		threads  int
-		opts     *sharded.Options
 	}{
-		{"zero shards invalid", 64, 4, &sharded.Options{Shards: -1}},
-		{"capacity not divisible", 100, 4, &sharded.Options{Shards: 3}},
-		{"per-shard capacity below 2", 4, 4, &sharded.Options{Shards: 4}},
-		{"per-shard capacity not power of two", 24, 4, &sharded.Options{Shards: 2}},
-		{"zero capacity", 0, 4, nil},
-	}
-	for _, c := range cases {
-		if _, err := sharded.New[uint64](c.capacity, c.threads, c.opts); err == nil {
-			t.Errorf("%s: accepted (capacity=%d, opts=%+v)", c.name, c.capacity, c.opts)
+		{"zero capacity", 0},
+		{"capacity not divisible", 100},
+		{"per-shard capacity below 2", 4},
+		{"per-shard capacity not power of two", 24},
+	} {
+		if _, err := sharded.New[uint64](c.capacity, 4, nil); err == nil {
+			t.Errorf("%s: accepted capacity %d", c.name, c.capacity)
 		}
 	}
 }
 
 func TestDefaultsAndAccessors(t *testing.T) {
-	q := mustNew(t, 256, 4, nil)
-	if q.Shards() != sharded.DefaultShards {
-		t.Fatalf("Shards() = %d, want default %d", q.Shards(), sharded.DefaultShards)
+	q := mustNew(t, 256, 2, nil)
+	if q.Shards() != sharded.Shards {
+		t.Fatalf("Shards() = %d, want %d", q.Shards(), sharded.Shards)
 	}
 	if q.Cap() != 256 {
 		t.Fatalf("Cap() = %d, want 256", q.Cap())
@@ -71,32 +70,22 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if q.Footprint() == 0 {
 		t.Fatal("zero footprint")
 	}
-	if q.Unbounded() {
-		t.Fatal("default shards reported unbounded")
-	}
-	assertCensus(t, nil, true)
-}
-
-// assertCensus checks the shard kind through behaviour: with
-// maxThreads 2 a third handle fails on wCQ shards (each shard's census
-// is full) and succeeds on census-free SCQ shards.
-func assertCensus(t *testing.T, opts *sharded.Options, census bool) {
-	t.Helper()
-	q := mustNew(t, 64, 2, opts)
+	// wCQ shards carry a census: with maxThreads 2 a third handle
+	// fails, because each shard's census is full.
 	for i := 0; i < 2; i++ {
 		if _, err := q.Acquire(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := q.Acquire(); (err != nil) != census {
-		t.Fatalf("third Acquire with maxThreads 2: err = %v, want failure %v", err, census)
+	if _, err := q.Acquire(); err == nil {
+		t.Fatal("third Acquire with maxThreads 2 succeeded")
 	}
 }
 
 func TestPerHandleFIFO(t *testing.T) {
 	// A single handle enqueues to one shard, so its values come back
 	// in strict order no matter how many shards exist.
-	q := mustNew(t, 64, 2, &sharded.Options{Shards: 8})
+	q := mustNew(t, 64, 2, nil)
 	h, err := q.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +109,7 @@ func TestPerHandleFIFO(t *testing.T) {
 func TestWorkStealing(t *testing.T) {
 	// Values enqueued via one handle (one home shard) must be visible
 	// to a handle whose home is a different shard.
-	q := mustNew(t, 64, 4, &sharded.Options{Shards: 4})
+	q := mustNew(t, 64, 4, nil)
 	producer, err := q.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +131,8 @@ func TestNoShardStarvation(t *testing.T) {
 	// Register one handle per shard, enqueue through each, then drain
 	// everything through a single consumer: the rotating cursor must
 	// visit every shard.
-	const shards = 4
-	q := mustNew(t, 64, shards+1, &sharded.Options{Shards: shards})
+	const shards = sharded.Shards
+	q := mustNew(t, 64, shards+1, nil)
 	for i := 0; i < shards; i++ {
 		h, err := q.Register()
 		if err != nil {
@@ -173,7 +162,7 @@ func TestNoShardStarvation(t *testing.T) {
 func TestEnqueueBatchPrefixOnFull(t *testing.T) {
 	// A short EnqueueBatch count must be a prefix: the home shard here
 	// holds 4, so a batch of 6 enqueues exactly the first 4.
-	q := mustNew(t, 8, 2, &sharded.Options{Shards: 2})
+	q := mustNew(t, 16, 2, nil)
 	h, err := q.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +180,7 @@ func TestEnqueueBatchPrefixOnFull(t *testing.T) {
 }
 
 func TestDequeueBatchDrainsAcrossShards(t *testing.T) {
-	q := mustNew(t, 64, 3, &sharded.Options{Shards: 2})
+	q := mustNew(t, 64, 3, nil)
 	h1, _ := q.Register()
 	h2, _ := q.Register()
 	for i := uint64(0); i < 5; i++ {
@@ -211,20 +200,10 @@ func TestDequeueBatchDrainsAcrossShards(t *testing.T) {
 	}
 }
 
-func TestSCQBackend(t *testing.T) {
-	opts := &sharded.Options{Shards: 4, Kind: ringcore.KindSCQ}
-	assertCensus(t, opts, false)
-	q := mustNew(t, 64, 4, opts)
-	a := &apiQueue{q: q}
-	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCheckerMPMC(t *testing.T) {
 	// Global no-loss/no-dup plus per-producer FIFO under concurrency —
 	// the linearizable-per-shard composition property.
-	q := mustNew(t, 256, 16, &sharded.Options{Shards: 4})
+	q := mustNew(t, 256, 16, nil)
 	a := &apiQueue{q: q}
 	if err := checker.Run(a, checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000}); err != nil {
 		t.Fatal(err)
@@ -232,7 +211,7 @@ func TestCheckerMPMC(t *testing.T) {
 }
 
 func TestCheckerBatchedMPMC(t *testing.T) {
-	q := mustNew(t, 256, 16, &sharded.Options{Shards: 4})
+	q := mustNew(t, 256, 16, nil)
 	a := &apiQueue{q: q}
 	if err := checker.Run(a, checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000, Batch: 32}); err != nil {
 		t.Fatal(err)
@@ -242,8 +221,7 @@ func TestCheckerBatchedMPMC(t *testing.T) {
 func TestCheckerSlowPath(t *testing.T) {
 	// Patience 1 forces the wCQ helped slow path inside every shard.
 	q := mustNew(t, 64, 14, &sharded.Options{
-		Shards: 2,
-		Core:   &ringcore.Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1},
+		Core: &ringcore.Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1},
 	})
 	a := &apiQueue{q: q}
 	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000}); err != nil {
@@ -254,10 +232,7 @@ func TestCheckerSlowPath(t *testing.T) {
 func TestUnboundedShards(t *testing.T) {
 	// capacity is each shard's ring size here; tiny rings force real
 	// turnover inside every shard during the checker run.
-	q := mustNew(t, 16, 16, &sharded.Options{Shards: 4, Unbounded: true})
-	if !q.Unbounded() {
-		t.Fatal("Unbounded() = false")
-	}
+	q := mustNew(t, 16, 16, &sharded.Options{Unbounded: true})
 	if q.Cap() != 0 {
 		t.Fatalf("Cap() = %d, want 0 (no global bound)", q.Cap())
 	}
@@ -296,10 +271,114 @@ func TestUnboundedShards(t *testing.T) {
 	}
 }
 
-func TestUnboundedShardsSCQKind(t *testing.T) {
-	q := mustNew(t, 16, 16, &sharded.Options{Shards: 2, Unbounded: true, Kind: ringcore.KindSCQ})
-	a := &apiQueue{q: q}
-	if err := checker.Run(a, checker.Config{Producers: 3, Consumers: 3, PerProducer: 3000}); err != nil {
+// TestStealStrideBound checks the fairness bound of the steal scan: a
+// consumer whose home shard is empty, facing two foreign shards that
+// each hold more than stealStride values, takes at most stealStride
+// consecutive values from one shard while the other still has some.
+// Scalar Dequeue and DequeueBatch share the scan; the batch runs use a
+// buffer that does not divide stealStride, so a run must be cut short
+// at the bound rather than at a buffer boundary.
+func TestStealStrideBound(t *testing.T) {
+	const perShard = 2*sharded.StealStride + 44
+	for _, c := range []struct {
+		name string
+		take func(h *sharded.Handle[uint64], buf []uint64) int
+	}{
+		{"Dequeue", func(h *sharded.Handle[uint64], buf []uint64) int {
+			v, ok := h.Dequeue()
+			if !ok {
+				return 0
+			}
+			buf[0] = v
+			return 1
+		}},
+		{"DequeueBatch", func(h *sharded.Handle[uint64], buf []uint64) int {
+			return h.DequeueBatch(buf[:5])
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := mustNew(t, sharded.Shards*512, 3, nil)
+			for p := 0; p < 2; p++ { // producers with homes 0 and 1
+				h, err := q.Register()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < perShard; i++ {
+					if !h.Enqueue(uint64(p)<<32 | i) {
+						t.Fatalf("producer %d: enqueue %d failed", p, i)
+					}
+				}
+			}
+			consumer, err := q.Register() // home 2, empty
+			if err != nil {
+				t.Fatal(err)
+			}
+			left := [2]int{perShard, perShard}
+			next := [2]uint64{}
+			last, run := -1, 0
+			buf := make([]uint64, 5)
+			for left[0]+left[1] > 0 {
+				n := c.take(consumer, buf)
+				if n == 0 {
+					t.Fatalf("empty with %v values left", left)
+				}
+				for _, v := range buf[:n] {
+					p := int(v >> 32)
+					if v&(1<<32-1) != next[p] {
+						t.Fatalf("shard %d: got value %d, want %d (per-shard FIFO)", p, v&(1<<32-1), next[p])
+					}
+					next[p]++
+					if p == last {
+						run++
+					} else {
+						last, run = p, 1
+					}
+					if run > sharded.StealStride && left[1-p] > 0 {
+						t.Fatalf("%d consecutive values from shard %d while the other held %d",
+							run, p, left[1-p])
+					}
+					left[p]--
+				}
+			}
+		})
+	}
+}
+
+// TestStealAccounting pins the steal events: one StealAttempt per
+// foreign scan, scalar or batch, and one StealHit per scan that
+// yields a value. A home hit that satisfies the call scans nothing.
+func TestStealAccounting(t *testing.T) {
+	sink := metrics.New()
+	q := mustNew(t, 64, 3, &sharded.Options{Core: &ringcore.Options{Metrics: sink}})
+	producer, _ := q.Register() // home 0
+	consumer, err := q.Register()
+	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(step string, attempts, hits uint64) {
+		t.Helper()
+		s := sink.Snapshot()
+		if s.Counts[metrics.StealAttempt] != attempts || s.Counts[metrics.StealHit] != hits {
+			t.Fatalf("%s: steal attempts/hits = %d/%d, want %d/%d", step,
+				s.Counts[metrics.StealAttempt], s.Counts[metrics.StealHit], attempts, hits)
+		}
+	}
+	for i := uint64(0); i < 5; i++ {
+		producer.Enqueue(i)
+	}
+	consumer.Dequeue()
+	consumer.Dequeue()
+	check("two scalar steals", 2, 2)
+	if n := consumer.DequeueBatch(make([]uint64, 8)); n != 3 {
+		t.Fatalf("DequeueBatch = %d, want 3", n)
+	}
+	check("one batch steal", 3, 3)
+	consumer.Dequeue()
+	consumer.DequeueBatch(make([]uint64, 8))
+	check("two empty scans", 5, 3)
+	consumer.Enqueue(7)
+	consumer.Enqueue(8)
+	consumer.Dequeue()
+	consumer.DequeueBatch(make([]uint64, 1))
+	check("home hits", 5, 3)
 }

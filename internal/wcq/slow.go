@@ -3,6 +3,7 @@ package wcq
 import (
 	"sync/atomic"
 
+	"repro/internal/atomicx"
 	"repro/internal/ring"
 )
 
@@ -78,6 +79,7 @@ func (q *Ring) dequeueSlow(h uint64, r *record, seq uint64, self *record) {
 //wfq:noalloc
 func (q *Ring) slowFAA(global *counterRef, local *atomic.Uint64, v *uint64, useThld bool, self *record) bool {
 	ph := &self.phase2
+	emulate := q.emulate // hoisted: loop-invariant (//wfq:stable)
 	for {
 		cnt, ok := q.loadGlobalHelpPhase2(global, local)
 		if !ok || !local.CompareAndSwap(*v, cnt|flagINC) {
@@ -102,7 +104,7 @@ func (q *Ring) slowFAA(global *counterRef, local *atomic.Uint64, v *uint64, useT
 		if global.CompareAndSwap(packGlobal(cnt, 0), packGlobal(cnt+1, uint64(self.tid)+1)) {
 			// Increment installed: this group owns ticket cnt.
 			if useThld {
-				q.thresholdFAA(-1)
+				atomicx.FetchAdd(&q.threshold, -1, emulate)
 			}
 			local.CompareAndSwap(cnt|flagINC, cnt)
 			global.CompareAndSwap(packGlobal(cnt+1, uint64(self.tid)+1), packGlobal(cnt+1, 0))

@@ -202,41 +202,6 @@ func (q *Ring) tailCnt() uint64 { return globalCnt(q.tail.Load()) }
 //wfq:noalloc
 func (q *Ring) headCnt() uint64 { return globalCnt(q.head.Load()) }
 
-// thresholdFAA adds d to Threshold and returns the previous value.
-//
-//wfq:noalloc
-func (q *Ring) thresholdFAA(d int64) int64 {
-	if !q.emulate {
-		return q.threshold.Add(d) - d
-	}
-	for {
-		old := q.threshold.Load()
-		if q.threshold.CompareAndSwap(old, old+d) {
-			return old
-		}
-	}
-}
-
-// entryOr ORs bits into a slot word (consume's atomic OR; emulated via
-// CAS in the PowerPC configuration, §3.3).
-//
-//wfq:noalloc
-func (q *Ring) entryOr(e *atomic.Uint64, bits uint64) {
-	if !q.emulate {
-		e.Or(bits)
-		return
-	}
-	for {
-		old := e.Load()
-		if old&bits == bits {
-			return
-		}
-		if e.CompareAndSwap(old, old|bits) {
-			return
-		}
-	}
-}
-
 // consume marks the slot at position h consumed (Fig. 5). When the
 // entry was produced by a slow-path enqueuer and is still in its
 // two-step window (Enq=0), the dequeuer first finalizes that helping
@@ -248,7 +213,7 @@ func (q *Ring) consume(h uint64, e *atomic.Uint64, w uint64, selfTid int) {
 	if w&q.lay.enqBit == 0 {
 		q.finalizeRequest(h, selfTid)
 	}
-	q.entryOr(e, q.lay.bottomC|q.lay.enqBit)
+	atomicx.Or(e, q.lay.bottomC|q.lay.enqBit, q.emulate)
 }
 
 // finalizeRequest sets FIN on the localTail of the (unique) enqueue
@@ -349,6 +314,7 @@ const (
 //wfq:noalloc
 func (q *Ring) dequeueAt(h uint64, selfTid int) (index uint64, st deqStatus) {
 	l := &q.lay
+	emulate := q.emulate // hoisted: loop-invariant (//wfq:stable)
 	hCycle := l.cycleOf(h)
 	e := &q.entries[ring.Remap(h&l.posMask, l.order)]
 	for {
@@ -372,10 +338,10 @@ func (q *Ring) dequeueAt(h uint64, selfTid int) (index uint64, st deqStatus) {
 		t := q.tailCnt()
 		if t <= h+1 {
 			q.catchup(t, h+1)
-			q.thresholdFAA(-1)
+			atomicx.FetchAdd(&q.threshold, -1, emulate)
 			return 0, deqEmpty
 		}
-		if q.thresholdFAA(-1) <= 0 {
+		if atomicx.FetchAdd(&q.threshold, -1, emulate) <= 0 {
 			return 0, deqEmpty
 		}
 		return 0, deqRetry

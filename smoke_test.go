@@ -21,7 +21,7 @@ func TestSmokeAllVariantsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq, err := NewSharded[uint64](cap, workers+1, WithShards(2))
+	sq, err := NewSharded[uint64](cap, workers+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,49 +14,6 @@ import (
 // memory promptly.
 const DefaultRingCapacity = 1024
 
-// RingKind selects the bounded ring an unbounded queue links together.
-type RingKind int
-
-const (
-	// RingWCQ links wait-free wCQ rings (the default): every ring
-	// operation completes in a bounded number of steps, and handles
-	// draw on a per-ring thread census of maxThreads.
-	RingWCQ RingKind = iota
-	// RingSCQ links lock-free SCQ rings (the paper's LSCQ): no thread
-	// census, so any number of Handles may be created, at the cost of
-	// lock-free (not wait-free) ring progress.
-	RingSCQ
-)
-
-// String names the ring kind as the queue registry does.
-func (k RingKind) String() string {
-	switch k {
-	case RingWCQ:
-		return "UWCQ"
-	case RingSCQ:
-		return "LSCQ"
-	}
-	return "?"
-}
-
-// kind maps the public ring-kind constant to the shared ringcore
-// contract every internal composition consumes.
-func (k RingKind) kind() ringcore.Kind {
-	if k == RingSCQ {
-		return ringcore.KindSCQ
-	}
-	return ringcore.KindWCQ
-}
-
-// WithRingKind selects the ring core the linked-ring and sharded
-// constructors build from (default RingWCQ): NewUnbounded links rings
-// of this kind, and NewSharded builds its shards from it (bounded or,
-// with WithUnboundedShards, unbounded). Other constructors ignore
-// this option.
-func WithRingKind(k RingKind) Option {
-	return func(o *options) { o.ringKind = k }
-}
-
 // WithRingCapacity sets the capacity of each ring an unbounded queue
 // links (a power of two >= 2; default DefaultRingCapacity). It bounds
 // the retained-memory granularity: after a burst drains, the queue
@@ -73,28 +30,26 @@ func WithRingCapacity(n uint64) Option {
 // values (in ring-sized steps, see Footprint) and shrinks back as
 // bursts drain: a drained ring is left to the garbage collector.
 //
-// Progress: within a ring, operations keep the ring kind's guarantee
-// (wait-free for RingWCQ, lock-free for RingSCQ), and the outer list
-// that links the rings is lock-free; no lock is taken, turnover
-// included. Turnover is rare (once per RingCap values), which is why
-// throughput tracks the rings, as the paper observes.
+// Progress: within a ring, operations are wait-free (the rings are
+// wCQ rings), and the outer list that links the rings is lock-free;
+// no lock is taken, turnover included. Turnover is rare (once per
+// RingCap values), which is why throughput tracks the rings, as the
+// paper observes.
 type UnboundedQueue[T any] struct {
 	q *unbounded.Queue[T]
 }
 
 // UnboundedHandle is a goroutine's capability to use an
 // UnboundedQueue. Not safe for concurrent use by multiple goroutines.
-// Within a ring, operations keep the ring kind's own guarantee; at
-// ring boundaries they may retry on the lock-free outer list (see
-// UnboundedQueue).
+// Within a ring, operations are wait-free; at ring boundaries they
+// may retry on the lock-free outer list (see UnboundedQueue).
 type UnboundedHandle[T any] struct {
 	h *unbounded.Handle[T]
 }
 
-// NewUnbounded returns an empty unbounded queue operated by at most
-// maxThreads concurrent handles (the bound applies to RingWCQ, whose
-// rings carry a thread census; RingSCQ accepts any number of
-// handles). Configure with WithRingKind and WithRingCapacity.
+// NewUnbounded returns an empty unbounded queue of linked wCQ rings,
+// operated by at most maxThreads concurrent handles (each ring's
+// thread census). Configure the ring size with WithRingCapacity.
 func NewUnbounded[T any](maxThreads int, opts ...Option) (*UnboundedQueue[T], error) {
 	o := buildOpts(opts)
 	if maxThreads < 1 {
@@ -107,18 +62,15 @@ func NewUnbounded[T any](maxThreads int, opts ...Option) (*UnboundedQueue[T], er
 	if ringCap < 2 || !ring.IsPow2(ringCap) {
 		return nil, fmt.Errorf("wfqueue: ring capacity must be a power of two >= 2, got %d", ringCap)
 	}
-	if o.ringKind != RingWCQ && o.ringKind != RingSCQ {
-		return nil, fmt.Errorf("wfqueue: unknown ring kind %d", o.ringKind)
-	}
-	q, err := unbounded.New[T](o.ringKind.kind(), ringCap, maxThreads, &o.core)
+	q, err := unbounded.New[T](ringcore.KindWCQ, ringCap, maxThreads, &o.core)
 	if err != nil {
 		return nil, err
 	}
 	return &UnboundedQueue[T]{q: q}, nil
 }
 
-// Handle registers the calling goroutine and returns its handle. With
-// RingWCQ it fails once maxThreads handles exist.
+// Handle registers the calling goroutine and returns its handle. It
+// fails once maxThreads handles exist.
 func (q *UnboundedQueue[T]) Handle() (*UnboundedHandle[T], error) {
 	h, err := q.q.Handle()
 	if err != nil {

@@ -9,38 +9,37 @@ import (
 	"time"
 )
 
+// NewUnbounded builds wCQ rings only; LSCQ growth is covered by the
+// internal/unbounded tests that loop over every ring kind.
 func TestUnboundedBasicsBothKinds(t *testing.T) {
-	for _, k := range []RingKind{RingWCQ, RingSCQ} {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			q, err := NewUnbounded[string](4, WithRingKind(k), WithRingCapacity(4))
-			if err != nil {
-				t.Fatal(err)
+	t.Run("UWCQ", func(t *testing.T) {
+		q, err := NewUnbounded[string](4, WithRingCapacity(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.RingCap() != 4 {
+			t.Fatalf("RingCap() = %d", q.RingCap())
+		}
+		h, err := q.Handle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Far beyond one ring: the queue must grow.
+		for i := 0; i < 100; i++ {
+			h.Enqueue("v")
+		}
+		if q.Rings() < 10 {
+			t.Fatalf("Rings() = %d after 100 values in cap-4 rings", q.Rings())
+		}
+		for i := 0; i < 100; i++ {
+			if _, ok := h.Dequeue(); !ok {
+				t.Fatalf("missing value %d", i)
 			}
-			if q.RingCap() != 4 {
-				t.Fatalf("RingCap() = %d", q.RingCap())
-			}
-			h, err := q.Handle()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Far beyond one ring: the queue must grow.
-			for i := 0; i < 100; i++ {
-				h.Enqueue("v")
-			}
-			if q.Rings() < 10 {
-				t.Fatalf("Rings() = %d after 100 values in cap-4 rings", q.Rings())
-			}
-			for i := 0; i < 100; i++ {
-				if _, ok := h.Dequeue(); !ok {
-					t.Fatalf("missing value %d", i)
-				}
-			}
-			if _, ok := h.Dequeue(); ok {
-				t.Fatal("phantom value")
-			}
-		})
-	}
+		}
+		if _, ok := h.Dequeue(); ok {
+			t.Fatal("phantom value")
+		}
+	})
 }
 
 func TestUnboundedConstructorValidation(t *testing.T) {
@@ -49,9 +48,6 @@ func TestUnboundedConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewUnbounded[int](4, WithRingCapacity(3)); err == nil {
 		t.Fatal("non-power-of-two ring capacity accepted")
-	}
-	if _, err := NewUnbounded[int](4, WithRingKind(RingKind(99))); err == nil {
-		t.Fatal("unknown ring kind accepted")
 	}
 }
 
@@ -68,16 +64,6 @@ func TestUnboundedHandleCensusWCQ(t *testing.T) {
 	}
 	if _, err := q.Handle(); err == nil {
 		t.Fatal("third handle accepted with maxThreads 2 (wCQ census)")
-	}
-	// The SCQ kind has no census.
-	qs, err := NewUnbounded[int](1, WithRingKind(RingSCQ))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := qs.Handle(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

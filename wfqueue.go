@@ -27,16 +27,14 @@
 // envelope, no helping (lock-free progress only, no handle census).
 // NewRing exposes the underlying wait-free index ring for
 // allocator-style use (DPDK/SPDK-like index pools, Figure 2 of the
-// paper). NewSharded composes several ring cores behind one interface
-// — per-handle enqueue affinity, work-stealing dequeue and native
-// batch operations — for workloads that saturate a single ring's
-// head/tail word; WithRingKind picks the core and WithUnboundedShards
-// swaps the bounded rings for unbounded linked-ring shards.
-// NewUnbounded links bounded rings into a queue with
-// no capacity limit (the paper's Appendix A): Enqueue never reports
-// full, memory grows and shrinks in ring-sized steps, and a drained
-// ring is left to the garbage collector. NewChan layers blocking
-// Send/Recv/Close semantics over any of the cores.
+// paper). NewSharded composes four wCQ rings behind one interface —
+// per-handle enqueue affinity, work-stealing dequeue and native batch
+// operations — for workloads that saturate a single ring's head/tail
+// word. NewUnbounded links wCQ rings into a queue with no capacity
+// limit (the paper's Appendix A): Enqueue never reports full, memory
+// grows and shrinks in ring-sized steps, and a drained ring is left to
+// the garbage collector. NewChan layers blocking Send/Recv/Close
+// semantics over any of the cores.
 //
 // See ARCHITECTURE.md for the layer map and the progress/memory
 // table of every variant.
@@ -58,12 +56,9 @@ type Option func(*options)
 type options struct {
 	// core is the ring tuning (F&A mode, patience, help delay, metrics
 	// sink) handed unchanged to every layer the constructor builds.
-	core            ringcore.Options
-	shards          int
-	backend         Backend
-	ringKind        RingKind
-	ringCap         uint64
-	unboundedShards bool
+	core    ringcore.Options
+	backend Backend
+	ringCap uint64
 }
 
 // WithEmulatedFAA makes every fetch-and-add a CAS loop, modelling
@@ -112,28 +107,6 @@ func NewMetricsSink() *MetricsSink { return metrics.New() }
 // per potential event, measured at well under a nanosecond.
 func WithMetrics(m *MetricsSink) Option {
 	return func(o *options) { o.core.Metrics = m }
-}
-
-// WithShards sets the shard count for NewSharded (default 4). The
-// total capacity is split evenly, so capacity/n must itself be a
-// power of two >= 2. Other constructors ignore this option.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
-}
-
-// WithUnboundedShards makes NewSharded compose n unbounded
-// linked-ring shards (0 = the default 4) instead of bounded rings:
-// each shard grows and shrinks independently (see NewUnbounded), so
-// there is no global capacity — the capacity argument becomes each
-// shard's ring size (a power of two >= 2, the growth granularity),
-// Cap() reports 0, Enqueue never reports full, and Footprint() is
-// live. Combine with WithRingKind to pick the shards' ring kind.
-// Other constructors ignore this option.
-func WithUnboundedShards(n int) Option {
-	return func(o *options) {
-		o.shards = n
-		o.unboundedShards = true
-	}
 }
 
 // validate enforces the documented constructor contract at the public
@@ -401,16 +374,14 @@ func (h *LockFreeHandle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(v
 //wfq:noalloc
 func (h *LockFreeHandle[T]) DequeueBatch(out []T) int { return h.h.DequeueBatch(out) }
 
-// ShardedQueue composes several independent ring cores into one queue
+// ShardedQueue composes four independent wCQ rings into one queue
 // that spreads the single head/tail hot word across shards: each
 // handle enqueues to a fixed home shard (assigned round-robin at
 // Handle time) and dequeues round-robin with work stealing, so no
 // shard starves. Any one handle's values come back in strict FIFO
 // order; values from different handles may interleave in either
-// order. With bounded shards (the default) Enqueue reports full when
-// the handle's home shard is full (capacity is split evenly across
-// shards); with WithUnboundedShards the shards grow instead and
-// Enqueue never reports full.
+// order. Enqueue reports full when the handle's home shard is full
+// (capacity is split evenly across the shards).
 type ShardedQueue[T any] struct {
 	q *sharded.Queue[T]
 }
@@ -422,35 +393,20 @@ type ShardedHandle[T any] struct {
 }
 
 // NewSharded returns an empty sharded queue of total capacity
-// `capacity` split across WithShards(n) sub-queues (default 4);
-// capacity/n must itself be a power of two >= 2, so non-power-of-two
-// shard counts work as long as the per-shard quotient is (e.g.
-// capacity 12 over 3 shards of 4). Every handle registers with every
-// shard, so maxThreads bounds handles globally. WithRingKind selects
-// the shards' ring core (wait-free wCQ by default, lock-free SCQ);
-// WithUnboundedShards swaps the bounded rings for unbounded
-// linked-ring shards, reinterpreting capacity as each shard's ring
-// size (a power of two >= 2).
+// `capacity` split evenly across four wait-free wCQ shards; capacity
+// must be a power of two >= 8, so each shard holds at least 2. Every
+// handle registers with every shard, so maxThreads bounds handles
+// globally.
 func NewSharded[T any](capacity uint64, maxThreads int, opts ...Option) (*ShardedQueue[T], error) {
-	// The total capacity need not be a power of two — only the
-	// per-shard quotient must be, which sharded.New validates.
-	if maxThreads < 1 {
-		return nil, fmt.Errorf("wfqueue: maxThreads must be >= 1, got %d", maxThreads)
+	if capacity < 2*sharded.Shards || capacity&(capacity-1) != 0 {
+		return nil, fmt.Errorf("wfqueue: sharded capacity must be a power of two >= %d, got %d",
+			2*sharded.Shards, capacity)
+	}
+	if err := validate(capacity, maxThreads); err != nil {
+		return nil, err
 	}
 	o := buildOpts(opts)
-	if o.unboundedShards {
-		// capacity is each shard's ring size here; phrase the contract
-		// in this package's vocabulary instead of the internal layers'.
-		if err := validate(capacity, maxThreads); err != nil {
-			return nil, err
-		}
-	}
-	q, err := sharded.New[T](capacity, maxThreads, &sharded.Options{
-		Shards:    o.shards,
-		Kind:      o.ringKind.kind(),
-		Unbounded: o.unboundedShards,
-		Core:      &o.core,
-	})
+	q, err := sharded.New[T](capacity, maxThreads, &sharded.Options{Core: &o.core})
 	if err != nil {
 		return nil, err
 	}
@@ -467,20 +423,14 @@ func (q *ShardedQueue[T]) Handle() (*ShardedHandle[T], error) {
 	return &ShardedHandle[T]{h: h}, nil
 }
 
-// Cap returns the total capacity (summed over shards), or 0 with
-// unbounded shards.
+// Cap returns the total capacity (summed over shards).
 func (q *ShardedQueue[T]) Cap() uint64 { return q.q.Cap() }
 
 // Shards returns the shard count.
 func (q *ShardedQueue[T]) Shards() int { return q.q.Shards() }
 
-// Unbounded reports whether the shards are unbounded linked-ring
-// queues (WithUnboundedShards).
-func (q *ShardedQueue[T]) Unbounded() bool { return q.q.Unbounded() }
-
-// Footprint returns the bytes the shards retain, summed: a constant
-// for bounded shards, a live grow-and-shrink figure with
-// WithUnboundedShards.
+// Footprint returns the bytes allocated at construction, summed over
+// the shards; the queue never allocates afterwards.
 func (q *ShardedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
 
 // Stats snapshots the metrics sink shared by the queue and every
@@ -489,7 +439,7 @@ func (q *ShardedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
 func (q *ShardedQueue[T]) Stats() MetricsSnapshot { return q.q.Stats() }
 
 // Enqueue appends v to the handle's home shard; false means that
-// shard is full (never the case with unbounded shards).
+// shard is full.
 //
 //wfq:noalloc
 func (h *ShardedHandle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }

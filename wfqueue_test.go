@@ -217,9 +217,6 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewLockFree[int](24); err == nil {
 		t.Error("NewLockFree(24) accepted a non-power-of-two capacity")
 	}
-	if _, err := NewSharded[int](64, 2, WithShards(64)); err == nil {
-		t.Error("NewSharded with per-shard capacity 1 accepted")
-	}
 	// Error text must name the violated constraint.
 	_, err := New[int](24, 2)
 	if err == nil || !strings.Contains(err.Error(), "power of two") {
@@ -231,12 +228,35 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
+func TestShardedConstructorValidation(t *testing.T) {
+	// Four shards of at least two slots each: the total capacity must
+	// be a power of two >= 8, and the error says so in this package's
+	// words rather than the per-shard ones of the layer below.
+	for _, c := range []struct {
+		capacity uint64
+		ok       bool
+	}{{0, false}, {2, false}, {4, false}, {12, false}, {8, true}} {
+		q, err := NewSharded[int](c.capacity, 2)
+		if c.ok {
+			if err != nil || q.Cap() != c.capacity {
+				t.Errorf("NewSharded(%d): err = %v", c.capacity, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("NewSharded(%d) accepted", c.capacity)
+		} else if !strings.HasPrefix(err.Error(), "wfqueue: ") || !strings.Contains(err.Error(), "power of two >= 8") {
+			t.Errorf("NewSharded(%d): unhelpful error: %v", c.capacity, err)
+		}
+	}
+}
+
 func TestShardedQueue(t *testing.T) {
-	q, err := NewSharded[string](64, 8, WithShards(8))
+	q, err := NewSharded[string](64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Shards() != 8 || q.Cap() != 64 || q.Footprint() == 0 {
+	if q.Shards() != 4 || q.Cap() != 64 || q.Footprint() == 0 {
 		t.Fatalf("Shards=%d Cap=%d Footprint=%d", q.Shards(), q.Cap(), q.Footprint())
 	}
 	h, err := q.Handle()
@@ -275,7 +295,7 @@ func TestShardedQueue(t *testing.T) {
 }
 
 func TestShardedCrossHandleVisibility(t *testing.T) {
-	q, err := NewSharded[int](32, 4, WithShards(4))
+	q, err := NewSharded[int](32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
