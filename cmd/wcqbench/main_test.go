@@ -12,24 +12,30 @@ import (
 	"repro/internal/harness"
 )
 
-// w1Row is one measured w1 point: mean throughput and wait p99.
+// w1Row is one measured w1 point: mean throughput and wait p99. A
+// row without repP99 stands for one rep whose own p99 is p99US.
 type w1Row struct {
 	queue   string
 	waiters int
 	mops    float64
 	p99US   float64
+	repP99  []float64
 }
 
 func w1Points(rows []w1Row) []benchfmt.Point {
 	pts := make([]benchfmt.Point, len(rows))
 	for i, r := range rows {
+		reps := r.repP99
+		if reps == nil {
+			reps = []float64{r.p99US}
+		}
 		pts[i] = benchfmt.Point{
 			Figure:   "w1",
 			Queue:    r.queue,
 			Threads:  r.waiters,
 			MopsMin:  r.mops,
 			MopsMean: r.mops,
-			Latency:  &benchfmt.LatencyUS{P50: 0.5, P90: r.p99US, P99: r.p99US, P999: r.p99US, Max: r.p99US, Count: 1},
+			Latency:  &benchfmt.LatencyUS{P50: 0.5, P90: r.p99US, P99: r.p99US, P999: r.p99US, Max: r.p99US, Count: 1, RepP99: reps},
 		}
 	}
 	return pts
@@ -40,20 +46,20 @@ func w1Points(rows []w1Row) []benchfmt.Point {
 // was removed: each wait strategy once per GOMAXPROCS setting.
 var (
 	adaptiveRowsP2 = []w1Row{
-		{"Chan", 8, 4.324, 4.352}, {"Chan", 1024, 3.536, 52428.8},
-		{"ChanSharded", 8, 4.618, 3.968}, {"ChanSharded", 1024, 4.518, 44040.2},
+		{"Chan", 8, 4.324, 4.352, nil}, {"Chan", 1024, 3.536, 52428.8, nil},
+		{"ChanSharded", 8, 4.618, 3.968, nil}, {"ChanSharded", 1024, 4.518, 44040.2, nil},
 	}
 	parkRowsP2 = []w1Row{
-		{"Chan", 8, 7.300, 4.864}, {"Chan", 1024, 3.816, 557.1},
-		{"ChanSharded", 8, 4.556, 4.352}, {"ChanSharded", 1024, 3.424, 557.1},
+		{"Chan", 8, 7.300, 4.864, nil}, {"Chan", 1024, 3.816, 557.1, nil},
+		{"ChanSharded", 8, 4.556, 4.352, nil}, {"ChanSharded", 1024, 3.424, 557.1, nil},
 	}
 	adaptiveRowsP1 = []w1Row{
-		{"Chan", 8, 9.625, 0.864}, {"Chan", 1024, 9.255, 21374.1},
-		{"ChanSharded", 8, 7.141, 0.672}, {"ChanSharded", 1024, 6.477, 30408.7},
+		{"Chan", 8, 9.625, 0.864, nil}, {"Chan", 1024, 9.255, 21374.1, nil},
+		{"ChanSharded", 8, 7.141, 0.672, nil}, {"ChanSharded", 1024, 6.477, 30408.7, nil},
 	}
 	parkRowsP1 = []w1Row{
-		{"Chan", 8, 9.631, 0.672}, {"Chan", 1024, 6.728, 38.9},
-		{"ChanSharded", 8, 7.335, 0.608}, {"ChanSharded", 1024, 5.405, 43.0},
+		{"Chan", 8, 9.631, 0.672, nil}, {"Chan", 1024, 6.728, 38.9, nil},
+		{"ChanSharded", 8, 7.335, 0.608, nil}, {"ChanSharded", 1024, 5.405, 43.0, nil},
 	}
 )
 
@@ -71,6 +77,27 @@ func TestSmokeWaitSeparatesMeasuredArms(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "wait p99") {
 			t.Errorf("adaptive rows, %s: gate = %v, want a wait-p99 failure", name, err)
 		}
+	}
+}
+
+// TestSmokeWaitOneStalledRep: one rep whose wait p99 crossed the bound
+// among reps far below it passes the gate, as the parent's gate did
+// not (a 22.0 ms ChanSharded p99 at 1024 waiters beside reps at
+// 0.56–0.75 ms); a majority of stalled reps still fails it.
+func TestSmokeWaitOneStalledRep(t *testing.T) {
+	rows := append([]w1Row(nil), parkRowsP2...)
+	rows[3].p99US, rows[3].repP99 = 22016.0, []float64{563.2, 22016.0, 749.6}
+	if err := smokeWait(w1Points(rows)); err != nil {
+		t.Fatalf("one stalled rep: gate failed: %v", err)
+	}
+	rows[3].repP99 = []float64{563.2, 22016.0, 21374.1}
+	if err := smokeWait(w1Points(rows)); err == nil || !strings.Contains(err.Error(), "wait p99") {
+		t.Fatalf("two stalled reps of three: gate = %v, want a wait-p99 failure", err)
+	}
+	pts := w1Points(parkRowsP2)
+	pts[3].Latency.RepP99 = nil
+	if err := smokeWait(pts); err == nil || !strings.Contains(err.Error(), "per-rep") {
+		t.Fatalf("no per-rep p99s: gate = %v, want an error", err)
 	}
 }
 

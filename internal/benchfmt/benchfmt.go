@@ -84,6 +84,9 @@ type LatencyUS struct {
 	Max float64 `json:"max"`
 	// Count is the number of recorded operations behind the ladder.
 	Count uint64 `json:"count"`
+	// RepP99 is each rep's own p99 in microseconds, in rep order; the
+	// ladder above merges the reps. Optional: older logs omit it.
+	RepP99 []float64 `json:"rep_p99,omitempty"`
 }
 
 // NewLatencyUS flattens a nanosecond histogram snapshot into the
@@ -104,8 +107,9 @@ func NewLatencyUS(h metrics.HistogramSnapshot) *LatencyUS {
 	}
 }
 
-// validate checks the ladder invariants: a non-empty sample and
-// percentiles that are nonnegative and monotone up to Max.
+// validate checks the ladder invariants: a non-empty sample,
+// percentiles that are nonnegative and monotone up to Max, and
+// nonnegative per-rep p99s.
 func (l *LatencyUS) validate() error {
 	if l.Count == 0 {
 		return fmt.Errorf("latency ladder with zero count")
@@ -119,6 +123,11 @@ func (l *LatencyUS) validate() error {
 			return fmt.Errorf("latency %s %f < %s %f (percentiles not monotone)", p.name, p.v, prevName, prev)
 		}
 		prev, prevName = p.v, p.name
+	}
+	for i, v := range l.RepP99 {
+		if v < 0 {
+			return fmt.Errorf("latency rep %d p99 %f is negative", i, v)
+		}
 	}
 	return nil
 }

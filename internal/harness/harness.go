@@ -98,7 +98,12 @@ type Point struct {
 	// summarizes the ACHIEVED transfer rate in Mtransfers/s rather
 	// than the closed-loop op rate.
 	Latency metrics.HistogramSnapshot
-	Err     error // non-nil when the queue is unavailable (e.g. LCRQ under emulation)
+	// RepP99 is each rep's own Latency p99 in nanoseconds, in rep
+	// order, for the reps that recorded latency: a gate can judge the
+	// typical rep rather than the merged tail, which one stalled rep
+	// decides alone.
+	RepP99 []uint64
+	Err    error // non-nil when the queue is unavailable (e.g. LCRQ under emulation)
 }
 
 // RunPoint measures one queue at one thread count.
@@ -119,8 +124,8 @@ type sample struct {
 // point's one-rep measurement reps times (at least once) and folds the
 // samples into pt. Mops is summarized across reps, memory and
 // footprint keep their maxima, and latency histograms merge (tails
-// want samples, not averages). The first failing rep sets pt.Err and
-// ends the point.
+// want samples, not averages) beside each rep's own p99. The first
+// failing rep sets pt.Err and ends the point.
 func repeat(pt Point, reps int, once func() (sample, error)) Point {
 	reps = max(reps, 1)
 	mops := make([]float64, 0, reps)
@@ -135,6 +140,9 @@ func repeat(pt Point, reps int, once func() (sample, error)) Point {
 		pt.FootprintMB = max(pt.FootprintMB, s.fpMB)
 		pt.OfferedMops = s.offeredMops
 		pt.Latency.Merge(s.latency)
+		if s.latency.Count > 0 {
+			pt.RepP99 = append(pt.RepP99, s.latency.Quantile(0.99))
+		}
 	}
 	pt.Mops = stats.Summarize(mops)
 	return pt

@@ -75,8 +75,8 @@ func newCRQ(order uint) *crq {
 		vals:    make([]atomic.Uint64, size),
 	}
 	// Every cell unoccupied, safe, and carrying the first ticket that
-	// maps to it: tickets reach cells through ring.Remap, so cell p
-	// first serves ticket ring.Unmap(p), not ticket p.
+	// maps to it: tickets reach cells through ring.Slot, so cell p
+	// first serves ticket ring.Unslot(p), not ticket p.
 	ring.Seed(atomicx.Prepublish(c.cells), order, cellSafeBit, size, 0)
 	return c
 }
@@ -90,7 +90,7 @@ func (c *crq) enqueue(v uint64) bool {
 		if t&closedBit != 0 {
 			return false
 		}
-		pos := ring.Remap(t&c.posMask, c.order)
+		pos := ring.Slot(t&c.posMask, c.order)
 		cell := &c.cells[pos]
 		w := cell.Load()
 		ticket := w & ticketMask
@@ -120,7 +120,7 @@ func (c *crq) enqueue(v uint64) bool {
 func (c *crq) dequeue() (uint64, bool) {
 	for {
 		h := c.head.Add(1) - 1
-		pos := ring.Remap(h&c.posMask, c.order)
+		pos := ring.Slot(h&c.posMask, c.order)
 		cell := &c.cells[pos]
 		var w, ticket uint64
 		for {

@@ -121,11 +121,11 @@ func TestConcurrentSmoke(t *testing.T) {
 func TestNewCRQMatchesStores(t *testing.T) {
 	// The constructor's plain writes must leave the cells the per-cell
 	// Store loop it replaced left.
-	for _, order := range []uint{1, 2, 3, 4, DefaultRingOrder} {
+	for _, order := range []uint{1, 2, 3, 4, DefaultRingOrder, ring.SpreadOrder} {
 		got := newCRQ(order)
 		want := make([]atomic.Uint64, 1<<order)
 		for i := range want {
-			want[i].Store(cellSafeBit | ring.Unmap(uint64(i), order))
+			want[i].Store(cellSafeBit | ring.Unslot(uint64(i), order))
 		}
 		for i := range want {
 			if g, w := got.cells[i].Load(), want[i].Load(); g != w {
@@ -138,9 +138,9 @@ func TestNewCRQMatchesStores(t *testing.T) {
 func TestFreshCRQHoldsFullLap(t *testing.T) {
 	// Every cell of a fresh CRQ must carry the ticket that first maps
 	// to it, so the ring takes 2^order values before it closes. Seeding
-	// cell p with ticket p instead closes it early once Remap permutes
-	// cells (order above ring.EntriesPerLineShift).
-	for _, order := range []uint{4, 8, 12} {
+	// cell p with ticket p instead closes it early once ring.Slot
+	// permutes cells (order above ring.EntriesPerLineShift).
+	for _, order := range []uint{4, 8, 12, ring.SpreadOrder} {
 		c := newCRQ(order)
 		for i := uint64(0); i < c.size; i++ {
 			if !c.enqueue(i) {

@@ -3,7 +3,7 @@
 //
 // All queues in this repository follow the paper's layout discipline:
 // Head, Tail and Threshold each live on their own cache line, and ring
-// entries are permuted by internal/ring.Remap so that logically adjacent
+// entries are placed by internal/ring.Slot so that logically adjacent
 // slots land on different lines.
 package pad
 

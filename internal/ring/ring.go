@@ -1,6 +1,8 @@
 // Package ring holds the slot-order arithmetic shared by the circular
-// queues (SCQ, wCQ, LCRQ): power-of-two sizing and the Cache_Remap
-// permutation described in the SCQ/wCQ papers.
+// queues (SCQ, wCQ, LCRQ): power-of-two sizing, and Slot, the one map
+// from a ring position to its entry. Slot is the Cache_Remap
+// permutation of the SCQ/wCQ papers on rings that stay in cache, and
+// spread, the data array's two-contender layout, on larger ones.
 //
 // A ring with "order" o has 1<<o slots. Following the papers, a queue
 // that stores up to n elements allocates 2n slots (order = log2(n)+1);
@@ -46,11 +48,11 @@ func Remap(i uint64, order uint) uint64 {
 	return (i&mask)<<EntriesPerLineShift | i>>low
 }
 
-// Unmap inverts Remap: it returns the logical position i whose slot is
-// physical index j, so a constructor can write a ring in memory order.
+// unmap inverts Remap: it returns the logical position i whose slot is
+// physical index j.
 //
 //wfq:noalloc
-func Unmap(j uint64, order uint) uint64 {
+func unmap(j uint64, order uint) uint64 {
 	if order <= EntriesPerLineShift {
 		return j
 	}
@@ -58,18 +60,90 @@ func Unmap(j uint64, order uint) uint64 {
 	return (j&(1<<EntriesPerLineShift-1))<<low | j>>EntriesPerLineShift
 }
 
-// Seed writes the initial words of a ring of 1<<order slots into dst,
-// in physical order: the slot of logical position i gets base|i when
-// i < limit and rest otherwise. base must have its low order bits
-// clear (an entry whose index field is 0), so base|i == base+i.
+// SpreadOrder is the smallest ring order whose entries Slot places with
+// spread rather than Remap: rings of 2^14 entries (128 KiB, the index
+// rings of a capacity-2^13 queue) and up. BenchmarkRingLayout in
+// internal/ringcore places the crossover; see ARCHITECTURE, "ring
+// entry layout".
+const SpreadOrder = 14
+
+// Slot maps position i of a ring of 1<<order 8-byte entries to the
+// index of its entry. It is the one such map every ring uses, and a
+// bijection on [0, 2^order) at every order, so it decides only which
+// cache line an entry sits on, never which entry a ticket reaches.
 //
-// Above one line, Remap puts positions l, l+s, ..., l+7s (s =
-// 2^(order-3)) on line l, so word k of line l holds position k*s+l.
-// Whether that position is below limit depends on l only through
-// limit mod s, so the lines split into at most two runs with a fixed
-// pattern each: an index word steps by 1 from one line to the next and
-// a rest word by 0. Each line is then eight plain stores, with no
-// per-slot Unmap, compare or bounds check.
+// Below SpreadOrder it is Remap: a ring that stays in cache gains
+// from never revisiting a line for 2^(order-3) tickets. From
+// SpreadOrder up it is spread: Remap would put a line's eight entries
+// 2^(order-3) tickets apart, so on a large ring almost every access
+// misses, while spread keeps each aligned run of 16 tickets on two
+// lines, and still puts tickets t and t+1 on different ones.
+//
+//wfq:noalloc
+func Slot(i uint64, order uint) uint64 {
+	if order < SpreadOrder {
+		return Remap(i, order)
+	}
+	return spread(i)
+}
+
+// Unslot inverts Slot: it returns the position i whose entry is index
+// j, so a constructor can write a ring in memory order.
+//
+//wfq:noalloc
+func Unslot(j uint64, order uint) uint64 {
+	if order < SpreadOrder {
+		return unmap(j, order)
+	}
+	return unspread(j)
+}
+
+// spread permutes the low four bits of i: within each aligned run of
+// 16, the even positions take the first 8 entries and the odd ones the
+// last 8, in order. Positions t and t+1 (what two contenders take one
+// after the other) therefore sit on different 64-byte lines of 8-byte
+// entries, while every aligned run of 16 fills exactly two lines.
+//
+//wfq:noalloc
+func spread(i uint64) uint64 {
+	return i&^15 | (i&1)<<EntriesPerLineShift | i>>1&7
+}
+
+// unspread inverts spread.
+//
+//wfq:noalloc
+func unspread(j uint64) uint64 {
+	return j&^15 | (j&7)<<1 | j>>EntriesPerLineShift&1
+}
+
+// Spread is spread for an n-entry array, n a power of two: the
+// identity below one run of 16. It lays out the payload queue's data
+// array, whose i-th never-used index names slot Spread(i, n).
+//
+//wfq:noalloc
+func Spread(i, n uint64) uint64 {
+	if n < 16 {
+		return i
+	}
+	return spread(i)
+}
+
+// Seed writes the initial words of a ring of 1<<order entries into
+// dst, in memory order: the entry of position i (entry Slot(i, order))
+// gets base|i when i < limit and rest otherwise. base must have its low
+// order bits clear (an entry whose index field is 0), so base|i ==
+// base+i. Each line is eight plain stores, with no per-entry Unslot,
+// compare or bounds check.
+//
+// Under Remap, positions l, l+s, ..., l+7s (s = 2^(order-3)) share line
+// l, so word k of line l holds position k*s+l. Whether that position
+// is below limit depends on l only through limit mod s, so the lines
+// split into at most two runs with a fixed pattern each: an index word
+// steps by 1 from one line to the next and a rest word by 0.
+//
+// Under spread, the two lines of the run at r hold r, r+2, ..., r+14
+// and r+1, r+3, ..., r+15, so the runs below limit step by 16, the
+// one run limit cuts is written entry by entry, and the rest is rest.
 //
 //wfq:noalloc
 func Seed(dst []uint64, order uint, base, limit, rest uint64) {
@@ -85,11 +159,44 @@ func Seed(dst []uint64, order uint, base, limit, rest uint64) {
 		}
 		return
 	}
+	if order >= SpreadOrder {
+		full := min(limit, n) &^ 15
+		seedRuns(dst[:full], base)
+		if full < n {
+			run := dst[full : full+16]
+			for j := range run {
+				if i := full + unspread(uint64(j)); i < limit {
+					run[j] = base | i
+				} else {
+					run[j] = rest
+				}
+			}
+			seedLines(dst[full+16:], 0, 0, 0, base, rest)
+		}
+		return
+	}
 	low := order - EntriesPerLineShift
 	full, part := limit>>low, limit&(1<<low-1)
 	// Lines below part hold full+1 index words, the rest full.
 	seedLines(dst[:part<<EntriesPerLineShift], low, 0, full+1, base, rest)
 	seedLines(dst[part<<EntriesPerLineShift:], low, part, full, base, rest)
+}
+
+// seedRuns writes whole runs of 16 entries under spread, every one an
+// index word: the first run holds positions 0..15.
+//
+//wfq:noalloc
+func seedRuns(dst []uint64, base uint64) {
+	// The even line's words; each odd-line word is its even twin | 1.
+	w0, w1, w2, w3, w4, w5, w6, w7 := base, base|2, base|4, base|6, base|8, base|10, base|12, base|14
+	for ; len(dst) >= 16; dst = dst[16:] {
+		r := (*[16]uint64)(dst)
+		r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = w0, w1, w2, w3, w4, w5, w6, w7
+		r[8], r[9], r[10], r[11] = w0|1, w1|1, w2|1, w3|1
+		r[12], r[13], r[14], r[15] = w4|1, w5|1, w6|1, w7|1
+		w0, w1, w2, w3 = w0+16, w1+16, w2+16, w3+16
+		w4, w5, w6, w7 = w4+16, w5+16, w6+16, w7+16
+	}
 }
 
 // seedLines writes whole lines of a ring with 1<<low lines, the first

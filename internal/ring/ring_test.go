@@ -78,8 +78,8 @@ func TestUnmapInvertsRemap(t *testing.T) {
 	for _, order := range []uint{0, 1, 3, 4, 5, 8, 12, 17} {
 		n := uint64(1) << order
 		for i := uint64(0); i < n; i++ {
-			if got := Unmap(Remap(i, order), order); got != i {
-				t.Fatalf("order %d: Unmap(Remap(%d)) = %d", order, i, got)
+			if got := unmap(Remap(i, order), order); got != i {
+				t.Fatalf("order %d: unmap(Remap(%d)) = %d", order, i, got)
 			}
 		}
 	}
@@ -118,11 +118,96 @@ func TestRemapLineReuseDistance(t *testing.T) {
 	}
 }
 
-// seedRef is the per-slot loop Seed replaced: every slot asks Unmap
+// line is the 64-byte line of entry j in an array of 8-byte entries.
+func line(j uint64) uint64 { return j >> EntriesPerLineShift }
+
+func TestSpreadIsBijection(t *testing.T) {
+	for n := uint64(2); n <= 1<<20; n <<= 1 {
+		seen := make([]bool, n)
+		for i := range n {
+			s := Spread(i, n)
+			if s >= n || seen[s] {
+				t.Fatalf("n=%d: Spread(%d) = %d, out of range or taken twice", n, i, s)
+			}
+			seen[s] = true
+		}
+	}
+}
+
+func TestSpreadLines(t *testing.T) {
+	// Fresh indices 2k and 2k+1 (what two enqueuers claim one after
+	// the other) sit on different 64-byte lines of 8-byte values, and
+	// every aligned 16-index run (one batch claim) covers exactly two.
+	for _, n := range []uint64{16, 64, 1024, 1 << 16} {
+		for k := uint64(0); k < n/2; k++ {
+			if line(Spread(2*k, n)) == line(Spread(2*k+1, n)) {
+				t.Fatalf("n=%d: indices %d and %d share a cache line", n, 2*k, 2*k+1)
+			}
+		}
+		for base := uint64(0); base < n; base += 16 {
+			lines := map[uint64]bool{}
+			for i := base; i < base+16; i++ {
+				lines[line(Spread(i, n))] = true
+			}
+			if len(lines) != 2 {
+				t.Fatalf("n=%d: run %d..%d covers %d lines, want 2", n, base, base+15, len(lines))
+			}
+		}
+	}
+}
+
+func TestSlotIsBijection(t *testing.T) {
+	for order := uint(1); order <= 20; order++ {
+		n := uint64(1) << order
+		seen := make([]bool, n)
+		for i := range n {
+			j := Slot(i, order)
+			if j >= n || seen[j] {
+				t.Fatalf("order %d: Slot(%d) = %d, out of range or taken twice", order, i, j)
+			}
+			seen[j] = true
+			if got := Unslot(j, order); got != i {
+				t.Fatalf("order %d: Unslot(Slot(%d)) = %d", order, i, got)
+			}
+		}
+	}
+}
+
+func TestSlotLines(t *testing.T) {
+	for order := uint(1); order <= 20; order++ {
+		n := uint64(1) << order
+		for i := uint64(0); i+1 < n; i++ {
+			// Positions t and t+1 never share a line, once the ring
+			// has more than one.
+			if order > EntriesPerLineShift && line(Slot(i, order)) == line(Slot(i+1, order)) {
+				t.Fatalf("order %d: positions %d and %d share line %d", order, i, i+1, line(Slot(i, order)))
+			}
+		}
+		if order < SpreadOrder {
+			for i := range n {
+				if Slot(i, order) != Remap(i, order) {
+					t.Fatalf("order %d: Slot(%d) = %d, Remap gives %d", order, i, Slot(i, order), Remap(i, order))
+				}
+			}
+			continue
+		}
+		for base := uint64(0); base < n; base += 16 {
+			lines := map[uint64]bool{}
+			for i := base; i < base+16; i++ {
+				lines[line(Slot(i, order))] = true
+			}
+			if len(lines) != 2 {
+				t.Fatalf("order %d: run %d..%d covers %d lines, want 2", order, base, base+15, len(lines))
+			}
+		}
+	}
+}
+
+// seedRef is the per-slot loop Seed replaced: every entry asks Unslot
 // which position it holds.
 func seedRef(dst []uint64, order uint, base, limit, rest uint64) {
 	for p := range dst {
-		if i := Unmap(uint64(p), order); i < limit {
+		if i := Unslot(uint64(p), order); i < limit {
 			dst[p] = base | i
 		} else {
 			dst[p] = rest
@@ -132,10 +217,10 @@ func seedRef(dst []uint64, order uint, base, limit, rest uint64) {
 
 func TestSeedMatchesUnmap(t *testing.T) {
 	const base, rest = 3 << 40, 0xdead
-	for order := uint(1); order <= 16; order++ {
+	for order := uint(1); order <= SpreadOrder+2; order++ {
 		n := uint64(1) << order
 		// n/2 is the free-index ring (wCQ, SCQ), n the LCRQ cells; the
-		// others cut a line pattern part way through the lines.
+		// others cut a line pattern, or a run of 16, part way through.
 		for _, limit := range []uint64{n / 2, n, 0, 1, n/2 + 3, n - 1} {
 			got, want := make([]uint64, n), make([]uint64, n)
 			Seed(got, order, base, limit, rest)
@@ -150,7 +235,8 @@ func TestSeedMatchesUnmap(t *testing.T) {
 }
 
 // BenchmarkSeed seeds the free-index rings of capacity 2^10 and 2^16
-// (2^11 and 2^17 slots), against the per-slot loop it replaced.
+// (2^11 entries under Remap, 2^17 under spread), against the per-entry
+// loop it replaced.
 func BenchmarkSeed(b *testing.B) {
 	for _, order := range []uint{11, 17} {
 		n := uint64(1) << order
@@ -158,7 +244,7 @@ func BenchmarkSeed(b *testing.B) {
 		for _, c := range []struct {
 			name string
 			seed func([]uint64, uint, uint64, uint64, uint64)
-		}{{"lines", Seed}, {"unmap", seedRef}} {
+		}{{"lines", Seed}, {"unslot", seedRef}} {
 			b.Run(fmt.Sprintf("%s/order=%d", c.name, order), func(b *testing.B) {
 				b.SetBytes(int64(n * 8))
 				for b.Loop() {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/atomicx"
 	"repro/internal/metrics"
 	"repro/internal/pad"
+	"repro/internal/ring"
 	"repro/internal/scq"
 	"repro/internal/wcq"
 )
@@ -22,10 +23,10 @@ type indexRing interface {
 	DequeueBatch([]uint64) int
 }
 
-// ring is the whole-ring surface the payload layer reads: what
+// wholeRing is the whole-ring surface the payload layer reads: what
 // Footprint, Empty and Stats report. *wcq.Ring and *scq.Ring both
 // provide it.
-type ring interface {
+type wholeRing interface {
 	Footprint() uint64
 	Drained() bool
 	Metrics() *metrics.Sink
@@ -36,8 +37,8 @@ type ring interface {
 var (
 	_ indexRing = (*wcq.Handle)(nil)
 	_ indexRing = (*scq.Ring)(nil)
-	_ ring      = (*wcq.Ring)(nil)
-	_ ring      = (*scq.Ring)(nil)
+	_ wholeRing = (*wcq.Ring)(nil)
+	_ wholeRing = (*scq.Ring)(nil)
 	_ Core[int] = (*Queue[int])(nil)
 )
 
@@ -54,17 +55,17 @@ var (
 // order, so fq only ever holds recycled indices. An enqueue asks the
 // counter first (claim) and fq only once the counter is exhausted, so
 // a ring's first lap costs one F&A per index instead of a full fq
-// dequeue. The counter's i-th index names data slot spread(i, n), so
-// two enqueuers claiming neighbouring indices write different cache
-// lines.
+// dequeue. The counter's i-th index names data slot ring.Spread(i, n),
+// so two enqueuers claiming neighbouring indices write different cache
+// lines, while a 16-index batch claim fills exactly two.
 //
 // Every operation reads the header fields and none writes them (ids
 // is written by Register only); the pads keep them off any cache line
 // that fresh or a neighbouring heap object writes.
 type Queue[T any] struct {
 	_     pad.Line
-	aq    ring
-	fq    ring
+	aq    wholeRing
+	fq    wholeRing
 	data  []T
 	kind  Kind
 	ids   atomic.Int64 // next Register id; registration only
@@ -153,26 +154,9 @@ func hasPointers(t reflect.Type) bool {
 	return true
 }
 
-// spread maps the i-th never-used index of an n-slot queue to its data
-// slot: within each aligned run of 16, the even indices take the first
-// 8 slots and the odd ones the last 8, in order. Two enqueuers that
-// claim neighbouring indices therefore write different 64-byte lines
-// of 8-byte values, while a 16-index batch run still fills exactly
-// two. It permutes the low four bits only, so it is a bijection on
-// every aligned run of 16 and thus on [0, n); below 16 slots it is the
-// identity.
-//
-//wfq:noalloc
-func spread(i, n uint64) uint64 {
-	if n < 16 {
-		return i
-	}
-	return i&^15 | (i&1)<<3 | i>>1&7
-}
-
 // claim hands out up to k indices no value has used yet: first and
-// the m-1 after it, each to be mapped to its slot by spread. m is 0
-// once the counter has handed out all n. The Load keeps the steady
+// the m-1 after it, each to be mapped to its slot by ring.Spread. m is
+// 0 once the counter has handed out all n. The Load keeps the steady
 // state from writing the counter's line: after the first lap it is one
 // read of a word that no longer changes.
 //
@@ -286,7 +270,7 @@ func (h *QueueHandle[T]) Enqueue(v T) bool {
 			return false
 		}
 	} else {
-		idx = spread(idx, h.q.Cap())
+		idx = ring.Spread(idx, h.q.Cap())
 	}
 	h.q.data[idx] = v
 	h.aq.Enqueue(idx)
@@ -355,7 +339,7 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 	buf := h.scratch(len(vs))
 	first, m := h.q.claim(uint64(len(buf)))
 	for j, n := uint64(0), h.q.Cap(); j < m; j++ {
-		buf[j] = spread(first+j, n)
+		buf[j] = ring.Spread(first+j, n)
 	}
 	n := int(m)
 	if n < len(buf) {

@@ -10,9 +10,11 @@
 // Where the paper starts the free-index ring full of 0..n-1, a Queue
 // starts it empty and hands out the never-used indices from a counter,
 // so the free-index ring only ever holds recycled indices. The
-// counter's i-th index names data slot spread(i, n), a fixed
-// permutation that puts neighbouring claims on different cache lines,
-// as the paper's Cache_Remap does for ring entries; a take zeroes its
+// counter's i-th index names data slot ring.Spread(i, n), a fixed
+// permutation that puts neighbouring claims on different cache lines
+// and a 16-index batch claim on two. The index rings place their own
+// entries with ring.Slot: the paper's Cache_Remap on rings that stay
+// in cache, and the same spread on larger ones. A take zeroes its
 // slot only when the value type holds pointers.
 // The unbounded linked rings and the public wfqueue types hold that
 // concrete *Queue, which is always what New builds, rather than the

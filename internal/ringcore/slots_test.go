@@ -1,6 +1,7 @@
 // Tests of the data array's layout and upkeep: which slot a fresh
-// index names (spread), which takes zero their slot (hasPointers), and
-// what a slot costs in Footprint.
+// index names (ring.Spread, whose own tests are in internal/ring), which
+// takes zero their slot (hasPointers), and what a slot costs in
+// Footprint.
 package ringcore
 
 import (
@@ -9,51 +10,13 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
+
+	"repro/internal/ring"
 )
-
-func TestSpreadIsBijection(t *testing.T) {
-	for n := uint64(2); n <= 1<<20; n <<= 1 {
-		seen := make([]bool, n)
-		for i := range n {
-			s := spread(i, n)
-			if s >= n || seen[s] {
-				t.Fatalf("n=%d: spread(%d) = %d, out of range or taken twice", n, i, s)
-			}
-			seen[s] = true
-		}
-	}
-}
-
-func TestSpreadLines(t *testing.T) {
-	// On a real data array of 8-byte values, fresh indices 2k and 2k+1
-	// (what two enqueuers claim one after the other) sit on different
-	// 64-byte lines, and every aligned 16-index run (one batch claim)
-	// covers exactly two.
-	for _, n := range []uint64{16, 64, 1024, 1 << 16} {
-		q := mustNew(t, KindSCQ, n, 1).(*Queue[uint64])
-		line := func(i uint64) uintptr {
-			return uintptr(unsafe.Pointer(&q.data[spread(i, n)])) / 64
-		}
-		for k := uint64(0); k < n/2; k++ {
-			if line(2*k) == line(2*k+1) {
-				t.Fatalf("n=%d: indices %d and %d share a cache line", n, 2*k, 2*k+1)
-			}
-		}
-		for base := uint64(0); base < n; base += 16 {
-			lines := map[uintptr]bool{}
-			for i := base; i < base+16; i++ {
-				lines[line(i)] = true
-			}
-			if len(lines) != 2 {
-				t.Fatalf("n=%d: run %d..%d covers %d lines, want 2", n, base, base+15, len(lines))
-			}
-		}
-	}
-}
 
 func TestFreshIndicesTakeSpreadSlots(t *testing.T) {
 	// The first lap writes value i, however it was enqueued, into slot
-	// spread(i, n).
+	// ring.Spread(i, n).
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		for _, n := range []uint64{8, 64} {
 			for _, batch := range []bool{false, true} {
@@ -79,8 +42,8 @@ func TestFreshIndicesTakeSpreadSlots(t *testing.T) {
 						}
 					}
 					for i := range n {
-						if got := q.data[spread(i, n)]; got != vs[i] {
-							t.Fatalf("slot %d holds %d, want %d", spread(i, n), got, vs[i])
+						if got := q.data[ring.Spread(i, n)]; got != vs[i] {
+							t.Fatalf("slot %d holds %d, want %d", ring.Spread(i, n), got, vs[i])
 						}
 					}
 				})

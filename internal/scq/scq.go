@@ -153,7 +153,7 @@ func (q *Ring) Drained() bool { return q.head.Load() >= q.tail.Load() }
 func (q *Ring) enqueueAt(t, index uint64) bool {
 	tCycle := q.cycleOf(t)
 	bottom, bottomC := q.bottom, q.bottomC // hoisted: loop-invariant (//wfq:stable)
-	e := &q.entries[ring.Remap(t&q.posMask, q.order)]
+	e := &q.entries[ring.Slot(t&q.posMask, q.order)]
 	for {
 		w := e.Load()
 		eCycle, safe, idx := q.unpack(w)
@@ -236,7 +236,7 @@ const (
 func (q *Ring) dequeueAt(h uint64) (index uint64, st deqStatus) {
 	hCycle := q.cycleOf(h)
 	bottom, bottomC, emulate := q.bottom, q.bottomC, q.emulate // hoisted: loop-invariant (//wfq:stable)
-	e := &q.entries[ring.Remap(h&q.posMask, q.order)]
+	e := &q.entries[ring.Slot(h&q.posMask, q.order)]
 	for {
 		w := e.Load()
 		eCycle, safe, idx := q.unpack(w)

@@ -156,7 +156,7 @@ func (q *Ring) tryEnqSlow(t, index uint64, r *record) bool {
 	l := &q.lay
 	thresh3 := q.thresh3 // hoisted: loop-invariant (//wfq:stable)
 	tCycle := l.cycleOf(t)
-	e := &q.entries[ring.Remap(t&l.posMask, l.order)]
+	e := &q.entries[ring.Slot(t&l.posMask, l.order)]
 	for {
 		w := e.Load()
 		ent := l.unpack(w)
@@ -208,7 +208,7 @@ func (q *Ring) tryEnqSlow(t, index uint64, r *record) bool {
 func (q *Ring) tryDeqSlow(h uint64, r *record) bool {
 	l := &q.lay
 	hCycle := l.cycleOf(h)
-	e := &q.entries[ring.Remap(h&l.posMask, l.order)]
+	e := &q.entries[ring.Slot(h&l.posMask, l.order)]
 	for {
 		w := e.Load()
 		ent := l.unpack(w)

@@ -1,6 +1,7 @@
 package wcq
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -41,7 +42,7 @@ func finishRequest(h *Handle, seq uint64) {
 }
 
 func slotOf(q *Ring, counter uint64) uint64 {
-	return ring.Remap(counter&q.lay.posMask, q.lay.order)
+	return ring.Slot(counter&q.lay.posMask, q.lay.order)
 }
 
 // syntheticEnqTicket returns a ticket value suitable for staging a
@@ -51,13 +52,32 @@ func slotOf(q *Ring, counter uint64) uint64 {
 // below the global counter seeds slow_F&A identically.)
 func syntheticEnqTicket(q *Ring) uint64 { return q.tailCnt() - 1 }
 
+// stagedCaps are the ring capacities the staged helper tests run at:
+// one whose entries ring.Slot places with Remap, and the smallest it
+// places with spread.
+var stagedCaps = []uint64{8, 1 << (ring.SpreadOrder - 1)}
+
 // TestHelperCompletesStalledEnqueue is the heart of wait-freedom: a
 // helpee that publishes a request and then stalls forever still gets
 // its element inserted, purely by another thread's helpEnqueue.
 func TestHelperCompletesStalledEnqueue(t *testing.T) {
-	q, hs := newTestRing(t, 8, 2, nil)
+	for _, c := range stagedCaps {
+		t.Run(fmt.Sprintf("cap=%d", c), func(t *testing.T) { helperCompletesStalledEnqueue(t, c) })
+	}
+}
+
+func helperCompletesStalledEnqueue(t *testing.T, capacity uint64) {
+	q, hs := newTestRing(t, capacity, 2, nil)
 	stalled, helper := hs[0], hs[1]
 
+	// Remap and spread place tickets 0 and 1 alike; move Tail past
+	// them so the ticket the helper inserts at depends on the layout.
+	for i := uint64(0); i < 4; i++ {
+		helper.Enqueue(i)
+		if v, ok := helper.Dequeue(); !ok || v != i {
+			t.Fatalf("warmup dequeue got (%d,%v), want %d", v, ok, i)
+		}
+	}
 	tk := syntheticEnqTicket(q)
 	seq := stageEnqueueRequest(stalled, tk, 7)
 
@@ -81,12 +101,22 @@ func TestHelperCompletesStalledEnqueue(t *testing.T) {
 // to completion by a helper; the helpee's gather step then delivers
 // the value exactly once.
 func TestHelperCompletesStalledDequeue(t *testing.T) {
-	q, hs := newTestRing(t, 8, 3, nil)
+	for _, c := range stagedCaps {
+		t.Run(fmt.Sprintf("cap=%d", c), func(t *testing.T) { helperCompletesStalledDequeue(t, c) })
+	}
+}
+
+func helperCompletesStalledDequeue(t *testing.T, capacity uint64) {
+	q, hs := newTestRing(t, capacity, 3, nil)
 	stalled, producer, helper := hs[0], hs[1], hs[2]
 
-	producer.Enqueue(1)
-	if v, ok := stalled.Dequeue(); !ok || v != 1 {
-		t.Fatalf("warmup dequeue got (%d,%v)", v, ok)
+	// Remap and spread place tickets 0 and 1 alike; start past them so
+	// the staged ticket's entry depends on the layout.
+	for i := uint64(0); i < 4; i++ {
+		producer.Enqueue(1)
+		if v, ok := stalled.Dequeue(); !ok || v != 1 {
+			t.Fatalf("warmup dequeue %d got (%d,%v)", i, v, ok)
+		}
 	}
 	producer.Enqueue(7) // the value the stalled dequeue must receive
 

@@ -244,7 +244,7 @@ func (q *Ring) finalizeRequest(h uint64, selfTid int) {
 func (q *Ring) enqueueAt(t, index uint64) bool {
 	l := &q.lay
 	tCycle := l.cycleOf(t)
-	e := &q.entries[ring.Remap(t&l.posMask, l.order)]
+	e := &q.entries[ring.Slot(t&l.posMask, l.order)]
 	for {
 		w := e.Load()
 		ent := l.unpack(w)
@@ -316,7 +316,7 @@ func (q *Ring) dequeueAt(h uint64, selfTid int) (index uint64, st deqStatus) {
 	l := &q.lay
 	emulate := q.emulate // hoisted: loop-invariant (//wfq:stable)
 	hCycle := l.cycleOf(h)
-	e := &q.entries[ring.Remap(h&l.posMask, l.order)]
+	e := &q.entries[ring.Slot(h&l.posMask, l.order)]
 	for {
 		w := e.Load()
 		ent := l.unpack(w)
@@ -461,7 +461,7 @@ func (h *Handle) Dequeue() (index uint64, ok bool) {
 	// Gather the slow-path result (Fig. 5, lines 48-54).
 	l := &q.lay
 	hh := r.localHead.Load() & cntMask
-	e := &q.entries[ring.Remap(hh&l.posMask, l.order)]
+	e := &q.entries[ring.Slot(hh&l.posMask, l.order)]
 	w := e.Load()
 	ent := l.unpack(w)
 	if ent.cycle == l.cycleOf(hh) && ent.index != l.bottom {

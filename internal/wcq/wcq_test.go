@@ -8,7 +8,9 @@ import (
 	"unsafe"
 
 	"repro/internal/atomicx"
+	"repro/internal/metrics"
 	"repro/internal/pad"
+	"repro/internal/ring"
 )
 
 // newTestRing builds a ring with a registered handle, failing the test
@@ -182,16 +184,19 @@ func TestSequentialFIFOForcedSlow(t *testing.T) {
 // Ring indices must be < capacity, so indices are recycled through a
 // channel-based credit pool while the logical payload identity is
 // tracked in a side table written before enqueue and read after
-// dequeue (the same indirection the paper's data queues use).
-func runMPMC(t *testing.T, opts *Options, capacity uint64, p, c, perProducer int) {
+// dequeue (the same indirection the paper's data queues use). The pool
+// holds inflight indices (at most capacity): the ring never holds
+// more, so a small pool keeps a large ring near empty, where
+// dequeuers overtake enqueuers on the same tickets.
+func runMPMC(t *testing.T, opts *Options, capacity, inflight uint64, p, c, perProducer int) {
 	t.Helper()
 	q, err := NewRing(capacity, p+c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]atomic.Uint64, capacity)
-	credits := make(chan uint64, capacity)
-	for i := uint64(0); i < capacity; i++ {
+	payload := make([]atomic.Uint64, inflight)
+	credits := make(chan uint64, inflight)
+	for i := uint64(0); i < inflight; i++ {
 		credits <- i
 	}
 	total := p * perProducer
@@ -246,28 +251,46 @@ func runMPMC(t *testing.T, opts *Options, capacity uint64, p, c, perProducer int
 }
 
 func TestMPMCFastPath(t *testing.T) {
-	runMPMC(t, nil, 64, 4, 4, 5000)
+	runMPMC(t, nil, 64, 64, 4, 4, 5000)
 }
 
 func TestMPMCForcedSlowPath(t *testing.T) {
-	runMPMC(t, forcedSlowOpts(), 8, 4, 4, 3000)
+	runMPMC(t, forcedSlowOpts(), 8, 8, 4, 4, 3000)
 }
 
 func TestMPMCForcedSlowTinyRing(t *testing.T) {
 	// Capacity 2 with 6 threads: every slot is contended, slow paths
 	// and helping fire constantly.
-	runMPMC(t, forcedSlowOpts(), 2, 3, 3, 2000)
+	runMPMC(t, forcedSlowOpts(), 2, 2, 3, 3, 2000)
+}
+
+func TestMPMCForcedSlowSpreadRing(t *testing.T) {
+	// The smallest ring whose entries ring.Slot places with spread
+	// rather than Remap (2^SpreadOrder entries), with enough values to
+	// take every entry through more than one cycle. Eight indices in
+	// flight keep it near empty, so dequeuers overtake enqueuers and
+	// both sides take the helped path.
+	const capacity = 1 << (ring.SpreadOrder - 1)
+	opts := forcedSlowOpts()
+	opts.Metrics = metrics.New()
+	runMPMC(t, opts, capacity, 8, 4, 4, capacity/2+1000)
+	// How often a dequeuer overtakes depends on the schedule: under
+	// -race at 2 and 4 Ps, hundreds of times a run; on one P, or in a
+	// busy test binary, it can be never. The staged helper tests run
+	// the slow path at this ring size on every schedule.
+	t.Logf("slow paths: %d enqueue, %d dequeue",
+		opts.Metrics.Count(metrics.EnqSlowPath), opts.Metrics.Count(metrics.DeqSlowPath))
 }
 
 func TestMPMCEmulatedFAA(t *testing.T) {
-	runMPMC(t, &Options{Mode: atomicx.EmulatedFAA, EnqPatience: 2, DeqPatience: 2, HelpDelay: 1}, 16, 3, 3, 3000)
+	runMPMC(t, &Options{Mode: atomicx.EmulatedFAA, EnqPatience: 2, DeqPatience: 2, HelpDelay: 1}, 16, 16, 3, 3, 3000)
 }
 
 func TestMPMCManyThreadsOversubscribed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	runMPMC(t, &Options{EnqPatience: 4, DeqPatience: 8, HelpDelay: 2}, 32, 8, 8, 2000)
+	runMPMC(t, &Options{EnqPatience: 4, DeqPatience: 8, HelpDelay: 2}, 32, 32, 8, 8, 2000)
 }
 
 func TestPerProducerFIFO(t *testing.T) {
