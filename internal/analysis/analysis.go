@@ -27,7 +27,9 @@
 //	//wfq:isolate            struct: hot atomic words must sit a full
 //	                         cache line apart (falseshare, amd64 + 386)
 //	//wfq:hot                field: include a plain field in the
-//	                         falseshare hot set (frequently written)
+//	                         falseshare hot set (frequently written);
+//	                         it must also own its line, a full line
+//	                         from every other field and both ends
 //	//wfq:cold               field: exclude an atomic field (rarely
 //	                         touched; sharing a line is fine)
 //	//wfq:padded             type: size must be a multiple of the cache

@@ -16,7 +16,12 @@
 //     sync/atomic types, atomicx.Counter, the pad.* wrappers — plus
 //     any plain field marked //wfq:hot (frequently written); an
 //     atomic field marked //wfq:cold (rarely touched, e.g. a
-//     diagnostics counter) is excluded.
+//     diagnostics counter) is excluded. A plain //wfq:hot field is
+//     written by its owner on every operation, so it must own its
+//     line: it also starts a full line from every other field and
+//     from both ends of the struct, where a neighbouring allocation
+//     sits. The names of one //wfq:hot declaration (`next, tid int`)
+//     are one unit, written together by one owner.
 //
 // Checking both architectures from one run matters because field sizes
 // diverge: atomic.Pointer and uintptr are 8 bytes on amd64 but 4 on
@@ -145,9 +150,13 @@ func checkIsolate(pass *analysis.Pass, ts *ast.TypeSpec) {
 
 	// Map each types.Struct field index to hot/cold, walking the AST
 	// field list in parallel (one AST field may declare several names).
+	// decl numbers the AST field each name comes from; plain marks the
+	// names of a //wfq:hot declaration of plain (non-atomic) fields.
 	hot := make([]bool, st.NumFields())
+	plain := make([]bool, st.NumFields())
+	decl := make([]int, st.NumFields())
 	idx := 0
-	for _, field := range stAst.Fields.List {
+	for d, field := range stAst.Fields.List {
 		n := len(field.Names)
 		if n == 0 {
 			n = 1 // embedded field
@@ -157,6 +166,8 @@ func checkIsolate(pass *analysis.Pass, ts *ast.TypeSpec) {
 		for i := 0; i < n && idx < st.NumFields(); i++ {
 			fv := st.Field(idx)
 			hot[idx] = !isCold && (isHot || isAtomicType(fv.Type()))
+			plain[idx] = isHot && !isAtomicType(fv.Type())
+			decl[idx] = d
 			idx++
 		}
 	}
@@ -171,9 +182,21 @@ func checkIsolate(pass *analysis.Pass, ts *ast.TypeSpec) {
 			pass.Reportf(ts.Name.Pos(), "//wfq:isolate struct %s: cannot compute %s layout (%v); instantiate the generic or drop the directive", ts.Name.Name, arch, err)
 			return
 		}
+		size, err := sizeof(pass.ArchSizes[arch], obj.Type())
+		if err != nil {
+			pass.Reportf(ts.Name.Pos(), "//wfq:isolate struct %s: cannot compute %s size (%v); instantiate the generic or drop the directive", ts.Name.Name, arch, err)
+			return
+		}
 		prev := -1
 		for i := range fields {
 			if !hot[i] {
+				continue
+			}
+			if plain[i] && (i == 0 || decl[i-1] != decl[i]) {
+				checkOwnLine(pass, ts, arch, fields, offs, decl, i, size)
+			}
+			if prev >= 0 && plain[i] && decl[prev] == decl[i] {
+				prev = i // one //wfq:hot declaration: one unit
 				continue
 			}
 			if prev >= 0 && offs[i]-offs[prev] < cacheLine {
@@ -182,6 +205,30 @@ func checkIsolate(pass *analysis.Pass, ts *ast.TypeSpec) {
 			}
 			prev = i
 		}
+	}
+}
+
+// checkOwnLine reports the nearest intrusion on the line of the plain
+// //wfq:hot declaration starting at field i: another non-blank field,
+// or an end of the struct (a neighbouring allocation), closer than a
+// cache line to its start.
+func checkOwnLine(pass *analysis.Pass, ts *ast.TypeSpec, arch string, fields []*types.Var, offs []int64, decl []int, i int, size int64) {
+	s := offs[i]
+	near, what := s, "the struct's start"
+	for j, f := range fields {
+		if decl[j] == decl[i] || f.Name() == "_" {
+			continue
+		}
+		if d := max(offs[j]-s, s-offs[j]); d < near {
+			near, what = d, fmt.Sprintf("field %s (offset %d)", f.Name(), offs[j])
+		}
+	}
+	if d := size - s; d < near {
+		near, what = d, "the struct's end"
+	}
+	if near < cacheLine {
+		pass.Reportf(ts.Name.Pos(), "//wfq:isolate struct %s: hot field %s (offset %d) is %d bytes from %s on %s; need >= %d so it owns its cache line (insert pad.Line)",
+			ts.Name.Name, fields[i].Name(), s, near, what, arch, cacheLine)
 	}
 }
 

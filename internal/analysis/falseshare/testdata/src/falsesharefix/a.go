@@ -64,7 +64,7 @@ type coldStats struct {
 // line with the atomic fires.
 //
 //wfq:isolate
-type hotPlain struct { // want "tail \\(offset 0\\) and cursor \\(offset 8\\)" "are 8 bytes apart on amd64"
+type hotPlain struct { // want "tail \\(offset 0\\) and cursor \\(offset 8\\)" "are 8 bytes apart on amd64" "cursor \\(offset 8\\) is 8 bytes from the struct's start on 386" "cursor \\(offset 8\\) is 8 bytes from the struct's start on amd64"
 	tail   atomic.Uint64
 	cursor uint64 //wfq:hot written every dequeue
 }
@@ -77,4 +77,49 @@ type archShared struct { // want "are 40 bytes apart on 386"
 	tail atomic.Uint64
 	_    [7]uintptr
 	head atomic.Uint64
+}
+
+// ownLine gives a goroutine's per-operation countdown a line of its
+// own, away from the pointers before it and from whatever the
+// allocator places after the struct. The two names of one //wfq:hot
+// declaration are one unit.
+//
+//wfq:isolate
+type ownLine struct {
+	q, r      *int
+	_         [64]byte
+	next, tid int //wfq:hot
+	_         [64]byte
+}
+
+// besidePointers pads against both neighbouring allocations but puts
+// the countdown on the pointers' line.
+//
+//wfq:isolate
+type besidePointers struct { // want "hot field next \\(offset 72\\) is 4 bytes from field r \\(offset 68\\) on 386" "hot field next \\(offset 80\\) is 8 bytes from field r \\(offset 72\\) on amd64"
+	_         [64]byte
+	q, r      *int
+	next, tid int //wfq:hot
+	_         [64]byte
+}
+
+// noTrailingPad leaves the countdown at the end of the struct, where
+// the next allocation's first words can share its line.
+//
+//wfq:isolate
+type noTrailingPad struct { // want "hot field next \\(offset 72\\) is 8 bytes from the struct's end on 386" "hot field next \\(offset 80\\) is 16 bytes from the struct's end on amd64"
+	q, r      *int
+	_         [64]byte
+	next, tid int //wfq:hot
+}
+
+// twoDecls declares the countdown and the cursor separately, so they
+// are two hot units and must sit a line apart.
+//
+//wfq:isolate
+type twoDecls struct { // want "next \\(offset 64\\) and tid \\(offset 72\\) are 8 bytes apart on amd64" "next \\(offset 64\\) and tid \\(offset 68\\) are 4 bytes apart on 386" "next \\(offset 64\\) is 8 bytes from field tid \\(offset 72\\) on amd64" "tid \\(offset 72\\) is 8 bytes from field next \\(offset 64\\) on amd64" "next \\(offset 64\\) is 4 bytes from field tid \\(offset 68\\) on 386" "tid \\(offset 68\\) is 4 bytes from field next \\(offset 64\\) on 386"
+	_    [64]byte
+	next int //wfq:hot
+	tid  int //wfq:hot
+	_    [64]byte
 }

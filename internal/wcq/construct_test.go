@@ -12,7 +12,8 @@ import (
 // storeBuilt builds the ring the constructors built before they wrote
 // entries with plain stores: every entry through a sequentially
 // consistent Store, and for a full ring the index entries overwritten
-// the same way. It is the reference TestNewRingMatchesStores compares
+// the same way, each built field by field by the layout_test.go
+// oracle. It is the reference TestNewRingMatchesStores compares
 // against.
 func storeBuilt(t *testing.T, capacity uint64, opts *Options, full bool) *Ring {
 	t.Helper()
@@ -21,7 +22,7 @@ func storeBuilt(t *testing.T, capacity uint64, opts *Options, full bool) *Ring {
 		t.Fatal(err)
 	}
 	l := &q.lay
-	w := l.initialWord()
+	w := l.pack(entry{safe: true, enq: true, index: l.oBottom()})
 	for i := range q.entries {
 		q.entries[i].Store(w)
 	}

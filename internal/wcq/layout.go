@@ -27,6 +27,15 @@
 // (>= 2^39 ≈ 5·10^11 operations for the paper's 2^16-entry ring, far
 // beyond any benchmark in the paper). Capacity is capped so that w >= 16.
 //
+// The operations never split a word into these fields. They test and
+// build whole words with masks (the words type): "Index is ⊥ or ⊥c" is
+// w&idxMask >= ⊥, a cycle is compared in place against the ticket's
+// cycle shifted to the same bits, and a CAS that keeps Note (or Value)
+// keeps it by masking. So wCQ's fast path costs what SCQ's does, plus
+// the Note and Enq bits it carries (Fig. 5) and the helping countdown
+// of Fig. 6, which lives in the Handle because the paper's
+// next_check/next_tid are thread-local.
+//
 // The global Head and Tail are {counter, phase2-pointer} pairs in the
 // paper; we pack them as a 48-bit counter plus a 16-bit thread index
 // (0 = null), exactly the substitution §4 recommends.
@@ -35,7 +44,11 @@
 // counter: INC (increment in phase 1) and FIN (request finished).
 package wcq
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/ring"
+)
 
 const (
 	// cntBits is the width of the packed global Head/Tail counter.
@@ -73,106 +86,160 @@ func globalCnt(w uint64) uint64 { return w & cntMask }
 //wfq:noalloc
 func globalTidp(w uint64) uint64 { return w >> tidShift }
 
-// layout holds the per-ring bit-field geometry.
+// layout holds the per-ring bit-field geometry, computed once by
+// newLayout.
 type layout struct {
-	order     uint   // log2(nSlots)
-	nSlots    uint64 // 2n
-	posMask   uint64 // nSlots-1
-	idxMask   uint64 // index field mask (== posMask)
-	enqBit    uint64 // 1 << order
-	safeBit   uint64 // 1 << (order+1)
-	cycBits   uint   // w
-	cycMask   uint64 // (1<<w)-1
-	vcShift   uint   // order+2
-	noteShift uint   // order+2+w
-	bottom    uint64 // ⊥
-	bottomC   uint64 // ⊥c
+	order   uint   //wfq:stable log2(nSlots)
+	nSlots  uint64 //wfq:stable 2n
+	posMask uint64 //wfq:stable nSlots-1
+	cycBits uint   //wfq:stable w
+	words   words  //wfq:stable the entry word's field masks
+}
+
+// words holds the masks of an entry word's fields. The ring operations
+// never split a word into its fields: each call copies words into a
+// local once (three words, which the compiler keeps in registers), and
+// tests and builds whole words through the methods below, which inline
+// to a mask and an or. A field kept across a transition is kept by
+// masking, as the paper's CAS2 keeps it.
+//
+// Cycles are compared in place: cycleOf(c) puts a counter's truncated
+// cycle where Value.Cycle sits in the word, so w&cycMask and cycleOf(c)
+// order as the cycles do.
+type words struct {
+	idxMask  uint64 // the Index field; also ⊥c, the largest index
+	cycMask  uint64 // the Value.Cycle field
+	noteMask uint64 // the Note field
 }
 
 func newLayout(capacity uint64) (layout, error) {
-	if capacity < 2 {
-		return layout{}, fmt.Errorf("wcq: capacity %d must be >= 2", capacity)
-	}
-	if capacity&(capacity-1) != 0 {
-		return layout{}, fmt.Errorf("wcq: capacity %d must be a power of two", capacity)
+	if capacity < 2 || !ring.IsPow2(capacity) {
+		return layout{}, fmt.Errorf("wcq: capacity %d must be a power of two >= 2", capacity)
 	}
 	nSlots := 2 * capacity
-	var order uint
-	for uint64(1)<<order < nSlots {
-		order++
-	}
+	order := ring.Order(nSlots)
 	w := (62 - order) / 2
 	if w < minCycleBits {
 		return layout{}, fmt.Errorf("wcq: capacity %d too large (cycle field %d bits < %d)", capacity, w, minCycleBits)
 	}
-	l := layout{
-		order:     order,
-		nSlots:    nSlots,
-		posMask:   nSlots - 1,
-		idxMask:   nSlots - 1,
-		enqBit:    1 << order,
-		safeBit:   1 << (order + 1),
-		cycBits:   w,
-		cycMask:   (uint64(1) << w) - 1,
-		vcShift:   order + 2,
-		noteShift: order + 2 + w,
-		bottom:    nSlots - 2,
-		bottomC:   nSlots - 1,
-	}
-	return l, nil
+	cycMask := uint64(1)<<w - 1
+	return layout{
+		order:   order,
+		nSlots:  nSlots,
+		posMask: nSlots - 1,
+		cycBits: w,
+		words: words{
+			idxMask:  nSlots - 1,
+			cycMask:  cycMask << (order + 2),
+			noteMask: cycMask << (order + 2 + w),
+		},
+	}, nil
 }
 
-// entry is the unpacked view of a slot word.
-type entry struct {
-	note  uint64 // cycle recorded by "avert" operations; 0 = none
-	cycle uint64 // Value.Cycle
-	safe  bool
-	enq   bool
-	index uint64
-}
-
-// pack assembles the slot word.
+// noteOf returns counter c's truncated cycle in the Note field's place.
 //
 //wfq:noalloc
-func (l *layout) pack(e entry) uint64 {
-	w := e.note<<l.noteShift | e.cycle<<l.vcShift | e.index
-	if e.safe {
-		w |= l.safeBit
-	}
-	if e.enq {
-		w |= l.enqBit
-	}
-	return w
-}
+func (l *layout) noteOf(c uint64) uint64 { return c << (2 + l.cycBits) & l.words.noteMask }
 
-// unpack splits a slot word.
-//
-//wfq:noalloc
-func (l *layout) unpack(w uint64) entry {
-	return entry{
-		note:  w >> l.noteShift & l.cycMask,
-		cycle: w >> l.vcShift & l.cycMask,
-		safe:  w&l.safeBit != 0,
-		enq:   w&l.enqBit != 0,
-		index: w & l.idxMask,
-	}
-}
-
-// withNote returns w with only the Note field replaced — the paper's
-// "avert" CAS2 that keeps Value intact.
-//
-//wfq:noalloc
-func (l *layout) withNote(w, note uint64) uint64 {
-	return w&^(l.cycMask<<l.noteShift) | note<<l.noteShift
-}
-
-// cycleOf maps a Head/Tail counter value to its (truncated) ring cycle.
-//
-//wfq:noalloc
-func (l *layout) cycleOf(c uint64) uint64 { return c >> l.order & l.cycMask }
-
-// initialWord is the slot state at construction: {Note: none,
+// initialWord is the entry state at construction: {Note: none,
 // Cycle 0, IsSafe, Enq, Index ⊥}.
 func (l *layout) initialWord() uint64 {
-	return l.pack(entry{note: 0, cycle: 0, safe: true, enq: true, index: l.bottom})
+	m := l.words
+	return m.safeBit() | m.enqBit() | m.bottom()
 }
+
+// enqBit is the Enq bit, just above Index.
+//
+//wfq:noalloc
+func (m words) enqBit() uint64 { return m.idxMask + 1 }
+
+// safeBit is the IsSafe bit, just above Enq.
+//
+//wfq:noalloc
+func (m words) safeBit() uint64 { return (m.idxMask + 1) << 1 }
+
+// bottom is ⊥, the index of an entry no value has been put in this
+// cycle (⊥c, one above, marks a consumed entry).
+//
+//wfq:noalloc
+func (m words) bottom() uint64 { return m.idxMask - 1 }
+
+// cycleOf returns counter c's truncated cycle in Value.Cycle's place.
+// c's cycle starts at bit o and Value.Cycle at bit o+2, so a shift by
+// two moves it there; the mask truncates it to w bits and drops c's
+// position bits.
+//
+//wfq:noalloc
+func (m words) cycleOf(c uint64) uint64 { return c << 2 & m.cycMask }
+
+// index returns w's Index field.
+//
+//wfq:noalloc
+func (m words) index(w uint64) uint64 { return w & m.idxMask }
+
+// cycle returns w's Value.Cycle field, in place.
+//
+//wfq:noalloc
+func (m words) cycle(w uint64) uint64 { return w & m.cycMask }
+
+// note returns w's Note field, in place.
+//
+//wfq:noalloc
+func (m words) note(w uint64) uint64 { return w & m.noteMask }
+
+// free reports whether w's Index is ⊥ or ⊥c: no value sits in the
+// entry.
+//
+//wfq:noalloc
+func (m words) free(w uint64) bool { return w&m.idxMask >= m.idxMask-1 }
+
+// safe reports w's IsSafe bit.
+//
+//wfq:noalloc
+func (m words) safe(w uint64) bool { return w&m.safeBit() != 0 }
+
+// enqueued is the word a fast-path enqueue of index at cycle cw
+// (cycleOf) writes over w: Note kept, Value := {cw, IsSafe, Enq,
+// index}.
+//
+//wfq:noalloc
+func (m words) enqueued(w, cw, index uint64) uint64 {
+	return w&m.noteMask | cw | m.safeBit() | m.enqBit() | index
+}
+
+// produced is the first of the slow path's two steps (Fig. 7): the
+// same as enqueued but with Enq 0, which marks the entry as still
+// tied to its help request.
+//
+//wfq:noalloc
+func (m words) produced(w, cw, index uint64) uint64 {
+	return w&m.noteMask | cw | m.safeBit() | index
+}
+
+// passed is the word a dequeuer at cycle cw leaves in a free entry it
+// could not consume: Note and IsSafe kept, Cycle := cw, Enq set,
+// Index := ⊥, so no enqueuer of an older cycle can fill it.
+//
+//wfq:noalloc
+func (m words) passed(w, cw uint64) uint64 {
+	return w&(m.noteMask|m.safeBit()) | cw | m.enqBit() | m.bottom()
+}
+
+// unsafe is w with IsSafe cleared and everything else kept: a dequeuer
+// passing an entry that holds an older cycle's value.
+//
+//wfq:noalloc
+func (m words) unsafe(w uint64) uint64 { return w &^ m.safeBit() }
+
+// averted is w with its Note replaced by nc (noteOf) and Value kept:
+// the paper's "avert" CAS2, which keeps helpers of cycle nc and older
+// out of the entry.
+//
+//wfq:noalloc
+func (m words) averted(w, nc uint64) uint64 { return w&^m.noteMask | nc }
+
+// consumedBits are the bits a consume ORs in: Index := ⊥c and Enq := 1,
+// everything else kept.
+//
+//wfq:noalloc
+func (m words) consumedBits() uint64 { return m.idxMask | m.enqBit() }

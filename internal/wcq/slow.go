@@ -154,35 +154,33 @@ func (q *Ring) loadGlobalHelpPhase2(global *counterRef, mylocal *atomic.Uint64) 
 //wfq:noalloc
 func (q *Ring) tryEnqSlow(t, index uint64, r *record) bool {
 	l := &q.lay
-	thresh3 := q.thresh3 // hoisted: loop-invariant (//wfq:stable)
-	tCycle := l.cycleOf(t)
+	m, thresh3 := l.words, q.thresh3 // hoisted: loop-invariant (//wfq:stable)
+	tc, tn := m.cycleOf(t), l.noteOf(t)
 	e := &q.entries[ring.Slot(t&l.posMask, l.order)]
 	for {
 		w := e.Load()
-		ent := l.unpack(w)
-		if ent.cycle == tCycle {
+		if m.cycle(w) == tc {
 			// Our group already filled this slot (possibly consumed
 			// since: ⊥c) — unless a dequeuer group marked it ⊥ first,
 			// in which case the position is burnt and we move on.
-			return ent.index != l.bottom
+			return m.index(w) != m.bottom()
 		}
-		if !cycLess(ent.cycle, tCycle) {
+		if !cycLess(m.cycle(w), tc) {
 			return false // stale ticket; the group has moved on
 		}
-		if !cycLess(ent.note, tCycle) {
+		if !cycLess(m.note(w), tn) {
 			return false // a peer averted this slot for all of us
 		}
-		if (!ent.safe && q.headCnt() > t) ||
-			(ent.index != l.bottom && ent.index != l.bottomC) {
+		if (!m.safe(w) && q.headCnt() > t) || !m.free(w) {
 			// Unusable slot: avert helper enqueuers from using it even
 			// if its state later changes (Note := Cycle(T)).
-			if !e.CompareAndSwap(w, l.withNote(w, tCycle)) {
+			if !e.CompareAndSwap(w, m.averted(w, tn)) {
 				continue
 			}
 			return false
 		}
 		// Produce the entry in two steps: Enq=0 first.
-		nw := l.pack(entry{note: ent.note, cycle: tCycle, safe: true, enq: false, index: index})
+		nw := m.produced(w, tc, index)
 		if !e.CompareAndSwap(w, nw) {
 			continue
 		}
@@ -190,7 +188,7 @@ func (q *Ring) tryEnqSlow(t, index uint64, r *record) bool {
 		// already consumed the entry it set FIN for us (consume/
 		// finalize_request) and the OR below has happened or will.
 		if r.localTail.CompareAndSwap(t, t|flagFIN) {
-			e.CompareAndSwap(nw, nw|l.enqBit)
+			e.CompareAndSwap(nw, nw|m.enqBit())
 		}
 		if q.threshold.Load() != thresh3 {
 			q.threshold.Store(thresh3)
@@ -207,37 +205,35 @@ func (q *Ring) tryEnqSlow(t, index uint64, r *record) bool {
 //wfq:noalloc
 func (q *Ring) tryDeqSlow(h uint64, r *record) bool {
 	l := &q.lay
-	hCycle := l.cycleOf(h)
+	m := l.words // hoisted: loop-invariant (//wfq:stable)
+	hc, hn := m.cycleOf(h), l.noteOf(h)
 	e := &q.entries[ring.Slot(h&l.posMask, l.order)]
 	for {
 		w := e.Load()
-		ent := l.unpack(w)
-		if ent.cycle == hCycle && ent.index != l.bottom {
+		if m.cycle(w) == hc && m.index(w) != m.bottom() {
 			// Ready (a real index, or ⊥c if consumed by the helpee).
 			r.localHead.CompareAndSwap(h, h|flagFIN)
 			return true
 		}
-		if ent.index != l.bottom && ent.index != l.bottomC {
+		if !m.free(w) {
 			// Occupied by an older cycle.
-			if cycLess(ent.cycle, hCycle) && cycLess(ent.note, hCycle) {
+			if cycLess(m.cycle(w), hc) && cycLess(m.note(w), hn) {
 				// Avert helper dequeuers from this slot first.
-				if !e.CompareAndSwap(w, l.withNote(w, hCycle)) {
+				if !e.CompareAndSwap(w, m.averted(w, hn)) {
 					continue
 				}
 				continue // reload; the unsafe-marking branch follows
 			}
-			if cycLess(ent.cycle, hCycle) {
+			if cycLess(m.cycle(w), hc) {
 				// Mark unsafe so the old cycle's enqueuer cannot use it.
-				nw := l.pack(entry{note: ent.note, cycle: ent.cycle, safe: false, enq: ent.enq, index: ent.index})
-				if !e.CompareAndSwap(w, nw) {
+				if !e.CompareAndSwap(w, m.unsafe(w)) {
 					continue
 				}
 			}
-		} else if cycLess(ent.cycle, hCycle) {
+		} else if cycLess(m.cycle(w), hc) {
 			// Empty slot: raise it to our cycle with ⊥ so a late
 			// enqueuer of this ticket cannot fill it.
-			nw := l.pack(entry{note: ent.note, cycle: hCycle, safe: ent.safe, enq: true, index: l.bottom})
-			if !e.CompareAndSwap(w, nw) {
+			if !e.CompareAndSwap(w, m.passed(w, hc)) {
 				continue
 			}
 		}

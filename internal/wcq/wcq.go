@@ -119,7 +119,8 @@ func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) 
 		return nil, err
 	}
 	l := &q.lay
-	index0 := l.pack(entry{cycle: 1, safe: true, enq: true}) // Index is the low field: entry i is index0 | i
+	m := l.words
+	index0 := m.enqueued(0, m.cycleOf(l.nSlots), 0) // Index is the low field: entry i is index0 | i
 	ring.Seed(atomicx.Prepublish(q.entries), l.order, index0, capacity, l.initialWord())
 	q.tail.Store(l.nSlots + capacity)
 	q.threshold.Store(q.thresh3)
@@ -150,7 +151,7 @@ func newRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	q.tail.Init(o.Mode, lay.nSlots) // start at cycle 1
 	q.head.Init(o.Mode, lay.nSlots)
 	for i := range q.recs {
-		q.recs[i].init(i, o.HelpDelay)
+		q.recs[i].init(i)
 	}
 	return q, nil
 }
@@ -177,7 +178,7 @@ func (q *Ring) HandleAt(id int) (*Handle, error) {
 	if id < 0 || id >= len(q.recs) {
 		return nil, fmt.Errorf("wcq: thread record %d outside the census [0, %d)", id, len(q.recs))
 	}
-	return &Handle{q: q, r: &q.recs[id]}, nil
+	return &Handle{q: q, r: &q.recs[id], nextCheck: q.opts.HelpDelay, nextTid: id + 1}, nil
 }
 
 // Cap returns the usable capacity n.
@@ -210,10 +211,11 @@ func (q *Ring) headCnt() uint64 { return globalCnt(q.head.Load()) }
 //
 //wfq:noalloc
 func (q *Ring) consume(h uint64, e *atomic.Uint64, w uint64, selfTid int) {
-	if w&q.lay.enqBit == 0 {
+	m := q.lay.words
+	if w&m.enqBit() == 0 {
 		q.finalizeRequest(h, selfTid)
 	}
-	atomicx.Or(e, q.lay.bottomC|q.lay.enqBit, q.emulate)
+	atomicx.Or(e, m.consumedBits(), q.emulate)
 }
 
 // finalizeRequest sets FIN on the localTail of the (unique) enqueue
@@ -243,16 +245,13 @@ func (q *Ring) finalizeRequest(h uint64, selfTid int) {
 //wfq:noalloc
 func (q *Ring) enqueueAt(t, index uint64) bool {
 	l := &q.lay
-	tCycle := l.cycleOf(t)
+	m := l.words // hoisted: loop-invariant (//wfq:stable)
+	tc := m.cycleOf(t)
 	e := &q.entries[ring.Slot(t&l.posMask, l.order)]
 	for {
 		w := e.Load()
-		ent := l.unpack(w)
-		if cycLess(ent.cycle, tCycle) &&
-			(ent.index == l.bottom || ent.index == l.bottomC) &&
-			(ent.safe || q.headCnt() <= t) {
-			nw := l.pack(entry{note: ent.note, cycle: tCycle, safe: true, enq: true, index: index})
-			if !e.CompareAndSwap(w, nw) {
+		if cycLess(m.cycle(w), tc) && m.free(w) && (m.safe(w) || q.headCnt() <= t) {
+			if !e.CompareAndSwap(w, m.enqueued(w, tc, index)) {
 				continue
 			}
 			return true
@@ -314,23 +313,22 @@ const (
 //wfq:noalloc
 func (q *Ring) dequeueAt(h uint64, selfTid int) (index uint64, st deqStatus) {
 	l := &q.lay
-	emulate := q.emulate // hoisted: loop-invariant (//wfq:stable)
-	hCycle := l.cycleOf(h)
+	m, emulate := l.words, q.emulate // hoisted: loop-invariant (//wfq:stable)
+	hc := m.cycleOf(h)
 	e := &q.entries[ring.Slot(h&l.posMask, l.order)]
 	for {
 		w := e.Load()
-		ent := l.unpack(w)
-		if ent.cycle == hCycle {
+		if m.cycle(w) == hc {
 			q.consume(h, e, w, selfTid)
-			return ent.index, deqGot
+			return m.index(w), deqGot
 		}
 		var nw uint64
-		if ent.index == l.bottom || ent.index == l.bottomC {
-			nw = l.pack(entry{note: ent.note, cycle: hCycle, safe: ent.safe, enq: true, index: l.bottom})
+		if m.free(w) {
+			nw = m.passed(w, hc)
 		} else {
-			nw = l.pack(entry{note: ent.note, cycle: ent.cycle, safe: false, enq: ent.enq, index: ent.index})
+			nw = m.unsafe(w)
 		}
-		if cycLess(ent.cycle, hCycle) {
+		if cycLess(m.cycle(w), hc) {
 			if !e.CompareAndSwap(w, nw) {
 				continue
 			}
@@ -401,7 +399,7 @@ func (q *Ring) Drained() bool { return q.headCnt() >= q.tailCnt() }
 //wfq:noalloc
 func (h *Handle) Enqueue(index uint64) {
 	q, r := h.q, h.r
-	q.helpThreads(r)
+	h.helpThreads()
 	var ticket uint64
 	patience := q.opts.EnqPatience // hoisted: one field load per op, not per attempt
 	for i := 0; i < patience; i++ {
@@ -434,7 +432,7 @@ func (h *Handle) Dequeue() (index uint64, ok bool) {
 	if q.threshold.Load() < 0 {
 		return 0, false // empty
 	}
-	q.helpThreads(r)
+	h.helpThreads()
 	var ticket uint64
 	patience := q.opts.DeqPatience // hoisted: one field load per op, not per attempt
 	for i := 0; i < patience; i++ {
@@ -460,13 +458,13 @@ func (h *Handle) Dequeue() (index uint64, ok bool) {
 	r.seq1.Store(seq + 1)
 	// Gather the slow-path result (Fig. 5, lines 48-54).
 	l := &q.lay
+	m := l.words
 	hh := r.localHead.Load() & cntMask
 	e := &q.entries[ring.Slot(hh&l.posMask, l.order)]
 	w := e.Load()
-	ent := l.unpack(w)
-	if ent.cycle == l.cycleOf(hh) && ent.index != l.bottom {
+	if m.cycle(w) == m.cycleOf(hh) && m.index(w) != m.bottom() {
 		q.consume(hh, e, w, r.tid)
-		return ent.index, true
+		return m.index(w), true
 	}
 	return 0, false
 }
@@ -497,12 +495,12 @@ func (h *Handle) EnqueueBatch(indices []uint64) {
 		h.Enqueue(indices[0])
 		return
 	}
-	q, r := h.q, h.r
+	q := h.q
 	t0 := globalCnt(q.tail.Add(uint64(k)))
 	thReset := false
 	met := q.opts.Metrics // hoisted: loop-invariant (//wfq:stable)
 	for j, idx := range indices {
-		q.helpThreads(r) // keep the helping cadence of k scalar ops
+		h.helpThreads() // keep the helping cadence of k scalar ops
 		if !q.enqueueAt(t0+uint64(j), idx) {
 			met.Inc(metrics.BatchDegrade)
 			for _, v := range indices[j:] {
@@ -562,7 +560,7 @@ func (h *Handle) DequeueBatch(out []uint64) int {
 	filled := 0
 	sawRetry := false
 	for j := uint64(0); j < k; j++ {
-		q.helpThreads(r)
+		h.helpThreads()
 		switch idx, st := q.dequeueAt(h0+j, r.tid); st {
 		case deqGot:
 			out[filled] = idx
@@ -588,19 +586,23 @@ func (h *Handle) DequeueBatch(out []uint64) int {
 }
 
 // helpThreads periodically scans for pending help requests (Fig. 6).
+// Its cadence lives in the Handle, as the paper's next_check and
+// next_tid are thread-local: the countdown is written on every
+// operation, and no other thread reads it.
 //
 //wfq:noalloc
-func (q *Ring) helpThreads(r *record) {
-	r.nextCheck--
-	if r.nextCheck != 0 {
+func (h *Handle) helpThreads() {
+	h.nextCheck--
+	if h.nextCheck != 0 {
 		return
 	}
-	r.nextCheck = q.opts.HelpDelay
-	if r.nextTid >= len(q.recs) {
-		r.nextTid = 0
+	q, r := h.q, h.r
+	h.nextCheck = q.opts.HelpDelay
+	if h.nextTid >= len(q.recs) {
+		h.nextTid = 0
 	}
-	thr := &q.recs[r.nextTid]
-	r.nextTid = (r.nextTid + 1) % len(q.recs)
+	thr := &q.recs[h.nextTid]
+	h.nextTid = (h.nextTid + 1) % len(q.recs)
 	if thr == r || !thr.pending.Load() {
 		return
 	}

@@ -1,6 +1,7 @@
 package wcq
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -386,6 +387,31 @@ func TestRecSizeMatchesRecord(t *testing.T) {
 	if got, want := q.Footprint(), uint64(128*8+3*recSize+6*pad.CacheLineSize); got != want {
 		t.Fatalf("Footprint = %d, want %d", got, want)
 	}
+}
+
+// TestRecordHoldsOnlySharedState: record is the state other threads
+// read, so besides tid, fixed at construction, every field is an
+// atomic word or padding. A plain field there would be thread-local
+// state written on a line peers read on their helping scans; the
+// helping cadence (nextCheck, nextTid) lives in the Handle for that
+// reason.
+func TestRecordHoldsOnlySharedState(t *testing.T) {
+	recType := reflect.TypeFor[record]()
+	var check func(typ reflect.Type, path string)
+	check = func(typ reflect.Type, path string) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			switch {
+			case f.Name == "_", typ == recType && f.Name == "tid":
+			case f.Type.PkgPath() == "sync/atomic":
+			case f.Type.Kind() == reflect.Struct && f.Type.PkgPath() == recType.PkgPath():
+				check(f.Type, path+f.Name+".")
+			default:
+				t.Errorf("record field %s%s is a plain %v", path, f.Name, f.Type)
+			}
+		}
+	}
+	check(recType, "")
 }
 
 func TestNoAllocationSteadyState(t *testing.T) {
