@@ -11,22 +11,19 @@
 //	wcqstressd -addr :9100 -interval 2s -snapshots snap.jsonl
 //	wcqstressd -duration 30s                    # bounded soak (CI smoke)
 //	wcqstressd -validate snap.jsonl             # check a snapshot log and exit
-//	wcqstressd -scenario all -duration 5s       # production-readiness scenarios
-//	wcqstressd -scenario memory_stress -queue UWCQ   # one scenario, one queue
 //	wcqstressd -scenario checker -queue all -duration 2s     # correctness
 //	wcqstressd -scenario checker -queue all -slowpath        # wCQ helped paths
 //	wcqstressd -scenario checker -queue UWCQ -capacity 64    # ring turnover
 //	wcqstressd -scenario checker -blocking -batch 16 -queue all
 //
-// The checker scenario is the long validation run: rounds of the MPMC
-// correctness checker (no loss, no duplication, per-producer FIFO) on
-// a fresh queue each, until -duration elapses, for each queue -queue
-// names. Every round mixes scalar and batch operations; -batch N caps
-// the batch length (default 16). With -blocking the rounds drive the
-// blocking surface and end in Close and a drain, and "all" means every
-// Chan facade instead of every real queue. A queue the flags cannot
-// build is a SKIP, not a failure. The other scenarios are the stress
-// tier: memory_stress and high_frequency.
+// The checker, the one -scenario, is the long validation run: rounds
+// of the MPMC correctness checker (no loss, no duplication,
+// per-producer FIFO) on a fresh queue each, until -duration elapses,
+// for each queue -queue names. Every round mixes scalar and batch
+// operations; -batch N caps the batch length (default 16). With
+// -blocking the rounds drive the blocking surface and end in Close and
+// a drain, and "all" means every Chan facade instead of every real
+// queue. A queue the flags cannot build is a SKIP, not a failure.
 //
 // Endpoints:
 //
@@ -49,7 +46,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -72,7 +68,7 @@ func main() {
 		snapshots = flag.String("snapshots", "", "append one wcqbench/v1 JSON line per interval to this file")
 		duration  = flag.Duration("duration", 0, "total run time (0 = until SIGINT/SIGTERM)")
 		validate  = flag.String("validate", "", "validate a wcqbench/v1 snapshot file and exit")
-		scenario  = flag.String("scenario", "", "run a scenario (checker, memory_stress, high_frequency, or 'all') against -queue and exit")
+		scenario  = flag.String("scenario", "", "run the checker scenario (the only one) against -queue and exit")
 	)
 	shared := clihelper.Register(flag.CommandLine, 1<<8)
 	flag.Parse()
@@ -101,7 +97,7 @@ func main() {
 	cfg := shared.Config(n + 4)
 
 	if *scenario != "" {
-		if err := runScenarios(*scenario, *queueName, shared, cfg, n, *duration); err != nil {
+		if err := runScenario(*scenario, *queueName, shared, cfg, n, *duration); err != nil {
 			fmt.Fprintln(os.Stderr, "wcqstressd: scenario FAIL:", err)
 			os.Exit(1)
 		}
@@ -203,44 +199,17 @@ loop:
 	fmt.Println("wcqstressd: clean shutdown")
 }
 
-// runScenarios executes the named scenario (or every one, for "all")
-// against the selected queue: the correctness checker and the
-// production-readiness stress tier. Any loss, duplication, order
-// violation, footprint leak or livelock surfaces as the scenario's
-// error and a nonzero exit.
-func runScenarios(scenario, queueName string, shared *clihelper.Flags, cfg queues.Config, threads int, duration time.Duration) error {
-	valid := append([]string{"checker"}, harness.StressScenarioNames()...)
-	names := []string{scenario}
-	if scenario == "all" {
-		names = valid
-	} else if !slices.Contains(valid, scenario) {
-		return fmt.Errorf("unknown scenario %q (want one of %v or all)", scenario, valid)
+// runScenario runs the named scenario against the selected queue. The
+// checker is the only one: any loss, duplication or order violation
+// surfaces as its error and a nonzero exit.
+func runScenario(scenario, queueName string, shared *clihelper.Flags, cfg queues.Config, threads int, duration time.Duration) error {
+	if scenario != "checker" {
+		return fmt.Errorf("unknown scenario %q (want checker)", scenario)
 	}
 	if duration <= 0 {
 		duration = 5 * time.Second
 	}
-	for _, s := range names {
-		if s == "checker" {
-			if err := runChecker(queueName, shared, cfg, threads, duration); err != nil {
-				return err
-			}
-			continue
-		}
-		res, err := harness.RunStress(s, queueName, cfg, harness.StressOpts{
-			Threads:  threads,
-			Duration: duration,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wcqstressd: %s/%s ok: %d transfers in %v, footprint %.3f MB",
-			s, queueName, res.Transfers, res.Elapsed.Round(time.Millisecond), res.FootprintMB)
-		if res.Cycles > 0 {
-			fmt.Printf(", %d cycles, baseline %.3f MB", res.Cycles, res.BaselineMB)
-		}
-		fmt.Println()
-	}
-	return nil
+	return runChecker(queueName, shared, cfg, threads, duration)
 }
 
 // checkerPerProducer is the number of values each producer sends in

@@ -272,8 +272,8 @@ func runBatched(h queueapi.Handle, w Workload, perThread int, opts PointOpts, rn
 }
 
 // EvenSplit derives a producer/consumer split from a total goroutine
-// count: half produce, half consume (minimum one of each). The burst,
-// open-loop and stress workloads and the checker scenario all use it.
+// count: half produce, half consume (minimum one of each). The burst
+// and open-loop workloads and wcqstressd's checker scenario use it.
 func EvenSplit(threads int) (producers, consumers int) {
 	producers = max(threads/2, 1)
 	return producers, max(threads-producers, 1)

@@ -553,22 +553,30 @@ func TestTurnoverRaceKeepsLoserRing(t *testing.T) {
 }
 
 func TestFootprintAfterDrainCountsSpares(t *testing.T) {
-	// After a drain the queue retains its one live ring plus every
-	// handle's spare, and Footprint reports exactly that.
+	// After every drain the queue retains its one live ring plus every
+	// handle's spare, and Footprint reports exactly that: at least
+	// cycles concurrent fill/drain cycles, and on until one leaves a
+	// spare. A queue that kept rings a cycle had drained would grow past
+	// the count within a cycle or two.
+	const cycles = 8
 	for name, mk := range makers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			q := mk(t, 4)
 			perRing := q.Footprint()
 			hs := newHandles(t, q, 2)
-			raceUntil(t, hs, 64, func() bool { return spares(hs) > 0 })
-			if q.Rings() != 1 {
-				t.Fatalf("%d live rings after a drain, want 1", q.Rings())
-			}
-			if got, want := q.Footprint(), uint64(1+spares(hs))*perRing; got != want {
-				t.Fatalf("footprint %d B after drain, want %d B (1 ring + %d spares)",
-					got, want, spares(hs))
-			}
+			cycle := 0
+			raceUntil(t, hs, 64, func() bool {
+				cycle++
+				if q.Rings() != 1 {
+					t.Fatalf("cycle %d: %d live rings after a drain, want 1", cycle, q.Rings())
+				}
+				if got, want := q.Footprint(), uint64(1+spares(hs))*perRing; got != want {
+					t.Fatalf("cycle %d: footprint %d B after drain, want %d B (1 ring + %d spares)",
+						cycle, got, want, spares(hs))
+				}
+				return cycle >= cycles && spares(hs) > 0
+			})
 		})
 	}
 }

@@ -29,7 +29,7 @@ func storeBuilt(t *testing.T, capacity uint64, opts *Options, full bool) *Ring {
 	q.threshold.Store(-1)
 	if full {
 		for i := uint64(0); i < capacity; i++ {
-			q.entries[ring.Slot(i, l.order)].Store(l.pack(entry{cycle: 1, safe: true, enq: true, index: i}))
+			q.entries[ring.Slot(i, l.order)].Store(l.pack(entry{note: 1, cycle: 1, safe: true, enq: true, index: i}))
 		}
 		q.tail.Store(l.nSlots + capacity)
 		q.threshold.Store(q.thresh3)

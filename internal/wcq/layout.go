@@ -19,13 +19,34 @@
 //	bit  o                 Enq     (two-step insertion marker)
 //	bit  o+1               IsSafe
 //	bits [o+2, o+2+w)      Value.Cycle  (truncated to w bits)
-//	bits [o+2+w, o+2+2w)   Note         (a cycle; 0 = "no note")
+//	bits [o+2+w, o+2+2w)   Note         (a cycle, truncated to w bits)
 //
 // A single-word CAS atomically covers both halves, which is strictly
-// stronger than the paper's CAS2. The price is cycle truncation: the
-// queue supports ~2^(w+o) operations before a cycle field could wrap
-// (>= 2^39 ≈ 5·10^11 operations for the paper's 2^16-entry ring, far
-// beyond any benchmark in the paper). Capacity is capped so that w >= 16.
+// stronger than the paper's CAS2. The price is cycle truncation: a
+// cycle field wraps every 2^(w+o) tickets of its ring. Capacity is
+// capped so that w >= 16.
+//
+//	capacity   o    w   tickets to wrap
+//	2          2   30   2^32
+//	256        9   26   2^35
+//	2^16      17   22   2^39
+//	2^29      30   16   2^46
+//
+// So truncated cycles are ordered as serial numbers (RFC 1982): a comes
+// before b when b-a, taken mod 2^w, is in (0, 2^(w-1)] (cycBefore,
+// noteBefore). That order agrees with the untruncated one while the
+// cycles an operation compares differ by less than 2^(w-1), half a
+// window. It holds under one assumption: no thread stalls between its
+// F&A and its entry CAS for 2^(w-1) cycles or more, which is 2^31
+// tickets at capacity 2 and 2^38 at 2^16.
+//
+// The paper writes a Note only in the avert CAS, so an entry that is
+// never averted keeps its initial Note 0 while its cycle moves on; half
+// a window later serial order would read that Note as newer than every
+// ticket, and turn every slow-path enqueuer away. So the CASes that
+// move Value.Cycle up also raise a Note behind the new cycle to it
+// (raisedNote). A Note equal to the cycle turns away no ticket the
+// cycle test does not, so the raise changes no decision.
 //
 // The operations never split a word into these fields. They test and
 // build whole words with masks (the words type): "Index is ⊥ or ⊥c" is
@@ -38,7 +59,10 @@
 //
 // The global Head and Tail are {counter, phase2-pointer} pairs in the
 // paper; we pack them as a 48-bit counter plus a 16-bit thread index
-// (0 = null), exactly the substitution §4 recommends.
+// (0 = null), exactly the substitution §4 recommends. The counter is
+// not truncated, and it carries into the thread index after 2^48
+// tickets: that is a ring's supported lifetime (about 326 days at 10 M
+// tickets/s).
 //
 // Thread-local head/tail values carry two flag bits above the 48-bit
 // counter: INC (increment in phase 1) and FIN (request finished).
@@ -100,12 +124,12 @@ type layout struct {
 // never split a word into its fields: each call copies words into a
 // local once (three words, which the compiler keeps in registers), and
 // tests and builds whole words through the methods below, which inline
-// to a mask and an or. A field kept across a transition is kept by
-// masking, as the paper's CAS2 keeps it.
+// to a few masks, shifts and compares. A field kept across a transition
+// is kept by masking, as the paper's CAS2 keeps it.
 //
 // Cycles are compared in place: cycleOf(c) puts a counter's truncated
 // cycle where Value.Cycle sits in the word, so w&cycMask and cycleOf(c)
-// order as the cycles do.
+// subtract, and so order, as the cycles do.
 type words struct {
 	idxMask  uint64 // the Index field; also ⊥c, the largest index
 	cycMask  uint64 // the Value.Cycle field
@@ -198,13 +222,37 @@ func (m words) free(w uint64) bool { return w&m.idxMask >= m.idxMask-1 }
 //wfq:noalloc
 func (m words) safe(w uint64) bool { return w&m.safeBit() != 0 }
 
-// enqueued is the word a fast-path enqueue of index at cycle cw
-// (cycleOf) writes over w: Note kept, Value := {cw, IsSafe, Enq,
-// index}.
+// cycBefore reports whether in-place cycle a comes before b in serial
+// order (see the package comment): whether a-b, read as a w-bit two's
+// complement number, is negative. The field's top bit of a-b is that
+// sign bit.
 //
 //wfq:noalloc
-func (m words) enqueued(w, cw, index uint64) uint64 {
-	return w&m.noteMask | cw | m.safeBit() | m.enqBit() | index
+func (m words) cycBefore(a, b uint64) bool { return (a-b)&(m.cycMask&^(m.cycMask>>1)) != 0 }
+
+// noteBefore is cycBefore for in-place Notes.
+//
+//wfq:noalloc
+func (m words) noteBefore(a, b uint64) bool { return (a-b)&(m.noteMask&^(m.noteMask>>1)) != 0 }
+
+// raisedNote is w's Note, raised to cn (noteOf) when it comes before
+// cn: the Note a CAS that moves Value.Cycle to cn's cycle leaves.
+//
+//wfq:noalloc
+func (m words) raisedNote(w, cn uint64) uint64 {
+	if n := w & m.noteMask; !m.noteBefore(n, cn) {
+		return n
+	}
+	return cn
+}
+
+// enqueued is the word a fast-path enqueue of index at cycle cw
+// (cycleOf; cn is the same cycle's noteOf) writes over w: Note raised
+// to cn, Value := {cw, IsSafe, Enq, index}.
+//
+//wfq:noalloc
+func (m words) enqueued(w, cw, cn, index uint64) uint64 {
+	return m.raisedNote(w, cn) | cw | m.safeBit() | m.enqBit() | index
 }
 
 // produced is the first of the slow path's two steps (Fig. 7): the
@@ -212,17 +260,18 @@ func (m words) enqueued(w, cw, index uint64) uint64 {
 // tied to its help request.
 //
 //wfq:noalloc
-func (m words) produced(w, cw, index uint64) uint64 {
-	return w&m.noteMask | cw | m.safeBit() | index
+func (m words) produced(w, cw, cn, index uint64) uint64 {
+	return m.raisedNote(w, cn) | cw | m.safeBit() | index
 }
 
-// passed is the word a dequeuer at cycle cw leaves in a free entry it
-// could not consume: Note and IsSafe kept, Cycle := cw, Enq set,
-// Index := ⊥, so no enqueuer of an older cycle can fill it.
+// passed is the word a dequeuer at cycle cw (cn its noteOf) leaves in
+// a free entry it could not consume: Note raised to cn, IsSafe kept,
+// Cycle := cw, Enq set, Index := ⊥, so no enqueuer of an older cycle
+// can fill it.
 //
 //wfq:noalloc
-func (m words) passed(w, cw uint64) uint64 {
-	return w&(m.noteMask|m.safeBit()) | cw | m.enqBit() | m.bottom()
+func (m words) passed(w, cw, cn uint64) uint64 {
+	return m.raisedNote(w, cn) | w&m.safeBit() | cw | m.enqBit() | m.bottom()
 }
 
 // unsafe is w with IsSafe cleared and everything else kept: a dequeuer

@@ -29,6 +29,24 @@ func (l *layout) oBottom() uint64        { return l.nSlots - 2 }
 func (l *layout) oBottomC() uint64       { return l.nSlots - 1 }
 func (l *layout) oCycle(c uint64) uint64 { return c >> l.order & l.oCycMask() }
 
+// oBefore is the serial order of RFC 1982 on w-bit cycles a and b, a
+// before b, with the distance of exactly half a window (which RFC 1982
+// leaves undefined) read as "before" both ways, as the words' in-place
+// comparisons read it.
+func (l *layout) oBefore(a, b uint64) bool {
+	half := uint64(1) << (l.cycBits - 1)
+	return a < b && b-a <= half || a > b && a-b >= half
+}
+
+// oRaised is the Note a cycle-setting transition to cycle c leaves
+// over note: note, or c when note comes before it.
+func (l *layout) oRaised(note, c uint64) uint64 {
+	if l.oBefore(note, c) {
+		return c
+	}
+	return note
+}
+
 // pack assembles an entry word from its fields.
 func (l *layout) pack(e entry) uint64 {
 	w := e.note<<l.oNoteShift() | e.cycle<<l.oVCShift() | e.index
@@ -72,9 +90,11 @@ func everyLayout(t *testing.T) []layout {
 
 // sample is one random case at layout l: an entry, the counter (Head
 // or Tail ticket) an operation holds, and an index to enqueue. The
-// entry's cycle and note are drawn near the counter's cycle and its
-// index among ⊥, ⊥c and real indices, so every branch of the
-// operations is exercised at every order.
+// entry's cycle and note are drawn near the counter's cycle, or about
+// half a window from it, and its index among ⊥, ⊥c and real indices,
+// so every branch of the operations is exercised at every order. A
+// quarter of the counters sit within three cycles of the cycle
+// fields' wrap.
 type sample struct {
 	e     entry
 	c     uint64
@@ -82,17 +102,22 @@ type sample struct {
 }
 
 func randSample(l *layout, rng *rand.Rand) sample {
-	cm := l.oCycMask()
+	cm, half := l.oCycMask(), uint64(1)<<(l.cycBits-1)
 	c := rng.Uint64() & cntMask
+	if rng.IntN(4) == 0 {
+		c = (cm-2+rng.Uint64N(6))<<l.order | rng.Uint64N(l.nSlots)
+	}
 	cc := l.oCycle(c)
 	near := func() uint64 {
-		switch rng.IntN(4) {
+		switch rng.IntN(5) {
 		case 0:
 			return cc
 		case 1:
 			return (cc - 1 - rng.Uint64N(3)) & cm
 		case 2:
 			return (cc + 1 + rng.Uint64N(3)) & cm
+		case 3:
+			return (cc + half - 1 + rng.Uint64N(3)) & cm
 		}
 		return rng.Uint64() & cm
 	}
@@ -184,8 +209,10 @@ func TestWordFieldsMatchOracle(t *testing.T) {
 			cw == cc<<l.oVCShift() &&
 			nc == cc<<l.oNoteShift() &&
 			(m.cycle(w) == cw) == (e.cycle == cc) &&
-			cycLess(m.cycle(w), cw) == cycLess(e.cycle, cc) &&
-			cycLess(m.note(w), nc) == cycLess(e.note, cc) &&
+			m.cycBefore(m.cycle(w), cw) == l.oBefore(e.cycle, cc) &&
+			m.cycBefore(cw, m.cycle(w)) == l.oBefore(cc, e.cycle) &&
+			m.noteBefore(m.note(w), nc) == l.oBefore(e.note, cc) &&
+			m.noteBefore(nc, m.note(w)) == l.oBefore(cc, e.note) &&
 			m.free(w) == (e.index == l.oBottom() || e.index == l.oBottomC()) &&
 			m.safe(w) == e.safe &&
 			(w&m.enqBit() != 0) == e.enq
@@ -202,24 +229,24 @@ func TestWordTransitionsMatchOracle(t *testing.T) {
 	}{
 		{"enqueue", // enqueueAt
 			func(l *layout, w uint64, s sample) uint64 {
-				return l.words.enqueued(w, l.words.cycleOf(s.c), s.index)
+				return l.words.enqueued(w, l.words.cycleOf(s.c), l.noteOf(s.c), s.index)
 			},
 			func(l *layout, e entry, s sample) entry {
-				return entry{note: e.note, cycle: l.oCycle(s.c), safe: true, enq: true, index: s.index}
+				return entry{note: l.oRaised(e.note, l.oCycle(s.c)), cycle: l.oCycle(s.c), safe: true, enq: true, index: s.index}
 			}},
 		{"slow enqueue Enq=0", // tryEnqSlow's first step
 			func(l *layout, w uint64, s sample) uint64 {
-				return l.words.produced(w, l.words.cycleOf(s.c), s.index)
+				return l.words.produced(w, l.words.cycleOf(s.c), l.noteOf(s.c), s.index)
 			},
 			func(l *layout, e entry, s sample) entry {
-				return entry{note: e.note, cycle: l.oCycle(s.c), safe: true, enq: false, index: s.index}
+				return entry{note: l.oRaised(e.note, l.oCycle(s.c)), cycle: l.oCycle(s.c), safe: true, enq: false, index: s.index}
 			}},
 		{"dequeue ⊥", // dequeueAt and tryDeqSlow on a free entry
 			func(l *layout, w uint64, s sample) uint64 {
-				return l.words.passed(w, l.words.cycleOf(s.c))
+				return l.words.passed(w, l.words.cycleOf(s.c), l.noteOf(s.c))
 			},
 			func(l *layout, e entry, s sample) entry {
-				return entry{note: e.note, cycle: l.oCycle(s.c), safe: e.safe, enq: true, index: l.oBottom()}
+				return entry{note: l.oRaised(e.note, l.oCycle(s.c)), cycle: l.oCycle(s.c), safe: e.safe, enq: true, index: l.oBottom()}
 			}},
 		{"dequeue unsafe", // dequeueAt and tryDeqSlow on an older value
 			func(l *layout, w uint64, s sample) uint64 { return l.words.unsafe(w) },

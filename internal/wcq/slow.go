@@ -165,10 +165,10 @@ func (q *Ring) tryEnqSlow(t, index uint64, r *record) bool {
 			// in which case the position is burnt and we move on.
 			return m.index(w) != m.bottom()
 		}
-		if !cycLess(m.cycle(w), tc) {
+		if !m.cycBefore(m.cycle(w), tc) {
 			return false // stale ticket; the group has moved on
 		}
-		if !cycLess(m.note(w), tn) {
+		if !m.noteBefore(m.note(w), tn) {
 			return false // a peer averted this slot for all of us
 		}
 		if (!m.safe(w) && q.headCnt() > t) || !m.free(w) {
@@ -180,7 +180,7 @@ func (q *Ring) tryEnqSlow(t, index uint64, r *record) bool {
 			return false
 		}
 		// Produce the entry in two steps: Enq=0 first.
-		nw := m.produced(w, tc, index)
+		nw := m.produced(w, tc, tn, index)
 		if !e.CompareAndSwap(w, nw) {
 			continue
 		}
@@ -217,23 +217,23 @@ func (q *Ring) tryDeqSlow(h uint64, r *record) bool {
 		}
 		if !m.free(w) {
 			// Occupied by an older cycle.
-			if cycLess(m.cycle(w), hc) && cycLess(m.note(w), hn) {
+			if m.cycBefore(m.cycle(w), hc) && m.noteBefore(m.note(w), hn) {
 				// Avert helper dequeuers from this slot first.
 				if !e.CompareAndSwap(w, m.averted(w, hn)) {
 					continue
 				}
 				continue // reload; the unsafe-marking branch follows
 			}
-			if cycLess(m.cycle(w), hc) {
+			if m.cycBefore(m.cycle(w), hc) {
 				// Mark unsafe so the old cycle's enqueuer cannot use it.
 				if !e.CompareAndSwap(w, m.unsafe(w)) {
 					continue
 				}
 			}
-		} else if cycLess(m.cycle(w), hc) {
+		} else if m.cycBefore(m.cycle(w), hc) {
 			// Empty slot: raise it to our cycle with ⊥ so a late
 			// enqueuer of this ticket cannot fill it.
-			if !e.CompareAndSwap(w, m.passed(w, hc)) {
+			if !e.CompareAndSwap(w, m.passed(w, hc, hn)) {
 				continue
 			}
 		}

@@ -120,7 +120,7 @@ func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) 
 	}
 	l := &q.lay
 	m := l.words
-	index0 := m.enqueued(0, m.cycleOf(l.nSlots), 0) // Index is the low field: entry i is index0 | i
+	index0 := m.enqueued(0, m.cycleOf(l.nSlots), l.noteOf(l.nSlots), 0) // Index is the low field: entry i is index0 | i
 	ring.Seed(atomicx.Prepublish(q.entries), l.order, index0, capacity, l.initialWord())
 	q.tail.Store(l.nSlots + capacity)
 	q.threshold.Store(q.thresh3)
@@ -246,12 +246,12 @@ func (q *Ring) finalizeRequest(h uint64, selfTid int) {
 func (q *Ring) enqueueAt(t, index uint64) bool {
 	l := &q.lay
 	m := l.words // hoisted: loop-invariant (//wfq:stable)
-	tc := m.cycleOf(t)
+	tc, tn := m.cycleOf(t), l.noteOf(t)
 	e := &q.entries[ring.Slot(t&l.posMask, l.order)]
 	for {
 		w := e.Load()
-		if cycLess(m.cycle(w), tc) && m.free(w) && (m.safe(w) || q.headCnt() <= t) {
-			if !e.CompareAndSwap(w, m.enqueued(w, tc, index)) {
+		if m.cycBefore(m.cycle(w), tc) && m.free(w) && (m.safe(w) || q.headCnt() <= t) {
+			if !e.CompareAndSwap(w, m.enqueued(w, tc, tn, index)) {
 				continue
 			}
 			return true
@@ -324,11 +324,11 @@ func (q *Ring) dequeueAt(h uint64, selfTid int) (index uint64, st deqStatus) {
 		}
 		var nw uint64
 		if m.free(w) {
-			nw = m.passed(w, hc)
+			nw = m.passed(w, hc, l.noteOf(h))
 		} else {
 			nw = m.unsafe(w)
 		}
-		if cycLess(m.cycle(w), hc) {
+		if m.cycBefore(m.cycle(w), hc) {
 			if !e.CompareAndSwap(w, nw) {
 				continue
 			}
@@ -377,13 +377,6 @@ func (q *Ring) catchup(tail, head uint64) {
 		}
 	}
 }
-
-// cycLess compares two truncated cycle values. Cycles are monotonic and
-// far from wrapping in any supported run (see package comment), so a
-// plain comparison is used, as in the paper.
-//
-//wfq:noalloc
-func cycLess(a, b uint64) bool { return a < b }
 
 // Drained reports whether the head counter has caught the tail
 // counter (every enqueue ticket examined).
