@@ -58,42 +58,39 @@ func TestPublicBatchRoundTrip(t *testing.T) {
 		}
 		check(t, h.EnqueueBatch, h.DequeueBatch)
 	})
-	t.Run("ShardedUnbounded", func(t *testing.T) {
-		// The sharded-unbounded composition is public only as a Chan
-		// backend; its nonblocking batch calls reach the shards'
-		// native batches. Ring size 8 forces rollover inside the home
-		// shard mid-batch.
-		c, err := NewChan[int](8, 2, WithBackend(BackendShardedUnbounded))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := c.Handle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		try := func(f func([]int) (int, error)) func([]int) int {
-			return func(vs []int) int {
-				n, err := f(vs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return n
-			}
-		}
-		check(t, try(h.TrySendMany), try(h.TryRecvMany))
-	})
-	t.Run("Sharded", func(t *testing.T) {
+	// The sharded compositions are public only as Chan backends; their
+	// nonblocking batch calls reach the shards' native batches.
+	for _, c := range []struct {
+		name     string
+		backend  Backend
+		capacity uint64
+	}{
 		// Home-shard capacity is total/shards; 256/4 = 64 >= the batch.
-		q, err := NewSharded[int](256, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := q.Handle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, h.EnqueueBatch, h.DequeueBatch)
-	})
+		{"Sharded", BackendSharded, 256},
+		// Ring size 8 forces rollover inside the home shard mid-batch.
+		{"ShardedUnbounded", BackendShardedUnbounded, 8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ch, err := NewChan[int](c.capacity, 2, WithBackend(c.backend))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := ch.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			try := func(f func([]int) (int, error)) func([]int) int {
+				return func(vs []int) int {
+					n, err := f(vs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return n
+				}
+			}
+			check(t, try(h.TrySendMany), try(h.TryRecvMany))
+		})
+	}
 	t.Run("Unbounded", func(t *testing.T) {
 		q, err := NewUnbounded[int](2, WithRingCapacity(8)) // force ring rollover mid-batch
 		if err != nil {

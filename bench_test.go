@@ -57,46 +57,6 @@ func BenchmarkFig11c_Mixed5050(b *testing.B)        { benchFigure(b, "11c") }
 func BenchmarkFig12a_EmptyDequeuePPC(b *testing.B)  { benchFigure(b, "12a") }
 func BenchmarkFig12b_PairwisePPC(b *testing.B)      { benchFigure(b, "12b") }
 func BenchmarkFig12c_Mixed5050PPC(b *testing.B)     { benchFigure(b, "12c") }
-func BenchmarkFigS1_ShardedPairwise(b *testing.B)   { benchFigure(b, "s1") }
-func BenchmarkFigS2_ShardedMixed5050(b *testing.B)  { benchFigure(b, "s2") }
-
-// BenchmarkScaleOut pits a single wCQ ring against the sharded
-// composition at high producer counts — the contention regime where
-// the single fetch-and-add hot word becomes the bottleneck. Sub-runs
-// sweep pairwise and 50/50 workloads at 8 and 16 threads, scalar and
-// batched; Mops/s is the comparable metric.
-func BenchmarkScaleOut(b *testing.B) {
-	for _, w := range []harness.Workload{harness.Pairwise, harness.Mixed} {
-		for _, th := range []int{8, 16} {
-			for _, bench := range []struct {
-				queue string
-				batch int
-			}{
-				{"wCQ", 0},
-				{"Sharded", 0},
-				{"Sharded", 32},
-			} {
-				label := fmt.Sprintf("%s/%s/threads=%d", w, bench.queue, th)
-				if bench.batch > 0 {
-					label += fmt.Sprintf("/batch=%d", bench.batch)
-				}
-				b.Run(label, func(b *testing.B) {
-					cfg := queues.Config{Capacity: 1 << 12, MaxThreads: th + 1}
-					pt := harness.RunPoint(bench.queue, cfg, w, harness.PointOpts{
-						Threads: th,
-						Ops:     max(b.N, 200_000),
-						Reps:    1,
-						Batch:   bench.batch,
-					})
-					if pt.Err != nil {
-						b.Fatal(pt.Err)
-					}
-					b.ReportMetric(pt.Mops.Mean, "Mops/s")
-				})
-			}
-		}
-	}
-}
 
 // --- Public API microbenchmarks ---
 
@@ -130,28 +90,6 @@ func BenchmarkGoChannelPairSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkShardedPairSequential(b *testing.B) {
-	q, _ := wfqueue.NewSharded[uint64](1<<12, 2)
-	h, _ := q.Handle()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Enqueue(uint64(i))
-		h.Dequeue()
-	}
-}
-
-func BenchmarkShardedBatchSequential(b *testing.B) {
-	q, _ := wfqueue.NewSharded[uint64](1<<12, 2)
-	h, _ := q.Handle()
-	in := make([]uint64, 32)
-	out := make([]uint64, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(in) {
-		h.EnqueueBatch(in)
-		h.DequeueBatch(out)
-	}
-}
-
 func BenchmarkWCQPairParallel(b *testing.B) {
 	q, _ := wfqueue.New[uint64](1<<12, 64)
 	b.RunParallel(func(pb *testing.PB) {
@@ -173,21 +111,6 @@ func BenchmarkSCQPairParallel(b *testing.B) {
 		for pb.Next() {
 			q.Enqueue(1)
 			q.Dequeue()
-		}
-	})
-}
-
-func BenchmarkShardedPairParallel(b *testing.B) {
-	q, _ := wfqueue.NewSharded[uint64](1<<12, 64)
-	b.RunParallel(func(pb *testing.PB) {
-		h, err := q.Handle()
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		for pb.Next() {
-			h.Enqueue(1)
-			h.Dequeue()
 		}
 	})
 }

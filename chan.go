@@ -29,24 +29,25 @@ const (
 	// BackendSCQ buffers on the lock-free SCQ queue. It has no handle
 	// census, so a Chan over it accepts any number of Handles.
 	BackendSCQ
-	// BackendSharded buffers on the sharded wCQ composition (see
-	// NewSharded): four bounded wCQ shards.
+	// BackendSharded buffers on four bounded wCQ shards. Each handle
+	// sends to a fixed home shard and receives from every shard, so
+	// order is FIFO per handle only, and capacity (a power of two >=
+	// 8) is split evenly across the shards.
 	BackendSharded
 	// BackendUnbounded buffers on the unbounded linked-ring queue (see
 	// NewUnbounded): Send never blocks on capacity — only Recv parks —
 	// and NewChan's capacity parameter becomes the linked rings' size
 	// (the retained-memory granularity), not a bound.
 	BackendUnbounded
-	// BackendShardedUnbounded buffers on the sharded composition over
-	// four unbounded linked-ring wCQ shards (see NewSharded and
-	// NewUnbounded): the head/tail hot words are spread across shards
-	// AND Send never blocks on capacity — each shard grows
-	// independently, only Recv parks. The capacity parameter becomes
-	// each shard's ring size.
+	// BackendShardedUnbounded buffers on four unbounded linked-ring
+	// wCQ shards (see BackendSharded and NewUnbounded): the head/tail
+	// hot words are spread across shards AND Send never blocks on
+	// capacity — each shard grows independently, only Recv parks. The
+	// capacity parameter becomes each shard's ring size.
 	BackendShardedUnbounded
 )
 
-// String names the backend as the queue registry does.
+// String names the backend by the nonblocking core it buffers on.
 func (b Backend) String() string {
 	switch b {
 	case BackendWCQ:
@@ -177,10 +178,16 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		}
 		core, err = ringcore.New[T](ringcore.KindSCQ, capacity, maxThreads, &o.core)
 	case BackendSharded:
-		var q *ShardedQueue[T]
-		if q, err = NewSharded[T](capacity, maxThreads, opts...); err == nil {
-			core = q.q
+		// Four shards of at least two slots each; checked here so the
+		// error speaks of the total capacity, not of one shard's.
+		if capacity < 2*sharded.Shards || capacity&(capacity-1) != 0 {
+			return nil, fmt.Errorf("wfqueue: sharded capacity must be a power of two >= %d, got %d",
+				2*sharded.Shards, capacity)
 		}
+		if err = validate(capacity, maxThreads); err != nil {
+			return nil, err
+		}
+		core, err = sharded.New[T](capacity, maxThreads, &sharded.Options{Core: &o.core})
 	case BackendUnbounded:
 		// The capacity parameter becomes the linked rings' size: the
 		// buffer has no bound, so Send never parks. Validate it here —
@@ -261,6 +268,17 @@ func (c *Chan[T]) Cap() uint64 { return c.core.Cap() }
 // BackendShardedUnbounded it is the live ring footprint, which grows
 // with buffered values and shrinks after a drain.
 func (c *Chan[T]) Footprint() uint64 { return c.core.Footprint() }
+
+// Rings returns the number of live linked rings for BackendUnbounded
+// (at least one) and BackendShardedUnbounded (summed over the shards),
+// and 0 for the bounded backends, whose rings never change. Racy by
+// nature; for introspection and capacity planning.
+func (c *Chan[T]) Rings() int {
+	if r, ok := c.core.(interface{ Rings() int }); ok {
+		return r.Rings()
+	}
+	return 0
+}
 
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed.Load() }

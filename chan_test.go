@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -513,6 +514,50 @@ func ExampleChan() {
 	// Output:
 	// hello
 	// world
+}
+
+func TestChanShardedConstructorValidation(t *testing.T) {
+	// Four shards of at least two slots each: the total capacity must
+	// be a power of two >= 8, and the error says so in this package's
+	// words rather than the per-shard ones of the layer below.
+	for _, c := range []struct {
+		capacity uint64
+		ok       bool
+	}{{0, false}, {2, false}, {4, false}, {12, false}, {8, true}} {
+		ch, err := NewChan[int](c.capacity, 2, WithBackend(BackendSharded))
+		if c.ok {
+			if err != nil || ch.Cap() != c.capacity {
+				t.Errorf("NewChan(%d, BackendSharded): err = %v", c.capacity, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("NewChan(%d, BackendSharded) accepted", c.capacity)
+		} else if !strings.HasPrefix(err.Error(), "wfqueue: ") || !strings.Contains(err.Error(), "power of two >= 8") {
+			t.Errorf("NewChan(%d, BackendSharded): unhelpful error: %v", c.capacity, err)
+		}
+	}
+	if _, err := NewChan[int](8, 0, WithBackend(BackendSharded)); err == nil {
+		t.Error("NewChan(8, 0, BackendSharded) accepted zero maxThreads")
+	}
+}
+
+func TestChanShardedCrossHandleVisibility(t *testing.T) {
+	// A value sent through one handle's home shard is received through
+	// a handle homed on another shard: receivers scan every shard.
+	c, err := NewChan[int](32, 4, WithBackend(BackendSharded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	producer, _ := c.Handle()
+	consumer, _ := c.Handle()
+	if err := producer.Send(7); err != nil {
+		t.Fatal(err)
+	}
+	v, ok, err := consumer.TryRecv()
+	if !ok || err != nil || v != 7 {
+		t.Fatalf("cross-handle TryRecv got (%d, %v, %v), want 7", v, ok, err)
+	}
 }
 
 func TestChanUnboundedRejectsZeroCapacity(t *testing.T) {

@@ -1,7 +1,6 @@
 // Command wcqbench regenerates the tables behind every figure of the
 // wCQ paper's evaluation (SPAA '22, §6, Figs. 10-12) and the
-// post-paper figures: s1/s2 sharded scale-out, b1 blocking facade, u1
-// unbounded burst/drain, p2 native batch reservation, l1 open-loop
+// post-paper figures: b1 blocking facade, u1 unbounded burst/drain, p2 native batch reservation, l1 open-loop
 // latency vs offered load, and w1 blocking throughput and wait ladder
 // vs waiter count.
 //
@@ -11,8 +10,7 @@
 //	wcqbench -figure all -ops 1000000    # the full evaluation
 //	wcqbench -figure 10a -queues wCQ,SCQ,LCRQ
 //	wcqbench -figure all -record EXPERIMENTS.md
-//	wcqbench -figure s1                  # sharded scale-out sweep
-//	wcqbench -figure s2 -batch 32        # batched 50/50 workload
+//	wcqbench -figure 11c -batch 32       # batched 50/50 workload
 //	wcqbench -blocking                   # blocking figures + wakeup latency
 //	wcqbench -figure u1                  # unbounded burst/drain + peak footprint
 //	wcqbench -figure p2                  # native batch reservation sweep

@@ -7,7 +7,7 @@
 //
 //	wcqstressd                                  # Chan over wCQ, GOMAXPROCS workers
 //	wcqstressd -queue UWCQ -capacity 64         # unbounded: heavy ring turnover
-//	wcqstressd -queue ChanSharded               # sharded composition under parking
+//	wcqstressd -queue ChanSharded               # four wCQ shards under parking
 //	wcqstressd -addr :9100 -interval 2s -snapshots snap.jsonl
 //	wcqstressd -duration 30s                    # bounded soak (CI smoke)
 //	wcqstressd -validate snap.jsonl             # check a snapshot log and exit

@@ -31,25 +31,6 @@ func ExampleNew() {
 	// world
 }
 
-// The sharded composition: four wCQ rings behind one queue, with
-// native batch operations. One handle's values keep FIFO order.
-func ExampleNewSharded() {
-	q, err := wfqueue.NewSharded[int](16, 2)
-	if err != nil {
-		panic(err)
-	}
-	h, err := q.Handle()
-	if err != nil {
-		panic(err)
-	}
-	n := h.EnqueueBatch([]int{1, 2, 3})
-	out := make([]int, 4)
-	m := h.DequeueBatch(out)
-	fmt.Println(n, out[:m])
-	// Output:
-	// 3 [1 2 3]
-}
-
 // The blocking facade: Send/Recv park instead of spinning, and Close
 // drains gracefully — receives after Close keep returning buffered
 // values and only then report ErrClosed.

@@ -405,7 +405,7 @@ func checkBatchAtomicity(q queueapi.Queue, h queueapi.Handle, batch int) error {
 					return fmt.Errorf("idle queue rejected batch enqueue")
 				}
 				// The single-handle capacity is smaller than k (e.g. a
-				// sharded queue's home shard holds capacity/shards):
+				// sharded Chan's home shard holds capacity/shards):
 				// adopt the discovered bound and verify with it.
 				k = sent
 				in = in[:k]

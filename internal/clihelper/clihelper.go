@@ -20,7 +20,7 @@ import (
 type Flags struct {
 	// Capacity is the ring capacity: the total bound for bounded
 	// queues, the per-ring size for the unbounded variants (LSCQ,
-	// UWCQ, ShardedUnbounded and their Chan facades).
+	// UWCQ, ChanUnbounded and ChanShardedUnbounded).
 	Capacity uint64
 	// Batch > 1 drives batched enqueue/dequeue paths.
 	Batch int

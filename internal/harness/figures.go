@@ -16,7 +16,7 @@ import (
 type Axis uint8
 
 const (
-	// ThreadsAxis sweeps the goroutine count (Figs. 10-12, s1/s2, b1).
+	// ThreadsAxis sweeps the goroutine count (Figs. 10-12, b1).
 	ThreadsAxis Axis = iota
 	// BurstAxis sweeps the values enqueued per burst/drain cycle (u1).
 	BurstAxis
@@ -67,10 +67,7 @@ var (
 )
 
 // x86Queues is the Fig. 10/11 line-up; ppcQueues drops LCRQ (needs
-// CAS2), exactly as the paper does for PowerPC. scaleQueues is the
-// post-paper scale-out line-up: the single-ring queues against their
-// sharded composition, with FAA as the throughput ceiling.
-// blockingQueues is the figure b1 line-up: the Chan facade over each
+// CAS2), exactly as the paper does for PowerPC. blockingQueues is the figure b1 line-up: the Chan facade over each
 // supported backend. blockingThreads starts at 2 so every point has
 // at least one producer and one consumer.
 // burstSizes and burstRingCap shape figure u1: bursts from 4x to
@@ -79,7 +76,6 @@ var (
 var (
 	x86Queues       = []string{"FAA", "wCQ", "YMC", "CCQueue", "SCQ", "CRTurn", "MSQueue", "LCRQ"}
 	ppcQueues       = []string{"FAA", "wCQ", "YMC", "CCQueue", "SCQ", "CRTurn", "MSQueue"}
-	scaleQueues     = []string{"FAA", "wCQ", "SCQ", "Sharded"}
 	blockingQueues  = queues.BlockingQueues() // keep the b1 line-up in lockstep with the registry
 	blockingThreads = Sweep{ThreadsAxis, []float64{2, 4, 8, 18, 36, 72}}
 	unboundedQueues = queues.UnboundedQueues() // keep the u1 line-up in lockstep with the registry
@@ -88,7 +84,7 @@ var (
 	// batchQueues and batchSizes shape figure p2: every core with a
 	// native single-F&A batch reservation, swept from the scalar loop
 	// (batch 1) to far past the amortization knee.
-	batchQueues = []string{"wCQ", "SCQ", "Sharded", "UWCQ"}
+	batchQueues = []string{"wCQ", "SCQ", "UWCQ"}
 	batchSizes  = Sweep{BatchAxis, []float64{1, 8, 32, 128}}
 	// openLoopQueues and loadFractions shape figure l1: every blocking
 	// facade (their parked consumers are what open-loop latency is
@@ -131,13 +127,6 @@ func Figures() []Figure {
 			Mode: atomicx.EmulatedFAA, Queues: ppcQueues},
 		{ID: "12c", Title: "50%/50% enqueue-dequeue, emulated PowerPC (Mops/s)", Workload: Mixed, Sweep: ppcThreads,
 			Mode: atomicx.EmulatedFAA, Queues: ppcQueues},
-		// Beyond the paper: the sharded composition (4 wCQ shards)
-		// against the single-ring queues it is built from (-batch
-		// drives the batched loop).
-		{ID: "s1", Title: "Sharded scale-out, pairwise (Mops/s)", Workload: Pairwise, Sweep: x86Threads,
-			Mode: atomicx.NativeFAA, Queues: scaleQueues},
-		{ID: "s2", Title: "Sharded scale-out, 50%/50% (Mops/s)", Workload: Mixed, Sweep: x86Threads,
-			Mode: atomicx.NativeFAA, Queues: scaleQueues},
 		// Blocking facade: throughput under a 1:3 producer:consumer
 		// imbalance where idle consumers park instead of spinning
 		// (cmd/wcqbench -blocking also reports wakeup latency).

@@ -82,7 +82,7 @@ type Point struct {
 	MemoryMB float64 // peak memory consumed (cumulative static + heap)
 	// FootprintMB is the queue's own Footprint() at the end of a run:
 	// the construction-time allocation for the bounded queues (summed
-	// over shards for the sharded compositions) and the post-run live
+	// over shards for the sharded Chan) and the post-run live
 	// retention for the unbounded ones. Unlike MemoryMB it needs no
 	// heap sampling, so every point carries it.
 	FootprintMB float64

@@ -52,10 +52,10 @@ func TestLCRQUnavailableProducesErrPoint(t *testing.T) {
 
 func TestFiguresComplete(t *testing.T) {
 	figs := Figures()
-	if len(figs) != 15 {
-		t.Fatalf("have %d figures, want 15 (10a-12c + s1,s2 + b1 + u1 + p2 + l1 + w1)", len(figs))
+	if len(figs) != 13 {
+		t.Fatalf("have %d figures, want 13 (10a-12c + b1 + u1 + p2 + l1 + w1)", len(figs))
 	}
-	want := []string{"10a", "10b", "11a", "11b", "11c", "12a", "12b", "12c", "s1", "s2", "b1", "u1", "p2", "l1", "w1"}
+	want := []string{"10a", "10b", "11a", "11b", "11c", "12a", "12b", "12c", "b1", "u1", "p2", "l1", "w1"}
 	for i, f := range figs {
 		if f.ID != want[i] {
 			t.Fatalf("figure %d is %q, want %q", i, f.ID, want[i])
@@ -111,9 +111,9 @@ func TestFigureRunAndRender(t *testing.T) {
 }
 
 func TestRunPointBatched(t *testing.T) {
-	// The batched loop must work for a native Batcher (Sharded) and
-	// for fallback queues alike, on every workload.
-	for _, name := range []string{"Sharded", "wCQ"} {
+	// The batched loop must work for a native Batcher across ring
+	// turnover (UWCQ) and on a single ring (wCQ), on every workload.
+	for _, name := range []string{"UWCQ", "wCQ"} {
 		for _, w := range []Workload{Pairwise, Mixed, EmptyDeq} {
 			name, w := name, w
 			t.Run(name+"/"+w.String(), func(t *testing.T) {
@@ -128,24 +128,6 @@ func TestRunPointBatched(t *testing.T) {
 					t.Fatalf("non-positive throughput: %+v", pt.Mops)
 				}
 			})
-		}
-	}
-}
-
-func TestScaleOutFigures(t *testing.T) {
-	for _, id := range []string{"s1", "s2"} {
-		f, err := FigureByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, q := range f.Queues {
-			if q == "Sharded" {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("figure %s missing the Sharded queue", id)
 		}
 	}
 }
@@ -230,7 +212,7 @@ func TestBatchFigure(t *testing.T) {
 	if f.Sweep.Values[0] != 1 {
 		t.Fatal("figure p2 must include the scalar baseline (batch 1)")
 	}
-	for _, name := range []string{"wCQ", "SCQ", "Sharded", "UWCQ"} {
+	for _, name := range []string{"wCQ", "SCQ", "UWCQ"} {
 		found := false
 		for _, q := range f.Queues {
 			if q == name {

@@ -100,7 +100,7 @@ func WaitableHandle(q Queue) (Waitable, error) {
 // Batcher is the optional batch extension of Handle. Queues that can
 // amortize per-operation overhead — a single fetch-and-add reserving
 // the whole batch on the ring cores, shard selection paid once on the
-// sharded composition — implement it natively; everything else is
+// sharded Chan backends — implement it natively; everything else is
 // served by the EnqueueBatch/DequeueBatch fallbacks below, so
 // harnesses can drive batched workloads against any registered queue.
 type Batcher interface {

@@ -24,8 +24,9 @@ import (
 // nodes/segments by design and are excluded. The Chan facades make the
 // same claim for every operation that does not park; the root
 // package's TestChanZeroAllocNonParking guards it on all five backends
-// through the public API.
-var allocVariants = []string{"wCQ", "SCQ", "Sharded", "ShardedUnbounded", "LSCQ", "UWCQ"}
+// through the public API. The two sharded Chans are listed here too,
+// so the sharded steal path stays checked with a sink attached.
+var allocVariants = []string{"wCQ", "SCQ", "LSCQ", "UWCQ", "ChanSharded", "ChanShardedUnbounded"}
 
 // allocConfigs pairs each variant run with a disabled and an enabled
 // metrics sink.
@@ -114,11 +115,11 @@ func TestZeroAllocBatchHotPath(t *testing.T) {
 // TestZeroAllocSealedDrain covers the unbounded queues' other dequeue
 // path: a sealed head ring is drained without recycling its indices.
 // One full ring plus one value seals the head ring (the handle's home
-// shard's, for ShardedUnbounded), and every measured dequeue stays
+// shard's, for ChanShardedUnbounded), and every measured dequeue stays
 // inside it.
 func TestZeroAllocSealedDrain(t *testing.T) {
 	const batch = 8
-	for _, name := range []string{"LSCQ", "UWCQ", "ShardedUnbounded"} {
+	for _, name := range []string{"LSCQ", "UWCQ", "ChanShardedUnbounded"} {
 		for _, mc := range allocConfigs {
 			t.Run(name+"/"+mc.label, func(t *testing.T) {
 				cfg := testCfg()

@@ -1,14 +1,14 @@
 // Package queues adapts every queue implementation in this repository
 // to the common queueapi interface and provides a registry keyed by
 // the names used in the paper's figures (wCQ, SCQ, LCRQ, YMC, CRTurn,
-// CCQueue, MSQueue, FAA) plus the post-paper compositions (Sharded,
-// ShardedUnbounded, the unbounded LSCQ/UWCQ, and the blocking Chan
-// facades).
+// CCQueue, MSQueue, FAA) plus the post-paper compositions (the
+// unbounded LSCQ/UWCQ, and the blocking Chan facades, two of which
+// buffer on four wCQ shards).
 //
-// Every ring-based variant — both cores and every composition over
-// them — is adapted by ONE generic coreAdapter through the
-// ringcore.Core contract, so registering a new composition is a table
-// entry plus a small build function. Only the paper's external
+// Every nonblocking ring-based variant — both cores and the unbounded
+// compositions over them — is adapted by ONE generic coreQueue through
+// the ringcore.Core contract, so registering a new composition is a
+// table entry plus a small build function. Only the paper's external
 // baselines (LCRQ, YMC, CRTurn, CCQueue, MSQueue, FAA) and the
 // blocking Chan facades keep bespoke adapters.
 package queues
@@ -27,17 +27,17 @@ import (
 	"repro/internal/msq"
 	"repro/internal/queueapi"
 	"repro/internal/ringcore"
-	"repro/internal/sharded"
 	"repro/internal/unbounded"
 	"repro/internal/ymc"
 )
 
 // Config parameterizes queue construction.
 type Config struct {
-	// Capacity is the bounded-ring capacity (wCQ, SCQ, Sharded; the
-	// paper's benchmarks use 2^16) and the per-ring size of the
-	// unbounded variants (LSCQ, UWCQ, ShardedUnbounded), where it is a
-	// growth granularity rather than a bound.
+	// Capacity is the bounded-ring capacity (wCQ, SCQ, Chan,
+	// ChanSharded; the paper's benchmarks use 2^16) and the per-ring
+	// size of the unbounded variants (LSCQ, UWCQ, ChanUnbounded,
+	// ChanShardedUnbounded), where it is a growth granularity rather
+	// than a bound.
 	Capacity uint64
 	// MaxThreads bounds the number of Handle() calls for queues with
 	// per-thread state.
@@ -74,38 +74,20 @@ var registry = map[string]Builder{
 	"SCQ": newCoreBuilder("SCQ", func(cfg Config) (ringcore.Core[uint64], error) {
 		return ringcore.New[uint64](ringcore.KindSCQ, cfg.Capacity, cfg.MaxThreads, &cfg.Core)
 	}),
-	"Sharded":          newCoreBuilder("Sharded", buildSharded(false)),
-	"ShardedUnbounded": newCoreBuilder("ShardedUnbounded", buildSharded(true)),
-	"LSCQ":             newCoreBuilder("LSCQ", buildUnbounded(ringcore.KindSCQ)),
-	"UWCQ":             newCoreBuilder("UWCQ", buildUnbounded(ringcore.KindWCQ)),
-	"LCRQ":             newLCRQ,
-	"YMC":              newYMC,
-	"CRTurn":           newCRTurn,
-	"CCQueue":          newCCQueue,
-	"MSQueue":          newMSQueue,
-	"FAA":              newFAA,
-	"Chan":             newChanBuilder("Chan", wfqueue.BackendWCQ),
-	"ChanSCQ":          newChanBuilder("ChanSCQ", wfqueue.BackendSCQ),
-	"ChanSharded":      newChanBuilder("ChanSharded", wfqueue.BackendSharded),
-	"ChanUnbounded":    newChanBuilder("ChanUnbounded", wfqueue.BackendUnbounded),
+	"LSCQ":          newCoreBuilder("LSCQ", buildUnbounded(ringcore.KindSCQ)),
+	"UWCQ":          newCoreBuilder("UWCQ", buildUnbounded(ringcore.KindWCQ)),
+	"LCRQ":          newLCRQ,
+	"YMC":           newYMC,
+	"CRTurn":        newCRTurn,
+	"CCQueue":       newCCQueue,
+	"MSQueue":       newMSQueue,
+	"FAA":           newFAA,
+	"Chan":          newChanBuilder("Chan", wfqueue.BackendWCQ),
+	"ChanSCQ":       newChanBuilder("ChanSCQ", wfqueue.BackendSCQ),
+	"ChanSharded":   newChanBuilder("ChanSharded", wfqueue.BackendSharded),
+	"ChanUnbounded": newChanBuilder("ChanUnbounded", wfqueue.BackendUnbounded),
 	"ChanShardedUnbounded": newChanBuilder("ChanShardedUnbounded",
 		wfqueue.BackendShardedUnbounded),
-}
-
-// buildSharded returns the core build function for the sharded
-// compositions: sharded.Shards wCQ shards, bounded rings or
-// unbounded linked rings (per-shard growth, Cap 0).
-func buildSharded(unboundedShards bool) func(Config) (ringcore.Core[uint64], error) {
-	return func(cfg Config) (ringcore.Core[uint64], error) {
-		q, err := sharded.New[uint64](cfg.Capacity, cfg.MaxThreads, &sharded.Options{
-			Unbounded: unboundedShards,
-			Core:      &cfg.Core,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return q, nil
-	}
 }
 
 // buildUnbounded returns the core build function for the unbounded
@@ -142,11 +124,11 @@ func New(name string, cfg Config) (queueapi.Queue, error) {
 
 // RealQueues lists the names that are actual FIFO queues (excludes the
 // FAA pseudo-queue), in the paper's figure order, followed by the
-// post-paper compositions: the sharded queues, then the unbounded
-// linked-ring queues of Appendix A (LSCQ, UWCQ).
+// post-paper nonblocking compositions: the unbounded linked-ring
+// queues of Appendix A (LSCQ, UWCQ).
 func RealQueues() []string {
 	return []string{"wCQ", "SCQ", "LCRQ", "YMC", "CRTurn", "CCQueue", "MSQueue",
-		"Sharded", "ShardedUnbounded", "LSCQ", "UWCQ"}
+		"LSCQ", "UWCQ"}
 }
 
 // BlockingQueues lists the registered blocking (Chan) facades — the
@@ -160,14 +142,13 @@ func BlockingQueues() []string {
 // linked bounded rings — the figure u1 line-up, whose Footprint is a
 // live signal rather than a constant.
 func UnboundedQueues() []string {
-	return []string{"LSCQ", "UWCQ", "ShardedUnbounded", "ChanUnbounded", "ChanShardedUnbounded"}
+	return []string{"LSCQ", "UWCQ", "ChanUnbounded", "ChanShardedUnbounded"}
 }
 
 // --- The generic ringcore adapter ---
 
 // coreQueue adapts any ringcore.Core to queueapi: both ring cores and
-// every composition over them (sharded, unbounded, sharded-unbounded)
-// are served by this one type. Handles come straight from Acquire —
+// the unbounded compositions over them are served by this one type. Handles come straight from Acquire —
 // a ringcore.Handle already satisfies queueapi.Handle and the native
 // queueapi.Batcher structurally.
 type coreQueue struct {
@@ -409,6 +390,10 @@ func (w *chanQueue) Close() error      { return w.c.Close() }
 // Stats satisfies queueapi.Statser: the Chan's sink aggregates the
 // backing core plus the park points' park/wake/parked-duration data.
 func (w *chanQueue) Stats() metrics.Snapshot { return w.c.Stats() }
+
+// Rings forwards the Chan's live linked-ring population (0 for the
+// bounded backends), as coreQueue.Rings does for the nonblocking cores.
+func (w *chanQueue) Rings() int { return w.c.Rings() }
 
 // Enqueue and Dequeue keep the nonblocking contract (a closed Chan
 // reads as full and, once drained, empty).

@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/queueapi"
 	"repro/internal/ringcore"
-	"repro/internal/sharded"
 )
 
 func testCfg() Config {
@@ -19,7 +18,7 @@ func testCfg() Config {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Names()) != 17 {
+	if len(Names()) != 15 {
 		t.Fatalf("registry has %d entries: %v", len(Names()), Names())
 	}
 	if _, err := New("nope", testCfg()); err == nil {
@@ -72,16 +71,24 @@ func isBatchWaitable(h queueapi.Handle) bool { _, ok := h.(queueapi.BatchWaitabl
 // The conformance table: each test below is one row of rounds over a
 // slice of the registry.
 
+// nonblockingRows is the line-up of the nonblocking rows: every real
+// queue, plus the two Chans that buffer on internal/sharded, driven
+// through TrySend/TryRecv, so the sharded steal scan meets the same
+// shapes as a single ring.
+func nonblockingRows() []string {
+	return append(RealQueues(), "ChanSharded", "ChanShardedUnbounded")
+}
+
 // TestMPMCExactlyOnce: a 4x4 nonblocking round on every real queue.
 func TestMPMCExactlyOnce(t *testing.T) {
-	conformRounds(t, RealQueues(), nil,
+	conformRounds(t, nonblockingRows(), nil,
 		checker.Config{Producers: 4, Consumers: 4, PerProducer: 5000})
 }
 
 // TestSPSCOrder: a 1x1 round, where per-producer FIFO is strict
 // global FIFO.
 func TestSPSCOrder(t *testing.T) {
-	conformRounds(t, RealQueues(), nil,
+	conformRounds(t, nonblockingRows(), nil,
 		checker.Config{Producers: 1, Consumers: 1, PerProducer: 30000})
 }
 
@@ -242,13 +249,13 @@ func TestSinkReachesEveryQueue(t *testing.T) {
 			}
 		})
 	}
-	if checked != 11 {
-		t.Fatalf("checked %d ring-based and Chan queues, want 11", checked)
+	if checked != 9 {
+		t.Fatalf("checked %d ring-based and Chan queues, want 9", checked)
 	}
 }
 
 func TestDrainCycles(t *testing.T) {
-	for _, name := range RealQueues() {
+	for _, name := range nonblockingRows() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			q, err := New(name, testCfg())
@@ -264,7 +271,7 @@ func TestDrainCycles(t *testing.T) {
 
 func TestMPMCEmulatedFAA(t *testing.T) {
 	// The PowerPC configuration: every F&A is a CAS loop; LCRQ excluded.
-	for _, name := range RealQueues() {
+	for _, name := range nonblockingRows() {
 		if name == "LCRQ" {
 			continue
 		}
@@ -290,7 +297,7 @@ func TestMPMCAsymmetric(t *testing.T) {
 	// Many producers, one consumer and vice versa stress different
 	// contention corners (ring wrap vs. emptiness detection).
 	shapes := []struct{ p, c int }{{6, 1}, {1, 6}}
-	for _, name := range RealQueues() {
+	for _, name := range nonblockingRows() {
 		for _, sh := range shapes {
 			name, sh := name, sh
 			t.Run(name, func(t *testing.T) {
@@ -362,10 +369,10 @@ func TestBoundedFullBehaviour(t *testing.T) {
 }
 
 func TestFootprintSemantics(t *testing.T) {
-	// wCQ, SCQ and the sharded compositions have footprints from
+	// wCQ, SCQ and the sharded Chans have footprints from
 	// construction; LCRQ's grows with allocated rings.
 	cfg := testCfg()
-	for _, name := range []string{"wCQ", "SCQ", "Sharded", "ShardedUnbounded"} {
+	for _, name := range []string{"wCQ", "SCQ", "ChanSharded", "ChanShardedUnbounded"} {
 		q, _ := New(name, cfg)
 		if q.Footprint() == 0 {
 			t.Errorf("%s: zero footprint", name)
@@ -381,8 +388,7 @@ func TestFootprintSemantics(t *testing.T) {
 // queueapi.Batcher: every ring-based queue and facade in this
 // repository, i.e. everything but the paper's external baselines.
 func TestNativeBatchers(t *testing.T) {
-	native := []string{"wCQ", "SCQ", "Sharded", "ShardedUnbounded", "LSCQ", "UWCQ",
-		"Chan", "ChanSCQ", "ChanSharded", "ChanShardedUnbounded", "ChanUnbounded"}
+	native := []string{"wCQ", "SCQ", "LSCQ", "UWCQ", "Chan", "ChanSCQ", "ChanSharded", "ChanShardedUnbounded", "ChanUnbounded"}
 	for _, name := range native {
 		q, err := New(name, testCfg())
 		if err != nil {
@@ -398,26 +404,10 @@ func TestNativeBatchers(t *testing.T) {
 	}
 }
 
-func TestShardedConfig(t *testing.T) {
-	// The registry's sharded queue splits the total capacity across
-	// sharded.Shards shards.
-	cfg := testCfg()
-	q, err := New("Sharded", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Cap() != cfg.Capacity {
-		t.Fatalf("Cap() = %d, want total %d", q.Cap(), cfg.Capacity)
-	}
-	if n := q.(*coreQueue).core.(*sharded.Queue[uint64]).Shards(); n != sharded.Shards {
-		t.Fatalf("Shards() = %d, want %d", n, sharded.Shards)
-	}
-}
-
-func TestShardedBatcherInterface(t *testing.T) {
-	// The Sharded handle must expose the native batcher so harnesses
-	// skip the one-at-a-time fallback.
-	q, err := New("Sharded", testCfg())
+func TestChanShardedBatcherInterface(t *testing.T) {
+	// The ChanSharded handle must expose the native batcher so
+	// harnesses skip the one-at-a-time fallback.
+	q, err := New("ChanSharded", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +417,7 @@ func TestShardedBatcherInterface(t *testing.T) {
 	}
 	b, ok := h.(queueapi.Batcher)
 	if !ok {
-		t.Fatal("Sharded handle does not implement queueapi.Batcher")
+		t.Fatal("ChanSharded handle does not implement queueapi.Batcher")
 	}
 	vs := []uint64{1, 2, 3, 4, 5}
 	if n := b.EnqueueBatch(vs); n != len(vs) {
@@ -442,5 +432,38 @@ func TestShardedBatcherInterface(t *testing.T) {
 		if v != vs[i] {
 			t.Fatalf("out[%d] = %d, want %d", i, v, vs[i])
 		}
+	}
+}
+
+// TestChanRings pins the ring gauge of the unbounded Chans: rings
+// linked to absorb a burst must show through the same interface check
+// the stress daemon's rings gauge makes, for both the single-ring and
+// the sharded backend.
+func TestChanRings(t *testing.T) {
+	for _, name := range []string{"ChanUnbounded", "ChanShardedUnbounded"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testCfg()
+			cfg.Capacity = 4
+			q, err := New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := q.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 64; i++ {
+				if !h.Enqueue(i) {
+					t.Fatalf("TrySend %d failed on an unbounded Chan", i)
+				}
+			}
+			r, ok := q.(interface{ Rings() int })
+			if !ok {
+				t.Fatalf("%s does not report Rings()", name)
+			}
+			if got := r.Rings(); got < 4 {
+				t.Fatalf("Rings() = %d after 64 values in 4-slot rings, want >= 4", got)
+			}
+		})
 	}
 }

@@ -1,17 +1,18 @@
 // Package sharded composes Shards independent ring cores into one
-// MPMC FIFO that spreads the single fetch-and-add hot word of the
-// underlying queues across Shards head/tail pairs — the "independent
-// sub-structure" scaling step the paper's evaluation motivates once a
-// single ring saturates.
+// MPMC queue that spreads the single fetch-and-add hot word of the
+// underlying queues across Shards head/tail pairs. It is the buffer of
+// the blocking Chan's BackendSharded and BackendShardedUnbounded, and
+// nothing else: as a nonblocking queue it lost to one wCQ ring at
+// every cross-thread cell measured, while under the Chan it won some
+// (see the README's "Sharded backends").
 //
 // Shards are wait-free wCQ rings, consumed exclusively through the
-// ringcore contract, so one code path serves both compositions:
-// bounded ring shards, and unbounded linked-ring shards
-// (Options.Unbounded) whose per-shard growth removes the global
-// capacity bound entirely. An unbounded shard is the unbounded queue
-// itself, which is a ringcore.Core; and the sharded queue is a
-// ringcore.Core in turn, so the registry and the blocking facade hold
-// it with no adapter.
+// ringcore contract, so one code path serves both backends: bounded
+// ring shards, and unbounded linked-ring shards (Options.Unbounded)
+// whose per-shard growth removes the global capacity bound entirely.
+// An unbounded shard is the unbounded queue itself, which is a
+// ringcore.Core; and the sharded queue is a ringcore.Core in turn, so
+// the Chan holds it with no adapter.
 //
 // # Semantics
 //
@@ -158,9 +159,9 @@ func New[T any](capacity uint64, maxThreads int, opts *Options) (*Queue[T], erro
 	return q, nil
 }
 
-// Register allocates a handle with home-shard affinity assigned
+// Acquire allocates a handle with home-shard affinity assigned
 // round-robin across registrations. Safe to call concurrently.
-func (q *Queue[T]) Register() (*Handle[T], error) {
+func (q *Queue[T]) Acquire() (ringcore.Handle[T], error) {
 	home := int((q.nextHome.Add(1) - 1) % Shards)
 	hs := make([]ringcore.Handle[T], Shards)
 	for i, core := range q.cores {
@@ -172,18 +173,6 @@ func (q *Queue[T]) Register() (*Handle[T], error) {
 	}
 	return &Handle[T]{hs: hs, home: home, met: q.met, cursor: home}, nil
 }
-
-// Acquire is Register behind the ringcore.Core contract.
-func (q *Queue[T]) Acquire() (ringcore.Handle[T], error) {
-	h, err := q.Register()
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// Shards returns the shard count.
-func (q *Queue[T]) Shards() int { return Shards }
 
 // Stats snapshots the composition's metrics sink. The shards record
 // into the same sink (threaded through Options.Core), so this single
@@ -201,6 +190,18 @@ func (q *Queue[T]) Footprint() uint64 {
 	var total uint64
 	for _, c := range q.cores {
 		total += c.Footprint()
+	}
+	return total
+}
+
+// Rings returns the live linked rings summed over the shards, or 0
+// with bounded shards, whose rings never change.
+func (q *Queue[T]) Rings() int {
+	var total int
+	for _, c := range q.cores {
+		if r, ok := c.(interface{ Rings() int }); ok {
+			total += r.Rings()
+		}
 	}
 	return total
 }

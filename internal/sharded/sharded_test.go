@@ -11,26 +11,14 @@ import (
 )
 
 // apiQueue adapts the generic sharded queue to queueapi for the
-// checker (the production adapter lives in internal/queues; this one
-// keeps the package's own tests self-contained).
+// checker; a ringcore.Handle is already a queueapi.Handle and
+// queueapi.Batcher.
 type apiQueue struct{ q *sharded.Queue[uint64] }
-type apiHandle struct{ h *sharded.Handle[uint64] }
 
-func (a *apiQueue) Handle() (queueapi.Handle, error) {
-	h, err := a.q.Register()
-	if err != nil {
-		return nil, err
-	}
-	return &apiHandle{h: h}, nil
-}
-func (a *apiQueue) Cap() uint64       { return a.q.Cap() }
-func (a *apiQueue) Footprint() uint64 { return a.q.Footprint() }
-func (a *apiQueue) Name() string      { return "sharded-test" }
-
-func (h *apiHandle) Enqueue(v uint64) bool       { return h.h.Enqueue(v) }
-func (h *apiHandle) Dequeue() (uint64, bool)     { return h.h.Dequeue() }
-func (h *apiHandle) EnqueueBatch(v []uint64) int { return h.h.EnqueueBatch(v) }
-func (h *apiHandle) DequeueBatch(o []uint64) int { return h.h.DequeueBatch(o) }
+func (a *apiQueue) Handle() (queueapi.Handle, error) { return a.q.Acquire() }
+func (a *apiQueue) Cap() uint64                      { return a.q.Cap() }
+func (a *apiQueue) Footprint() uint64                { return a.q.Footprint() }
+func (a *apiQueue) Name() string                     { return "sharded-test" }
 
 func mustNew(t *testing.T, capacity uint64, threads int, opts *sharded.Options) *sharded.Queue[uint64] {
 	t.Helper()
@@ -61,14 +49,14 @@ func TestConstructionValidation(t *testing.T) {
 
 func TestDefaultsAndAccessors(t *testing.T) {
 	q := mustNew(t, 256, 2, nil)
-	if q.Shards() != sharded.Shards {
-		t.Fatalf("Shards() = %d, want %d", q.Shards(), sharded.Shards)
-	}
 	if q.Cap() != 256 {
 		t.Fatalf("Cap() = %d, want 256", q.Cap())
 	}
 	if q.Footprint() == 0 {
 		t.Fatal("zero footprint")
+	}
+	if q.Rings() != 0 {
+		t.Fatalf("Rings() = %d, want 0 with bounded shards", q.Rings())
 	}
 	// wCQ shards carry a census: with maxThreads 2 a third handle
 	// fails, because each shard's census is full.
@@ -86,7 +74,7 @@ func TestPerHandleFIFO(t *testing.T) {
 	// A single handle enqueues to one shard, so its values come back
 	// in strict order no matter how many shards exist.
 	q := mustNew(t, 64, 2, nil)
-	h, err := q.Register()
+	h, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +98,11 @@ func TestWorkStealing(t *testing.T) {
 	// Values enqueued via one handle (one home shard) must be visible
 	// to a handle whose home is a different shard.
 	q := mustNew(t, 64, 4, nil)
-	producer, err := q.Register()
+	producer, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	thief, err := q.Register()
+	thief, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +122,7 @@ func TestNoShardStarvation(t *testing.T) {
 	const shards = sharded.Shards
 	q := mustNew(t, 64, shards+1, nil)
 	for i := 0; i < shards; i++ {
-		h, err := q.Register()
+		h, err := q.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +130,7 @@ func TestNoShardStarvation(t *testing.T) {
 			t.Fatalf("enqueue to shard %d failed", i)
 		}
 	}
-	consumer, err := q.Register()
+	consumer, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +151,7 @@ func TestEnqueueBatchPrefixOnFull(t *testing.T) {
 	// A short EnqueueBatch count must be a prefix: the home shard here
 	// holds 4, so a batch of 6 enqueues exactly the first 4.
 	q := mustNew(t, 16, 2, nil)
-	h, err := q.Register()
+	h, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +169,13 @@ func TestEnqueueBatchPrefixOnFull(t *testing.T) {
 
 func TestDequeueBatchDrainsAcrossShards(t *testing.T) {
 	q := mustNew(t, 64, 3, nil)
-	h1, _ := q.Register()
-	h2, _ := q.Register()
+	h1, _ := q.Acquire()
+	h2, _ := q.Acquire()
 	for i := uint64(0); i < 5; i++ {
 		h1.Enqueue(i)
 		h2.Enqueue(100 + i)
 	}
-	consumer, err := q.Register()
+	consumer, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +228,7 @@ func TestUnboundedShards(t *testing.T) {
 	if rest == 0 {
 		t.Fatal("zero footprint at rest")
 	}
-	h, err := q.Register()
+	h, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +243,10 @@ func TestUnboundedShards(t *testing.T) {
 	}
 	if q.Footprint() <= rest {
 		t.Fatal("footprint did not grow across a buffered burst")
+	}
+	// The home shard alone links n/16 rings; the other three keep one.
+	if got := q.Rings(); got < n/16 {
+		t.Fatalf("Rings() = %d during the burst, want >= %d", got, n/16)
 	}
 	for i := uint64(0); i < n; i++ {
 		v, ok := h.Dequeue()
@@ -282,9 +274,9 @@ func TestStealStrideBound(t *testing.T) {
 	const perShard = 2*sharded.StealStride + 44
 	for _, c := range []struct {
 		name string
-		take func(h *sharded.Handle[uint64], buf []uint64) int
+		take func(h ringcore.Handle[uint64], buf []uint64) int
 	}{
-		{"Dequeue", func(h *sharded.Handle[uint64], buf []uint64) int {
+		{"Dequeue", func(h ringcore.Handle[uint64], buf []uint64) int {
 			v, ok := h.Dequeue()
 			if !ok {
 				return 0
@@ -292,14 +284,14 @@ func TestStealStrideBound(t *testing.T) {
 			buf[0] = v
 			return 1
 		}},
-		{"DequeueBatch", func(h *sharded.Handle[uint64], buf []uint64) int {
+		{"DequeueBatch", func(h ringcore.Handle[uint64], buf []uint64) int {
 			return h.DequeueBatch(buf[:5])
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			q := mustNew(t, sharded.Shards*512, 3, nil)
 			for p := 0; p < 2; p++ { // producers with homes 0 and 1
-				h, err := q.Register()
+				h, err := q.Acquire()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -309,7 +301,7 @@ func TestStealStrideBound(t *testing.T) {
 					}
 				}
 			}
-			consumer, err := q.Register() // home 2, empty
+			consumer, err := q.Acquire() // home 2, empty
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,8 +342,8 @@ func TestStealStrideBound(t *testing.T) {
 func TestStealAccounting(t *testing.T) {
 	sink := metrics.New()
 	q := mustNew(t, 64, 3, &sharded.Options{Core: &ringcore.Options{Metrics: sink}})
-	producer, _ := q.Register() // home 0
-	consumer, err := q.Register()
+	producer, _ := q.Acquire() // home 0
+	consumer, err := q.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}

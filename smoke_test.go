@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestSmokeAllVariantsConcurrent exercises Queue, Ring, LockFreeQueue
-// and ShardedQueue side by side from concurrent goroutines — a single
-// -race smoke covering every public construction at once. Each worker
-// pushes its values through all four structures and the test verifies
-// global counts (no loss, no duplication per structure).
+// TestSmokeAllVariantsConcurrent exercises Queue, Ring and
+// LockFreeQueue side by side from concurrent goroutines — a single
+// -race smoke covering every nonblocking public construction at once.
+// Each worker pushes its values through all three structures and the
+// test verifies global counts (no loss, no duplication per structure).
 func TestSmokeAllVariantsConcurrent(t *testing.T) {
 	const (
 		workers = 6
@@ -18,10 +18,6 @@ func TestSmokeAllVariantsConcurrent(t *testing.T) {
 		cap     = 1 << 8
 	)
 	q, err := New[uint64](cap, workers+1) // +1 for the final drain handle
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq, err := NewSharded[uint64](cap, workers+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,21 +31,14 @@ func TestSmokeAllVariantsConcurrent(t *testing.T) {
 	}
 
 	counts := struct {
-		mu                        sync.Mutex
-		wcq, shard, ring, scq     map[uint64]int
-		wcqN, shardN, ringN, scqN int
-	}{
-		wcq: map[uint64]int{}, shard: map[uint64]int{},
-		ring: map[uint64]int{}, scq: map[uint64]int{},
-	}
+		mu                sync.Mutex
+		wcq, ring, scq    map[uint64]int
+		wcqN, ringN, scqN int
+	}{wcq: map[uint64]int{}, ring: map[uint64]int{}, scq: map[uint64]int{}}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		h, err := q.Handle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, err := sq.Handle()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,19 +50,13 @@ func TestSmokeAllVariantsConcurrent(t *testing.T) {
 		go func(w uint64) {
 			defer wg.Done()
 			local := struct {
-				wcq, shard, ring, scq map[uint64]int
-			}{map[uint64]int{}, map[uint64]int{}, map[uint64]int{}, map[uint64]int{}}
+				wcq, ring, scq map[uint64]int
+			}{map[uint64]int{}, map[uint64]int{}, map[uint64]int{}}
 			for i := 0; i < perW; i++ {
 				v := w<<32 | uint64(i)
 				for !h.Enqueue(v) {
 					if got, ok := h.Dequeue(); ok {
 						local.wcq[got]++
-					}
-					runtime.Gosched()
-				}
-				for !sh.Enqueue(v) {
-					if got, ok := sh.Dequeue(); ok {
-						local.shard[got]++
 					}
 					runtime.Gosched()
 				}
@@ -88,9 +71,6 @@ func TestSmokeAllVariantsConcurrent(t *testing.T) {
 				if got, ok := h.Dequeue(); ok {
 					local.wcq[got]++
 				}
-				if got, ok := sh.Dequeue(); ok {
-					local.shard[got]++
-				}
 				if got, ok := rh.Dequeue(); ok {
 					local.ring[got]++
 				}
@@ -103,10 +83,6 @@ func TestSmokeAllVariantsConcurrent(t *testing.T) {
 			for v, n := range local.wcq {
 				counts.wcq[v] += n
 				counts.wcqN += n
-			}
-			for v, n := range local.shard {
-				counts.shard[v] += n
-				counts.shardN += n
 			}
 			for v, n := range local.ring {
 				counts.ring[v] += n
@@ -134,18 +110,6 @@ func TestSmokeAllVariantsConcurrent(t *testing.T) {
 		counts.wcq[v]++
 		counts.wcqN++
 	}
-	dsh, err := sq.Handle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		v, ok := dsh.Dequeue()
-		if !ok {
-			break
-		}
-		counts.shard[v]++
-		counts.shardN++
-	}
 	for {
 		v, ok := lf.Dequeue()
 		if !ok {
@@ -160,9 +124,8 @@ func TestSmokeAllVariantsConcurrent(t *testing.T) {
 		m map[uint64]int
 		n int
 	}{
-		"wCQ":     {counts.wcq, counts.wcqN},
-		"Sharded": {counts.shard, counts.shardN},
-		"SCQ":     {counts.scq, counts.scqN},
+		"wCQ": {counts.wcq, counts.wcqN},
+		"SCQ": {counts.scq, counts.scqN},
 	} {
 		if c.n != total {
 			t.Errorf("%s: drained %d values, want %d", name, c.n, total)

@@ -27,14 +27,13 @@
 // envelope, no helping (lock-free progress only, no handle census).
 // NewRing exposes the underlying wait-free index ring for
 // allocator-style use (DPDK/SPDK-like index pools, Figure 2 of the
-// paper). NewSharded composes four wCQ rings behind one interface —
-// per-handle enqueue affinity, work-stealing dequeue and native batch
-// operations — for workloads that saturate a single ring's head/tail
-// word. NewUnbounded links wCQ rings into a queue with no capacity
+// paper). NewUnbounded links wCQ rings into a queue with no capacity
 // limit (the paper's Appendix A): Enqueue never reports full, memory
 // grows and shrinks in ring-sized steps, and a drained ring is left to
 // the garbage collector. NewChan layers blocking Send/Recv/Close
-// semantics over any of the cores.
+// semantics over any of the cores, or over four wCQ shards
+// (BackendSharded, BackendShardedUnbounded), which keep FIFO order per
+// handle only.
 //
 // See ARCHITECTURE.md for the layer map and the progress/memory
 // table of every variant.
@@ -46,7 +45,6 @@ import (
 	"repro/internal/atomicx"
 	"repro/internal/metrics"
 	"repro/internal/ringcore"
-	"repro/internal/sharded"
 	"repro/internal/wcq"
 )
 
@@ -373,92 +371,3 @@ func (h *LockFreeHandle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(v
 //
 //wfq:noalloc
 func (h *LockFreeHandle[T]) DequeueBatch(out []T) int { return h.h.DequeueBatch(out) }
-
-// ShardedQueue composes four independent wCQ rings into one queue
-// that spreads the single head/tail hot word across shards: each
-// handle enqueues to a fixed home shard (assigned round-robin at
-// Handle time) and dequeues round-robin with work stealing, so no
-// shard starves. Any one handle's values come back in strict FIFO
-// order; values from different handles may interleave in either
-// order. Enqueue reports full when the handle's home shard is full
-// (capacity is split evenly across the shards).
-type ShardedQueue[T any] struct {
-	q *sharded.Queue[T]
-}
-
-// ShardedHandle is a goroutine's capability to use a ShardedQueue.
-// Not safe for concurrent use by multiple goroutines.
-type ShardedHandle[T any] struct {
-	h *sharded.Handle[T]
-}
-
-// NewSharded returns an empty sharded queue of total capacity
-// `capacity` split evenly across four wait-free wCQ shards; capacity
-// must be a power of two >= 8, so each shard holds at least 2. Every
-// handle registers with every shard, so maxThreads bounds handles
-// globally.
-func NewSharded[T any](capacity uint64, maxThreads int, opts ...Option) (*ShardedQueue[T], error) {
-	if capacity < 2*sharded.Shards || capacity&(capacity-1) != 0 {
-		return nil, fmt.Errorf("wfqueue: sharded capacity must be a power of two >= %d, got %d",
-			2*sharded.Shards, capacity)
-	}
-	if err := validate(capacity, maxThreads); err != nil {
-		return nil, err
-	}
-	o := buildOpts(opts)
-	q, err := sharded.New[T](capacity, maxThreads, &sharded.Options{Core: &o.core})
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedQueue[T]{q: q}, nil
-}
-
-// Handle registers the calling goroutine, assigning its home shard
-// round-robin. It fails once maxThreads handles exist.
-func (q *ShardedQueue[T]) Handle() (*ShardedHandle[T], error) {
-	h, err := q.q.Register()
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedHandle[T]{h: h}, nil
-}
-
-// Cap returns the total capacity (summed over shards).
-func (q *ShardedQueue[T]) Cap() uint64 { return q.q.Cap() }
-
-// Shards returns the shard count.
-func (q *ShardedQueue[T]) Shards() int { return q.q.Shards() }
-
-// Footprint returns the bytes allocated at construction, summed over
-// the shards; the queue never allocates afterwards.
-func (q *ShardedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
-
-// Stats snapshots the metrics sink shared by the queue and every
-// shard. The zero snapshot is returned when the queue was built
-// without WithMetrics.
-func (q *ShardedQueue[T]) Stats() MetricsSnapshot { return q.q.Stats() }
-
-// Enqueue appends v to the handle's home shard; false means that
-// shard is full.
-//
-//wfq:noalloc
-func (h *ShardedHandle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }
-
-// Dequeue removes the oldest value of some shard; ok is false only
-// after every shard looked empty in one scan.
-//
-//wfq:noalloc
-func (h *ShardedHandle[T]) Dequeue() (v T, ok bool) { return h.h.Dequeue() }
-
-// EnqueueBatch appends a prefix of vs in order, paying the shard
-// selection once for the whole batch; it returns how many values were
-// enqueued (short counts mean the home shard filled up).
-//
-//wfq:noalloc
-func (h *ShardedHandle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(vs) }
-
-// DequeueBatch fills a prefix of out, draining runs from one shard
-// before rotating; it returns how many values were written.
-//
-//wfq:noalloc
-func (h *ShardedHandle[T]) DequeueBatch(out []T) int { return h.h.DequeueBatch(out) }

@@ -209,9 +209,6 @@ func TestConstructorValidation(t *testing.T) {
 			if _, err := NewRing(c.capacity, c.threads, false); err == nil {
 				t.Errorf("NewRing(%d, %d) accepted", c.capacity, c.threads)
 			}
-			if _, err := NewSharded[int](c.capacity, c.threads); err == nil {
-				t.Errorf("NewSharded(%d, %d) accepted", c.capacity, c.threads)
-			}
 		})
 	}
 	if _, err := NewLockFree[int](24); err == nil {
@@ -225,86 +222,6 @@ func TestConstructorValidation(t *testing.T) {
 	_, err = New[int](8, 0)
 	if err == nil || !strings.Contains(err.Error(), "maxThreads") {
 		t.Errorf("unhelpful error: %v", err)
-	}
-}
-
-func TestShardedConstructorValidation(t *testing.T) {
-	// Four shards of at least two slots each: the total capacity must
-	// be a power of two >= 8, and the error says so in this package's
-	// words rather than the per-shard ones of the layer below.
-	for _, c := range []struct {
-		capacity uint64
-		ok       bool
-	}{{0, false}, {2, false}, {4, false}, {12, false}, {8, true}} {
-		q, err := NewSharded[int](c.capacity, 2)
-		if c.ok {
-			if err != nil || q.Cap() != c.capacity {
-				t.Errorf("NewSharded(%d): err = %v", c.capacity, err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("NewSharded(%d) accepted", c.capacity)
-		} else if !strings.HasPrefix(err.Error(), "wfqueue: ") || !strings.Contains(err.Error(), "power of two >= 8") {
-			t.Errorf("NewSharded(%d): unhelpful error: %v", c.capacity, err)
-		}
-	}
-}
-
-func TestShardedQueue(t *testing.T) {
-	q, err := NewSharded[string](64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Shards() != 4 || q.Cap() != 64 || q.Footprint() == 0 {
-		t.Fatalf("Shards=%d Cap=%d Footprint=%d", q.Shards(), q.Cap(), q.Footprint())
-	}
-	h, err := q.Handle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One handle's values come back in strict FIFO order.
-	for _, s := range []string{"a", "b", "c"} {
-		if !h.Enqueue(s) {
-			t.Fatalf("enqueue %q failed", s)
-		}
-	}
-	for _, want := range []string{"a", "b", "c"} {
-		v, ok := h.Dequeue()
-		if !ok || v != want {
-			t.Fatalf("got (%q,%v), want %q", v, ok, want)
-		}
-	}
-	// Batch round trip.
-	in := []string{"x", "y", "z"}
-	if n := h.EnqueueBatch(in); n != 3 {
-		t.Fatalf("EnqueueBatch = %d", n)
-	}
-	out := make([]string, 4)
-	if n := h.DequeueBatch(out); n != 3 {
-		t.Fatalf("DequeueBatch = %d", n)
-	}
-	for i, want := range in {
-		if out[i] != want {
-			t.Fatalf("out[%d] = %q, want %q", i, out[i], want)
-		}
-	}
-	if _, ok := h.Dequeue(); ok {
-		t.Fatal("empty queue returned a value")
-	}
-}
-
-func TestShardedCrossHandleVisibility(t *testing.T) {
-	q, err := NewSharded[int](32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	producer, _ := q.Handle()
-	consumer, _ := q.Handle()
-	producer.Enqueue(7)
-	v, ok := consumer.Dequeue()
-	if !ok || v != 7 {
-		t.Fatalf("cross-handle dequeue got (%d,%v), want 7", v, ok)
 	}
 }
 
