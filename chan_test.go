@@ -184,6 +184,58 @@ func TestChanBlockedSendUnblockedByRecv(t *testing.T) {
 	}
 }
 
+func TestChanParkedSenderStealsKeptIndex(t *testing.T) {
+	// A handle that both sends and receives keeps the index its Recv
+	// freed when its last scalar operation was a send, instead of
+	// returning it to the free-index ring. A sender parked on the full
+	// Chan must still wake and take that index.
+	for _, b := range []Backend{BackendWCQ, BackendSCQ} {
+		t.Run(b.String(), func(t *testing.T) {
+			c, err := NewChan[int](2, 2, WithBackend(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs, _ := c.Handle()
+			ha, _ := c.Handle()
+			if err := ha.Send(10); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := ha.Recv(); err != nil || v != 10 {
+				t.Fatalf("Recv = %v, %v", v, err)
+			}
+			// ha keeps one of the two indices; the second send fits
+			// only by stealing it.
+			for _, v := range []int{1, 2} {
+				if ok, err := hs.TrySend(v); !ok || err != nil {
+					t.Fatalf("TrySend(%d) = %v, %v on a Chan with room", v, ok, err)
+				}
+			}
+			if ok, _ := ha.TrySend(3); ok {
+				t.Fatal("TrySend into a full Chan succeeded")
+			}
+			done := make(chan error, 1)
+			go func() { done <- hs.Send(4) }()
+			waitParked(t, &c.notFull)
+			if v, err := ha.Recv(); err != nil || v != 1 {
+				t.Fatalf("Recv = %v, %v", v, err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("parked Send = %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("parked sender never took the index the receive kept")
+			}
+			for _, want := range []int{2, 4} {
+				if v, err := ha.Recv(); err != nil || v != want {
+					t.Fatalf("Recv = %v, %v, want %d", v, err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestChanCloseUnblocksParkedSenderAndReceiver(t *testing.T) {
 	c, err := NewChan[int](2, 3)
 	if err != nil {

@@ -46,6 +46,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -218,8 +219,16 @@ const checkerPerProducer = 20000
 
 // runChecker runs checker rounds on each queue the selection names,
 // splitting the workers evenly into producers and consumers, until
-// duration elapses per queue (at least one round each).
+// duration elapses per queue (at least one round each). A name the
+// registry does not have is an error, so a mistyped queue fails the
+// run; a registered queue this configuration cannot build is a SKIP.
 func runChecker(selected string, shared *clihelper.Flags, cfg queues.Config, threads int, duration time.Duration) error {
+	names := shared.QueueNames(selected)
+	for _, name := range names {
+		if !slices.Contains(queues.Names(), name) {
+			return fmt.Errorf("unknown queue %q (have %v)", name, queues.Names())
+		}
+	}
 	producers, consumers := harness.EvenSplit(threads)
 	ccfg := checker.Config{
 		Producers:   producers,
@@ -228,7 +237,7 @@ func runChecker(selected string, shared *clihelper.Flags, cfg queues.Config, thr
 		Batch:       shared.Batch,
 		Blocking:    shared.Blocking,
 	}
-	for _, name := range shared.QueueNames(selected) {
+	for _, name := range names {
 		start := time.Now()
 		rounds := 0
 		for ; rounds == 0 || time.Since(start) < duration; rounds++ {

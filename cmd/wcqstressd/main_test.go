@@ -122,6 +122,23 @@ func TestCheckerScenario(t *testing.T) {
 	}
 }
 
+func TestCheckerUnknownQueueFails(t *testing.T) {
+	// A name the registry lacks (a typo, or a deleted queue) is an
+	// error, not a SKIP, so a CI step naming it fails; a registered
+	// queue the configuration cannot build stays a SKIP.
+	shared := &clihelper.Flags{Capacity: 64}
+	for _, name := range []string{"Sharded", "wcq"} {
+		err := runChecker(name, shared, shared.Config(8), 2, 0)
+		if err == nil || !strings.Contains(err.Error(), "unknown queue") {
+			t.Fatalf("-queue %s: err = %v, want an unknown-queue error", name, err)
+		}
+	}
+	emulated := &clihelper.Flags{Capacity: 64, Emulate: true}
+	if err := runChecker("LCRQ", emulated, emulated.Config(8), 2, 0); err != nil {
+		t.Fatalf("unbuildable LCRQ under emulated F&A: %v, want a SKIP", err)
+	}
+}
+
 func TestUnknownScenarioListsValidOnes(t *testing.T) {
 	for _, s := range []string{"concurrent_stress", "memory_stress", "high_frequency", "all"} {
 		err := runScenario(s, "wCQ", &clihelper.Flags{}, queues.Config{}, 2, time.Millisecond)

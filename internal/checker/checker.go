@@ -234,7 +234,8 @@ func draw(rng uint64, batch int) (next uint64, n int, scalar bool) {
 // A nonblocking round spins on full and empty. Consumers stop at the
 // first empty result after every producer has finished, and the queue,
 // then quiescent, is drained through one more handle, so lost values
-// end the round instead of hanging it. That handle then runs
+// end the round instead of hanging it. A mixed-role phase follows on
+// the same handles (checkMixedRoles), then the drain handle runs
 // checkBatchAtomicity on the empty queue.
 //
 // A blocking round (cfg.Blocking) needs a queueapi.Closer whose
@@ -276,6 +277,12 @@ func Run(q queueapi.Queue, cfg Config) error {
 			return fmt.Errorf("consumer handle: %w", err)
 		}
 		conss[c] = e
+	}
+	var handles []queueapi.Handle // the mixed-role phase's, one per goroutine
+	if !cfg.Blocking {
+		for _, e := range append(prods, conss...) {
+			handles = append(handles, e.(handleEndpoint).h)
+		}
 	}
 
 	vf := newVerifier(cfg)
@@ -359,17 +366,65 @@ func Run(q queueapi.Queue, cfg Config) error {
 	if cfg.Blocking {
 		return vf.finish()
 	}
-	lastSeq := make(map[int]int, cfg.Producers)
-	for v, ok := last.Dequeue(); ok; v, ok = last.Dequeue() {
-		vf.observe(v, lastSeq)
-	}
+	drainInto(vf, last)
 	if err := vf.finish(); err != nil {
 		return err
+	}
+	if err := checkMixedRoles(handles, last, max(cfg.PerProducer/4, 1)); err != nil {
+		return fmt.Errorf("mixed roles: %w", err)
 	}
 	if err := checkBatchAtomicity(q, last, cfg.Batch); err != nil {
 		return fmt.Errorf("batch atomicity: %w", err)
 	}
 	return nil
+}
+
+// drainInto dequeues through h until the queue reports empty, checking
+// every value against vf.
+func drainInto(vf *verifier, h queueapi.Handle) {
+	lastSeq := make(map[int]int, vf.cfg.Producers)
+	for v, ok := h.Dequeue(); ok; v, ok = h.Dequeue() {
+		vf.observe(v, lastSeq)
+	}
+}
+
+// checkMixedRoles is the mixed-role phase of a nonblocking round: each
+// handle's goroutine is producer and consumer at once, alternating a
+// scalar enqueue of its next value with a scalar dequeue, under the
+// same exactly-once and per-producer FIFO checks, and the drain handle
+// takes what is left. A full enqueue is retried after the dequeue.
+// Run calls it with a quarter of the round's per-producer count, so
+// with as many producers as consumers the phase moves half as many
+// values as the round. This is the pattern of the paper's pairwise
+// workload, which a round of dedicated producers and consumers never
+// runs; it reaches the payload queue's kept-index slots (an index a
+// handle's dequeue frees and its next enqueue reuses) and the steals
+// of those indices.
+func checkMixedRoles(handles []queueapi.Handle, last queueapi.Handle, perGoroutine int) error {
+	vf := newVerifier(Config{Producers: len(handles), Consumers: len(handles), PerProducer: perGoroutine})
+	var wg sync.WaitGroup
+	for g, h := range handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lastSeq := make(map[int]int, len(handles))
+			for i := 0; i < perGoroutine; {
+				put := h.Enqueue(Encode(g, i))
+				if put {
+					i++
+				}
+				v, ok := h.Dequeue()
+				if ok {
+					vf.observe(v, lastSeq)
+				} else if !put {
+					runtime.Gosched() // full, then empty: others are mid-operation
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	drainInto(vf, last)
+	return vf.finish()
 }
 
 // checkBatchAtomicity is the deterministic batch phase of a
@@ -422,8 +477,16 @@ func checkBatchAtomicity(q queueapi.Queue, h queueapi.Handle, batch int) error {
 			if n < 0 || n > len(out)-got {
 				return fmt.Errorf("DequeueBatch returned %d for a %d-slot buffer", n, len(out)-got)
 			}
+			// Check each call's tail, not just the last one's: a call
+			// that wrote one value past its count leaves that value
+			// where the next call would overwrite or never reach it.
+			for i := got + n; i < len(out); i++ {
+				if out[i] != sentinel {
+					return fmt.Errorf("DequeueBatch wrote past its count at out[%d]", i)
+				}
+			}
 			if n == 0 {
-				return fmt.Errorf("batch lost values: drained %d of %d", got, k)
+				return fmt.Errorf("batch lost values: drained %d of %d, so %d delivered 0 times", got, k, k-got)
 			}
 			got += n
 		}
@@ -433,11 +496,6 @@ func checkBatchAtomicity(q queueapi.Queue, h queueapi.Handle, batch int) error {
 		for i := 0; i < k; i++ {
 			if out[i] != in[i] {
 				return fmt.Errorf("batch not contiguous FIFO: out[%d] = %#x, want %#x", i, out[i], in[i])
-			}
-		}
-		for i := k; i < len(out); i++ {
-			if out[i] != sentinel {
-				return fmt.Errorf("DequeueBatch wrote past its count at out[%d]", i)
 			}
 		}
 		if n := queueapi.DequeueBatch(h, out[:1]); n != 0 {

@@ -299,6 +299,59 @@ func TestCheckerCatchesBatchFaults(t *testing.T) {
 	}
 }
 
+func TestBatchPhaseCatchesFaultsOnEverySchedule(t *testing.T) {
+	// The deterministic batch phase alone names each fault that a
+	// round's consumers may miss when no batch receive of theirs finds
+	// a value, whatever the schedule of that round was.
+	for _, c := range []struct{ fault, want string }{
+		{"overwrite", "wrote past its count"},
+		{"undercount", "wrote past its count"},
+		{"drop", "delivered 0 times"},
+		{"partial-empty", "batch lost values"},
+	} {
+		q := &faultyBatcher{fault: c.fault}
+		err := checkBatchAtomicity(q, q, 16)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.fault, err, c.want)
+		}
+	}
+}
+
+// pairLoser is a mutexQueue whose handle loses every 50th value it
+// dequeues right after an enqueue of its own: a fault in a per-handle
+// path that only a goroutine in both roles reaches, as the payload
+// queue's kept-index slots are.
+type pairLoser struct{ mutexQueue }
+
+func (q *pairLoser) Handle() (queueapi.Handle, error) { return &pairLoserHandle{q: q}, nil }
+
+type pairLoserHandle struct {
+	q        *pairLoser
+	enq      bool
+	afterEnq int
+}
+
+func (h *pairLoserHandle) Enqueue(v uint64) bool { h.enq = true; return h.q.Enqueue(v) }
+func (h *pairLoserHandle) Dequeue() (uint64, bool) {
+	v, ok := h.q.Dequeue()
+	if ok && h.enq {
+		if h.afterEnq++; h.afterEnq%50 == 0 {
+			v, ok = h.q.Dequeue() // the first value is lost
+		}
+	}
+	h.enq = false
+	return v, ok
+}
+
+func TestCheckerMixedRolesCatchPairFault(t *testing.T) {
+	// Dedicated producers and consumers never dequeue right after
+	// their own enqueue, so only the mixed-role phase sees the loss.
+	err := Run(&pairLoser{}, Config{Producers: 2, Consumers: 2, PerProducer: 1000})
+	if err == nil || !strings.Contains(err.Error(), "mixed roles") || !strings.Contains(err.Error(), "delivered 0 times") {
+		t.Fatalf("pair fault: got %v, want a mixed-roles loss", err)
+	}
+}
+
 func TestBlockingCheckerAcceptsCorrectQueue(t *testing.T) {
 	q := newBlockingRef(64, 0)
 	if err := Run(q, Config{Producers: 3, Consumers: 3, PerProducer: 3000, Blocking: true}); err != nil {

@@ -1,0 +1,338 @@
+// Tests of the kept-index slots: a scalar Dequeue that follows its
+// handle's scalar Enqueue keeps the freed index for that handle's next
+// Enqueue, and every Enqueue can steal a kept index, so a full report
+// still means every index is in use.
+package ringcore
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// mustQueue builds a *Queue[uint64] of kind with handles registered
+// handles.
+func mustQueue(t *testing.T, kind Kind, capacity uint64, handles int) (*Queue[uint64], []*QueueHandle[uint64]) {
+	t.Helper()
+	c, err := New[uint64](kind, capacity, handles, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := c.(*Queue[uint64])
+	hs := make([]*QueueHandle[uint64], handles)
+	for i := range hs {
+		if hs[i], err = q.Register(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return q, hs
+}
+
+// keepOne makes h keep one index: a scalar Enqueue, then the Dequeue
+// that takes its value back. It fails unless h's slot then holds it.
+func keepOne(t *testing.T, h *QueueHandle[uint64]) {
+	t.Helper()
+	if !h.Enqueue(7) {
+		t.Fatal("Enqueue into a queue with room failed")
+	}
+	if v, ok := h.Dequeue(); !ok || v != 7 {
+		t.Fatalf("Dequeue = (%d, %v), want (7, true)", v, ok)
+	}
+	if h.kept.Load() == 0 {
+		t.Fatal("a Dequeue right after its handle's Enqueue kept nothing")
+	}
+}
+
+func TestFullStealsKeptIndex(t *testing.T) {
+	// One handle keeps an index; another fills the queue. The last
+	// value fits only by stealing the kept index, scalar or batch, and
+	// the queue reports full only once it holds capacity values.
+	const capacity = 8
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		for _, batch := range []bool{false, true} {
+			_, hs := mustQueue(t, kind, capacity, 2)
+			keeper, filler := hs[0], hs[1]
+			keepOne(t, keeper)
+			if batch {
+				if n := filler.EnqueueBatch(make([]uint64, capacity+1)); n != capacity {
+					t.Fatalf("batch: EnqueueBatch filled %d of %d slots", n, capacity)
+				}
+			} else {
+				for i := range capacity {
+					if !filler.Enqueue(uint64(i)) {
+						t.Fatalf("scalar: Enqueue %d of %d reported full", i, capacity)
+					}
+				}
+			}
+			if keeper.kept.Load() != 0 {
+				t.Fatalf("batch %v: the kept index was not stolen", batch)
+			}
+			if filler.Enqueue(99) || keeper.Enqueue(99) || filler.EnqueueBatch(make([]uint64, 2)) != 0 {
+				t.Fatalf("batch %v: enqueue into a queue holding %d values succeeded", batch, capacity)
+			}
+			for range capacity {
+				if _, ok := filler.Dequeue(); !ok {
+					t.Fatalf("batch %v: full queue ran dry early", batch)
+				}
+			}
+			if _, ok := filler.Dequeue(); ok {
+				t.Fatalf("batch %v: more than capacity values", batch)
+			}
+		}
+	})
+}
+
+// countingRing counts the calls a handle makes on its fq ring.
+type countingRing struct {
+	indexRing
+	calls int
+}
+
+func (r *countingRing) Enqueue(i uint64)             { r.calls++; r.indexRing.Enqueue(i) }
+func (r *countingRing) Dequeue() (uint64, bool)      { r.calls++; return r.indexRing.Dequeue() }
+func (r *countingRing) EnqueueBatch(is []uint64)     { r.calls++; r.indexRing.EnqueueBatch(is) }
+func (r *countingRing) DequeueBatch(is []uint64) int { r.calls++; return r.indexRing.DequeueBatch(is) }
+
+func TestAlternatingHandleSkipsFQ(t *testing.T) {
+	// Past the fresh counter's lap, a handle that alternates Enqueue
+	// and Dequeue moves one index between aq and its own slot: fq's
+	// Head and Tail never move. A pure receiver keeps nothing.
+	const capacity = 8
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		_, hs := mustQueue(t, kind, capacity, 2)
+		h, other := hs[0], hs[1]
+		buf := make([]uint64, capacity)
+		if h.EnqueueBatch(buf) != capacity || h.DequeueBatch(buf) != capacity {
+			t.Fatal("first lap did not fill and drain")
+		}
+		keepOne(t, h) // its index comes from fq; from here on, none does
+		idx := h.kept.Load()
+		fq := &countingRing{indexRing: h.fq}
+		h.fq = fq
+		for i := range uint64(100) {
+			if !h.Enqueue(i) {
+				t.Fatalf("Enqueue %d failed", i)
+			}
+			if h.kept.Load() != 0 {
+				t.Fatal("Enqueue left its kept index in the slot")
+			}
+			if v, ok := h.Dequeue(); !ok || v != i {
+				t.Fatalf("Dequeue = (%d, %v), want (%d, true)", v, ok, i)
+			}
+			if got := h.kept.Load(); got != idx {
+				t.Fatalf("slot holds %d after round %d, want index+1 = %d", got, i, idx)
+			}
+		}
+		if fq.calls != 0 {
+			t.Fatalf("alternating handle made %d fq calls, want 0", fq.calls)
+		}
+		// other only dequeues: its freed indices go back to fq.
+		if !h.Enqueue(1) {
+			t.Fatal("Enqueue failed")
+		}
+		if _, ok := other.Dequeue(); !ok {
+			t.Fatal("Dequeue failed")
+		}
+		if other.kept.Load() != 0 || other.enq {
+			t.Fatal("a handle that never enqueued kept an index")
+		}
+	})
+}
+
+func TestKeepNeverOverwrites(t *testing.T) {
+	// The unbounded construction gives a handle's two views one id: a
+	// view whose slot is taken returns its index to fq instead of
+	// overwriting the index the other view kept.
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		c, err := New[uint64](kind, 8, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := c.(*Queue[uint64])
+		var views [2]*QueueHandle[uint64]
+		for i := range views {
+			if views[i], err = q.HandleAt(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keepOne(t, views[0])
+		idx := views[0].kept.Load()
+		// The fresh counter still has indices, so this Enqueue leaves
+		// the slot alone, and its Dequeue finds the slot taken.
+		if !views[1].Enqueue(8) {
+			t.Fatal("Enqueue failed")
+		}
+		if v, ok := views[1].Dequeue(); !ok || v != 8 {
+			t.Fatalf("Dequeue = (%d, %v)", v, ok)
+		}
+		if got := views[0].kept.Load(); got != idx {
+			t.Fatalf("slot holds %d, want the first view's %d", got, idx)
+		}
+	})
+}
+
+func TestRetargetMovesSlot(t *testing.T) {
+	// A handle moved to another queue uses its id's slot there; the
+	// index it kept stays behind in the old queue's slot.
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		a, ha := mustQueue(t, kind, 4, 2)
+		b, _ := mustQueue(t, kind, 4, 2)
+		h := ha[1]
+		keepOne(t, h)
+		idx := h.kept.Load()
+		h.Retarget(b)
+		if h.kept != b.slot(1) {
+			t.Fatal("Retarget left the handle on its old queue's slot")
+		}
+		if got := a.slot(1).Load(); got != idx {
+			t.Fatalf("old queue's slot holds %d, want %d", got, idx)
+		}
+		for i := range uint64(4) {
+			if !h.Enqueue(i) {
+				t.Fatalf("Enqueue %d into the new queue failed", i)
+			}
+		}
+		if h.Enqueue(4) {
+			t.Fatal("new queue took more than its capacity")
+		}
+	})
+}
+
+func TestSharedHandleNeverKeeps(t *testing.T) {
+	// LockFreeQueue's handle-free operations run on an SCQ handle with
+	// id -1, which any goroutine may use at once: it writes no handle
+	// state and keeps nothing, but it still steals another handle's
+	// kept index.
+	q, hs := mustQueue(t, KindSCQ, 2, 1)
+	s, err := q.HandleAt(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.kept != nil {
+		t.Fatal("shared handle has a kept-index slot")
+	}
+	for range 3 {
+		if !s.Enqueue(1) {
+			t.Fatal("Enqueue failed")
+		}
+		if _, ok := s.Dequeue(); !ok {
+			t.Fatal("Dequeue failed")
+		}
+	}
+	if s.enq {
+		t.Fatal("shared handle wrote its enqueue flag")
+	}
+	for id := range q.slots {
+		if q.slot(id).Load() != 0 {
+			t.Fatalf("slot %d holds an index the shared handle kept", id)
+		}
+	}
+	keepOne(t, hs[0])
+	if !s.Enqueue(1) || !s.Enqueue(2) {
+		t.Fatal("shared handle could not fill the queue")
+	}
+	if hs[0].kept.Load() != 0 {
+		t.Fatal("shared handle filled the queue without the kept index")
+	}
+}
+
+func TestStealPassCoversIdsInUse(t *testing.T) {
+	// The steal pass stops at one past the highest id a handle has
+	// used on the queue, not at maxThreads, and still reaches every
+	// slot that can hold an index: Register, HandleAt and Retarget
+	// each raise the bound before their handle can keep.
+	const maxThreads = 64
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		build := func() *Queue[uint64] {
+			c, err := New[uint64](kind, 4, maxThreads, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.(*Queue[uint64])
+		}
+		reg, _ := mustQueue(t, kind, 4, maxThreads)
+		if got := reg.ids.Load(); got != maxThreads {
+			t.Fatalf("after %d Registers ids = %d", maxThreads, got)
+		}
+		a, b := build(), build()
+		if got := a.ids.Load(); got != 0 {
+			t.Fatalf("fresh queue: ids = %d, want 0", got)
+		}
+		filler, err := b.HandleAt(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := a.HandleAt(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.ids.Load(); got != 10 {
+			t.Fatalf("HandleAt(9): ids = %d, want 10", got)
+		}
+		if got := b.ids.Load(); got != 3 {
+			t.Fatalf("HandleAt(2): ids = %d, want 3", got)
+		}
+		h.Retarget(b)
+		if got := b.ids.Load(); got != 10 {
+			t.Fatalf("Retarget of id 9: ids = %d, want 10", got)
+		}
+		keepOne(t, h)
+		for i := range uint64(4) {
+			if !filler.Enqueue(i) {
+				t.Fatalf("Enqueue %d reported full without stealing id 9's index", i)
+			}
+		}
+		if h.kept.Load() != 0 {
+			t.Fatal("id 9's kept index was not stolen")
+		}
+	})
+}
+
+func TestKeepsAndStealsRaceAtTinyCapacity(t *testing.T) {
+	// Four handles alternate scalar Enqueue and Dequeue on a 2-slot
+	// queue and yield while each holds a kept index, so the others'
+	// Enqueues find fq empty and steal it: steal's Swap races the
+	// owner's take and its keep's CAS. No value may be lost or
+	// delivered twice, and once they stop, the drained queue must take
+	// exactly its capacity again: no index lost, none in two places.
+	const capacity, handles, rounds = 2, 4, 3000
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		_, hs := mustQueue(t, kind, capacity, handles+1)
+		seen := make([]atomic.Int32, handles*rounds)
+		var wg sync.WaitGroup
+		for g, h := range hs[:handles] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; {
+					if h.Enqueue(uint64(g*rounds + i)) {
+						i++
+					}
+					if v, ok := h.Dequeue(); ok {
+						seen[v].Add(1)
+					}
+					runtime.Gosched()
+				}
+			}()
+		}
+		wg.Wait()
+		last := hs[handles]
+		for v, ok := last.Dequeue(); ok; v, ok = last.Dequeue() {
+			seen[v].Add(1)
+		}
+		for v := range seen {
+			if n := seen[v].Load(); n != 1 {
+				t.Fatalf("value %d delivered %d times", v, n)
+			}
+		}
+		for i := range capacity {
+			if !last.Enqueue(uint64(i)) {
+				t.Fatalf("drained queue took %d of %d values: an index was lost", i, capacity)
+			}
+		}
+		if last.Enqueue(capacity) {
+			t.Fatal("drained queue took more than its capacity: an index was in two places")
+		}
+	})
+}

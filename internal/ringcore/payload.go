@@ -47,8 +47,8 @@ var (
 // fq circulates free indices, aq circulates allocated ones. All memory
 // is allocated at construction. The ring kind decides progress:
 // wait-free over wCQ rings, lock-free over SCQ rings. Only
-// construction, HandleAt and Retarget know the kind; every operation
-// goes through the indexRing a handle holds.
+// construction, HandleAt and Retarget know the kind; every ring
+// operation goes through the indexRing a handle holds.
 //
 // The paper's fq starts full of 0..n-1. Here fq starts empty and the
 // fresh counter hands out the indices no value has used yet, in
@@ -59,38 +59,86 @@ var (
 // so two enqueuers claiming neighbouring indices write different cache
 // lines, while a 16-index batch claim fills exactly two.
 //
-// Every operation reads the header fields and none writes them (ids
-// is written by Register only); the pads keep them off any cache line
-// that fresh or a neighbouring heap object writes.
+// Each id below the census has one kept-index slot, an atomic word
+// that is 0 when empty and index+1 otherwise: a small per-handle cache
+// in front of fq, as a slab allocator's per-CPU magazine or DPDK's
+// per-lcore mempool cache sits in front of a shared pool. A scalar
+// Dequeue whose handle's last scalar operation was an Enqueue parks
+// its freed index in its own empty slot instead of fq, and the next
+// Enqueue takes it back from there, so a handle that alternates the
+// two never touches fq. Enqueue looks for an index in the order claim,
+// own slot, fq, then one pass over every slot (steal), so an index a
+// handle keeps is never out of reach of the others and the queue
+// still reports full only when every index is in aq or in the hands
+// of an operation overlapping the call. The pass stops at ids, one
+// past the highest id any handle has used on the queue, so it costs
+// what the handles in use cost, not maxThreads, and Enqueue stays
+// wait-free over wCQ rings. A wCQ slot lives in the slack of the fq
+// ring's line-rounded thread record; SCQ has no records, so kept holds
+// one padded slot per id below maxThreads. Construction resolves where
+// id 0's slot is and how far apart consecutive ids' slots are, so no
+// operation asks which kind holds them.
+//
+// Every operation reads the header fields and none writes them: ids
+// is written only when an id is first used on the queue (Register,
+// HandleAt, Retarget). The pads keep them off any cache line that
+// fresh or a neighbouring heap object writes.
 type Queue[T any] struct {
-	_     pad.Line
-	aq    wholeRing
-	fq    wholeRing
-	data  []T
-	kind  Kind
-	ids   atomic.Int64 // next Register id; registration only
-	refs  bool         // T holds pointers: a taken slot must be zeroed
-	_     pad.Line
-	fresh atomicx.Counter
-	_     pad.Line
+	_    pad.Line
+	aq   wholeRing
+	fq   wholeRing
+	data []T
+	kind Kind
+	// ids is Register's next id, and is raised to one past every id
+	// HandleAt and Retarget bring: the steal pass's bound.
+	ids  atomic.Int64
+	refs bool // T holds pointers: a taken slot must be zeroed
+	// slots is how many ids have a kept-index slot, [0, slots); slot0
+	// is id 0's and stride the bytes from one id's slot to the next.
+	slots  int
+	slot0  unsafe.Pointer
+	stride uintptr
+	kept   []pad.Uint64 // SCQ's kept-index slots; nil for wCQ
+	_      pad.Line
+	fresh  atomicx.Counter
+	_      pad.Line
 }
 
 // QueueHandle is a goroutine's capability to operate on a Queue. It
-// must not be shared between goroutines.
+// must not be shared between goroutines, except an SCQ handle without
+// a kept-index slot (HandleAt(-1)), and then only for scalar
+// operations.
+//
+//wfq:isolate
 type QueueHandle[T any] struct {
 	q  *Queue[T]
 	aq indexRing
 	fq indexRing
+	// id names the handle's kept-index slot in every queue it
+	// operates on; kept is that slot in q, nil when id has none.
+	id   int
+	kept *atomic.Uint64
 	// idxBuf carries index runs between fq, the data array and aq in
 	// the batch operations. It grows to the largest batch this handle
 	// has seen and is then reused forever, so the steady-state batch
 	// hot path allocates nothing.
 	idxBuf []uint64
+	_      pad.Line
+	// enq records that the handle's last scalar operation was an
+	// Enqueue: the gate on keeping. A pure receiver never keeps, so
+	// its slot cannot bounce between it and a sender that steals.
+	// Only a handle with a slot writes it, and on every operation, so
+	// it has a line of its own, away from the fields above and from a
+	// neighbouring handle.
+	enq bool //wfq:hot
+	_   pad.Line
 }
 
 // New builds an empty ring core of the given kind holding up to
 // capacity values (a power of two >= 2). maxThreads bounds Acquire
-// for census kinds (KindWCQ) and is ignored by census-free kinds. The
+// for census kinds (KindWCQ); census-free kinds accept any number of
+// handles, and give ids below maxThreads a kept-index slot (64 B
+// each, so pass 0 where no handle both enqueues and dequeues). The
 // core is always a *Queue[T].
 func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core[T], error) {
 	var o Options
@@ -109,6 +157,8 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 			return nil, err
 		}
 		q.aq, q.fq = aq, fq
+		q.slots = maxThreads // one per fq record, which holds it
+		q.slot0, q.stride = fq.KeptSlots()
 	case KindSCQ:
 		aq, err := scq.NewRing(capacity, o.Mode)
 		if err != nil {
@@ -121,6 +171,11 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 		aq.SetMetrics(o.Metrics)
 		fq.SetMetrics(o.Metrics)
 		q.aq, q.fq = aq, fq
+		q.kept = make([]pad.Uint64, min(max(maxThreads, 0), wcq.MaxThreads))
+		q.slots = len(q.kept)
+		if q.slots > 0 {
+			q.slot0, q.stride = unsafe.Pointer(&q.kept[0].V), unsafe.Sizeof(pad.Uint64{})
+		}
 	default:
 		return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
 	}
@@ -187,12 +242,16 @@ func (q *Queue[T]) Register() (*QueueHandle[T], error) {
 
 // HandleAt returns a handle that uses thread record id, in [0,
 // maxThreads), in both index rings of a wCQ queue; it fails when id is
-// out of that range. SCQ has no records, so it ignores id and its
-// handle operates on the two rings directly. The caller owns the
+// out of that range. SCQ has no records, so its handle operates on the
+// two rings directly and id only picks its kept-index slot: a negative
+// id, or one at or past maxThreads, has none. Such a handle never
+// keeps and its scalar operations write no handle state, so any number
+// of goroutines may share one for scalar Enqueue and Dequeue (its
+// batches would share one scratch buffer). The caller owns the
 // numbering: no two goroutines may use one id at once, and HandleAt
 // and Register are never mixed on one queue.
 func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
-	h := &QueueHandle[T]{q: q}
+	h := &QueueHandle[T]{q: q, id: id, kept: q.slot(id)}
 	switch q.kind {
 	case KindWCQ:
 		aqh, err := q.aq.(*wcq.Ring).HandleAt(id)
@@ -207,14 +266,43 @@ func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
 	case KindSCQ:
 		h.aq, h.fq = q.aq.(*scq.Ring), q.fq.(*scq.Ring)
 	}
+	q.admit(h)
 	return h, nil
+}
+
+// slot returns the kept-index slot of id, or nil when id has none.
+//
+//wfq:noalloc
+func (q *Queue[T]) slot(id int) *atomic.Uint64 {
+	if uint(id) >= uint(q.slots) {
+		return nil
+	}
+	return (*atomic.Uint64)(unsafe.Add(q.slot0, uintptr(id)*q.stride))
+}
+
+// admit raises ids past h's id, if h has a slot, so that every steal
+// pass from here on reaches that slot. A retry means another id was
+// admitted, which happens at most once per id, so admit is wait-free.
+//
+//wfq:noalloc
+func (q *Queue[T]) admit(h *QueueHandle[T]) {
+	if h.kept == nil {
+		return
+	}
+	for n := q.ids.Load(); n <= int64(h.id); n = q.ids.Load() {
+		if q.ids.CompareAndSwap(n, int64(h.id)+1) {
+			return
+		}
+	}
 }
 
 // Retarget points h at queue q, which must be of h's kind and, for
 // wCQ, have at least h's id in records: h keeps its id, and its index
-// scratch, and uses the record with that id in q's rings. h must have
-// no operation in flight. It allocates nothing, so a handle can move
-// from ring to ring as the unbounded construction's turnover does.
+// scratch, and uses the record and the kept-index slot with that id in
+// q. An index h kept in its old queue stays in that queue's slot. h
+// must have no operation in flight. It allocates nothing, so a handle
+// can move from ring to ring as the unbounded construction's turnover
+// does.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Retarget(q *Queue[T]) {
@@ -226,6 +314,8 @@ func (h *QueueHandle[T]) Retarget(q *Queue[T]) {
 		h.aq, h.fq = q.aq.(*scq.Ring), q.fq.(*scq.Ring)
 	}
 	h.q = q
+	h.kept = q.slot(h.id)
+	q.admit(h)
 }
 
 // Queue returns the queue h operates on.
@@ -259,14 +349,19 @@ func (h *QueueHandle[T]) scratch(n int) []uint64 {
 	return h.idxBuf[:n]
 }
 
-// Enqueue appends v; it returns false when the queue is full.
+// Enqueue appends v; it returns false when the queue is full. It
+// takes a never-used index, else the one h kept, else a recycled one
+// from fq, else one another handle kept.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Enqueue(v T) bool {
+	if h.kept != nil {
+		h.enq = true
+	}
 	idx, m := h.q.claim(1)
 	if m == 0 {
 		var ok bool
-		if idx, ok = h.fq.Dequeue(); !ok {
+		if idx, ok = h.reuse(); !ok {
 			return false
 		}
 	} else {
@@ -277,8 +372,55 @@ func (h *QueueHandle[T]) Enqueue(v T) bool {
 	return true
 }
 
+// reuse finds a used index for a scalar Enqueue once the fresh counter
+// is exhausted: h's own kept index, then fq, then the steal pass.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) reuse() (uint64, bool) {
+	if h.kept != nil {
+		if idx, ok := take(h.kept); ok {
+			return idx, true
+		}
+	}
+	if idx, ok := h.fq.Dequeue(); ok {
+		return idx, true
+	}
+	var one [1]uint64
+	return one[0], h.q.steal(one[:]) == 1
+}
+
+// take empties kept-index slot s and returns the index it held; ok is
+// false when it held none. The Load leaves an empty slot's line
+// unwritten.
+//
+//wfq:noalloc
+func take(s *atomic.Uint64) (idx uint64, ok bool) {
+	if s.Load() == 0 {
+		return 0, false
+	}
+	x := s.Swap(0)
+	return x - 1, x != 0
+}
+
+// steal fills a prefix of out with kept indices, in one pass over the
+// slots of every id a handle has used, and returns its length. The
+// pass is not atomic: a slot filled behind it is missed.
+//
+//wfq:noalloc
+func (q *Queue[T]) steal(out []uint64) int {
+	n, ids := 0, min(q.ids.Load(), int64(q.slots))
+	for id := 0; int64(id) < ids && n < len(out); id++ {
+		if idx, ok := take(q.slot(id)); ok {
+			out[n] = idx
+			n++
+		}
+	}
+	return n
+}
+
 // Dequeue removes and returns the oldest value; ok is false when the
-// queue is empty.
+// queue is empty. The value's index goes back to fq, or into h's
+// kept-index slot (see keep).
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
@@ -287,16 +429,34 @@ func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
 		return v, false
 	}
 	v = h.move(idx)
-	h.fq.Enqueue(idx)
+	if !h.keep(idx) {
+		h.fq.Enqueue(idx)
+	}
 	return v, true
 }
 
-// Drain is Dequeue without recycling: the value's index is not handed
-// back to fq, so its slot never takes another value. It is for a queue
-// that takes no more enqueues, such as a sealed ring of the unbounded
-// construction: the short enqueue that sealed it found the fresh
-// counter exhausted, so an Enqueue still in flight on it finds fq
-// empty once every index has been drained, and reports full.
+// keep parks idx in h's kept-index slot when h's last scalar operation
+// was an Enqueue and the slot is empty, and reports whether it did.
+// The CAS from empty matters: the unbounded construction's two views
+// of one handle share an id, so neither may overwrite an index the
+// other kept.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) keep(idx uint64) bool {
+	if !h.enq {
+		return false
+	}
+	h.enq = false
+	return h.kept.CompareAndSwap(0, idx+1)
+}
+
+// Drain is Dequeue without recycling: the value's index is neither
+// handed back to fq nor kept, so its slot never takes another value.
+// It is for a queue that takes no more enqueues, such as a sealed ring
+// of the unbounded construction: the short enqueue that sealed it
+// found the fresh counter exhausted, so an Enqueue still in flight on
+// it finds fq and the kept-index slots empty once every index has been
+// drained, and reports full.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Drain() (v T, ok bool) {
@@ -326,10 +486,11 @@ func (h *QueueHandle[T]) move(idx uint64) T {
 
 // EnqueueBatch appends a prefix of vs in order and returns its length;
 // a short count means the queue filled up mid-batch. The batch takes
-// a run of never-used indices with one F&A on the fresh counter and
-// the rest from fq. Index traffic with fq/aq moves through the native
-// ring batches, so the fast path pays one F&A per ring per batch
-// instead of one per element.
+// a run of never-used indices with one F&A on the fresh counter, the
+// rest from fq, and what fq lacks from the kept-index slots. Index
+// traffic with fq/aq moves through the native ring batches, so the
+// fast path pays one F&A per ring per batch instead of one per
+// element.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
@@ -345,6 +506,9 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 	if n < len(buf) {
 		n += h.fq.DequeueBatch(buf[n:])
 	}
+	if n < len(buf) {
+		n += h.q.steal(buf[n:])
+	}
 	for j := 0; j < n; j++ {
 		h.q.data[buf[j]] = vs[j]
 	}
@@ -353,7 +517,8 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 }
 
 // DequeueBatch fills a prefix of out with the oldest values and
-// returns its length; 0 means the queue appeared empty.
+// returns its length; 0 means the queue appeared empty. Every index
+// goes back to fq: a batch keeps none.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) DequeueBatch(out []T) int {
@@ -418,11 +583,13 @@ func (q *Queue[T]) Cap() uint64 { return uint64(len(q.data)) }
 func (q *Queue[T]) Stats() metrics.Snapshot { return q.aq.Metrics().Snapshot() }
 
 // Footprint returns the statically allocated byte size of the queue
-// (both rings, any thread records, and the payload array slots of T's
-// size each).
+// (both rings, any thread records, the kept-index slots, and the
+// payload array slots of T's size each). wCQ's slots sit inside the
+// fq ring's records, which its Footprint already charges.
 //
 //wfq:noalloc
 func (q *Queue[T]) Footprint() uint64 {
 	var v T
-	return q.aq.Footprint() + q.fq.Footprint() + uint64(cap(q.data))*uint64(unsafe.Sizeof(v))
+	kept := uint64(len(q.kept)) * uint64(unsafe.Sizeof(pad.Uint64{}))
+	return q.aq.Footprint() + q.fq.Footprint() + kept + uint64(cap(q.data))*uint64(unsafe.Sizeof(v))
 }

@@ -15,7 +15,10 @@
 // and a 16-index batch claim on two. The index rings place their own
 // entries with ring.Slot: the paper's Cache_Remap on rings that stay
 // in cache, and the same spread on larger ones. A take zeroes its
-// slot only when the value type holds pointers.
+// slot only when the value type holds pointers. Each census id also
+// has a kept-index slot in front of the free-index ring: a handle
+// that alternates Enqueue and Dequeue passes its index from one to
+// the next through it, and never touches the free-index ring.
 // The unbounded linked rings and the public wfqueue types hold that
 // concrete *Queue, which is always what New builds, rather than the
 // contract: they call its handles directly, and the unbounded

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/pad"
 	"repro/internal/ring"
 )
 
@@ -127,7 +128,8 @@ func TestPointerFreeTakeKeepsSlot(t *testing.T) {
 }
 
 // checkSlotFootprint fails unless an n-slot queue of T reports its two
-// rings' footprint plus size bytes per slot.
+// rings' footprint, plus a line per kept-index slot outside them
+// (SCQ's), plus size bytes per data slot.
 func checkSlotFootprint[T any](t *testing.T, kind Kind, size uint64) {
 	t.Helper()
 	const n = 1024
@@ -136,9 +138,9 @@ func checkSlotFootprint[T any](t *testing.T, kind Kind, size uint64) {
 		t.Fatal(err)
 	}
 	q := c.(*Queue[T])
-	rings := q.aq.Footprint() + q.fq.Footprint()
+	rings := q.aq.Footprint() + q.fq.Footprint() + uint64(len(q.kept))*pad.CacheLineSize
 	if got, want := q.Footprint(), rings+n*size; got != want {
-		t.Fatalf("%v: Footprint = %d B, want %d B of rings + %d x %d B", reflect.TypeFor[T](), got, rings, n, size)
+		t.Fatalf("%v: Footprint = %d B, want %d B of rings and kept slots + %d x %d B", reflect.TypeFor[T](), got, rings, n, size)
 	}
 }
 

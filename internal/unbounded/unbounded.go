@@ -25,8 +25,13 @@
 // drained, never touches its free-index ring. The short enqueue that
 // sealed a node found that counter exhausted, so an enqueuer still in
 // flight on it either already holds an index or finds one its
-// free-index ring still holds (its value lands and is drained), or
-// finds none and moves on to the successor, as it does on a full ring.
+// free-index ring or a kept-index slot still holds (its value lands
+// and is drained), or finds none and moves on to the successor, as it
+// does on a full ring. The head view only dequeues and the tail view
+// only enqueues, so neither keeps an index in steady state; the
+// kept-index slots serve handles that do both on one ring. A ring is
+// built with maxThreads only for census kinds, so a wCQ ring's slots
+// sit in its records' slack and an SCQ ring has none.
 //
 // Each handle has one thread id, as each thread does in the appendix,
 // and uses the record with that id in every ring: handle i is record
@@ -184,7 +189,7 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 		maxHandles = maxThreads
 	}
 	mk := func() (*ringcore.Queue[T], error) {
-		c, err := ringcore.New[T](kind, ringCap, maxThreads, opts)
+		c, err := ringcore.New[T](kind, ringCap, maxHandles, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -29,17 +29,27 @@ type phase2rec struct {
 // at 1 and seq2 at 0 so that a fresh record never looks like an
 // active request (a request is active only while seq1 == seq2 and
 // pending is set).
+//
+// kept is not the paper's: it is the payload layer's kept-index slot
+// of this id (see ringcore.Queue), which the ring only stores. It fits
+// in the line-rounded size Footprint already charges (176 B of fields
+// and pad, charged as 192 B), so it costs no footprint. Its owner
+// writes it on every operation that alternates, so the field order
+// keeps it a full line (on 64-bit targets) from pending, the one field
+// other threads read outside the slow path: pending starts 84 B after
+// kept, and ends 88 B before the next record's.
 type record struct {
-	tid int
+	kept atomic.Uint64
+	tid  int
 
 	// Shared fields.
 	phase2    phase2rec
 	seq1      atomic.Uint64
-	enqueue   atomic.Bool
-	pending   atomic.Bool
 	localTail atomic.Uint64
 	initTail  atomic.Uint64
 	localHead atomic.Uint64
+	enqueue   atomic.Bool
+	pending   atomic.Bool
 	initHead  atomic.Uint64
 	index     atomic.Uint64
 	seq2      atomic.Uint64
@@ -48,7 +58,7 @@ type record struct {
 }
 
 // recSize is what Footprint charges per record: its size rounded up
-// to whole cache lines (168 B -> 192 B on 64-bit targets).
+// to whole cache lines (176 B -> 192 B on 64-bit targets).
 const recSize = uint64((unsafe.Sizeof(record{}) + pad.CacheLineSize - 1) &^ (pad.CacheLineSize - 1))
 
 func (r *record) init(tid int) {
@@ -86,3 +96,10 @@ func (h *Handle) Ring() *Ring { return h.q }
 //
 //wfq:noalloc
 func (h *Handle) Retarget(q *Ring) { h.q, h.r = q, &q.recs[h.r.tid] }
+
+// KeptSlots locates the records' kept-index slots: record 0's, and the
+// bytes from one record's to the next. The ring only stores them; the
+// payload queue built over the ring decides what they hold.
+func (q *Ring) KeptSlots() (first unsafe.Pointer, stride uintptr) {
+	return unsafe.Pointer(&q.recs[0].kept), unsafe.Sizeof(record{})
+}

@@ -190,6 +190,14 @@ func (q *Queue[T]) Stats() MetricsSnapshot { return q.q.Stats() }
 // Enqueue appends v; it returns false when the queue is full. The
 // operation completes in a bounded number of steps.
 //
+// Full means every slot was, at some instant during the call, holding
+// a value or held by an operation that overlapped the call. A handle
+// that alternates Enqueue and Dequeue keeps its freed slot for its
+// next Enqueue, and Enqueue's search of the kept slots is not atomic,
+// so while other handles run, false does not mean the queue held
+// Cap() values at one instant. With no operation overlapping the call,
+// it does.
+//
 //wfq:noalloc
 func (h *Handle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }
 
@@ -201,9 +209,10 @@ func (h *Handle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }
 func (h *Handle[T]) Dequeue() (v T, ok bool) { return h.h.Dequeue() }
 
 // EnqueueBatch appends a prefix of vs in order and returns its length
-// (a short count means the queue filled up mid-batch). The fast path
-// reserves the whole batch with one fetch-and-add per underlying ring
-// instead of one per element; the operation stays wait-free.
+// (a short count means the queue filled up mid-batch, full in the
+// sense Enqueue states). The fast path reserves the whole batch with
+// one fetch-and-add per underlying ring instead of one per element;
+// the operation stays wait-free.
 //
 //wfq:noalloc
 func (h *Handle[T]) EnqueueBatch(vs []T) int { return h.h.EnqueueBatch(vs) }
@@ -282,10 +291,10 @@ func (h *RingHandle) Dequeue() (index uint64, ok bool) { return h.h.Dequeue() }
 type LockFreeQueue[T any] struct {
 	q *ringcore.Queue[T]
 	// h serves the handle-free Enqueue and Dequeue for every goroutine
-	// at once. That is safe because an SCQ handle's scalar path writes
-	// no handle state: it only calls the two rings, which are the
-	// shared rings themselves. The batch scratch is the one per-handle
-	// state, and only Handle's batches touch it.
+	// at once. Its id is -1, so it has no kept-index slot: it never
+	// keeps, its scalar path writes no handle state, and it only calls
+	// the two rings, which are the shared rings themselves. Only
+	// Handle's handles run batches.
 	h *ringcore.QueueHandle[T]
 }
 
@@ -298,14 +307,15 @@ func NewLockFree[T any](capacity uint64, opts ...Option) (*LockFreeQueue[T], err
 	if err != nil {
 		return nil, err
 	}
-	h, err := q.Register()
+	h, err := q.HandleAt(-1)
 	if err != nil {
 		return nil, err
 	}
 	return &LockFreeQueue[T]{q: q, h: h}, nil
 }
 
-// Enqueue appends v; false when full. Safe for any goroutine.
+// Enqueue appends v; false when full, in the sense Handle.Enqueue
+// states for Queue. Safe for any goroutine.
 //
 //wfq:noalloc
 func (q *LockFreeQueue[T]) Enqueue(v T) bool { return q.h.Enqueue(v) }
@@ -348,7 +358,8 @@ type LockFreeHandle[T any] struct {
 	h *ringcore.QueueHandle[T]
 }
 
-// Enqueue appends v; false when full.
+// Enqueue appends v; false when full, in the sense Handle.Enqueue
+// states for Queue.
 //
 //wfq:noalloc
 func (h *LockFreeHandle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }
@@ -359,8 +370,8 @@ func (h *LockFreeHandle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }
 func (h *LockFreeHandle[T]) Dequeue() (T, bool) { return h.h.Dequeue() }
 
 // EnqueueBatch appends a prefix of vs in order and returns its length
-// (a short count means the queue filled up mid-batch). The whole
-// batch is reserved with one fetch-and-add per ring instead of one
+// (a short count means the queue filled up mid-batch, full in the
+// sense Handle.Enqueue states for Queue). The whole batch is reserved with one fetch-and-add per ring instead of one
 // per element; the steady-state hot path allocates nothing.
 //
 //wfq:noalloc
