@@ -9,7 +9,6 @@
 //	wcqbench -figure 11b                 # one figure
 //	wcqbench -figure all -ops 1000000    # the full evaluation
 //	wcqbench -figure 10a -queues wCQ,SCQ,LCRQ
-//	wcqbench -figure all -record EXPERIMENTS.md
 //	wcqbench -figure 11c -batch 32       # batched 50/50 workload
 //	wcqbench -blocking                   # blocking figures + wakeup latency
 //	wcqbench -figure u1                  # unbounded burst/drain + peak footprint
@@ -31,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -43,12 +41,11 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "figure id (10a..12c, s1, s2, b1, u1, p2, l1, w1) or 'all'")
+		figure   = flag.String("figure", "all", "figure id (10a..12c, b1, u1, p2, l1, w1) or 'all'")
 		ops      = flag.Int("ops", 200_000, "operations per measurement point (paper: 10,000,000)")
 		reps     = flag.Int("reps", 3, "repetitions per point (paper: 10)")
 		maxThr   = flag.Int("maxthreads", 0, "truncate the thread sweep (0 = full paper sweep)")
 		queuesF  = flag.String("queues", "", "comma-separated queue subset (default: figure's full line-up)")
-		record   = flag.String("record", "", "append results as a markdown section to this file")
 		jsonPath = flag.String("json", "", "write machine-readable results (wcqbench/v1) to this file, e.g. BENCH_queue.json")
 		smoke    = flag.Bool("smoke-batch", false, "exit nonzero unless figure p2's batch=32 per-element throughput beats batch=1 for wCQ and SCQ (relative check, robust to host speed)")
 		loadsF   = flag.String("loads", "", "figure l1: comma-separated offered-load fractions of calibrated capacity (default 0.25,0.5,0.75,0.9,1.1)")
@@ -109,11 +106,6 @@ func main() {
 		figs = []harness.Figure{f}
 	}
 
-	var md strings.Builder
-	fmt.Fprintf(&md, "\n## Run %s (GOMAXPROCS=%d, %d CPU)\n\n",
-		time.Now().Format(time.RFC3339), runtime.GOMAXPROCS(0), runtime.NumCPU())
-	fmt.Fprintf(&md, "ops/point=%d reps=%d\n\n", *ops, *reps)
-
 	jf := benchfmt.New(*ops, *reps)
 
 	for _, f := range figs {
@@ -151,34 +143,10 @@ func main() {
 			}
 			jf.Points = append(jf.Points, bp)
 		}
-		if *record != "" {
-			md.WriteString("### Figure " + f.ID + ": " + f.Title + "\n\n```\n")
-			var sb strings.Builder
-			f.Render(&sb, pts, opts)
-			md.WriteString(sb.String())
-			md.WriteString("```\n\n")
-		}
 		if f.Blocking {
 			wl := wakeupLatency(f, opts, shared)
 			fmt.Print(wl + "\n")
-			if *record != "" {
-				md.WriteString("```\n" + wl + "```\n\n")
-			}
 		}
-	}
-
-	if *record != "" {
-		fh, err := os.OpenFile(*record, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer fh.Close()
-		if _, err := fh.WriteString(md.String()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("recorded to %s\n", *record)
 	}
 
 	if *jsonPath != "" {

@@ -65,6 +65,8 @@ type crq struct {
 	vals  []atomic.Uint64
 }
 
+// newCRQ returns an open, empty CRQ of 1<<order cells, written with
+// plain stores before it is published.
 func newCRQ(order uint) *crq {
 	size := uint64(1) << order
 	c := &crq{
@@ -75,9 +77,12 @@ func newCRQ(order uint) *crq {
 		vals:    make([]atomic.Uint64, size),
 	}
 	// Every cell unoccupied, safe, and carrying the first ticket that
-	// maps to it: tickets reach cells through ring.Slot, so cell p
-	// first serves ticket ring.Unslot(p), not ticket p.
-	ring.Seed(atomicx.Prepublish(c.cells), order, cellSafeBit, size, 0)
+	// maps to it: tickets reach cells through ring.Slot, so ticket i
+	// first lands on cell ring.Slot(i, order), not cell i.
+	cells := atomicx.Prepublish(c.cells)
+	for i := range size {
+		cells[ring.Slot(i, order)] = cellSafeBit | i
+	}
 	return c
 }
 

@@ -124,8 +124,8 @@ func TestNewCRQMatchesStores(t *testing.T) {
 	for _, order := range []uint{1, 2, 3, 4, DefaultRingOrder, ring.SpreadOrder} {
 		got := newCRQ(order)
 		want := make([]atomic.Uint64, 1<<order)
-		for i := range want {
-			want[i].Store(cellSafeBit | ring.Unslot(uint64(i), order))
+		for i := range uint64(1) << order {
+			want[ring.Slot(i, order)].Store(cellSafeBit | i)
 		}
 		for i := range want {
 			if g, w := got.cells[i].Load(), want[i].Load(); g != w {

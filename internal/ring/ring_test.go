@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -70,17 +69,6 @@ func TestRemapBijection(t *testing.T) {
 				t.Fatalf("order %d: Remap not injective at %d", order, i)
 			}
 			seen[j] = true
-		}
-	}
-}
-
-func TestUnmapInvertsRemap(t *testing.T) {
-	for _, order := range []uint{0, 1, 3, 4, 5, 8, 12, 17} {
-		n := uint64(1) << order
-		for i := uint64(0); i < n; i++ {
-			if got := unmap(Remap(i, order), order); got != i {
-				t.Fatalf("order %d: unmap(Remap(%d)) = %d", order, i, got)
-			}
 		}
 	}
 }
@@ -166,9 +154,6 @@ func TestSlotIsBijection(t *testing.T) {
 				t.Fatalf("order %d: Slot(%d) = %d, out of range or taken twice", order, i, j)
 			}
 			seen[j] = true
-			if got := Unslot(j, order); got != i {
-				t.Fatalf("order %d: Unslot(Slot(%d)) = %d", order, i, got)
-			}
 		}
 	}
 }
@@ -199,58 +184,6 @@ func TestSlotLines(t *testing.T) {
 			if len(lines) != 2 {
 				t.Fatalf("order %d: run %d..%d covers %d lines, want 2", order, base, base+15, len(lines))
 			}
-		}
-	}
-}
-
-// seedRef is the per-slot loop Seed replaced: every entry asks Unslot
-// which position it holds.
-func seedRef(dst []uint64, order uint, base, limit, rest uint64) {
-	for p := range dst {
-		if i := Unslot(uint64(p), order); i < limit {
-			dst[p] = base | i
-		} else {
-			dst[p] = rest
-		}
-	}
-}
-
-func TestSeedMatchesUnmap(t *testing.T) {
-	const base, rest = 3 << 40, 0xdead
-	for order := uint(1); order <= SpreadOrder+2; order++ {
-		n := uint64(1) << order
-		// n/2 is the free-index ring (wCQ, SCQ), n the LCRQ cells; the
-		// others cut a line pattern, or a run of 16, part way through.
-		for _, limit := range []uint64{n / 2, n, 0, 1, n/2 + 3, n - 1} {
-			got, want := make([]uint64, n), make([]uint64, n)
-			Seed(got, order, base, limit, rest)
-			seedRef(want, order, base, limit, rest)
-			for p := range want {
-				if got[p] != want[p] {
-					t.Fatalf("order %d limit %d: slot %d = %#x, want %#x", order, limit, p, got[p], want[p])
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkSeed seeds the free-index rings of capacity 2^10 and 2^16
-// (2^11 entries under Remap, 2^17 under spread), against the per-entry
-// loop it replaced.
-func BenchmarkSeed(b *testing.B) {
-	for _, order := range []uint{11, 17} {
-		n := uint64(1) << order
-		dst := make([]uint64, n)
-		for _, c := range []struct {
-			name string
-			seed func([]uint64, uint, uint64, uint64, uint64)
-		}{{"lines", Seed}, {"unslot", seedRef}} {
-			b.Run(fmt.Sprintf("%s/order=%d", c.name, order), func(b *testing.B) {
-				b.SetBytes(int64(n * 8))
-				for b.Loop() {
-					c.seed(dst, order, 1<<40, n/2, 7)
-				}
-			})
 		}
 	}
 }

@@ -56,6 +56,40 @@ func newHandles(t *testing.T, q *Queue[uint64], n int) []*Handle[uint64] {
 	return hs
 }
 
+// watchdogTimeout bounds the consumer loops of the concurrent tests,
+// with room for -race: a lost value would otherwise keep them
+// spinning until go test's own timeout.
+const watchdogTimeout = 60 * time.Second
+
+// watchdog returns a flag that turns true once watchdogTimeout has
+// passed; consumer loops poll it and return.
+func watchdog(t *testing.T) *atomic.Bool {
+	var expired atomic.Bool
+	timer := time.AfterFunc(watchdogTimeout, func() { expired.Store(true) })
+	t.Cleanup(func() { timer.Stop() })
+	return &expired
+}
+
+// failUndelivered fails t when some of the values seen counts were
+// never delivered, naming how many were, the first few missing, and
+// whether the watchdog stopped the consumers.
+func failUndelivered(t *testing.T, q *Queue[uint64], seen []atomic.Int32, expired *atomic.Bool) {
+	t.Helper()
+	var delivered int
+	var missing []int
+	for i := range seen {
+		if seen[i].Load() > 0 {
+			delivered++
+		} else if len(missing) < 8 {
+			missing = append(missing, i)
+		}
+	}
+	if delivered < len(seen) {
+		t.Fatalf("%d of %d values delivered, first missing %v (rings=%d, watchdog expired: %v)",
+			delivered, len(seen), missing, ringsBuilt(q), expired.Load())
+	}
+}
+
 // spares counts the handles of hs that hold a spare ring.
 func spares(hs []*Handle[uint64]) int {
 	n := 0
@@ -195,6 +229,7 @@ func TestUnboundedMPMC(t *testing.T) {
 			total := producers * per
 			var got atomic.Int64
 			seen := make([]atomic.Int32, total)
+			expired := watchdog(t)
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
 				h, err := q.Handle()
@@ -217,7 +252,7 @@ func TestUnboundedMPMC(t *testing.T) {
 				wg.Add(1)
 				go func(h *Handle[uint64]) {
 					defer wg.Done()
-					for got.Load() < int64(total) {
+					for got.Load() < int64(total) && !expired.Load() {
 						v, ok := h.Dequeue()
 						if !ok {
 							runtime.Gosched()
@@ -229,6 +264,7 @@ func TestUnboundedMPMC(t *testing.T) {
 				}(h)
 			}
 			wg.Wait()
+			failUndelivered(t, q, seen, expired)
 			for i := range seen {
 				if n := seen[i].Load(); n != 1 {
 					t.Fatalf("value %d delivered %d times (rings=%d)", i, n, ringsBuilt(q))
@@ -296,10 +332,16 @@ func TestUnboundedPerProducerFIFOAcrossRings(t *testing.T) {
 	hp, _ := q.Handle()
 	hc, _ := q.Handle()
 	const n = 5000
+	expired := watchdog(t)
 	done := make(chan error, 1)
 	go func() {
 		next := uint64(0)
 		for next < n {
+			if expired.Load() {
+				done <- fmt.Errorf("after %v: %d of %d values delivered, first missing %d (rings=%d)",
+					watchdogTimeout, next, n, next, ringsBuilt(q))
+				return
+			}
 			v, ok := hc.Dequeue()
 			if !ok {
 				runtime.Gosched()
@@ -758,6 +800,7 @@ func TestUnboundedChurnStorm(t *testing.T) {
 				q := mk(t, 8)
 				var got atomic.Int64
 				seen := make([]atomic.Int32, producers*per)
+				expired := watchdog(t)
 				var wg sync.WaitGroup
 				for p := 0; p < producers; p++ {
 					h, err := q.Handle()
@@ -794,7 +837,7 @@ func TestUnboundedChurnStorm(t *testing.T) {
 							last[i] = -1
 						}
 						out := make([]uint64, batch)
-						for got.Load() < producers*per {
+						for got.Load() < producers*per && !expired.Load() {
 							var n int
 							if batch == 1 {
 								var ok bool
@@ -822,6 +865,7 @@ func TestUnboundedChurnStorm(t *testing.T) {
 					}(h)
 				}
 				wg.Wait()
+				failUndelivered(t, q, seen, expired)
 				for i := range seen {
 					if n := seen[i].Load(); n != 1 {
 						t.Fatalf("value %d of producer %d delivered %d times", i%per, i/per, n)

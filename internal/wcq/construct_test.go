@@ -74,82 +74,85 @@ func TestNewRingMatchesStores(t *testing.T) {
 // one goroutine and publishes them through a channel to two others,
 // which move every index from one to the other concurrently. Under
 // -race this checks that the constructors' plain writes are ordered
-// before the workers' atomic accesses by the publication alone.
+// before the workers' atomic accesses by the publication alone, at a
+// capacity ring.Slot lays out with Remap and at the smallest it lays
+// out with spread.
 func TestPublishedRingMPMC(t *testing.T) {
-	const capacity = 1024
-	type rings struct{ fq, aq *Ring }
-	pub := make(chan rings, 3)
-	go func() {
-		defer close(pub)
-		fq, err := NewFullRing(capacity, 3, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		aq, err := NewRing(capacity, 3, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for range 3 {
-			pub <- rings{fq, aq}
-		}
-	}()
-	var moved [2][]uint64
-	var wg sync.WaitGroup
-	for w := range moved {
-		wg.Add(1)
+	for _, capacity := range []uint64{1024, 1 << (ring.SpreadOrder - 1)} {
+		type rings struct{ fq, aq *Ring }
+		pub := make(chan rings, 3)
 		go func() {
-			defer wg.Done()
-			rs, ok := <-pub
-			if !ok {
-				return
-			}
-			fh, err := rs.fq.Register()
+			defer close(pub)
+			fq, err := NewFullRing(capacity, 3, nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			ah, err := rs.aq.Register()
+			aq, err := NewRing(capacity, 3, nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			for {
-				i, ok := fh.Dequeue()
+			for range 3 {
+				pub <- rings{fq, aq}
+			}
+		}()
+		var moved [2][]uint64
+		var wg sync.WaitGroup
+		for w := range moved {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rs, ok := <-pub
 				if !ok {
 					return
 				}
-				ah.Enqueue(i)
-				moved[w] = append(moved[w], i)
-			}
-		}()
-	}
-	wg.Wait()
-	rs, ok := <-pub
-	if !ok {
-		t.FailNow()
-	}
-	var nMoved, nDrained [capacity]int
-	for _, m := range moved {
-		for _, i := range m {
-			nMoved[i]++
+				fh, err := rs.fq.Register()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ah, err := rs.aq.Register()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					i, ok := fh.Dequeue()
+					if !ok {
+						return
+					}
+					ah.Enqueue(i)
+					moved[w] = append(moved[w], i)
+				}
+			}()
 		}
-	}
-	ah, err := rs.aq.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		i, ok := ah.Dequeue()
+		wg.Wait()
+		rs, ok := <-pub
 		if !ok {
-			break
+			t.FailNow()
 		}
-		nDrained[i]++
-	}
-	for i := range nMoved {
-		if nMoved[i] != 1 || nDrained[i] != 1 {
-			t.Fatalf("index %d moved %d times and drained %d times, want once each", i, nMoved[i], nDrained[i])
+		nMoved, nDrained := make([]int, capacity), make([]int, capacity)
+		for _, m := range moved {
+			for _, i := range m {
+				nMoved[i]++
+			}
+		}
+		ah, err := rs.aq.Register()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			i, ok := ah.Dequeue()
+			if !ok {
+				break
+			}
+			nDrained[i]++
+		}
+		for i := range nMoved {
+			if nMoved[i] != 1 || nDrained[i] != 1 {
+				t.Fatalf("cap %d: index %d moved %d times and drained %d times, want once each", capacity, i, nMoved[i], nDrained[i])
+			}
 		}
 	}
 }

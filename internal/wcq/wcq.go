@@ -110,9 +110,10 @@ func NewRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 // that state directly, which is exactly what capacity single-threaded
 // fast-path enqueues leave, without their per-index F&A and CAS: index
 // i at Tail ticket nSlots+i (cycle 1, safe, enq), every other slot
-// empty, Tail just past the last index, Threshold armed. ring.Seed
-// writes the slots a cache line at a time, with plain stores before
-// the ring is published.
+// empty, Tail just past the last index, Threshold armed. It fills
+// every slot empty, then writes index i into the slot of position i,
+// ring.Slot(i, order), all with plain stores before the ring is
+// published.
 func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	q, err := newRing(capacity, maxThreads, opts)
 	if err != nil {
@@ -121,7 +122,11 @@ func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) 
 	l := &q.lay
 	m := l.words
 	index0 := m.enqueued(0, m.cycleOf(l.nSlots), l.noteOf(l.nSlots), 0) // Index is the low field: entry i is index0 | i
-	ring.Seed(atomicx.Prepublish(q.entries), l.order, index0, capacity, l.initialWord())
+	e, order := atomicx.Prepublish(q.entries), l.order
+	e.Fill(l.initialWord())
+	for i := range capacity {
+		e[ring.Slot(i, order)] = index0 | i
+	}
 	q.tail.Store(l.nSlots + capacity)
 	q.threshold.Store(q.thresh3)
 	return q, nil

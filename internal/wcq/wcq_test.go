@@ -117,9 +117,10 @@ func TestNewFullRingOrder(t *testing.T) {
 func TestNewFullRingMatchesEnqueues(t *testing.T) {
 	// The direct fill must leave word for word the state capacity
 	// single-threaded fast-path enqueues leave, plus the same Head, Tail
-	// and Threshold.
+	// and Threshold. The last capacity is the smallest whose ring
+	// (2^SpreadOrder entries) ring.Slot lays out with spread, not Remap.
 	for _, mode := range []atomicx.Mode{atomicx.NativeFAA, atomicx.EmulatedFAA, atomicx.CountingFAA} {
-		for _, c := range []uint64{2, 4, 16, 256, 1 << 12} {
+		for _, c := range []uint64{2, 4, 16, 256, 1 << 12, 1 << (ring.SpreadOrder - 1)} {
 			opts := &Options{Mode: mode}
 			got, err := NewFullRing(c, 1, opts)
 			if err != nil {
