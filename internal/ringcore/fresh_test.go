@@ -187,7 +187,9 @@ func TestFreshConcurrentFirstLap(t *testing.T) {
 	// Producers race through a fresh queue's first lap and past it,
 	// with scalar and batch enqueues, while consumers recycle indices
 	// into fq: every value arrives exactly once, and each consumer sees
-	// each producer's values in order.
+	// each producer's values in order. At capacity 32 a producer's
+	// scalar Enqueue claims a run of fresh indices, which the other
+	// producer's enqueues steal from once the counter runs out.
 	const (
 		producers = 2
 		consumers = 2
@@ -197,7 +199,7 @@ func TestFreshConcurrentFirstLap(t *testing.T) {
 	)
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		for round := range rounds {
-			capacity := uint64(2) << (round % 3) // 2, 4, 8
+			capacity := []uint64{2, 4, 2 * runLen}[round%3]
 			q := mustNew(t, kind, capacity, producers+consumers).(*Queue[uint64])
 			var wg sync.WaitGroup
 			var consumed atomic.Int64
@@ -285,57 +287,73 @@ func TestFreshConcurrentFirstLap(t *testing.T) {
 }
 
 func TestFreshSteadyStateNoWrite(t *testing.T) {
-	// The counter is written only on the first lap: once it has handed
-	// out every index, scalar and batch enqueues read it and go to fq,
-	// adding nothing to it.
+	// The counter is written only on the first lap: a batch claims its
+	// whole run with one F&A, and a handle's scalar enqueues claim
+	// runLen indices at once, so one handle's first lap of n scalar
+	// enqueues adds ceil(n/runLen) to it. Once it has handed out every
+	// index, scalar and batch enqueues read it and go to fq, adding
+	// nothing to it.
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		const capacity = 8
-		c, err := New[uint64](kind, capacity, 1, &Options{Mode: atomicx.CountingFAA})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := c.(*Queue[uint64])
-		h, err := q.Register()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := h.EnqueueBatch(make([]uint64, capacity/2)); n != capacity/2 {
-			t.Fatalf("first-lap EnqueueBatch = %d", n)
-		}
-		if got := q.fresh.Adds(); got != 1 {
-			t.Fatalf("first-lap batch added to fresh %d times, want 1", got)
-		}
-		for i := 0; i < capacity/2; i++ {
-			if !h.Enqueue(uint64(i)) {
-				t.Fatalf("first-lap Enqueue %d failed", i)
-			}
-		}
-		lap := q.fresh.Adds()
-		if lap != 1+capacity/2 {
-			t.Fatalf("first lap added to fresh %d times, want %d", lap, 1+capacity/2)
-		}
-		if h.Enqueue(99) || h.EnqueueBatch(make([]uint64, 2)) != 0 {
-			t.Fatal("enqueue into a full queue succeeded")
-		}
-		buf := make([]uint64, capacity)
-		for range 50 {
-			if _, ok := h.Dequeue(); !ok {
-				t.Fatal("Dequeue on a non-empty queue failed")
-			}
-			if !h.Enqueue(1) {
-				t.Fatal("Enqueue after a Dequeue failed")
-			}
-			if n := h.DequeueBatch(buf[:3]); n != 3 {
-				t.Fatalf("DequeueBatch = %d, want 3", n)
-			}
-			if n := h.EnqueueBatch(buf[:3]); n != 3 {
-				t.Fatalf("EnqueueBatch = %d, want 3", n)
-			}
-		}
-		if got := q.fresh.Adds(); got != lap {
-			t.Fatalf("steady state added to fresh %d times", got-lap)
+		for _, capacity := range []int{8, 64, 1024} {
+			t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+				q, h := countingQueue(t, kind, uint64(capacity))
+				if n := h.EnqueueBatch(make([]uint64, capacity/2)); n != capacity/2 {
+					t.Fatalf("first-lap EnqueueBatch = %d", n)
+				}
+				if got := q.fresh.Adds(); got != 1 {
+					t.Fatalf("first-lap batch added to fresh %d times, want 1", got)
+				}
+
+				q, h = countingQueue(t, kind, uint64(capacity))
+				for i := range capacity {
+					if !h.Enqueue(uint64(i)) {
+						t.Fatalf("first-lap Enqueue %d failed", i)
+					}
+				}
+				lap := q.fresh.Adds()
+				if want := (capacity + runLen - 1) / runLen; lap != int64(want) {
+					t.Fatalf("first lap of %d Enqueues added to fresh %d times, want %d", capacity, lap, want)
+				}
+				if h.Enqueue(99) || h.EnqueueBatch(make([]uint64, 2)) != 0 {
+					t.Fatal("enqueue into a full queue succeeded")
+				}
+				buf := make([]uint64, capacity)
+				for range 50 {
+					if _, ok := h.Dequeue(); !ok {
+						t.Fatal("Dequeue on a non-empty queue failed")
+					}
+					if !h.Enqueue(1) {
+						t.Fatal("Enqueue after a Dequeue failed")
+					}
+					if n := h.DequeueBatch(buf[:3]); n != 3 {
+						t.Fatalf("DequeueBatch = %d, want 3", n)
+					}
+					if n := h.EnqueueBatch(buf[:3]); n != 3 {
+						t.Fatalf("EnqueueBatch = %d, want 3", n)
+					}
+				}
+				if got := q.fresh.Adds(); got != lap {
+					t.Fatalf("steady state added to fresh %d times", got-lap)
+				}
+			})
 		}
 	})
+}
+
+// countingQueue builds a queue of kind whose fresh counter counts its
+// F&As, with one registered handle.
+func countingQueue(t *testing.T, kind Kind, capacity uint64) (*Queue[uint64], *QueueHandle[uint64]) {
+	t.Helper()
+	c, err := New[uint64](kind, capacity, 1, &Options{Mode: atomicx.CountingFAA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := c.(*Queue[uint64])
+	h, err := q.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, h
 }
 
 func BenchmarkNewQueue(b *testing.B) {

@@ -5,10 +5,12 @@
 package ringcore
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // mustQueue builds a *Queue[uint64] of kind with handles registered
@@ -78,6 +80,146 @@ func TestFullStealsKeptIndex(t *testing.T) {
 			}
 			if _, ok := filler.Dequeue(); ok {
 				t.Fatalf("batch %v: more than capacity values", batch)
+			}
+		}
+	})
+}
+
+func TestFullStealsRun(t *testing.T) {
+	// One handle's first scalar Enqueue claims runLen fresh indices and
+	// keeps the runLen-1 it did not use as its run; another handle
+	// (registered, or SCQ's shared HandleAt(-1) one), enqueueing one
+	// value at a time or in one batch, fills the queue only by
+	// stealing the whole run, and the queue reports full only once it
+	// holds capacity values.
+	const capacity = 2 * runLen
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		fillers := []string{"scalar", "batch"}
+		if !kind.Census() {
+			fillers = append(fillers, "shared")
+		}
+		for _, filler := range fillers {
+			t.Run(filler, func(t *testing.T) {
+				q, hs := mustQueue(t, kind, capacity, 2)
+				owner, f := hs[0], hs[1]
+				if filler == "shared" {
+					var err error
+					if f, err = q.HandleAt(-1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !owner.Enqueue(0) {
+					t.Fatal("first Enqueue failed")
+				}
+				run := runOf(owner.kept)
+				if got, want := run.Load(), uint64(1*runLen+runLen-1); got != want {
+					t.Fatalf("owner's run = %d, want next 1, %d left (%d)", got, runLen-1, want)
+				}
+				if filler == "batch" {
+					vs := make([]uint64, capacity)
+					for i := range vs {
+						vs[i] = uint64(i) + 1
+					}
+					if n := f.EnqueueBatch(vs); n != capacity-1 {
+						t.Fatalf("EnqueueBatch filled %d of the %d free slots", n, capacity-1)
+					}
+				} else {
+					for i := 1; i < capacity; i++ {
+						if !f.Enqueue(uint64(i)) {
+							t.Fatalf("Enqueue %d of %d reported full", i, capacity)
+						}
+					}
+				}
+				if run.Load() != 0 {
+					t.Fatal("the owner's run was not stolen")
+				}
+				if f.Enqueue(99) || owner.Enqueue(99) || f.EnqueueBatch(make([]uint64, 2)) != 0 {
+					t.Fatalf("enqueue into a queue holding %d values succeeded", capacity)
+				}
+				seen := make(map[uint64]bool, capacity)
+				for range capacity {
+					v, ok := f.Dequeue()
+					if !ok {
+						t.Fatal("full queue ran dry early")
+					}
+					if seen[v] {
+						t.Fatalf("value %d dequeued twice", v)
+					}
+					seen[v] = true
+				}
+				if _, ok := f.Dequeue(); ok {
+					t.Fatal("more than capacity values")
+				}
+			})
+		}
+	})
+}
+
+func TestRunFollowsSlot(t *testing.T) {
+	// runOf finds an SCQ id's run one word past its kept-index slot,
+	// as it finds a wCQ record's (wcq's TestRunFollowsKept).
+	var l slotLine
+	if got := unsafe.Offsetof(l.run) - unsafe.Offsetof(l.kept); got != runOffset {
+		t.Fatalf("slotLine's run is %d B past its slot, want runOffset = %d", got, runOffset)
+	}
+}
+
+func TestRunTakesRaceOwner(t *testing.T) {
+	// The owner uses its run while another handle, with the fresh
+	// counter and fq exhausted, steals from it: each of the run's
+	// indices goes to exactly one of them, so together they land
+	// exactly the run's runLen-1 values, each once. Many short rounds,
+	// each started by a spin barrier on two Ps, make the owner's take
+	// and the steal overlap.
+	const capacity, rounds = 2 * runLen, 2000
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	forEachKind(t, func(t *testing.T, kind Kind) {
+		for round := range rounds {
+			_, hs := mustQueue(t, kind, capacity, 2)
+			owner, thief := hs[0], hs[1]
+			first := make([]uint64, runLen)
+			for i := range first {
+				first[i] = uint64(i) + 1
+			}
+			if !owner.Enqueue(0) || thief.EnqueueBatch(first) != runLen {
+				t.Fatal("first lap failed")
+			}
+			var wg sync.WaitGroup
+			var ready, landed atomic.Int32
+			for g, h := range hs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// Start together: a goroutine's wakeup takes
+					// longer than the takes themselves.
+					for ready.Add(1); ready.Load() < 2; {
+					}
+					for i := range uint64(runLen) {
+						if h.Enqueue(uint64(g+1)<<32 | i) {
+							landed.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if n := landed.Load(); n != runLen-1 {
+				t.Fatalf("round %d: %d values landed from a run of %d", round, n, runLen-1)
+			}
+			seen := make(map[uint64]bool, capacity)
+			for range capacity {
+				v, ok := thief.Dequeue()
+				if !ok {
+					t.Fatalf("round %d: full queue ran dry early", round)
+				}
+				if seen[v] {
+					t.Fatalf("round %d: value %#x dequeued twice", round, v)
+				}
+				seen[v] = true
+			}
+			if _, ok := thief.Dequeue(); ok {
+				t.Fatalf("round %d: more than capacity values", round)
 			}
 		}
 	})
@@ -290,49 +432,55 @@ func TestStealPassCoversIdsInUse(t *testing.T) {
 }
 
 func TestKeepsAndStealsRaceAtTinyCapacity(t *testing.T) {
-	// Four handles alternate scalar Enqueue and Dequeue on a 2-slot
+	// Four handles alternate scalar Enqueue and Dequeue on a small
 	// queue and yield while each holds a kept index, so the others'
 	// Enqueues find fq empty and steal it: steal's Swap races the
-	// owner's take and its keep's CAS. No value may be lost or
+	// owner's take and its keep's CAS. At capacity 32 the first two
+	// handles' first Enqueues claim a run each and the other two steal
+	// from them, racing the owners' takes. No value may be lost or
 	// delivered twice, and once they stop, the drained queue must take
 	// exactly its capacity again: no index lost, none in two places.
-	const capacity, handles, rounds = 2, 4, 3000
+	const handles, rounds = 4, 3000
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		_, hs := mustQueue(t, kind, capacity, handles+1)
-		seen := make([]atomic.Int32, handles*rounds)
-		var wg sync.WaitGroup
-		for g, h := range hs[:handles] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < rounds; {
-					if h.Enqueue(uint64(g*rounds + i)) {
-						i++
-					}
-					if v, ok := h.Dequeue(); ok {
-						seen[v].Add(1)
-					}
-					runtime.Gosched()
+		for _, capacity := range []int{2, 4, 2 * runLen} {
+			t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+				_, hs := mustQueue(t, kind, uint64(capacity), handles+1)
+				seen := make([]atomic.Int32, handles*rounds)
+				var wg sync.WaitGroup
+				for g, h := range hs[:handles] {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < rounds; {
+							if h.Enqueue(uint64(g*rounds + i)) {
+								i++
+							}
+							if v, ok := h.Dequeue(); ok {
+								seen[v].Add(1)
+							}
+							runtime.Gosched()
+						}
+					}()
 				}
-			}()
-		}
-		wg.Wait()
-		last := hs[handles]
-		for v, ok := last.Dequeue(); ok; v, ok = last.Dequeue() {
-			seen[v].Add(1)
-		}
-		for v := range seen {
-			if n := seen[v].Load(); n != 1 {
-				t.Fatalf("value %d delivered %d times", v, n)
-			}
-		}
-		for i := range capacity {
-			if !last.Enqueue(uint64(i)) {
-				t.Fatalf("drained queue took %d of %d values: an index was lost", i, capacity)
-			}
-		}
-		if last.Enqueue(capacity) {
-			t.Fatal("drained queue took more than its capacity: an index was in two places")
+				wg.Wait()
+				last := hs[handles]
+				for v, ok := last.Dequeue(); ok; v, ok = last.Dequeue() {
+					seen[v].Add(1)
+				}
+				for v := range seen {
+					if n := seen[v].Load(); n != 1 {
+						t.Fatalf("value %d delivered %d times", v, n)
+					}
+				}
+				for i := range capacity {
+					if !last.Enqueue(uint64(i)) {
+						t.Fatalf("drained queue took %d of %d values: an index was lost", i, capacity)
+					}
+				}
+				if last.Enqueue(uint64(capacity)) {
+					t.Fatal("drained queue took more than its capacity: an index was in two places")
+				}
+			})
 		}
 	})
 }

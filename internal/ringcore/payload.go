@@ -66,18 +66,28 @@ var (
 // Dequeue whose handle's last scalar operation was an Enqueue parks
 // its freed index in its own empty slot instead of fq, and the next
 // Enqueue takes it back from there, so a handle that alternates the
-// two never touches fq. Enqueue looks for an index in the order claim,
-// own slot, fq, then one pass over every slot (steal), so an index a
-// handle keeps is never out of reach of the others and the queue
-// still reports full only when every index is in aq or in the hands
-// of an operation overlapping the call. The pass stops at ids, one
-// past the highest id any handle has used on the queue, so it costs
-// what the handles in use cost, not maxThreads, and Enqueue stays
-// wait-free over wCQ rings. A wCQ slot lives in the slack of the fq
-// ring's line-rounded thread record; SCQ has no records, so kept holds
-// one padded slot per id below maxThreads. Construction resolves where
-// id 0's slot is and how far apart consecutive ids' slots are, so no
-// operation asks which kind holds them.
+// two never touches fq. The word after each slot is that id's run: a
+// range of fresh-counter values its handle claimed runLen at a time
+// and has not used yet (see takeRun), so a first-lap scalar Enqueue
+// pays one F&A on the shared counter per runLen indices instead of
+// one per index. Only the owner writes a non-empty run, and only over
+// its own empty one; anyone takes from a run with a CAS.
+//
+// A scalar Enqueue looks for an index in the order own run, claim,
+// own slot, fq, then one pass over every slot and run (steal), so an
+// index a handle holds is never out of reach of the others and the
+// queue still reports full only when every index is in aq or in the
+// hands of an operation overlapping the call. The pass stops at ids,
+// one past the highest id any handle has used on the queue, so it
+// costs what the handles in use cost, not maxThreads, and Enqueue
+// stays wait-free over wCQ rings: a run CAS fails only when another
+// take or its owner's store succeeded, and at most n values ever pass
+// through runs. A wCQ slot and run live in the slack of the fq ring's
+// line-rounded thread record; SCQ has no records, so kept holds one
+// line per id below maxThreads, with the slot and run side by side.
+// Construction resolves where id 0's slot is and how far apart
+// consecutive ids' slots are, and a run is always runOffset bytes past
+// its slot, so no operation asks which kind holds them.
 //
 // Every operation reads the header fields and none writes them: ids
 // is written only when an id is first used on the queue (Register,
@@ -98,10 +108,32 @@ type Queue[T any] struct {
 	slots  int
 	slot0  unsafe.Pointer
 	stride uintptr
-	kept   []pad.Uint64 // SCQ's kept-index slots; nil for wCQ
+	kept   []slotLine // SCQ's kept-index slots and runs; nil for wCQ
 	_      pad.Line
 	fresh  atomicx.Counter
 	_      pad.Line
+}
+
+// runLen is how many fresh indices a scalar Enqueue claims at once for
+// a handle with a kept-index slot: it uses the first and keeps the
+// rest as its run. A run word packs next*runLen + left, the next
+// unused counter value and how many remain from it, 1..runLen-1; 0 is
+// an empty run. Sweeping a per-handle stash of 4, 16 and 32 indices
+// on burst_drain put 16 ahead (ARCHITECTURE, "Designs measured").
+const runLen = 16
+
+// runOffset is the distance from an id's kept-index slot to its run:
+// the next word, in a wCQ record as in an SCQ slotLine.
+const runOffset = unsafe.Sizeof(atomic.Uint64{})
+
+// slotLine is an SCQ id's kept-index slot and run, alone on a cache
+// line.
+//
+//wfq:padded
+type slotLine struct {
+	kept atomic.Uint64
+	run  atomic.Uint64
+	_    [pad.CacheLineSize - 2*runOffset]byte
 }
 
 // QueueHandle is a goroutine's capability to operate on a Queue. It
@@ -115,7 +147,8 @@ type QueueHandle[T any] struct {
 	aq indexRing
 	fq indexRing
 	// id names the handle's kept-index slot in every queue it
-	// operates on; kept is that slot in q, nil when id has none.
+	// operates on; kept is that slot in q, nil when id has none. Its
+	// run is runOffset bytes on (see runOf).
 	id   int
 	kept *atomic.Uint64
 	// idxBuf carries index runs between fq, the data array and aq in
@@ -171,10 +204,10 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 		aq.SetMetrics(o.Metrics)
 		fq.SetMetrics(o.Metrics)
 		q.aq, q.fq = aq, fq
-		q.kept = make([]pad.Uint64, min(max(maxThreads, 0), wcq.MaxThreads))
+		q.kept = make([]slotLine, min(max(maxThreads, 0), wcq.MaxThreads))
 		q.slots = len(q.kept)
 		if q.slots > 0 {
-			q.slot0, q.stride = unsafe.Pointer(&q.kept[0].V), unsafe.Sizeof(pad.Uint64{})
+			q.slot0, q.stride = unsafe.Pointer(&q.kept[0].kept), unsafe.Sizeof(slotLine{})
 		}
 	default:
 		return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
@@ -225,6 +258,34 @@ func (q *Queue[T]) claim(k uint64) (first, m uint64) {
 		return 0, 0
 	}
 	return first, min(k, n-first)
+}
+
+// runOf returns the run of the id whose kept-index slot is s.
+//
+//wfq:noalloc
+func runOf(s *atomic.Uint64) *atomic.Uint64 {
+	return (*atomic.Uint64)(unsafe.Add(unsafe.Pointer(s), runOffset))
+}
+
+// takeRun takes up to k values from run r: first and the m-1 after
+// it, m 0 when r was empty. The owner and a stealer take alike, with a
+// CAS; one that fails saw another take or the owner's store succeed,
+// and retries on the word that left.
+//
+//wfq:noalloc
+func takeRun(r *atomic.Uint64, k uint64) (first, m uint64) {
+	for x := r.Load(); x != 0; x = r.Load() {
+		first, left := x/runLen, x%runLen
+		m = min(k, left)
+		y := x + m*(runLen-1) // first+m next, left-m remaining
+		if m == left {
+			y = 0
+		}
+		if r.CompareAndSwap(x, y) {
+			return first, m
+		}
+	}
+	return 0, 0
 }
 
 // Register returns a per-goroutine handle with the next id: HandleAt
@@ -299,7 +360,8 @@ func (q *Queue[T]) admit(h *QueueHandle[T]) {
 // Retarget points h at queue q, which must be of h's kind and, for
 // wCQ, have at least h's id in records: h keeps its id, and its index
 // scratch, and uses the record and the kept-index slot with that id in
-// q. An index h kept in its old queue stays in that queue's slot. h
+// q. An index h kept in its old queue stays in that queue's slot, and
+// its run there stays in that queue's run word, for others to steal. h
 // must have no operation in flight. It allocates nothing, so a handle
 // can move from ring to ring as the unbounded construction's turnover
 // does.
@@ -349,44 +411,55 @@ func (h *QueueHandle[T]) scratch(n int) []uint64 {
 	return h.idxBuf[:n]
 }
 
-// Enqueue appends v; it returns false when the queue is full. It
-// takes a never-used index, else the one h kept, else a recycled one
-// from fq, else one another handle kept.
+// Enqueue appends v; it returns false when the queue is full.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Enqueue(v T) bool {
-	if h.kept != nil {
-		h.enq = true
-	}
-	idx, m := h.q.claim(1)
-	if m == 0 {
-		var ok bool
-		if idx, ok = h.reuse(); !ok {
-			return false
-		}
-	} else {
-		idx = ring.Spread(idx, h.q.Cap())
+	idx, ok := h.index()
+	if !ok {
+		return false
 	}
 	h.q.data[idx] = v
 	h.aq.Enqueue(idx)
 	return true
 }
 
-// reuse finds a used index for a scalar Enqueue once the fresh counter
-// is exhausted: h's own kept index, then fq, then the steal pass.
+// index finds the data slot for a scalar Enqueue's value, in the order
+// h's run, the fresh counter, h's kept index, fq, then the steal pass;
+// ok is false when all came up empty. A handle with a kept-index slot
+// claims runLen fresh indices at once and keeps the rest as its run:
+// its run was empty, and only h fills it. It also marks the Enqueue
+// for keep. A handle without a slot claims one index and writes
+// nothing of its own.
 //
 //wfq:noalloc
-func (h *QueueHandle[T]) reuse() (uint64, bool) {
-	if h.kept != nil {
-		if idx, ok := take(h.kept); ok {
+func (h *QueueHandle[T]) index() (idx uint64, ok bool) {
+	q := h.q
+	if h.kept == nil {
+		if first, m := q.claim(1); m != 0 {
+			return ring.Spread(first, q.Cap()), true
+		}
+	} else {
+		h.enq = true
+		run := runOf(h.kept)
+		first, m := takeRun(run, 1)
+		if m == 0 {
+			if first, m = q.claim(runLen); m > 1 {
+				run.Store((first+1)*runLen + m - 1)
+			}
+		}
+		if m != 0 {
+			return ring.Spread(first, q.Cap()), true
+		}
+		if idx, ok = take(h.kept); ok {
 			return idx, true
 		}
 	}
-	if idx, ok := h.fq.Dequeue(); ok {
+	if idx, ok = h.fq.Dequeue(); ok {
 		return idx, true
 	}
 	var one [1]uint64
-	return one[0], h.q.steal(one[:]) == 1
+	return one[0], q.steal(one[:]) == 1
 }
 
 // take empties kept-index slot s and returns the index it held; ok is
@@ -402,16 +475,26 @@ func take(s *atomic.Uint64) (idx uint64, ok bool) {
 	return x - 1, x != 0
 }
 
-// steal fills a prefix of out with kept indices, in one pass over the
-// slots of every id a handle has used, and returns its length. The
-// pass is not atomic: a slot filled behind it is missed.
+// steal fills a prefix of out with indices other handles hold, in one
+// pass over the kept-index slot and the run of every id a handle has
+// used, and returns its length. The pass is not atomic: a slot or run
+// filled behind it is missed.
 //
 //wfq:noalloc
 func (q *Queue[T]) steal(out []uint64) int {
-	n, ids := 0, min(q.ids.Load(), int64(q.slots))
+	n, ids, c := 0, min(q.ids.Load(), int64(q.slots)), q.Cap()
 	for id := 0; int64(id) < ids && n < len(out); id++ {
-		if idx, ok := take(q.slot(id)); ok {
+		s := q.slot(id)
+		if idx, ok := take(s); ok {
 			out[n] = idx
+			n++
+		}
+		if n == len(out) {
+			break
+		}
+		first, m := takeRun(runOf(s), uint64(len(out)-n))
+		for j := range m {
+			out[n] = ring.Spread(first+j, c)
 			n++
 		}
 	}
@@ -454,9 +537,12 @@ func (h *QueueHandle[T]) keep(idx uint64) bool {
 // handed back to fq nor kept, so its slot never takes another value.
 // It is for a queue that takes no more enqueues, such as a sealed ring
 // of the unbounded construction: the short enqueue that sealed it
-// found the fresh counter exhausted, so an Enqueue still in flight on
-// it finds fq and the kept-index slots empty once every index has been
-// drained, and reports full.
+// found the fresh counter exhausted and every run empty at its pass,
+// so an Enqueue still in flight on it finds fq and the kept-index
+// slots empty once every index has been drained, and reports full.
+// Only a run its owner stored behind that pass still holds indices,
+// which its owner may use while in flight and which are otherwise
+// never used.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Drain() (v T, ok bool) {
@@ -487,9 +573,9 @@ func (h *QueueHandle[T]) move(idx uint64) T {
 // EnqueueBatch appends a prefix of vs in order and returns its length;
 // a short count means the queue filled up mid-batch. The batch takes
 // a run of never-used indices with one F&A on the fresh counter, the
-// rest from fq, and what fq lacks from the kept-index slots. Index
-// traffic with fq/aq moves through the native ring batches, so the
-// fast path pays one F&A per ring per batch instead of one per
+// rest from fq, and what fq lacks from the kept-index slots and runs.
+// Index traffic with fq/aq moves through the native ring batches, so
+// the fast path pays one F&A per ring per batch instead of one per
 // element.
 //
 //wfq:noalloc
@@ -583,13 +669,13 @@ func (q *Queue[T]) Cap() uint64 { return uint64(len(q.data)) }
 func (q *Queue[T]) Stats() metrics.Snapshot { return q.aq.Metrics().Snapshot() }
 
 // Footprint returns the statically allocated byte size of the queue
-// (both rings, any thread records, the kept-index slots, and the
-// payload array slots of T's size each). wCQ's slots sit inside the
-// fq ring's records, which its Footprint already charges.
+// (both rings, any thread records, the kept-index slots and runs, and
+// the payload array slots of T's size each). wCQ's slots and runs sit
+// inside the fq ring's records, which its Footprint already charges.
 //
 //wfq:noalloc
 func (q *Queue[T]) Footprint() uint64 {
 	var v T
-	kept := uint64(len(q.kept)) * uint64(unsafe.Sizeof(pad.Uint64{}))
+	kept := uint64(len(q.kept)) * uint64(unsafe.Sizeof(slotLine{}))
 	return q.aq.Footprint() + q.fq.Footprint() + kept + uint64(cap(q.data))*uint64(unsafe.Sizeof(v))
 }

@@ -18,7 +18,10 @@
 // slot only when the value type holds pointers. Each census id also
 // has a kept-index slot in front of the free-index ring: a handle
 // that alternates Enqueue and Dequeue passes its index from one to
-// the next through it, and never touches the free-index ring.
+// the next through it, and never touches the free-index ring. Next to
+// the slot is the id's run, the never-used indices its handle claimed
+// from the counter 16 at a time and has not used yet; other handles
+// steal from runs and slots before they report the queue full.
 // The unbounded linked rings and the public wfqueue types hold that
 // concrete *Queue, which is always what New builds, rather than the
 // contract: they call its handles directly, and the unbounded

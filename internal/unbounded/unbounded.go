@@ -22,16 +22,25 @@
 // the ring's free-index ring instead of recycling it; only the unsealed
 // tail ring recycles. A ring serves its first lap from its counter of
 // never-used indices, so a ring that is filled once, then sealed and
-// drained, never touches its free-index ring. The short enqueue that
-// sealed a node found that counter exhausted, so an enqueuer still in
-// flight on it either already holds an index or finds one its
-// free-index ring or a kept-index slot still holds (its value lands
-// and is drained), or finds none and moves on to the successor, as it
-// does on a full ring. The head view only dequeues and the tail view
-// only enqueues, so neither keeps an index in steady state; the
-// kept-index slots serve handles that do both on one ring. A ring is
-// built with maxThreads only for census kinds, so a wCQ ring's slots
-// sit in its records' slack and an SCQ ring has none.
+// drained, never touches its free-index ring. A handle with a
+// kept-index slot claims those indices 16 at a time and keeps the
+// rest as its run, which other handles steal from before they report
+// the ring full. The short enqueue that sealed a node found that
+// counter exhausted and every run empty at its pass, so an enqueuer
+// still in flight on it either already holds an index or finds one
+// its free-index ring, a kept-index slot or its own run still holds
+// (its value lands and is drained), or finds none and moves on to the
+// successor, as it does on a full ring. A run is lost to its ring only
+// when a seal races its owner: the sealer's pass read the run before
+// the owner, which had claimed it, stored it. So only under that race
+// does a ring seal short, by at most 15 indices (runLen-1) per handle
+// per seal, and the cost is capacity, not correctness: the ring drains
+// as any other. The head view only dequeues and the tail view only
+// enqueues, so neither keeps an index in steady state; the kept-index
+// slots serve handles that do both on one ring. A ring is built with
+// maxThreads only for census kinds, so a wCQ ring's slots and runs sit
+// in its records' slack and an SCQ ring has none: an LSCQ enqueue
+// claims its fresh indices one at a time.
 //
 // Each handle has one thread id, as each thread does in the appendix,
 // and uses the record with that id in every ring: handle i is record

@@ -322,6 +322,44 @@ func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 	}
 }
 
+func TestAlternatingProducersStrandNoRun(t *testing.T) {
+	// Two handles take turns enqueueing exactly k rings' worth, one
+	// call at a time. A UWCQ handle's scalar Enqueue claims a run of
+	// fresh indices, and a run is lost to a ring only when a seal
+	// races its owner's claim: without a race the other handle steals
+	// what is left of it before the ring seals, so every ring fills to
+	// capacity, k rings hold the burst, and the drained queue is back
+	// to its one ring.
+	const k = 4
+	for name, mk := range makers() {
+		for _, ringCap := range []uint64{8, 64} {
+			t.Run(fmt.Sprintf("%s/cap=%d", name, ringCap), func(t *testing.T) {
+				q := mk(t, ringCap)
+				hs := newHandles(t, q, 2)
+				f0 := q.Footprint()
+				n := k * ringCap
+				for i := range n {
+					hs[i%2].Enqueue(i)
+				}
+				if got := q.Rings(); got != k {
+					t.Fatalf("%d values in %d rings, want %d full rings", n, got, k)
+				}
+				for i := range n {
+					if v, ok := hs[i%2].Dequeue(); !ok || v != i {
+						t.Fatalf("Dequeue %d = (%d, %v)", i, v, ok)
+					}
+				}
+				if _, ok := hs[0].Dequeue(); ok {
+					t.Fatal("phantom value after drain")
+				}
+				if got := q.Footprint(); got != f0 || q.Rings() != 1 {
+					t.Fatalf("retained %d B in %d rings after drain, want one ring of %d B", got, q.Rings(), f0)
+				}
+			})
+		}
+	}
+}
+
 func TestUnboundedPerProducerFIFOAcrossRings(t *testing.T) {
 	// One producer, one consumer, ring turnover in the middle: strict
 	// order must survive ring boundaries.

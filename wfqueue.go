@@ -192,11 +192,13 @@ func (q *Queue[T]) Stats() MetricsSnapshot { return q.q.Stats() }
 //
 // Full means every slot was, at some instant during the call, holding
 // a value or held by an operation that overlapped the call. A handle
-// that alternates Enqueue and Dequeue keeps its freed slot for its
-// next Enqueue, and Enqueue's search of the kept slots is not atomic,
-// so while other handles run, false does not mean the queue held
-// Cap() values at one instant. With no operation overlapping the call,
-// it does.
+// holds slots between its calls: the rest of the never-used slots its
+// Enqueue claimed 16 at a time, and the slot its Dequeue freed when it
+// alternates Enqueue and Dequeue. Enqueue takes those from other
+// handles before it reports full, but its search of them is not
+// atomic, so while other handles run, false does not mean the queue
+// held Cap() values at one instant. With no operation overlapping the
+// call, it does.
 //
 //wfq:noalloc
 func (h *Handle[T]) Enqueue(v T) bool { return h.h.Enqueue(v) }
