@@ -2,7 +2,8 @@
 // queues (SCQ, wCQ, LCRQ): power-of-two sizing, and Slot, the one map
 // from a ring position to its entry. Slot is the Cache_Remap
 // permutation of the SCQ/wCQ papers on rings that stay in cache, and
-// spread, the data array's two-contender layout, on larger ones.
+// spread, which keeps each aligned run of 16 positions on two lines,
+// on larger ones.
 //
 // A ring with "order" o has 1<<o slots. Following the papers, a queue
 // that stores up to n elements allocates 2n slots (order = log2(n)+1);
@@ -77,25 +78,13 @@ func Slot(i uint64, order uint) uint64 {
 
 // spread permutes the low four bits of i: within each aligned run of
 // 16, the even positions take the first 8 entries and the odd ones the
-// last 8, in order. Positions t and t+1 (what two contenders take one
-// after the other) therefore sit on different 64-byte lines of 8-byte
-// entries, while every aligned run of 16 fills exactly two lines.
+// last 8, in order. Positions t and t+1 therefore sit on different
+// 64-byte lines of 8-byte entries, while every aligned run of 16 fills
+// exactly two lines.
 //
 //wfq:noalloc
 func spread(i uint64) uint64 {
 	return i&^15 | (i&1)<<EntriesPerLineShift | i>>1&7
-}
-
-// Spread is spread for an n-entry array, n a power of two: the
-// identity below one run of 16. It lays out the payload queue's data
-// array, whose i-th never-used index names slot Spread(i, n).
-//
-//wfq:noalloc
-func Spread(i, n uint64) uint64 {
-	if n < 16 {
-		return i
-	}
-	return spread(i)
 }
 
 // IsPow2 reports whether v is a power of two (v > 0).

@@ -109,41 +109,6 @@ func TestRemapLineReuseDistance(t *testing.T) {
 // line is the 64-byte line of entry j in an array of 8-byte entries.
 func line(j uint64) uint64 { return j >> EntriesPerLineShift }
 
-func TestSpreadIsBijection(t *testing.T) {
-	for n := uint64(2); n <= 1<<20; n <<= 1 {
-		seen := make([]bool, n)
-		for i := range n {
-			s := Spread(i, n)
-			if s >= n || seen[s] {
-				t.Fatalf("n=%d: Spread(%d) = %d, out of range or taken twice", n, i, s)
-			}
-			seen[s] = true
-		}
-	}
-}
-
-func TestSpreadLines(t *testing.T) {
-	// Fresh indices 2k and 2k+1 (what two enqueuers claim one after
-	// the other) sit on different 64-byte lines of 8-byte values, and
-	// every aligned 16-index run (one batch claim) covers exactly two.
-	for _, n := range []uint64{16, 64, 1024, 1 << 16} {
-		for k := uint64(0); k < n/2; k++ {
-			if line(Spread(2*k, n)) == line(Spread(2*k+1, n)) {
-				t.Fatalf("n=%d: indices %d and %d share a cache line", n, 2*k, 2*k+1)
-			}
-		}
-		for base := uint64(0); base < n; base += 16 {
-			lines := map[uint64]bool{}
-			for i := base; i < base+16; i++ {
-				lines[line(Spread(i, n))] = true
-			}
-			if len(lines) != 2 {
-				t.Fatalf("n=%d: run %d..%d covers %d lines, want 2", n, base, base+15, len(lines))
-			}
-		}
-	}
-}
-
 func TestSlotIsBijection(t *testing.T) {
 	for order := uint(1); order <= 20; order++ {
 		n := uint64(1) << order

@@ -9,7 +9,6 @@ import (
 	"repro/internal/atomicx"
 	"repro/internal/metrics"
 	"repro/internal/pad"
-	"repro/internal/ring"
 	"repro/internal/scq"
 	"repro/internal/wcq"
 )
@@ -55,11 +54,10 @@ var (
 // order, so fq only ever holds recycled indices. An enqueue asks the
 // counter first (claim) and fq only once the counter is exhausted, so
 // a ring's first lap costs one F&A per index instead of a full fq
-// dequeue. The counter's i-th index names data slot ring.Spread(i, n),
-// so two enqueuers claiming neighbouring indices write different cache
-// lines, while a 16-index batch claim fills exactly two.
+// dequeue. Counter value i is index i: it names data slot i, as an fq
+// entry, a kept index or a run's value does.
 //
-// Each id below the census has one kept-index slot, an atomic word
+// Each id below maxThreads has one kept-index slot, an atomic word
 // that is 0 when empty and index+1 otherwise: a small per-handle cache
 // in front of fq, as a slab allocator's per-CPU magazine or DPDK's
 // per-lcore mempool cache sits in front of a shared pool. A scalar
@@ -170,9 +168,9 @@ type QueueHandle[T any] struct {
 // New builds an empty ring core of the given kind holding up to
 // capacity values (a power of two >= 2). maxThreads bounds Acquire
 // for census kinds (KindWCQ); census-free kinds accept any number of
-// handles, and give ids below maxThreads a kept-index slot (64 B
-// each, so pass 0 where no handle both enqueues and dequeues). The
-// core is always a *Queue[T].
+// handles, and give ids below maxThreads a kept-index slot and a run,
+// one 64 B line per id: the run serves any handle that enqueues, the
+// slot one that also dequeues. The core is always a *Queue[T].
 func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core[T], error) {
 	var o Options
 	if opts != nil {
@@ -243,10 +241,9 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // claim hands out up to k indices no value has used yet: first and
-// the m-1 after it, each to be mapped to its slot by ring.Spread. m is
-// 0 once the counter has handed out all n. The Load keeps the steady
-// state from writing the counter's line: after the first lap it is one
-// read of a word that no longer changes.
+// the m-1 after it. m is 0 once the counter has handed out all n. The
+// Load keeps the steady state from writing the counter's line: after
+// the first lap it is one read of a word that no longer changes.
 //
 //wfq:noalloc
 func (q *Queue[T]) claim(k uint64) (first, m uint64) {
@@ -437,7 +434,7 @@ func (h *QueueHandle[T]) index() (idx uint64, ok bool) {
 	q := h.q
 	if h.kept == nil {
 		if first, m := q.claim(1); m != 0 {
-			return ring.Spread(first, q.Cap()), true
+			return first, true
 		}
 	} else {
 		h.enq = true
@@ -449,7 +446,7 @@ func (h *QueueHandle[T]) index() (idx uint64, ok bool) {
 			}
 		}
 		if m != 0 {
-			return ring.Spread(first, q.Cap()), true
+			return first, true
 		}
 		if idx, ok = take(h.kept); ok {
 			return idx, true
@@ -482,7 +479,7 @@ func take(s *atomic.Uint64) (idx uint64, ok bool) {
 //
 //wfq:noalloc
 func (q *Queue[T]) steal(out []uint64) int {
-	n, ids, c := 0, min(q.ids.Load(), int64(q.slots)), q.Cap()
+	n, ids := 0, min(q.ids.Load(), int64(q.slots))
 	for id := 0; int64(id) < ids && n < len(out); id++ {
 		s := q.slot(id)
 		if idx, ok := take(s); ok {
@@ -494,7 +491,7 @@ func (q *Queue[T]) steal(out []uint64) int {
 		}
 		first, m := takeRun(runOf(s), uint64(len(out)-n))
 		for j := range m {
-			out[n] = ring.Spread(first+j, c)
+			out[n] = first + j
 			n++
 		}
 	}
@@ -585,8 +582,8 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 	}
 	buf := h.scratch(len(vs))
 	first, m := h.q.claim(uint64(len(buf)))
-	for j, n := uint64(0), h.q.Cap(); j < m; j++ {
-		buf[j] = ring.Spread(first+j, n)
+	for j := range m {
+		buf[j] = first + j
 	}
 	n := int(m)
 	if n < len(buf) {

@@ -10,23 +10,22 @@
 // Where the paper starts the free-index ring full of 0..n-1, a Queue
 // starts it empty and hands out the never-used indices from a counter,
 // so the free-index ring only ever holds recycled indices. The
-// counter's i-th index names data slot ring.Spread(i, n), a fixed
-// permutation that puts neighbouring claims on different cache lines
-// and a 16-index batch claim on two. The index rings place their own
+// counter's i-th index names data slot i. The index rings place their
 // entries with ring.Slot: the paper's Cache_Remap on rings that stay
-// in cache, and the same spread on larger ones. A take zeroes its
-// slot only when the value type holds pointers. Each census id also
-// has a kept-index slot in front of the free-index ring: a handle
-// that alternates Enqueue and Dequeue passes its index from one to
-// the next through it, and never touches the free-index ring. Next to
-// the slot is the id's run, the never-used indices its handle claimed
-// from the counter 16 at a time and has not used yet; other handles
-// steal from runs and slots before they report the queue full.
-// The unbounded linked rings and the public wfqueue types hold that
-// concrete *Queue, which is always what New builds, rather than the
-// contract: they call its handles directly, and the unbounded
-// construction also uses QueueHandle's drain-only dequeue, which the
-// contract does not carry.
+// in cache, and a layout that keeps each aligned run of 16 on two
+// lines on larger ones. A take zeroes its slot only when the value
+// type holds pointers. Each id below maxThreads also has a kept-index
+// slot in front of the free-index ring: a handle that alternates
+// Enqueue and Dequeue passes its index from one to the next through
+// it, and never touches the free-index ring. Next to the slot is the
+// id's run, the never-used indices its handle claimed from the
+// counter 16 at a time and has not used yet; other handles steal from
+// runs and slots before they report the queue full. The unbounded
+// linked rings and the public wfqueue types hold that concrete
+// *Queue, which is always what New builds, rather than the contract:
+// they call its handles directly, and the unbounded construction also
+// uses QueueHandle's drain-only dequeue, which the contract does not
+// carry.
 //
 // The split between the two interfaces follows who needs what:
 //

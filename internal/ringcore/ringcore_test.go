@@ -388,7 +388,8 @@ func takes[T any](t *testing.T, h *QueueHandle[T], next func() T, check func(pat
 		}
 		check(path, out)
 	}
-	// Seventeen values first, so the takes cross a 16-slot spread run.
+	// Seventeen values first, so the takes cross from one run of 16
+	// fresh indices to the next.
 	scalar("Dequeue", h.Dequeue, 17)
 	batch("DequeueBatch", h.DequeueBatch, 9)
 	scalar("Drain", h.Drain, 5)

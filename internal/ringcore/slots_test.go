@@ -1,7 +1,6 @@
 // Tests of the data array's layout and upkeep: which slot a fresh
-// index names (ring.Spread, whose own tests are in internal/ring), which
-// takes zero their slot (hasPointers), and what a slot costs in
-// Footprint.
+// index names, which takes zero their slot (hasPointers), and what a
+// slot costs in Footprint.
 package ringcore
 
 import (
@@ -12,12 +11,11 @@ import (
 	"unsafe"
 
 	"repro/internal/pad"
-	"repro/internal/ring"
 )
 
 func TestFreshIndicesTakeSpreadSlots(t *testing.T) {
-	// The first lap writes value i, however it was enqueued, into slot
-	// ring.Spread(i, n).
+	// Fresh-counter value i names data slot i: the first lap writes
+	// value i, however it was enqueued, into slot i.
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		for _, n := range []uint64{8, 64} {
 			for _, batch := range []bool{false, true} {
@@ -43,8 +41,8 @@ func TestFreshIndicesTakeSpreadSlots(t *testing.T) {
 						}
 					}
 					for i := range n {
-						if got := q.data[ring.Spread(i, n)]; got != vs[i] {
-							t.Fatalf("slot %d holds %d, want %d", ring.Spread(i, n), got, vs[i])
+						if got := q.data[i]; got != vs[i] {
+							t.Fatalf("slot %d holds %d, want %d", i, got, vs[i])
 						}
 					}
 				})

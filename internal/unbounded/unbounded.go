@@ -19,17 +19,21 @@
 //
 // A sealed node's ring takes no more values, so dequeuers drain it
 // with QueueHandle.Drain / DrainBatch, which leave each index out of
-// the ring's free-index ring instead of recycling it; only the unsealed
-// tail ring recycles. A ring serves its first lap from its counter of
-// never-used indices, so a ring that is filled once, then sealed and
-// drained, never touches its free-index ring. A handle with a
-// kept-index slot claims those indices 16 at a time and keeps the
-// rest as its run, which other handles steal from before they report
-// the ring full. The short enqueue that sealed a node found that
-// counter exhausted and every run empty at its pass, so an enqueuer
-// still in flight on it either already holds an index or finds one
-// its free-index ring, a kept-index slot or its own run still holds
-// (its value lands and is drained), or finds none and moves on to the
+// the ring's free-index ring instead of recycling it; only the
+// unsealed tail ring recycles. A ring serves its first lap from its
+// counter of never-used indices, so a ring that is filled once, then
+// sealed and drained, never touches its free-index ring. Every ring is
+// built with the queue's maxThreads, so each id below it has a
+// kept-index slot and a run in every ring (in a wCQ ring's records'
+// slack, on a 64 B line per id in an SCQ ring). A handle with one
+// claims those indices 16 at a time and keeps the rest as its run,
+// which other handles steal from before they report the ring full; an
+// LSCQ handle with an id at or past maxThreads claims them one at a
+// time. The short enqueue that sealed a node found that counter
+// exhausted and every run empty at its pass, so an enqueuer still in
+// flight on it either already holds an index or finds one that its
+// free-index ring, a kept-index slot or its own run still holds (its
+// value lands and is drained), or finds none and moves on to the
 // successor, as it does on a full ring. A run is lost to its ring only
 // when a seal races its owner: the sealer's pass read the run before
 // the owner, which had claimed it, stored it. So only under that race
@@ -37,10 +41,7 @@
 // per seal, and the cost is capacity, not correctness: the ring drains
 // as any other. The head view only dequeues and the tail view only
 // enqueues, so neither keeps an index in steady state; the kept-index
-// slots serve handles that do both on one ring. A ring is built with
-// maxThreads only for census kinds, so a wCQ ring's slots and runs sit
-// in its records' slack and an SCQ ring has none: an LSCQ enqueue
-// claims its fresh indices one at a time.
+// slots serve handles that do both on one ring.
 //
 // Each handle has one thread id, as each thread does in the appendix,
 // and uses the record with that id in every ring: handle i is record
@@ -188,17 +189,15 @@ type Handle[T any] struct {
 // kinds (KindWCQ, the paper's UWCQ) maxThreads bounds Handle — the
 // census is per ring, and bounding handles up front is what gives
 // every handle's id a record in every ring; census-free kinds (the
-// paper's LSCQ) accept any number of handles and ignore maxThreads.
+// paper's LSCQ) accept any number of handles, and only the first
+// maxThreads get a kept-index slot and a run.
 func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringcore.Options) (*Queue[T], error) {
-	maxHandles := 0
+	maxHandles := 0 // unlimited
 	if kind.Census() {
-		if maxThreads < 1 {
-			return nil, fmt.Errorf("unbounded: maxThreads must be >= 1 for ring kind %s, got %d", kind, maxThreads)
-		}
-		maxHandles = maxThreads
+		maxHandles = maxThreads // the wCQ ring below rejects one below 1
 	}
 	mk := func() (*ringcore.Queue[T], error) {
-		c, err := ringcore.New[T](kind, ringCap, maxHandles, opts)
+		c, err := ringcore.New[T](kind, ringCap, maxThreads, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -2,24 +2,32 @@ package unbounded
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 	"weak"
 
+	"repro/internal/atomicx"
 	"repro/internal/metrics"
 	"repro/internal/ringcore"
+	"repro/internal/wcq"
 )
 
 type maker func(t *testing.T, ringCap uint64) *Queue[uint64]
 
+// makers builds each variant with a kept-index slot and a run for
+// every id below 64, plus an LSCQ whose handles have neither and claim
+// fresh indices one at a time.
 func makers() map[string]maker {
 	return map[string]maker{
-		"LSCQ": func(t *testing.T, rc uint64) *Queue[uint64] { return newQueue(t, ringcore.KindSCQ, rc, 0) },
-		"UWCQ": func(t *testing.T, rc uint64) *Queue[uint64] { return newQueue(t, ringcore.KindWCQ, rc, 64) },
+		"LSCQ":         func(t *testing.T, rc uint64) *Queue[uint64] { return newQueue(t, ringcore.KindSCQ, rc, 64) },
+		"UWCQ":         func(t *testing.T, rc uint64) *Queue[uint64] { return newQueue(t, ringcore.KindWCQ, rc, 64) },
+		"SlotlessLSCQ": func(t *testing.T, rc uint64) *Queue[uint64] { return newQueue(t, ringcore.KindSCQ, rc, 0) },
 	}
 }
 
@@ -324,12 +332,12 @@ func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 
 func TestAlternatingProducersStrandNoRun(t *testing.T) {
 	// Two handles take turns enqueueing exactly k rings' worth, one
-	// call at a time. A UWCQ handle's scalar Enqueue claims a run of
-	// fresh indices, and a run is lost to a ring only when a seal
-	// races its owner's claim: without a race the other handle steals
-	// what is left of it before the ring seals, so every ring fills to
-	// capacity, k rings hold the burst, and the drained queue is back
-	// to its one ring.
+	// call at a time. A handle with an id below maxThreads claims a run
+	// of fresh indices with its scalar Enqueue, and a run is lost to a
+	// ring only when a seal races its owner's claim: without a race the
+	// other handle steals what is left of it before the ring seals, so
+	// every ring fills to capacity, k rings hold the burst, and the
+	// drained queue is back to its one ring.
 	const k = 4
 	for name, mk := range makers() {
 		for _, ringCap := range []uint64{8, 64} {
@@ -356,6 +364,64 @@ func TestAlternatingProducersStrandNoRun(t *testing.T) {
 					t.Fatalf("retained %d B in %d rings after drain, want one ring of %d B", got, q.Rings(), f0)
 				}
 			})
+		}
+	}
+}
+
+// freshOf returns ring r's counter of never-used indices, which
+// ringcore does not export.
+func freshOf(r *ringcore.Queue[uint64]) *atomicx.Counter {
+	return (*atomicx.Counter)(unsafe.Pointer(reflect.ValueOf(r).Elem().FieldByName("fresh").UnsafeAddr()))
+}
+
+func TestLSCQHandlesClaimRuns(t *testing.T) {
+	// Every LSCQ ring is built with the queue's maxThreads, so a handle
+	// whose id is below it fills a ring's first lap with one F&A on the
+	// ring's fresh counter per run of 16, where a handle at or past it
+	// pays one per value.
+	for _, n := range []uint64{8, 64, 1024} {
+		for _, tc := range []struct {
+			maxThreads, id int
+			want           int64
+		}{
+			{64, 0, int64((n + 15) / 16)},
+			{1, 1, int64(n)},
+			{0, 0, int64(n)},
+		} {
+			t.Run(fmt.Sprintf("cap=%d/maxThreads=%d/id=%d", n, tc.maxThreads, tc.id), func(t *testing.T) {
+				q, err := New[uint64](ringcore.KindSCQ, n, tc.maxThreads, &ringcore.Options{Mode: atomicx.CountingFAA})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := newHandles(t, q, tc.id+1)[tc.id]
+				for i := range n {
+					h.Enqueue(i)
+				}
+				if q.Rings() != 1 {
+					t.Fatalf("%d values spilled out of one %d-slot ring", n, n)
+				}
+				if got := freshOf(q.head.Load().r).Adds(); got != tc.want {
+					t.Fatalf("first lap of %d Enqueues added to fresh %d times, want %d", n, got, tc.want)
+				}
+			})
+		}
+	}
+}
+
+func TestLSCQSlotFootprint(t *testing.T) {
+	// An LSCQ ring holds one 64 B line of kept-index slot and run per
+	// id below maxThreads, up to wCQ's thread limit.
+	slotless, err := New[uint64](ringcore.KindSCQ, 8, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{1, 64, 256, wcq.MaxThreads + 1} {
+		q, err := New[uint64](ringcore.KindSCQ, 8, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := q.Footprint()-slotless.Footprint(), 64*uint64(min(m, wcq.MaxThreads)); got != want {
+			t.Fatalf("maxThreads %d: ring grew by %d B, want %d B", m, got, want)
 		}
 	}
 }
@@ -414,6 +480,9 @@ func TestUWCQHandleCensus(t *testing.T) {
 	}
 	if _, err := q.Handle(); err == nil {
 		t.Fatal("third handle accepted with maxThreads 2")
+	}
+	if _, err := New[uint64](ringcore.KindWCQ, 8, 0, nil); err == nil {
+		t.Fatal("UWCQ built with maxThreads 0")
 	}
 }
 
@@ -1018,57 +1087,65 @@ func BenchmarkBurstDrain(b *testing.B) {
 }
 
 // BenchmarkBurstPair is the burst_drain workload of the repository
-// benchmark in miniature: two handles on two goroutines each fill one
-// queue of 1024-slot wCQ rings with 32768 values, meet, and drain it
-// together. It reports the cost per value. Unlike the single-handle
-// burst benchmarks, it shows what the two cores pay for cache lines
-// they both write.
+// benchmark in miniature, on either variant's rings: two handles on
+// two goroutines each fill one queue of 1024-slot rings with 32768
+// values, meet, and drain it together. It reports the cost per value.
+// Unlike the single-handle burst benchmarks, it shows what the two
+// cores pay for cache lines they both write.
 func BenchmarkBurstPair(b *testing.B) {
 	const ringCap, per = 1024, 32768
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	q, err := New[uint64](ringcore.KindWCQ, ringCap, 2, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var hs [2]*Handle[uint64]
-	for i := range hs {
-		if hs[i], err = q.Handle(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for b.Loop() {
-		// arrived counts the goroutines at each meeting point; they
-		// spin rather than park, so both fill and both drain at once.
-		var arrived, taken atomic.Int64
-		meet := func(round int64) {
-			arrived.Add(1)
-			for arrived.Load() < round*int64(len(hs)) {
-				runtime.Gosched()
+	for _, v := range []struct {
+		name string
+		kind ringcore.Kind
+	}{{"UWCQ", ringcore.KindWCQ}, {"LSCQ", ringcore.KindSCQ}} {
+		b.Run(v.name, func(b *testing.B) {
+			q, err := New[uint64](v.kind, ringCap, 2, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-		var done sync.WaitGroup
-		done.Add(len(hs))
-		for p, h := range hs {
-			go func() {
-				defer done.Done()
-				meet(1)
-				for i := range uint64(per) {
-					h.Enqueue(uint64(p)<<32 | i)
+			var hs [2]*Handle[uint64]
+			for i := range hs {
+				if hs[i], err = q.Handle(); err != nil {
+					b.Fatal(err)
 				}
-				meet(2)
-				n := int64(0)
-				for _, ok := h.Dequeue(); ok; _, ok = h.Dequeue() {
-					n++
+			}
+			for b.Loop() {
+				// arrived counts the goroutines at each meeting point;
+				// they spin rather than park, so both fill and both
+				// drain at once.
+				var arrived, taken atomic.Int64
+				meet := func(round int64) {
+					arrived.Add(1)
+					for arrived.Load() < round*int64(len(hs)) {
+						runtime.Gosched()
+					}
 				}
-				taken.Add(n)
-			}()
-		}
-		done.Wait()
-		if got := taken.Load(); got != int64(len(hs))*per {
-			b.Fatalf("drained %d values, want %d", got, len(hs)*per)
-		}
+				var done sync.WaitGroup
+				done.Add(len(hs))
+				for p, h := range hs {
+					go func() {
+						defer done.Done()
+						meet(1)
+						for i := range uint64(per) {
+							h.Enqueue(uint64(p)<<32 | i)
+						}
+						meet(2)
+						n := int64(0)
+						for _, ok := h.Dequeue(); ok; _, ok = h.Dequeue() {
+							n++
+						}
+						taken.Add(n)
+					}()
+				}
+				done.Wait()
+				if got := taken.Load(); got != int64(len(hs))*per {
+					b.Fatalf("drained %d values, want %d", got, len(hs)*per)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(hs)*per), "ns/value")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(hs)*per), "ns/value")
 }
