@@ -40,8 +40,8 @@ type Event uint8
 const (
 	// EnqSlowPath counts enqueue attempts that left the fast path: a
 	// wCQ handle publishing a slow-path request after exhausting its
-	// patience, or an SCQ enqueue re-spinning after a failed first
-	// TryEnqueue.
+	// patience, or an SCQ enqueue re-spinning after its first
+	// fast-path attempt failed.
 	EnqSlowPath Event = iota
 	// DeqSlowPath is the dequeue-side analogue of EnqSlowPath.
 	DeqSlowPath

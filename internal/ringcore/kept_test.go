@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 )
 
 // mustQueue builds a *Queue[uint64] of kind with handles registered
@@ -41,7 +40,7 @@ func keepOne(t *testing.T, h *QueueHandle[uint64]) {
 	if v, ok := h.Dequeue(); !ok || v != 7 {
 		t.Fatalf("Dequeue = (%d, %v), want (7, true)", v, ok)
 	}
-	if h.kept.Load() == 0 {
+	if h.slot.kept.Load() == 0 {
 		t.Fatal("a Dequeue right after its handle's Enqueue kept nothing")
 	}
 }
@@ -67,7 +66,7 @@ func TestFullStealsKeptIndex(t *testing.T) {
 					}
 				}
 			}
-			if keeper.kept.Load() != 0 {
+			if keeper.slot.kept.Load() != 0 {
 				t.Fatalf("batch %v: the kept index was not stolen", batch)
 			}
 			if filler.Enqueue(99) || keeper.Enqueue(99) || filler.EnqueueBatch(make([]uint64, 2)) != 0 {
@@ -111,7 +110,7 @@ func TestFullStealsRun(t *testing.T) {
 				if !owner.Enqueue(0) {
 					t.Fatal("first Enqueue failed")
 				}
-				run := runOf(owner.kept)
+				run := &owner.slot.run
 				if got, want := run.Load(), uint64(1*runLen+runLen-1); got != want {
 					t.Fatalf("owner's run = %d, want next 1, %d left (%d)", got, runLen-1, want)
 				}
@@ -153,15 +152,6 @@ func TestFullStealsRun(t *testing.T) {
 			})
 		}
 	})
-}
-
-func TestRunFollowsSlot(t *testing.T) {
-	// runOf finds an SCQ id's run one word past its kept-index slot,
-	// as it finds a wCQ record's (wcq's TestRunFollowsKept).
-	var l slotLine
-	if got := unsafe.Offsetof(l.run) - unsafe.Offsetof(l.kept); got != runOffset {
-		t.Fatalf("slotLine's run is %d B past its slot, want runOffset = %d", got, runOffset)
-	}
 }
 
 func TestRunTakesRaceOwner(t *testing.T) {
@@ -249,20 +239,20 @@ func TestAlternatingHandleSkipsFQ(t *testing.T) {
 			t.Fatal("first lap did not fill and drain")
 		}
 		keepOne(t, h) // its index comes from fq; from here on, none does
-		idx := h.kept.Load()
+		idx := h.slot.kept.Load()
 		fq := &countingRing{indexRing: h.fq}
 		h.fq = fq
 		for i := range uint64(100) {
 			if !h.Enqueue(i) {
 				t.Fatalf("Enqueue %d failed", i)
 			}
-			if h.kept.Load() != 0 {
+			if h.slot.kept.Load() != 0 {
 				t.Fatal("Enqueue left its kept index in the slot")
 			}
 			if v, ok := h.Dequeue(); !ok || v != i {
 				t.Fatalf("Dequeue = (%d, %v), want (%d, true)", v, ok, i)
 			}
-			if got := h.kept.Load(); got != idx {
+			if got := h.slot.kept.Load(); got != idx {
 				t.Fatalf("slot holds %d after round %d, want index+1 = %d", got, i, idx)
 			}
 		}
@@ -276,7 +266,7 @@ func TestAlternatingHandleSkipsFQ(t *testing.T) {
 		if _, ok := other.Dequeue(); !ok {
 			t.Fatal("Dequeue failed")
 		}
-		if other.kept.Load() != 0 || other.enq {
+		if other.slot.kept.Load() != 0 || other.enq {
 			t.Fatal("a handle that never enqueued kept an index")
 		}
 	})
@@ -299,7 +289,7 @@ func TestKeepNeverOverwrites(t *testing.T) {
 			}
 		}
 		keepOne(t, views[0])
-		idx := views[0].kept.Load()
+		idx := views[0].slot.kept.Load()
 		// The fresh counter still has indices, so this Enqueue leaves
 		// the slot alone, and its Dequeue finds the slot taken.
 		if !views[1].Enqueue(8) {
@@ -308,7 +298,7 @@ func TestKeepNeverOverwrites(t *testing.T) {
 		if v, ok := views[1].Dequeue(); !ok || v != 8 {
 			t.Fatalf("Dequeue = (%d, %v)", v, ok)
 		}
-		if got := views[0].kept.Load(); got != idx {
+		if got := views[0].slot.kept.Load(); got != idx {
 			t.Fatalf("slot holds %d, want the first view's %d", got, idx)
 		}
 	})
@@ -322,12 +312,12 @@ func TestRetargetMovesSlot(t *testing.T) {
 		b, _ := mustQueue(t, kind, 4, 2)
 		h := ha[1]
 		keepOne(t, h)
-		idx := h.kept.Load()
+		idx := h.slot.kept.Load()
 		h.Retarget(b)
-		if h.kept != b.slot(1) {
+		if h.slot != b.slot(1) {
 			t.Fatal("Retarget left the handle on its old queue's slot")
 		}
-		if got := a.slot(1).Load(); got != idx {
+		if got := a.slot(1).kept.Load(); got != idx {
 			t.Fatalf("old queue's slot holds %d, want %d", got, idx)
 		}
 		for i := range uint64(4) {
@@ -351,7 +341,7 @@ func TestSharedHandleNeverKeeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.kept != nil {
+	if s.slot != nil {
 		t.Fatal("shared handle has a kept-index slot")
 	}
 	for range 3 {
@@ -365,8 +355,8 @@ func TestSharedHandleNeverKeeps(t *testing.T) {
 	if s.enq {
 		t.Fatal("shared handle wrote its enqueue flag")
 	}
-	for id := range q.slots {
-		if q.slot(id).Load() != 0 {
+	for id := range q.kept {
+		if q.kept[id].kept.Load() != 0 {
 			t.Fatalf("slot %d holds an index the shared handle kept", id)
 		}
 	}
@@ -374,7 +364,7 @@ func TestSharedHandleNeverKeeps(t *testing.T) {
 	if !s.Enqueue(1) || !s.Enqueue(2) {
 		t.Fatal("shared handle could not fill the queue")
 	}
-	if hs[0].kept.Load() != 0 {
+	if hs[0].slot.kept.Load() != 0 {
 		t.Fatal("shared handle filled the queue without the kept index")
 	}
 }
@@ -425,7 +415,7 @@ func TestStealPassCoversIdsInUse(t *testing.T) {
 				t.Fatalf("Enqueue %d reported full without stealing id 9's index", i)
 			}
 		}
-		if h.kept.Load() != 0 {
+		if h.slot.kept.Load() != 0 {
 			t.Fatal("id 9's kept index was not stolen")
 		}
 	})

@@ -64,12 +64,12 @@ var (
 // Dequeue whose handle's last scalar operation was an Enqueue parks
 // its freed index in its own empty slot instead of fq, and the next
 // Enqueue takes it back from there, so a handle that alternates the
-// two never touches fq. The word after each slot is that id's run: a
-// range of fresh-counter values its handle claimed runLen at a time
-// and has not used yet (see takeRun), so a first-lap scalar Enqueue
-// pays one F&A on the shared counter per runLen indices instead of
-// one per index. Only the owner writes a non-empty run, and only over
-// its own empty one; anyone takes from a run with a CAS.
+// two never touches fq. Beside each slot is that id's run: a range
+// of fresh-counter values its handle claimed runLen at a time and has
+// not used yet (see takeRun), so a first-lap scalar Enqueue pays one
+// F&A on the shared counter per runLen indices instead of one per
+// index. Only the owner writes a non-empty run, and only over its own
+// empty one; anyone takes from a run with a CAS.
 //
 // A scalar Enqueue looks for an index in the order own run, claim,
 // own slot, fq, then one pass over every slot and run (steal), so an
@@ -80,12 +80,9 @@ var (
 // costs what the handles in use cost, not maxThreads, and Enqueue
 // stays wait-free over wCQ rings: a run CAS fails only when another
 // take or its owner's store succeeded, and at most n values ever pass
-// through runs. A wCQ slot and run live in the slack of the fq ring's
-// line-rounded thread record; SCQ has no records, so kept holds one
-// line per id below maxThreads, with the slot and run side by side.
-// Construction resolves where id 0's slot is and how far apart
-// consecutive ids' slots are, and a run is always runOffset bytes past
-// its slot, so no operation asks which kind holds them.
+// through runs. Whatever the ring kind, an id's slot and run share
+// one 64 B line of kept, which the queue allocates at construction:
+// the index rings know nothing of them.
 //
 // Every operation reads the header fields and none writes them: ids
 // is written only when an id is first used on the queue (Register,
@@ -101,15 +98,12 @@ type Queue[T any] struct {
 	// HandleAt and Retarget bring: the steal pass's bound.
 	ids  atomic.Int64
 	refs bool // T holds pointers: a taken slot must be zeroed
-	// slots is how many ids have a kept-index slot, [0, slots); slot0
-	// is id 0's and stride the bytes from one id's slot to the next.
-	slots  int
-	slot0  unsafe.Pointer
-	stride uintptr
-	kept   []slotLine // SCQ's kept-index slots and runs; nil for wCQ
-	_      pad.Line
-	fresh  atomicx.Counter
-	_      pad.Line
+	// kept holds the kept-index slot and run of each id below
+	// min(maxThreads, wcq.MaxThreads), one line per id.
+	kept  []slotLine
+	_     pad.Line
+	fresh atomicx.Counter
+	_     pad.Line
 }
 
 // runLen is how many fresh indices a scalar Enqueue claims at once for
@@ -120,18 +114,14 @@ type Queue[T any] struct {
 // on burst_drain put 16 ahead (ARCHITECTURE, "Designs measured").
 const runLen = 16
 
-// runOffset is the distance from an id's kept-index slot to its run:
-// the next word, in a wCQ record as in an SCQ slotLine.
-const runOffset = unsafe.Sizeof(atomic.Uint64{})
-
-// slotLine is an SCQ id's kept-index slot and run, alone on a cache
+// slotLine is one id's kept-index slot and run, alone on a cache
 // line.
 //
 //wfq:padded
 type slotLine struct {
 	kept atomic.Uint64
 	run  atomic.Uint64
-	_    [pad.CacheLineSize - 2*runOffset]byte
+	_    [pad.CacheLineSize - 2*8]byte
 }
 
 // QueueHandle is a goroutine's capability to operate on a Queue. It
@@ -145,10 +135,10 @@ type QueueHandle[T any] struct {
 	aq indexRing
 	fq indexRing
 	// id names the handle's kept-index slot in every queue it
-	// operates on; kept is that slot in q, nil when id has none. Its
-	// run is runOffset bytes on (see runOf).
+	// operates on; slot is that slot and its run in q, nil when id
+	// has none.
 	id   int
-	kept *atomic.Uint64
+	slot *slotLine
 	// idxBuf carries index runs between fq, the data array and aq in
 	// the batch operations. It grows to the largest batch this handle
 	// has seen and is then reused forever, so the steady-state batch
@@ -168,9 +158,10 @@ type QueueHandle[T any] struct {
 // New builds an empty ring core of the given kind holding up to
 // capacity values (a power of two >= 2). maxThreads bounds Acquire
 // for census kinds (KindWCQ); census-free kinds accept any number of
-// handles, and give ids below maxThreads a kept-index slot and a run,
-// one 64 B line per id: the run serves any handle that enqueues, the
-// slot one that also dequeues. The core is always a *Queue[T].
+// handles. Either kind gives each id below maxThreads a kept-index
+// slot and a run, one 64 B line per id: the run serves any handle that
+// enqueues, the slot one that also dequeues. The core is always a
+// *Queue[T].
 func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core[T], error) {
 	var o Options
 	if opts != nil {
@@ -188,8 +179,6 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 			return nil, err
 		}
 		q.aq, q.fq = aq, fq
-		q.slots = maxThreads // one per fq record, which holds it
-		q.slot0, q.stride = fq.KeptSlots()
 	case KindSCQ:
 		aq, err := scq.NewRing(capacity, o.Mode)
 		if err != nil {
@@ -202,14 +191,10 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 		aq.SetMetrics(o.Metrics)
 		fq.SetMetrics(o.Metrics)
 		q.aq, q.fq = aq, fq
-		q.kept = make([]slotLine, min(max(maxThreads, 0), wcq.MaxThreads))
-		q.slots = len(q.kept)
-		if q.slots > 0 {
-			q.slot0, q.stride = unsafe.Pointer(&q.kept[0].kept), unsafe.Sizeof(slotLine{})
-		}
 	default:
 		return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
 	}
+	q.kept = make([]slotLine, min(max(maxThreads, 0), wcq.MaxThreads))
 	q.data = make([]T, capacity)
 	q.refs = hasPointers(reflect.TypeFor[T]())
 	q.fresh.Init(o.Mode, 0)
@@ -257,13 +242,6 @@ func (q *Queue[T]) claim(k uint64) (first, m uint64) {
 	return first, min(k, n-first)
 }
 
-// runOf returns the run of the id whose kept-index slot is s.
-//
-//wfq:noalloc
-func runOf(s *atomic.Uint64) *atomic.Uint64 {
-	return (*atomic.Uint64)(unsafe.Add(unsafe.Pointer(s), runOffset))
-}
-
 // takeRun takes up to k values from run r: first and the m-1 after
 // it, m 0 when r was empty. The owner and a stealer take alike, with a
 // CAS; one that fails saw another take or the owner's store succeed,
@@ -307,9 +285,12 @@ func (q *Queue[T]) Register() (*QueueHandle[T], error) {
 // of goroutines may share one for scalar Enqueue and Dequeue (its
 // batches would share one scratch buffer). The caller owns the
 // numbering: no two goroutines may use one id at once, and HandleAt
-// and Register are never mixed on one queue.
+// and Register are never mixed on one queue, with one exception: an
+// id without a slot, such as the public lock-free queue's shared
+// HandleAt(-1), may sit beside Registered handles, since it is never
+// admitted and takes no id from Register's count.
 func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
-	h := &QueueHandle[T]{q: q, id: id, kept: q.slot(id)}
+	h := &QueueHandle[T]{q: q, id: id, slot: q.slot(id)}
 	switch q.kind {
 	case KindWCQ:
 		aqh, err := q.aq.(*wcq.Ring).HandleAt(id)
@@ -328,14 +309,15 @@ func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
 	return h, nil
 }
 
-// slot returns the kept-index slot of id, or nil when id has none.
+// slot returns the kept-index slot and run of id, or nil when id has
+// none.
 //
 //wfq:noalloc
-func (q *Queue[T]) slot(id int) *atomic.Uint64 {
-	if uint(id) >= uint(q.slots) {
+func (q *Queue[T]) slot(id int) *slotLine {
+	if uint(id) >= uint(len(q.kept)) {
 		return nil
 	}
-	return (*atomic.Uint64)(unsafe.Add(q.slot0, uintptr(id)*q.stride))
+	return &q.kept[id]
 }
 
 // admit raises ids past h's id, if h has a slot, so that every steal
@@ -344,7 +326,7 @@ func (q *Queue[T]) slot(id int) *atomic.Uint64 {
 //
 //wfq:noalloc
 func (q *Queue[T]) admit(h *QueueHandle[T]) {
-	if h.kept == nil {
+	if h.slot == nil {
 		return
 	}
 	for n := q.ids.Load(); n <= int64(h.id); n = q.ids.Load() {
@@ -373,7 +355,7 @@ func (h *QueueHandle[T]) Retarget(q *Queue[T]) {
 		h.aq, h.fq = q.aq.(*scq.Ring), q.fq.(*scq.Ring)
 	}
 	h.q = q
-	h.kept = q.slot(h.id)
+	h.slot = q.slot(h.id)
 	q.admit(h)
 }
 
@@ -431,24 +413,23 @@ func (h *QueueHandle[T]) Enqueue(v T) bool {
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) index() (idx uint64, ok bool) {
-	q := h.q
-	if h.kept == nil {
+	q, s := h.q, h.slot
+	if s == nil {
 		if first, m := q.claim(1); m != 0 {
 			return first, true
 		}
 	} else {
 		h.enq = true
-		run := runOf(h.kept)
-		first, m := takeRun(run, 1)
+		first, m := takeRun(&s.run, 1)
 		if m == 0 {
 			if first, m = q.claim(runLen); m > 1 {
-				run.Store((first+1)*runLen + m - 1)
+				s.run.Store((first+1)*runLen + m - 1)
 			}
 		}
 		if m != 0 {
 			return first, true
 		}
-		if idx, ok = take(h.kept); ok {
+		if idx, ok = take(&s.kept); ok {
 			return idx, true
 		}
 	}
@@ -479,17 +460,17 @@ func take(s *atomic.Uint64) (idx uint64, ok bool) {
 //
 //wfq:noalloc
 func (q *Queue[T]) steal(out []uint64) int {
-	n, ids := 0, min(q.ids.Load(), int64(q.slots))
-	for id := 0; int64(id) < ids && n < len(out); id++ {
-		s := q.slot(id)
-		if idx, ok := take(s); ok {
+	n, kept := 0, q.kept[:min(q.ids.Load(), int64(len(q.kept)))]
+	for id := 0; id < len(kept) && n < len(out); id++ {
+		s := &kept[id]
+		if idx, ok := take(&s.kept); ok {
 			out[n] = idx
 			n++
 		}
 		if n == len(out) {
 			break
 		}
-		first, m := takeRun(runOf(s), uint64(len(out)-n))
+		first, m := takeRun(&s.run, uint64(len(out)-n))
 		for j := range m {
 			out[n] = first + j
 			n++
@@ -527,7 +508,7 @@ func (h *QueueHandle[T]) keep(idx uint64) bool {
 		return false
 	}
 	h.enq = false
-	return h.kept.CompareAndSwap(0, idx+1)
+	return h.slot.kept.CompareAndSwap(0, idx+1)
 }
 
 // Drain is Dequeue without recycling: the value's index is neither
@@ -667,8 +648,7 @@ func (q *Queue[T]) Stats() metrics.Snapshot { return q.aq.Metrics().Snapshot() }
 
 // Footprint returns the statically allocated byte size of the queue
 // (both rings, any thread records, the kept-index slots and runs, and
-// the payload array slots of T's size each). wCQ's slots and runs sit
-// inside the fq ring's records, which its Footprint already charges.
+// the payload array slots of T's size each).
 //
 //wfq:noalloc
 func (q *Queue[T]) Footprint() uint64 {

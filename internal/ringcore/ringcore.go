@@ -20,7 +20,9 @@
 // it, and never touches the free-index ring. Next to the slot is the
 // id's run, the never-used indices its handle claimed from the
 // counter 16 at a time and has not used yet; other handles steal from
-// runs and slots before they report the queue full. The unbounded
+// runs and slots before they report the queue full. The Queue holds
+// each id's slot and run on a 64 B line of its own, whatever the ring
+// kind; the index rings know nothing of them. The unbounded
 // linked rings and the public wfqueue types hold that concrete
 // *Queue, which is always what New builds, rather than the contract:
 // they call its handles directly, and the unbounded construction also

@@ -125,25 +125,30 @@ func TestPointerFreeTakeKeepsSlot(t *testing.T) {
 	})
 }
 
-// checkSlotFootprint fails unless an n-slot queue of T reports its two
-// rings' footprint, plus a line per kept-index slot outside them
-// (SCQ's), plus size bytes per data slot.
+// checkSlotFootprint fails unless an n-slot queue of T built for
+// maxThreads ids holds one kept-index line per id, whatever its kind,
+// and reports its two rings' footprint, plus those lines, plus size
+// bytes per data slot.
 func checkSlotFootprint[T any](t *testing.T, kind Kind, size uint64) {
 	t.Helper()
-	const n = 1024
-	c, err := New[T](kind, n, 1, nil)
+	const n, maxThreads = 1024, 3
+	c, err := New[T](kind, n, maxThreads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := c.(*Queue[T])
-	rings := q.aq.Footprint() + q.fq.Footprint() + uint64(len(q.kept))*pad.CacheLineSize
+	if len(q.kept) != maxThreads {
+		t.Fatalf("%v: %d kept-index lines for %d ids", reflect.TypeFor[T](), len(q.kept), maxThreads)
+	}
+	rings := q.aq.Footprint() + q.fq.Footprint() + maxThreads*pad.CacheLineSize
 	if got, want := q.Footprint(), rings+n*size; got != want {
 		t.Fatalf("%v: Footprint = %d B, want %d B of rings and kept slots + %d x %d B", reflect.TypeFor[T](), got, rings, n, size)
 	}
 }
 
 func TestFootprintCountsSlotSize(t *testing.T) {
-	// Each data slot costs the size of T, not one word.
+	// Each data slot costs the size of T, not one word, and each id
+	// its kept-index line.
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		checkSlotFootprint[uint64](t, kind, 8)
 		checkSlotFootprint[string](t, kind, 2*uint64(unsafe.Sizeof(uintptr(0))))

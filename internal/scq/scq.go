@@ -181,18 +181,16 @@ func (q *Ring) resetThreshold() {
 	}
 }
 
-// TryEnqueue performs one fast-path enqueue attempt (try_enq in
-// Fig. 3). On failure it returns the Tail ticket it consumed, which the
-// wait-free layer uses to seed its slow path; SCQ itself just retries.
+// tryEnqueue performs one fast-path enqueue attempt (try_enq in
+// Fig. 3) and reports whether it placed index.
 //
 //wfq:noalloc
-func (q *Ring) TryEnqueue(index uint64) (ticket uint64, ok bool) {
-	t := q.tail.Add(1)
-	if q.enqueueAt(t, index) {
+func (q *Ring) tryEnqueue(index uint64) bool {
+	if q.enqueueAt(q.tail.Add(1), index) {
 		q.resetThreshold()
-		return 0, true
+		return true
 	}
-	return t, false
+	return false
 }
 
 // Enqueue inserts index, retrying the fast path until it succeeds.
@@ -204,14 +202,11 @@ func (q *Ring) TryEnqueue(index uint64) (ticket uint64, ok bool) {
 //
 //wfq:noalloc
 func (q *Ring) Enqueue(index uint64) {
-	if _, ok := q.TryEnqueue(index); ok {
+	if q.tryEnqueue(index) {
 		return
 	}
 	q.met.Inc(metrics.EnqSlowPath)
-	for {
-		if _, ok := q.TryEnqueue(index); ok {
-			return
-		}
+	for !q.tryEnqueue(index) {
 	}
 }
 
@@ -371,17 +366,11 @@ func (q *Ring) DequeueBatch(out []uint64) int {
 	// is racy; over-reservation is handled by the per-ticket protocol.
 	t, h := q.tail.Load(), q.head.Load()
 	if t <= h {
-		idx, ok := q.Dequeue() // scalar probe with full empty accounting
-		if !ok {
-			return 0
-		}
-		out[0] = idx
-		return 1
-	}
-	if backlog := t - h; backlog < k {
+		k = 1 // nothing visible: probe once
+	} else if backlog := t - h; backlog < k {
 		k = backlog
 	}
-	if k == 1 {
+	if k == 1 { // the scalar path, with its full empty accounting
 		idx, ok := q.Dequeue()
 		if !ok {
 			return 0

@@ -24,10 +24,10 @@
 // counter of never-used indices, so a ring that is filled once, then
 // sealed and drained, never touches its free-index ring. Every ring is
 // built with the queue's maxThreads, so each id below it has a
-// kept-index slot and a run in every ring (in a wCQ ring's records'
-// slack, on a 64 B line per id in an SCQ ring). A handle with one
-// claims those indices 16 at a time and keeps the rest as its run,
-// which other handles steal from before they report the ring full; an
+// kept-index slot and a run in every ring, on a 64 B line per id of
+// either ring kind. A handle with one claims those indices 16 at a
+// time and keeps the rest as its run, which other handles steal from
+// before they report the ring full; an
 // LSCQ handle with an id at or past maxThreads claims them one at a
 // time. The short enqueue that sealed a node found that counter
 // exhausted and every run empty at its pass, so an enqueuer still in

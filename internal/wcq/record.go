@@ -29,22 +29,8 @@ type phase2rec struct {
 // at 1 and seq2 at 0 so that a fresh record never looks like an
 // active request (a request is active only while seq1 == seq2 and
 // pending is set).
-//
-// kept and run are not the paper's: they are the payload layer's
-// kept-index slot and run of fresh indices for this id (see
-// ringcore.Queue), which the ring only stores; run sits right after
-// kept, where the payload layer reaches it from the slot. They fit in
-// the line-rounded size Footprint already charges (184 B of fields and
-// pad, charged as 192 B), so they cost no footprint. Their owner
-// writes them on every operation that alternates and on every
-// first-lap enqueue, so the field order keeps them a full line (on
-// 64-bit targets) from pending, the one field other threads read
-// outside the slow path: pending starts 76 B after run ends, and ends
-// 88 B before the next record's kept.
 type record struct {
-	kept atomic.Uint64
-	run  atomic.Uint64
-	tid  int
+	tid int
 
 	// Shared fields.
 	phase2    phase2rec
@@ -62,7 +48,7 @@ type record struct {
 }
 
 // recSize is what Footprint charges per record: its size rounded up
-// to whole cache lines (184 B -> 192 B on 64-bit targets).
+// to whole cache lines (168 B -> 192 B on 64-bit targets).
 const recSize = uint64((unsafe.Sizeof(record{}) + pad.CacheLineSize - 1) &^ (pad.CacheLineSize - 1))
 
 func (r *record) init(tid int) {
@@ -100,12 +86,3 @@ func (h *Handle) Ring() *Ring { return h.q }
 //
 //wfq:noalloc
 func (h *Handle) Retarget(q *Ring) { h.q, h.r = q, &q.recs[h.r.tid] }
-
-// KeptSlots locates the records' kept-index slots: record 0's, and the
-// bytes from one record's to the next. Each slot is followed by the
-// record's run word, one atomic.Uint64 further on. The ring only
-// stores them; the payload queue built over the ring decides what
-// they hold.
-func (q *Ring) KeptSlots() (first unsafe.Pointer, stride uintptr) {
-	return unsafe.Pointer(&q.recs[0].kept), unsafe.Sizeof(record{})
-}

@@ -536,17 +536,11 @@ func (h *Handle) DequeueBatch(out []uint64) int {
 	// is racy; over-reservation is handled by the per-ticket protocol.
 	t, hd := q.tailCnt(), q.headCnt()
 	if t <= hd {
-		idx, ok := h.Dequeue() // scalar probe with full empty accounting
-		if !ok {
-			return 0
-		}
-		out[0] = idx
-		return 1
-	}
-	if backlog := t - hd; backlog < k {
+		k = 1 // nothing visible: probe once
+	} else if backlog := t - hd; backlog < k {
 		k = backlog
 	}
-	if k == 1 {
+	if k == 1 { // the scalar path, with its full empty accounting
 		idx, ok := h.Dequeue()
 		if !ok {
 			return 0

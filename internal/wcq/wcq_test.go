@@ -390,15 +390,6 @@ func TestRecSizeMatchesRecord(t *testing.T) {
 	}
 }
 
-func TestRunFollowsKept(t *testing.T) {
-	// The payload layer reaches a record's run one word past the
-	// kept-index slot KeptSlots locates.
-	var r record
-	if got, want := unsafe.Offsetof(r.run), unsafe.Offsetof(r.kept)+unsafe.Sizeof(r.kept); got != want {
-		t.Fatalf("run at offset %d, want %d, right after kept", got, want)
-	}
-}
-
 // TestRecordHoldsOnlySharedState: record is the state other threads
 // read, so besides tid, fixed at construction, every field is an
 // atomic word or padding. A plain field there would be thread-local
