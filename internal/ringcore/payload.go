@@ -43,8 +43,9 @@ var (
 
 // Queue is a bounded MPMC queue of arbitrary values, built from two
 // index rings and a data array via the paper's Figure 2 indirection:
-// fq circulates free indices, aq circulates allocated ones. All memory
-// is allocated at construction. The ring kind decides progress:
+// fq circulates free indices, aq circulates allocated ones. New
+// allocates all memory at construction; NewDeferred leaves fq out
+// until a handle first recycles an index. The ring kind decides progress:
 // wait-free over wCQ rings, lock-free over SCQ rings. Only
 // construction, HandleAt and Retarget know the kind; every ring
 // operation goes through the indexRing a handle holds.
@@ -84,14 +85,23 @@ var (
 // one 64 B line of kept, which the queue allocates at construction:
 // the index rings know nothing of them.
 //
+// fq only ever holds recycled indices, so a queue whose indices are
+// never recycled needs none. NewDeferred builds such a queue for the
+// unbounded construction, whose rings mostly serve one lap and are
+// drained without recycling: its fq stays nil until the first handle
+// that returns an index to fq builds one and publishes it with one
+// CAS; a handle that loses the CAS uses the winner's. An operation
+// that only takes from fq reads a missing one as empty, which it is:
+// no index has been returned to it. Each handle binds its view of fq
+// on first use (see free).
+//
 // Every operation reads the header fields and none writes them: ids
 // is written only when an id is first used on the queue (Register,
-// HandleAt, Retarget). The pads keep them off any cache line that
-// fresh or a neighbouring heap object writes.
+// HandleAt, Retarget), and fq once per queue. The pads keep them off
+// any cache line that fresh or a neighbouring heap object writes.
 type Queue[T any] struct {
 	_    pad.Line
 	aq   wholeRing
-	fq   wholeRing
 	data []T
 	kind Kind
 	// ids is Register's next id, and is raised to one past every id
@@ -100,10 +110,17 @@ type Queue[T any] struct {
 	refs bool // T holds pointers: a taken slot must be zeroed
 	// kept holds the kept-index slot and run of each id below
 	// min(maxThreads, wcq.MaxThreads), one line per id.
-	kept  []slotLine
-	_     pad.Line
-	fresh atomicx.Counter
-	_     pad.Line
+	kept []slotLine
+	// wfq is fq for KindWCQ and sfq for KindSCQ; the other stays nil,
+	// and so does the one of the kind until fq is built (buildFree).
+	wfq atomic.Pointer[wcq.Ring]
+	sfq atomic.Pointer[scq.Ring]
+	// opts and maxThreads are what buildFree builds fq from.
+	opts       Options
+	maxThreads int
+	_          pad.Line
+	fresh      atomicx.Counter
+	_          pad.Line
 }
 
 // runLen is how many fresh indices a scalar Enqueue claims at once for
@@ -133,7 +150,12 @@ type slotLine struct {
 type QueueHandle[T any] struct {
 	q  *Queue[T]
 	aq indexRing
-	fq indexRing
+	// fq is the handle's view of q's fq, nil until free binds it: on
+	// first use, and again after Retarget. wfq is a wCQ handle's
+	// record in fq, kept across Retarget so a bind after the first
+	// allocates nothing; it may still view a ring the handle left.
+	fq  indexRing
+	wfq *wcq.Handle
 	// id names the handle's kept-index slot in every queue it
 	// operates on; slot is that slot and its run in q, nil when id
 	// has none.
@@ -160,45 +182,72 @@ type QueueHandle[T any] struct {
 // for census kinds (KindWCQ); census-free kinds accept any number of
 // handles. Either kind gives each id below maxThreads a kept-index
 // slot and a run, one 64 B line per id: the run serves any handle that
-// enqueues, the slot one that also dequeues. The core is always a
+// enqueues, the slot one that also dequeues. Both index rings are
+// built here, so the footprint is fixed. The core is always a
 // *Queue[T].
 func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core[T], error) {
-	var o Options
-	if opts != nil {
-		o = *opts
+	q, err := NewDeferred[T](kind, capacity, maxThreads, opts)
+	if err != nil {
+		return nil, err
 	}
-	q := &Queue[T]{kind: kind}
+	q.buildFree()
+	return q, nil
+}
+
+// NewDeferred is New without fq: the first handle that returns an
+// index to fq builds it. A queue whose indices are never recycled,
+// such as a ring of the unbounded construction that is filled once,
+// sealed and drained, so never pays for one.
+func NewDeferred[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (*Queue[T], error) {
+	q := &Queue[T]{kind: kind, maxThreads: maxThreads}
+	if opts != nil {
+		q.opts = *opts
+	}
 	switch kind {
 	case KindWCQ:
-		aq, err := wcq.NewRing(capacity, maxThreads, &o)
+		aq, err := wcq.NewRing(capacity, maxThreads, &q.opts)
 		if err != nil {
 			return nil, err
 		}
-		fq, err := wcq.NewRing(capacity, maxThreads, &o)
-		if err != nil {
-			return nil, err
-		}
-		q.aq, q.fq = aq, fq
+		q.aq = aq
 	case KindSCQ:
-		aq, err := scq.NewRing(capacity, o.Mode)
+		aq, err := scq.NewRing(capacity, q.opts.Mode)
 		if err != nil {
 			return nil, err
 		}
-		fq, err := scq.NewRing(capacity, o.Mode)
-		if err != nil {
-			return nil, err
-		}
-		aq.SetMetrics(o.Metrics)
-		fq.SetMetrics(o.Metrics)
-		q.aq, q.fq = aq, fq
+		aq.SetMetrics(q.opts.Metrics)
+		q.aq = aq
 	default:
 		return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
 	}
 	q.kept = make([]slotLine, min(max(maxThreads, 0), wcq.MaxThreads))
 	q.data = make([]T, capacity)
 	q.refs = hasPointers(reflect.TypeFor[T]())
-	q.fresh.Init(o.Mode, 0)
+	q.fresh.Init(q.opts.Mode, 0)
 	return q, nil
+}
+
+// buildFree builds an empty fq like aq and publishes it, unless
+// another handle published one first: one CAS, whose loser drops its
+// ring. It cannot fail: aq was built from the same parameters.
+//
+//wfq:allocok once per queue, plus one dropped ring per lost CAS
+func (q *Queue[T]) buildFree() {
+	switch q.kind {
+	case KindWCQ:
+		r, err := wcq.NewRing(q.Cap(), q.maxThreads, &q.opts)
+		if err != nil {
+			panic("ringcore: building fq: " + err.Error())
+		}
+		q.wfq.CompareAndSwap(nil, r)
+	case KindSCQ:
+		r, err := scq.NewRing(q.Cap(), q.opts.Mode)
+		if err != nil {
+			panic("ringcore: building fq: " + err.Error())
+		}
+		r.SetMetrics(q.opts.Metrics)
+		q.sfq.CompareAndSwap(nil, r)
+	}
 }
 
 // hasPointers reports whether a value of type t holds a reference the
@@ -289,6 +338,9 @@ func (q *Queue[T]) Register() (*QueueHandle[T], error) {
 // id without a slot, such as the public lock-free queue's shared
 // HandleAt(-1), may sit beside Registered handles, since it is never
 // admitted and takes no id from Register's count.
+//
+// A handle on a queue that has fq binds its view of it here, so only a
+// NewDeferred queue's handles ever bind later.
 func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
 	h := &QueueHandle[T]{q: q, id: id, slot: q.slot(id)}
 	switch q.kind {
@@ -297,16 +349,77 @@ func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
 		if err != nil {
 			return nil, err
 		}
-		fqh, err := q.fq.(*wcq.Ring).HandleAt(id)
-		if err != nil {
-			return nil, err
-		}
-		h.aq, h.fq = aqh, fqh
+		h.aq = aqh
 	case KindSCQ:
-		h.aq, h.fq = q.aq.(*scq.Ring), q.fq.(*scq.Ring)
+		h.aq = q.aq.(*scq.Ring)
 	}
+	h.bind(false)
 	q.admit(h)
 	return h, nil
+}
+
+// free returns h's view of q's fq, bound by bind on first use. When q
+// has no fq yet it returns nil, unless build is set: an operation that
+// returns an index to fq builds it, and one that only takes from fq
+// reads a missing fq as empty. On a queue built with fq the view was
+// bound by HandleAt, so this is one nil check that always passes.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) free(build bool) indexRing {
+	if h.fq != nil {
+		return h.fq
+	}
+	return h.bind(build)
+}
+
+// bind points h's view at q's fq, first building fq when q has none
+// and build is set, and returns the view; nil when q has no fq and
+// build is clear. A wCQ handle's first bind allocates its record
+// handle in fq; a later bind retargets that handle.
+//
+//wfq:allocok first bind of a wCQ handle, and the first recycle on a queue without fq
+func (h *QueueHandle[T]) bind(build bool) indexRing {
+	q := h.q
+	if build && q.freeRing() == nil {
+		q.buildFree()
+	}
+	switch q.kind {
+	case KindWCQ:
+		r := q.wfq.Load()
+		if r == nil {
+			return nil
+		}
+		if h.wfq == nil {
+			fqh, err := r.HandleAt(h.id)
+			if err != nil {
+				panic("ringcore: binding fq: " + err.Error())
+			}
+			h.wfq = fqh
+		} else {
+			h.wfq.Retarget(r)
+		}
+		h.fq = h.wfq
+	case KindSCQ:
+		r := q.sfq.Load()
+		if r == nil {
+			return nil
+		}
+		h.fq = r
+	}
+	return h.fq
+}
+
+// freeRing returns q's fq as a whole ring, nil until it is built.
+//
+//wfq:noalloc
+func (q *Queue[T]) freeRing() wholeRing {
+	if r := q.wfq.Load(); r != nil {
+		return r
+	}
+	if r := q.sfq.Load(); r != nil {
+		return r
+	}
+	return nil
 }
 
 // slot returns the kept-index slot and run of id, or nil when id has
@@ -341,19 +454,20 @@ func (q *Queue[T]) admit(h *QueueHandle[T]) {
 // scratch, and uses the record and the kept-index slot with that id in
 // q. An index h kept in its old queue stays in that queue's slot, and
 // its run there stays in that queue's run word, for others to steal. h
-// must have no operation in flight. It allocates nothing, so a handle
-// can move from ring to ring as the unbounded construction's turnover
-// does.
+// must have no operation in flight. Its view of fq is unbound, and
+// free binds it to q's fq on first use. It allocates nothing, and
+// neither does that bind once h has bound once, so a handle can move
+// from ring to ring as the unbounded construction's turnover does.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Retarget(q *Queue[T]) {
 	switch q.kind {
 	case KindWCQ:
 		h.aq.(*wcq.Handle).Retarget(q.aq.(*wcq.Ring))
-		h.fq.(*wcq.Handle).Retarget(q.fq.(*wcq.Ring))
 	case KindSCQ:
-		h.aq, h.fq = q.aq.(*scq.Ring), q.fq.(*scq.Ring)
+		h.aq = q.aq.(*scq.Ring)
 	}
+	h.fq = nil
 	h.q = q
 	h.slot = q.slot(h.id)
 	q.admit(h)
@@ -433,8 +547,10 @@ func (h *QueueHandle[T]) index() (idx uint64, ok bool) {
 			return idx, true
 		}
 	}
-	if idx, ok = h.fq.Dequeue(); ok {
-		return idx, true
+	if fq := h.free(false); fq != nil {
+		if idx, ok = fq.Dequeue(); ok {
+			return idx, true
+		}
 	}
 	var one [1]uint64
 	return one[0], q.steal(one[:]) == 1
@@ -491,7 +607,7 @@ func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
 	}
 	v = h.move(idx)
 	if !h.keep(idx) {
-		h.fq.Enqueue(idx)
+		h.free(true).Enqueue(idx)
 	}
 	return v, true
 }
@@ -550,11 +666,14 @@ func (h *QueueHandle[T]) move(idx uint64) T {
 
 // EnqueueBatch appends a prefix of vs in order and returns its length;
 // a short count means the queue filled up mid-batch. The batch takes
-// a run of never-used indices with one F&A on the fresh counter, the
-// rest from fq, and what fq lacks from the kept-index slots and runs.
-// Index traffic with fq/aq moves through the native ring batches, so
-// the fast path pays one F&A per ring per batch instead of one per
-// element.
+// h's kept index, a run of never-used indices with one F&A on the
+// fresh counter, the rest from fq, and what fq lacks from the
+// kept-index slots and runs. Taking its own kept index first lets the
+// unbounded construction's twice-beaten appender seed its spare ring
+// with the index it kept there, so its next take-back can keep again
+// instead of building the spare's fq. Index traffic with fq/aq moves
+// through the native ring batches, so the fast path pays one F&A per
+// ring per batch instead of one per element.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
@@ -562,13 +681,23 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 		return 0
 	}
 	buf := h.scratch(len(vs))
-	first, m := h.q.claim(uint64(len(buf)))
-	for j := range m {
-		buf[j] = first + j
+	n := 0
+	if s := h.slot; s != nil {
+		if idx, ok := take(&s.kept); ok {
+			buf[0], n = idx, 1
+		}
 	}
-	n := int(m)
 	if n < len(buf) {
-		n += h.fq.DequeueBatch(buf[n:])
+		first, m := h.q.claim(uint64(len(buf) - n))
+		for j := range m {
+			buf[n+int(j)] = first + j
+		}
+		n += int(m)
+	}
+	if n < len(buf) {
+		if fq := h.free(false); fq != nil {
+			n += fq.DequeueBatch(buf[n:])
+		}
 	}
 	if n < len(buf) {
 		n += h.q.steal(buf[n:])
@@ -591,8 +720,11 @@ func (h *QueueHandle[T]) DequeueBatch(out []T) int {
 	}
 	buf := h.scratch(len(out))
 	n := h.aq.DequeueBatch(buf)
+	if n == 0 {
+		return 0 // an empty poll builds no fq
+	}
 	h.moveBatch(out, buf[:n])
-	h.fq.EnqueueBatch(buf[:n])
+	h.free(true).EnqueueBatch(buf[:n])
 	return n
 }
 
@@ -646,13 +778,18 @@ func (q *Queue[T]) Cap() uint64 { return uint64(len(q.data)) }
 // answers for the queue.
 func (q *Queue[T]) Stats() metrics.Snapshot { return q.aq.Metrics().Snapshot() }
 
-// Footprint returns the statically allocated byte size of the queue
-// (both rings, any thread records, the kept-index slots and runs, and
-// the payload array slots of T's size each).
+// Footprint returns the byte size of what the queue has allocated:
+// both rings (fq once it is built), any thread records, the kept-index
+// slots and runs, and the payload array slots of T's size each. It is
+// fixed for a queue from New, and grows once, when fq is built, for
+// one from NewDeferred.
 //
 //wfq:noalloc
 func (q *Queue[T]) Footprint() uint64 {
 	var v T
-	kept := uint64(len(q.kept)) * uint64(unsafe.Sizeof(slotLine{}))
-	return q.aq.Footprint() + q.fq.Footprint() + kept + uint64(cap(q.data))*uint64(unsafe.Sizeof(v))
+	f := q.aq.Footprint() + uint64(len(q.kept))*uint64(unsafe.Sizeof(slotLine{})) + uint64(cap(q.data))*uint64(unsafe.Sizeof(v))
+	if r := q.freeRing(); r != nil {
+		f += r.Footprint()
+	}
+	return f
 }

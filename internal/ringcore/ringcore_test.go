@@ -664,8 +664,11 @@ func TestRetargetAcrossRings(t *testing.T) {
 				if h.Queue() != q {
 					t.Fatalf("ring %d: handle still on another queue", i)
 				}
-				if kind == KindWCQ && (h.aq.(*wcq.Handle).Ring() != q.aq || h.fq.(*wcq.Handle).Ring() != q.fq) {
-					t.Fatalf("ring %d: index-ring handles not moved", i)
+				if kind == KindWCQ && h.aq.(*wcq.Handle).Ring() != q.aq {
+					t.Fatalf("ring %d: aq handle not moved", i)
+				}
+				if kind == KindWCQ && h.free(false).(*wcq.Handle).Ring() != q.wfq.Load() {
+					t.Fatalf("ring %d: fq handle not moved", i)
 				}
 				if r%2 == 0 {
 					if n := h.DequeueBatch(out); n != per {
@@ -696,9 +699,11 @@ func TestRetargetAcrossRings(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
 			h.Retarget(qs[1])
+			h.free(false)
 			h.Retarget(qs[2])
+			h.free(false)
 		}); allocs != 0 {
-			t.Fatalf("Retarget allocates %.1f objects", allocs)
+			t.Fatalf("Retarget and the fq bind after it allocate %.1f objects", allocs)
 		}
 	})
 }

@@ -140,7 +140,7 @@ func checkSlotFootprint[T any](t *testing.T, kind Kind, size uint64) {
 	if len(q.kept) != maxThreads {
 		t.Fatalf("%v: %d kept-index lines for %d ids", reflect.TypeFor[T](), len(q.kept), maxThreads)
 	}
-	rings := q.aq.Footprint() + q.fq.Footprint() + maxThreads*pad.CacheLineSize
+	rings := q.aq.Footprint() + q.freeRing().Footprint() + maxThreads*pad.CacheLineSize
 	if got, want := q.Footprint(), rings+n*size; got != want {
 		t.Fatalf("%v: Footprint = %d B, want %d B of rings and kept slots + %d x %d B", reflect.TypeFor[T](), got, rings, n, size)
 	}

@@ -22,7 +22,10 @@
 // the ring's free-index ring instead of recycling it; only the
 // unsealed tail ring recycles. A ring serves its first lap from its
 // counter of never-used indices, so a ring that is filled once, then
-// sealed and drained, never touches its free-index ring. Every ring is
+// sealed and drained, never touches its free-index ring, and since
+// every ring is built with ringcore.NewDeferred, it never allocates
+// one either: only the unsealed tail ring, and a spare whose seeds went
+// back through it, build theirs, on their first recycle. Every ring is
 // built with the queue's maxThreads, so each id below it has a
 // kept-index slot and a run in every ring, on a 64 B line per id of
 // either ring kind. A handle with one claims those indices 16 at a
@@ -64,9 +67,12 @@
 // live ring. The only ring kept outside the list is a handle's spare:
 // an enqueuer that builds a successor but loses the race to link it
 // takes its seed values back out and keeps that ring for its own next
-// turnover, instead of throwing it away (see extend). A handle's two
-// views may still point at drained rings, so each handle keeps at most
-// two rings reachable beyond the list and its spare.
+// turnover, instead of throwing it away (see extend). Footprint counts
+// each spare at its own size, which is larger once its seeds went back
+// through a free-index ring it then built. A handle's two views may
+// still point at drained rings, so each handle keeps at most two rings
+// reachable beyond the list and its spare, and a UWCQ view may also
+// keep the free-index ring of a ring it left, until it binds another.
 //
 // Faithfulness note: the appendix links rings with the CRTurn wait-free
 // list so the WHOLE unbounded queue is wait-free. This port uses the
@@ -153,13 +159,15 @@ type Queue[T any] struct {
 	mk      func() (*ringcore.Queue[T], error)
 	met     *metrics.Sink //wfq:stable nil = disabled; shared with the rings via Options
 	handles atomic.Int64  //wfq:cold registration only
-	spares  atomic.Int64  //wfq:cold spare rings held by handles; changes at turnover only
+	// spareBytes sums the Footprint of the spare rings handles hold.
+	// A spare has built its free-index ring when its seeds went back
+	// through it, so spares differ in size; each is counted at its own.
+	spareBytes atomic.Int64 //wfq:cold changes at turnover only
 	// maxHandles bounds Handle() calls (0 = unlimited). Census kinds
 	// (wCQ) set it to the per-ring thread census, so every handle's id
 	// names a record in every ring.
 	maxHandles int
 	ringCap    uint64
-	ringBytes  uint64 // Footprint of one ring
 }
 
 // Handle is a goroutine's access to a Queue. The n-th handle has id
@@ -197,17 +205,13 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 		maxHandles = maxThreads // the wCQ ring below rejects one below 1
 	}
 	mk := func() (*ringcore.Queue[T], error) {
-		c, err := ringcore.New[T](kind, ringCap, maxThreads, opts)
-		if err != nil {
-			return nil, err
-		}
-		return c.(*ringcore.Queue[T]), nil
+		return ringcore.NewDeferred[T](kind, ringCap, maxThreads, opts)
 	}
 	first, err := mk()
 	if err != nil {
 		return nil, err
 	}
-	q := &Queue[T]{mk: mk, ringCap: ringCap, ringBytes: first.Footprint(), maxHandles: maxHandles, met: opts.Sink()}
+	q := &Queue[T]{mk: mk, ringCap: ringCap, maxHandles: maxHandles, met: opts.Sink()}
 	n := &node[T]{r: first}
 	q.head.Store(n)
 	q.tail.Store(n)
@@ -268,13 +272,14 @@ func (q *Queue[T]) Rings() int {
 }
 
 // Footprint returns the bytes retained right now: every live ring of
-// the outer list plus the handles' spare rings. This is the
-// live-memory signal of the paper's Fig. 10a applied to the unbounded
-// variants — it grows while a burst is buffered and shrinks back to
-// (1 + spares) rings once drained, at most one spare per handle. A
-// handle dropped while it holds a spare is still counted.
+// the outer list plus the handles' spare rings, each at its own
+// Footprint (with its free-index ring once it has built one). This is
+// the live-memory signal of the paper's Fig. 10a applied to the
+// unbounded variants — it grows while a burst is buffered and shrinks
+// back to (1 + spares) rings once drained, at most one spare per
+// handle. A handle dropped while it holds a spare is still counted.
 func (q *Queue[T]) Footprint() uint64 {
-	f := uint64(q.spares.Load()) * q.ringBytes
+	f := uint64(q.spareBytes.Load())
 	for n := q.head.Load(); n != nil; n = n.next.Load() {
 		f += n.r.Footprint()
 	}
@@ -376,7 +381,7 @@ func (h *Handle[T]) extend(ltail *node[T], vs []T) int {
 		h.tail.Dequeue()
 	}
 	h.spare = nr
-	q.spares.Add(1)
+	q.spareBytes.Add(int64(nr.Footprint()))
 	return 0
 }
 
@@ -389,7 +394,7 @@ func (h *Handle[T]) takeRing() *ringcore.Queue[T] {
 	q := h.q
 	if r := h.spare; r != nil {
 		h.spare = nil
-		q.spares.Add(-1)
+		q.spareBytes.Add(-int64(r.Footprint()))
 		q.met.Inc(metrics.RingPoolHit)
 		return r
 	}

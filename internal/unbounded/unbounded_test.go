@@ -109,18 +109,89 @@ func spares(hs []*Handle[uint64]) int {
 	return n
 }
 
+// spareBytes sums the Footprint of the spare rings the handles of hs
+// hold.
+func spareBytes(hs []*Handle[uint64]) int64 {
+	var f int64
+	for _, h := range hs {
+		if h.spare != nil {
+			f += int64(h.spare.Footprint())
+		}
+	}
+	return f
+}
+
+// ringSizes returns the Footprint of one of q's rings as turnover
+// builds it, without a free-index ring, and of the same ring once it
+// has recycled an index and so built one.
+func ringSizes(t *testing.T, q *Queue[uint64]) (bare, full uint64) {
+	t.Helper()
+	r, err := q.mk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare = r.Footprint()
+	h, err := r.HandleAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.EnqueueBatch([]uint64{1}) != 1 || h.DequeueBatch(make([]uint64, 1)) != 1 {
+		t.Fatal("a fresh ring did not take and give back one value")
+	}
+	if full = r.Footprint(); full <= bare {
+		t.Fatalf("a recycle left the ring at %d B, without fq %d B", full, bare)
+	}
+	return bare, full
+}
+
+// heldBytes returns what a drained q retains by the rings it actually
+// holds: its one live ring, which has recycled the values drained from
+// it and so carries its free-index ring, plus each spare of hs at its
+// own size, with a free-index ring or without one. It fails t when a
+// ring has neither size.
+func heldBytes(t *testing.T, q *Queue[uint64], hs []*Handle[uint64]) uint64 {
+	t.Helper()
+	bare, full := ringSizes(t, q)
+	f := q.head.Load().r.Footprint()
+	if f != full {
+		t.Fatalf("live ring %d B after a drain that recycled into it, want %d B with its free-index ring", f, full)
+	}
+	for i, h := range hs {
+		if h.spare == nil {
+			continue
+		}
+		s := h.spare.Footprint()
+		if s != bare && s != full {
+			t.Fatalf("handle %d's spare is %d B, want %d B or %d B with its free-index ring", i, s, bare, full)
+		}
+		f += s
+	}
+	return f
+}
+
 // raceProducers has every handle of hs enqueue per values at once, so
-// their ring turnovers race; producer i's value j is i<<32 | j.
-func raceProducers(hs []*Handle[uint64], per int) {
+// their ring turnovers race; producer i's value j is i<<32 | j. A
+// batch above 1 enqueues them with EnqueueBatch calls of that length,
+// so an append a producer loses takes up to batch seeds back.
+func raceProducers(hs []*Handle[uint64], per, batch int) {
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i, h := range hs {
 		wg.Add(1)
 		go func(i int, h *Handle[uint64]) {
 			defer wg.Done()
+			vs := make([]uint64, 0, batch)
 			<-start
 			for j := 0; j < per; j++ {
-				h.Enqueue(uint64(i)<<32 | uint64(j))
+				v := uint64(i)<<32 | uint64(j)
+				if batch <= 1 {
+					h.Enqueue(v)
+					continue
+				}
+				if vs = append(vs, v); len(vs) == batch || j == per-1 {
+					h.EnqueueBatch(vs)
+					vs = vs[:0]
+				}
 			}
 		}(i, h)
 	}
@@ -156,13 +227,13 @@ func drainChecked(t *testing.T, h *Handle[uint64], producers, per int) {
 // through hs[0], until done reports true after a drain. Whether two
 // producers meet at a turnover is up to the scheduler, so it runs with
 // at least two Ps and gives up after a deadline.
-func raceUntil(t *testing.T, hs []*Handle[uint64], per int, done func() bool) {
+func raceUntil(t *testing.T, hs []*Handle[uint64], per, batch int, done func() bool) {
 	t.Helper()
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
 	for deadline := time.Now().Add(20 * time.Second); ; {
-		raceProducers(hs, per)
+		raceProducers(hs, per, batch)
 		drainChecked(t, hs[0], len(hs), per)
 		if done() {
 			return
@@ -300,7 +371,10 @@ func TestUnboundedFootprintGrowsWhileBuffered(t *testing.T) {
 func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 	// The paper's bounded-memory claim under churn: once a burst
 	// drains, one ring is left. A lone producer never loses an append
-	// race, so it holds no spare.
+	// race, so it holds no spare. The ring left is the unsealed tail,
+	// which recycles what is drained from it, so it has built its
+	// free-index ring; the rings sealed and drained before it never
+	// did.
 	for name, mk := range makers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
@@ -322,9 +396,9 @@ func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 					t.Fatalf("drain at %d: queue empty", i)
 				}
 			}
-			if got := q.Footprint(); got != perRing || q.Rings() != 1 {
+			if got, want := q.Footprint(), heldBytes(t, q, []*Handle[uint64]{h}); got != want || q.Rings() != 1 {
 				t.Fatalf("retained %d B in %d rings after drain, want one ring of %d B",
-					got, q.Rings(), perRing)
+					got, q.Rings(), want)
 			}
 		})
 	}
@@ -337,14 +411,14 @@ func TestAlternatingProducersStrandNoRun(t *testing.T) {
 	// ring only when a seal races its owner's claim: without a race the
 	// other handle steals what is left of it before the ring seals, so
 	// every ring fills to capacity, k rings hold the burst, and the
-	// drained queue is back to its one ring.
+	// drained queue is back to its one ring, which has built its
+	// free-index ring by recycling what was drained from it.
 	const k = 4
 	for name, mk := range makers() {
 		for _, ringCap := range []uint64{8, 64} {
 			t.Run(fmt.Sprintf("%s/cap=%d", name, ringCap), func(t *testing.T) {
 				q := mk(t, ringCap)
 				hs := newHandles(t, q, 2)
-				f0 := q.Footprint()
 				n := k * ringCap
 				for i := range n {
 					hs[i%2].Enqueue(i)
@@ -360,8 +434,8 @@ func TestAlternatingProducersStrandNoRun(t *testing.T) {
 				if _, ok := hs[0].Dequeue(); ok {
 					t.Fatal("phantom value after drain")
 				}
-				if got := q.Footprint(); got != f0 || q.Rings() != 1 {
-					t.Fatalf("retained %d B in %d rings after drain, want one ring of %d B", got, q.Rings(), f0)
+				if got, want := q.Footprint(), heldBytes(t, q, hs); got != want || q.Rings() != 1 {
+					t.Fatalf("retained %d B in %d rings after drain, want one ring of %d B", got, q.Rings(), want)
 				}
 			})
 		}
@@ -689,13 +763,13 @@ func TestTurnoverRaceKeepsLoserRing(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			q := mk(t, 4)
 			hs := newHandles(t, q, 2)
-			raceUntil(t, hs, 64, func() bool { return ringsReused(q) > 0 })
+			raceUntil(t, hs, 64, 1, func() bool { return ringsReused(q) > 0 })
 			built := ringsBuilt(q) - 1 // the turnovers' builds, not New's
 			if built > turnovers(q)+len(hs) {
 				t.Fatalf("%d rings built for %d turnovers by %d handles", built, turnovers(q), len(hs))
 			}
-			if got := int(q.spares.Load()); got != spares(hs) {
-				t.Fatalf("queue counts %d spares, handles hold %d", got, spares(hs))
+			if got, want := q.spareBytes.Load(), spareBytes(hs); got != want {
+				t.Fatalf("queue counts %d B of spares, the %d spares handles hold are %d B", got, spares(hs), want)
 			}
 		})
 	}
@@ -703,30 +777,129 @@ func TestTurnoverRaceKeepsLoserRing(t *testing.T) {
 
 func TestFootprintAfterDrainCountsSpares(t *testing.T) {
 	// After every drain the queue retains its one live ring plus every
-	// handle's spare, and Footprint reports exactly that: at least
-	// cycles concurrent fill/drain cycles, and on until one leaves a
-	// spare. A queue that kept rings a cycle had drained would grow past
-	// the count within a cycle or two.
+	// handle's spare, and Footprint reports exactly that, each ring at
+	// its own size: at least cycles concurrent fill/drain cycles, and
+	// on until one leaves a spare. A queue that kept rings a cycle had
+	// drained would grow past the count within a cycle or two.
 	const cycles = 8
 	for name, mk := range makers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			q := mk(t, 4)
-			perRing := q.Footprint()
 			hs := newHandles(t, q, 2)
 			cycle := 0
-			raceUntil(t, hs, 64, func() bool {
+			raceUntil(t, hs, 64, 1, func() bool {
 				cycle++
 				if q.Rings() != 1 {
 					t.Fatalf("cycle %d: %d live rings after a drain, want 1", cycle, q.Rings())
 				}
-				if got, want := q.Footprint(), uint64(1+spares(hs))*perRing; got != want {
+				if got, want := q.Footprint(), heldBytes(t, q, hs); got != want {
 					t.Fatalf("cycle %d: footprint %d B after drain, want %d B (1 ring + %d spares)",
 						cycle, got, want, spares(hs))
 				}
 				return cycle >= cycles && spares(hs) > 0
 			})
 		})
+	}
+}
+
+func TestFootprintCountsSpareWithFreeRing(t *testing.T) {
+	// Producers that race with batches of 3 take the seeds of an append
+	// they lost back out through the spare's free-index ring (a batch's
+	// view never keeps an index), so such a spare has built one and
+	// costs more than a ring that never recycled. Footprint counts each
+	// spare at its own size while a handle holds it, and again after
+	// the handle's next turnover has linked it.
+	for name, mk := range makers() {
+		t.Run(name, func(t *testing.T) {
+			q := mk(t, 4)
+			hs := newHandles(t, q, 2)
+			_, full := ringSizes(t, q)
+			reused := -1 // the turnovers served by spares when one with fq was first seen
+			raceUntil(t, hs, 64, 3, func() bool {
+				if got, want := q.Footprint(), heldBytes(t, q, hs); got != want {
+					t.Fatalf("footprint %d B after a drain, want %d B (1 ring + %d spares)", got, want, spares(hs))
+				}
+				for _, h := range hs {
+					if reused < 0 && h.spare != nil && h.spare.Footprint() == full {
+						reused = ringsReused(q)
+					}
+				}
+				return reused >= 0 && ringsReused(q) > reused+4
+			})
+		})
+	}
+}
+
+func TestSealedRingsBuildNoFreeRing(t *testing.T) {
+	// A ring filled once, sealed and drained never recycles an index,
+	// so it never builds its free-index ring: a burst over 16 rings
+	// leaves every sealed ring at the size turnover built it, scalar or
+	// batch. Only the unsealed tail ring recycles, and it builds
+	// exactly one on its first recycle.
+	const ringCap, rings = 8, 16
+	for name, mk := range makers() {
+		for _, batch := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(t *testing.T) {
+				q := mk(t, ringCap)
+				bare, full := ringSizes(t, q)
+				hs := newHandles(t, q, 2)
+				p, c := hs[0], hs[1]
+				vs := make([]uint64, batch)
+				for i := uint64(0); i < rings*ringCap; i += uint64(batch) {
+					for j := range vs {
+						vs[j] = i + uint64(j)
+					}
+					p.EnqueueBatch(vs)
+				}
+				var nodes []*node[uint64]
+				for n := q.head.Load(); n != nil; n = n.next.Load() {
+					nodes = append(nodes, n)
+				}
+				if len(nodes) != rings {
+					t.Fatalf("burst spans %d rings, want %d", len(nodes), rings)
+				}
+				out := make([]uint64, batch)
+				for i := uint64(0); i < rings*ringCap; {
+					n := 0
+					if batch > 1 {
+						n = c.DequeueBatch(out)
+					} else if v, ok := c.Dequeue(); ok {
+						out[0], n = v, 1
+					}
+					if n == 0 {
+						t.Fatalf("queue empty after %d values", i)
+					}
+					for _, v := range out[:n] {
+						if v != i {
+							t.Fatalf("got %d, want %d", v, i)
+						}
+						i++
+					}
+				}
+				tail := nodes[len(nodes)-1]
+				for i, n := range nodes[:len(nodes)-1] {
+					if !n.sealed.Load() || n.r.Footprint() != bare {
+						t.Fatalf("ring %d: sealed %v, %d B after its drain, want %d B without a free-index ring",
+							i, n.sealed.Load(), n.r.Footprint(), bare)
+					}
+				}
+				if tail.sealed.Load() || q.tail.Load() != tail || tail.r.Footprint() != full {
+					t.Fatalf("tail ring: sealed %v, %d B after recycling, want %d B with one free-index ring",
+						tail.sealed.Load(), tail.r.Footprint(), full)
+				}
+				for i := range 3 * ringCap { // more laps on the tail ring, through its one free-index ring
+					p.Enqueue(uint64(i))
+					if v, ok := c.Dequeue(); !ok || v != uint64(i) {
+						t.Fatalf("lap value %d: got (%d, %v)", i, v, ok)
+					}
+				}
+				if q.Rings() != 1 || tail.r.Footprint() != full || q.Footprint() != full {
+					t.Fatalf("%d rings, tail %d B, queue %d B after more laps, want one ring of %d B",
+						q.Rings(), tail.r.Footprint(), q.Footprint(), full)
+				}
+			})
+		}
 	}
 }
 
@@ -806,10 +979,11 @@ func TestFootprintTracksLiveHeap(t *testing.T) {
 				}
 			}
 			heap, foot = liveHeap()-heap0, int64(q.Footprint())-foot0
-			if bound := foot + 2*int64(len(hs))*int64(q.ringBytes); heap > bound {
+			_, ring := ringSizes(t, q)
+			if bound := foot + 2*int64(len(hs))*int64(ring); heap > bound {
 				t.Fatalf("drain: live heap +%d B against Footprint +%d B, want at most +%d B", heap, foot, bound)
 			}
-			t.Logf("drain: live heap +%d B, Footprint +%d B, ring %d B", heap, foot, q.ringBytes)
+			t.Logf("drain: live heap +%d B, Footprint +%d B, ring %d B", heap, foot, ring)
 			runtime.KeepAlive(hs)
 		})
 	}
@@ -831,7 +1005,7 @@ func TestFootprintCountsValueSize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := q.ringBytes, words.ringBytes+ringCap*16; got != want {
+			if got, want := q.Footprint(), words.Footprint()+ringCap*16; got != want {
 				t.Fatalf("ring footprint %d B, want %d B", got, want)
 			}
 			h, err := q.Handle()
@@ -860,9 +1034,9 @@ func TestUWCQSpareViewSurvivesPruning(t *testing.T) {
 	// own records, with no third record to fall back on.
 	q := newQueue(t, ringcore.KindWCQ, 4, 2)
 	hs := newHandles(t, q, 2)
-	raceUntil(t, hs, 64, func() bool { return ringsReused(q) >= 1000 })
+	raceUntil(t, hs, 64, 1, func() bool { return ringsReused(q) >= 1000 })
 	// The other handle drains once more, through rings linked since.
-	raceProducers(hs, 64)
+	raceProducers(hs, 64, 1)
 	drainChecked(t, hs[1], len(hs), 64)
 }
 

@@ -92,10 +92,13 @@ func (q *UnboundedQueue[T]) Rings() int { return q.q.Rings() }
 // and shrinks back to one ring plus at most one spare per handle after
 // a drain. A spare is a ring a handle built for a turnover that
 // another handle linked first; the handle keeps it for its own next
-// turnover. Footprint does not count the rings a handle last used:
-// each handle's two views (one per end of the queue) may keep up to
-// two drained rings reachable until it next operates, so the live heap
-// can exceed Footprint by at most two rings per handle.
+// turnover. Each ring is counted at its own size, which grows once,
+// when the ring first recycles an index and builds its free-index
+// ring; a ring filled once, sealed and drained never does. Footprint
+// does not count the rings a handle last used: each handle's two views
+// (one per end of the queue) may keep up to two drained rings
+// reachable until it next operates, so the live heap can exceed
+// Footprint by at most two rings per handle.
 func (q *UnboundedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
 
 // Stats snapshots the metrics sink shared by the queue and its linked
