@@ -5,7 +5,7 @@
 //
 // The paper's evaluation distinguishes two hardware regimes:
 //
-//   - x86-64: native (wait-free) F&A and atomic OR; double-width CAS.
+//   - x86-64: native (wait-free) F&A and atomic OR (AND here); double-width CAS.
 //   - PowerPC/MIPS: LL/SC only — F&A becomes a CAS/LL-SC loop, and wCQ
 //     runs its §4 reduced-width encoding.
 //
@@ -76,20 +76,20 @@ func FetchAdd(p *atomic.Int64, d int64, emulate bool) int64 {
 	}
 }
 
-// Or atomically ORs bits into *p, as the rings' consume() marks a slot
-// (⊥c). With emulate set it spins on CompareAndSwap instead (§3.3: OR
-// may be emulated with CAS on architectures that lack it), stopping
-// early once the bits are already set.
+// And atomically ANDs mask into *p, as the rings' consume() marks a
+// slot ⊥c (Index 0: the paper's OR, bits inverted). With emulate set
+// it spins on CompareAndSwap instead (§3.3: OR may be emulated with
+// CAS), stopping early once the bits mask clears are already clear.
 //
 //wfq:noalloc
-func Or(p *atomic.Uint64, bits uint64, emulate bool) {
+func And(p *atomic.Uint64, mask uint64, emulate bool) {
 	if !emulate {
-		p.Or(bits)
+		p.And(mask)
 		return
 	}
 	for {
 		old := p.Load()
-		if old&bits == bits || p.CompareAndSwap(old, old|bits) {
+		if old&^mask == 0 || p.CompareAndSwap(old, old&mask) {
 			return
 		}
 	}

@@ -59,18 +59,37 @@ func TestCounterConcurrentAdd(t *testing.T) {
 	}
 }
 
-func TestOr(t *testing.T) {
-	for _, mode := range []Mode{NativeFAA, EmulatedFAA} {
+func TestAnd(t *testing.T) {
+	for _, mode := range []Mode{NativeFAA, EmulatedFAA, CountingFAA} {
 		var w atomic.Uint64
-		w.Store(0b0101)
-		Or(&w, 0b0011, mode.Emulated())
-		if got := w.Load(); got != 0b0111 {
-			t.Errorf("%v: word = %#b, want 0b0111", mode, got)
+		w.Store(0b0111)
+		And(&w, ^uint64(0b0011), mode.Emulated())
+		if got := w.Load(); got != 0b0100 {
+			t.Errorf("%v: word = %#b, want 0b0100", mode, got)
 		}
-		// Idempotent when all bits already set.
-		Or(&w, 0b0110, mode.Emulated())
-		if got := w.Load(); got != 0b0111 {
-			t.Errorf("%v: second Or left %#b", mode, got)
+		// Idempotent when the bits are already clear (the emulated
+		// loop's early exit).
+		And(&w, ^uint64(0b0011), mode.Emulated())
+		if got := w.Load(); got != 0b0100 {
+			t.Errorf("%v: second And left %#b", mode, got)
+		}
+		// Goroutines clearing disjoint bits of one word at once each
+		// leave theirs clear and every other bit as it was.
+		const bits = 16
+		w.Store(^uint64(0))
+		var wg sync.WaitGroup
+		for b := range bits {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 1000 {
+					And(&w, ^(uint64(1) << b), mode.Emulated())
+				}
+			}()
+		}
+		wg.Wait()
+		if got := w.Load(); got != ^uint64(1<<bits-1) {
+			t.Errorf("%v: concurrent Ands left %#x", mode, got)
 		}
 	}
 }

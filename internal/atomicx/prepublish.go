@@ -28,16 +28,3 @@ func Prepublish(s []atomic.Uint64) Plain {
 	// same layout.
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&s[0])), len(s))
 }
-
-// Fill sets every word of p to w at copy speed: one store, then
-// copies that double the filled prefix, which run as wide vector moves
-// where a store loop writes one word at a time.
-func (p Plain) Fill(w uint64) {
-	if len(p) == 0 {
-		return
-	}
-	p[0] = w
-	for n := 1; n < len(p); n *= 2 {
-		copy(p[n:], p[:n])
-	}
-}

@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func TestPrepublishFill(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 1024, 1 << 17} {
-		s := make([]atomic.Uint64, n)
-		const w = 0xdead_beef_0123_4567
-		Prepublish(s).Fill(w)
-		for i := range s {
-			if got := s[i].Load(); got != w {
-				t.Fatalf("len %d: word %d = %#x, want %#x", n, i, got, uint64(w))
-			}
-		}
-	}
-}
-
 func TestPrepublishViewAliases(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 1024, 1 << 17} {
 		s := make([]atomic.Uint64, n)

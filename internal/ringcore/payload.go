@@ -113,14 +113,11 @@ type Queue[T any] struct {
 	kept []slotLine
 	// wfq is fq for KindWCQ and sfq for KindSCQ; the other stays nil,
 	// and so does the one of the kind until fq is built (buildFree).
-	wfq atomic.Pointer[wcq.Ring]
-	sfq atomic.Pointer[scq.Ring]
-	// opts and maxThreads are what buildFree builds fq from.
-	opts       Options
-	maxThreads int
-	_          pad.Line
-	fresh      atomicx.Counter
-	_          pad.Line
+	wfq   atomic.Pointer[wcq.Ring]
+	sfq   atomic.Pointer[scq.Ring]
+	_     pad.Line
+	fresh atomicx.Counter
+	_     pad.Line
 }
 
 // runLen is how many fresh indices a scalar Enqueue claims at once for
@@ -199,23 +196,24 @@ func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core
 // such as a ring of the unbounded construction that is filled once,
 // sealed and drained, so never pays for one.
 func NewDeferred[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (*Queue[T], error) {
-	q := &Queue[T]{kind: kind, maxThreads: maxThreads}
+	q := &Queue[T]{kind: kind}
+	var o Options
 	if opts != nil {
-		q.opts = *opts
+		o = *opts
 	}
 	switch kind {
 	case KindWCQ:
-		aq, err := wcq.NewRing(capacity, maxThreads, &q.opts)
+		aq, err := wcq.NewRing(capacity, maxThreads, &o)
 		if err != nil {
 			return nil, err
 		}
 		q.aq = aq
 	case KindSCQ:
-		aq, err := scq.NewRing(capacity, q.opts.Mode)
+		aq, err := scq.NewRing(capacity, o.Mode)
 		if err != nil {
 			return nil, err
 		}
-		aq.SetMetrics(q.opts.Metrics)
+		aq.SetMetrics(o.Metrics)
 		q.aq = aq
 	default:
 		return nil, fmt.Errorf("ringcore: unknown ring kind %d", int(kind))
@@ -223,30 +221,21 @@ func NewDeferred[T any](kind Kind, capacity uint64, maxThreads int, opts *Option
 	q.kept = make([]slotLine, min(max(maxThreads, 0), wcq.MaxThreads))
 	q.data = make([]T, capacity)
 	q.refs = hasPointers(reflect.TypeFor[T]())
-	q.fresh.Init(q.opts.Mode, 0)
+	q.fresh.Init(o.Mode, 0)
 	return q, nil
 }
 
-// buildFree builds an empty fq like aq and publishes it, unless
-// another handle published one first: one CAS, whose loser drops its
-// ring. It cannot fail: aq was built from the same parameters.
+// buildFree builds an empty fq like aq (NewEmpty: aq's capacity,
+// census and options) and publishes it, unless another handle
+// published one first: one CAS, whose loser drops its ring.
 //
 //wfq:allocok once per queue, plus one dropped ring per lost CAS
 func (q *Queue[T]) buildFree() {
-	switch q.kind {
-	case KindWCQ:
-		r, err := wcq.NewRing(q.Cap(), q.maxThreads, &q.opts)
-		if err != nil {
-			panic("ringcore: building fq: " + err.Error())
-		}
-		q.wfq.CompareAndSwap(nil, r)
-	case KindSCQ:
-		r, err := scq.NewRing(q.Cap(), q.opts.Mode)
-		if err != nil {
-			panic("ringcore: building fq: " + err.Error())
-		}
-		r.SetMetrics(q.opts.Metrics)
-		q.sfq.CompareAndSwap(nil, r)
+	switch aq := q.aq.(type) {
+	case *wcq.Ring:
+		q.wfq.CompareAndSwap(nil, aq.NewEmpty())
+	case *scq.Ring:
+		q.sfq.CompareAndSwap(nil, aq.NewEmpty())
 	}
 }
 

@@ -73,7 +73,8 @@ func TestDequeueBatchAbandonedRun(t *testing.T) {
 }
 
 // TestRingBatchFIFO verifies order and counts across repeated batches
-// that wrap the ring.
+// that wrap the ring. The values cycle through the ring's index range,
+// [0, 64).
 func TestRingBatchFIFO(t *testing.T) {
 	q, err := NewRing(64, atomicx.NativeFAA)
 	if err != nil {
@@ -85,7 +86,7 @@ func TestRingBatchFIFO(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		in := make([]uint64, 48)
 		for i := range in {
-			in[i] = next % (2 * 64)
+			in[i] = next % 64
 			next++
 		}
 		q.EnqueueBatch(in)
@@ -93,8 +94,8 @@ func TestRingBatchFIFO(t *testing.T) {
 		for got < len(in) {
 			n := q.DequeueBatch(out[:len(in)-got])
 			for _, v := range out[:n] {
-				if v != expect%(2*64) {
-					t.Fatalf("round %d: got %d, want %d", round, v, expect%(2*64))
+				if v != expect%64 {
+					t.Fatalf("round %d: got %d, want %d", round, v, expect%64)
 				}
 				expect++
 			}

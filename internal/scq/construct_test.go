@@ -8,17 +8,17 @@ import (
 	"repro/internal/atomicx"
 )
 
-// storeBuilt builds the ring NewRing built before it wrote entries
-// with plain stores: every entry through a sequentially consistent
-// Store. It is the reference TestNewRingMatchesStores compares
-// against.
+// storeBuilt builds the reference TestNewRingMatchesStores compares
+// NewRing against: every entry stored, through a sequentially
+// consistent Store, as the package comment's table writes the empty
+// slot at cycle 0: Cycle 0, Unsafe clear, Index ⊥c (code 0).
 func storeBuilt(t *testing.T, capacity uint64, mode atomicx.Mode) *Ring {
 	t.Helper()
-	q, err := newRing(capacity, mode)
+	q, err := NewRing(capacity, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := q.pack(0, 1, q.bottom)
+	const empty = 0 // Cycle 0 (bits above o), Unsafe clear (bit o), Index ⊥c (code 0)
 	for i := range q.entries {
 		q.entries[i].Store(empty)
 	}
@@ -48,6 +48,49 @@ func TestNewRingMatchesStores(t *testing.T) {
 					t.Fatalf("%v cap %d: entry %d = %#x, want %#x", mode, c, i, g, w)
 				}
 			}
+		}
+	}
+}
+
+// TestNewRingIsZero: NewRing leaves every entry as make zeroed it and
+// the Threshold at -1, at every capacity from 2 to 2^16; the ring
+// reports empty, and a lap of values, enqueued and dequeued a half
+// lap at a time, comes back in order, leaves every entry consumed
+// (Index ⊥c, code 0) and the ring empty.
+func TestNewRingIsZero(t *testing.T) {
+	for c := uint64(2); c <= 1<<16; c <<= 1 {
+		q, err := NewRing(c, atomicx.NativeFAA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range q.entries {
+			if w := q.entries[i].Load(); w != 0 {
+				t.Fatalf("cap %d: entry %d = %#x, want 0", c, i, w)
+			}
+		}
+		if th := q.threshold.Load(); th != -1 {
+			t.Fatalf("cap %d: threshold %d, want -1", c, th)
+		}
+		if v, ok := q.Dequeue(); ok {
+			t.Fatalf("cap %d: new ring dequeued %d", c, v)
+		}
+		for half := range uint64(2) {
+			for i := range c {
+				q.Enqueue(c - 1 - i ^ half)
+			}
+			for i := range c {
+				if v, ok := q.Dequeue(); !ok || v != c-1-i^half {
+					t.Fatalf("cap %d: dequeue %d of half lap %d = (%d, %v), want %d", c, i, half, v, ok, c-1-i^half)
+				}
+			}
+		}
+		for i := range q.entries {
+			if w := q.entries[i].Load(); w&q.idxMask != 0 {
+				t.Fatalf("cap %d: entry %d after the lap = %#x, want Index ⊥c", c, i, w)
+			}
+		}
+		if v, ok := q.Dequeue(); ok {
+			t.Fatalf("cap %d: drained ring dequeued %d", c, v)
 		}
 	}
 }

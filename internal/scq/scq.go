@@ -11,9 +11,13 @@
 //
 // Each 64-bit slot packs {Cycle, IsSafe, Index}:
 //
-//	bits [0, o)    Index      (o = log2(2n); holds ⊥ = 2n-2, ⊥c = 2n-1)
-//	bit  o         IsSafe
+//	bits [0, o)    Index      (o = log2(2n); ⊥c = 0, ⊥ = 1, index i = i+2)
+//	bit  o         Unsafe     (IsSafe inverted)
 //	bits (o, 63]   Cycle      (monotonic, 63-o bits — never wraps in practice)
+//
+// With IsSafe inverted, the zero word is an empty slot at cycle 0:
+// NewRing writes no entry. The paper's fresh slot holds ⊥; SCQ never
+// tells ⊥c from ⊥.
 //
 // internal/ringcore layers arbitrary values on top of two Rings via
 // the paper's Figure 2 indirection: fq holds free indices, aq holds
@@ -39,15 +43,14 @@ const MaxCatchup = 64
 //
 //wfq:isolate
 type Ring struct {
-	order   uint   //wfq:stable log2(nSlots)
-	nSlots  uint64 //wfq:stable 2n
-	n       uint64 //wfq:stable usable capacity
-	posMask uint64 //wfq:stable nSlots-1
-	idxMask uint64 //wfq:stable nSlots-1 (index field width == position width)
-	bottom  uint64 //wfq:stable ⊥  = 2n-2: slot empty, never consumed this cycle
-	bottomC uint64 //wfq:stable ⊥c = 2n-1: slot consumed
-	thresh3 int64  //wfq:stable 3n-1
-	emulate bool   //wfq:stable emulated-F&A modes (PowerPC-style CAS loops)
+	order   uint         //wfq:stable log2(nSlots)
+	nSlots  uint64       //wfq:stable 2n
+	n       uint64       //wfq:stable usable capacity
+	posMask uint64       //wfq:stable nSlots-1
+	idxMask uint64       //wfq:stable nSlots-1 (index field width == position width)
+	thresh3 int64        //wfq:stable 3n-1
+	mode    atomicx.Mode //wfq:stable
+	emulate bool         //wfq:stable emulated-F&A modes (PowerPC-style CAS loops)
 
 	met *metrics.Sink //wfq:stable nil = disabled; set via SetMetrics before sharing
 
@@ -65,18 +68,6 @@ type Ring struct {
 // NewRing returns an empty Ring holding up to capacity indices, each in
 // [0, capacity). capacity must be a power of two >= 2.
 func NewRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
-	q, err := newRing(capacity, mode)
-	if err != nil {
-		return nil, err
-	}
-	atomicx.Prepublish(q.entries).Fill(q.pack(0, 1, q.bottom))
-	q.threshold.Store(-1) // empty
-	return q, nil
-}
-
-// newRing allocates a ring with Head and Tail at cycle 1; the caller
-// writes the entries and the Threshold.
-func newRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
 	if capacity < 2 || !ring.IsPow2(capacity) {
 		return nil, fmt.Errorf("scq: capacity %d must be a power of two >= 2", capacity)
 	}
@@ -87,15 +78,26 @@ func newRing(capacity uint64, mode atomicx.Mode) (*Ring, error) {
 		n:       capacity,
 		posMask: nSlots - 1,
 		idxMask: nSlots - 1,
-		bottom:  nSlots - 2,
-		bottomC: nSlots - 1,
 		thresh3: int64(3*capacity - 1),
+		mode:    mode,
 		emulate: mode.Emulated(),
 		entries: make([]atomic.Uint64, nSlots),
 	}
 	q.tail.Init(mode, nSlots) // start at cycle 1 so entries at cycle 0 read "old"
 	q.head.Init(mode, nSlots)
+	q.threshold.Store(-1) // empty
 	return q, nil
+}
+
+// NewEmpty returns an empty ring with q's capacity, F&A mode and
+// metrics sink.
+func (q *Ring) NewEmpty() *Ring {
+	r, err := NewRing(q.n, q.mode)
+	if err != nil {
+		panic("scq: " + err.Error()) // unreachable: q was built from the same parameters
+	}
+	r.met = q.met
+	return r
 }
 
 // Cap returns the usable capacity n.
@@ -120,15 +122,20 @@ func (q *Ring) Footprint() uint64 {
 	return uint64(len(q.entries))*8 + 4*pad.CacheLineSize
 }
 
-// pack assembles an entry word from cycle, safe bit and index.
+// Index codes: ⊥c (consumed) is 0, ⊥ (empty this cycle) is bottom, and
+// index i is i+idxBase.
+const bottom, idxBase = 1, 2
+
+// pack assembles an entry word from cycle, Unsafe bit and Index code
+// (the codes above: the zero word is {cycle 0, safe, ⊥c}).
 //
 //wfq:noalloc
-func (q *Ring) pack(cycle, safe, index uint64) uint64 {
-	return cycle<<(q.order+1) | safe<<q.order | index
+func (q *Ring) pack(cycle, unsafe, code uint64) uint64 {
+	return cycle<<(q.order+1) | unsafe<<q.order | code
 }
 
 //wfq:noalloc
-func (q *Ring) unpack(w uint64) (cycle, safe, index uint64) {
+func (q *Ring) unpack(w uint64) (cycle, unsafe, code uint64) {
 	return w >> (q.order + 1), w >> q.order & 1, w & q.idxMask
 }
 
@@ -152,15 +159,14 @@ func (q *Ring) Drained() bool { return q.head.Load() >= q.tail.Load() }
 //wfq:noalloc
 func (q *Ring) enqueueAt(t, index uint64) bool {
 	tCycle := q.cycleOf(t)
-	bottom, bottomC := q.bottom, q.bottomC // hoisted: loop-invariant (//wfq:stable)
 	e := &q.entries[ring.Slot(t&q.posMask, q.order)]
 	for {
 		w := e.Load()
-		eCycle, safe, idx := q.unpack(w)
+		eCycle, unsafe, code := q.unpack(w)
 		if eCycle < tCycle &&
-			(idx == bottom || idx == bottomC) &&
-			(safe == 1 || q.head.Load() <= t) {
-			if !e.CompareAndSwap(w, q.pack(tCycle, 1, index)) {
+			code <= bottom &&
+			(unsafe == 0 || q.head.Load() <= t) {
+			if !e.CompareAndSwap(w, q.pack(tCycle, 0, index+idxBase)) {
 				continue // the entry changed; re-examine it
 			}
 			return true
@@ -230,21 +236,21 @@ const (
 //wfq:noalloc
 func (q *Ring) dequeueAt(h uint64) (index uint64, st deqStatus) {
 	hCycle := q.cycleOf(h)
-	bottom, bottomC, emulate := q.bottom, q.bottomC, q.emulate // hoisted: loop-invariant (//wfq:stable)
+	idxMask, emulate := q.idxMask, q.emulate // hoisted: loop-invariant (//wfq:stable)
 	e := &q.entries[ring.Slot(h&q.posMask, q.order)]
 	for {
 		w := e.Load()
-		eCycle, safe, idx := q.unpack(w)
+		eCycle, unsafe, code := q.unpack(w)
 		if eCycle == hCycle {
 			// consume: set the index bits to ⊥c, keep cycle/safe.
-			atomicx.Or(e, bottomC, emulate)
-			return idx, deqGot
+			atomicx.And(e, ^idxMask, emulate)
+			return code - idxBase, deqGot
 		}
 		var nw uint64
-		if idx == bottom || idx == bottomC {
-			nw = q.pack(hCycle, safe, bottom)
+		if code <= bottom {
+			nw = q.pack(hCycle, unsafe, bottom)
 		} else {
-			nw = q.pack(eCycle, 0, idx) // mark unsafe, keep the value
+			nw = q.pack(eCycle, 1, code) // mark unsafe, keep the value
 		}
 		if eCycle < hCycle {
 			if !e.CompareAndSwap(w, nw) {

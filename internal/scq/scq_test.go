@@ -82,15 +82,15 @@ func TestRingInterleaved(t *testing.T) {
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	q, _ := NewRing(32, atomicx.NativeFAA)
-	f := func(cycle uint32, safe bool, idx uint8) bool {
+	f := func(cycle uint32, unsafe bool, idx uint8) bool {
 		c := uint64(cycle)
-		s := uint64(0)
-		if safe {
-			s = 1
+		u := uint64(0)
+		if unsafe {
+			u = 1
 		}
 		i := uint64(idx) & q.idxMask
-		gc, gs, gi := q.unpack(q.pack(c, s, i))
-		return gc == c && gs == s && gi == i
+		gc, gu, gi := q.unpack(q.pack(c, u, i))
+		return gc == c && gu == u && gi == i
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -9,20 +9,19 @@ import (
 	"repro/internal/ring"
 )
 
-// storeBuilt builds the ring the constructors built before they wrote
-// entries with plain stores: every entry through a sequentially
-// consistent Store, and for a full ring the index entries overwritten
-// the same way, each built field by field by the layout_test.go
-// oracle. It is the reference TestNewRingMatchesStores compares
-// against.
+// storeBuilt builds the reference TestNewRingMatchesStores compares the
+// constructors against: every entry stored, through a sequentially
+// consistent Store, as the empty entry at cycle 0, and for a full ring
+// the index entries overwritten the same way, each built field by
+// field by the layout_test.go oracle.
 func storeBuilt(t *testing.T, capacity uint64, opts *Options, full bool) *Ring {
 	t.Helper()
-	q, err := newRing(capacity, 1, opts)
+	q, err := NewRing(capacity, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := &q.lay
-	w := l.pack(entry{safe: true, enq: true, index: l.oBottom()})
+	w := l.pack(oEmpty)
 	for i := range q.entries {
 		q.entries[i].Store(w)
 	}
@@ -66,6 +65,53 @@ func TestNewRingMatchesStores(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestNewRingIsZero: NewRing leaves every entry as make zeroed it and
+// the Threshold at -1, at every capacity from 2 to 2^16; the ring
+// reports empty, and a lap of values, enqueued and dequeued a half
+// lap at a time, comes back in order, leaves every entry consumed
+// (⊥c) and the ring empty.
+func TestNewRingIsZero(t *testing.T) {
+	for c := uint64(2); c <= 1<<16; c <<= 1 {
+		q, err := NewRing(c, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range q.entries {
+			if w := q.entries[i].Load(); w != 0 {
+				t.Fatalf("cap %d: entry %d = %#x, want 0", c, i, w)
+			}
+		}
+		if th := q.threshold.Load(); th != -1 {
+			t.Fatalf("cap %d: threshold %d, want -1", c, th)
+		}
+		h, err := q.Register()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := h.Dequeue(); ok {
+			t.Fatalf("cap %d: new ring dequeued %d", c, v)
+		}
+		for half := range uint64(2) {
+			for i := range c {
+				h.Enqueue(c - 1 - i ^ half)
+			}
+			for i := range c {
+				if v, ok := h.Dequeue(); !ok || v != c-1-i^half {
+					t.Fatalf("cap %d: dequeue %d of half lap %d = (%d, %v), want %d", c, i, half, v, ok, c-1-i^half)
+				}
+			}
+		}
+		for i := range q.entries {
+			if e := q.lay.unpack(q.entries[i].Load()); e.index != oBottomC || !e.enq {
+				t.Fatalf("cap %d: entry %d after the lap is %+v, want consumed", c, i, e)
+			}
+		}
+		if v, ok := h.Dequeue(); ok {
+			t.Fatalf("cap %d: drained ring dequeued %d", c, v)
 		}
 	}
 }

@@ -15,11 +15,19 @@
 // LL/SC architectures (§4) — we pack the entire pair into one 64-bit
 // word (o = log2(2n), w = (62-o)/2 bits per cycle field):
 //
-//	bits [0, o)            Index   (⊥ = 2n-2, ⊥c = 2n-1)
-//	bit  o                 Enq     (two-step insertion marker)
-//	bit  o+1               IsSafe
+//	bits [0, o)            Index   (⊥c = 0, ⊥ = 1, index i = i+2)
+//	bit  o                 Pending (Enq inverted: the two-step insertion marker)
+//	bit  o+1               Unsafe  (IsSafe inverted)
 //	bits [o+2, o+2+w)      Value.Cycle  (truncated to w bits)
 //	bits [o+2+w, o+2+2w)   Note         (a cycle, truncated to w bits)
+//
+// With IsSafe and Enq inverted, the zero word is the empty entry
+// {Note 0, Cycle 0, IsSafe, Enq, ⊥c}: NewRing writes no entry. The
+// paper's fresh entry holds ⊥. The reads that tell ⊥c from ⊥
+// (tryEnqSlow, tryDeqSlow, Dequeue's gather) first require the entry's
+// cycle to equal the ticket's, which a fresh entry's cycle 0 cannot
+// before Head's first lap (cycle 1) has rewritten it. Everywhere else
+// both read as free.
 //
 // A single-word CAS atomically covers both halves, which is strictly
 // stronger than the paper's CAS2. The price is cycle truncation: a
@@ -50,7 +58,8 @@
 //
 // The operations never split a word into these fields. They test and
 // build whole words with masks (the words type): "Index is ⊥ or ⊥c" is
-// w&idxMask >= ⊥, a cycle is compared in place against the ticket's
+// w&idxMask <= ⊥, a consume is one atomic AND that clears Index and
+// Pending, a cycle is compared in place against the ticket's
 // cycle shifted to the same bits, and a CAS that keeps Note (or Value)
 // keeps it by masking. So wCQ's fast path costs what SCQ's does, plus
 // the Note and Enq bits it carries (Fig. 5) and the helping countdown
@@ -131,10 +140,14 @@ type layout struct {
 // cycle where Value.Cycle sits in the word, so w&cycMask and cycleOf(c)
 // subtract, and so order, as the cycles do.
 type words struct {
-	idxMask  uint64 // the Index field; also ⊥c, the largest index
+	idxMask  uint64 // the Index field
 	cycMask  uint64 // the Value.Cycle field
 	noteMask uint64 // the Note field
 }
+
+// Index codes: ⊥c (consumed) is 0, ⊥ (empty this cycle) is bottom, and
+// index i is i+idxBase.
+const bottom, idxBase = 1, 2
 
 func newLayout(capacity uint64) (layout, error) {
 	if capacity < 2 || !ring.IsPow2(capacity) {
@@ -165,28 +178,15 @@ func newLayout(capacity uint64) (layout, error) {
 //wfq:noalloc
 func (l *layout) noteOf(c uint64) uint64 { return c << (2 + l.cycBits) & l.words.noteMask }
 
-// initialWord is the entry state at construction: {Note: none,
-// Cycle 0, IsSafe, Enq, Index ⊥}.
-func (l *layout) initialWord() uint64 {
-	m := l.words
-	return m.safeBit() | m.enqBit() | m.bottom()
-}
-
-// enqBit is the Enq bit, just above Index.
+// pendingBit is the Pending bit (Enq inverted), just above Index.
 //
 //wfq:noalloc
-func (m words) enqBit() uint64 { return m.idxMask + 1 }
+func (m words) pendingBit() uint64 { return m.idxMask + 1 }
 
-// safeBit is the IsSafe bit, just above Enq.
+// unsafeBit is the Unsafe bit (IsSafe inverted), just above Pending.
 //
 //wfq:noalloc
-func (m words) safeBit() uint64 { return (m.idxMask + 1) << 1 }
-
-// bottom is ⊥, the index of an entry no value has been put in this
-// cycle (⊥c, one above, marks a consumed entry).
-//
-//wfq:noalloc
-func (m words) bottom() uint64 { return m.idxMask - 1 }
+func (m words) unsafeBit() uint64 { return (m.idxMask + 1) << 1 }
 
 // cycleOf returns counter c's truncated cycle in Value.Cycle's place.
 // c's cycle starts at bit o and Value.Cycle at bit o+2, so a shift by
@@ -196,10 +196,15 @@ func (m words) bottom() uint64 { return m.idxMask - 1 }
 //wfq:noalloc
 func (m words) cycleOf(c uint64) uint64 { return c << 2 & m.cycMask }
 
-// index returns w's Index field.
+// index returns the index w holds; w's Index must be neither ⊥ nor ⊥c.
 //
 //wfq:noalloc
-func (m words) index(w uint64) uint64 { return w & m.idxMask }
+func (m words) index(w uint64) uint64 { return w&m.idxMask - idxBase }
+
+// isBottom reports whether w's Index is ⊥.
+//
+//wfq:noalloc
+func (m words) isBottom(w uint64) bool { return w&m.idxMask == bottom }
 
 // cycle returns w's Value.Cycle field, in place.
 //
@@ -215,12 +220,12 @@ func (m words) note(w uint64) uint64 { return w & m.noteMask }
 // entry.
 //
 //wfq:noalloc
-func (m words) free(w uint64) bool { return w&m.idxMask >= m.idxMask-1 }
+func (m words) free(w uint64) bool { return w&m.idxMask <= bottom }
 
-// safe reports w's IsSafe bit.
+// safe reports w's IsSafe: its Unsafe bit is clear.
 //
 //wfq:noalloc
-func (m words) safe(w uint64) bool { return w&m.safeBit() != 0 }
+func (m words) safe(w uint64) bool { return w&m.unsafeBit() == 0 }
 
 // cycBefore reports whether in-place cycle a comes before b in serial
 // order (see the package comment): whether a-b, read as a w-bit two's
@@ -252,16 +257,16 @@ func (m words) raisedNote(w, cn uint64) uint64 {
 //
 //wfq:noalloc
 func (m words) enqueued(w, cw, cn, index uint64) uint64 {
-	return m.raisedNote(w, cn) | cw | m.safeBit() | m.enqBit() | index
+	return m.raisedNote(w, cn) | cw | (index + idxBase)
 }
 
 // produced is the first of the slow path's two steps (Fig. 7): the
-// same as enqueued but with Enq 0, which marks the entry as still
-// tied to its help request.
+// same as enqueued but with Enq 0 (Pending set), which marks the entry
+// as still tied to its help request.
 //
 //wfq:noalloc
 func (m words) produced(w, cw, cn, index uint64) uint64 {
-	return m.raisedNote(w, cn) | cw | m.safeBit() | index
+	return m.enqueued(w, cw, cn, index) | m.pendingBit()
 }
 
 // passed is the word a dequeuer at cycle cw (cn its noteOf) leaves in
@@ -271,14 +276,14 @@ func (m words) produced(w, cw, cn, index uint64) uint64 {
 //
 //wfq:noalloc
 func (m words) passed(w, cw, cn uint64) uint64 {
-	return m.raisedNote(w, cn) | w&m.safeBit() | cw | m.enqBit() | m.bottom()
+	return m.raisedNote(w, cn) | w&m.unsafeBit() | cw | bottom
 }
 
 // unsafe is w with IsSafe cleared and everything else kept: a dequeuer
 // passing an entry that holds an older cycle's value.
 //
 //wfq:noalloc
-func (m words) unsafe(w uint64) uint64 { return w &^ m.safeBit() }
+func (m words) unsafe(w uint64) uint64 { return w | m.unsafeBit() }
 
 // averted is w with its Note replaced by nc (noteOf) and Value kept:
 // the paper's "avert" CAS2, which keeps helpers of cycle nc and older
@@ -287,8 +292,8 @@ func (m words) unsafe(w uint64) uint64 { return w &^ m.safeBit() }
 //wfq:noalloc
 func (m words) averted(w, nc uint64) uint64 { return w&^m.noteMask | nc }
 
-// consumedBits are the bits a consume ORs in: Index := ⊥c and Enq := 1,
-// everything else kept.
+// consumeMask is what a consume ANDs in: it clears Index to ⊥c and
+// Pending (Enq := 1), and keeps everything else.
 //
 //wfq:noalloc
-func (m words) consumedBits() uint64 { return m.idxMask | m.enqBit() }
+func (m words) consumeMask() uint64 { return ^(m.idxMask | m.pendingBit()) }

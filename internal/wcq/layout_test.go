@@ -15,18 +15,26 @@ type entry struct {
 	cycle uint64 // Value.Cycle
 	safe  bool
 	enq   bool
-	index uint64
+	index uint64 // a real index, oBottom or oBottomC
 }
+
+// oBottom and oBottomC stand for ⊥ and ⊥c in entry.index; pack codes
+// them, and real indices, as the table does.
+const (
+	oBottom  = ^uint64(0) - 1
+	oBottomC = ^uint64(0)
+)
+
+// oEmpty is the entry at construction: cycle 0, IsSafe, Enq and ⊥c.
+var oEmpty = entry{safe: true, enq: true, index: oBottomC}
 
 // The oracle's geometry, derived from the package comment's table
 // rather than from words' masks.
 func (l *layout) oCycMask() uint64       { return uint64(1)<<l.cycBits - 1 }
 func (l *layout) oVCShift() uint         { return l.order + 2 }
 func (l *layout) oNoteShift() uint       { return l.order + 2 + l.cycBits }
-func (l *layout) oEnqBit() uint64        { return 1 << l.order }
-func (l *layout) oSafeBit() uint64       { return 1 << (l.order + 1) }
-func (l *layout) oBottom() uint64        { return l.nSlots - 2 }
-func (l *layout) oBottomC() uint64       { return l.nSlots - 1 }
+func (l *layout) oPendingBit() uint64    { return 1 << l.order }
+func (l *layout) oUnsafeBit() uint64     { return 1 << (l.order + 1) }
 func (l *layout) oCycle(c uint64) uint64 { return c >> l.order & l.oCycMask() }
 
 // oBefore is the serial order of RFC 1982 on w-bit cycles a and b, a
@@ -49,25 +57,40 @@ func (l *layout) oRaised(note, c uint64) uint64 {
 
 // pack assembles an entry word from its fields.
 func (l *layout) pack(e entry) uint64 {
-	w := e.note<<l.oNoteShift() | e.cycle<<l.oVCShift() | e.index
-	if e.safe {
-		w |= l.oSafeBit()
+	w := e.note<<l.oNoteShift() | e.cycle<<l.oVCShift()
+	switch e.index {
+	case oBottomC: // Index 0
+	case oBottom:
+		w |= 1
+	default:
+		w |= e.index + 2
 	}
-	if e.enq {
-		w |= l.oEnqBit()
+	if !e.safe {
+		w |= l.oUnsafeBit()
+	}
+	if !e.enq {
+		w |= l.oPendingBit()
 	}
 	return w
 }
 
 // unpack splits an entry word into its fields.
 func (l *layout) unpack(w uint64) entry {
-	return entry{
+	e := entry{
 		note:  w >> l.oNoteShift() & l.oCycMask(),
 		cycle: w >> l.oVCShift() & l.oCycMask(),
-		safe:  w&l.oSafeBit() != 0,
-		enq:   w&l.oEnqBit() != 0,
-		index: w & (l.nSlots - 1),
+		safe:  w&l.oUnsafeBit() == 0,
+		enq:   w&l.oPendingBit() == 0,
 	}
+	switch code := w & (l.nSlots - 1); code {
+	case 0:
+		e.index = oBottomC
+	case 1:
+		e.index = oBottom
+	default:
+		e.index = code - 2
+	}
+	return e
 }
 
 // everyLayout returns the layout of every supported capacity: orders 2
@@ -124,9 +147,9 @@ func randSample(l *layout, rng *rand.Rand) sample {
 	e := entry{note: near(), cycle: near(), safe: rng.IntN(2) == 0, enq: rng.IntN(2) == 0}
 	switch rng.IntN(3) {
 	case 0:
-		e.index = l.oBottom()
+		e.index = oBottom
 	case 1:
-		e.index = l.oBottomC()
+		e.index = oBottomC
 	default:
 		e.index = rng.Uint64N(l.nSlots / 2)
 	}
@@ -163,18 +186,21 @@ func TestLayoutGeometry(t *testing.T) {
 	}
 	for _, l := range everyLayout(t) {
 		m := l.words
-		if m.bottom() != l.oBottom() || m.idxMask != l.oBottomC() {
-			t.Fatalf("order %d: bottom=%d bottomC=%d", l.order, m.bottom(), m.idxMask)
+		if bottom != l.pack(entry{safe: true, enq: true, index: oBottom}) || idxBase != l.pack(entry{safe: true, enq: true, index: 0}) {
+			t.Fatalf("order %d: bottom=%d idxBase=%d", l.order, bottom, idxBase)
 		}
-		if m.enqBit() != l.oEnqBit() || m.safeBit() != l.oSafeBit() {
-			t.Fatalf("order %d: enqBit=%#x safeBit=%#x", l.order, m.enqBit(), m.safeBit())
+		if top := l.nSlots/2 - 1 + idxBase; top > m.idxMask {
+			t.Fatalf("order %d: index %d is code %d, outside the Index field %#x", l.order, l.nSlots/2-1, top, m.idxMask)
+		}
+		if m.pendingBit() != l.oPendingBit() || m.unsafeBit() != l.oUnsafeBit() {
+			t.Fatalf("order %d: pendingBit=%#x unsafeBit=%#x", l.order, m.pendingBit(), m.unsafeBit())
 		}
 		// The fields tile the word from bit 0 without overlapping,
 		// and the Note field's top stays within 64 bits.
 		if l.oNoteShift()+l.cycBits > 64 {
 			t.Fatalf("order %d: note field overflows the word: shift %d width %d", l.order, l.oNoteShift(), l.cycBits)
 		}
-		fields := []uint64{m.idxMask, m.enqBit(), m.safeBit(), m.cycMask, m.noteMask}
+		fields := []uint64{m.idxMask, m.pendingBit(), m.unsafeBit(), m.cycMask, m.noteMask}
 		var all uint64
 		for _, f := range fields {
 			if all&f != 0 || all+1 != f&-f {
@@ -203,7 +229,8 @@ func TestWordFieldsMatchOracle(t *testing.T) {
 	forSamples(t, 2000, func(l *layout, s sample) bool {
 		m, e, w := l.words, s.e, l.pack(s.e)
 		cw, nc, cc := m.cycleOf(s.c), l.noteOf(s.c), l.oCycle(s.c)
-		return m.index(w) == e.index &&
+		return (m.index(w) == e.index || e.index == oBottom || e.index == oBottomC) &&
+			m.isBottom(w) == (e.index == oBottom) &&
 			m.cycle(w) == e.cycle<<l.oVCShift() &&
 			m.note(w) == e.note<<l.oNoteShift() &&
 			cw == cc<<l.oVCShift() &&
@@ -213,9 +240,9 @@ func TestWordFieldsMatchOracle(t *testing.T) {
 			m.cycBefore(cw, m.cycle(w)) == l.oBefore(cc, e.cycle) &&
 			m.noteBefore(m.note(w), nc) == l.oBefore(e.note, cc) &&
 			m.noteBefore(nc, m.note(w)) == l.oBefore(cc, e.note) &&
-			m.free(w) == (e.index == l.oBottom() || e.index == l.oBottomC()) &&
+			m.free(w) == (e.index == oBottom || e.index == oBottomC) &&
 			m.safe(w) == e.safe &&
-			(w&m.enqBit() != 0) == e.enq
+			(w&m.pendingBit() == 0) == e.enq
 	})
 }
 
@@ -246,7 +273,7 @@ func TestWordTransitionsMatchOracle(t *testing.T) {
 				return l.words.passed(w, l.words.cycleOf(s.c), l.noteOf(s.c))
 			},
 			func(l *layout, e entry, s sample) entry {
-				return entry{note: l.oRaised(e.note, l.oCycle(s.c)), cycle: l.oCycle(s.c), safe: e.safe, enq: true, index: l.oBottom()}
+				return entry{note: l.oRaised(e.note, l.oCycle(s.c)), cycle: l.oCycle(s.c), safe: e.safe, enq: true, index: oBottom}
 			}},
 		{"dequeue unsafe", // dequeueAt and tryDeqSlow on an older value
 			func(l *layout, w uint64, s sample) uint64 { return l.words.unsafe(w) },
@@ -272,14 +299,14 @@ func TestWithNoteKeepsValue(t *testing.T) {
 	})
 }
 
-// TestConsumeORSetsBottomC: OR-ing in consumedBits turns any index
+// TestConsumeANDSetsBottomC: AND-ing in consumeMask turns any index
 // into ⊥c with Enq=1 and keeps cycle, safe and note — the consume
 // invariant.
-func TestConsumeORSetsBottomC(t *testing.T) {
+func TestConsumeANDSetsBottomC(t *testing.T) {
 	forSamples(t, 2000, func(l *layout, s sample) bool {
 		want := s.e
-		want.index, want.enq = l.oBottomC(), true
-		return l.pack(s.e)|l.words.consumedBits() == l.pack(want)
+		want.index, want.enq = oBottomC, true
+		return l.pack(s.e)&l.words.consumeMask() == l.pack(want)
 	})
 }
 
@@ -320,16 +347,16 @@ func TestGlobalFAALeavesTidIntact(t *testing.T) {
 func TestCycleOfTruncates(t *testing.T) {
 	l, _ := newLayout(8) // order 4
 	m := l.words
-	if m.cycleOf(16) != l.pack(entry{cycle: 1}) || m.cycleOf(31) != m.cycleOf(16) || m.cycleOf(32) != l.pack(entry{cycle: 2}) {
+	if m.cycleOf(16) != 1<<l.oVCShift() || m.cycleOf(31) != m.cycleOf(16) || m.cycleOf(32) != 2<<l.oVCShift() {
 		t.Fatal("cycleOf arithmetic wrong")
 	}
 	// Truncation wraps at 2^w, at every order.
 	for _, l := range everyLayout(t) {
 		big := (uint64(1)<<l.cycBits + 3) << l.order
-		if got := l.words.cycleOf(big); got != l.pack(entry{cycle: 3}) {
+		if got := l.words.cycleOf(big); got != 3<<l.oVCShift() {
 			t.Fatalf("order %d: cycleOf(big) = %#x, want cycle 3", l.order, got)
 		}
-		if got := l.noteOf(big); got != l.pack(entry{note: 3}) {
+		if got := l.noteOf(big); got != 3<<l.oNoteShift() {
 			t.Fatalf("order %d: noteOf(big) = %#x, want note 3", l.order, got)
 		}
 	}
@@ -341,10 +368,12 @@ func TestFlagsDisjointFromCounter(t *testing.T) {
 	}
 }
 
+// TestInitialWord: the zero word, which make leaves in every entry, is
+// the empty entry at cycle 0, at every order.
 func TestInitialWord(t *testing.T) {
 	for _, l := range everyLayout(t) {
-		if e := l.unpack(l.initialWord()); e != (entry{safe: true, enq: true, index: l.oBottom()}) {
-			t.Fatalf("order %d: initial word unpacked to %+v", l.order, e)
+		if e := l.unpack(0); e != oEmpty || l.pack(oEmpty) != 0 {
+			t.Fatalf("order %d: the zero word unpacked to %+v, and %+v packs to %#x", l.order, e, oEmpty, l.pack(oEmpty))
 		}
 	}
 }

@@ -163,7 +163,7 @@ func (q *Ring) tryEnqSlow(t, index uint64, r *record) bool {
 			// Our group already filled this slot (possibly consumed
 			// since: ⊥c) — unless a dequeuer group marked it ⊥ first,
 			// in which case the position is burnt and we move on.
-			return m.index(w) != m.bottom()
+			return !m.isBottom(w)
 		}
 		if !m.cycBefore(m.cycle(w), tc) {
 			return false // stale ticket; the group has moved on
@@ -186,9 +186,9 @@ func (q *Ring) tryEnqSlow(t, index uint64, r *record) bool {
 		}
 		// Finalize the help request, then flip Enq to 1. If a dequeuer
 		// already consumed the entry it set FIN for us (consume/
-		// finalize_request) and the OR below has happened or will.
+		// finalize_request) and the AND below has happened or will.
 		if r.localTail.CompareAndSwap(t, t|flagFIN) {
-			e.CompareAndSwap(nw, nw|m.enqBit())
+			e.CompareAndSwap(nw, nw&^m.pendingBit())
 		}
 		if q.threshold.Load() != thresh3 {
 			q.threshold.Store(thresh3)
@@ -210,7 +210,7 @@ func (q *Ring) tryDeqSlow(h uint64, r *record) bool {
 	e := &q.entries[ring.Slot(h&l.posMask, l.order)]
 	for {
 		w := e.Load()
-		if m.cycle(w) == hc && m.index(w) != m.bottom() {
+		if m.cycle(w) == hc && !m.isBottom(w) {
 			// Ready (a real index, or ⊥c if consumed by the helpee).
 			r.localHead.CompareAndSwap(h, h|flagFIN)
 			return true

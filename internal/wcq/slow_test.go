@@ -137,10 +137,10 @@ func helperCompletesStalledDequeue(t *testing.T, capacity uint64) {
 	w := e.Load()
 	ent := l.unpack(w)
 	finishRequest(stalled, seq)
-	if ent.cycle != l.oCycle(hh) || ent.index == l.oBottom() {
+	if ent.cycle != l.oCycle(hh) || ent.index == oBottom {
 		t.Fatalf("gather found no value at ticket %d (entry %+v)", hh, ent)
 	}
-	if ent.index == l.oBottomC() {
+	if ent.index == oBottomC {
 		t.Fatal("value consumed by someone other than the helpee")
 	}
 	q.consume(hh, e, w, stalled.r.tid)

@@ -94,47 +94,10 @@ type Ring struct {
 
 // NewRing returns an empty wait-free ring holding up to capacity
 // indices in [0, capacity), usable by at most maxThreads registered
-// handles. capacity must be a power of two >= 2.
+// handles. capacity must be a power of two >= 2. Head and Tail start
+// at cycle 1, and the entries make zeroed are already empty (see the
+// package comment), so it writes none.
 func NewRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
-	q, err := newRing(capacity, maxThreads, opts)
-	if err != nil {
-		return nil, err
-	}
-	atomicx.Prepublish(q.entries).Fill(q.lay.initialWord())
-	q.threshold.Store(-1)
-	return q, nil
-}
-
-// NewFullRing returns a Ring pre-filled with indices 0..capacity-1, a
-// full free-index pool (the public NewRing with full set). It writes
-// that state directly, which is exactly what capacity single-threaded
-// fast-path enqueues leave, without their per-index F&A and CAS: index
-// i at Tail ticket nSlots+i (cycle 1, safe, enq), every other slot
-// empty, Tail just past the last index, Threshold armed. It fills
-// every slot empty, then writes index i into the slot of position i,
-// ring.Slot(i, order), all with plain stores before the ring is
-// published.
-func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
-	q, err := newRing(capacity, maxThreads, opts)
-	if err != nil {
-		return nil, err
-	}
-	l := &q.lay
-	m := l.words
-	index0 := m.enqueued(0, m.cycleOf(l.nSlots), l.noteOf(l.nSlots), 0) // Index is the low field: entry i is index0 | i
-	e, order := atomicx.Prepublish(q.entries), l.order
-	e.Fill(l.initialWord())
-	for i := range capacity {
-		e[ring.Slot(i, order)] = index0 | i
-	}
-	q.tail.Store(l.nSlots + capacity)
-	q.threshold.Store(q.thresh3)
-	return q, nil
-}
-
-// newRing allocates a ring and its thread records with Head and Tail
-// at cycle 1; the caller writes the entries and the Threshold.
-func newRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	lay, err := newLayout(capacity)
 	if err != nil {
 		return nil, err
@@ -158,7 +121,44 @@ func newRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
 	for i := range q.recs {
 		q.recs[i].init(i)
 	}
+	q.threshold.Store(-1)
 	return q, nil
+}
+
+// NewFullRing returns a Ring pre-filled with indices 0..capacity-1, a
+// full free-index pool (the public NewRing with full set). It writes
+// that state directly, which is exactly what capacity single-threaded
+// fast-path enqueues leave, without their per-index F&A and CAS: index
+// i at Tail ticket nSlots+i (cycle 1, safe, enq), every other slot
+// empty, Tail just past the last index, Threshold armed. It writes
+// index i into the slot of position i, ring.Slot(i, order), with plain
+// stores before the ring is published; the other slots stay zero,
+// which is empty.
+func NewFullRing(capacity uint64, maxThreads int, opts *Options) (*Ring, error) {
+	q, err := NewRing(capacity, maxThreads, opts)
+	if err != nil {
+		return nil, err
+	}
+	l := &q.lay
+	m := l.words
+	index0 := m.enqueued(0, m.cycleOf(l.nSlots), l.noteOf(l.nSlots), 0) // Index is the low field: entry i is index0 + i
+	e, order := atomicx.Prepublish(q.entries), l.order
+	for i := range capacity {
+		e[ring.Slot(i, order)] = index0 + i
+	}
+	q.tail.Store(l.nSlots + capacity)
+	q.threshold.Store(q.thresh3)
+	return q, nil
+}
+
+// NewEmpty returns an empty ring with q's capacity, thread census and
+// options.
+func (q *Ring) NewEmpty() *Ring {
+	r, err := NewRing(q.n, q.maxThread, &q.opts)
+	if err != nil {
+		panic("wcq: " + err.Error()) // unreachable: q was built from the same parameters
+	}
+	return r
 }
 
 // Register allocates a per-thread record and returns a Handle bound to
@@ -217,10 +217,10 @@ func (q *Ring) headCnt() uint64 { return globalCnt(q.head.Load()) }
 //wfq:noalloc
 func (q *Ring) consume(h uint64, e *atomic.Uint64, w uint64, selfTid int) {
 	m := q.lay.words
-	if w&m.enqBit() == 0 {
+	if w&m.pendingBit() != 0 {
 		q.finalizeRequest(h, selfTid)
 	}
-	atomicx.Or(e, m.consumedBits(), q.emulate)
+	atomicx.And(e, m.consumeMask(), q.emulate)
 }
 
 // finalizeRequest sets FIN on the localTail of the (unique) enqueue
@@ -460,7 +460,7 @@ func (h *Handle) Dequeue() (index uint64, ok bool) {
 	hh := r.localHead.Load() & cntMask
 	e := &q.entries[ring.Slot(hh&l.posMask, l.order)]
 	w := e.Load()
-	if m.cycle(w) == m.cycleOf(hh) && m.index(w) != m.bottom() {
+	if m.cycle(w) == m.cycleOf(hh) && !m.isBottom(w) {
 		q.consume(hh, e, w, r.tid)
 		return m.index(w), true
 	}
