@@ -263,8 +263,10 @@ func (c *Chan[T]) Handle() (*ChanHandle[T], error) {
 func (c *Chan[T]) Cap() uint64 { return c.core.Cap() }
 
 // Footprint returns the bytes the backing queue retains. For bounded
-// backends this is the construction-time allocation and never changes
-// (parked waiters draw from a shared pool); for BackendUnbounded and
+// backends it rises at most once per ring, when the first recycled
+// slot builds that ring's free-index ring, to the bound it always had,
+// and never changes otherwise (parked waiters draw from a shared
+// pool); for BackendUnbounded and
 // BackendShardedUnbounded it is the live ring footprint, which grows
 // with buffered values and shrinks after a drain.
 func (c *Chan[T]) Footprint() uint64 { return c.core.Footprint() }

@@ -108,6 +108,6 @@ func main() {
 
 	fmt.Printf("pipeline processed %d items across %d stages (digest %x)\n",
 		count, 3, sum)
-	fmt.Printf("stage queues: cap %d each, fixed footprint %d KiB total\n",
+	fmt.Printf("stage queues: cap %d each, bounded footprint %d KiB total\n",
 		stageCap, (q1.Footprint()+q2.Footprint())/1024)
 }

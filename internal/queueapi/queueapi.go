@@ -31,9 +31,10 @@ type Queue interface {
 	Handle() (Handle, error)
 	// Cap returns the queue's capacity, or 0 when unbounded.
 	Cap() uint64
-	// Footprint returns the bytes statically allocated at construction
-	// (0 when everything is dynamic). Together with runtime heap
-	// sampling this reproduces the paper's Fig. 10a memory metric.
+	// Footprint returns the bytes the queue holds: what it allocated
+	// at construction plus the rings it has built since (0 when
+	// everything is dynamic). Together with runtime heap sampling
+	// this reproduces the paper's Fig. 10a memory metric.
 	Footprint() uint64
 	// Name identifies the algorithm in reports (e.g. "wCQ", "SCQ").
 	Name() string

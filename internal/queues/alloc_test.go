@@ -1,11 +1,14 @@
-// Zero-allocation guard: "never allocates after construction" is a
-// headline claim of the paper's queues, and the native batch paths
-// must not quietly break it (scratch buffers, escape-analysis
-// regressions). testing.AllocsPerRun turns the claim into a
-// regression test for every ring-based core, on the scalar AND batch
-// hot paths. The unbounded queues are measured in steady state (no
-// ring turnover): the claim there is no allocation per operation, not
-// no allocation per ring rollover.
+// Zero-allocation guard: "no allocation per operation" is a headline
+// claim of the paper's queues, and the native batch paths must not
+// quietly break it (scratch buffers, escape-analysis regressions).
+// testing.AllocsPerRun turns the claim into a regression test for
+// every ring-based core, on the scalar AND batch hot paths. A bounded
+// queue allocates at most once after construction, its free-index
+// ring at the first recycle: the scalar pairs keep their slot in the
+// handle and never make one, and the batch warmup makes it. The
+// unbounded queues are measured in steady state (no ring turnover):
+// the claim there is no allocation per operation, not no allocation
+// per ring rollover.
 //
 // Every case runs twice — sink absent and sink attached — because the
 // metrics layer makes the same claim: recording an event from a hot

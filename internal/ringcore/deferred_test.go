@@ -1,6 +1,6 @@
-// Tests of the deferred free-index ring: a queue from NewDeferred
-// builds fq on its first recycle, once, and a queue from New builds it
-// at construction as it always has.
+// Tests of the deferred free-index ring: a queue builds fq on its
+// first recycle, once, and never when its indices are not recycled
+// through fq.
 package ringcore
 
 import (
@@ -23,11 +23,10 @@ func boundTo[T any](h *QueueHandle[T], q *Queue[T]) bool {
 	return false
 }
 
-// mustDeferred builds a queue of kind without fq and registers handles
-// handles with it.
-func mustDeferred(t *testing.T, kind Kind, capacity uint64, handles int, opts *Options) (*Queue[uint64], []*QueueHandle[uint64]) {
+// mustQueueWith is mustQueue with opts.
+func mustQueueWith(t *testing.T, kind Kind, capacity uint64, handles int, opts *Options) (*Queue[uint64], []*QueueHandle[uint64]) {
 	t.Helper()
-	q, err := NewDeferred[uint64](kind, capacity, handles, opts)
+	q, err := New[uint64](kind, capacity, handles, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,80 +39,100 @@ func mustDeferred(t *testing.T, kind Kind, capacity uint64, handles int, opts *O
 	return q, hs
 }
 
+// withFree returns the footprint q has once its fq is built: built
+// here, as the first recycle would, on a queue of q's shape.
+func withFree(t *testing.T, kind Kind, capacity uint64, maxThreads int) uint64 {
+	t.Helper()
+	q := mustNew(t, kind, capacity, maxThreads)
+	bare := q.Footprint()
+	q.buildFree()
+	if q.freeRing() == nil || q.Footprint() <= bare {
+		t.Fatalf("buildFree: fq built %v, footprint %d B from %d B", q.freeRing() != nil, q.Footprint(), bare)
+	}
+	return q.Footprint()
+}
+
 func TestNewAllocs(t *testing.T) {
-	// New allocates the queue, both rings (a wCQ ring is its header,
-	// entries and records; an SCQ ring its header and entries), the
-	// kept-index lines and the data array, and nothing more: a bounded
-	// queue pays nothing for fq being deferrable. NewDeferred leaves
-	// fq's objects out.
+	// New allocates the queue, aq (a wCQ ring is its header, entries
+	// and records; an SCQ ring its header and entries), the kept-index
+	// lines and the data array, and nothing more: fq's objects wait for
+	// the first recycle.
 	for _, tc := range []struct {
 		kind Kind
 		want float64
-	}{{KindWCQ, 9}, {KindSCQ, 7}} {
+	}{{KindWCQ, 6}, {KindSCQ, 5}} {
 		for _, capacity := range []uint64{64, 1024} {
 			t.Run(fmt.Sprintf("%s/cap=%d", tc.kind, capacity), func(t *testing.T) {
-				bounded := testing.AllocsPerRun(20, func() {
+				allocs := testing.AllocsPerRun(20, func() {
 					if _, err := New[uint64](tc.kind, capacity, 2, nil); err != nil {
 						t.Fatal(err)
 					}
 				})
-				deferred := testing.AllocsPerRun(20, func() {
-					if _, err := NewDeferred[uint64](tc.kind, capacity, 2, nil); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if bounded > tc.want {
-					t.Fatalf("New makes %.0f allocations, want at most %.0f", bounded, tc.want)
-				}
-				if deferred >= bounded {
-					t.Fatalf("NewDeferred makes %.0f allocations, want fewer than New's %.0f", deferred, bounded)
+				if allocs > tc.want {
+					t.Fatalf("New makes %.0f allocations, want at most %.0f", allocs, tc.want)
 				}
 			})
 		}
 	}
 }
 
-func TestNewBuildsFree(t *testing.T) {
-	// A queue from New has fq from the start, and every handle is bound
-	// to it before its first operation.
+func TestNewLeavesFreeUnbuilt(t *testing.T) {
+	// A queue from New has no fq, and a registered handle binds none
+	// before it uses one. The shared handle of the lock-free queue
+	// (HandleAt with a negative id) is the exception: goroutines share
+	// it, so HandleAt builds fq and binds it before any of them can,
+	// and a second such handle binds the same ring.
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		q, hs := mustQueue(t, kind, 16, 2)
-		if q.freeRing() == nil {
-			t.Fatal("New built no fq")
+		if q.freeRing() != nil {
+			t.Fatal("New built fq")
 		}
 		for i, h := range hs {
-			if !boundTo(h, q) {
-				t.Fatalf("handle %d not bound to fq at registration", i)
+			if h.fq != nil || h.wfq != nil {
+				t.Fatalf("handle %d bound to an fq at registration", i)
 			}
 		}
-		if kind == KindSCQ {
-			h, err := q.HandleAt(-1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !boundTo(h, q) {
-				t.Fatal("the shared slotless handle is not bound to fq at construction")
-			}
+		if kind != KindSCQ {
+			return
+		}
+		bare := q.Footprint()
+		s, err := q.HandleAt(-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := q.freeRing()
+		if r == nil || !boundTo(s, q) {
+			t.Fatal("HandleAt(-1) did not build and bind fq")
+		}
+		if q.Footprint() != bare+r.Footprint() {
+			t.Fatalf("footprint %d B with fq, want %d B + %d B", q.Footprint(), bare, r.Footprint())
+		}
+		s2, err := q.HandleAt(-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.freeRing() != r || !boundTo(s2, q) {
+			t.Fatal("a second shared handle built another fq")
 		}
 	})
 }
 
 func TestDeferredFreeLifecycle(t *testing.T) {
-	// A queue from NewDeferred has no fq. A lap that fills it from the
-	// fresh counter and drains it without recycling never builds one,
-	// and neither do empty polls or enqueues that find it full. The
-	// first recycle builds fq, once: from then on every handle binds
-	// that ring and the queue costs what a queue from New costs.
+	// A new queue has no fq. A lap that fills it from the fresh
+	// counter and drains it without recycling never builds one, and
+	// neither do empty polls or enqueues that find it full. The first
+	// recycle builds fq, once: from then on every handle binds that
+	// ring and the queue costs what a queue with fq built costs.
 	const capacity = 16
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		full := mustNew(t, kind, capacity, 2).Footprint()
+		full := withFree(t, kind, capacity, 2)
 		for _, batch := range []bool{false, true} {
 			t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
-				q, hs := mustDeferred(t, kind, capacity, 2, nil)
+				q, hs := mustQueue(t, kind, capacity, 2)
 				p, c := hs[0], hs[1]
 				bare := q.Footprint()
 				if q.freeRing() != nil || bare >= full {
-					t.Fatalf("deferred queue has fq %v, footprint %d B against New's %d B", q.freeRing() != nil, bare, full)
+					t.Fatalf("new queue has fq %v, footprint %d B against %d B with fq", q.freeRing() != nil, bare, full)
 				}
 				unbuilt := func(when string) {
 					t.Helper()
@@ -163,7 +182,7 @@ func TestDeferredFreeLifecycle(t *testing.T) {
 
 				// A second queue recycles: the first index returned
 				// builds fq.
-				q, hs = mustDeferred(t, kind, capacity, 2, nil)
+				q, hs = mustQueue(t, kind, capacity, 2)
 				p, c = hs[0], hs[1]
 				if !p.Enqueue(1) || !p.Enqueue(2) {
 					t.Fatal("Enqueue into an empty queue failed")
@@ -229,7 +248,7 @@ func TestDeferredFreeBuiltOnceUnderRace(t *testing.T) {
 		const fill = capacity / handles
 		const per = fill + 4*rounds // values each handle enqueues
 		for try := range tries {
-			q, hs := mustDeferred(t, kind, capacity, handles, opts)
+			q, hs := mustQueueWith(t, kind, capacity, handles, opts)
 			for g, h := range hs {
 				for k := range fill {
 					if !h.Enqueue(uint64(g*per + k)) {
@@ -340,7 +359,7 @@ func TestBatchTakesOwnKeptIndexFirst(t *testing.T) {
 	// index it kept, so the second take-back keeps again, and the ring
 	// still builds no fq.
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		q, hs := mustDeferred(t, kind, 16, 1, nil)
+		q, hs := mustQueue(t, kind, 16, 1)
 		h := hs[0]
 		for loss := range 3 {
 			h.enq = true // the Enqueue that found the previous ring full
@@ -364,4 +383,38 @@ func TestBatchTakesOwnKeptIndexFirst(t *testing.T) {
 			t.Fatalf("three seeds claimed %d fresh indices, want 1", got)
 		}
 	})
+}
+
+// BenchmarkFirstRecycle times the DequeueBatch that returns a queue's
+// first recycled index to fq, on a 2^16-slot queue: with fq missing,
+// so the call builds fq and binds the handle to it, and with fq built
+// and bound before the timer starts. The difference is the one-time
+// cost of the first recycle.
+func BenchmarkFirstRecycle(b *testing.B) {
+	for _, kind := range Kinds() {
+		for _, built := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/cap=65536/built=%v", kind, built), func(b *testing.B) {
+				out := make([]uint64, 1)
+				for range b.N {
+					b.StopTimer()
+					q, err := New[uint64](kind, 1<<16, 2, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if built {
+						q.buildFree()
+					}
+					h, err := q.Register() // binds a built fq
+					if err != nil {
+						b.Fatal(err)
+					}
+					h.Enqueue(1)
+					b.StartTimer()
+					if h.DequeueBatch(out) != 1 {
+						b.Fatal("DequeueBatch found the queue empty")
+					}
+				}
+			})
+		}
+	}
 }

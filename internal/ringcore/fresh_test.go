@@ -110,7 +110,7 @@ func TestFreshMatchesPrefilledFQ(t *testing.T) {
 		for _, capacity := range []uint64{2, 4, 1024} {
 			for seed := uint64(1); seed <= 4; seed++ {
 				t.Run(fmt.Sprintf("cap=%d/seed=%d", capacity, seed), func(t *testing.T) {
-					q := mustNew(t, kind, capacity, 1).(*Queue[uint64])
+					q := mustNew(t, kind, capacity, 1)
 					h, err := q.Register()
 					if err != nil {
 						t.Fatal(err)
@@ -200,7 +200,7 @@ func TestFreshConcurrentFirstLap(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		for round := range rounds {
 			capacity := []uint64{2, 4, 2 * runLen}[round%3]
-			q := mustNew(t, kind, capacity, producers+consumers).(*Queue[uint64])
+			q := mustNew(t, kind, capacity, producers+consumers)
 			var wg sync.WaitGroup
 			var consumed atomic.Int64
 			seen := make([][]uint64, consumers)
@@ -344,11 +344,10 @@ func TestFreshSteadyStateNoWrite(t *testing.T) {
 // F&As, with one registered handle.
 func countingQueue(t *testing.T, kind Kind, capacity uint64) (*Queue[uint64], *QueueHandle[uint64]) {
 	t.Helper()
-	c, err := New[uint64](kind, capacity, 1, &Options{Mode: atomicx.CountingFAA})
+	q, err := New[uint64](kind, capacity, 1, &Options{Mode: atomicx.CountingFAA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := c.(*Queue[uint64])
 	h, err := q.Register()
 	if err != nil {
 		t.Fatal(err)

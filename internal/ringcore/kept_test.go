@@ -16,18 +16,7 @@ import (
 // handles.
 func mustQueue(t *testing.T, kind Kind, capacity uint64, handles int) (*Queue[uint64], []*QueueHandle[uint64]) {
 	t.Helper()
-	c, err := New[uint64](kind, capacity, handles, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := c.(*Queue[uint64])
-	hs := make([]*QueueHandle[uint64], handles)
-	for i := range hs {
-		if hs[i], err = q.Register(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return q, hs
+	return mustQueueWith(t, kind, capacity, handles, nil)
 }
 
 // keepOne makes h keep one index: a scalar Enqueue, then the Dequeue
@@ -227,48 +216,75 @@ func (r *countingRing) EnqueueBatch(is []uint64)     { r.calls++; r.indexRing.En
 func (r *countingRing) DequeueBatch(is []uint64) int { r.calls++; return r.indexRing.DequeueBatch(is) }
 
 func TestAlternatingHandleSkipsFQ(t *testing.T) {
-	// Past the fresh counter's lap, a handle that alternates Enqueue
-	// and Dequeue moves one index between aq and its own slot: fq's
+	// A handle that alternates Enqueue and Dequeue moves its index
+	// between aq and its own slot: from a fresh queue on, one or two
+	// such handles, each over several laps of aq's tickets, never
+	// return an index to fq, so fq is never built and the footprint
+	// stays where New left it. Past a first lap that built fq, fq's
 	// Head and Tail never move. A pure receiver keeps nothing.
 	const capacity = 8
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		_, hs := mustQueue(t, kind, capacity, 2)
-		h, other := hs[0], hs[1]
-		buf := make([]uint64, capacity)
-		if h.EnqueueBatch(buf) != capacity || h.DequeueBatch(buf) != capacity {
-			t.Fatal("first lap did not fill and drain")
+		for _, handles := range []int{1, 2} {
+			t.Run(fmt.Sprintf("fresh/handles=%d", handles), func(t *testing.T) {
+				q, hs := mustQueue(t, kind, capacity, handles)
+				bare := q.Footprint()
+				const rounds = 4 * 2 * capacity // aq has 2n entries: 4 laps of tickets
+				for i := range uint64(rounds) {
+					for _, h := range hs {
+						if !h.Enqueue(i) {
+							t.Fatalf("round %d: Enqueue failed", i)
+						}
+					}
+					for _, h := range hs {
+						if v, ok := h.Dequeue(); !ok || v != i {
+							t.Fatalf("round %d: Dequeue = (%d, %v), want (%d, true)", i, v, ok, i)
+						}
+					}
+					if q.freeRing() != nil || q.Footprint() != bare {
+						t.Fatalf("round %d: fq built %v, footprint %d B, want %d B", i, q.freeRing() != nil, q.Footprint(), bare)
+					}
+				}
+			})
 		}
-		keepOne(t, h) // its index comes from fq; from here on, none does
-		idx := h.slot.kept.Load()
-		fq := &countingRing{indexRing: h.fq}
-		h.fq = fq
-		for i := range uint64(100) {
-			if !h.Enqueue(i) {
-				t.Fatalf("Enqueue %d failed", i)
+		t.Run("past a lap", func(t *testing.T) {
+			_, hs := mustQueue(t, kind, capacity, 2)
+			h, other := hs[0], hs[1]
+			buf := make([]uint64, capacity)
+			if h.EnqueueBatch(buf) != capacity || h.DequeueBatch(buf) != capacity {
+				t.Fatal("first lap did not fill and drain")
 			}
-			if h.slot.kept.Load() != 0 {
-				t.Fatal("Enqueue left its kept index in the slot")
+			keepOne(t, h) // its index comes from fq; from here on, none does
+			idx := h.slot.kept.Load()
+			fq := &countingRing{indexRing: h.fq}
+			h.fq = fq
+			for i := range uint64(100) {
+				if !h.Enqueue(i) {
+					t.Fatalf("Enqueue %d failed", i)
+				}
+				if h.slot.kept.Load() != 0 {
+					t.Fatal("Enqueue left its kept index in the slot")
+				}
+				if v, ok := h.Dequeue(); !ok || v != i {
+					t.Fatalf("Dequeue = (%d, %v), want (%d, true)", v, ok, i)
+				}
+				if got := h.slot.kept.Load(); got != idx {
+					t.Fatalf("slot holds %d after round %d, want index+1 = %d", got, i, idx)
+				}
 			}
-			if v, ok := h.Dequeue(); !ok || v != i {
-				t.Fatalf("Dequeue = (%d, %v), want (%d, true)", v, ok, i)
+			if fq.calls != 0 {
+				t.Fatalf("alternating handle made %d fq calls, want 0", fq.calls)
 			}
-			if got := h.slot.kept.Load(); got != idx {
-				t.Fatalf("slot holds %d after round %d, want index+1 = %d", got, i, idx)
+			// other only dequeues: its freed indices go back to fq.
+			if !h.Enqueue(1) {
+				t.Fatal("Enqueue failed")
 			}
-		}
-		if fq.calls != 0 {
-			t.Fatalf("alternating handle made %d fq calls, want 0", fq.calls)
-		}
-		// other only dequeues: its freed indices go back to fq.
-		if !h.Enqueue(1) {
-			t.Fatal("Enqueue failed")
-		}
-		if _, ok := other.Dequeue(); !ok {
-			t.Fatal("Dequeue failed")
-		}
-		if other.slot.kept.Load() != 0 || other.enq {
-			t.Fatal("a handle that never enqueued kept an index")
-		}
+			if _, ok := other.Dequeue(); !ok {
+				t.Fatal("Dequeue failed")
+			}
+			if other.slot.kept.Load() != 0 || other.enq {
+				t.Fatal("a handle that never enqueued kept an index")
+			}
+		})
 	})
 }
 
@@ -277,11 +293,10 @@ func TestKeepNeverOverwrites(t *testing.T) {
 	// view whose slot is taken returns its index to fq instead of
 	// overwriting the index the other view kept.
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		c, err := New[uint64](kind, 8, 1, nil)
+		q, err := New[uint64](kind, 8, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := c.(*Queue[uint64])
 		var views [2]*QueueHandle[uint64]
 		for i := range views {
 			if views[i], err = q.HandleAt(0); err != nil {
@@ -290,16 +305,27 @@ func TestKeepNeverOverwrites(t *testing.T) {
 		}
 		keepOne(t, views[0])
 		idx := views[0].slot.kept.Load()
-		// The fresh counter still has indices, so this Enqueue leaves
-		// the slot alone, and its Dequeue finds the slot taken.
-		if !views[1].Enqueue(8) {
+		// views[1] takes the kept index from the shared slot, views[0]
+		// claims another and keeps the taken one again when it
+		// dequeues views[1]'s value, so views[1]'s Dequeue, which
+		// follows its Enqueue, finds the slot taken.
+		if !views[1].Enqueue(8) || !views[0].Enqueue(9) {
 			t.Fatal("Enqueue failed")
 		}
-		if v, ok := views[1].Dequeue(); !ok || v != 8 {
-			t.Fatalf("Dequeue = (%d, %v)", v, ok)
+		if v, ok := views[0].Dequeue(); !ok || v != 8 {
+			t.Fatalf("Dequeue = (%d, %v), want 8", v, ok)
 		}
 		if got := views[0].slot.kept.Load(); got != idx {
 			t.Fatalf("slot holds %d, want the first view's %d", got, idx)
+		}
+		if v, ok := views[1].Dequeue(); !ok || v != 9 {
+			t.Fatalf("Dequeue = (%d, %v), want 9", v, ok)
+		}
+		if got := views[0].slot.kept.Load(); got != idx {
+			t.Fatalf("slot holds %d, want the first view's %d", got, idx)
+		}
+		if q.freeRing() == nil {
+			t.Fatal("the second view's index went neither to the slot nor to fq")
 		}
 	})
 }
@@ -377,11 +403,11 @@ func TestStealPassCoversIdsInUse(t *testing.T) {
 	const maxThreads = 64
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		build := func() *Queue[uint64] {
-			c, err := New[uint64](kind, 4, maxThreads, nil)
+			q, err := New[uint64](kind, 4, maxThreads, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c.(*Queue[uint64])
+			return q
 		}
 		reg, _ := mustQueue(t, kind, 4, maxThreads)
 		if got := reg.ids.Load(); got != maxThreads {

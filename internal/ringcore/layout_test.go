@@ -39,11 +39,10 @@ func BenchmarkRingLayout(b *testing.B) {
 		for order := 8; order <= 16; order++ {
 			c := uint64(1) << order
 			b.Run(fmt.Sprintf("%s/cap=%d/ring=%s", p.name, c, layoutName(ring.Order(2*c))), func(b *testing.B) {
-				core, err := New[uint64](KindWCQ, c, 2, nil)
+				q, err := New[uint64](KindWCQ, c, 2, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				q := core.(*Queue[uint64])
 				var hs [2]*QueueHandle[uint64]
 				for i := range hs {
 					if hs[i], err = q.Register(); err != nil {

@@ -44,9 +44,9 @@ var (
 // Queue is a bounded MPMC queue of arbitrary values, built from two
 // index rings and a data array via the paper's Figure 2 indirection:
 // fq circulates free indices, aq circulates allocated ones. New
-// allocates all memory at construction; NewDeferred leaves fq out
-// until a handle first recycles an index. The ring kind decides progress:
-// wait-free over wCQ rings, lock-free over SCQ rings. Only
+// allocates all memory but fq, which the first recycle builds. The
+// ring kind decides progress: wait-free over wCQ rings (allocation
+// aside), lock-free over SCQ rings. Only
 // construction, HandleAt and Retarget know the kind; every ring
 // operation goes through the indexRing a handle holds.
 //
@@ -72,11 +72,14 @@ var (
 // index. Only the owner writes a non-empty run, and only over its own
 // empty one; anyone takes from a run with a CAS.
 //
-// A scalar Enqueue looks for an index in the order own run, claim,
-// own slot, fq, then one pass over every slot and run (steal), so an
-// index a handle holds is never out of reach of the others and the
-// queue still reports full only when every index is in aq or in the
-// hands of an operation overlapping the call. The pass stops at ids,
+// A scalar Enqueue looks for an index in the order own slot, own run,
+// claim, fq, then one pass over every slot and run (steal). The slot
+// comes first, as a magazine allocator asks its per-CPU cache before
+// the shared pool, so an alternating handle recycles through its slot
+// from its first operation on and never builds fq. The pass keeps an
+// index a handle holds in reach of the others, so the queue still
+// reports full only when every index is in aq or in the hands of an
+// operation overlapping the call. The pass stops at ids,
 // one past the highest id any handle has used on the queue, so it
 // costs what the handles in use cost, not maxThreads, and Enqueue
 // stays wait-free over wCQ rings: a run CAS fails only when another
@@ -85,15 +88,18 @@ var (
 // one 64 B line of kept, which the queue allocates at construction:
 // the index rings know nothing of them.
 //
-// fq only ever holds recycled indices, so a queue whose indices are
-// never recycled needs none. NewDeferred builds such a queue for the
-// unbounded construction, whose rings mostly serve one lap and are
-// drained without recycling: its fq stays nil until the first handle
-// that returns an index to fq builds one and publishes it with one
-// CAS; a handle that loses the CAS uses the winner's. An operation
-// that only takes from fq reads a missing one as empty, which it is:
-// no index has been returned to it. Each handle binds its view of fq
-// on first use (see free).
+// fq only ever holds recycled indices, so a queue that never returns
+// one to fq needs none: an alternating handle keeps its index, and a
+// ring of the unbounded construction is mostly filled once and drained
+// without recycling. fq stays nil until the first handle that returns
+// an index to it builds one and publishes it with one CAS; a handle
+// that loses the CAS drops its ring and uses the winner's, so handles
+// that race their first recycle allocate one transient ring each, and
+// Footprint counts only the one published. An operation that only
+// takes from fq reads a missing one as empty, which it is: no index
+// has been returned to it. Each handle binds its view of fq on first
+// use (see free), except the shared handle (HandleAt with a negative
+// id), which HandleAt binds.
 //
 // Every operation reads the header fields and none writes them: ids
 // is written only when an id is first used on the queue (Register,
@@ -139,9 +145,8 @@ type slotLine struct {
 }
 
 // QueueHandle is a goroutine's capability to operate on a Queue. It
-// must not be shared between goroutines, except an SCQ handle without
-// a kept-index slot (HandleAt(-1)), and then only for scalar
-// operations.
+// must not be shared between goroutines, except an SCQ handle with a
+// negative id (HandleAt(-1)), and then only for scalar operations.
 //
 //wfq:isolate
 type QueueHandle[T any] struct {
@@ -179,23 +184,11 @@ type QueueHandle[T any] struct {
 // for census kinds (KindWCQ); census-free kinds accept any number of
 // handles. Either kind gives each id below maxThreads a kept-index
 // slot and a run, one 64 B line per id: the run serves any handle that
-// enqueues, the slot one that also dequeues. Both index rings are
-// built here, so the footprint is fixed. The core is always a
-// *Queue[T].
-func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (Core[T], error) {
-	q, err := NewDeferred[T](kind, capacity, maxThreads, opts)
-	if err != nil {
-		return nil, err
-	}
-	q.buildFree()
-	return q, nil
-}
-
-// NewDeferred is New without fq: the first handle that returns an
-// index to fq builds it. A queue whose indices are never recycled,
-// such as a ring of the unbounded construction that is filled once,
-// sealed and drained, so never pays for one.
-func NewDeferred[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (*Queue[T], error) {
+// enqueues, the slot one that also dequeues. New builds no fq: the
+// first index returned to fq builds it (see Queue), so the footprint
+// rises once, at that recycle, and a queue that never recycles into fq
+// never pays for one.
+func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (*Queue[T], error) {
 	q := &Queue[T]{kind: kind}
 	var o Options
 	if opts != nil {
@@ -318,18 +311,16 @@ func (q *Queue[T]) Register() (*QueueHandle[T], error) {
 // maxThreads), in both index rings of a wCQ queue; it fails when id is
 // out of that range. SCQ has no records, so its handle operates on the
 // two rings directly and id only picks its kept-index slot: a negative
-// id, or one at or past maxThreads, has none. Such a handle never
-// keeps and its scalar operations write no handle state, so any number
-// of goroutines may share one for scalar Enqueue and Dequeue (its
-// batches would share one scratch buffer). The caller owns the
+// id, or one at or past maxThreads, has none, and never keeps. A
+// negative id's handle is bound to fq here, which HandleAt builds if
+// need be, so its scalar operations write no handle state and any
+// number of goroutines may share it for scalar Enqueue and Dequeue
+// (its batches would share one scratch buffer). The caller owns the
 // numbering: no two goroutines may use one id at once, and HandleAt
 // and Register are never mixed on one queue, with one exception: an
 // id without a slot, such as the public lock-free queue's shared
 // HandleAt(-1), may sit beside Registered handles, since it is never
 // admitted and takes no id from Register's count.
-//
-// A handle on a queue that has fq binds its view of it here, so only a
-// NewDeferred queue's handles ever bind later.
 func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
 	h := &QueueHandle[T]{q: q, id: id, slot: q.slot(id)}
 	switch q.kind {
@@ -342,7 +333,7 @@ func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
 	case KindSCQ:
 		h.aq = q.aq.(*scq.Ring)
 	}
-	h.bind(false)
+	h.bind(id < 0)
 	q.admit(h)
 	return h, nil
 }
@@ -350,8 +341,8 @@ func (q *Queue[T]) HandleAt(id int) (*QueueHandle[T], error) {
 // free returns h's view of q's fq, bound by bind on first use. When q
 // has no fq yet it returns nil, unless build is set: an operation that
 // returns an index to fq builds it, and one that only takes from fq
-// reads a missing fq as empty. On a queue built with fq the view was
-// bound by HandleAt, so this is one nil check that always passes.
+// reads a missing fq as empty. Once the view is bound this is one nil
+// check.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) free(build bool) indexRing {
@@ -507,7 +498,7 @@ func (h *QueueHandle[T]) Enqueue(v T) bool {
 }
 
 // index finds the data slot for a scalar Enqueue's value, in the order
-// h's run, the fresh counter, h's kept index, fq, then the steal pass;
+// h's kept index, h's run, the fresh counter, fq, then the steal pass;
 // ok is false when all came up empty. A handle with a kept-index slot
 // claims runLen fresh indices at once and keeps the rest as its run:
 // its run was empty, and only h fills it. It also marks the Enqueue
@@ -523,6 +514,9 @@ func (h *QueueHandle[T]) index() (idx uint64, ok bool) {
 		}
 	} else {
 		h.enq = true
+		if idx, ok = take(&s.kept); ok {
+			return idx, true
+		}
 		first, m := takeRun(&s.run, 1)
 		if m == 0 {
 			if first, m = q.claim(runLen); m > 1 {
@@ -531,9 +525,6 @@ func (h *QueueHandle[T]) index() (idx uint64, ok bool) {
 		}
 		if m != 0 {
 			return first, true
-		}
-		if idx, ok = take(&s.kept); ok {
-			return idx, true
 		}
 	}
 	if fq := h.free(false); fq != nil {
@@ -769,9 +760,8 @@ func (q *Queue[T]) Stats() metrics.Snapshot { return q.aq.Metrics().Snapshot() }
 
 // Footprint returns the byte size of what the queue has allocated:
 // both rings (fq once it is built), any thread records, the kept-index
-// slots and runs, and the payload array slots of T's size each. It is
-// fixed for a queue from New, and grows once, when fq is built, for
-// one from NewDeferred.
+// slots and runs, and the payload array slots of T's size each. It
+// rises once, when fq is built, and is fixed otherwise.
 //
 //wfq:noalloc
 func (q *Queue[T]) Footprint() uint64 {

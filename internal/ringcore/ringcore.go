@@ -9,12 +9,12 @@
 // allocated-index ring, written once over either kind of index ring.
 // Where the paper starts the free-index ring full of 0..n-1, a Queue
 // starts it empty and hands out the never-used indices from a counter,
-// so the free-index ring only ever holds recycled indices. New builds
-// the free-index ring with the queue, so a bounded queue's footprint
-// is fixed; NewDeferred, which the unbounded construction builds its
-// rings with, leaves it out until a handle first returns an index to
-// it, so a ring that never recycles never allocates one. The
-// counter's i-th index names data slot i. The index rings place their
+// so the free-index ring only ever holds recycled indices. New leaves
+// it out until a handle first returns an index to it, so a queue that
+// never recycles through it, such as a ring of the unbounded
+// construction filled once and drained, or a queue of handles that
+// alternate Enqueue and Dequeue, never allocates one. The counter's
+// i-th index names data slot i. The index rings place their
 // entries with ring.Slot: the paper's Cache_Remap on rings that stay
 // in cache, and a layout that keeps each aligned run of 16 on two
 // lines on larger ones. A take zeroes its slot only when the value
@@ -26,13 +26,11 @@
 // counter 16 at a time and has not used yet; other handles steal from
 // runs and slots before they report the queue full. The Queue holds
 // each id's slot and run on a 64 B line of its own, whatever the ring
-// kind; the index rings know nothing of them. The unbounded
-// linked rings and the public wfqueue types hold that concrete
-// *Queue, which is always what New and NewDeferred build, rather than
-// the contract:
-// they call its handles directly, and the unbounded construction also
-// uses QueueHandle's drain-only dequeue, which the contract does not
-// carry.
+// kind; the index rings know nothing of them. The unbounded linked
+// rings and the public wfqueue types hold the concrete *Queue that New
+// builds, rather than the contract: they call its handles directly,
+// and the unbounded construction also uses QueueHandle's drain-only
+// dequeue, which the contract does not carry.
 //
 // The split between the two interfaces follows who needs what:
 //

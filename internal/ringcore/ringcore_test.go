@@ -23,7 +23,7 @@ func forEachKind(t *testing.T, body func(t *testing.T, kind Kind)) {
 	}
 }
 
-func mustNew(t *testing.T, kind Kind, capacity uint64, maxThreads int) Core[uint64] {
+func mustNew(t *testing.T, kind Kind, capacity uint64, maxThreads int) *Queue[uint64] {
 	t.Helper()
 	r, err := New[uint64](kind, capacity, maxThreads, nil)
 	if err != nil {
@@ -230,7 +230,7 @@ func TestPayloadDrainDoesNotRecycle(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		for name, drain := range drains {
 			t.Run(name, func(t *testing.T) {
-				q := mustNew(t, kind, 4, 1).(*Queue[uint64])
+				q := mustNew(t, kind, 4, 1)
 				h, err := q.Register()
 				if err != nil {
 					t.Fatal(err)
@@ -254,7 +254,7 @@ func TestPayloadDrainDoesNotRecycle(t *testing.T) {
 			})
 		}
 		t.Run("Dequeue", func(t *testing.T) {
-			q := mustNew(t, kind, 4, 1).(*Queue[uint64])
+			q := mustNew(t, kind, 4, 1)
 			h, err := q.Register()
 			if err != nil {
 				t.Fatal(err)
@@ -286,9 +286,10 @@ func TestContractCensus(t *testing.T) {
 }
 
 func TestContractZeroAllocHotPaths(t *testing.T) {
-	// The "never allocates after construction" claim, enforced at the
-	// contract level for both adapters on the scalar AND batch paths
-	// (the per-handle scratch warms up once).
+	// The "allocates at most once after construction" claim, enforced
+	// at the contract level for both adapters on the scalar AND batch
+	// paths: the warmup grows the per-handle scratch and its
+	// DequeueBatch builds fq, and nothing allocates after that.
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		r := mustNew(t, kind, 64, 2)
 		h := mustAcquire(t, r)
@@ -335,8 +336,10 @@ func TestContractEmulatedMode(t *testing.T) {
 }
 
 func TestContractFootprintConstant(t *testing.T) {
-	// Bounded memory: the footprint is fixed at construction and no
-	// amount of traffic changes it.
+	// Bounded memory: the footprint rises once, when the first recycle
+	// builds fq, to the bound of a queue with fq built, and no amount
+	// of traffic changes it after that. An alternating handle recycles
+	// through its kept index and never raises it.
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		r := mustNew(t, kind, 64, 1)
 		h := mustAcquire(t, r)
@@ -346,7 +349,17 @@ func TestContractFootprintConstant(t *testing.T) {
 			h.Dequeue()
 		}
 		if f := r.Footprint(); f != f0 {
-			t.Fatalf("footprint changed: %d -> %d", f0, f)
+			t.Fatalf("alternating traffic changed the footprint: %d -> %d", f0, f)
+		}
+		full := withFree(t, kind, 64, 1)
+		out := make([]uint64, 2)
+		for i := uint64(0); i < 10000; i++ {
+			h.Enqueue(i)
+			h.Enqueue(i)
+			h.DequeueBatch(out) // recycles both indices through fq
+			if f := r.Footprint(); f != full {
+				t.Fatalf("round %d: footprint %d B, want %d B with fq", i, f, full)
+			}
 		}
 	})
 }
@@ -400,11 +413,10 @@ func takes[T any](t *testing.T, h *QueueHandle[T], next func() T, check func(pat
 // path and fails if any data slot is left holding a value.
 func checkReleases[T comparable](t *testing.T, kind Kind, mk func(i int) T) {
 	t.Run(reflect.TypeFor[T]().String(), func(t *testing.T) {
-		c, err := New[T](kind, 32, 1, nil)
+		q, err := New[T](kind, 32, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := c.(*Queue[T])
 		h, err := q.Register()
 		if err != nil {
 			t.Fatal(err)
@@ -604,7 +616,7 @@ func TestHandleAtRange(t *testing.T) {
 	// HandleAt binds a chosen wCQ thread record, so an id outside
 	// [0, maxThreads) is an error; SCQ has no records and ignores it.
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		q := mustNew(t, kind, 8, 2).(*Queue[uint64])
+		q := mustNew(t, kind, 8, 2)
 		for _, id := range []int{0, 1} {
 			if _, err := q.HandleAt(id); err != nil {
 				t.Fatalf("HandleAt(%d): %v", id, err)
@@ -628,7 +640,7 @@ func TestRetargetAcrossRings(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		qs := make([]*Queue[uint64], rings)
 		for i := range qs {
-			qs[i] = mustNew(t, kind, 16, 4).(*Queue[uint64])
+			qs[i] = mustNew(t, kind, 16, 4)
 		}
 		h, err := qs[0].HandleAt(3)
 		if err != nil {
@@ -667,9 +679,6 @@ func TestRetargetAcrossRings(t *testing.T) {
 				if kind == KindWCQ && h.aq.(*wcq.Handle).Ring() != q.aq {
 					t.Fatalf("ring %d: aq handle not moved", i)
 				}
-				if kind == KindWCQ && h.free(false).(*wcq.Handle).Ring() != q.wfq.Load() {
-					t.Fatalf("ring %d: fq handle not moved", i)
-				}
 				if r%2 == 0 {
 					if n := h.DequeueBatch(out); n != per {
 						t.Fatalf("ring %d: DequeueBatch = %d, want %d", i, n, per)
@@ -681,6 +690,10 @@ func TestRetargetAcrossRings(t *testing.T) {
 							t.Fatalf("ring %d: empty at round %d", i, r)
 						}
 					}
+				}
+				// Each drain above recycled into q's fq at least once.
+				if kind == KindWCQ && (h.fq != indexRing(h.wfq) || h.wfq.Ring() != q.wfq.Load()) {
+					t.Fatalf("ring %d: fq handle not moved", i)
 				}
 				for j, v := range out {
 					if want := uint64(i)<<32 | uint64(r*per+j); v != want {
@@ -721,12 +734,11 @@ func TestHandleAtSparseIDsForcedSlow(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		c, err := New[uint64](kind, 2, maxThreads,
+		q, err := New[uint64](kind, 2, maxThreads,
 			&Options{EnqPatience: 1, DeqPatience: 1, HelpDelay: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := c.(*Queue[uint64])
 		ids := []int{0, maxThreads - 1}
 		got := make([][]uint64, len(ids))
 		var wg sync.WaitGroup

@@ -20,7 +20,7 @@ func TestFreshIndicesTakeSpreadSlots(t *testing.T) {
 		for _, n := range []uint64{8, 64} {
 			for _, batch := range []bool{false, true} {
 				t.Run(fmt.Sprintf("cap=%d/batch=%v", n, batch), func(t *testing.T) {
-					q := mustNew(t, kind, n, 1).(*Queue[uint64])
+					q := mustNew(t, kind, n, 1)
 					h, err := q.Register()
 					if err != nil {
 						t.Fatal(err)
@@ -109,7 +109,7 @@ func TestPointerFreeTakeKeepsSlot(t *testing.T) {
 	// A uint64 slot holds nothing to release, so no take path writes
 	// it: every taken value is still in the data array afterwards.
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		q := mustNew(t, kind, 32, 1).(*Queue[uint64])
+		q := mustNew(t, kind, 32, 1)
 		h, err := q.Register()
 		if err != nil {
 			t.Fatal(err)
@@ -127,22 +127,34 @@ func TestPointerFreeTakeKeepsSlot(t *testing.T) {
 
 // checkSlotFootprint fails unless an n-slot queue of T built for
 // maxThreads ids holds one kept-index line per id, whatever its kind,
-// and reports its two rings' footprint, plus those lines, plus size
-// bytes per data slot.
+// and reports aq's footprint, plus those lines, plus size bytes per
+// data slot, and fq's footprint on top of that once a recycle has
+// built fq.
 func checkSlotFootprint[T any](t *testing.T, kind Kind, size uint64) {
 	t.Helper()
 	const n, maxThreads = 1024, 3
-	c, err := New[T](kind, n, maxThreads, nil)
+	q, err := New[T](kind, n, maxThreads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := c.(*Queue[T])
 	if len(q.kept) != maxThreads {
 		t.Fatalf("%v: %d kept-index lines for %d ids", reflect.TypeFor[T](), len(q.kept), maxThreads)
 	}
-	rings := q.aq.Footprint() + q.freeRing().Footprint() + maxThreads*pad.CacheLineSize
+	rings := q.aq.Footprint() + maxThreads*pad.CacheLineSize
 	if got, want := q.Footprint(), rings+n*size; got != want {
-		t.Fatalf("%v: Footprint = %d B, want %d B of rings and kept slots + %d x %d B", reflect.TypeFor[T](), got, rings, n, size)
+		t.Fatalf("%v: Footprint = %d B, want %d B of aq and kept slots + %d x %d B", reflect.TypeFor[T](), got, rings, n, size)
+	}
+	h, err := q.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v T
+	if !h.Enqueue(v) || h.DequeueBatch(make([]T, 1)) != 1 {
+		t.Fatalf("%v: one value did not pass through", reflect.TypeFor[T]())
+	}
+	rings += q.freeRing().Footprint()
+	if got, want := q.Footprint(), rings+n*size; got != want {
+		t.Fatalf("%v: Footprint = %d B after a recycle, want %d B of rings and kept slots + %d x %d B", reflect.TypeFor[T](), got, rings, n, size)
 	}
 }
 

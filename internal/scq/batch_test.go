@@ -1,10 +1,50 @@
 package scq
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/atomicx"
 )
+
+// stall is how long runWatched waits for an operation to complete
+// before it reports the ring hung.
+const stall = 10 * time.Second
+
+// runWatched runs work on a goroutine of its own and waits for it to
+// return. work calls tick after each operation that made progress,
+// and returns early once stopped reports true. When stall passes
+// without a tick, runWatched fails the test: a ring that strands its
+// values makes a polling loop spin forever, and the goroutine running
+// it is left behind.
+func runWatched(t *testing.T, work func(tick func(), stopped func() bool) error) {
+	t.Helper()
+	var ticks atomic.Uint64
+	var stop atomic.Bool
+	defer stop.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- work(func() { ticks.Add(1) }, stop.Load) }()
+	poll := time.NewTicker(50 * time.Millisecond)
+	defer poll.Stop()
+	last, since := ticks.Load(), time.Now()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		case <-poll.C:
+			if now := ticks.Load(); now != last {
+				last, since = now, time.Now()
+			} else if time.Since(since) > stall {
+				t.Fatalf("no operation made progress for %v (%d before): the ring hung", stall, last)
+			}
+		}
+	}
+}
 
 // TestBatchSingleFAA pins the whole point of the native batch path:
 // one Tail F&A per fast-path enqueue batch and one Head F&A per
@@ -80,26 +120,32 @@ func TestRingBatchFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := uint64(0)
-	expect := uint64(0)
-	out := make([]uint64, 48)
-	for round := 0; round < 50; round++ {
-		in := make([]uint64, 48)
-		for i := range in {
-			in[i] = next % 64
-			next++
-		}
-		q.EnqueueBatch(in)
-		got := 0
-		for got < len(in) {
-			n := q.DequeueBatch(out[:len(in)-got])
-			for _, v := range out[:n] {
-				if v != expect%64 {
-					t.Fatalf("round %d: got %d, want %d", round, v, expect%64)
-				}
-				expect++
+	runWatched(t, func(tick func(), stopped func() bool) error {
+		next := uint64(0)
+		expect := uint64(0)
+		out := make([]uint64, 48)
+		for round := 0; round < 50; round++ {
+			in := make([]uint64, 48)
+			for i := range in {
+				in[i] = next % 64
+				next++
 			}
-			got += n
+			q.EnqueueBatch(in)
+			tick()
+			for got := 0; got < len(in) && !stopped(); {
+				n := q.DequeueBatch(out[:len(in)-got])
+				for _, v := range out[:n] {
+					if v != expect%64 {
+						return fmt.Errorf("round %d: got %d, want %d", round, v, expect%64)
+					}
+					expect++
+				}
+				if n > 0 {
+					tick()
+				}
+				got += n
+			}
 		}
-	}
+		return nil
+	})
 }

@@ -23,9 +23,9 @@
 // unsealed tail ring recycles. A ring serves its first lap from its
 // counter of never-used indices, so a ring that is filled once, then
 // sealed and drained, never touches its free-index ring, and since
-// every ring is built with ringcore.NewDeferred, it never allocates
-// one either: only the unsealed tail ring, and a spare whose seeds went
-// back through it, build theirs, on their first recycle. Every ring is
+// ringcore.New builds that ring on the first recycle, it never
+// allocates one either: only the unsealed tail ring, and a spare whose
+// seeds went back through it, build theirs. Every ring is
 // built with the queue's maxThreads, so each id below it has a
 // kept-index slot and a run in every ring, on a 64 B line per id of
 // either ring kind. A handle with one claims those indices 16 at a
@@ -205,7 +205,7 @@ func New[T any](kind ringcore.Kind, ringCap uint64, maxThreads int, opts *ringco
 		maxHandles = maxThreads // the wCQ ring below rejects one below 1
 	}
 	mk := func() (*ringcore.Queue[T], error) {
-		return ringcore.NewDeferred[T](kind, ringCap, maxThreads, opts)
+		return ringcore.New[T](kind, ringCap, maxThreads, opts)
 	}
 	first, err := mk()
 	if err != nil {

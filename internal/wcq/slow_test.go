@@ -443,28 +443,32 @@ func TestConcurrentForcedSlowSoak(t *testing.T) {
 	credits := make(chan struct{}, 2)
 	credits <- struct{}{}
 	credits <- struct{}{}
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		h, err := q.Register()
-		if err != nil {
+	hs := make([]*Handle, threads)
+	for g := range hs {
+		if hs[g], err = q.Register(); err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(g int, h *Handle) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				select {
-				case <-credits:
-					h.Enqueue(uint64(i % 2))
-				default:
-					if _, ok := h.Dequeue(); ok {
-						credits <- struct{}{}
-					} else {
-						runtime.Gosched()
-					}
+	}
+	// A consume that leaves an entry occupied strands the two credits'
+	// values, and every worker then polls an empty ring: the watchdog
+	// turns that into a failure instead of a spin until go test's
+	// timeout.
+	runWatched(t, threads, func(g int, tick func(), stopped func() bool) error {
+		h := hs[g]
+		for i := 0; i < per && !stopped(); i++ {
+			select {
+			case <-credits:
+				h.Enqueue(uint64(i % 2))
+				tick()
+			default:
+				if _, ok := h.Dequeue(); ok {
+					credits <- struct{}{}
+					tick()
+				} else {
+					runtime.Gosched()
 				}
 			}
-		}(g, h)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 }

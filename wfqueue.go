@@ -148,22 +148,12 @@ func New[T any](capacity uint64, maxThreads int, opts ...Option) (*Queue[T], err
 	if err := validate(capacity, maxThreads); err != nil {
 		return nil, err
 	}
-	q, err := newPayload[T](ringcore.KindWCQ, capacity, maxThreads, buildOpts(opts))
+	o := buildOpts(opts)
+	q, err := ringcore.New[T](ringcore.KindWCQ, capacity, maxThreads, &o.core)
 	if err != nil {
 		return nil, err
 	}
 	return &Queue[T]{q: q}, nil
-}
-
-// newPayload builds the Figure 2 payload queue of the given ring kind
-// and keeps its concrete type, so the public handles call it directly
-// instead of through the ringcore.Handle interface.
-func newPayload[T any](kind ringcore.Kind, capacity uint64, maxThreads int, o options) (*ringcore.Queue[T], error) {
-	c, err := ringcore.New[T](kind, capacity, maxThreads, &o.core)
-	if err != nil {
-		return nil, err
-	}
-	return c.(*ringcore.Queue[T]), nil
 }
 
 // Handle registers the calling goroutine and returns its handle. It
@@ -179,8 +169,11 @@ func (q *Queue[T]) Handle() (*Handle[T], error) {
 // Cap returns the queue capacity.
 func (q *Queue[T]) Cap() uint64 { return q.q.Cap() }
 
-// Footprint returns the bytes allocated at construction; the queue
-// never allocates afterwards.
+// Footprint returns the bytes the queue has allocated. The queue
+// allocates at most once after construction: its free-index ring, at
+// the first dequeue whose slot goes back to the shared pool rather
+// than to the handle's own cache. Footprint then rises once, to the
+// bound it always had, and never changes again.
 func (q *Queue[T]) Footprint() uint64 { return q.q.Footprint() }
 
 // Stats snapshots the queue's metrics sink. The zero snapshot is
@@ -293,10 +286,11 @@ func (h *RingHandle) Dequeue() (index uint64, ok bool) { return h.h.Dequeue() }
 type LockFreeQueue[T any] struct {
 	q *ringcore.Queue[T]
 	// h serves the handle-free Enqueue and Dequeue for every goroutine
-	// at once. Its id is -1, so it has no kept-index slot: it never
-	// keeps, its scalar path writes no handle state, and it only calls
-	// the two rings, which are the shared rings themselves. Only
-	// Handle's handles run batches.
+	// at once. Its id is -1, so it has no kept-index slot and never
+	// keeps, and HandleAt builds the free-index ring and binds h to it
+	// before any goroutine runs, so its scalar path writes no handle
+	// state and only calls the two rings, which are the shared rings
+	// themselves. Only Handle's handles run batches.
 	h *ringcore.QueueHandle[T]
 }
 
@@ -305,7 +299,8 @@ func NewLockFree[T any](capacity uint64, opts ...Option) (*LockFreeQueue[T], err
 	if err := validate(capacity, 1); err != nil {
 		return nil, err
 	}
-	q, err := newPayload[T](ringcore.KindSCQ, capacity, 1, buildOpts(opts))
+	o := buildOpts(opts)
+	q, err := ringcore.New[T](ringcore.KindSCQ, capacity, 1, &o.core)
 	if err != nil {
 		return nil, err
 	}
@@ -345,8 +340,11 @@ func (q *LockFreeQueue[T]) Handle() (*LockFreeHandle[T], error) {
 // Cap returns the queue capacity.
 func (q *LockFreeQueue[T]) Cap() uint64 { return q.q.Cap() }
 
-// Footprint returns the bytes allocated at construction; the queue
-// never allocates afterwards.
+// Footprint returns the bytes the queue has allocated. A queue of this
+// package allocates at most once after construction, its free-index
+// ring at the first recycle (see Queue.Footprint); the shared handle
+// behind Enqueue and Dequeue needs that ring from the start, so
+// NewLockFree builds it and Footprint never changes.
 func (q *LockFreeQueue[T]) Footprint() uint64 { return q.q.Footprint() }
 
 // Stats snapshots the queue's metrics sink. The zero snapshot is

@@ -186,6 +186,63 @@ func TestLockFreeVariant(t *testing.T) {
 	}
 }
 
+func TestLockFreeSharedHandleFirstOps(t *testing.T) {
+	// Every goroutine runs a LockFreeQueue's handle-free methods on one
+	// shared handle. Their first operations on a fresh queue race, and
+	// the first Dequeue's recycle would build and bind the free-index
+	// ring if NewLockFree had not: under -race, a handle that bound it
+	// lazily would show as a data race here. Every value still
+	// arrives exactly once, and the footprint is the one NewLockFree
+	// reported.
+	const goroutines, per, tries = 4, 8, 50
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	for try := range tries {
+		q, err := NewLockFree[int](64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f0 := q.Footprint()
+		seen := make([]atomic.Int32, goroutines*per)
+		var stuck atomic.Bool
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := range per {
+					if !q.Enqueue(g*per + k) {
+						stuck.Store(true)
+						return
+					}
+					v, ok := q.Dequeue()
+					if !ok {
+						stuck.Store(true)
+						return
+					}
+					seen[v].Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if stuck.Load() {
+			t.Fatalf("try %d: a queue of 64 with at most %d values in it reported full or empty", try, goroutines)
+		}
+		for v := range seen {
+			if n := seen[v].Load(); n != 1 {
+				t.Fatalf("try %d: value %d delivered %d times", try, v, n)
+			}
+		}
+		if f := q.Footprint(); f != f0 {
+			t.Fatalf("try %d: footprint %d B after the first recycles, %d B at construction", try, f, f0)
+		}
+	}
+}
+
 func TestConstructorValidation(t *testing.T) {
 	// The documented contract — capacity a power of two >= 2,
 	// maxThreads >= 1 — must fail fast with a descriptive error at the
