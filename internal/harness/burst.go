@@ -90,7 +90,7 @@ func runBurstOnce(name string, cfg queues.Config, burst int, opts PointOpts) (sa
 	dg.Wait()
 	elapsed := time.Since(start).Seconds()
 	// Post-drain retention: with the burst gone, Footprint shows what
-	// the queue keeps (one live ring plus any handle's spare) — the
-	// bounded-memory half of the story.
+	// the queue keeps (exactly one live ring) — the bounded-memory half
+	// of the story.
 	return sample{mops: stats.Mops(2*total, elapsed), memMB: peakMB, fpMB: footprintMB(q)}, nil
 }

@@ -64,12 +64,9 @@ const (
 	// RingSeal counts unbounded-queue tail nodes sealed because their
 	// ring filled, forcing growth onto a fresh ring.
 	RingSeal
-	// RingPoolHit counts unbounded-queue turnovers served by the
-	// handle's spare ring — one it built for an earlier turnover and
-	// could not link — rather than a fresh allocation. The wire name
-	// ring_pool_hit is kept for the readers that already use it.
-	RingPoolHit
-	// RingAlloc counts ring acquisitions that had to allocate.
+	// RingAlloc counts the rings unbounded-queue turnovers built: each
+	// is linked (and counted by RingSeal too) or, when another enqueuer
+	// linked its ring first, dropped.
 	RingAlloc
 	// Park counts waiters registered on a park.Point (i.e. goroutines
 	// that committed to blocking after the lock-free re-check).
@@ -115,7 +112,6 @@ var eventNames = [NumEvents]string{
 	"steal_attempt",
 	"steal_hit",
 	"ring_seal",
-	"ring_pool_hit",
 	"ring_alloc",
 	"park",
 	"wake",

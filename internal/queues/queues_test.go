@@ -151,8 +151,7 @@ func TestBlockingSlowpathConformance(t *testing.T) {
 // contract: present in Names and RealQueues (LSCQ/UWCQ) or
 // BlockingQueues (ChanUnbounded), Cap 0, never-full Enqueue, and a
 // live Footprint that grows across a burst and, once it drains, is
-// back within the documented bound: one live ring (per shard) plus at
-// most one spare per handle.
+// back to exactly one live ring (per shard).
 func TestUnboundedConformance(t *testing.T) {
 	real := map[string]bool{}
 	for _, n := range RealQueues() {
@@ -198,12 +197,26 @@ func TestUnboundedConformance(t *testing.T) {
 					t.Fatalf("dequeue %d = (%d, %v)", i, v, ok)
 				}
 			}
-			// The documented bound after a drain: one live ring (one per
-			// shard, which rest already counts) plus at most one spare
-			// ring per handle, and this one handle holds one handle
-			// per shard.
-			if got := q.Footprint(); got > 2*rest {
-				t.Fatalf("retained %d B after drain (rest %d B): more than one live ring plus one spare per handle", got, rest)
+			// After a drain exactly one live ring per shard is left: what
+			// a fresh queue holds once one value went in and out through
+			// a first handle, which recycles it into the same shard's
+			// ring and so builds that ring's free-index ring.
+			one, err := New(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oh, err := one.Handle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !oh.Enqueue(1) {
+				t.Fatal("a fresh queue reported full")
+			}
+			if _, ok := oh.Dequeue(); !ok {
+				t.Fatal("a fresh queue lost its one value")
+			}
+			if got, want := q.Footprint(), one.Footprint(); got != want {
+				t.Fatalf("retained %d B after drain (rest %d B), want one live ring per shard, %d B", got, rest, want)
 			}
 		})
 	}

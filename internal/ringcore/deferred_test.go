@@ -350,41 +350,6 @@ func TestDeferredFreeBuiltOnceUnderRace(t *testing.T) {
 // timeout.
 const watchdog = 60 * time.Second
 
-func TestBatchTakesOwnKeptIndexFirst(t *testing.T) {
-	// The unbounded construction seeds a ring with EnqueueBatch and,
-	// when it loses the append, takes the seed back with Dequeue, which
-	// keeps its index (its handle's last scalar operation, the Enqueue
-	// that found the old ring full, was an Enqueue). The same handle
-	// may lose again with the same ring: its seed batch then takes the
-	// index it kept, so the second take-back keeps again, and the ring
-	// still builds no fq.
-	forEachKind(t, func(t *testing.T, kind Kind) {
-		q, hs := mustQueue(t, kind, 16, 1)
-		h := hs[0]
-		for loss := range 3 {
-			h.enq = true // the Enqueue that found the previous ring full
-			if n := h.EnqueueBatch([]uint64{uint64(loss)}); n != 1 {
-				t.Fatalf("loss %d: seed EnqueueBatch = %d", loss, n)
-			}
-			if h.slot.kept.Load() != 0 {
-				t.Fatalf("loss %d: the seed batch left the kept index in the slot", loss)
-			}
-			if v, ok := h.Dequeue(); !ok || v != uint64(loss) {
-				t.Fatalf("loss %d: take-back = (%d, %v)", loss, v, ok)
-			}
-			if h.slot.kept.Load() != 1 {
-				t.Fatalf("loss %d: slot holds %d, want index 0 kept", loss, h.slot.kept.Load())
-			}
-			if q.freeRing() != nil {
-				t.Fatalf("loss %d: a take-back built fq", loss)
-			}
-		}
-		if got := q.fresh.Load(); got != 1 {
-			t.Fatalf("three seeds claimed %d fresh indices, want 1", got)
-		}
-	})
-}
-
 // BenchmarkFirstRecycle times the DequeueBatch that returns a queue's
 // first recycled index to fq, on a 2^16-slot queue: with fq missing,
 // so the call builds fq and binds the handle to it, and with fq built

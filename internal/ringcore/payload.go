@@ -646,14 +646,11 @@ func (h *QueueHandle[T]) move(idx uint64) T {
 
 // EnqueueBatch appends a prefix of vs in order and returns its length;
 // a short count means the queue filled up mid-batch. The batch takes
-// h's kept index, a run of never-used indices with one F&A on the
-// fresh counter, the rest from fq, and what fq lacks from the
-// kept-index slots and runs. Taking its own kept index first lets the
-// unbounded construction's twice-beaten appender seed its spare ring
-// with the index it kept there, so its next take-back can keep again
-// instead of building the spare's fq. Index traffic with fq/aq moves
-// through the native ring batches, so the fast path pays one F&A per
-// ring per batch instead of one per element.
+// a run of never-used indices with one F&A on the fresh counter, the
+// rest from fq, and what fq lacks from the kept-index slots and runs,
+// h's own among them. Index traffic with fq/aq moves through the
+// native ring batches, so the fast path pays one F&A per ring per
+// batch instead of one per element.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
@@ -661,19 +658,11 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 		return 0
 	}
 	buf := h.scratch(len(vs))
-	n := 0
-	if s := h.slot; s != nil {
-		if idx, ok := take(&s.kept); ok {
-			buf[0], n = idx, 1
-		}
+	first, m := h.q.claim(uint64(len(buf)))
+	for j := range m {
+		buf[j] = first + j
 	}
-	if n < len(buf) {
-		first, m := h.q.claim(uint64(len(buf) - n))
-		for j := range m {
-			buf[n+int(j)] = first + j
-		}
-		n += int(m)
-	}
+	n := int(m)
 	if n < len(buf) {
 		if fq := h.free(false); fq != nil {
 			n += fq.DequeueBatch(buf[n:])

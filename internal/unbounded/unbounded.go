@@ -24,11 +24,10 @@
 // counter of never-used indices, so a ring that is filled once, then
 // sealed and drained, never touches its free-index ring, and since
 // ringcore.New builds that ring on the first recycle, it never
-// allocates one either: only the unsealed tail ring, and a spare whose
-// seeds went back through it, build theirs. Every ring is
-// built with the queue's maxThreads, so each id below it has a
-// kept-index slot and a run in every ring, on a 64 B line per id of
-// either ring kind. A handle with one claims those indices 16 at a
+// allocates one either: only the unsealed tail ring builds its own.
+// Every ring is built with the queue's maxThreads, so each id below it
+// has a kept-index slot and a run in every ring, on a 64 B line per id
+// of either ring kind. A handle with one claims those indices 16 at a
 // time and keeps the rest as its run, which other handles steal from
 // before they report the ring full; an
 // LSCQ handle with an id at or past maxThreads claims them one at a
@@ -64,15 +63,14 @@
 // As in the appendix, a ring is linked once and never reused: once head
 // moves past its drained node, nothing can reach it again and it goes
 // to the garbage collector with the node, so a drained queue holds one
-// live ring. The only ring kept outside the list is a handle's spare:
-// an enqueuer that builds a successor but loses the race to link it
-// takes its seed values back out and keeps that ring for its own next
-// turnover, instead of throwing it away (see extend). Footprint counts
-// each spare at its own size, which is larger once its seeds went back
-// through a free-index ring it then built. A handle's two views may
-// still point at drained rings, so each handle keeps at most two rings
-// reachable beyond the list and its spare, and a UWCQ view may also
-// keep the free-index ring of a ring it left, until it binds another.
+// live ring. An enqueuer that builds a successor but loses the race to
+// link it drops that ring, as Enqueue_Unbounded (Fig. 13) frees it:
+// the ring was never linked, so no other handle has seen it, and its
+// seed values are retried on the winner's ring (see extend). A
+// handle's two views may still point at drained rings, so each handle
+// keeps at most two rings reachable beyond the list, and a UWCQ view
+// may also keep the free-index ring of a ring it left, until it binds
+// another.
 //
 // Faithfulness note: the appendix links rings with the CRTurn wait-free
 // list so the WHOLE unbounded queue is wait-free. This port uses the
@@ -159,10 +157,6 @@ type Queue[T any] struct {
 	mk      func() (*ringcore.Queue[T], error)
 	met     *metrics.Sink //wfq:stable nil = disabled; shared with the rings via Options
 	handles atomic.Int64  //wfq:cold registration only
-	// spareBytes sums the Footprint of the spare rings handles hold.
-	// A spare has built its free-index ring when its seeds went back
-	// through it, so spares differ in size; each is counted at its own.
-	spareBytes atomic.Int64 //wfq:cold changes at turnover only
 	// maxHandles bounds Handle() calls (0 = unlimited). Census kinds
 	// (wCQ) set it to the per-ring thread census, so every handle's id
 	// names a record in every ring.
@@ -181,10 +175,6 @@ type Handle[T any] struct {
 	// at each end of the list. Both use the handle's id; they may view
 	// the same ring, one call after the other.
 	tail, head *ringcore.QueueHandle[T]
-	// spare is a ring this handle built for a turnover but did not
-	// link, emptied again and kept for its next turnover; nil when it
-	// has none. No other handle has seen it.
-	spare *ringcore.Queue[T]
 	// one carries a scalar operation's value through the batch
 	// operation on a miss: into EnqueueBatch when the tail ring turns
 	// over, out of DequeueBatch when the head ring is empty. It is
@@ -261,8 +251,7 @@ func (q *Queue[T]) Stats() metrics.Snapshot { return q.met.Snapshot() }
 func (q *Queue[T]) RingCap() uint64 { return q.ringCap }
 
 // Rings returns the number of live rings — the current length of the
-// outer list, excluding the handles' spares. Racy by nature; for
-// introspection and figures.
+// outer list. Racy by nature; for introspection and figures.
 func (q *Queue[T]) Rings() int {
 	n := 0
 	for ln := q.head.Load(); ln != nil; ln = ln.next.Load() {
@@ -272,14 +261,12 @@ func (q *Queue[T]) Rings() int {
 }
 
 // Footprint returns the bytes retained right now: every live ring of
-// the outer list plus the handles' spare rings, each at its own
-// Footprint (with its free-index ring once it has built one). This is
-// the live-memory signal of the paper's Fig. 10a applied to the
-// unbounded variants — it grows while a burst is buffered and shrinks
-// back to (1 + spares) rings once drained, at most one spare per
-// handle. A handle dropped while it holds a spare is still counted.
+// the outer list, each at its own Footprint (with its free-index ring
+// once it has built one). This is the live-memory signal of the
+// paper's Fig. 10a applied to the unbounded variants — it grows while
+// a burst is buffered and shrinks back to one ring once drained.
 func (q *Queue[T]) Footprint() uint64 {
-	f := uint64(q.spareBytes.Load())
+	var f uint64
 	for n := q.head.Load(); n != nil; n = n.next.Load() {
 		f += n.r.Footprint()
 	}
@@ -351,9 +338,11 @@ func (h *Handle[T]) EnqueueBatch(vs []T) int {
 // already linked it helps swing tail to it (the linker may have
 // stalled); otherwise it appends a ring seeded with as much of vs as
 // fits. It returns how many values landed — 0 when another enqueuer
-// linked its ring first, in which case the caller retries on the
-// winner's. vs is never empty, and the appended ring is empty, so the
-// seed always lands.
+// linked its ring first. The loser's ring was never linked, so no
+// other handle has seen it: it goes to the garbage collector, and the
+// caller retries its seeds, still in vs, on the winner's ring. vs is
+// never empty, and the appended ring is empty, so the seed always
+// lands.
 //
 //wfq:noalloc
 func (h *Handle[T]) extend(ltail *node[T], vs []T) int {
@@ -362,7 +351,7 @@ func (h *Handle[T]) extend(ltail *node[T], vs []T) int {
 		q.tail.CompareAndSwap(ltail, next)
 		return 0
 	}
-	nr := h.takeRing()
+	nr := q.newRing()
 	nn := &node[T]{r: nr} //wfq:ignore hotalloc growth path: one node per ring turnover
 	h.tail.Retarget(nr)
 	m := h.tail.EnqueueBatch(vs)
@@ -374,30 +363,14 @@ func (h *Handle[T]) extend(ltail *node[T], vs []T) int {
 		q.met.Inc(metrics.RingSeal)
 		return m
 	}
-	// Lost the append race. The ring was never linked, so this handle
-	// still owns it exclusively: take the seeds back out and keep the
-	// empty ring as the spare for its next turnover.
-	for j := 0; j < m; j++ {
-		h.tail.Dequeue()
-	}
-	h.spare = nr
-	q.spareBytes.Add(int64(nr.Footprint()))
 	return 0
 }
 
-// takeRing returns the ring for this handle's next append: its spare
-// when it holds one, a new ring otherwise. A new ring is built exactly
-// as New built the first one, so its construction cannot fail.
+// newRing builds the ring for a turnover exactly as New built the
+// first one, so its construction cannot fail.
 //
-//wfq:allocok ring turnover: at most once per ringCap values
-func (h *Handle[T]) takeRing() *ringcore.Queue[T] {
-	q := h.q
-	if r := h.spare; r != nil {
-		h.spare = nil
-		q.spareBytes.Add(-int64(r.Footprint()))
-		q.met.Inc(metrics.RingPoolHit)
-		return r
-	}
+//wfq:allocok ring turnover: at most once per ringCap values, and once more per lost append race
+func (q *Queue[T]) newRing() *ringcore.Queue[T] {
 	r, err := q.mk()
 	if err != nil {
 		panic("unbounded: ring construction failed: " + err.Error())

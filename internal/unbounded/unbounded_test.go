@@ -42,11 +42,8 @@ func newQueue(t *testing.T, kind ringcore.Kind, ringCap uint64, maxThreads int) 
 }
 
 // ringsBuilt counts the rings ever constructed: the first, built by
-// New, plus every turnover that allocated.
+// New, plus every ring a turnover built, linked or dropped.
 func ringsBuilt(q *Queue[uint64]) int { return 1 + int(q.met.Count(metrics.RingAlloc)) }
-
-// ringsReused counts the turnovers served by a handle's spare ring.
-func ringsReused(q *Queue[uint64]) int { return int(q.met.Count(metrics.RingPoolHit)) }
 
 // turnovers counts the rings linked behind the first one.
 func turnovers(q *Queue[uint64]) int { return int(q.met.Count(metrics.RingSeal)) }
@@ -98,29 +95,6 @@ func failUndelivered(t *testing.T, q *Queue[uint64], seen []atomic.Int32, expire
 	}
 }
 
-// spares counts the handles of hs that hold a spare ring.
-func spares(hs []*Handle[uint64]) int {
-	n := 0
-	for _, h := range hs {
-		if h.spare != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// spareBytes sums the Footprint of the spare rings the handles of hs
-// hold.
-func spareBytes(hs []*Handle[uint64]) int64 {
-	var f int64
-	for _, h := range hs {
-		if h.spare != nil {
-			f += int64(h.spare.Footprint())
-		}
-	}
-	return f
-}
-
 // ringSizes returns the Footprint of one of q's rings as turnover
 // builds it, without a free-index ring, and of the same ring once it
 // has recycled an index and so built one.
@@ -144,35 +118,24 @@ func ringSizes(t *testing.T, q *Queue[uint64]) (bare, full uint64) {
 	return bare, full
 }
 
-// heldBytes returns what a drained q retains by the rings it actually
-// holds: its one live ring, which has recycled the values drained from
-// it and so carries its free-index ring, plus each spare of hs at its
-// own size, with a free-index ring or without one. It fails t when a
-// ring has neither size.
-func heldBytes(t *testing.T, q *Queue[uint64], hs []*Handle[uint64]) uint64 {
+// failUnlessOneRing fails t unless the drained q holds exactly one live
+// ring and Footprint counts that ring alone. The ring left is the
+// unsealed tail, which recycles what is drained from it, so it has
+// built its free-index ring; the rings sealed and drained before it
+// never did, and no ring is held outside the list.
+func failUnlessOneRing(t *testing.T, q *Queue[uint64]) {
 	t.Helper()
-	bare, full := ringSizes(t, q)
-	f := q.head.Load().r.Footprint()
-	if f != full {
-		t.Fatalf("live ring %d B after a drain that recycled into it, want %d B with its free-index ring", f, full)
+	_, full := ringSizes(t, q)
+	if got := q.Footprint(); got != full || q.Rings() != 1 {
+		t.Fatalf("retained %d B in %d rings after a drain, want one ring of %d B", got, q.Rings(), full)
 	}
-	for i, h := range hs {
-		if h.spare == nil {
-			continue
-		}
-		s := h.spare.Footprint()
-		if s != bare && s != full {
-			t.Fatalf("handle %d's spare is %d B, want %d B or %d B with its free-index ring", i, s, bare, full)
-		}
-		f += s
-	}
-	return f
 }
 
 // raceProducers has every handle of hs enqueue per values at once, so
 // their ring turnovers race; producer i's value j is i<<32 | j. A
 // batch above 1 enqueues them with EnqueueBatch calls of that length,
-// so an append a producer loses takes up to batch seeds back.
+// so a producer that loses an append retries up to batch seeds on the
+// winner's ring.
 func raceProducers(hs []*Handle[uint64], per, batch int) {
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -370,11 +333,7 @@ func TestUnboundedFootprintGrowsWhileBuffered(t *testing.T) {
 
 func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 	// The paper's bounded-memory claim under churn: once a burst
-	// drains, one ring is left. A lone producer never loses an append
-	// race, so it holds no spare. The ring left is the unsealed tail,
-	// which recycles what is drained from it, so it has built its
-	// free-index ring; the rings sealed and drained before it never
-	// did.
+	// drains, one ring is left.
 	for name, mk := range makers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
@@ -396,10 +355,7 @@ func TestUnboundedFootprintBoundedAfterDrain(t *testing.T) {
 					t.Fatalf("drain at %d: queue empty", i)
 				}
 			}
-			if got, want := q.Footprint(), heldBytes(t, q, []*Handle[uint64]{h}); got != want || q.Rings() != 1 {
-				t.Fatalf("retained %d B in %d rings after drain, want one ring of %d B",
-					got, q.Rings(), want)
-			}
+			failUnlessOneRing(t, q)
 		})
 	}
 }
@@ -434,9 +390,7 @@ func TestAlternatingProducersStrandNoRun(t *testing.T) {
 				if _, ok := hs[0].Dequeue(); ok {
 					t.Fatal("phantom value after drain")
 				}
-				if got, want := q.Footprint(), heldBytes(t, q, hs); got != want || q.Rings() != 1 {
-					t.Fatalf("retained %d B in %d rings after drain, want one ring of %d B", got, q.Rings(), want)
-				}
+				failUnlessOneRing(t, q)
 			})
 		}
 	}
@@ -752,81 +706,32 @@ func TestHandlesTakeStripesRoundRobin(t *testing.T) {
 	}
 }
 
-func TestTurnoverRaceKeepsLoserRing(t *testing.T) {
+func TestTurnoverRaceDropsLoserRing(t *testing.T) {
 	// Two producers that fill a ring at once both build a successor;
-	// the one that loses the link keeps its ring as a spare and uses it
-	// at its next turnover. So a turnover builds a ring only when its
-	// handle has no spare, and at most one spare per handle is ever
-	// left over.
-	for name, mk := range makers() {
-		name, mk := name, mk
-		t.Run(name, func(t *testing.T) {
-			q := mk(t, 4)
-			hs := newHandles(t, q, 2)
-			raceUntil(t, hs, 64, 1, func() bool { return ringsReused(q) > 0 })
-			built := ringsBuilt(q) - 1 // the turnovers' builds, not New's
-			if built > turnovers(q)+len(hs) {
-				t.Fatalf("%d rings built for %d turnovers by %d handles", built, turnovers(q), len(hs))
-			}
-			if got, want := q.spareBytes.Load(), spareBytes(hs); got != want {
-				t.Fatalf("queue counts %d B of spares, the %d spares handles hold are %d B", got, spares(hs), want)
-			}
-		})
-	}
-}
-
-func TestFootprintAfterDrainCountsSpares(t *testing.T) {
-	// After every drain the queue retains its one live ring plus every
-	// handle's spare, and Footprint reports exactly that, each ring at
-	// its own size: at least cycles concurrent fill/drain cycles, and
-	// on until one leaves a spare. A queue that kept rings a cycle had
-	// drained would grow past the count within a cycle or two.
+	// the one that loses the link drops its ring and retries its seeds
+	// on the winner's, as Enqueue_Unbounded (Fig. 13) frees the loser's
+	// ring. So every drain leaves exactly one live ring, and Footprint
+	// counts that ring alone: for at least cycles concurrent fill/drain
+	// cycles, and on until a turnover built a ring it did not link,
+	// which only a lost race does. Batches of 3 retry up to 3 seeds at
+	// once. raceUntil checks that every value arrives exactly once, in
+	// its producer's order.
 	const cycles = 8
 	for name, mk := range makers() {
-		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			q := mk(t, 4)
-			hs := newHandles(t, q, 2)
-			cycle := 0
-			raceUntil(t, hs, 64, 1, func() bool {
-				cycle++
-				if q.Rings() != 1 {
-					t.Fatalf("cycle %d: %d live rings after a drain, want 1", cycle, q.Rings())
-				}
-				if got, want := q.Footprint(), heldBytes(t, q, hs); got != want {
-					t.Fatalf("cycle %d: footprint %d B after drain, want %d B (1 ring + %d spares)",
-						cycle, got, want, spares(hs))
-				}
-				return cycle >= cycles && spares(hs) > 0
-			})
-		})
-	}
-}
-
-func TestFootprintCountsSpareWithFreeRing(t *testing.T) {
-	// Producers that race with batches of 3 take the seeds of an append
-	// they lost back out through the spare's free-index ring (a batch's
-	// view never keeps an index), so such a spare has built one and
-	// costs more than a ring that never recycled. Footprint counts each
-	// spare at its own size while a handle holds it, and again after
-	// the handle's next turnover has linked it.
-	for name, mk := range makers() {
-		t.Run(name, func(t *testing.T) {
-			q := mk(t, 4)
-			hs := newHandles(t, q, 2)
-			_, full := ringSizes(t, q)
-			reused := -1 // the turnovers served by spares when one with fq was first seen
-			raceUntil(t, hs, 64, 3, func() bool {
-				if got, want := q.Footprint(), heldBytes(t, q, hs); got != want {
-					t.Fatalf("footprint %d B after a drain, want %d B (1 ring + %d spares)", got, want, spares(hs))
-				}
-				for _, h := range hs {
-					if reused < 0 && h.spare != nil && h.spare.Footprint() == full {
-						reused = ringsReused(q)
-					}
-				}
-				return reused >= 0 && ringsReused(q) > reused+4
-			})
+			for _, batch := range []int{1, 3} {
+				t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+					q := mk(t, 4)
+					hs := newHandles(t, q, 2)
+					cycle := 0
+					raceUntil(t, hs, 64, batch, func() bool {
+						cycle++
+						failUnlessOneRing(t, q)
+						lost := ringsBuilt(q)-1 > turnovers(q)
+						return cycle >= cycles && lost
+					})
+				})
+			}
 		})
 	}
 }
@@ -905,9 +810,9 @@ func TestSealedRingsBuildNoFreeRing(t *testing.T) {
 
 func TestIdleHandleKeepsNoDrainedRings(t *testing.T) {
 	// Handle a buffers a burst over 4096 rings and goes idle; handle b
-	// drains it. A handle reaches rings only through its two views and
-	// its spare, so once the garbage collector has run, at most the
-	// live rings, the spares and two rings per handle may remain.
+	// drains it. A handle reaches rings only through its two views, so
+	// once the garbage collector has run, at most the live rings and
+	// two rings per handle may remain.
 	const ringCap, rings = 4, 4096
 	for name, mk := range makers() {
 		t.Run(name, func(t *testing.T) {
@@ -936,7 +841,7 @@ func TestIdleHandleKeepsNoDrainedRings(t *testing.T) {
 					reachable++
 				}
 			}
-			if bound := q.Rings() + spares(hs) + 2*len(hs); reachable > bound {
+			if bound := q.Rings() + 2*len(hs); reachable > bound {
 				t.Fatalf("%d of %d rings reachable after the drain, want at most %d", reachable, rings, bound)
 			}
 			runtime.KeepAlive(hs)
@@ -1023,21 +928,6 @@ func TestFootprintCountsValueSize(t *testing.T) {
 			runtime.KeepAlive(h)
 		})
 	}
-}
-
-func TestUWCQSpareViewSurvivesPruning(t *testing.T) {
-	// With a census of two, both handles race extend, so spares are
-	// built, kept and linked later. Each handle uses its own record in
-	// every ring, a spare included: the loser's seeds went in and came
-	// back out through its record in the spare, and once the spare is
-	// linked both handles must still deliver every value through their
-	// own records, with no third record to fall back on.
-	q := newQueue(t, ringcore.KindWCQ, 4, 2)
-	hs := newHandles(t, q, 2)
-	raceUntil(t, hs, 64, 1, func() bool { return ringsReused(q) >= 1000 })
-	// The other handle drains once more, through rings linked since.
-	raceProducers(hs, 64, 1)
-	drainChecked(t, hs[1], len(hs), 64)
 }
 
 func TestUWCQCensusSurvivesTurnover(t *testing.T) {

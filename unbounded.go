@@ -17,8 +17,7 @@ const DefaultRingCapacity = 1024
 // WithRingCapacity sets the capacity of each ring an unbounded queue
 // links (a power of two >= 2; default DefaultRingCapacity). It bounds
 // the retained-memory granularity: after a burst drains, the queue
-// keeps one live ring plus at most one spare ring per handle.
-// Other constructors ignore this option.
+// keeps exactly one live ring. Other constructors ignore this option.
 func WithRingCapacity(n uint64) Option {
 	return func(o *options) { o.ringCap = n }
 }
@@ -86,19 +85,18 @@ func (q *UnboundedQueue[T]) RingCap() uint64 { return q.q.RingCap() }
 // one). Racy by nature; for introspection and capacity planning.
 func (q *UnboundedQueue[T]) Rings() int { return q.q.Rings() }
 
-// Footprint returns the bytes retained right now: the live rings plus
-// the handles' spare rings. Unlike the bounded queues' constant
-// footprint, this grows in ring-sized steps while values are buffered
-// and shrinks back to one ring plus at most one spare per handle after
-// a drain. A spare is a ring a handle built for a turnover that
-// another handle linked first; the handle keeps it for its own next
-// turnover. Each ring is counted at its own size, which grows once,
-// when the ring first recycles an index and builds its free-index
-// ring; a ring filled once, sealed and drained never does. Footprint
-// does not count the rings a handle last used: each handle's two views
-// (one per end of the queue) may keep up to two drained rings
-// reachable until it next operates, so the live heap can exceed
-// Footprint by at most two rings per handle.
+// Footprint returns the bytes retained right now: the live rings.
+// Unlike the bounded queues' constant footprint, this grows in
+// ring-sized steps while values are buffered and shrinks back to one
+// ring after a drain. A ring a handle built for a turnover that
+// another handle linked first is dropped at once and never counted.
+// Each ring is counted at its own size, which grows once, when the
+// ring first recycles an index and builds its free-index ring; a ring
+// filled once, sealed and drained never does. Footprint does not count
+// the rings a handle last used: each handle's two views (one per end
+// of the queue) may keep up to two drained rings reachable until it
+// next operates, so the live heap can exceed Footprint by at most two
+// rings per handle.
 func (q *UnboundedQueue[T]) Footprint() uint64 { return q.q.Footprint() }
 
 // Stats snapshots the metrics sink shared by the queue and its linked

@@ -91,10 +91,23 @@ func TestUnboundedFootprintShrinksAfterBurst(t *testing.T) {
 			t.Fatalf("missing value %d", i)
 		}
 	}
-	// One live ring plus at most one spare ring per handle (see
-	// WithRingCapacity and Footprint); one handle here, so two rings.
-	if got := q.Footprint(); got > 2*rest {
-		t.Fatalf("retained %d B after drain (rest %d B), want at most one ring plus one spare", got, rest)
+	// Exactly one live ring (see WithRingCapacity and Footprint): the
+	// size of a ring that has recycled a value, as a fresh queue's ring
+	// is after one value in and out.
+	one, err := NewUnbounded[uint64](2, WithRingCapacity(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oh, err := one.Handle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oh.Enqueue(1)
+	if _, ok := oh.Dequeue(); !ok {
+		t.Fatal("a fresh queue lost its one value")
+	}
+	if got, want := q.Footprint(), one.Footprint(); got != want || q.Rings() != 1 {
+		t.Fatalf("retained %d B in %d rings after drain (rest %d B), want one ring of %d B", got, q.Rings(), rest, want)
 	}
 }
 

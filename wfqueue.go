@@ -10,9 +10,10 @@
 //	v, ok := h.Dequeue()
 //
 // Every operation completes in a bounded number of steps regardless of
-// what other goroutines do (wait-freedom), and the queue never
-// allocates after construction (bounded memory) — the two properties
-// the paper shows cannot be had together in prior fast queues.
+// what other goroutines do (wait-freedom), and the queue allocates at
+// most once after construction, when it builds its free-index ring
+// (bounded memory) — the two properties the paper shows cannot be had
+// together in prior fast queues.
 //
 // # Handles
 //
