@@ -197,29 +197,64 @@ func TestUnboundedConformance(t *testing.T) {
 					t.Fatalf("dequeue %d = (%d, %v)", i, v, ok)
 				}
 			}
-			// After a drain exactly one live ring per shard is left: what
-			// a fresh queue holds once one value went in and out through
-			// a first handle, which recycles it into the same shard's
-			// ring and so builds that ring's free-index ring.
-			one, err := New(name, cfg)
-			if err != nil {
-				t.Fatal(err)
+			// After a drain exactly one live ring per shard is left, each
+			// at the size its own free-index ring gives it. A fresh
+			// queue's one value in and out goes onto the handle's run
+			// and builds no free-index ring: that is every ring without
+			// one. A ring's worth and one more value in and out moves to
+			// a second ring, whose first value leaves through the
+			// one-value batch that crosses rings and so returns its
+			// index to that ring's free-index ring: one ring more by the
+			// free-index ring's size. The drained queue may hold any
+			// number of its shards' rings with one.
+			bare, shards := throughOneHandle(t, name, cfg, 1)
+			built, _ := throughOneHandle(t, name, cfg, cfg.Capacity+1)
+			fq := built - bare
+			if built <= bare || rest != bare {
+				t.Fatalf("fresh queue: %d B at rest, %d B after one value, %d B after %d", rest, bare, built, cfg.Capacity+1)
 			}
-			oh, err := one.Handle()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !oh.Enqueue(1) {
-				t.Fatal("a fresh queue reported full")
-			}
-			if _, ok := oh.Dequeue(); !ok {
-				t.Fatal("a fresh queue lost its one value")
-			}
-			if got, want := q.Footprint(), one.Footprint(); got != want {
-				t.Fatalf("retained %d B after drain (rest %d B), want one live ring per shard, %d B", got, rest, want)
+			got, rings := q.Footprint(), ringsOf(t, q)
+			if rings != shards || got < bare || (got-bare)%fq != 0 || (got-bare)/fq > uint64(shards) {
+				t.Fatalf("retained %d B in %d rings after drain (rest %d B), want one live ring per shard (%d), %d B plus up to %d free-index rings of %d B", got, rings, rest, shards, bare, shards, fq)
 			}
 		})
 	}
+}
+
+// ringsOf returns the live ring count of unbounded queue q.
+func ringsOf(t *testing.T, q queueapi.Queue) int {
+	t.Helper()
+	rq, ok := q.(interface{ Rings() int })
+	if !ok {
+		t.Fatalf("%T does not report its rings", q)
+	}
+	return rq.Rings()
+}
+
+// throughOneHandle returns the footprint and ring count of a fresh
+// queue name after values 0..k-1 went in and out, in order, through a
+// first handle.
+func throughOneHandle(t *testing.T, name string, cfg Config, k uint64) (uint64, int) {
+	t.Helper()
+	q, err := New(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := q.Handle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range k {
+		if !h.Enqueue(v) {
+			t.Fatal("an unbounded queue reported full")
+		}
+	}
+	for i := range k {
+		if v, ok := h.Dequeue(); !ok || v != i {
+			t.Fatalf("dequeue %d = (%d, %v)", i, v, ok)
+		}
+	}
+	return q.Footprint(), ringsOf(t, q)
 }
 
 func TestLCRQUnavailableUnderEmulation(t *testing.T) {

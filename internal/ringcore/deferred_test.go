@@ -120,9 +120,12 @@ func TestNewLeavesFreeUnbuilt(t *testing.T) {
 func TestDeferredFreeLifecycle(t *testing.T) {
 	// A new queue has no fq. A lap that fills it from the fresh
 	// counter and drains it without recycling never builds one, and
-	// neither do empty polls or enqueues that find it full. The first
-	// recycle builds fq, once: from then on every handle binds that
-	// ring and the queue costs what a queue with fq built costs.
+	// neither do empty polls or enqueues that find it full. A scalar
+	// recycle whose index extends the recycler's run does not build
+	// one either: the index goes onto the run. The first batch recycle,
+	// or the first scalar one whose index does not extend the run,
+	// builds fq, once: from then on every handle binds that ring and
+	// the queue costs what a queue with fq built costs.
 	const capacity = 16
 	forEachKind(t, func(t *testing.T, kind Kind) {
 		full := withFree(t, kind, capacity, 2)
@@ -180,27 +183,52 @@ func TestDeferredFreeLifecycle(t *testing.T) {
 				}
 				unbuilt("enqueues on a drained lap")
 
-				// A second queue recycles: the first index returned
-				// builds fq.
+				// A second queue recycles. p's first Enqueue claims
+				// runLen fresh indices, uses index 0 and keeps 1.. as
+				// its run, so p's values sit at indices 0..3 and its run
+				// holds 4..runLen-1.
 				q, hs = mustQueue(t, kind, capacity, 2)
 				p, c = hs[0], hs[1]
-				if !p.Enqueue(1) || !p.Enqueue(2) {
-					t.Fatal("Enqueue into an empty queue failed")
-				}
-				unbuilt("two enqueues")
-				if batch {
-					if n := c.DequeueBatch(out[:1]); n != 1 {
-						t.Fatalf("DequeueBatch = %d, want 1", n)
+				for v := range uint64(4) {
+					if !p.Enqueue(v) {
+						t.Fatal("Enqueue into an empty queue failed")
 					}
-				} else if _, ok := c.Dequeue(); !ok {
-					t.Fatal("Dequeue found the queue empty")
+				}
+				unbuilt("four enqueues")
+				if batch {
+					// A batch recycle returns its indices to fq.
+					if n := c.DequeueBatch(out[:3]); n != 3 {
+						t.Fatalf("DequeueBatch = %d, want 3", n)
+					}
+					if !boundTo(c, q) || p.fq != nil {
+						t.Fatal("the recycler is not bound to fq, or a handle that did not use fq is")
+					}
+				} else {
+					// c's freed index 0 starts its run; p keeps index 1
+					// in its slot, its last operation being an Enqueue;
+					// p's freed index 2 does not extend p's run, which
+					// ends at runLen-1, so it builds fq.
+					if _, ok := c.Dequeue(); !ok {
+						t.Fatal("Dequeue found the queue empty")
+					}
+					if got, want := c.slot.run.Load(), runWord(0, 1); got != want {
+						t.Fatalf("consumer's run = %#x after its first recycle, want %#x", got, want)
+					}
+					unbuilt("a recycle onto the consumer's run")
+					if _, ok := p.Dequeue(); !ok || p.slot.kept.Load() != 2 {
+						t.Fatalf("Dequeue after an Enqueue did not keep index 1 (slot %d)", p.slot.kept.Load())
+					}
+					unbuilt("a kept index")
+					if _, ok := p.Dequeue(); !ok {
+						t.Fatal("Dequeue found the queue empty")
+					}
+					if !boundTo(p, q) || c.fq != nil {
+						t.Fatal("the recycler is not bound to fq, or a handle that did not use fq is")
+					}
 				}
 				r := q.freeRing()
 				if r == nil || q.Footprint() != full {
-					t.Fatalf("first recycle: fq built %v, footprint %d B, want %d B", r != nil, q.Footprint(), full)
-				}
-				if !boundTo(c, q) || p.fq != nil {
-					t.Fatal("the recycler is not bound to fq, or a handle that did not use fq is")
+					t.Fatalf("first recycle into fq: fq built %v, footprint %d B, want %d B", r != nil, q.Footprint(), full)
 				}
 				// Laps that recycle through fq, scalar and batch.
 				for lap := range 4 {

@@ -100,8 +100,8 @@ func TestFullStealsRun(t *testing.T) {
 					t.Fatal("first Enqueue failed")
 				}
 				run := &owner.slot.run
-				if got, want := run.Load(), uint64(1*runLen+runLen-1); got != want {
-					t.Fatalf("owner's run = %d, want next 1, %d left (%d)", got, runLen-1, want)
+				if got, want := run.Load(), runWord(1, runLen-1); got != want {
+					t.Fatalf("owner's run = %#x, want %d indices from 1 (%#x)", got, runLen-1, want)
 				}
 				if filler == "batch" {
 					vs := make([]uint64, capacity)
@@ -274,7 +274,8 @@ func TestAlternatingHandleSkipsFQ(t *testing.T) {
 			if fq.calls != 0 {
 				t.Fatalf("alternating handle made %d fq calls, want 0", fq.calls)
 			}
-			// other only dequeues: its freed indices go back to fq.
+			// other only dequeues: it keeps nothing in its slot, and
+			// its freed indices go onto its run or back to fq.
 			if !h.Enqueue(1) {
 				t.Fatal("Enqueue failed")
 			}

@@ -44,11 +44,11 @@ var (
 // Queue is a bounded MPMC queue of arbitrary values, built from two
 // index rings and a data array via the paper's Figure 2 indirection:
 // fq circulates free indices, aq circulates allocated ones. New
-// allocates all memory but fq, which the first recycle builds. The
-// ring kind decides progress: wait-free over wCQ rings (allocation
-// aside), lock-free over SCQ rings. Only
-// construction, HandleAt and Retarget know the kind; every ring
-// operation goes through the indexRing a handle holds.
+// allocates all memory but fq, which the first index returned to it
+// builds. The ring kind decides progress: wait-free over wCQ rings
+// (allocation aside), lock-free over SCQ rings. Only construction,
+// HandleAt and Retarget know the kind; every ring operation goes
+// through the indexRing a handle holds.
 //
 // The paper's fq starts full of 0..n-1. Here fq starts empty and the
 // fresh counter hands out the indices no value has used yet, in
@@ -65,28 +65,35 @@ var (
 // Dequeue whose handle's last scalar operation was an Enqueue parks
 // its freed index in its own empty slot instead of fq, and the next
 // Enqueue takes it back from there, so a handle that alternates the
-// two never touches fq. Beside each slot is that id's run: a range
-// of fresh-counter values its handle claimed runLen at a time and has
-// not used yet (see takeRun), so a first-lap scalar Enqueue pays one
+// two never touches fq. Beside each slot is that id's run: a range of
+// indices, contiguous modulo the capacity, that its handle holds and
+// has not used yet. An Enqueue fills it with runLen fresh-counter
+// values at a time (see claim), so a first-lap scalar Enqueue pays one
 // F&A on the shared counter per runLen indices instead of one per
-// index. Only the owner writes a non-empty run, and only over its own
-// empty one; anyone takes from a run with a CAS.
+// index; a scalar Dequeue that does not keep appends its freed index
+// to it when the index extends the run (see appendRun), so a consumer
+// returns what it frees with one CAS on its own line instead of an fq
+// Enqueue. Only the owner writes a non-empty run: a Store over its own
+// empty run, or an append CAS. Every other handle takes a run whole
+// with a Swap, and keeps what it cannot use as its own run, or returns
+// it to fq when it has none.
 //
 // A scalar Enqueue looks for an index in the order own slot, own run,
-// claim, fq, then one pass over every slot and run (steal). The slot
-// comes first, as a magazine allocator asks its per-CPU cache before
-// the shared pool, so an alternating handle recycles through its slot
-// from its first operation on and never builds fq. The pass keeps an
-// index a handle holds in reach of the others, so the queue still
-// reports full only when every index is in aq or in the hands of an
-// operation overlapping the call. The pass stops at ids,
-// one past the highest id any handle has used on the queue, so it
-// costs what the handles in use cost, not maxThreads, and Enqueue
-// stays wait-free over wCQ rings: a run CAS fails only when another
-// take or its owner's store succeeded, and at most n values ever pass
-// through runs. Whatever the ring kind, an id's slot and run share
-// one 64 B line of kept, which the queue allocates at construction:
-// the index rings know nothing of them.
+// claim, fq, then one pass over every slot and run (steal), its own
+// first. The slot comes first, as a magazine allocator asks its
+// per-CPU cache before the shared pool, so an alternating handle
+// recycles through its slot from its first operation on and never
+// builds fq. The pass keeps an index a handle holds in reach of the
+// others, so the queue still reports full only when every index is in
+// aq or in the hands of an operation overlapping the call. The pass
+// stops at ids, one past the highest id any handle has used on the
+// queue, so it costs what the handles in use cost, not maxThreads, and
+// Enqueue and Dequeue stay wait-free over wCQ rings: a stealer's Swap
+// cannot fail, and an owner's CAS on its run fails only to a Swap,
+// which leaves the run empty, and only the owner refills it, so the
+// owner retries at most once. Whatever the ring kind, an id's slot and
+// run share one 64 B line of kept, which the queue allocates at
+// construction: the index rings know nothing of them.
 //
 // fq only ever holds recycled indices, so a queue that never returns
 // one to fq needs none: an alternating handle keeps its index, and a
@@ -128,11 +135,22 @@ type Queue[T any] struct {
 
 // runLen is how many fresh indices a scalar Enqueue claims at once for
 // a handle with a kept-index slot: it uses the first and keeps the
-// rest as its run. A run word packs next*runLen + left, the next
-// unused counter value and how many remain from it, 1..runLen-1; 0 is
-// an empty run. Sweeping a per-handle stash of 4, 16 and 32 indices
+// rest as its run. Sweeping a per-handle stash of 4, 16 and 32 indices
 // on burst_drain put 16 ahead (ARCHITECTURE, "Designs measured").
 const runLen = 16
+
+// A run word packs first<<32 | count: the run's first index, modulo
+// 2^32, and how many follow it, 1..n; 0 is an empty run. Its j-th
+// index is (first+j) & (n-1), which is exact because n divides 2^32,
+// and a take or an append is one add to the word. A run holds free
+// indices only, so count never exceeds n, which fits the low half
+// while n <= maxCapacity.
+const maxCapacity = 1 << 31
+
+// runWord is the run word of count indices from first.
+//
+//wfq:noalloc
+func runWord(first, count uint64) uint64 { return first<<32 | count }
 
 // slotLine is one id's kept-index slot and run, alone on a cache
 // line.
@@ -170,8 +188,9 @@ type QueueHandle[T any] struct {
 	idxBuf []uint64
 	_      pad.Line
 	// enq records that the handle's last scalar operation was an
-	// Enqueue: the gate on keeping. A pure receiver never keeps, so
-	// its slot cannot bounce between it and a sender that steals.
+	// Enqueue: the gate on keeping. A pure receiver never keeps in its
+	// slot, which would bounce one index per steal between it and a
+	// sender; it appends to its run instead, which a steal takes whole.
 	// Only a handle with a slot writes it, and on every operation, so
 	// it has a line of its own, away from the fields above and from a
 	// neighbouring handle.
@@ -183,12 +202,16 @@ type QueueHandle[T any] struct {
 // capacity values (a power of two >= 2). maxThreads bounds Acquire
 // for census kinds (KindWCQ); census-free kinds accept any number of
 // handles. Either kind gives each id below maxThreads a kept-index
-// slot and a run, one 64 B line per id: the run serves any handle that
-// enqueues, the slot one that also dequeues. New builds no fq: the
+// slot and a run, one 64 B line per id: the run serves any handle, the
+// slot one that both enqueues and dequeues. New builds no fq: the
 // first index returned to fq builds it (see Queue), so the footprint
-// rises once, at that recycle, and a queue that never recycles into fq
-// never pays for one.
+// rises at most once, at that recycle, and a queue that never recycles
+// into fq never pays for one. A capacity past maxCapacity, which a
+// run word cannot count, is refused.
 func New[T any](kind Kind, capacity uint64, maxThreads int, opts *Options) (*Queue[T], error) {
+	if capacity > maxCapacity {
+		return nil, fmt.Errorf("ringcore: capacity %d exceeds the maximum %d", capacity, uint64(maxCapacity))
+	}
 	q := &Queue[T]{kind: kind}
 	var o Options
 	if opts != nil {
@@ -273,25 +296,41 @@ func (q *Queue[T]) claim(k uint64) (first, m uint64) {
 	return first, min(k, n-first)
 }
 
-// takeRun takes up to k values from run r: first and the m-1 after
-// it, m 0 when r was empty. The owner and a stealer take alike, with a
-// CAS; one that fails saw another take or the owner's store succeed,
-// and retries on the word that left.
+// useRun takes the first index of run r for its owner; ok is false
+// when r is empty. The CAS fails only to a stealer's Swap, which left
+// r empty, and only the owner refills r, so there is nothing to retry.
 //
 //wfq:noalloc
-func takeRun(r *atomic.Uint64, k uint64) (first, m uint64) {
-	for x := r.Load(); x != 0; x = r.Load() {
-		first, left := x/runLen, x%runLen
-		m = min(k, left)
-		y := x + m*(runLen-1) // first+m next, left-m remaining
-		if m == left {
-			y = 0
+func useRun(r *atomic.Uint64, mask uint64) (idx uint64, ok bool) {
+	x := r.Load()
+	if x == 0 {
+		return 0, false
+	}
+	y := x + 1<<32 - 1 // first+1, one fewer
+	if uint32(x) == 1 {
+		y = 0
+	}
+	return x >> 32 & mask, r.CompareAndSwap(x, y)
+}
+
+// appendRun adds idx, just freed, to its owner's run r when r is empty
+// or idx is the index after r's last, modulo the capacity, and reports
+// whether it did. The CAS fails only to a stealer's Swap, which left r
+// empty, and only the owner refills r, so the one retry is a Store of
+// a run of idx alone.
+//
+//wfq:noalloc
+func appendRun(r *atomic.Uint64, idx, mask uint64) bool {
+	if x := r.Load(); x != 0 {
+		if (x>>32+uint64(uint32(x)))&mask != idx {
+			return false
 		}
-		if r.CompareAndSwap(x, y) {
-			return first, m
+		if r.CompareAndSwap(x, x+1) {
+			return true
 		}
 	}
-	return 0, 0
+	r.Store(runWord(idx, 1))
+	return true
 }
 
 // Register returns a per-goroutine handle with the next id: HandleAt
@@ -517,13 +556,13 @@ func (h *QueueHandle[T]) index() (idx uint64, ok bool) {
 		if idx, ok = take(&s.kept); ok {
 			return idx, true
 		}
-		first, m := takeRun(&s.run, 1)
-		if m == 0 {
-			if first, m = q.claim(runLen); m > 1 {
-				s.run.Store((first+1)*runLen + m - 1)
-			}
+		if idx, ok = useRun(&s.run, q.Cap()-1); ok {
+			return idx, true
 		}
-		if m != 0 {
+		if first, m := q.claim(runLen); m != 0 {
+			if m > 1 {
+				s.run.Store(runWord(first+1, m-1))
+			}
 			return first, true
 		}
 	}
@@ -533,7 +572,7 @@ func (h *QueueHandle[T]) index() (idx uint64, ok bool) {
 		}
 	}
 	var one [1]uint64
-	return one[0], q.steal(one[:]) == 1
+	return one[0], h.steal(one[:]) == 1
 }
 
 // take empties kept-index slot s and returns the index it held; ok is
@@ -549,16 +588,27 @@ func take(s *atomic.Uint64) (idx uint64, ok bool) {
 	return x - 1, x != 0
 }
 
-// steal fills a prefix of out with indices other handles hold, in one
-// pass over the kept-index slot and the run of every id a handle has
-// used, and returns its length. The pass is not atomic: a slot or run
-// filled behind it is missed.
+// steal fills a prefix of out with indices handles hold, in one pass
+// over the kept-index slot and the run of every id a handle has used,
+// h's own first, and returns its length. A run is taken whole, with a
+// Swap; the indices out has no room for become h's run, which the pass
+// emptied first, or, when h has no slot, go to fq. The pass is not
+// atomic: a slot or run filled behind it is missed.
 //
 //wfq:noalloc
-func (q *Queue[T]) steal(out []uint64) int {
-	n, kept := 0, q.kept[:min(q.ids.Load(), int64(len(q.kept)))]
-	for id := 0; id < len(kept) && n < len(out); id++ {
+func (h *QueueHandle[T]) steal(out []uint64) int {
+	q := h.q
+	kept := q.kept[:min(q.ids.Load(), int64(len(q.kept)))]
+	id := 0
+	if h.slot != nil {
+		id = h.id // admit put it below ids
+	}
+	n, mask := 0, q.Cap()-1
+	for range kept {
 		s := &kept[id]
+		if id++; id == len(kept) {
+			id = 0
+		}
 		if idx, ok := take(&s.kept); ok {
 			out[n] = idx
 			n++
@@ -566,18 +616,51 @@ func (q *Queue[T]) steal(out []uint64) int {
 		if n == len(out) {
 			break
 		}
-		first, m := takeRun(&s.run, uint64(len(out)-n))
+		x := s.run.Load()
+		if x != 0 {
+			x = s.run.Swap(0)
+		}
+		if x == 0 {
+			continue
+		}
+		first, count := x>>32, uint64(uint32(x))
+		m := min(count, uint64(len(out)-n))
 		for j := range m {
-			out[n] = first + j
+			out[n] = (first + j) & mask
 			n++
+		}
+		if m < count {
+			h.spare(first+m, count-m)
+		}
+		if n == len(out) {
+			break
 		}
 	}
 	return n
 }
 
+// spare keeps the left indices from first, which a steal took and did
+// not use, as h's run: the steal pass took h's own run before any
+// other, and only h refills it, so it is empty. A handle without a
+// slot has no run and returns them to fq one Enqueue at a time: it may
+// be shared between goroutines, so it has no buffer for a batch.
+//
+//wfq:noalloc
+func (h *QueueHandle[T]) spare(first, left uint64) {
+	if h.slot != nil {
+		h.slot.run.Store(runWord(first, left))
+		return
+	}
+	fq, mask := h.free(true), h.q.Cap()-1
+	for j := range left {
+		fq.Enqueue((first + j) & mask)
+	}
+}
+
 // Dequeue removes and returns the oldest value; ok is false when the
-// queue is empty. The value's index goes back to fq, or into h's
-// kept-index slot (see keep).
+// queue is empty. The value's index goes into h's kept-index slot (see
+// keep), else onto h's run when it extends the run (see appendRun),
+// else back to fq.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
@@ -586,7 +669,7 @@ func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
 		return v, false
 	}
 	v = h.move(idx)
-	if !h.keep(idx) {
+	if !h.keep(idx) && (h.slot == nil || !appendRun(&h.slot.run, idx, h.q.Cap()-1)) {
 		h.free(true).Enqueue(idx)
 	}
 	return v, true
@@ -614,9 +697,10 @@ func (h *QueueHandle[T]) keep(idx uint64) bool {
 // found the fresh counter exhausted and every run empty at its pass,
 // so an Enqueue still in flight on it finds fq and the kept-index
 // slots empty once every index has been drained, and reports full.
-// Only a run its owner stored behind that pass still holds indices,
-// which its owner may use while in flight and which are otherwise
-// never used.
+// Only a run stored or appended to behind that pass still holds
+// indices, which an Enqueue in flight may use and which are otherwise
+// never used, as an index a Dequeue returned to fq behind the pass is
+// not.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Drain() (v T, ok bool) {
@@ -669,7 +753,7 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 		}
 	}
 	if n < len(buf) {
-		n += h.q.steal(buf[n:])
+		n += h.steal(buf[n:])
 	}
 	for j := 0; j < n; j++ {
 		h.q.data[buf[j]] = vs[j]
@@ -750,7 +834,7 @@ func (q *Queue[T]) Stats() metrics.Snapshot { return q.aq.Metrics().Snapshot() }
 // Footprint returns the byte size of what the queue has allocated:
 // both rings (fq once it is built), any thread records, the kept-index
 // slots and runs, and the payload array slots of T's size each. It
-// rises once, when fq is built, and is fixed otherwise.
+// rises at most once, when fq is built, and is fixed otherwise.
 //
 //wfq:noalloc
 func (q *Queue[T]) Footprint() uint64 {

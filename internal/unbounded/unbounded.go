@@ -37,13 +37,18 @@
 // free-index ring, a kept-index slot or its own run still holds (its
 // value lands and is drained), or finds none and moves on to the
 // successor, as it does on a full ring. A run is lost to its ring only
-// when a seal races its owner: the sealer's pass read the run before
-// the owner, which had claimed it, stored it. So only under that race
-// does a ring seal short, by at most 15 indices (runLen-1) per handle
-// per seal, and the cost is capacity, not correctness: the ring drains
-// as any other. The head view only dequeues and the tail view only
-// enqueues, so neither keeps an index in steady state; the kept-index
-// slots serve handles that do both on one ring.
+// when a seal races a write to it: the sealer's pass read the run
+// before its owner stored the fresh indices it had claimed, the
+// leftover of a steal, or an index its head view freed. Fresh indices
+// are lost only under the first race, at most 15 (runLen-1) per handle
+// per seal; the others are recycled indices, which go unused as one
+// returned to the free-index ring behind the pass does. The cost is
+// capacity, not correctness: the ring drains as any other. The head
+// view only dequeues and the tail view only enqueues, so neither keeps
+// an index in steady state; the kept-index slots serve handles that do
+// both on one ring. The head view appends what it frees on the tail
+// ring to the handle's run there, which the tail view, sharing the id,
+// takes from.
 //
 // Each handle has one thread id, as each thread does in the appendix,
 // and uses the record with that id in every ring: handle i is record

@@ -91,24 +91,43 @@ func TestUnboundedFootprintShrinksAfterBurst(t *testing.T) {
 			t.Fatalf("missing value %d", i)
 		}
 	}
-	// Exactly one live ring (see WithRingCapacity and Footprint): the
-	// size of a ring that has recycled a value, as a fresh queue's ring
-	// is after one value in and out.
-	one, err := NewUnbounded[uint64](2, WithRingCapacity(16))
+	// Exactly one live ring (see WithRingCapacity and Footprint), at
+	// the size its own free-index ring gives it: a fresh queue's ring
+	// after one value in and out, which goes onto the handle's run and
+	// builds no free-index ring, plus that free-index ring if the
+	// drained ring built one, as a fresh ring does on a batch recycle.
+	bare, built := oneRing(t, false), oneRing(t, true)
+	if built <= bare {
+		t.Fatalf("a batch recycle left the ring at %d B, without its free-index ring (%d B)", built, bare)
+	}
+	if got := q.Footprint(); q.Rings() != 1 || got != bare && got != built {
+		t.Fatalf("retained %d B in %d rings after drain (rest %d B), want one ring of %d B, or %d B with its free-index ring", got, q.Rings(), rest, bare, built)
+	}
+}
+
+// oneRing returns the footprint of a fresh unbounded queue of 16-slot
+// rings after one value went in and out: scalar, or through a batch,
+// which returns its index to the ring's free-index ring and so builds
+// it.
+func oneRing(t *testing.T, batch bool) uint64 {
+	t.Helper()
+	q, err := NewUnbounded[uint64](2, WithRingCapacity(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oh, err := one.Handle()
+	h, err := q.Handle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	oh.Enqueue(1)
-	if _, ok := oh.Dequeue(); !ok {
+	h.Enqueue(1)
+	if batch {
+		if h.DequeueBatch(make([]uint64, 1)) != 1 {
+			t.Fatal("a fresh queue lost its one value")
+		}
+	} else if _, ok := h.Dequeue(); !ok {
 		t.Fatal("a fresh queue lost its one value")
 	}
-	if got, want := q.Footprint(), one.Footprint(); got != want || q.Rings() != 1 {
-		t.Fatalf("retained %d B in %d rings after drain (rest %d B), want one ring of %d B", got, q.Rings(), rest, want)
-	}
+	return q.Footprint()
 }
 
 func TestChanUnboundedSendNeverBlocks(t *testing.T) {

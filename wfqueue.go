@@ -173,8 +173,8 @@ func (q *Queue[T]) Cap() uint64 { return q.q.Cap() }
 // Footprint returns the bytes the queue has allocated. The queue
 // allocates at most once after construction: its free-index ring, at
 // the first dequeue whose slot goes back to the shared pool rather
-// than to the handle's own cache. Footprint then rises once, to the
-// bound it always had, and never changes again.
+// than to the handle's own cache or run. Footprint therefore rises at
+// most once, to the bound it always had, and never changes again.
 func (q *Queue[T]) Footprint() uint64 { return q.q.Footprint() }
 
 // Stats snapshots the queue's metrics sink. The zero snapshot is
