@@ -119,7 +119,7 @@ func TestNewLeavesFreeUnbuilt(t *testing.T) {
 
 func TestDeferredFreeLifecycle(t *testing.T) {
 	// A new queue has no fq. A lap that fills it from the fresh
-	// counter and drains it without recycling never builds one, and
+	// counter, seals it and drains it never builds one, and
 	// neither do empty polls or enqueues that find it full. A scalar
 	// recycle whose index extends the recycler's run does not build
 	// one either: the index goes onto the run. The first batch recycle,
@@ -152,14 +152,16 @@ func TestDeferredFreeLifecycle(t *testing.T) {
 				for i := range vs {
 					vs[i] = uint64(i)
 				}
-				// One lap, filled and drained without recycling, as a
-				// sealed ring of the unbounded construction is.
+				// One lap, filled, sealed and drained without
+				// recycling, as a sealed ring of the unbounded
+				// construction is.
 				if batch {
 					if n := p.EnqueueBatch(vs); n != capacity {
 						t.Fatalf("EnqueueBatch filled %d of %d", n, capacity)
 					}
-					if n := c.DrainBatch(out); n != capacity {
-						t.Fatalf("DrainBatch took %d of %d", n, capacity)
+					q.Seal()
+					if n := c.DequeueBatch(out); n != capacity {
+						t.Fatalf("sealed DequeueBatch took %d of %d", n, capacity)
 					}
 				} else {
 					for _, v := range vs[:capacity] {
@@ -170,10 +172,11 @@ func TestDeferredFreeLifecycle(t *testing.T) {
 					if p.Enqueue(capacity) {
 						t.Fatal("full queue took a value")
 					}
+					q.Seal()
 					for i := range out {
 						var ok bool
-						if out[i], ok = c.Drain(); !ok {
-							t.Fatalf("Drain %d found the queue empty", i)
+						if out[i], ok = c.Dequeue(); !ok {
+							t.Fatalf("sealed Dequeue %d found the queue empty", i)
 						}
 					}
 				}

@@ -121,6 +121,9 @@ type Queue[T any] struct {
 	// HandleAt and Retarget bring: the steal pass's bound.
 	ids  atomic.Int64
 	refs bool // T holds pointers: a taken slot must be zeroed
+	// sealed is set by Seal and never cleared: a dequeue then recycles
+	// nothing. It fills refs' padding, so kept keeps its offset.
+	sealed atomic.Bool
 	// kept holds the kept-index slot and run of each id below
 	// min(maxThreads, wcq.MaxThreads), one line per id.
 	kept []slotLine
@@ -191,6 +194,10 @@ type QueueHandle[T any] struct {
 	// Enqueue: the gate on keeping. A pure receiver never keeps in its
 	// slot, which would bounce one index per steal between it and a
 	// sender; it appends to its run instead, which a steal takes whole.
+	// Ungated, a receiver's keep would also break its runs: the steal
+	// pass reads a slot and then its run, not atomically, so a producer
+	// can use a later freed index before an earlier one, and the
+	// receiver's next append no longer extends its run and goes to fq.
 	// Only a handle with a slot writes it, and on every operation, so
 	// it has a line of its own, away from the fields above and from a
 	// neighbouring handle.
@@ -660,7 +667,7 @@ func (h *QueueHandle[T]) spare(first, left uint64) {
 // Dequeue removes and returns the oldest value; ok is false when the
 // queue is empty. The value's index goes into h's kept-index slot (see
 // keep), else onto h's run when it extends the run (see appendRun),
-// else back to fq.
+// else back to fq; on a sealed queue it goes nowhere (see Seal).
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
@@ -669,7 +676,7 @@ func (h *QueueHandle[T]) Dequeue() (v T, ok bool) {
 		return v, false
 	}
 	v = h.move(idx)
-	if !h.keep(idx) && (h.slot == nil || !appendRun(&h.slot.run, idx, h.q.Cap()-1)) {
+	if !h.q.sealed.Load() && !h.keep(idx) && (h.slot == nil || !appendRun(&h.slot.run, idx, h.q.Cap()-1)) {
 		h.free(true).Enqueue(idx)
 	}
 	return v, true
@@ -690,30 +697,32 @@ func (h *QueueHandle[T]) keep(idx uint64) bool {
 	return h.slot.kept.CompareAndSwap(0, idx+1)
 }
 
-// Drain is Dequeue without recycling: the value's index is neither
-// handed back to fq nor kept, so its slot never takes another value.
-// It is for a queue that takes no more enqueues, such as a sealed ring
-// of the unbounded construction: the short enqueue that sealed it
-// found the fresh counter exhausted and every run empty at its pass,
-// so an Enqueue still in flight on it finds fq and the kept-index
-// slots empty once every index has been drained, and reports full.
-// Only a run stored or appended to behind that pass still holds
-// indices, which an Enqueue in flight may use and which are otherwise
-// never used, as an index a Dequeue returned to fq behind the pass is
-// not.
+// Seal marks q as taking no more enqueues, for good: from then on
+// Dequeue and DequeueBatch neither keep nor append nor hand back to fq
+// the index they free, so its data slot never takes another value.
+// The queue does not refuse an Enqueue itself; its owner stops them,
+// as the unbounded construction does when a short enqueue on its tail
+// ring seals it. That short enqueue found the fresh counter exhausted
+// and every run empty at its pass, so an Enqueue still in flight finds
+// fq and the kept-index slots empty once every index has been drained,
+// and reports full. Only a run stored or appended to behind that pass
+// still holds indices, which an Enqueue in flight may use and which
+// are otherwise never used, as an index a Dequeue returned to fq
+// behind the pass is not. A dequeue that read the flag before the seal
+// recycles its index, which costs nothing: an Enqueue in flight may
+// use it, and otherwise it goes unused.
 //
 //wfq:noalloc
-func (h *QueueHandle[T]) Drain() (v T, ok bool) {
-	idx, ok := h.aq.Dequeue()
-	if !ok {
-		return v, false
-	}
-	return h.move(idx), true
-}
+func (q *Queue[T]) Seal() { q.sealed.Store(true) }
 
-// move takes the value out of data slot idx; Dequeue and Drain differ
-// only in what they then do with idx. When T holds pointers it zeroes
-// the slot, so the queue keeps no taken value alive. A pointer-free
+// Sealed reports whether Seal has been called on q.
+//
+//wfq:noalloc
+func (q *Queue[T]) Sealed() bool { return q.sealed.Load() }
+
+// move takes the value out of data slot idx for Dequeue, which then
+// decides where idx goes. When T holds pointers it zeroes the slot,
+// so the queue keeps no taken value alive. A pointer-free
 // slot is left as it is: the store would release nothing and would
 // only write a line that the enqueuers of neighbouring slots also
 // write.
@@ -764,7 +773,8 @@ func (h *QueueHandle[T]) EnqueueBatch(vs []T) int {
 
 // DequeueBatch fills a prefix of out with the oldest values and
 // returns its length; 0 means the queue appeared empty. Every index
-// goes back to fq: a batch keeps none.
+// goes back to fq, unless the queue is sealed (see Seal): a batch
+// keeps none.
 //
 //wfq:noalloc
 func (h *QueueHandle[T]) DequeueBatch(out []T) int {
@@ -777,21 +787,9 @@ func (h *QueueHandle[T]) DequeueBatch(out []T) int {
 		return 0 // an empty poll builds no fq
 	}
 	h.moveBatch(out, buf[:n])
-	h.free(true).EnqueueBatch(buf[:n])
-	return n
-}
-
-// DrainBatch is DequeueBatch without recycling, as Drain is Dequeue
-// without it.
-//
-//wfq:noalloc
-func (h *QueueHandle[T]) DrainBatch(out []T) int {
-	if len(out) == 0 {
-		return 0
+	if !h.q.sealed.Load() {
+		h.free(true).EnqueueBatch(buf[:n])
 	}
-	buf := h.scratch(len(out))
-	n := h.aq.DequeueBatch(buf)
-	h.moveBatch(out, buf[:n])
 	return n
 }
 

@@ -29,8 +29,8 @@
 // kind; the index rings know nothing of them. The unbounded linked
 // rings and the public wfqueue types hold the concrete *Queue that New
 // builds, rather than the contract: they call its handles directly,
-// and the unbounded construction also uses QueueHandle's drain-only
-// dequeue, which the contract does not carry.
+// and the unbounded construction also seals a Queue, which the
+// contract does not carry.
 //
 // The split between the two interfaces follows who needs what:
 //
@@ -44,10 +44,10 @@
 // unbounded queue is itself a Core, so it can be composed again or
 // served by the registry and the blocking facade with no adapter.
 //
-// A ring has no lifecycle of its own: the unbounded construction seals
-// its list nodes, not the rings. A sealed node's ring is emptied with
-// Drain, which leaves its indices out of the free-index ring, and is
-// never linked again.
+// A Queue's one lifecycle step is Seal, which the unbounded
+// construction takes when a ring fills: from then on the Queue's
+// dequeues recycle no index, so its values drain out and its data
+// slots take no more, and the ring is never linked again.
 package ringcore
 
 import (

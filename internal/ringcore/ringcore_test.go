@@ -202,10 +202,10 @@ func TestContractReuseAfterDrain(t *testing.T) {
 }
 
 func TestPayloadDrainDoesNotRecycle(t *testing.T) {
-	// Drain and DrainBatch hand out values in FIFO order like Dequeue
-	// and DequeueBatch, but keep their indices out of fq: a drained
-	// queue reports full, while one emptied by Dequeue takes a full
-	// load again.
+	// On a sealed queue Dequeue and DequeueBatch still hand out values
+	// in FIFO order, but recycle no index: a queue sealed and drained
+	// (the subtests Drain and DrainBatch) reports full, while an
+	// unsealed one emptied by Dequeue takes a full load again.
 	fill := func(t *testing.T, h *QueueHandle[uint64]) {
 		t.Helper()
 		for i := uint64(0); i < 4; i++ {
@@ -217,14 +217,14 @@ func TestPayloadDrainDoesNotRecycle(t *testing.T) {
 	drains := map[string]func(h *QueueHandle[uint64]) []uint64{
 		"Drain": func(h *QueueHandle[uint64]) []uint64 {
 			var got []uint64
-			for v, ok := h.Drain(); ok; v, ok = h.Drain() {
+			for v, ok := h.Dequeue(); ok; v, ok = h.Dequeue() {
 				got = append(got, v)
 			}
 			return got
 		},
 		"DrainBatch": func(h *QueueHandle[uint64]) []uint64 {
 			out := make([]uint64, 8)
-			return out[:h.DrainBatch(out)]
+			return out[:h.DequeueBatch(out)]
 		},
 	}
 	forEachKind(t, func(t *testing.T, kind Kind) {
@@ -236,6 +236,7 @@ func TestPayloadDrainDoesNotRecycle(t *testing.T) {
 					t.Fatal(err)
 				}
 				fill(t, h)
+				q.Seal()
 				got := drain(h)
 				if len(got) != 4 {
 					t.Fatalf("drained %d values, want 4", len(got))
@@ -366,7 +367,8 @@ func TestContractFootprintConstant(t *testing.T) {
 
 // takes runs each of the four take paths once over a few values
 // enqueued just before it, and calls check with the path's name and
-// the values it took.
+// the values it took. The last two, Drain and DrainBatch, are Dequeue
+// and DequeueBatch on the queue once h has sealed it.
 func takes[T any](t *testing.T, h *QueueHandle[T], next func() T, check func(path string, got []T)) {
 	t.Helper()
 	put := func(k int) {
@@ -405,8 +407,9 @@ func takes[T any](t *testing.T, h *QueueHandle[T], next func() T, check func(pat
 	// fresh indices to the next.
 	scalar("Dequeue", h.Dequeue, 17)
 	batch("DequeueBatch", h.DequeueBatch, 9)
-	scalar("Drain", h.Drain, 5)
-	batch("DrainBatch", h.DrainBatch, 7)
+	h.Queue().Seal()
+	scalar("Drain", h.Dequeue, 5)
+	batch("DrainBatch", h.DequeueBatch, 7)
 }
 
 // checkReleases fills and empties a 32-slot queue of T on every take

@@ -1,9 +1,9 @@
 // Package unbounded implements the paper's Appendix A construction:
 // unbounded queues built by linking bounded rings — LSCQ (SCQ rings)
-// and UWCQ (wCQ rings). When the tail ring fills up, its list node is
-// sealed and a fresh ring is appended; dequeuers advance past sealed,
-// drained nodes. Outer-list operations are rare, so throughput is
-// dominated by the ring operations, as the paper observes.
+// and UWCQ (wCQ rings). When the tail ring fills up, it is sealed and
+// a fresh ring is appended; dequeuers advance past the nodes of
+// sealed, drained rings. Outer-list operations are rare, so throughput
+// is dominated by the ring operations, as the paper observes.
 //
 // Both variants are one construction: every ring is the Figure 2
 // payload queue *ringcore.Queue[T] that ringcore.New builds for either
@@ -13,14 +13,13 @@
 // dispatched through the ringcore.Core / ringcore.Handle interfaces.
 // The composition is itself a ringcore.Core (and its Handle a
 // ringcore.Handle), so the sharded queue, the registry and the
-// blocking facade consume it with no adapter. The rings themselves
-// have no lifecycle: sealing and draining happen on the list node that
-// holds a ring.
+// blocking facade consume it with no adapter.
 //
-// A sealed node's ring takes no more values, so dequeuers drain it
-// with QueueHandle.Drain / DrainBatch, which leave each index out of
-// the ring's free-index ring instead of recycling it; only the
-// unsealed tail ring recycles. A ring serves its first lap from its
+// A sealed ring takes no more values, and the ring itself carries the
+// seal (ringcore.Queue.Seal): its Dequeue and DequeueBatch then
+// recycle no index they free, so dequeuers call the same two methods
+// on every ring and only the unsealed tail ring recycles.
+// A ring serves its first lap from its
 // counter of never-used indices, so a ring that is filled once, then
 // sealed and drained, never touches its free-index ring, and since
 // ringcore.New builds that ring on the first recycle, it never
@@ -31,7 +30,7 @@
 // time and keeps the rest as its run, which other handles steal from
 // before they report the ring full; an
 // LSCQ handle with an id at or past maxThreads claims them one at a
-// time. The short enqueue that sealed a node found that counter
+// time. The short enqueue that sealed a ring found that counter
 // exhausted and every run empty at its pass, so an enqueuer still in
 // flight on it either already holds an index or finds one that its
 // free-index ring, a kept-index slot or its own run still holds (its
@@ -111,33 +110,32 @@ const enqStripes = 8
 // ring is linked at most once, so the head/tail/next pointers cannot
 // suffer ABA.
 //
-// The node, not its ring, carries the seal and the drain barrier that
-// rests on it. An enqueuer adds 1 to its handle's stripe of enqs, then
-// touches the ring only if sealed is still false, and subtracts the 1
-// when it is done. drained loads sealed, then every stripe, then asks
-// the ring whether it is empty. With Go's sequentially consistent
-// atomics each side sees the other: once drained sees the seal and
-// every stripe at 0, every enqueuer that found the node open has left,
-// and every later one sees the seal.
+// The node carries the drain barrier that rests on its ring's seal.
+// An enqueuer adds 1 to its handle's stripe of enqs, then touches the
+// ring only if it is still unsealed, and subtracts the 1 when it is
+// done. drained loads the seal, then every stripe, then asks the ring
+// whether it is empty. With Go's sequentially consistent atomics each
+// side sees the other: once drained sees the seal and every stripe at
+// 0, every enqueuer that found the ring open has left, and every later
+// one sees the seal.
 //
-// r, next and sealed are read often but written about once per
-// node; each stripe sits on its own cache line, so enqueuers on
-// different handles never invalidate those reads or each other.
+// r and next are read often but written about once per node; each
+// stripe sits on its own cache line, so enqueuers on different handles
+// never invalidate those reads or each other.
 type node[T any] struct {
-	r      *ringcore.Queue[T]
-	next   atomic.Pointer[node[T]]
-	sealed atomic.Bool
-	_      pad.Line
-	enqs   [enqStripes]pad.Int64
+	r    *ringcore.Queue[T]
+	next atomic.Pointer[node[T]]
+	_    pad.Line
+	enqs [enqStripes]pad.Int64
 }
 
 // drained reports that no value can ever be produced by n's ring
-// again: the node is sealed, no enqueuer that found it open is still
+// again: the ring is sealed, no enqueuer that found it open is still
 // in flight, and the ring has handed out every value it took.
 //
 //wfq:noalloc
 func (n *node[T]) drained() bool {
-	if !n.sealed.Load() {
+	if !n.r.Sealed() {
 		return false
 	}
 	for i := range n.enqs {
@@ -290,16 +288,16 @@ func view[T any](v *ringcore.QueueHandle[T], n *node[T]) *ringcore.QueueHandle[T
 }
 
 // Enqueue appends v and returns true: the queue is never full. When the
-// tail node is sealed or its ring full, EnqueueBatch seals the node for
-// good and appends a fresh ring seeded with v (as Enqueue_Unbounded
-// does in Fig. 13).
+// tail ring is sealed or full, EnqueueBatch seals it for good and
+// appends a fresh ring seeded with v (as Enqueue_Unbounded does in
+// Fig. 13).
 //
 //wfq:noalloc
 func (h *Handle[T]) Enqueue(v T) bool {
 	ltail := h.q.tail.Load()
 	enqs := &ltail.enqs[h.stripe%enqStripes].V
 	enqs.Add(1)
-	if !ltail.sealed.Load() && view(h.tail, ltail).Enqueue(v) {
+	if !ltail.r.Sealed() && view(h.tail, ltail).Enqueue(v) {
 		enqs.Add(-1)
 		return true
 	}
@@ -324,13 +322,13 @@ func (h *Handle[T]) EnqueueBatch(vs []T) int {
 		ltail := q.tail.Load()
 		enqs := &ltail.enqs[h.stripe%enqStripes].V
 		enqs.Add(1)
-		if !ltail.sealed.Load() {
+		if !ltail.r.Sealed() {
 			if sent += view(h.tail, ltail).EnqueueBatch(vs[sent:]); sent == len(vs) {
 				enqs.Add(-1)
 				break
 			}
 			// Full (or short) mid-batch: nothing lands here again.
-			ltail.sealed.Store(true)
+			ltail.r.Seal()
 		}
 		// From here on the ring is not touched, so the count can drop.
 		enqs.Add(-1)
@@ -339,8 +337,8 @@ func (h *Handle[T]) EnqueueBatch(vs []T) int {
 	return len(vs)
 }
 
-// extend moves the list past ltail, a sealed node. When a successor is
-// already linked it helps swing tail to it (the linker may have
+// extend moves the list past ltail, whose ring is sealed. When a
+// successor is already linked it helps swing tail to it (the linker may have
 // stalled); otherwise it appends a ring seeded with as much of vs as
 // fits. It returns how many values landed — 0 when another enqueuer
 // linked its ring first. The loser's ring was never linked, so no
@@ -387,19 +385,12 @@ func (q *Queue[T]) newRing() *ringcore.Queue[T] {
 // Dequeue removes the oldest value; ok is false when the whole queue
 // is empty. Like Enqueue it probes the current ring once; on a miss
 // (the head ring empty) it is the batch dequeue over a batch of one.
-// A sealed node's ring takes no more values, so its indices are
-// drained instead of recycled (see ringcore.QueueHandle.Drain).
+// A sealed ring's Dequeue drains its indices instead of recycling
+// them (see ringcore.Queue.Seal).
 //
 //wfq:noalloc
 func (h *Handle[T]) Dequeue() (v T, ok bool) {
-	lhead := h.q.head.Load()
-	hv := view(h.head, lhead)
-	if lhead.sealed.Load() {
-		v, ok = hv.Drain()
-	} else {
-		v, ok = hv.Dequeue()
-	}
-	if ok {
+	if v, ok = view(h.head, h.q.head.Load()).Dequeue(); ok {
 		return v, true
 	}
 	if h.DequeueBatch(h.one[:]) == 0 {
@@ -418,7 +409,7 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 // batch. It returns how many values were written; 0 means the whole
 // queue appeared empty. A batch cut short by a ring whose producers
 // are still in flight returns the partial prefix instead of spinning.
-// As in Dequeue, a sealed node's indices are drained, not recycled.
+// As in Dequeue, a sealed ring's indices are drained, not recycled.
 //
 //wfq:noalloc
 func (h *Handle[T]) DequeueBatch(out []T) int {
@@ -427,13 +418,7 @@ func (h *Handle[T]) DequeueBatch(out []T) int {
 	for filled < len(out) {
 		lhead := q.head.Load()
 		hv := view(h.head, lhead)
-		var n int
-		if lhead.sealed.Load() {
-			n = hv.DrainBatch(out[filled:])
-		} else {
-			n = hv.DequeueBatch(out[filled:])
-		}
-		if n > 0 {
+		if n := hv.DequeueBatch(out[filled:]); n > 0 {
 			filled += n
 			continue
 		}
@@ -451,7 +436,7 @@ func (h *Handle[T]) DequeueBatch(out []T) int {
 		// then advance. A ring left behind is reachable only by
 		// stragglers that loaded this node earlier, and it has nothing
 		// left to give them.
-		if n := hv.DrainBatch(out[filled:]); n > 0 {
+		if n := hv.DequeueBatch(out[filled:]); n > 0 {
 			filled += n
 			continue
 		}

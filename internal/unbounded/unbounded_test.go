@@ -562,7 +562,7 @@ func TestQueueAsCore(t *testing.T) {
 }
 
 func TestNodeSealStopsEnqueues(t *testing.T) {
-	// A sealed node takes no more values: the next enqueue links a
+	// A sealed ring takes no more values: the next enqueue links a
 	// fresh ring behind it, and the sealed ring's values still drain
 	// first.
 	for name, mk := range makers() {
@@ -572,10 +572,10 @@ func TestNodeSealStopsEnqueues(t *testing.T) {
 			h, _ := q.Handle()
 			h.Enqueue(1)
 			n := q.tail.Load()
-			n.sealed.Store(true)
+			n.r.Seal()
 			h.Enqueue(2)
 			if q.tail.Load() == n || n.next.Load() == nil {
-				t.Fatal("enqueue on a sealed node did not append a fresh ring")
+				t.Fatal("enqueue on a sealed ring did not append a fresh ring")
 			}
 			for _, want := range []uint64{1, 2} {
 				if v, ok := h.Dequeue(); !ok || v != want {
@@ -587,19 +587,20 @@ func TestNodeSealStopsEnqueues(t *testing.T) {
 }
 
 func TestNodeDrainedBarrier(t *testing.T) {
-	// drained needs the seal, no enqueuer in flight on any stripe, and
-	// an empty ring — an enqueuer that found the node open keeps it
-	// undrained until it leaves, whichever stripe its handle counts on.
+	// drained needs the ring's seal, no enqueuer in flight on any
+	// stripe, and an empty ring — an enqueuer that found the ring open
+	// keeps it undrained until it leaves, whichever stripe its handle
+	// counts on. A seal is for good, so the buffered-value half runs on
+	// a second queue.
 	for name, mk := range makers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			q := mk(t, 8)
-			h, _ := q.Handle()
 			n := q.tail.Load()
 			if n.drained() {
 				t.Fatal("unsealed node reported drained")
 			}
-			n.sealed.Store(true)
+			n.r.Seal()
 			for i := range n.enqs {
 				n.enqs[i].V.Add(1) // an enqueuer past its seal check, still in flight
 				if n.drained() {
@@ -610,9 +611,11 @@ func TestNodeDrainedBarrier(t *testing.T) {
 			if !n.drained() {
 				t.Fatal("sealed, idle, empty node not drained")
 			}
-			n.sealed.Store(false)
+			q = mk(t, 8)
+			h, _ := q.Handle()
+			n = q.tail.Load()
 			h.Enqueue(7)
-			n.sealed.Store(true)
+			n.r.Seal()
 			if n.drained() {
 				t.Fatal("drained with a value buffered")
 			}
@@ -627,7 +630,7 @@ func TestNodeDrainedBarrier(t *testing.T) {
 }
 
 func TestSealedRingsDrainWithoutRecycling(t *testing.T) {
-	// A sealed node's ring takes no more values, so dequeuers drain it
+	// A sealed ring takes no more values, so dequeuers drain it
 	// instead of handing its indices back to its free-index ring: a
 	// probe handle on it then finds it full. The lone tail ring is never
 	// sealed and keeps recycling, so it takes a full load again with no
@@ -671,7 +674,7 @@ func TestSealedRingsDrainWithoutRecycling(t *testing.T) {
 					}
 				}
 				for i, n := range nodes[:2] {
-					if !n.sealed.Load() {
+					if !n.r.Sealed() {
 						t.Fatalf("ring %d not sealed", i)
 					}
 					v, err := n.r.HandleAt(1)
@@ -784,14 +787,14 @@ func TestSealedRingsBuildNoFreeRing(t *testing.T) {
 				}
 				tail := nodes[len(nodes)-1]
 				for i, n := range nodes[:len(nodes)-1] {
-					if !n.sealed.Load() || n.r.Footprint() != bare {
+					if !n.r.Sealed() || n.r.Footprint() != bare {
 						t.Fatalf("ring %d: sealed %v, %d B after its drain, want %d B without a free-index ring",
-							i, n.sealed.Load(), n.r.Footprint(), bare)
+							i, n.r.Sealed(), n.r.Footprint(), bare)
 					}
 				}
-				if tail.sealed.Load() || q.tail.Load() != tail || tail.r.Footprint() != full {
+				if tail.r.Sealed() || q.tail.Load() != tail || tail.r.Footprint() != full {
 					t.Fatalf("tail ring: sealed %v, %d B after recycling, want %d B with one free-index ring",
-						tail.sealed.Load(), tail.r.Footprint(), full)
+						tail.r.Sealed(), tail.r.Footprint(), full)
 				}
 				for i := range 3 * ringCap { // more laps on the tail ring, through its one free-index ring
 					p.Enqueue(uint64(i))
