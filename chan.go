@@ -12,6 +12,7 @@ import (
 	"repro/internal/queueapi"
 	"repro/internal/ringcore"
 	"repro/internal/sharded"
+	"repro/internal/unbounded"
 )
 
 // ErrClosed is returned by Chan operations after Close: sends fail
@@ -122,12 +123,15 @@ type Chan[T any] struct {
 	met    *metrics.Sink
 	closed atomic.Bool
 	_      pad.Line
-	// sending counts in-flight sends of every kind (scalar, batch,
-	// blocking and Try). Receivers treat "closed" as final only once
-	// this is zero: a sender that passed the closed check may still be
-	// buffering its value, and draining receivers must not give up
-	// before it lands (or aborts). Every send writes it twice, so it
-	// has a cache line to itself: on a line shared with the fields
+	// sending counts nonblocking send attempts in flight: every
+	// TrySendMany, which each send runs, a blocking one once per
+	// attempt. Receivers treat "closed" as final only once this is
+	// zero: an attempt that passed the closed check may still be
+	// buffering its values, and draining receivers must not give up
+	// before they land. A sender parked between attempts is not
+	// counted, and need not be: it holds no value in flight, and its
+	// next attempt sees the close. Every attempt writes it twice, so
+	// it has a cache line to itself: on a line shared with the fields
 	// every receive reads (core, shardedFull, notFull), each send
 	// would evict that line from the receivers' caches.
 	sending atomic.Int64
@@ -196,10 +200,7 @@ func NewChan[T any](capacity uint64, maxThreads int, opts ...Option) (*Chan[T], 
 		if err = validate(capacity, maxThreads); err != nil {
 			return nil, err
 		}
-		var q *UnboundedQueue[T]
-		if q, err = NewUnbounded[T](maxThreads, append(opts, WithRingCapacity(capacity))...); err == nil {
-			core = q.q
-		}
+		core, err = unbounded.New[T](ringcore.KindWCQ, capacity, maxThreads, &o.core)
 	case BackendShardedUnbounded:
 		// Like BackendUnbounded, capacity is a ring size (here: each
 		// shard's), never a bound, so Send never parks.
@@ -297,12 +298,10 @@ func (c *Chan[T]) Close() error {
 	return nil
 }
 
-// finishSendN retires one in-flight send that delivered n values in
-// its final step and wakes receivers: n of them for the delivered
-// values, every parked receiver once the Chan is closed (each must
-// re-evaluate the closed-and-drained condition now that the in-flight
-// count moved). Values delivered by earlier steps of a batch send have
-// already been signalled by then (see SendManyCtx).
+// finishSendN retires one in-flight send attempt that buffered n
+// values and wakes receivers: n of them for the buffered values, every
+// parked receiver once the Chan is closed (each must re-evaluate the
+// closed-and-drained condition now that the in-flight count moved).
 //
 //wfq:noalloc
 func (c *Chan[T]) finishSendN(n int) {
@@ -434,62 +433,28 @@ func (h *ChanHandle[T]) SendMany(vs []T) (int, error) {
 // of the batch.
 //
 // This is the one blocking send loop: Send and SendCtx run it over a
-// batch of one.
+// batch of one. Each attempt is TrySendMany; one that leaves values
+// undelivered registers on notFull, attempts once more — a receiver
+// may have freed a slot, or the Chan closed, before the registration
+// was visible, so its wake cannot have targeted this sender — and
+// parks.
 func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 	c := h.c
-	if len(vs) == 0 {
-		// Nothing to deliver: without this guard the loop below would
-		// park on notFull forever (the success check lives inside the
-		// delivered-a-chunk branch) while pinning the in-flight send
-		// counter, wedging every receiver's close-drain check.
-		if c.closed.Load() {
-			return 0, ErrClosed
-		}
-		return 0, nil
-	}
-	c.sending.Add(1)
 	sent := 0
 	for {
-		if c.closed.Load() {
-			c.finishSendN(0)
-			return sent, ErrClosed
-		}
-		// Rendezvous fast path: satisfy parked receivers directly, one
-		// value each (each handoff wakes its receiver, so no notEmpty
-		// signal is owed for these).
-		if sent += h.handoff(vs[sent:]); sent == len(vs) {
-			c.finishSendN(0)
-			return sent, nil
-		}
-		if n := h.put(vs[sent:]); n > 0 {
-			sent += n
-			if sent == len(vs) {
-				c.finishSendN(n)
-				return sent, nil
-			}
-			c.notEmpty.Wake(n) // partial chunk is visible now; signal receivers
+		n, err := h.TrySendMany(vs[sent:])
+		if sent += n; sent == len(vs) || err != nil {
+			return sent, err
 		}
 		if err := ctx.Err(); err != nil {
-			c.finishSendN(0)
 			return sent, err
 		}
 		w := c.notFull.Prepare()
-		// Re-check after registering: a receiver may have freed a
-		// slot (or the Chan closed) before our waiter was visible,
-		// in which case its wake cannot have targeted us.
-		if c.closed.Load() {
+		if n, err = h.TrySendMany(vs[sent:]); n > 0 || err != nil {
 			c.notFull.Abort(w)
-			c.finishSendN(0)
-			return sent, ErrClosed
-		}
-		if n := h.put(vs[sent:]); n > 0 {
-			c.notFull.Abort(w)
-			sent += n
-			if sent == len(vs) {
-				c.finishSendN(n)
-				return sent, nil
+			if sent += n; sent == len(vs) || err != nil {
+				return sent, err
 			}
-			c.notEmpty.Wake(n)
 			continue
 		}
 		select {
@@ -498,7 +463,6 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 			c.notFull.Finish(w)
 		case <-ctx.Done():
 			c.notFull.Abort(w)
-			c.finishSendN(0)
 			return sent, ctx.Err()
 		}
 	}
@@ -507,7 +471,9 @@ func (h *ChanHandle[T]) SendManyCtx(ctx context.Context, vs []T) (int, error) {
 // TryRecvMany is the nonblocking batch receive: it fills a prefix of
 // out through the backend's native batch reservation and returns its
 // length (0 with a nil error means the buffer is empty), or ErrClosed
-// once the Chan is closed and drained.
+// once the Chan is closed and drained. It is the one place the close
+// drain is decided: every receive, blocking or not, reports ErrClosed
+// only from here.
 //
 //wfq:noalloc
 func (h *ChanHandle[T]) TryRecvMany(out []T) (int, error) {
@@ -523,6 +489,9 @@ func (h *ChanHandle[T]) TryRecvMany(out []T) (int, error) {
 			c.wakeNotFullN(n)
 			return n, nil
 		}
+		// Nudge any receiver still parked so it re-evaluates the
+		// drained state too.
+		c.notEmpty.WakeAll()
 		c.met.Inc(metrics.CloseDrain)
 		return 0, ErrClosed
 	}
@@ -542,26 +511,27 @@ func (h *ChanHandle[T]) RecvMany(out []T) (int, error) {
 // context expires while the buffer is still empty.
 //
 // This is the one blocking receive loop: Recv and RecvCtx run it over
-// a batch of one. A receive that misses registers on notEmpty at once
-// with PrepareXfer, so it is claimable from the moment it is listed:
-// through the registered re-checks below and through the park itself.
-// A sender that finds it delivers straight into the transfer cell,
-// skipping the ring and the dequeue after the wake; a landed handoff
-// satisfies the "at least one value" contract with out[0], since the
-// claim protocol transfers exactly one value per registration. The
-// invariant that keeps exactly-once: an armed receiver never touches
-// the ring without first winning Disarm — a lost Disarm means a
-// claimer owns the registration, and its token and cell value must be
-// consumed.
+// a batch of one. Each attempt is TryRecvMany, which also decides the
+// close drain; one that misses registers on notEmpty with PrepareXfer,
+// so it is claimable from the moment it is listed: through the
+// registered re-check below and through the park itself. A sender that
+// finds it delivers straight into the transfer cell, skipping the ring
+// and the dequeue after the wake; a landed handoff satisfies the "at
+// least one value" contract with out[0], since the claim protocol
+// transfers exactly one value per registration. The invariant that
+// keeps exactly-once: an armed receiver never touches the ring without
+// first winning Disarm — a lost Disarm means a claimer owns the
+// registration, and its token and cell value must be consumed.
 func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 	if len(out) == 0 {
+		// Nothing to fill: every attempt would miss, and the loop below
+		// would park for good.
 		return 0, nil
 	}
 	c := h.c
 	for {
-		if n := h.take(out); n > 0 {
-			c.wakeNotFullN(n)
-			return n, nil
+		if n, err := h.TryRecvMany(out); n > 0 || err != nil {
+			return n, err
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
@@ -571,40 +541,10 @@ func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 		w := c.notEmpty.PrepareXfer(unsafe.Pointer(&h.rcell))
 		// Re-check after registering (lost-wakeup protocol): a sender
 		// that missed the registration must have enqueued first, which
-		// this probe observes.
-		if !c.core.Empty() || (c.closed.Load() && c.sending.Load() == 0) {
-			if !w.Disarm() {
-				// Lost the race to a claimer: the handoff owns this
-				// registration now.
-				<-w.Ready()
-				out[0] = h.rcell
-				c.notEmpty.Finish(w)
-				return 1, nil
-			}
-			// Disarmed: exclusive use of the cell again, safe to touch
-			// the ring.
-			if n := h.take(out); n > 0 {
-				c.notEmpty.Abort(w)
-				c.wakeNotFullN(n)
-				return n, nil
-			}
-			if c.closed.Load() && c.sending.Load() == 0 {
-				// Final re-check: with the in-flight counter at zero
-				// after close, every completed send's value is visible.
-				if n := h.take(out); n > 0 {
-					c.notEmpty.Abort(w)
-					c.wakeNotFullN(n)
-					return n, nil
-				}
-				c.notEmpty.Abort(w)
-				// Nudge any sibling still parked so it re-evaluates the
-				// drained state too.
-				c.notEmpty.WakeAll()
-				c.met.Inc(metrics.CloseDrain)
-				return 0, ErrClosed
-			}
-			// The ring emptied again between the probe and the dequeue;
-			// retire this registration and re-arm fresh.
+		// this probe observes. A won Disarm gives the cell back, so the
+		// registration retires and the nonblocking step runs again; a
+		// lost one leaves the claimer's token and value to the park.
+		if (!c.core.Empty() || c.closed.Load() && c.sending.Load() == 0) && w.Disarm() {
 			c.notEmpty.Abort(w)
 			continue
 		}
@@ -613,20 +553,16 @@ func (h *ChanHandle[T]) RecvManyCtx(ctx context.Context, out []T) (int, error) {
 			// Done before Finish: Finish recycles the waiter and resets
 			// its transfer state.
 			done := w.Done()
-			if done {
-				out[0] = h.rcell
-			}
 			c.notEmpty.Finish(w)
 			if done {
-				return 1, nil
+				return h.takeCell(out)
 			}
-			// Plain (possibly forwarded) wake: loop and re-check.
+			// Plain (possibly forwarded) wake: loop and retry.
 		case <-ctx.Done():
 			if c.notEmpty.Abort(w) {
 				// The handoff landed before the abort: the value counts
 				// as delivered, exactly once — return it, not the error.
-				out[0] = h.rcell
-				return 1, nil
+				return h.takeCell(out)
 			}
 			return 0, ctx.Err()
 		}

@@ -5,15 +5,19 @@ import "repro/internal/metrics"
 // Direct handoff: the rendezvous fast path that skips the ring when a
 // receiver is already parked (see ARCHITECTURE.md, "Direct handoff").
 //
-// A blocking receive that misses registers on notEmpty with an armed
-// transfer cell (ChanHandle rcell) and stays claimable from that
-// moment — through its registered re-checks and through the park (see
-// RecvManyCtx). A sender — blocking or not, scalar or batch — that
-// finds the queue verifiably empty — the backend's one-sided Empty
-// probe, the linearization point that keeps per-producer FIFO intact —
-// claims the oldest armed receiver, writes its value straight into the
-// cell, and wakes it. The value never touches the ring, and the woken
-// receiver returns without dequeuing.
+// Both blocking loops have one shape: try the nonblocking step
+// (TrySendMany or TryRecvMany), register on the park point, try once
+// more, park. A receive whose step misses registers on notEmpty with
+// an armed transfer cell (ChanHandle rcell) and stays claimable from
+// that moment — through its registered re-check and through the park
+// (see RecvManyCtx). Every send runs TrySendMany, a blocking one once
+// per attempt, and each attempt counts itself in flight (Chan.sending)
+// only while it runs. An attempt that finds the queue verifiably
+// empty claims the oldest armed receiver, writes its value straight
+// into the cell, and wakes it; the backend's one-sided Empty probe is
+// the linearization point that keeps per-producer FIFO intact. The
+// value never touches the ring, and the woken receiver returns it
+// through takeCell without dequeuing.
 //
 // Exactly-once rests on park's claim protocol: the armed→claimed CAS
 // races one-shot against the receiver's Disarm, and Abort reports a
@@ -49,4 +53,17 @@ func (h *ChanHandle[T]) handoff(vs []T) int {
 		n++
 	}
 	return n
+}
+
+// takeCell consumes the value a handoff landed in the transfer cell:
+// it moves it to out[0] and clears the cell, so the handle keeps no
+// reference to a value it has passed on. It returns RecvManyCtx's
+// result for one received value.
+//
+//wfq:noalloc
+func (h *ChanHandle[T]) takeCell(out []T) (int, error) {
+	out[0] = h.rcell
+	var zero T
+	h.rcell = zero
+	return 1, nil
 }

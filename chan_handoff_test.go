@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/metrics"
 )
@@ -399,4 +401,40 @@ func handoffStorm(t *testing.T, b Backend, e stormEntry) {
 			t.Fatal("storm completed without a single handoff: the fast path never ran")
 		}
 	}
+}
+
+// TestChanHandoffCellKeepsNoReference pins that a receiving handle
+// lets go of a value handed off through its transfer cell: once the
+// receiver has returned the value and the caller has dropped it,
+// nothing in the Chan keeps it reachable, as the ring's taken slots
+// and the handle's scalar scratch keep nothing either.
+func TestChanHandoffCellKeepsNoReference(t *testing.T) {
+	type payload struct{ buf [64]byte }
+	c, err := NewChan[*payload](16, 2, WithMetrics(NewMetricsSink()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, _ := c.Handle()
+	hr, _ := c.Handle()
+	got := make(chan weak.Pointer[payload], 1)
+	go func() {
+		v, err := hr.Recv()
+		if err != nil {
+			t.Error(err)
+		}
+		got <- weak.Make(v)
+	}()
+	waitParked(t, &c.notEmpty)
+	if err := hs.Send(&payload{}); err != nil {
+		t.Fatal(err)
+	}
+	wp := <-got
+	if n := c.Stats().Counts[metrics.HandoffSend]; n != 1 {
+		t.Fatalf("HandoffSend = %d, want 1 (value crossed the ring instead)", n)
+	}
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("the receiving handle still references the handed-off value")
+	}
+	runtime.KeepAlive(hr)
 }

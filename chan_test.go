@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/ringcore"
 )
 
 func backends() []Backend {
@@ -451,6 +453,78 @@ func TestChanCloseCancelRace(t *testing.T) {
 	}
 }
 
+// hookHandle runs test code inside a core handle's scalar calls:
+// beforeEnqueue before every Enqueue, onMiss once, after the first
+// Dequeue that finds nothing.
+type hookHandle[T any] struct {
+	ringcore.Handle[T]
+	beforeEnqueue, onMiss func()
+}
+
+func (h *hookHandle[T]) Enqueue(v T) bool {
+	if h.beforeEnqueue != nil {
+		h.beforeEnqueue()
+	}
+	return h.Handle.Enqueue(v)
+}
+
+func (h *hookHandle[T]) Dequeue() (T, bool) {
+	v, ok := h.Handle.Dequeue()
+	if f := h.onMiss; !ok && f != nil {
+		h.onMiss = nil
+		f()
+	}
+	return v, ok
+}
+
+// TestChanCloseDrainRetakesLateSend drives the interleaving the close
+// drain's final re-take exists for, on every backend: a send passes
+// the closed check before Close, and its value lands after a
+// receive's first take missed but before that receive reads the
+// in-flight count, which is zero by then. The receive must return the
+// value, and only the next one ErrClosed.
+func TestChanCloseDrainRetakesLateSend(t *testing.T) {
+	for _, b := range backends() {
+		t.Run(b.String(), func(t *testing.T) {
+			c, err := NewChan[int](16, 2, WithBackend(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs, _ := c.Handle()
+			hr, _ := c.Handle()
+			atPut, release := make(chan struct{}), make(chan struct{})
+			hs.h = &hookHandle[int]{Handle: hs.h, beforeEnqueue: func() {
+				close(atPut)
+				<-release
+			}}
+			sent := make(chan error, 1)
+			go func() {
+				ok, err := hs.TrySend(7)
+				if !ok && err == nil {
+					err = errors.New("TrySend found the buffer full")
+				}
+				sent <- err
+			}()
+			<-atPut // the send counts in flight and saw the Chan open
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			hr.h = &hookHandle[int]{Handle: hr.h, onMiss: func() {
+				close(release)
+				if err := <-sent; err != nil {
+					t.Error(err)
+				}
+			}}
+			if v, ok, err := hr.TryRecv(); v != 7 || !ok || err != nil {
+				t.Fatalf("TryRecv = %v, %v, %v; want the late send's 7", v, ok, err)
+			}
+			if _, ok, err := hr.TryRecv(); ok || !errors.Is(err, ErrClosed) {
+				t.Fatalf("TryRecv after drain = %v, %v", ok, err)
+			}
+		})
+	}
+}
+
 // TestChanZeroAllocNonParking extends the cores' zero-allocation claim
 // to the Chan facade: every operation that does not park — the Try
 // calls, and the blocking calls while the buffer has room — allocates
@@ -620,5 +694,24 @@ func TestChanUnboundedRejectsZeroCapacity(t *testing.T) {
 	}
 	if _, err := NewChan[int](0, 2, WithBackend(BackendUnbounded)); err == nil {
 		t.Fatal("capacity 0 accepted by the unbounded backend")
+	}
+}
+
+// TestNewChanLeavesOptionSlice pins that NewChan only reads the
+// caller's options: an option slice with spare capacity keeps every
+// element, the spare ones included, on every backend.
+func TestNewChanLeavesOptionSlice(t *testing.T) {
+	for _, b := range backends() {
+		spareCalled := false
+		opts := make([]Option, 1, 2)
+		opts[0] = WithBackend(b)
+		opts[:cap(opts)][1] = func(*options) { spareCalled = true }
+		if _, err := NewChan[int](16, 2, opts...); err != nil {
+			t.Fatal(err)
+		}
+		opts[:cap(opts)][1](&options{})
+		if !spareCalled {
+			t.Fatalf("%v: NewChan wrote into the option slice's spare capacity", b)
+		}
 	}
 }
